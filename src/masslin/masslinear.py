@@ -31,6 +31,7 @@ from .linalg import (
     Vec,
     dot,
     in_row_span,
+    int_vec,
     nullspace,
     rank,
     solve_linear,
@@ -39,14 +40,14 @@ from .linalg import (
     zero_vec,
 )
 from .measure import (
-    cached_moment_poly,
     direction_lattice_basis,
+    moment_poly,
     skeleton_barycenter,
     skeleton_measure_polys,
     volume_poly,
 )
 from .poly import MultiPoly
-from .polytope import Face, HPolytope
+from .polytope import Face, HPolytope, memoize
 
 
 def _require_smooth(poly: HPolytope) -> None:
@@ -165,7 +166,7 @@ def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]
     Works whether or not H is mass linear.
     """
     _require_smooth(poly)
-    mu = cached_moment_poly(poly, vec(H))
+    mu = moment_poly(poly, vec(H))
     vol = volume_poly(poly)
     sym = set()
     for i in range(poly.n_facets):
@@ -190,7 +191,7 @@ def mass_linear_test(
     if len(Hv) != poly.dim:
         raise ValueError("functional has wrong dimension")
     N = poly.n_facets
-    mu = cached_moment_poly(poly, Hv)
+    mu = moment_poly(poly, Hv)
     vol = volume_poly(poly)
     base = poly.support
 
@@ -234,19 +235,21 @@ def mass_linear_test(
             rhs.append(mu.coefficient(m))
         sol = solve_linear(rows, rhs, ncols=N)
         if sol is not None:
-            assert not sol.nullspace, "the products kappa_i * V are independent"
+            if sol.nullspace:
+                raise StructuralInconsistency("the products kappa_i * V are independent")
             gamma_t = sol.solution
             verdict = True
 
     if verdict:
-        assert sum(gamma_t, Fraction(0)) == 0, "coefficient sum must vanish"
-        assert _hhat(poly, mu, vol, base) == dot(gamma_t, base), (
-            "no constant term allowed"
-        )
+        if sum(gamma_t, Fraction(0)) != 0:
+            raise StructuralInconsistency("coefficient sum must vanish")
+        if _hhat(poly, mu, vol, base) != dot(gamma_t, base):
+            raise StructuralInconsistency("no constant term allowed")
         recon = zero_vec(poly.dim)
         for g, eta in zip(gamma_t, poly.conormals):
             recon = tuple(r + g * e for r, e in zip(recon, eta))
-        assert recon == Hv, "H must equal sum of gamma_i times conormals"
+        if recon != Hv:
+            raise StructuralInconsistency("H must equal sum of gamma_i times conormals")
         sym = frozenset(i for i, g in enumerate(gamma_t) if g == 0)
         asym = frozenset(range(N)) - sym
     else:
@@ -258,6 +261,7 @@ def mass_linear_test(
     return MassLinearReport(verdict, gamma_t, sym, asym, pervasive, flat)
 
 
+@memoize
 def equivalence_classes(poly: HPolytope) -> EquivalenceClasses:
     """Facet equivalence classes.
 
@@ -268,9 +272,6 @@ def equivalence_classes(poly: HPolytope) -> EquivalenceClasses:
     m-1, and only balanced combinations of the class conormals land in
     the complement span).
     """
-    cached = poly.__dict__.get("_equiv_classes")
-    if cached is not None:
-        return cached
     _require_smooth(poly)
     n = poly.dim
     N = poly.n_facets
@@ -328,9 +329,7 @@ def equivalence_classes(poly: HPolytope) -> EquivalenceClasses:
             raise StructuralInconsistency(
                 f"facet class {members} admits an unbalanced combination"
             )
-    result = EquivalenceClasses(classes, complement_rank)
-    object.__setattr__(poly, "_equiv_classes", result)
-    return result
+    return EquivalenceClasses(classes, complement_rank)
 
 
 def _row_basis(rows) -> list[int]:
@@ -364,9 +363,10 @@ def is_inessential(poly: HPolytope, H) -> InessentialWitness | None:
         return None
     beta = sol.solution
     # inessential functions pair with the center through sum beta_i k_i
-    mu = cached_moment_poly(poly, Hv)
+    mu = moment_poly(poly, Hv)
     vol = volume_poly(poly)
-    assert _hhat(poly, mu, vol, poly.support) == dot(beta, poly.support)
+    if _hhat(poly, mu, vol, poly.support) != dot(beta, poly.support):
+        raise StructuralInconsistency("an inessential pairing is sum beta_i kappa_i")
     return InessentialWitness(beta)
 
 
@@ -409,6 +409,36 @@ def _resolve_face(poly: HPolytope, face) -> Face:
     return found
 
 
+def _face_slice(poly: HPolytope, face) -> tuple[HPolytope, tuple[int, ...]]:
+    """A face as a full-dimensional polytope in a chart of its direction
+    lattice, plus the input facet cutting each slice facet.
+
+    The chart is x = v0 + B^T y, with B from direction_lattice_basis and
+    v0 the face's first vertex.  face is a Face or a facet index set
+    naming the face it cuts out; an empty face raises PolytopeError, and
+    a slice that is not smooth raises StructuralInconsistency."""
+    face = _resolve_face(poly, face)
+    B = direction_lattice_basis(poly, face)
+    v0 = poly.vertices[face.vertex_ids[0]].point
+    k = face.dimension
+    conormals, support, origins, labels = [], [], [], []
+    for j in range(poly.n_facets):
+        if j in face.index_set:
+            continue
+        sub = poly.face(face.index_set | {j})
+        if sub is None or sub.dimension != k - 1:
+            continue
+        eta = poly.conormals[j]
+        conormals.append(int_vec(tuple(dot(b, eta) for b in B)))
+        support.append(poly.support[j] - dot(eta, v0))
+        origins.append(j)
+        labels.append(poly.labels[j])
+    out = HPolytope(k, tuple(conormals), tuple(support), tuple(labels))
+    if not out.is_smooth():
+        raise StructuralInconsistency("a face of a smooth polytope must be smooth")
+    return out, tuple(origins)
+
+
 def restrict_to_face(poly: HPolytope, H, face) -> Restriction:
     """Present a symmetric face as a smooth polytope in chart coordinates
     of its direction lattice and restrict H to it.
@@ -424,28 +454,11 @@ def restrict_to_face(poly: HPolytope, H, face) -> Restriction:
     sym, _ = symmetric_facets(poly, Hv)
     if not face.index_set <= sym:
         raise PolytopeError("face is not symmetric for this functional")
-    k = face.dimension
+    restricted, origins = _face_slice(poly, face)
     B = direction_lattice_basis(poly, face)
     v0 = poly.vertices[face.vertex_ids[0]].point
-    conormals = []
-    support = []
-    origins = []
-    labels = []
-    for j in range(poly.n_facets):
-        if j in face.index_set:
-            continue
-        sub = poly.face(face.index_set | {j})
-        if sub is None or sub.dimension != k - 1:
-            continue
-        eta = poly.conormals[j]
-        conormals.append(tuple(dot(vec(b), eta) for b in B))
-        support.append(poly.support[j] - dot(eta, v0))
-        origins.append(j)
-        labels.append(poly.labels[j])
-    restricted = HPolytope(k, conormals, support, labels=labels)
-    assert restricted.is_smooth(), "restriction of a smooth polytope must be smooth"
     functional = tuple(dot(vec(b), Hv) for b in B)
-    return Restriction(restricted, functional, tuple(origins), v0, tuple(tuple(b) for b in B))
+    return Restriction(restricted, functional, origins, v0, tuple(tuple(b) for b in B))
 
 
 def generating_vector(
@@ -463,7 +476,8 @@ def generating_vector(
     sol = solve_linear(list(poly.conormals), list(report.gamma), ncols=poly.dim)
     if sol is None:
         return None
-    assert not sol.nullspace, "conormals span, so xi is unique"
+    if sol.nullspace:
+        raise StructuralInconsistency("conormals span, so xi is unique")
     return sol.solution
 
 
@@ -486,7 +500,8 @@ def fully_mass_linear_test(poly: HPolytope, H) -> FullMassLinearReport:
         if not (pk * mn - pn * mk).is_zero():
             verdict = False
             break
-    assert not (verdict and not at_base)
+    if verdict and not at_base:
+        raise StructuralInconsistency("a chamber-wide identity holds at the base")
     return FullMassLinearReport(values, at_base, verdict)
 
 
@@ -516,7 +531,7 @@ def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
     N = poly.n_facets
     vol = volume_poly(poly)
     coord_moments = [
-        cached_moment_poly(poly, tuple(Fraction(1 if c == r else 0) for r in range(n)))
+        moment_poly(poly, tuple(Fraction(1 if c == r else 0) for r in range(n)))
         for c in range(n)
     ]
     kappa_vols = [MultiPoly.variable(N, i) * vol for i in range(N)]

@@ -13,6 +13,19 @@ Face measures use the measure induced by the integer lattice of the
 face's direction space: integrate in coordinates given by a lattice
 basis of that space.  A face's direction space depends only on its
 conormals, so face measures are again polynomials in kappa.
+
+One pass does all the integration.  ``_face_polys`` measures a face: its
+lattice measure and its n coordinate moments (the integrals of x_c).
+``_skeleton_coord_polys(poly, k)`` sums these over the k-faces, once per
+polytope and k.  Everything else is derived from that pass:
+
+- its k = n entry is ``volume_poly`` and the center-of-mass moments;
+- ``moment_poly`` and ``skeleton_measure_polys`` pair a functional H
+  with the coordinate moments, sum_c h_c * moment_c, on each call (the
+  moment is linear in H, so nothing keyed by H is stored);
+- ``skeleton_barycenter`` and ``center_of_mass`` evaluate the pass at
+  the base kappa; ``face_measure`` and ``face_measure_polys`` evaluate
+  or pair the polynomials of a single face.
 """
 
 from __future__ import annotations
@@ -22,11 +35,10 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .errors import PolytopeError
+from .errors import PolytopeError, StructuralInconsistency
 from .linalg import (
     Vec,
     det,
-    frac,
     integer_kernel_basis,
     invert,
     mat_vec,
@@ -36,7 +48,7 @@ from .linalg import (
     vec_sub,
 )
 from .poly import MultiPoly
-from .polytope import Face, HPolytope
+from .polytope import Face, HPolytope, memoize
 
 
 @dataclass(frozen=True)
@@ -53,9 +65,6 @@ class ParamVertex:
     def at(self, kappa: Sequence) -> Vec:
         return mat_vec(self.rows, kappa)
 
-    def coordinate_polys(self, nvars: int) -> tuple[MultiPoly, ...]:
-        return tuple(MultiPoly.linear(row) for row in self.rows)
-
 
 @dataclass(frozen=True)
 class Triangulation:
@@ -66,17 +75,16 @@ class Triangulation:
     signs: tuple[int, ...]
 
 
+@memoize
 def param_vertices(poly: HPolytope) -> tuple[ParamVertex, ...]:
-    cached = poly.__dict__.get("_param_vertices")
-    if cached is not None:
-        return cached
     out = []
     N = poly.n_facets
     for v in poly.vertices:
         basis = tuple(sorted(v.basis))
         A = [poly.conormals[j] for j in basis]
         Ainv = invert(A)
-        assert Ainv is not None
+        if Ainv is None:
+            raise StructuralInconsistency("vertex conormals must be invertible")
         rows = []
         for r in range(poly.dim):
             row = [Fraction(0)] * N
@@ -84,11 +92,10 @@ def param_vertices(poly: HPolytope) -> tuple[ParamVertex, ...]:
                 row[j] = Ainv[r][pos]
             rows.append(tuple(row))
         pv = ParamVertex(basis, tuple(rows))
-        assert pv.at(poly.support) == v.point
+        if pv.at(poly.support) != v.point:
+            raise StructuralInconsistency("vertex map must reproduce the vertex")
         out.append(pv)
-    result = tuple(out)
-    object.__setattr__(poly, "_param_vertices", result)
-    return result
+    return tuple(out)
 
 
 def _face_children(poly: HPolytope, face: Face) -> list[Face]:
@@ -100,33 +107,27 @@ def _face_children(poly: HPolytope, face: Face) -> list[Face]:
     return sorted(out, key=lambda f: tuple(sorted(f.index_set)))
 
 
-def _pulling_simplices(poly: HPolytope, face: Face, cache: dict) -> list[tuple[int, ...]]:
+@memoize
+def _pulling_simplices(poly: HPolytope, face: Face) -> tuple[tuple[int, ...], ...]:
     """Pulling triangulation of a face, anchored at its smallest vertex.
 
     Vertex ids refer to poly.vertices, which is sorted by coordinates, so
     the smallest id is the lexicographically smallest point.
     """
-    key = face.index_set
-    if key in cache:
-        return cache[key]
     if face.dimension == 0:
-        result = [face.vertex_ids]
-    else:
-        anchor = min(face.vertex_ids)
-        result = []
-        for g in _face_children(poly, face):
-            if anchor in g.vertex_ids:
-                continue
-            for simplex in _pulling_simplices(poly, g, cache):
-                result.append(simplex + (anchor,))
-    cache[key] = result
-    return result
+        return (face.vertex_ids,)
+    anchor = min(face.vertex_ids)
+    return tuple(
+        simplex + (anchor,)
+        for g in _face_children(poly, face)
+        if anchor not in g.vertex_ids
+        for simplex in _pulling_simplices(poly, g)
+    )
 
 
 def triangulate(poly: HPolytope) -> Triangulation:
     """Pulling triangulation of the whole polytope, deterministic."""
-    whole = poly.face_lattice[frozenset()]
-    simplices = tuple(_face_simplices(poly, whole))
+    simplices = _pulling_simplices(poly, _whole_face(poly))
     verts = poly.vertices
     signs = []
     for s in simplices:
@@ -164,79 +165,6 @@ def _whole_face(poly: HPolytope) -> Face:
     return poly.face_lattice[frozenset()]
 
 
-def volume_poly(poly: HPolytope) -> MultiPoly:
-    """Exact volume of the polytope as a polynomial in kappa (degree <= n)."""
-    vp = poly.__dict__.get("_volume_poly")
-    if vp is None:
-        vp, _ = face_measure_polys(poly, _whole_face(poly))
-        object.__setattr__(poly, "_volume_poly", vp)
-    return vp
-
-
-def moment_poly(poly: HPolytope, H: Sequence) -> MultiPoly:
-    """Exact first moment of <H, x> over the polytope (degree <= n+1).
-
-    The integrand is affine, so per simplex the integral is the simplex
-    volume times the average of <H, x> over the n+1 vertices.
-    """
-    _, mom = face_measure_polys(poly, _whole_face(poly), H)
-    return mom
-
-
-def _h_row(pv: ParamVertex, H: Sequence) -> Vec:
-    """Row vector of <H, x(kappa)> as a linear form in kappa."""
-    Hv = vec(H)
-    ncols = len(pv.rows[0])
-    return tuple(
-        sum((Hv[r] * pv.rows[r][c] for r in range(len(pv.rows))), Fraction(0))
-        for c in range(ncols)
-    )
-
-
-def _coordinate_moment_polys(poly: HPolytope) -> tuple[MultiPoly, ...]:
-    coords = poly.__dict__.get("_coord_moment_polys")
-    if coords is None:
-        n = poly.dim
-        coords = tuple(
-            moment_poly(poly, tuple(1 if r == c else 0 for r in range(n)))
-            for c in range(n)
-        )
-        object.__setattr__(poly, "_coord_moment_polys", coords)
-    return coords
-
-
-def cached_moment_poly(poly: HPolytope, H: Sequence) -> MultiPoly:
-    """Moment of <H, x> assembled from per-coordinate moments, which are
-    computed once per polytope (the moment is linear in H)."""
-    key = tuple(frac(h) for h in H)
-    store = poly.__dict__.get("_moment_polys")
-    if store is None:
-        store = {}
-        object.__setattr__(poly, "_moment_polys", store)
-    if key not in store:
-        total = MultiPoly.zero(poly.n_facets)
-        for h, coord in zip(key, _coordinate_moment_polys(poly)):
-            if h != 0:
-                total = total + coord * h
-        store[key] = total
-    return store[key]
-
-
-def volume(poly: HPolytope) -> Fraction:
-    return volume_poly(poly).eval(poly.support)
-
-
-def center_of_mass(poly: HPolytope) -> Vec:
-    """Exact center of mass at the base kappa."""
-    m, moment = face_measure(poly, _whole_face(poly))
-    if m == 0:
-        raise PolytopeError("zero volume")
-    return tuple(t / m for t in moment)
-
-
-# --- faces and skeletons ----------------------------------------------------
-
-
 def direction_lattice_basis(poly: HPolytope, face: Face) -> list[tuple[int, ...]]:
     """Integer lattice basis of the face's direction space.
 
@@ -247,7 +175,8 @@ def direction_lattice_basis(poly: HPolytope, face: Face) -> list[tuple[int, ...]
     if not rows:
         return [tuple(1 if i == j else 0 for i in range(poly.dim)) for j in range(poly.dim)]
     B = integer_kernel_basis(rows, poly.dim)
-    assert len(B) == face.dimension, "direction space dimension mismatch"
+    if len(B) != face.dimension:
+        raise StructuralInconsistency("direction space dimension mismatch")
     return B
 
 
@@ -258,12 +187,6 @@ def _face_chart(poly: HPolytope, face: Face) -> dict[int, tuple[Vec, ...]]:
     the direction space, so the chart identifies the face's lattice
     measure with Lebesgue measure in y.
     """
-    charts = poly.__dict__.get("_face_charts")
-    if charts is None:
-        charts = {}
-        object.__setattr__(poly, "_face_charts", charts)
-    if face.index_set in charts:
-        return charts[face.index_set]
     k = face.dimension
     B = direction_lattice_basis(poly, face)
     pvs = param_vertices(poly)
@@ -276,7 +199,8 @@ def _face_chart(poly: HPolytope, face: Face) -> dict[int, tuple[Vec, ...]]:
         if len(sel) == k:
             break
     Binv = invert([Bcols[i] for i in sel])
-    assert Binv is not None
+    if Binv is None:
+        raise StructuralInconsistency("a lattice basis has an invertible minor")
     N = poly.n_facets
     out = {}
     for vid in face.vertex_ids:
@@ -288,108 +212,107 @@ def _face_chart(poly: HPolytope, face: Face) -> dict[int, tuple[Vec, ...]]:
             )
             for r in range(k)
         )
-    charts[face.index_set] = out
     return out
 
 
-def _face_simplices(poly: HPolytope, face: Face) -> list[tuple[int, ...]]:
-    cache = poly.__dict__.get("_pulling_cache")
-    if cache is None:
-        cache = {}
-        object.__setattr__(poly, "_pulling_cache", cache)
-    return _pulling_simplices(poly, face, cache)
+def _face_polys(poly: HPolytope, face: Face) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
+    """Lattice measure of a face and its n coordinate moments (the
+    integrals of x_c over the face), as polynomials in kappa.
 
-
-def _face_vol_polys(poly: HPolytope, face: Face) -> list[tuple[tuple[int, ...], MultiPoly]]:
-    """Per-simplex lattice volume polynomials of a face, signs frozen at
-    the base kappa."""
-    cache = poly.__dict__.get("_face_vol_polys")
-    if cache is None:
-        cache = {}
-        object.__setattr__(poly, "_face_vol_polys", cache)
-    if face.index_set in cache:
-        return cache[face.index_set]
-    N = poly.n_facets
-    k = face.dimension
-    if k == 0:
-        result = [(face.vertex_ids, MultiPoly.constant(N, 1))]
-    else:
-        y_of = _face_chart(poly, face)
-        fact = _factorial(k)
-        result = []
-        for s in _face_simplices(poly, face):
+    Per simplex of the pulling triangulation: the lattice volume, a
+    determinant in chart coordinates with its sign frozen at the base
+    kappa, times the average of the simplex vertices.
+    """
+    N, n, k = poly.n_facets, poly.dim, face.dimension
+    pvs = param_vertices(poly)
+    y_of = _face_chart(poly, face) if k else None
+    measure = MultiPoly.zero(N)
+    coords = [MultiPoly.zero(N)] * n
+    for s in _pulling_simplices(poly, face):
+        if k == 0:
+            vol = MultiPoly.constant(N, 1)
+        else:
             base_y = y_of[s[0]]
-            rows_polys = [
+            d = _det_poly([
                 [MultiPoly.linear(vec_sub(y_of[vid][r], base_y[r])) for r in range(k)]
                 for vid in s[1:]
-            ]
-            d = _det_poly(rows_polys)
+            ])
             sign_val = d.eval(poly.support)
             if sign_val == 0:
                 raise PolytopeError("degenerate simplex in face triangulation")
-            result.append((s, d * Fraction(1 if sign_val > 0 else -1, fact)))
-    cache[face.index_set] = result
-    return result
+            vol = d * Fraction(1 if sign_val > 0 else -1, _factorial(k))
+        measure = measure + vol
+        for c in range(n):
+            avg = [
+                sum((pvs[vid].rows[c][j] for vid in s), Fraction(0)) / len(s)
+                for j in range(N)
+            ]
+            coords[c] = coords[c] + vol * MultiPoly.linear(avg)
+    return measure, tuple(coords)
+
+
+@memoize
+def _skeleton_coord_polys(poly: HPolytope, k: int) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
+    """Lattice measure of the k-skeleton and its n coordinate moments:
+    the one integration pass, run once per polytope and k."""
+    measure = MultiPoly.zero(poly.n_facets)
+    coords = (measure,) * poly.dim
+    for face in poly.faces_of_dimension(k):
+        m, cs = _face_polys(poly, face)
+        measure = measure + m
+        coords = tuple(a + b for a, b in zip(coords, cs))
+    return measure, coords
+
+
+def _pairing(poly: HPolytope, coords: Sequence[MultiPoly], H: Sequence) -> MultiPoly:
+    """The <H, x> moment sum_c h_c * coords[c]; H must have n entries."""
+    Hv = vec(H)
+    if len(Hv) != poly.dim:
+        raise ValueError("functional has wrong dimension")
+    total = MultiPoly.zero(poly.n_facets)
+    for h, coord in zip(Hv, coords):
+        if h != 0:
+            total = total + coord * h
+    return total
+
+
+def volume_poly(poly: HPolytope) -> MultiPoly:
+    """Exact volume of the polytope as a polynomial in kappa (degree <= n)."""
+    return _skeleton_coord_polys(poly, poly.dim)[0]
+
+
+def moment_poly(poly: HPolytope, H: Sequence) -> MultiPoly:
+    """Exact first moment of <H, x> over the polytope (degree <= n+1),
+    assembled from the memoized coordinate moments."""
+    return _pairing(poly, _skeleton_coord_polys(poly, poly.dim)[1], H)
+
+
+# The same function under its older name, which perfbench/tracer.py
+# resolves when it counts moment requests.
+cached_moment_poly = moment_poly
+
+
+def volume(poly: HPolytope) -> Fraction:
+    return volume_poly(poly).eval(poly.support)
+
+
+def center_of_mass(poly: HPolytope) -> Vec:
+    """Exact center of mass at the base kappa: the n-skeleton barycenter."""
+    return skeleton_barycenter(poly, poly.dim)
 
 
 def face_measure_polys(poly: HPolytope, face: Face, H: Sequence | None = None):
     """Lattice measure of a face, and optionally its <H, x> moment, as
     polynomials in kappa."""
-    N = poly.n_facets
-    pvs = param_vertices(poly)
-    measure = MultiPoly.zero(N)
-    mom = MultiPoly.zero(N) if H is not None else None
-    for s, vol in _face_vol_polys(poly, face):
-        measure = measure + vol
-        if H is not None:
-            avg = MultiPoly.zero(N)
-            for vid in s:
-                avg = avg + MultiPoly.linear(_h_row(pvs[vid], H))
-            mom = mom + vol * (avg / len(s))
-    return measure, mom
+    measure, coords = _face_polys(poly, face)
+    return measure, None if H is None else _pairing(poly, coords, H)
 
 
 def face_measure(poly: HPolytope, face: Face) -> tuple[Fraction, Vec]:
     """Lattice k-volume of the face and its unnormalized coordinate moment
     (the integral of x over the face), both at the base kappa."""
-    n = poly.dim
-    verts = poly.vertices
-    m = Fraction(0)
-    moment = [Fraction(0)] * n
-    for s, vol in _face_vol_polys(poly, face):
-        v = vol.eval(poly.support)
-        m += v
-        for r in range(n):
-            c = sum((verts[vid].point[r] for vid in s), Fraction(0)) / len(s)
-            moment[r] += v * c
-    return m, tuple(moment)
-
-
-def _skeleton_coord_polys(poly: HPolytope, k: int):
-    """Measure of the k-skeleton and its per-coordinate moments, cached
-    once per polytope (the <H, x> moment is then linear in H)."""
-    store = poly.__dict__.get("_skeleton_coord_polys")
-    if store is None:
-        store = {}
-        object.__setattr__(poly, "_skeleton_coord_polys", store)
-    if k not in store:
-        n = poly.dim
-        N = poly.n_facets
-        pvs = param_vertices(poly)
-        total_m = MultiPoly.zero(N)
-        coords = [MultiPoly.zero(N)] * n
-        for face in poly.faces_of_dimension(k):
-            for s, vol in _face_vol_polys(poly, face):
-                total_m = total_m + vol
-                for c in range(n):
-                    avg = [
-                        sum((pvs[vid].rows[c][j] for vid in s), Fraction(0))
-                        / len(s)
-                        for j in range(N)
-                    ]
-                    coords[c] = coords[c] + vol * MultiPoly.linear(avg)
-        store[k] = (total_m, tuple(coords))
-    return store[k]
+    measure, coords = _face_polys(poly, face)
+    return measure.eval(poly.support), tuple(c.eval(poly.support) for c in coords)
 
 
 def skeleton_measure_polys(poly: HPolytope, k: int, H: Sequence):
@@ -397,19 +320,8 @@ def skeleton_measure_polys(poly: HPolytope, k: int, H: Sequence):
     it, as exact polynomials in kappa."""
     if not 0 <= k <= poly.dim:
         raise ValueError("skeleton dimension out of range")
-    key = (k, tuple(frac(h) for h in H))
-    store = poly.__dict__.get("_skeleton_polys")
-    if store is None:
-        store = {}
-        object.__setattr__(poly, "_skeleton_polys", store)
-    if key not in store:
-        total_m, coords = _skeleton_coord_polys(poly, k)
-        total_mom = MultiPoly.zero(poly.n_facets)
-        for h, coord in zip(key[1], coords):
-            if h != 0:
-                total_mom = total_mom + coord * h
-        store[key] = (total_m, total_mom)
-    return store[key]
+    measure, coords = _skeleton_coord_polys(poly, k)
+    return measure, _pairing(poly, coords, H)
 
 
 def integrate_monomial(poly: HPolytope, exponents: Sequence[int]) -> Fraction:
@@ -443,17 +355,13 @@ def integrate_monomial(poly: HPolytope, exponents: Sequence[int]) -> Fraction:
     return total
 
 
+@memoize
 def skeleton_barycenter(poly: HPolytope, k: int) -> Vec:
     """Barycenter of the union of all k-faces, in the lattice measure."""
     if not 0 <= k <= poly.dim:
         raise ValueError("skeleton dimension out of range")
-    total_m = Fraction(0)
-    total_mom = [Fraction(0)] * poly.dim
-    for face in poly.faces_of_dimension(k):
-        m, mom = face_measure(poly, face)
-        total_m += m
-        for r in range(poly.dim):
-            total_mom[r] += mom[r]
-    if total_m == 0:
+    measure, coords = _skeleton_coord_polys(poly, k)
+    total = measure.eval(poly.support)
+    if total == 0:
         raise PolytopeError("zero skeleton measure")
-    return tuple(t / total_m for t in total_mom)
+    return tuple(c.eval(poly.support) / total for c in coords)

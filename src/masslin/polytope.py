@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import combinations
 from typing import Sequence
 
-from .errors import NotSimpleError, PolytopeError
+from .errors import NotSimpleError, PolytopeError, StructuralInconsistency
 from .linalg import (
     IntVec,
     Vec,
@@ -61,6 +61,30 @@ class Face:
 
 def default_labels(n_facets: int) -> tuple[str, ...]:
     return tuple(f"F{i+1}" for i in range(n_facets))
+
+
+def memoize(fn):
+    """Memoize ``fn(poly, *args)`` on the polytope it is called with.
+
+    Results live in the polytope's instance dict, beside the
+    ``cached_property`` attributes of ``HPolytope``, in one ``_memo``
+    dict keyed by the function and its remaining arguments, which must
+    be hashable.  Memoize only data of the polytope itself: a functional
+    H is never part of a key, so whatever depends on H is assembled from
+    memoized parts on each call and the memo does not grow over a scan
+    of functionals.  An exception is not memoized.
+    """
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memoized(poly, *args):
+        memo = poly.__dict__.setdefault("_memo", {})
+        key = (name, *args)
+        if key not in memo:
+            memo[key] = fn(poly, *args)
+        return memo[key]
+
+    return memoized
 
 
 def _check_bounded(conormals: Sequence[IntVec], n: int) -> None:
@@ -322,7 +346,8 @@ class HPolytope:
                 raise PolytopeError("degenerate basic point on a smooth polytope")
             if min_gap is None or gap < min_gap:
                 min_gap = gap
-        assert min_gap is not None and min_gap > 0
+        if min_gap is None or min_gap <= 0:
+            raise StructuralInconsistency("a smooth polytope has a positive chamber gap")
         return min_gap / (2 * (1 + max_sens))
 
     def chamber_radius(self) -> tuple[Fraction, ...]:

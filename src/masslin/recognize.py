@@ -51,7 +51,6 @@ from .linalg import (
     IntVec,
     Vec,
     det,
-    dot,
     int_vec,
     integer_kernel_basis,
     mat_mul,
@@ -64,12 +63,11 @@ from .linalg import (
 from .masslinear import (
     InessentialWitness,
     MassLinearReport,
-    _resolve_face,
+    _face_slice,
     equivalence_classes,
     is_inessential,
     mass_linear_test,
 )
-from .measure import direction_lattice_basis
 from .polytope import HPolytope
 
 
@@ -147,34 +145,6 @@ def _cols(*vectors) -> list[tuple]:
     """The matrix with the given columns, in row representation."""
     n = len(vectors[0])
     return [tuple(v[r] for v in vectors) for r in range(n)]
-
-
-def _face_slice(poly: HPolytope, face) -> tuple[HPolytope, tuple[int, ...]]:
-    """A face as a full-dimensional polytope in a chart of its direction
-    lattice, plus the input facet cutting each slice facet.
-
-    face is a Face or, as for restrict_to_face, a facet index set naming
-    the face it cuts out; an empty face raises PolytopeError."""
-    face = _resolve_face(poly, face)
-    B = direction_lattice_basis(poly, face)
-    v0 = poly.vertices[face.vertex_ids[0]].point
-    k = face.dimension
-    conormals, support, origins, labels = [], [], [], []
-    for j in range(poly.n_facets):
-        if j in face.index_set:
-            continue
-        sub = poly.face(face.index_set | {j})
-        if sub is None or sub.dimension != k - 1:
-            continue
-        eta = poly.conormals[j]
-        conormals.append(int_vec(tuple(dot(b, eta) for b in B)))
-        support.append(poly.support[j] - dot(eta, v0))
-        origins.append(j)
-        labels.append(poly.labels[j])
-    out = HPolytope(k, tuple(conormals), tuple(support), tuple(labels))
-    if not out.is_smooth():
-        raise StructuralInconsistency("a face of a smooth polytope must be smooth")
-    return out, tuple(origins)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,16 @@ same functional stays mass linear but becomes essential because the
 blowup destroys the facet equivalences.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import masslin
 from masslin.errors import PolytopeError
 from masslin.linalg import dot, rank, vec
 from masslin.masslinear import (
@@ -478,3 +484,38 @@ class TestPervasiveFlat:
         for i in range(4):
             assert not is_pervasive(poly, i)
             assert is_flat(poly, i)
+
+
+class TestOptimizedMode:
+    def test_invariant_checks_survive_dash_O(self):
+        # asserts vanish under python -O; the gamma checks must not
+        script = textwrap.dedent("""
+            from fractions import Fraction
+            import masslin.masslinear as ml
+            from masslin.errors import StructuralInconsistency
+            from masslin.linalg import LinearSolution
+            from masslin.polytope import HPolytope
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+
+            def unbalanced_gamma(rows, rhs, ncols):
+                return LinearSolution((Fraction(1),) * ncols, ())
+
+            ml.solve_linear = unbalanced_gamma
+            box = HPolytope(2, [(-1, 0), (1, 0), (0, -1), (0, 1)], [0, 1, 0, 1])
+            try:
+                ml.mass_linear_test(box, (1, 0))
+            except StructuralInconsistency as exc:
+                print("raised:", exc)
+        """)
+        src = str(Path(masslin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised: coefficient sum must vanish"

@@ -12,8 +12,11 @@ from fractions import Fraction
 
 import pytest
 
+from masslin.cli import check_document
+from masslin.constructions import blowup
 from masslin.linalg import dot, vec, vec_sub
 from masslin.measure import (
+    cached_moment_poly,
     center_of_mass,
     direction_lattice_basis,
     face_measure,
@@ -203,14 +206,28 @@ class TestMoments:
         assert c[2] == integrate_monomial(poly, exps) / V
 
     def test_moment_poly_matches_monomials(self):
-        poly = bundle(2, (1, 2), (0, 0, 1, 0, 5))
-        H = (1, 2, 3)
-        mp = moment_poly(poly, H)
-        direct = sum(
-            F(H[j]) * integrate_monomial(poly, tuple(1 if i == j else 0 for i in range(3)))
-            for j in range(3)
-        )
-        assert mp.eval(poly.support) == direct
+        # integrate_monomial is an independent oracle: it integrates over
+        # triangulate's simplices with barycentric formulas
+        blown_up = blowup(bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)), (0, 2, 3))
+        for poly, H in (
+            (bundle(2, (1, 2), (0, 0, 1, 0, 5)), (1, 2, 3)),
+            (blown_up, (3, -1, 2, 5)),
+        ):
+            n = poly.dim
+            mp = moment_poly(poly, H)
+            direct = sum(
+                F(H[j]) * integrate_monomial(poly, tuple(1 if i == j else 0 for i in range(n)))
+                for j in range(n)
+            )
+            assert mp.eval(poly.support) == direct
+
+    def test_wrong_length_functional_rejected(self):
+        poly = square()
+        for H in ((1,), (1, 0, 0)):
+            with pytest.raises(ValueError):
+                moment_poly(poly, H)
+            with pytest.raises(ValueError):
+                cached_moment_poly(poly, H)
 
     def test_twisted_center_pairing(self):
         # fiber-direction functional whose center pairing has an explicit
@@ -318,6 +335,12 @@ class TestSkeletons:
         with pytest.raises(ValueError):
             skeleton_barycenter(square(), 3)
 
+    def test_wrong_length_functional_rejected(self):
+        for k in (0, 1, 2):
+            for H in ((1,), (1, 0, 0)):
+                with pytest.raises(ValueError):
+                    skeleton_measure_polys(square(), k, H)
+
 
 class TestEquivariance:
     def test_translation(self):
@@ -337,3 +360,21 @@ class TestEquivariance:
         a = sorted(face_measure(poly, f)[0] for f in poly.faces_of_dimension(1))
         b = sorted(face_measure(moved, f)[0] for f in moved.faces_of_dimension(1))
         assert a == b
+
+
+def _stored_entries(poly):
+    """Entries the polytope keeps in its instance dict: one per plain
+    attribute, and one per key of each dict-valued attribute (a memo or
+    a cache store)."""
+    return sum(len(v) if isinstance(v, dict) else 1 for v in vars(poly).values())
+
+
+class TestMemo:
+    def test_memo_does_not_grow_with_functionals(self):
+        poly = bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
+        functionals = [(1, 0, 0, 0)] + [(i, -1, 2, i - 3) for i in range(9)]
+        check_document(poly, functionals[0])
+        after_one = _stored_entries(poly)
+        for H in functionals[1:]:
+            check_document(poly, H)
+        assert _stored_entries(poly) == after_one
