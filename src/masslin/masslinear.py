@@ -8,16 +8,20 @@ hand this is the polynomial identity
 
     moment_H - (sum_i gamma_i kappa_i) * volume == 0,
 
-which is decided exactly.  The candidates come from two-point difference
-quotients inside the chamber box; disagreement between two step sizes,
-or at seeded random chamber points, is already a sound negative verdict.
+which is decided exactly.  The candidates solve that identity
+coefficient by coefficient, a linear system in gamma (``solve_linear``);
+a seeded pre-filter that finds the midpoint law failing at random
+chamber points is already a sound negative verdict.
 
 Facets with zero coefficient are symmetric (moving them does not move
 the pairing); the same notion is decided for non-mass-linear H by the
 per-facet identity d(moment)/dk_i * V == moment * dV/dk_i.  Facet
 equivalence, inessential witnesses, restriction to symmetric faces and
 the skeleton-barycenter tests follow the same pattern: reduce to exact
-linear algebra or polynomial identities in kappa.
+linear algebra or polynomial identities in kappa.  Negative answers are
+witness-first: an identity whose two sides differ at the base kappa
+fails, and that exact nonzero value is its certificate, so only the
+identities that hold at the base kappa are expanded symbolically.
 """
 
 from __future__ import annotations
@@ -131,7 +135,8 @@ class Restriction:
 @dataclass(frozen=True)
 class FullMassLinearReport:
     """Pairings <H, B_k> of H with the skeleton barycenters at the base
-    kappa, with equality checked both at the base and chamber-wide."""
+    kappa, with equality checked at the base and, where it holds there,
+    chamber-wide."""
 
     values: tuple[Fraction, ...]
     at_base: bool
@@ -158,19 +163,29 @@ def is_flat(poly: HPolytope, i: int) -> bool:
     return rank(rows) <= poly.dim - 1
 
 
-def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]]:
+def symmetric_facets(
+    poly: HPolytope, H, *, _mu: MultiPoly | None = None
+) -> tuple[frozenset[int], frozenset[int]]:
     """Partition facets into (symmetric, asymmetric) for H.
 
     Facet i is symmetric when the center-of-mass pairing does not depend
     on kappa_i: the exact identity d(mu)/dk_i * V - mu * dV/dk_i == 0.
-    Works whether or not H is mass linear.
+    Works whether or not H is mass linear.  Witness-first: the identity
+    is evaluated at the base kappa, where a nonzero value proves facet i
+    asymmetric; only facets whose value is zero get the symbolic product.
+    _mu is the moment of H when the caller already holds it.
     """
     _require_smooth(poly)
-    mu = moment_poly(poly, vec(H))
+    mu = moment_poly(poly, vec(H)) if _mu is None else _mu
     vol = volume_poly(poly)
+    base = poly.support
+    mu0, vol0 = mu.eval(base), vol.eval(base)
     sym = set()
     for i in range(poly.n_facets):
-        if (mu.partial(i) * vol - mu * vol.partial(i)).is_zero():
+        dmu, dvol = mu.partial(i), vol.partial(i)
+        if dmu.eval(base) * vol0 != mu0 * dvol.eval(base):
+            continue
+        if (dmu * vol - mu * dvol).is_zero():
             sym.add(i)
     return frozenset(sym), frozenset(range(poly.n_facets)) - sym
 
@@ -254,7 +269,7 @@ def mass_linear_test(
         asym = frozenset(range(N)) - sym
     else:
         gamma_t = None
-        sym, asym = symmetric_facets(poly, Hv)
+        sym, asym = symmetric_facets(poly, Hv, _mu=mu)
 
     pervasive = {i: is_pervasive(poly, i) for i in sorted(asym)}
     flat = {i: is_flat(poly, i) for i in sorted(asym)}
@@ -363,9 +378,7 @@ def is_inessential(poly: HPolytope, H) -> InessentialWitness | None:
         return None
     beta = sol.solution
     # inessential functions pair with the center through sum beta_i k_i
-    mu = moment_poly(poly, Hv)
-    vol = volume_poly(poly)
-    if _hhat(poly, mu, vol, poly.support) != dot(beta, poly.support):
+    if dot(Hv, skeleton_barycenter(poly, poly.dim)) != dot(beta, poly.support):
         raise StructuralInconsistency("an inessential pairing is sum beta_i kappa_i")
     return InessentialWitness(beta)
 
@@ -486,23 +499,23 @@ def fully_mass_linear_test(poly: HPolytope, H) -> FullMassLinearReport:
 
     values are exact pairings at the base kappa.  The verdict requires
     the chamber-wide identity: for every k, the skeleton moment and
-    measure polynomials satisfy P_k * m_n == P_n * m_k.
+    measure polynomials satisfy P_k * m_n == P_n * m_k.  Witness-first:
+    unequal values already refute it, so the products are formed only
+    when every value agrees (at_base).
     """
     _require_smooth(poly)
     Hv = vec(H)
     n = poly.dim
     values = tuple(dot(Hv, skeleton_barycenter(poly, k)) for k in range(n + 1))
     at_base = len(set(values)) == 1
+    if not at_base:
+        return FullMassLinearReport(values, False, False)
     mn, pn = skeleton_measure_polys(poly, n, Hv)
-    verdict = True
-    for k in range(n):
-        mk, pk = skeleton_measure_polys(poly, k, Hv)
-        if not (pk * mn - pn * mk).is_zero():
-            verdict = False
-            break
-    if verdict and not at_base:
-        raise StructuralInconsistency("a chamber-wide identity holds at the base")
-    return FullMassLinearReport(values, at_base, verdict)
+    verdict = all(
+        (pk * mn - pn * mk).is_zero()
+        for mk, pk in (skeleton_measure_polys(poly, k, Hv) for k in range(n))
+    )
+    return FullMassLinearReport(values, True, verdict)
 
 
 def barycenter_pairings_agree(poly: HPolytope, H, dims) -> bool:

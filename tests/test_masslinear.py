@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import masslin
+from masslin.constructions import blowup
 from masslin.errors import PolytopeError
 from masslin.linalg import dot, rank, vec
 from masslin.masslinear import (
@@ -35,8 +36,10 @@ from masslin.masslinear import (
     restrict_to_face,
     symmetric_facets,
 )
-from masslin.measure import center_of_mass
+from masslin.measure import center_of_mass, moment_poly, volume_poly
+from masslin.poly import MultiPoly
 from masslin.polytope import HPolytope
+from _suite import report_for, suite_pairs
 
 F = Fraction
 
@@ -199,6 +202,50 @@ class TestSymmetricFacets:
         sym, asym = symmetric_facets(poly, (-1, 0, 1, 0))
         assert sym == frozenset()
         assert asym == frozenset(range(6))
+
+    def test_matches_symbolic_definition_on_suite(self):
+        # the base-kappa witness may only skip products, never change the
+        # partition: compare with the identity expanded for every facet
+        symmetric_negatives = set()
+        for pair in suite_pairs():
+            poly = pair.poly
+            mu, vol = moment_poly(poly, pair.H), volume_poly(poly)
+            reference = frozenset(
+                i
+                for i in range(poly.n_facets)
+                if (mu.partial(i) * vol - mu * vol.partial(i)).is_zero()
+            )
+            sym, asym = symmetric_facets(poly, pair.H)
+            assert sym == reference, (pair.name, pair.H)
+            assert asym == frozenset(range(poly.n_facets)) - reference
+            if reference and not report_for(pair).verdict:
+                symmetric_negatives.add((pair.name, reference))
+        # a facet whose value at the base kappa is zero still needs the
+        # symbolic identity; trap_prism's facets 4 and 5 take that branch
+        assert ("trap_prism", frozenset({4, 5})) in symmetric_negatives
+
+    def test_negative_decisions_form_no_products(self, monkeypatch):
+        # every facet of this non-mass-linear blowup is asymmetric and its
+        # skeleton pairings differ at the base kappa, so exact values
+        # decide both tests without expanding a polynomial product
+        poly = blowup(bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)), (1, 3, 4))
+        H = (3, -1, 2, 5)
+        rep = mass_linear_test(poly, H)
+        assert not rep.verdict and rep.asymmetric == frozenset(range(7))
+        fully_mass_linear_test(poly, H)
+        products = []
+        plain_mul = MultiPoly.__mul__
+
+        def counting_mul(self, other):
+            if isinstance(other, MultiPoly):
+                products.append((len(self.terms), len(other.terms)))
+            return plain_mul(self, other)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+        assert symmetric_facets(poly, H) == (frozenset(), frozenset(range(7)))
+        assert products == []
+        assert not fully_mass_linear_test(poly, H).verdict
+        assert products == []
 
 
 class TestEquivalenceClasses:

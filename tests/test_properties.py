@@ -16,6 +16,7 @@ from masslin import (
     blowup,
     center_of_mass,
     equivalence_classes,
+    fully_mass_linear_test,
     mass_linear_test,
     restrict_to_face,
 )
@@ -112,11 +113,18 @@ class TestEquivariance:
         xi = data.draw(
             st.tuples(*[st.integers(-3, 3) for _ in range(pair.poly.dim)])
         )
+        moved = pair.poly.translate(xi)
         rep0 = report_for(pair)
-        rep1 = mass_linear_test(pair.poly.translate(xi), pair.H)
+        rep1 = mass_linear_test(moved, pair.H)
         assert rep0.verdict == rep1.verdict
         assert rep0.gamma == rep1.gamma
         assert rep0.symmetric == rep1.symmetric
+        # negative verdicts are decided at the base kappa, which moves
+        full0 = fully_mass_linear_test(pair.poly, pair.H)
+        full1 = fully_mass_linear_test(moved, pair.H)
+        assert full0.verdict == full1.verdict
+        shift = _dot(pair.H, xi)
+        assert full1.values == tuple(v + shift for v in full0.values)
 
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
