@@ -3,25 +3,34 @@
 The pairing of a functional H with the center of mass is a rational
 function of the support vector kappa: moment over volume, both exact
 polynomials on the chamber of the base polytope.  H is mass linear when
-that pairing is linear in kappa.  With candidate coefficients gamma in
-hand this is the polynomial identity
+that pairing is linear in kappa, that is when the polynomial identity
 
-    moment_H - (sum_i gamma_i kappa_i) * volume == 0,
+    moment_H - (sum_i gamma_i kappa_i) * volume == 0
 
-which is decided exactly.  The candidates solve that identity
-coefficient by coefficient, a linear system in gamma (``solve_linear``);
-a seeded pre-filter that finds the midpoint law failing at random
-chamber points is already a sound negative verdict.
+holds for some gamma; it is decided exactly.  gamma is read off the
+vertex average: every vertex is linear in kappa, so the pairing of H
+with the 0-skeleton barycenter, ell_H = m_0 / P_0 (vertex moment over
+vertex count), is an exact linear form, and when the identity holds
+with its coefficients they are gamma (unique, because the products
+kappa_i * V are independent).  Only when it fails is gamma solved from
+the identity coefficient by coefficient (``solve_linear``); that
+fallback's infeasibility is the negative verdict.  In dimension <= 4
+the paper's agreement of mass linearity with full mass linearity means
+the fallback never finds a gamma, but the code does not assume it.  A
+seeded pre-filter that finds the midpoint law failing at random chamber
+points is already a sound negative verdict.
 
 Facets with zero coefficient are symmetric (moving them does not move
 the pairing); the same notion is decided for non-mass-linear H by the
 per-facet identity d(moment)/dk_i * V == moment * dV/dk_i.  Facet
 equivalence, inessential witnesses, restriction to symmetric faces and
 the skeleton-barycenter tests follow the same pattern: reduce to exact
-linear algebra or polynomial identities in kappa.  Negative answers are
-witness-first: an identity whose two sides differ at the base kappa
-fails, and that exact nonzero value is its certificate, so only the
-identities that hold at the base kappa are expanded symbolically.
+linear algebra or polynomial identities in kappa; the skeleton tests
+compare each skeleton with ell_H, moment_k == ell_H * measure_k.
+Negative answers are witness-first: an identity whose two sides differ
+at the base kappa fails, and that exact nonzero value is its
+certificate, so only the identities that hold at the base kappa are
+expanded symbolically.
 """
 
 from __future__ import annotations
@@ -135,8 +144,9 @@ class Restriction:
 @dataclass(frozen=True)
 class FullMassLinearReport:
     """Pairings <H, B_k> of H with the skeleton barycenters at the base
-    kappa, with equality checked at the base and, where it holds there,
-    chamber-wide."""
+    kappa, with equality checked at the base (at_base) and, where it
+    holds there, chamber-wide as moment_k == ell_H * measure_k for every
+    k, ell_H being the pairing with the vertex average (verdict)."""
 
     values: tuple[Fraction, ...]
     at_base: bool
@@ -155,12 +165,22 @@ def is_pervasive(poly: HPolytope, i: int) -> bool:
 def is_flat(poly: HPolytope, i: int) -> bool:
     """Do the conormals of the other facets meeting facet i lie in a
     hyperplane?"""
-    rows = [
-        poly.conormals[j]
-        for j in range(poly.n_facets)
-        if j != i and poly.face(frozenset({i, j})) is not None
-    ]
-    return rank(rows) <= poly.dim - 1
+    return i in _flat_facets(poly)
+
+
+@memoize
+def _flat_facets(poly: HPolytope) -> frozenset[int]:
+    """The facets whose neighbours' conormals lie in a hyperplane."""
+    flat = set()
+    for i in range(poly.n_facets):
+        rows = [
+            poly.conormals[j]
+            for j in range(poly.n_facets)
+            if j != i and poly.face(frozenset({i, j})) is not None
+        ]
+        if rank(rows) <= poly.dim - 1:
+            flat.add(i)
+    return frozenset(flat)
 
 
 def symmetric_facets(
@@ -190,14 +210,77 @@ def symmetric_facets(
     return frozenset(sym), frozenset(range(poly.n_facets)) - sym
 
 
+def _vertex_average(poly: HPolytope, Hv: Vec) -> Vec:
+    """Coefficients of ell_H = m_0 / P_0, the pairing of H with the
+    vertex average as an exact linear form in kappa.
+
+    m_0 is the moment of the 0-skeleton, linear because every vertex
+    is, and P_0 is its measure, the vertex count."""
+    count, m0 = skeleton_measure_polys(poly, 0, Hv)
+    N = poly.n_facets
+    if count != MultiPoly.constant(N, len(poly.vertices)):
+        raise StructuralInconsistency("the 0-skeleton measure is the vertex count")
+    coeffs = [Fraction(0)] * N
+    for m, c in m0.terms:
+        if sum(m) != 1:
+            raise StructuralInconsistency("the vertex moment is linear in kappa")
+        coeffs[m.index(1)] = c / len(poly.vertices)
+    return tuple(coeffs)
+
+
+def _vertex_average_gamma(
+    poly: HPolytope, Hv: Vec, mu: MultiPoly, vol: MultiPoly
+) -> Vec | None:
+    """gamma read off the vertex average: the coefficients of ell_H when
+    mu_H == ell_H * V holds chamber-wide, else None.
+
+    Witness-first: unequal pairings of H with the vertex average and the
+    center of mass at the base kappa refute the identity unexpanded."""
+    vertex_pairing = dot(Hv, skeleton_barycenter(poly, 0))
+    if vertex_pairing != dot(Hv, skeleton_barycenter(poly, poly.dim)):
+        return None
+    ell = _vertex_average(poly, Hv)
+    return ell if (mu - MultiPoly.linear(ell) * vol).is_zero() else None
+
+
+def _solved_gamma(poly: HPolytope, mu: MultiPoly, vol: MultiPoly) -> Vec | None:
+    """gamma solving mu_H == (sum gamma_i kappa_i) * V coefficient by
+    coefficient, or None when that linear system is infeasible."""
+    N = poly.n_facets
+    monomials = {m for m, _ in mu.terms}
+    for m, _ in vol.terms:
+        for i in range(N):
+            monomials.add(tuple(e + (j == i) for j, e in enumerate(m)))
+    rows = []
+    rhs = []
+    for m in sorted(monomials):
+        rows.append(
+            tuple(
+                vol.coefficient(tuple(e - (j == i) for j, e in enumerate(m)))
+                if m[i]
+                else Fraction(0)
+                for i in range(N)
+            )
+        )
+        rhs.append(mu.coefficient(m))
+    sol = solve_linear(rows, rhs, ncols=N)
+    if sol is None:
+        return None
+    if sol.nullspace:
+        raise StructuralInconsistency("the products kappa_i * V are independent")
+    return sol.solution
+
+
 def mass_linear_test(
     poly: HPolytope, H, seed: int | None = None, trials: int = 8
 ) -> MassLinearReport:
     """Decide whether the center-of-mass pairing of H is linear in kappa.
 
-    The verdict always comes from exact linear algebra: gamma must solve
-    mu_H == (sum gamma_i kappa_i) * V coefficient by coefficient.  A seed
-    turns on a randomized pre-filter probing the midpoint law of
+    The verdict always comes from exact algebra: gamma must satisfy
+    mu_H == (sum gamma_i kappa_i) * V.  The coefficients of ell_H, the
+    pairing with the vertex average, are tried first; only when they
+    fail is gamma solved from the identity coefficient by coefficient.
+    A seed turns on a randomized pre-filter probing the midpoint law of
     kappa -> <H, c> at chamber points; it can only reject nonlinear
     pairings early, never change a verdict.
     """
@@ -230,35 +313,15 @@ def mass_linear_test(
                 break
 
     gamma_t = None
-    verdict = False
     if linear:
-        monomials = {m for m, _ in mu.terms}
-        for m, _ in vol.terms:
-            for i in range(N):
-                monomials.add(tuple(e + (j == i) for j, e in enumerate(m)))
-        rows = []
-        rhs = []
-        for m in sorted(monomials):
-            rows.append(
-                tuple(
-                    vol.coefficient(tuple(e - (j == i) for j, e in enumerate(m)))
-                    if m[i]
-                    else Fraction(0)
-                    for i in range(N)
-                )
-            )
-            rhs.append(mu.coefficient(m))
-        sol = solve_linear(rows, rhs, ncols=N)
-        if sol is not None:
-            if sol.nullspace:
-                raise StructuralInconsistency("the products kappa_i * V are independent")
-            gamma_t = sol.solution
-            verdict = True
+        gamma_t = _vertex_average_gamma(poly, Hv, mu, vol)
+        if gamma_t is None:
+            gamma_t = _solved_gamma(poly, mu, vol)
 
-    if verdict:
+    if gamma_t is not None:
         if sum(gamma_t, Fraction(0)) != 0:
             raise StructuralInconsistency("coefficient sum must vanish")
-        if _hhat(poly, mu, vol, base) != dot(gamma_t, base):
+        if dot(Hv, skeleton_barycenter(poly, poly.dim)) != dot(gamma_t, base):
             raise StructuralInconsistency("no constant term allowed")
         recon = zero_vec(poly.dim)
         for g, eta in zip(gamma_t, poly.conormals):
@@ -268,12 +331,11 @@ def mass_linear_test(
         sym = frozenset(i for i, g in enumerate(gamma_t) if g == 0)
         asym = frozenset(range(N)) - sym
     else:
-        gamma_t = None
         sym, asym = symmetric_facets(poly, Hv, _mu=mu)
 
     pervasive = {i: is_pervasive(poly, i) for i in sorted(asym)}
     flat = {i: is_flat(poly, i) for i in sorted(asym)}
-    return MassLinearReport(verdict, gamma_t, sym, asym, pervasive, flat)
+    return MassLinearReport(gamma_t is not None, gamma_t, sym, asym, pervasive, flat)
 
 
 @memoize
@@ -498,38 +560,41 @@ def fully_mass_linear_test(poly: HPolytope, H) -> FullMassLinearReport:
     """Pair H with the barycenters of all k-skeletons.
 
     values are exact pairings at the base kappa.  The verdict requires
-    the chamber-wide identity: for every k, the skeleton moment and
-    measure polynomials satisfy P_k * m_n == P_n * m_k.  Witness-first:
-    unequal values already refute it, so the products are formed only
-    when every value agrees (at_base).
+    the chamber-wide identity m_k == ell_H * P_k for every k = 1..n,
+    where P_k and m_k are the measure and moment of the k-skeleton and
+    ell_H = m_0 / P_0 is the pairing with the vertex average, an exact
+    linear form.  Witness-first: unequal values already refute it, so
+    the identities are expanded only when every value agrees (at_base).
     """
     _require_smooth(poly)
     Hv = vec(H)
     n = poly.dim
     values = tuple(dot(Hv, skeleton_barycenter(poly, k)) for k in range(n + 1))
     at_base = len(set(values)) == 1
-    if not at_base:
-        return FullMassLinearReport(values, False, False)
-    mn, pn = skeleton_measure_polys(poly, n, Hv)
-    verdict = all(
-        (pk * mn - pn * mk).is_zero()
-        for mk, pk in (skeleton_measure_polys(poly, k, Hv) for k in range(n))
-    )
-    return FullMassLinearReport(values, True, verdict)
+    verdict = at_base and barycenter_pairings_agree(poly, Hv, range(n + 1))
+    return FullMassLinearReport(values, at_base, verdict)
 
 
 def barycenter_pairings_agree(poly: HPolytope, H, dims) -> bool:
     """Chamber-wide equality of <H, B_k> for the listed skeleton
-    dimensions (used for the mass-linearity and generated-vector
-    characterizations)."""
+    dimensions, which must include 0 (used for the mass-linearity and
+    generated-vector characterizations).
+
+    Each listed k is compared with the vertex average: m_k == ell_H * P_k.
+    Unequal pairings at the base kappa refute it unexpanded."""
+    dims = set(dims)
+    if 0 not in dims:
+        raise ValueError("skeleton dimensions must include 0")
     Hv = vec(H)
-    dims = list(dims)
-    m0, p0 = skeleton_measure_polys(poly, dims[0], Hv)
-    for k in dims[1:]:
-        mk, pk = skeleton_measure_polys(poly, k, Hv)
-        if not (p0 * mk - pk * m0).is_zero():
-            return False
-    return True
+    if len({dot(Hv, skeleton_barycenter(poly, k)) for k in dims}) != 1:
+        return False
+    ell = MultiPoly.linear(_vertex_average(poly, Hv))
+    return all(
+        (moment - ell * measure).is_zero()
+        for measure, moment in (
+            skeleton_measure_polys(poly, k, Hv) for k in sorted(dims - {0})
+        )
+    )
 
 
 def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:

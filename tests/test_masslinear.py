@@ -18,9 +18,10 @@ from pathlib import Path
 import pytest
 
 import masslin
+from masslin import YkBundleSpec, bundle_Yk, linalg
 from masslin.constructions import blowup
 from masslin.errors import PolytopeError
-from masslin.linalg import dot, rank, vec
+from masslin.linalg import dot, rank, solve_linear, vec
 from masslin.masslinear import (
     barycenter_pairings_agree,
     equivalence_classes,
@@ -36,10 +37,16 @@ from masslin.masslinear import (
     restrict_to_face,
     symmetric_facets,
 )
-from masslin.measure import center_of_mass, moment_poly, volume_poly
+from masslin.measure import (
+    center_of_mass,
+    moment_poly,
+    param_vertices,
+    skeleton_measure_polys,
+    volume_poly,
+)
 from masslin.poly import MultiPoly
 from masslin.polytope import HPolytope
-from _suite import report_for, suite_pairs
+from _suite import SuitePair, report_for, suite_pairs
 
 F = Fraction
 
@@ -247,6 +254,38 @@ class TestSymmetricFacets:
         assert not fully_mass_linear_test(poly, H).verdict
         assert products == []
 
+    def test_positive_decisions_solve_nothing(self, monkeypatch):
+        # on the mass linear Y3(1,1,0) pair gamma is read off the vertex
+        # average, so no elimination runs, and every skeleton identity
+        # multiplies a skeleton measure by that linear form only
+        poly = bundle_Yk(YkBundleSpec(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)))
+        H = (0, 2, 2, 0)
+        mass_linear_test(poly, H)
+        fully_mass_linear_test(poly, H)
+        rrefs = []
+        plain_rref = linalg.rref
+
+        def counting_rref(*args, **kwargs):
+            rrefs.append(args)
+            return plain_rref(*args, **kwargs)
+
+        products = []
+        plain_mul = MultiPoly.__mul__
+
+        def counting_mul(self, other):
+            if isinstance(other, MultiPoly):
+                products.append((self.degree(), other.degree()))
+            return plain_mul(self, other)
+
+        monkeypatch.setattr(linalg, "rref", counting_rref)
+        monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+        rep = mass_linear_test(poly, H)
+        assert rep.verdict and rep.gamma == (1, -1, -1, 1, 0, 0)
+        assert rrefs == []
+        products.clear()
+        assert fully_mass_linear_test(poly, H).verdict
+        assert products and all(min(pair) <= 1 for pair in products)
+
 
 class TestEquivalenceClasses:
     def test_simplex_single_class(self):
@@ -448,6 +487,62 @@ class TestFullyMassLinear:
         rep = fully_mass_linear_test(worked_blowup(), (0, 2, 2, 0))
         assert rep.verdict
 
+    def test_vertex_average_matches_references_on_suite(self):
+        # references kept here: the cross products P_k * m_n - P_n * m_k
+        # for full mass linearity, and gamma solved from the coefficient
+        # system of mu_H == (sum gamma_i kappa_i) * V for mass linearity
+        def solved_gamma(poly, mu, vol):
+            # column i holds the coefficients of kappa_i * V
+            kappa_vols = [
+                {tuple(e + (j == i) for j, e in enumerate(m)): c for m, c in vol.terms}
+                for i in range(poly.n_facets)
+            ]
+            moment = mu.as_dict()
+            monomials = sorted(set(moment).union(*kappa_vols))
+            rows = [tuple(col.get(m, 0) for col in kappa_vols) for m in monomials]
+            rhs = [moment.get(m, 0) for m in monomials]
+            sol = solve_linear(rows, rhs, ncols=poly.n_facets)
+            return None if sol is None else sol.solution
+
+        def vertex_average(poly, H):
+            # independent of the skeleton pass: average <H, v(kappa)>
+            pvs = param_vertices(poly)
+            return tuple(
+                sum((h * pv.rows[r][j] for pv in pvs for r, h in enumerate(H)), F(0))
+                / len(pvs)
+                for j in range(poly.n_facets)
+            )
+
+        # at its symmetric support a hexagon has every skeleton barycenter
+        # at its center, so these pairs agree at the base kappa but are
+        # neither mass linear nor fully mass linear: the expanded branch
+        hexagon = HPolytope(
+            2, [(-1, 0), (0, -1), (1, 1), (1, 0), (0, 1), (-1, -1)], [1] * 6
+        )
+        symmetric = [SuitePair("hexagon", "test", hexagon, H) for H in [(1, 0), (2, -1)]]
+        fully = infeasible = at_base_negatives = 0
+        for pair in suite_pairs() + tuple(symmetric):
+            poly, H, n = pair.poly, vec(pair.H), pair.poly.dim
+            mu, vol = moment_poly(poly, H), volume_poly(poly)
+            gamma = solved_gamma(poly, mu, vol)
+            assert report_for(pair).gamma == gamma, (pair.name, pair.H)
+            ell = MultiPoly.linear(vertex_average(poly, H))
+            if n <= 4 and not (mu - ell * vol).is_zero():
+                # mass linearity and full mass linearity agree for n <= 4
+                assert gamma is None, (pair.name, pair.H)
+                infeasible += 1
+            rep = fully_mass_linear_test(poly, H)
+            if rep.at_base:
+                pn, mn = skeleton_measure_polys(poly, n, H)
+                reference = all(
+                    (pk * mn - pn * mk).is_zero()
+                    for pk, mk in (skeleton_measure_polys(poly, k, H) for k in range(n))
+                )
+                assert rep.verdict == reference, (pair.name, pair.H)
+                fully += reference
+                at_base_negatives += not reference
+        assert fully >= 100 and infeasible >= 30 and at_base_negatives == 2
+
 
 class TestBarycenterCharacterizations:
     def cases(self):
@@ -476,6 +571,11 @@ class TestBarycenterCharacterizations:
             expect = generating_vector(poly, H) is not None
             got = barycenter_pairings_agree(poly, H, (0, n - 2, n))
             assert got == expect, (poly, H)
+
+    def test_dims_must_include_vertices(self):
+        # every skeleton is compared with the vertex average
+        with pytest.raises(ValueError):
+            barycenter_pairings_agree(box(), (1, 0), (1, 2))
 
 
 class TestMlSpace:
@@ -540,16 +640,16 @@ class TestOptimizedMode:
             from fractions import Fraction
             import masslin.masslinear as ml
             from masslin.errors import StructuralInconsistency
-            from masslin.linalg import LinearSolution
             from masslin.polytope import HPolytope
 
             if __debug__:
                 raise SystemExit("not running under -O")
 
-            def unbalanced_gamma(rows, rhs, ncols):
-                return LinearSolution((Fraction(1),) * ncols, ())
+            # the gamma source of a positive verdict: the vertex average
+            def unbalanced_gamma(poly, H, mu, vol):
+                return (Fraction(1),) * poly.n_facets
 
-            ml.solve_linear = unbalanced_gamma
+            ml._vertex_average_gamma = unbalanced_gamma
             box = HPolytope(2, [(-1, 0), (1, 0), (0, -1), (0, 1)], [0, 1, 0, 1])
             try:
                 ml.mass_linear_test(box, (1, 0))
