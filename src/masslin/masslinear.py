@@ -247,8 +247,9 @@ def _solved_gamma(poly: HPolytope, mu: MultiPoly, vol: MultiPoly) -> Vec | None:
     """gamma solving mu_H == (sum gamma_i kappa_i) * V coefficient by
     coefficient, or None when that linear system is infeasible."""
     N = poly.n_facets
-    monomials = {m for m, _ in mu.terms}
-    for m, _ in vol.terms:
+    vol_of, mu_of = vol.as_dict(), mu.as_dict()
+    monomials = set(mu_of)
+    for m in vol_of:
         for i in range(N):
             monomials.add(tuple(e + (j == i) for j, e in enumerate(m)))
     rows = []
@@ -256,13 +257,13 @@ def _solved_gamma(poly: HPolytope, mu: MultiPoly, vol: MultiPoly) -> Vec | None:
     for m in sorted(monomials):
         rows.append(
             tuple(
-                vol.coefficient(tuple(e - (j == i) for j, e in enumerate(m)))
+                vol_of.get(tuple(e - (j == i) for j, e in enumerate(m)), Fraction(0))
                 if m[i]
                 else Fraction(0)
                 for i in range(N)
             )
         )
-        rhs.append(mu.coefficient(m))
+        rhs.append(mu_of.get(m, Fraction(0)))
     sol = solve_linear(rows, rhs, ncols=N)
     if sol is None:
         return None

@@ -1,52 +1,40 @@
 """Exact volumes, moments and skeleton barycenters.
 
-Inside a chamber every vertex is a linear function of the support vector
-kappa (solve the active system once, at the base kappa, and keep the
-matrix).  A pulling triangulation with combinatorics fixed at the base
-kappa therefore turns the volume and any first moment into honest
-polynomials in kappa, valid on the whole chamber.  All identities this
-package decides (mass linearity, symmetric facets, the skeleton
-barycenter characterizations) are exact polynomial identities in these
-variables.
+In a chamber each vertex is linear in the support vector kappa, v(kappa)
+= A_v^{-1} kappa_B for the conormals A_v of the facets B through v, so
+all quantities below, with faces measured in their direction lattice,
+are exact polynomials in kappa.
 
-Face measures use the measure induced by the integer lattice of the
-face's direction space: integrate in coordinates given by a lattice
-basis of that space.  A face's direction space depends only on its
-conormals, so face measures are again polynomials in kappa.
+Each is a sum over vertex cones (Lawrence, Math. Comp. 57, 1991; Brion
+1988), with no triangulation.  Edge j at v leaves facet B_j along
+w_j = -A_v^{-1} e_j.  One deterministic xi, checked to pair nonzero with
+every edge, gives q_j = -<xi, w_j> and L_v = <xi, v(kappa)>.  The face F
+spanned by the edges T at v gets c_{v,T} = iota_{v,T} / prod_{j in T} q_j,
+iota_{v,T} being the index of the lattice of w_T in F's direction lattice
+(1 whenever |det A_v| = 1).  With k = dim F:
 
-One pass does all the integration.  ``_face_polys`` measures a face: its
-lattice measure and its n coordinate moments (the integrals of x_c).
-``_skeleton_coord_polys(poly, k)`` sums these over the k-faces, once per
-polytope and k.  Everything else is derived from that pass:
+    measure(F) = sum_{v in F} c_{v,T} L_v^k / k!
+    int_F x_c  = sum_{v in F} c_{v,T} [v_c L_v^k / k!
+                     + (sum_{j in T} w_{j,c} / q_j) L_v^(k+1) / (k+1)!]
 
-- its k = n entry is ``volume_poly`` and the center-of-mass moments;
-- ``moment_poly`` and ``skeleton_measure_polys`` pair a functional H
-  with the coordinate moments, sum_c h_c * moment_c, on each call (the
-  moment is linear in H, so nothing keyed by H is stored);
-- ``skeleton_barycenter`` and ``center_of_mass`` evaluate the pass at
-  the base kappa; ``face_measure`` and ``face_measure_polys`` evaluate
-  or pair the polynomials of a single face.
+the second being the xi_c-derivative of Lawrence's formula in degree 1.
+A k-skeleton needs two scalars per vertex, sums over k-subsets T, which
+``_vertex_cones`` memoizes; ``_skeleton_coord_polys`` expands them once
+per polytope and k.  ``triangulate`` and ``integrate_monomial`` remain
+as an independent oracle for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from typing import Sequence
+from functools import lru_cache
+from itertools import combinations, count
+from math import comb, factorial, lcm, prod
+from typing import NamedTuple, Sequence
 
 from .errors import PolytopeError, StructuralInconsistency
-from .linalg import (
-    Vec,
-    det,
-    integer_kernel_basis,
-    invert,
-    mat_vec,
-    rank,
-    transpose,
-    vec,
-    vec_sub,
-)
+from .linalg import Vec, det, integer_kernel_basis, invert, mat_vec, vec, vec_sub
 from .poly import MultiPoly
 from .polytope import Face, HPolytope, memoize
 
@@ -68,8 +56,7 @@ class ParamVertex:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Simplices as vertex-id tuples with orientation signs frozen at the
-    base kappa."""
+    """Simplices as vertex-id tuples, orientation signs frozen at base kappa."""
 
     simplices: tuple[tuple[int, ...], ...]
     signs: tuple[int, ...]
@@ -127,7 +114,7 @@ def _pulling_simplices(poly: HPolytope, face: Face) -> tuple[tuple[int, ...], ..
 
 def triangulate(poly: HPolytope) -> Triangulation:
     """Pulling triangulation of the whole polytope, deterministic."""
-    simplices = _pulling_simplices(poly, _whole_face(poly))
+    simplices = _pulling_simplices(poly, poly.face_lattice[frozenset()])
     verts = poly.vertices
     signs = []
     for s in simplices:
@@ -140,37 +127,9 @@ def triangulate(poly: HPolytope) -> Triangulation:
     return Triangulation(simplices, tuple(signs))
 
 
-def _det_poly(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant of a small matrix of polynomials, by Leibniz expansion."""
-    n = len(rows)
-    nvars = rows[0][0].nvars
-    total = MultiPoly.zero(nvars)
-    for perm in permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = MultiPoly.constant(nvars, -1 if inv % 2 else 1)
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        total = total + term
-    return total
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _whole_face(poly: HPolytope) -> Face:
-    return poly.face_lattice[frozenset()]
-
-
 def direction_lattice_basis(poly: HPolytope, face: Face) -> list[tuple[int, ...]]:
-    """Integer lattice basis of the face's direction space.
-
-    The direction space is cut out by the face's conormals alone, so it
-    is the same for every kappa in the chamber.
-    """
+    """Integer lattice basis of the face's direction space, which its
+    conormals alone cut out, the same for every kappa in the chamber."""
     rows = [poly.conormals[i] for i in sorted(face.index_set)]
     if not rows:
         return [tuple(1 if i == j else 0 for i in range(poly.dim)) for j in range(poly.dim)]
@@ -180,88 +139,133 @@ def direction_lattice_basis(poly: HPolytope, face: Face) -> list[tuple[int, ...]
     return B
 
 
-def _face_chart(poly: HPolytope, face: Face) -> dict[int, tuple[Vec, ...]]:
-    """y-coordinates of each face vertex as linear maps in kappa.
+class VertexCone(NamedTuple):
+    """The tangent cone at one vertex: its basis facets (sorted), edge
+    vectors w (integer when unimodular) and q for one generic xi, and per
+    k the sums over k-subsets T of c_{v,T} and c_{v,T} sum_{j in T} w_j / q_j."""
 
-    y solves  x(kappa) = x0(kappa) + B y  where B is the lattice basis of
-    the direction space, so the chart identifies the face's lattice
-    measure with Lebesgue measure in y.
-    """
-    k = face.dimension
+    basis: tuple[int, ...]
+    w: tuple[tuple, ...]
+    q: tuple
+    unimodular: bool
+    sums: tuple[tuple[Fraction, Vec], ...]
+
+
+def _generic_xi(edges, n: int) -> tuple[int, ...]:
+    """The first xi = (1, t, ..., t^(n-1)), t = 2, 3, ..., pairing nonzero
+    with every edge; one edge vanishes at no more than n - 1 values of t."""
+    t = next(t for t in count(2) if all(sum(a * t**i for i, a in enumerate(w)) for ws in edges for w in ws))
+    return tuple(t**i for i in range(n))
+
+
+def _lattice_index(poly: HPolytope, cone: VertexCone, T: Sequence[int]) -> Fraction:
+    """iota_{v,T}: a nonzero maximal minor of w_T over that of a basis of
+    the face's direction lattice."""
+    face = poly.face(frozenset(cone.basis) - {cone.basis[j] for j in T})
     B = direction_lattice_basis(poly, face)
-    pvs = param_vertices(poly)
-    base = pvs[face.vertex_ids[0]]
-    Bcols = transpose(B)  # n rows, k columns
-    sel: list[int] = []
-    for i in range(poly.dim):
-        if rank([Bcols[j] for j in sel + [i]]) > len(sel):
-            sel.append(i)
-        if len(sel) == k:
-            break
-    Binv = invert([Bcols[i] for i in sel])
-    if Binv is None:
-        raise StructuralInconsistency("a lattice basis has an invertible minor")
-    N = poly.n_facets
-    out = {}
-    for vid in face.vertex_ids:
-        diff_rows = [vec_sub(pvs[vid].rows[i], base.rows[i]) for i in sel]
-        out[vid] = tuple(
-            tuple(
-                sum((Binv[r][c] * diff_rows[c][col] for c in range(k)), Fraction(0))
-                for col in range(N)
-            )
-            for r in range(k)
-        )
-    return out
+    for sel in combinations(range(poly.dim), len(T)):
+        if d := det([[b[i] for i in sel] for b in B]):
+            return abs(det([[cone.w[j][i] for i in sel] for j in T]) / d)
+    raise StructuralInconsistency("a lattice basis has an invertible minor")
+
+
+def _cone_term(poly: HPolytope, cone: VertexCone, T: Sequence[int]) -> tuple[Fraction, Vec]:
+    """The vertex's term in the face spanned by its edges T: c_{v,T} and
+    c_{v,T} sum_{j in T} w_j / q_j."""
+    iota = _lattice_index(poly, cone, T) if T and not cone.unimodular else 1
+    P = prod(cone.q[j] for j in T)
+    others = [prod(cone.q[i] for i in T if i != j) for j in T]
+    cw = (sum(cone.w[j][c] * o for j, o in zip(T, others)) for c in range(poly.dim))
+    return Fraction(iota, P), tuple(Fraction(iota * x, P * P) for x in cw)
+
+
+@memoize
+def _vertex_cones(poly: HPolytope) -> tuple[VertexCone, ...]:
+    """Every vertex cone with its skeleton scalars, for ``_generic_xi``."""
+    n = poly.dim
+    cones = []
+    for pv in param_vertices(poly):
+        w = tuple(tuple(-pv.rows[c][j] for c in range(n)) for j in pv.basis)
+        # A_v^{-1} is integral exactly when |det A_v| = 1
+        unimodular = all(x.denominator == 1 for e in w for x in e)
+        w = tuple(tuple(map(int, e)) for e in w) if unimodular else w
+        cones.append(VertexCone(pv.basis, w, (), unimodular, ()))
+    xi = _generic_xi([cone.w for cone in cones], n)
+    out = []
+    for cone in cones:
+        cone = cone._replace(q=tuple(-sum(a * b for a, b in zip(xi, e)) for e in cone.w))
+        if 0 in cone.q:
+            raise StructuralInconsistency("xi must pair nonzero with every edge")
+        terms = [[_cone_term(poly, cone, T) for T in combinations(range(n), k)] for k in range(n + 1)]
+        sums = tuple((sum(c for c, _ in ts), tuple(map(sum, zip(*(cw for _, cw in ts))))) for ts in terms)
+        out.append(cone._replace(sums=sums))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _exponents(n: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(alpha, d! / alpha!) for every alpha in N^n of total degree d."""
+    if n == 1:
+        return (((d,), 1),)
+    return tuple(((e,) + r, m * comb(d, e)) for e in range(d + 1) for r, m in _exponents(n - 1, d - e))
+
+
+def _powers(N: int, cone: VertexCone, d: int):
+    """L_v^d by the multinomial theorem: (monomial in kappa, alpha,
+    coefficient) per exponent vector alpha on the basis variables."""
+    for alpha, m in _exponents(len(cone.basis), d):
+        mono = [0] * N
+        for j, q, a in zip(cone.basis, cone.q, alpha):
+            mono[j] = a
+            m *= q**a
+        yield tuple(mono), alpha, m
+
+
+def _integrate(poly: HPolytope, k: int, terms) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
+    """Measure and coordinate moments of k-faces from vertex terms (cone, s0, s1).
+
+    As v_c(kappa) = -sum_j w_{j,c} kappa_{basis[j]}, the coefficient of
+    kappa^alpha in a vertex's moment is that of L_v^(k+1) / (k+1)! times
+    s1_c - s0 sum_j alpha_j w_{j,c} / q_j.  All scalars go over a common
+    denominator, so the sums run in integers when every vertex is smooth.
+    """
+    N, n = poly.n_facets, poly.dim
+    parts = []
+    for cone, s0, s1 in terms:
+        b = [s0 * e[c] / q for e, q in zip(cone.w, cone.q) for c in range(n)]
+        D = lcm(*(x.denominator for x in (s0, *s1, *b)))
+        ints = [int(x * D) for x in (s0, *s1, *b)]
+        parts.append((cone, D, ints[0], ints[1:n + 1], ints[n + 1:]))
+    den = lcm(*(part[1] for part in parts))
+    measure, coords = {}, [{} for _ in range(n)]
+    for cone, D, s0, s1, b in parts:
+        scale = den // D
+        for mono, _, p in _powers(N, cone, k):
+            measure[mono] = measure.get(mono, 0) + scale * s0 * p
+        for mono, alpha, p in _powers(N, cone, k + 1):
+            p *= scale
+            for c, dc in enumerate(coords):
+                g = s1[c] - sum(a * b[j * n + c] for j, a in enumerate(alpha) if a)
+                dc[mono] = dc.get(mono, 0) + p * g
+    polys = [MultiPoly.from_dict(N, {m: Fraction(x, d) for m, x in dc.items()}) for dc, d in
+             [(measure, den * factorial(k))] + [(dc, den * factorial(k + 1)) for dc in coords]]
+    return polys[0], tuple(polys[1:])
 
 
 def _face_polys(poly: HPolytope, face: Face) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
     """Lattice measure of a face and its n coordinate moments (the
-    integrals of x_c over the face), as polynomials in kappa.
-
-    Per simplex of the pulling triangulation: the lattice volume, a
-    determinant in chart coordinates with its sign frozen at the base
-    kappa, times the average of the simplex vertices.
-    """
-    N, n, k = poly.n_facets, poly.dim, face.dimension
-    pvs = param_vertices(poly)
-    y_of = _face_chart(poly, face) if k else None
-    measure = MultiPoly.zero(N)
-    coords = [MultiPoly.zero(N)] * n
-    for s in _pulling_simplices(poly, face):
-        if k == 0:
-            vol = MultiPoly.constant(N, 1)
-        else:
-            base_y = y_of[s[0]]
-            d = _det_poly([
-                [MultiPoly.linear(vec_sub(y_of[vid][r], base_y[r])) for r in range(k)]
-                for vid in s[1:]
-            ])
-            sign_val = d.eval(poly.support)
-            if sign_val == 0:
-                raise PolytopeError("degenerate simplex in face triangulation")
-            vol = d * Fraction(1 if sign_val > 0 else -1, _factorial(k))
-        measure = measure + vol
-        for c in range(n):
-            avg = [
-                sum((pvs[vid].rows[c][j] for vid in s), Fraction(0)) / len(s)
-                for j in range(N)
-            ]
-            coords[c] = coords[c] + vol * MultiPoly.linear(avg)
-    return measure, tuple(coords)
+    integrals of x_c over the face), as polynomials in kappa: one term per
+    vertex v of the face, T the edges at v along the face."""
+    cones = [_vertex_cones(poly)[vid] for vid in face.vertex_ids]
+    Ts = [[j for j, f in enumerate(cone.basis) if f not in face.index_set] for cone in cones]
+    return _integrate(poly, face.dimension, ((c, *_cone_term(poly, c, T)) for c, T in zip(cones, Ts)))
 
 
 @memoize
 def _skeleton_coord_polys(poly: HPolytope, k: int) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
     """Lattice measure of the k-skeleton and its n coordinate moments:
-    the one integration pass, run once per polytope and k."""
-    measure = MultiPoly.zero(poly.n_facets)
-    coords = (measure,) * poly.dim
-    for face in poly.faces_of_dimension(k):
-        m, cs = _face_polys(poly, face)
-        measure = measure + m
-        coords = tuple(a + b for a, b in zip(coords, cs))
-    return measure, coords
+    the one integration pass, once per polytope and k."""
+    return _integrate(poly, k, ((cone, *cone.sums[k]) for cone in _vertex_cones(poly)))
 
 
 def _pairing(poly: HPolytope, coords: Sequence[MultiPoly], H: Sequence) -> MultiPoly:
@@ -325,8 +329,7 @@ def skeleton_measure_polys(poly: HPolytope, k: int, H: Sequence):
 
 
 def integrate_monomial(poly: HPolytope, exponents: Sequence[int]) -> Fraction:
-    """Exact integral of prod_i x_i^{e_i} over the polytope at the base
-    kappa.
+    """Exact integral of prod_i x_i^{e_i} over the polytope at the base kappa.
 
     Per simplex, substitute x = sum_j lambda_j v_j and expand in the
     barycentric variables lambda_j; a barycentric monomial integrates in
@@ -341,17 +344,14 @@ def integrate_monomial(poly: HPolytope, exponents: Sequence[int]) -> Fraction:
     for s in tri.simplices:
         base = verts[s[0]].point
         M = [vec_sub(verts[i].point, base) for i in s[1:]]
-        vol = abs(det(M)) / _factorial(n)
+        vol = abs(det(M)) / factorial(n)
         p = MultiPoly.constant(n + 1, 1)
         for coord, e in enumerate(exponents):
             lin = MultiPoly.linear([verts[vid].point[coord] for vid in s])
             for _ in range(e):
                 p = p * lin
         for mono, c in p.terms:
-            num = Fraction(_factorial(n), _factorial(n + sum(mono)))
-            for a in mono:
-                num *= _factorial(a)
-            total += c * vol * num
+            total += c * vol * Fraction(factorial(n) * prod(map(factorial, mono)), factorial(n + sum(mono)))
     return total
 
 

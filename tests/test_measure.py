@@ -8,14 +8,25 @@ polynomials in (lam, h), derived by integrating the height against the
 monomial formula.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import masslin
+from masslin import measure
 from masslin.cli import check_document
 from masslin.constructions import blowup
+from masslin.errors import StructuralInconsistency
 from masslin.linalg import dot, vec, vec_sub
+from masslin.masslinear import _face_slice
 from masslin.measure import (
+    _face_polys,
+    _skeleton_coord_polys,
     cached_moment_poly,
     center_of_mass,
     direction_lattice_basis,
@@ -23,6 +34,7 @@ from masslin.measure import (
     face_measure_polys,
     integrate_monomial,
     moment_poly,
+    param_vertices,
     skeleton_barycenter,
     skeleton_measure_polys,
     triangulate,
@@ -30,6 +42,8 @@ from masslin.measure import (
     volume_poly,
 )
 from masslin.polytope import HPolytope
+
+from _suite import suite_polytopes
 
 F = Fraction
 
@@ -378,3 +392,149 @@ class TestMemo:
         for H in functionals[1:]:
             check_document(poly, H)
         assert _stored_entries(poly) == after_one
+
+
+def _unit(n, c):
+    return tuple(int(i == c) for i in range(n))
+
+
+def _all_polys(poly):
+    """Every skeleton and every face polynomial of the polytope."""
+    faces = sorted(poly.face_lattice.items(), key=lambda kv: sorted(kv[0]))
+    return (
+        [_skeleton_coord_polys(poly, k) for k in range(poly.dim + 1)],
+        [_face_polys(poly, face) for _, face in faces],
+    )
+
+
+NON_SMOOTH_TRIANGLE = ((-1, 0), (0, -1), (1, 2)), (0, 0, 2)
+NON_SMOOTH_TETRAHEDRON = ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 2)), (0, 0, 0, 2)
+
+
+class TestNonSmooth:
+    """Simple polytopes with a vertex where |det A_v| = 2: the edges there
+    span a sublattice of index 2 in the direction lattice of some faces,
+    so every face term through that vertex carries its lattice index."""
+
+    def test_triangle(self):
+        poly = HPolytope(2, *NON_SMOOTH_TRIANGLE)
+        assert poly.is_simple() and not poly.is_smooth()
+        assert volume(poly) == 1 == integrate_monomial(poly, (0, 0))
+        assert [skeleton_barycenter(poly, k) for k in range(3)] == [
+            (F(2, 3), F(1, 3)),
+            (F(3, 4), F(1, 4)),
+            (F(2, 3), F(1, 3)),
+        ]
+
+    def test_tetrahedron(self):
+        poly = HPolytope(3, *NON_SMOOTH_TETRAHEDRON)
+        assert poly.is_simple() and not poly.is_smooth()
+        assert volume(poly) == F(2, 3) == integrate_monomial(poly, (0, 0, 0))
+        assert [skeleton_barycenter(poly, k) for k in range(4)] == [
+            (F(1, 2), F(1, 2), F(1, 4)),
+            (F(5, 9), F(5, 9), F(1, 6)),
+            (F(8, 15), F(8, 15), F(1, 5)),
+            (F(1, 2), F(1, 2), F(1, 4)),
+        ]
+
+
+class TestGenericXi:
+    def test_first_generic_point_of_the_moment_curve(self):
+        assert measure._generic_xi([[(1, 0), (0, 1)]], 2) == (1, 2)
+        # (1, 2) and then (1, 3) are orthogonal to an edge
+        assert measure._generic_xi([[(2, -1)], [(3, -1)]], 2) == (1, 4)
+
+    @pytest.mark.parametrize("xi", [(3, -5, 11, 17), (-7, 2, 13, 5)])
+    def test_polynomials_do_not_depend_on_xi(self, monkeypatch, xi):
+        makers = [
+            lambda: bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)),
+            lambda: blowup(bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)), (0, 2, 3)),
+            lambda: HPolytope(2, *NON_SMOOTH_TRIANGLE),
+            lambda: HPolytope(3, *NON_SMOOTH_TETRAHEDRON),
+        ]
+        expected = [(_all_polys(make()), measure._vertex_cones(make())) for make in makers]
+        monkeypatch.setattr(measure, "_generic_xi", lambda edges, n: xi[:n])
+        for make, (polys, default_cones) in zip(makers, expected):
+            poly = make()
+            assert _all_polys(poly) == polys
+            assert [c.q for c in measure._vertex_cones(poly)] != [c.q for c in default_cones]
+
+    def test_non_generic_xi_raises(self, monkeypatch):
+        monkeypatch.setattr(measure, "_generic_xi", lambda edges, n: (1, 0))
+        with pytest.raises(StructuralInconsistency, match="xi must pair nonzero"):
+            volume_poly(square())
+
+    def test_genericity_check_survives_dash_O(self):
+        script = textwrap.dedent("""
+            import masslin.measure as m
+            from masslin.errors import StructuralInconsistency
+            from masslin.polytope import HPolytope
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+            m._generic_xi = lambda edges, n: (1, 0)
+            box = HPolytope(2, [(-1, 0), (1, 0), (0, -1), (0, 1)], [0, 1, 0, 1])
+            try:
+                m.volume_poly(box)
+            except StructuralInconsistency as exc:
+                print("raised:", exc)
+        """)
+        src = str(Path(masslin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised: xi must pair nonzero with every edge"
+
+
+def _chamber_points(poly):
+    """The base kappa and two further points of its chamber."""
+    radius = poly.chamber_radius()
+    points = [poly.support]
+    for step in (1, 2):
+        kappa = tuple(k + r * ((i * step) % 3 - 1) for i, (k, r) in enumerate(zip(poly.support, radius)))
+        assert kappa != poly.support and poly.in_same_chamber(kappa)
+        points.append(kappa)
+    return points
+
+
+class TestTriangulationOracle:
+    """The vertex-cone polynomials against integrate_monomial, which
+    integrates over a pulling triangulation, on every suite polytope."""
+
+    def test_volume_and_moments_in_the_chamber(self):
+        for sp in suite_polytopes():
+            poly, n = sp.poly, sp.poly.dim
+            vol = volume_poly(poly)
+            moments = [moment_poly(poly, _unit(n, c)) for c in range(n)]
+            for kappa in _chamber_points(poly):
+                moved = poly.with_support(kappa)
+                assert vol.eval(kappa) == integrate_monomial(moved, (0,) * n), sp.name
+                for c, mp in enumerate(moments):
+                    assert mp.eval(kappa) == integrate_monomial(moved, _unit(n, c)), sp.name
+
+    def test_faces_against_face_slices(self):
+        # a face slice is the face in coordinates y of its direction
+        # lattice, x = v0 + B^T y, so its volume is the lattice measure
+        # and int x_c = v0_c * volume + sum_r B[r][c] int y_r
+        for sp in suite_polytopes():
+            poly, n = sp.poly, sp.poly.dim
+            pvs = param_vertices(poly)
+            for key, face in poly.face_lattice.items():
+                measure_poly, coords = _face_polys(poly, face)
+                got = (measure_poly.eval(poly.support), tuple(p.eval(poly.support) for p in coords))
+                if face.dimension == 0:
+                    assert got == (1, pvs[face.vertex_ids[0]].at(poly.support))
+                    continue
+                k = face.dimension
+                sliced, _ = _face_slice(poly, face)
+                vol = integrate_monomial(sliced, (0,) * k)
+                ys = [integrate_monomial(sliced, _unit(k, r)) for r in range(k)]
+                v0 = poly.vertices[face.vertex_ids[0]].point
+                B = direction_lattice_basis(poly, face)
+                expect = tuple(v0[c] * vol + sum(B[r][c] * ys[r] for r in range(k)) for c in range(n))
+                assert got == (vol, expect), (sp.name, sorted(key))
