@@ -31,9 +31,9 @@ from .errors import PolytopeError, StructuralInconsistency
 from .linalg import (
     IntVec,
     Vec,
-    det,
     dot,
     frac,
+    int_det,
     int_vec,
     nullspace,
     primitive,
@@ -183,7 +183,7 @@ def _reject_unless_combinatorial_product(
 ) -> None:
     bad = None
     for v in poly.vertices:
-        if abs(det([poly.conormals[i] for i in v.basis])) != 1:
+        if abs(int_det([poly.conormals[i] for i in v.basis])) != 1:
             bad = v
             break
     if bad is not None:

@@ -5,7 +5,10 @@ matrices are tuples of row tuples.  Everything is immutable and exact;
 there is no floating point anywhere in the package.
 
 Elimination uses the first nonzero entry as pivot so echelon forms,
-nullspace bases and solutions are reproducible across runs.
+nullspace bases and solutions are reproducible across runs.  Integer
+matrices (conormals, lattice maps) have a fraction-free kernel of their
+own: determinant, rank, solve and adjugate by Bareiss elimination, which
+forms no Fraction at all.
 """
 
 from __future__ import annotations
@@ -57,15 +60,6 @@ def vec_add(u: Sequence, v: Sequence) -> Vec:
 
 def vec_sub(u: Sequence, v: Sequence) -> Vec:
     return tuple(frac(a) - frac(b) for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Sequence) -> Vec:
-    c = frac(c)
-    return tuple(c * frac(a) for a in v)
-
-
-def is_zero_vec(v: Sequence) -> bool:
-    return all(frac(a) == 0 for a in v)
 
 
 def mat_vec(A: Sequence[Sequence], x: Sequence) -> Vec:
@@ -198,14 +192,6 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, ncols: int | None = None) -
     return LinearSolution(tuple(x), nullspace([r[:ncols] for r in rows] or [], ncols))
 
 
-def solve_square(A: Sequence[Sequence], b: Sequence) -> Vec | None:
-    """Unique solution of a square invertible system, else None."""
-    sol = solve_linear(A, b)
-    if sol is None or sol.nullspace:
-        return None
-    return sol.solution
-
-
 def det(A: Sequence[Sequence]) -> Fraction:
     rows = _rows_as_lists(A)
     n = len(rows)
@@ -231,18 +217,6 @@ def det(A: Sequence[Sequence]) -> Fraction:
                 factor = rows[i][col] / pv
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
     return result * sign
-
-
-def invert(A: Sequence[Sequence]) -> Mat | None:
-    rows = _rows_as_lists(A)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("inverse of a non-square matrix")
-    aug = [row + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(rows)]
-    R, pivots = rref(aug, 2 * n)
-    if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
-        return None
-    return tuple(tuple(R[i][n:]) for i in range(n))
 
 
 def in_row_span(A: Sequence[Sequence], v: Sequence) -> bool:
@@ -291,8 +265,114 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[IntVec]:
 
 def unimodular_inverse(U: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
     """Integer inverse of a unimodular integer matrix."""
-    inv = invert(U)
-    if inv is None:
+    d, adj = int_adjugate(U)
+    if d == 0:
         raise ValueError("matrix is singular")
-    out = tuple(int_vec(row) for row in inv)
-    return out
+    return tuple(int_vec([Fraction(a, d) for a in row]) for row in adj)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination over the integers (Bareiss, Math. Comp. 22, 1968)
+
+
+def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Bareiss row echelon form of integer rows, in place.
+
+    Pivots are taken in the first ncols columns only, the first nonzero
+    entry from the current row down; further columns are carried along
+    as right-hand sides.  After each step every entry is a minor of the
+    input (Sylvester's identity), so the division by the previous pivot
+    is exact and the last pivot of a square nonsingular matrix is its
+    determinant up to the sign of the row swaps.  Returns the pivot
+    columns and that sign.
+    """
+    m = len(rows)
+    pivots: list[int] = []
+    sign, prev, r = 1, 1, 0
+    for c in range(ncols):
+        p = r
+        while p < m and not rows[p][c]:
+            p += 1
+        if p == m:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        piv, tail = top[c], top[c + 1 :]
+        for row in rows[r + 1 :]:
+            a = row[c]
+            row[c:] = [0] + [(piv * x - a * t) // prev for x, t in zip(row[c + 1 :], tail)]
+        prev = piv
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots, sign
+
+
+def _int_solve_columns(
+    A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]] | None]:
+    """(d, Y) with A Y = d B and d = det A, for a square integer A and
+    integer right-hand sides B (one row per row of A); Y is None when
+    d == 0.  D A^{-1} B is integral for the last pivot D = +-d (Cramer's
+    rule), so back substitution over the echelon form divides exactly."""
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("fraction-free solve of a non-square matrix")
+    rows = [list(a) + list(b) for a, b in zip(A, B)]
+    pivots, sign = _echelon(rows, n)
+    if len(pivots) < n:
+        return 0, None
+    D = rows[-1][n - 1] if n else 1
+    Y: list[list[int]] = [[] for _ in range(n)]
+    for c in range(n, len(rows[0]) if rows else 0):
+        for i in reversed(range(n)):
+            row = rows[i]
+            s = D * row[c] - sum(row[j] * Y[j][-1] for j in range(i + 1, n))
+            Y[i].append(s // row[i])
+    return sign * D, [[sign * e for e in row] for row in Y]
+
+
+def int_det(A: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix: Bareiss elimination, or
+    cofactor expansion up to 3 x 3, where it is an order of magnitude
+    cheaper in Python."""
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("determinant of a non-square matrix")
+    if n <= 3:
+        if n < 2:
+            return A[0][0] if n else 1
+        if n == 2:
+            return A[0][0] * A[1][1] - A[0][1] * A[1][0]
+        (a, b, c), (d, e, f), (g, h, i) = A
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    rows = [list(row) for row in A]
+    pivots, sign = _echelon(rows, n)
+    if len(pivots) < n:
+        return 0
+    return sign * rows[-1][n - 1]
+
+
+def int_rank(A: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by Bareiss elimination."""
+    rows = [list(row) for row in A]
+    return len(_echelon(rows, len(rows[0]) if rows else 0)[0])
+
+
+def int_solve(A: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, IntVec | None]:
+    """(d, y) with A y = d b and d = det A for a square integer system, so
+    that y / d is the solution; y is None when A is singular."""
+    d, Y = _int_solve_columns(A, [(e,) for e in b])
+    return d, None if Y is None else tuple(row[0] for row in Y)
+
+
+def int_adjugate(A: Sequence[Sequence[int]]) -> tuple[int, tuple[IntVec, ...] | None]:
+    """(d, adj) with A adj = d I and d = det A for a square integer
+    matrix, so that adj / d is the inverse; adj is None when A is
+    singular."""
+    n = len(A)
+    d, Y = _int_solve_columns(A, [[int(i == j) for j in range(n)] for i in range(n)])
+    return d, None if Y is None else tuple(tuple(row) for row in Y)

@@ -34,7 +34,7 @@ from math import comb, factorial, lcm, prod
 from typing import NamedTuple, Sequence
 
 from .errors import PolytopeError, StructuralInconsistency
-from .linalg import Vec, det, integer_kernel_basis, invert, mat_vec, vec, vec_sub
+from .linalg import Vec, det, int_adjugate, integer_kernel_basis, mat_vec, vec, vec_sub
 from .poly import MultiPoly
 from .polytope import Face, HPolytope, memoize
 
@@ -68,15 +68,14 @@ def param_vertices(poly: HPolytope) -> tuple[ParamVertex, ...]:
     N = poly.n_facets
     for v in poly.vertices:
         basis = tuple(sorted(v.basis))
-        A = [poly.conormals[j] for j in basis]
-        Ainv = invert(A)
-        if Ainv is None:
+        d, adj = int_adjugate([poly.conormals[j] for j in basis])
+        if d == 0:
             raise StructuralInconsistency("vertex conormals must be invertible")
         rows = []
         for r in range(poly.dim):
             row = [Fraction(0)] * N
             for pos, j in enumerate(basis):
-                row[j] = Ainv[r][pos]
+                row[j] = Fraction(adj[r][pos], d)
             rows.append(tuple(row))
         pv = ParamVertex(basis, tuple(rows))
         if pv.at(poly.support) != v.point:

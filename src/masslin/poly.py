@@ -148,12 +148,19 @@ class MultiPoly:
         pt = [frac(p) for p in point]
         if len(pt) != self.nvars:
             raise ValueError("point length does not match variable count")
+        # powers[i][e] = pt[i]**e, built once up to the top degree in variable i
+        powers = []
+        for i, x in enumerate(pt):
+            row = [Fraction(1)]
+            for _ in range(max((m[i] for m, _ in self.terms), default=0)):
+                row.append(row[-1] * x)
+            powers.append(row)
         total = Fraction(0)
         for m, c in self.terms:
             v = c
-            for x, e in zip(pt, m):
+            for row, e in zip(powers, m):
                 if e:
-                    v *= x**e
+                    v *= row[e]
             total += v
         return total
 

@@ -6,9 +6,14 @@ numbers kappa_i.  Construction validates that the data defines a bounded,
 nonempty, full-dimensional polytope in which every half-space contributes
 a genuine facet; redundant half-spaces are an error, not silently dropped.
 
-Vertex enumeration is an exhaustive scan over n-element facet subsets
-with invertible conormal matrix, an O(C(N, n)) bound that is perfectly
-fine at this package's scale (n <= 4, N <= 14 or so).
+Vertex enumeration is an exhaustive scan over all C(N, n) n-element
+facet subsets, an O(C(N, n)) bound that is perfectly fine at this
+package's scale (n <= 4, N <= 14 or so).  The conormals are integer, so
+each subset is solved fraction-free (Bareiss elimination, ``int_solve``)
+against the support numbers scaled to integers; feasibility and the
+active facets are read off integer slacks, and a Fraction point is
+formed only for a feasible subset.  The boundedness, full-dimension and
+facet checks and the smoothness test run in integers too.
 """
 
 from __future__ import annotations
@@ -17,24 +22,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .errors import NotSimpleError, PolytopeError, StructuralInconsistency
 from .linalg import (
     IntVec,
     Vec,
-    det,
     dot,
     frac,
+    int_adjugate,
+    int_det,
+    int_rank,
+    int_solve,
     int_vec,
-    invert,
     mat_vec,
     nullspace,
     primitive,
-    rank,
-    solve_square,
-    transpose,
-    unimodular_inverse,
     vec,
 )
 
@@ -88,50 +92,73 @@ def memoize(fn):
 
 
 def _check_bounded(conormals: Sequence[IntVec], n: int) -> None:
-    if rank(conormals) < n:
+    if int_rank(conormals) < n:
         raise PolytopeError("unbounded: conormals do not span the ambient space")
     # The recession cone is pointed (full conormal rank), so if it is
     # nontrivial it has an extreme ray vanishing on some rank n-1 subset.
+    # The kernel of n-1 rows is spanned by their cofactor vector, which
+    # is zero exactly when their rank is below n-1.
     for S in combinations(range(len(conormals)), n - 1):
         rows = [conormals[i] for i in S]
-        if rows and rank(rows) != n - 1:
+        ray = [
+            (-1) ** j * int_det([row[:j] + row[j + 1 :] for row in rows])
+            for j in range(n)
+        ]
+        if not any(ray):
             continue
-        kernel = nullspace(rows, n)
-        if len(kernel) != 1:
-            continue
-        ray = kernel[0]
-        for cand in (ray, tuple(-x for x in ray)):
-            if all(dot(eta, cand) <= 0 for eta in conormals):
-                raise PolytopeError(
-                    f"unbounded: recession direction {tuple(cand)}"
-                )
+        pairings = [sum(a * b for a, b in zip(eta, ray)) for eta in conormals]
+        if all(p <= 0 for p in pairings) or all(p >= 0 for p in pairings):
+            ray = nullspace(rows, n)[0]
+            for cand in (ray, tuple(-x for x in ray)):
+                if all(dot(eta, cand) <= 0 for eta in conormals):
+                    raise PolytopeError(
+                        f"unbounded: recession direction {tuple(cand)}"
+                    )
 
 
 def _enumerate_basic_points(
     conormals: Sequence[IntVec], support: Sequence[Fraction], n: int
 ) -> dict[Vec, frozenset[int]]:
-    """All feasible basic points, mapped to their full active facet sets."""
-    N = len(conormals)
+    """All feasible basic points, mapped to their full active facet sets.
+
+    The support numbers are scaled by the lcm L of their denominators to
+    integers K.  Each n-subset J is solved fraction-free, A_J y = d K_J
+    with d = det A_J > 0 after a sign flip, so the basic point is
+    y / (d L) and its slack on facet i is (d K_i - <eta_i, y>) / (d L).
+    Points enter the dict in the order of their first feasible subset in
+    ``combinations`` order.
+    """
+    L = lcm(*(k.denominator for k in support))
+    K = [k.numerator * (L // k.denominator) for k in support]
     points: dict[Vec, frozenset[int]] = {}
-    for J in combinations(range(N), n):
-        A = [conormals[j] for j in J]
-        x = solve_square(A, [support[j] for j in J])
-        if x is None:
+    for J in combinations(range(len(conormals)), n):
+        d, y = int_solve([conormals[j] for j in J], [K[j] for j in J])
+        if d == 0:
             continue
-        if x in points:
-            continue
+        if d < 0:
+            d, y = -d, tuple(-e for e in y)
         active = []
-        feasible = True
-        for i in range(N):
-            s = support[i] - dot(conormals[i], x)
+        for i, eta in enumerate(conormals):
+            s = d * K[i] - sum(a * b for a, b in zip(eta, y))
             if s < 0:
-                feasible = False
                 break
             if s == 0:
                 active.append(i)
-        if feasible:
-            points[x] = frozenset(active)
+        else:
+            point = tuple(Fraction(e, d * L) for e in y)
+            points.setdefault(point, frozenset(active))
     return points
+
+
+def _affine_rank(points: Sequence[Vec]) -> int:
+    """Dimension of the affine span of rational points, as the integer
+    rank of their homogeneous coordinates (D p, D) minus one, D the lcm
+    of each point's denominators."""
+    rows = []
+    for p in points:
+        D = lcm(*(x.denominator for x in p))
+        rows.append([x.numerator * (D // x.denominator) for x in p] + [D])
+    return int_rank(rows) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,15 +201,13 @@ class HPolytope:
         pts = _enumerate_basic_points(conormals, support, n)
         if not pts:
             raise PolytopeError("empty polytope")
-        pt_list = list(pts)
-        if rank([tuple(frac(a) - frac(b) for a, b in zip(p, pt_list[0])) for p in pt_list]) < n:
+        if _affine_rank(list(pts)) < n:
             raise PolytopeError("polytope is not full-dimensional")
         for i in range(len(conormals)):
             on_facet = [p for p, act in pts.items() if i in act]
             if not on_facet:
                 raise PolytopeError(f"facet {labels[i]} is redundant (empty)")
-            diffs = [tuple(frac(a) - frac(b) for a, b in zip(p, on_facet[0])) for p in on_facet]
-            if rank(diffs) < n - 1:
+            if _affine_rank(on_facet) < n - 1:
                 raise PolytopeError(
                     f"facet {labels[i]} does not span a hyperplane (redundant half-space)"
                 )
@@ -235,7 +260,7 @@ class HPolytope:
         if not self.is_simple():
             return False
         for v in self.vertices:
-            if abs(det([self.conormals[i] for i in v.basis])) != 1:
+            if abs(int_det([self.conormals[i] for i in v.basis])) != 1:
                 return False
         return True
 
@@ -323,19 +348,23 @@ class HPolytope:
         min_gap = None
         max_sens = Fraction(0)
         for J in combinations(range(N), n):
-            A = [self.conormals[j] for j in J]
-            Minv = invert(A)
-            if Minv is None:
+            d, adj = int_adjugate([self.conormals[j] for j in J])
+            if d == 0:
                 continue
-            x = mat_vec(Minv, [self.support[j] for j in J])
+            kappa_J = [self.support[j] for j in J]
+            x = [sum(a * k for a, k in zip(row, kappa_J)) / d for row in adj]
             slacks = {
                 i: self.support[i] - dot(self.conormals[i], x)
                 for i in range(N)
                 if i not in J
             }
-            for i, s in slacks.items():
-                coeffs = mat_vec(transpose(Minv), self.conormals[i])
-                sens = sum(abs(c) for c in coeffs)
+            for i in slacks:
+                eta = self.conormals[i]
+                # sum_c |(A_J^{-T} eta_i)_c|, with A_J^{-1} = adj / d
+                sens = Fraction(
+                    sum(abs(sum(adj[r][c] * eta[r] for r in range(n))) for c in range(n)),
+                    abs(d),
+                )
                 if sens > max_sens:
                     max_sens = sens
             if all(s > 0 for s in slacks.values()):
@@ -369,7 +398,7 @@ class HPolytope:
         (smoothness, face pattern, volumes) is preserved.
         """
         Tm = [int_vec(row) for row in T]
-        if abs(det(Tm)) != 1:
+        if abs(int_det(Tm)) != 1:
             raise PolytopeError("lattice map must be unimodular")
         new_conormals = tuple(int_vec(mat_vec(Tm, eta)) for eta in self.conormals)
         return HPolytope(self.dim, new_conormals, self.support, self.labels, self.name)
@@ -446,11 +475,7 @@ def from_halfspaces_pruned(
         on_facet = [p for p, act in pts.items() if pos in act]
         if not on_facet:
             continue
-        diffs = [
-            tuple(frac(a) - frac(b) for a, b in zip(p, on_facet[0]))
-            for p in on_facet
-        ]
-        if rank(diffs) == n - 1:
+        if _affine_rank(on_facet) == n - 1:
             kept.append(i)
     poly = HPolytope(
         dim,

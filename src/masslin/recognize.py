@@ -50,7 +50,7 @@ from .errors import PolytopeError, StructuralInconsistency
 from .linalg import (
     IntVec,
     Vec,
-    det,
+    int_det,
     int_vec,
     integer_kernel_basis,
     mat_mul,
@@ -68,7 +68,7 @@ from .masslinear import (
     is_inessential,
     mass_linear_test,
 )
-from .polytope import HPolytope
+from .polytope import HPolytope, memoize
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def _segment_bundle_certificate(
     k = n - 1
     body, last = others[:-1], others[-1]
     A = _cols(*[poly.conormals[m] for m in body], poly.conormals[i])
-    if abs(det(A)) != 1:
+    if abs(int_det(A)) != 1:
         raise StructuralInconsistency(
             "base pair of a segment bundle admits no vertex basis"
         )
@@ -255,7 +255,7 @@ def _quotient_normalization(
     if len(vsat) != m:
         return None
     T = _cols(*vsat, *[tuple(-c for c in poly.conormals[b]) for b in b_roles])
-    if abs(det(T)) != 1:
+    if abs(int_det(T)) != 1:
         return None
     return unimodular_inverse(T)
 
@@ -395,31 +395,35 @@ def _double_expansion_certificate(
     )
 
 
-def _double_expansion_candidates(poly: HPolytope):
-    """All verified double-expansion structures, in index order."""
+@memoize
+def _double_expansion_candidates(poly: HPolytope) -> tuple[RecognitionCertificate, ...]:
+    """All verified double-expansion structures, in index order; memoized,
+    since recognize_type and the terminal recognition both walk them."""
     if not poly.is_smooth():
         raise PolytopeError("recognition requires a smooth polytope")
     if poly.dim < 3:
-        return
+        return ()
     pairs = []
     for cls in equivalence_classes(poly).classes:
         for pq in itertools.combinations(sorted(cls), 2):
             if poly.face(set(pq)) is not None:
                 pairs.append(pq)
     pairs.sort()
+    certs = []
     for P, Q in itertools.combinations(pairs, 2):
         if set(P) & set(Q):
             continue
         cert = _double_expansion_certificate(poly, P, Q)
         if cert is not None:
-            yield cert
+            certs.append(cert)
+    return tuple(certs)
 
 
 def recognize_double_expansion(poly: HPolytope) -> RecognitionCertificate | None:
     """Detect a double expansion: two disjoint pairs of equivalent,
     mutually intersecting facets.  The core is the face cut by the two
     pure-slot members, recovered as a polytope in its own lattice."""
-    return next(_double_expansion_candidates(poly), None)
+    return next(iter(_double_expansion_candidates(poly)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +458,7 @@ def _recognize_121(poly: HPolytope) -> RecognitionCertificate | None:
                 poly.conormals[f5],
                 poly.conormals[t1],
             )
-            if abs(det(A)) != 1:
+            if abs(int_det(A)) != 1:
                 continue
             S = tuple(
                 int_vec(row) for row in mat_mul(targets, unimodular_inverse(A))

@@ -10,8 +10,11 @@ from masslin.linalg import (
     dot,
     identity,
     in_row_span,
+    int_adjugate,
+    int_det,
+    int_rank,
+    int_solve,
     integer_kernel_basis,
-    invert,
     mat_mul,
     mat_vec,
     nullspace,
@@ -19,7 +22,6 @@ from masslin.linalg import (
     rank,
     rref,
     solve_linear,
-    solve_square,
     transpose,
     unimodular_inverse,
     vec,
@@ -125,21 +127,70 @@ class TestDetInvert:
     def test_det_singular(self):
         assert det([[1, 2], [2, 4]]) == 0
 
-    @given(small_matrix(3, 3))
-    @settings(max_examples=40)
-    def test_invert_round_trip(self, A):
-        inv = invert(A)
-        if det(A) == 0:
-            assert inv is None
-        else:
-            assert mat_mul(A, inv) == identity(3)
 
-    def test_solve_square(self):
-        assert solve_square([[2, 0], [0, 4]], (1, 1)) == (
-            Fraction(1, 2),
-            Fraction(1, 4),
+@st.composite
+def integer_systems(draw):
+    """A square integer system with n = 1..4; about half are singular,
+    their last row a combination of the others."""
+    n = draw(st.integers(1, 4))
+    entries = st.integers(-6, 6)
+    A = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        c = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        A[-1] = [sum(ci * row[j] for ci, row in zip(c, A)) for j in range(n)]
+    b = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    return A, b
+
+
+class TestFractionFree:
+    def test_solve_examples(self):
+        assert int_solve([[2, 0], [0, 4]], (1, 1)) == (8, (4, 2))
+        assert int_solve([[0, 1], [1, 0]], (3, 5)) == (-1, (-5, -3))
+        assert int_solve([[1, 1], [2, 2]], (1, 2)) == (0, None)
+        assert int_det([]) == 1
+
+    @given(integer_systems())
+    @settings(max_examples=200)
+    def test_matches_rational_elimination(self, system):
+        A, b = system
+        d = int_det(A)
+        assert d == det(A)
+        assert int_rank(A) == rank(A)
+        d2, y = int_solve(A, b)
+        assert d2 == d
+        sol = solve_linear(A, b)
+        if d == 0:
+            assert y is None
+            assert sol is None or sol.nullspace
+            return
+        assert sol.nullspace == ()
+        assert tuple(Fraction(e, d) for e in y) == sol.solution
+        assert list(mat_vec(A, y)) == [d * e for e in b]
+
+    @given(integer_systems())
+    @settings(max_examples=100)
+    def test_adjugate_round_trip(self, system):
+        A, _ = system
+        n = len(A)
+        d, adj = int_adjugate(A)
+        assert d == det(A)
+        if d == 0:
+            assert adj is None
+        else:
+            scaled = tuple(tuple(d * e for e in row) for row in identity(n))
+            assert mat_mul(A, adj) == scaled
+            assert mat_mul(adj, A) == scaled
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=6
+            )
         )
-        assert solve_square([[1, 1], [2, 2]], (1, 2)) is None
+    )
+    @settings(max_examples=150)
+    def test_rank_of_rectangular_matrices(self, rows):
+        assert int_rank(rows) == rank(rows)
 
 
 class TestNullspace:

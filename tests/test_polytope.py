@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from _suite import suite_polytopes
 from masslin.errors import NotSimpleError, PolytopeError
-from masslin.linalg import dot, primitive, vec_sub
+from masslin.linalg import dot, primitive, solve_linear, vec_sub
 from masslin.polytope import HPolytope, from_halfspaces_pruned
 
 # --- shared fixtures -------------------------------------------------------
@@ -80,6 +82,67 @@ class TestValidation:
             HPolytope(2, p.conormals, p.support, ("a", "a", "c"))
 
 
+class TestErrorText:
+    """The exact messages, which the integer scan must keep."""
+
+    @pytest.mark.parametrize(
+        "dim, conormals, support, message",
+        [
+            (
+                2,
+                ((-1, 0), (0, -1), (1, 0)),
+                (0, 0, 1),
+                "unbounded: recession direction (Fraction(0, 1), Fraction(1, 1))",
+            ),
+            (
+                3,
+                ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)),
+                (1, 1, 1, 0),
+                "unbounded: recession direction "
+                "(Fraction(0, 1), Fraction(0, 1), Fraction(-1, 1))",
+            ),
+            (1, ((1,), (1,)), (0, 1), "unbounded: recession direction (Fraction(-1, 1),)"),
+            (
+                2,
+                ((-1, 0), (1, 0), (-1, 0)),
+                (0, 1, 1),
+                "unbounded: conormals do not span the ambient space",
+            ),
+            (
+                2,
+                ((-1, 0), (1, 0), (0, -1), (0, 1)),
+                (0, 0, 0, 1),
+                "polytope is not full-dimensional",
+            ),
+            (
+                2,
+                ((-1, 0), (1, 0), (0, -1), (0, 1), (1, 1)),
+                (0, 1, 0, 1, 10),
+                "facet F5 is redundant (empty)",
+            ),
+            (
+                2,
+                ((-1, 0), (1, 0), (0, -1), (0, 1), (1, 1)),
+                (0, 1, 0, 1, 2),
+                "facet F5 does not span a hyperplane (redundant half-space)",
+            ),
+            (2, ((-1, 0), (0, -1), (1, 1)), (0, 0, -1), "empty polytope"),
+        ],
+    )
+    def test_message(self, dim, conormals, support, message):
+        with pytest.raises(PolytopeError) as exc:
+            HPolytope(dim, conormals, support)
+        assert str(exc.value) == message
+
+    def test_non_simple_point_and_active(self):
+        with pytest.raises(NotSimpleError) as exc:
+            square_pyramid().vertices
+        point = (Fraction(0), Fraction(0), Fraction(1))
+        assert exc.value.point == point
+        assert exc.value.active == frozenset({1, 2, 3, 4})
+        assert str(exc.value) == f"vertex {point} lies on 4 facets"
+
+
 # --- vertices ---------------------------------------------------------------
 
 
@@ -107,6 +170,26 @@ class TestVertices:
         assert not p.is_simple()
         with pytest.raises(NotSimpleError):
             p.vertices
+
+
+def rational_basic_points(p: HPolytope) -> dict:
+    """The basic-point scan in rational arithmetic: each n-subset solved
+    by ``solve_linear``, first feasible subset first."""
+    points = {}
+    for J in combinations(range(p.n_facets), p.dim):
+        sol = solve_linear([p.conormals[j] for j in J], [p.support[j] for j in J])
+        if sol is None or sol.nullspace or sol.solution in points:
+            continue
+        slacks = [k - dot(eta, sol.solution) for eta, k in zip(p.conormals, p.support)]
+        if min(slacks) >= 0:
+            points[sol.solution] = frozenset(i for i, s in enumerate(slacks) if s == 0)
+    return points
+
+
+def test_integer_scan_matches_rational_scan_on_suite():
+    for sp in suite_polytopes():
+        expected = rational_basic_points(sp.poly)
+        assert list(sp.poly._basic.items()) == list(expected.items()), sp.name
 
 
 # --- smoothness -------------------------------------------------------------
