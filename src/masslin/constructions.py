@@ -34,10 +34,10 @@ from .linalg import (
     dot,
     frac,
     int_det,
+    int_rank,
     int_vec,
     nullspace,
     primitive,
-    rank,
     rref,
     vec,
 )
@@ -431,7 +431,7 @@ def _facet_fiber_structure(poly: HPolytope, e: int, I: Sequence[int]) -> bool:
     {F_i cap F_e : i in I}?  Purely combinatorial plus the conormal-sum
     proportionality that any simplex fiber forces."""
     s = tuple(sum(poly.conormals[i][j] for i in I) for j in range(poly.dim))
-    if rank([s, poly.conormals[e]]) > 1:
+    if int_rank([s, poly.conormals[e]]) > 1:
         return False
     if poly.face(set(I) | {e}) is not None:
         return False

@@ -7,52 +7,58 @@ that pairing is linear in kappa, that is when the polynomial identity
 
     moment_H - (sum_i gamma_i kappa_i) * volume == 0
 
-holds for some gamma; it is decided exactly.  gamma is read off the
-vertex average: every vertex is linear in kappa, so the pairing of H
-with the 0-skeleton barycenter, ell_H = m_0 / P_0 (vertex moment over
-vertex count), is an exact linear form, and when the identity holds
-with its coefficients they are gamma (unique, because the products
-kappa_i * V are independent).  Only when it fails is gamma solved from
-the identity coefficient by coefficient (``solve_linear``); that
-fallback's infeasibility is the negative verdict.  In dimension <= 4
-the paper's agreement of mass linearity with full mass linearity means
-the fallback never finds a gamma, but the code does not assume it.  A
-seeded pre-filter that finds the midpoint law failing at random chamber
-points is already a sound negative verdict.
+holds for some gamma; it is decided exactly.  The identity is linear in
+the pair (H, gamma), so the pairs that satisfy it form a vector space,
+``ml_space``, memoized per polytope together with its reduced echelon
+form.  That form is the one source of gamma: H is mass linear exactly
+when it lies in the span of the H parts, and then gamma is the same
+combination of the gamma parts (unique, because the products
+kappa_i * V are independent); otherwise the nonzero residual of H
+against that span is the witness.  A seeded pre-filter that finds the
+midpoint law failing at random chamber points is already a sound
+negative verdict.
 
 Facets with zero coefficient are symmetric (moving them does not move
 the pairing); the same notion is decided for non-mass-linear H by the
 per-facet identity d(moment)/dk_i * V == moment * dV/dk_i.  Facet
 equivalence, inessential witnesses, restriction to symmetric faces and
 the skeleton-barycenter tests follow the same pattern: reduce to exact
-linear algebra or polynomial identities in kappa; the skeleton tests
-compare each skeleton with ell_H, moment_k == ell_H * measure_k.
-Negative answers are witness-first: an identity whose two sides differ
-at the base kappa fails, and that exact nonzero value is its
-certificate, so only the identities that hold at the base kappa are
-expanded symbolically.
+linear algebra or polynomial identities in kappa.  The skeleton tests
+compare each skeleton with the vertex average: every vertex is linear
+in kappa, so the pairing of H with the 0-skeleton barycenter,
+ell_H = m_0 / P_0, is an exact linear form, and the identity is
+moment_k == ell_H * measure_k.  Negative answers are witness-first: an
+identity whose two sides differ at the base kappa fails, and that exact
+nonzero value is its certificate, so only the identities that hold at
+the base kappa are expanded symbolically.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import PolytopeError, StructuralInconsistency
 from .linalg import (
     Vec,
+    _echelon,
     dot,
     in_row_span,
+    int_rank,
     int_vec,
     nullspace,
     rank,
+    rref,
     solve_linear,
     vec,
     vec_sub,
     zero_vec,
 )
 from .measure import (
+    _skeleton_coord_polys,
     direction_lattice_basis,
     moment_poly,
     skeleton_barycenter,
@@ -178,14 +184,12 @@ def _flat_facets(poly: HPolytope) -> frozenset[int]:
             for j in range(poly.n_facets)
             if j != i and poly.face(frozenset({i, j})) is not None
         ]
-        if rank(rows) <= poly.dim - 1:
+        if int_rank(rows) <= poly.dim - 1:
             flat.add(i)
     return frozenset(flat)
 
 
-def symmetric_facets(
-    poly: HPolytope, H, *, _mu: MultiPoly | None = None
-) -> tuple[frozenset[int], frozenset[int]]:
+def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]]:
     """Partition facets into (symmetric, asymmetric) for H.
 
     Facet i is symmetric when the center-of-mass pairing does not depend
@@ -193,10 +197,9 @@ def symmetric_facets(
     Works whether or not H is mass linear.  Witness-first: the identity
     is evaluated at the base kappa, where a nonzero value proves facet i
     asymmetric; only facets whose value is zero get the symbolic product.
-    _mu is the moment of H when the caller already holds it.
     """
     _require_smooth(poly)
-    mu = moment_poly(poly, vec(H)) if _mu is None else _mu
+    mu = moment_poly(poly, vec(H))
     vol = volume_poly(poly)
     base = poly.support
     mu0, vol0 = mu.eval(base), vol.eval(base)
@@ -228,74 +231,34 @@ def _vertex_average(poly: HPolytope, Hv: Vec) -> Vec:
     return tuple(coeffs)
 
 
-def _vertex_average_gamma(
-    poly: HPolytope, Hv: Vec, mu: MultiPoly, vol: MultiPoly
-) -> Vec | None:
-    """gamma read off the vertex average: the coefficients of ell_H when
-    mu_H == ell_H * V holds chamber-wide, else None.
-
-    Witness-first: unequal pairings of H with the vertex average and the
-    center of mass at the base kappa refute the identity unexpanded."""
-    vertex_pairing = dot(Hv, skeleton_barycenter(poly, 0))
-    if vertex_pairing != dot(Hv, skeleton_barycenter(poly, poly.dim)):
-        return None
-    ell = _vertex_average(poly, Hv)
-    return ell if (mu - MultiPoly.linear(ell) * vol).is_zero() else None
+# chamber point pairs probed by the seeded pre-filter of mass_linear_test
+_PREFILTER_TRIALS = 8
 
 
-def _solved_gamma(poly: HPolytope, mu: MultiPoly, vol: MultiPoly) -> Vec | None:
-    """gamma solving mu_H == (sum gamma_i kappa_i) * V coefficient by
-    coefficient, or None when that linear system is infeasible."""
-    N = poly.n_facets
-    vol_of, mu_of = vol.as_dict(), mu.as_dict()
-    monomials = set(mu_of)
-    for m in vol_of:
-        for i in range(N):
-            monomials.add(tuple(e + (j == i) for j, e in enumerate(m)))
-    rows = []
-    rhs = []
-    for m in sorted(monomials):
-        rows.append(
-            tuple(
-                vol_of.get(tuple(e - (j == i) for j, e in enumerate(m)), Fraction(0))
-                if m[i]
-                else Fraction(0)
-                for i in range(N)
-            )
-        )
-        rhs.append(mu_of.get(m, Fraction(0)))
-    sol = solve_linear(rows, rhs, ncols=N)
-    if sol is None:
-        return None
-    if sol.nullspace:
-        raise StructuralInconsistency("the products kappa_i * V are independent")
-    return sol.solution
-
-
-def mass_linear_test(
-    poly: HPolytope, H, seed: int | None = None, trials: int = 8
-) -> MassLinearReport:
+def mass_linear_test(poly: HPolytope, H, seed: int | None = None) -> MassLinearReport:
     """Decide whether the center-of-mass pairing of H is linear in kappa.
 
-    The verdict always comes from exact algebra: gamma must satisfy
-    mu_H == (sum gamma_i kappa_i) * V.  The coefficients of ell_H, the
-    pairing with the vertex average, are tried first; only when they
-    fail is gamma solved from the identity coefficient by coefficient.
-    A seed turns on a randomized pre-filter probing the midpoint law of
+    The verdict always comes from exact algebra, read off the memoized
+    reduced echelon form of ``ml_space``: its rows R_p, one per pivot
+    column p of the H part, give the combination sum_p H[p] * R_p, whose
+    H part equals H exactly when H is mass linear; its gamma part is then
+    gamma, and otherwise the nonzero difference is the witness.  A seed
+    turns on a randomized pre-filter probing the midpoint law of
     kappa -> <H, c> at chamber points; it can only reject nonlinear
     pairings early, never change a verdict.
     """
     _require_smooth(poly)
     Hv = vec(H)
-    if len(Hv) != poly.dim:
+    n = poly.dim
+    if len(Hv) != n:
         raise ValueError("functional has wrong dimension")
     N = poly.n_facets
-    mu = moment_poly(poly, Hv)
-    vol = volume_poly(poly)
     base = poly.support
 
     linear = True
     if seed is not None:
+        mu = moment_poly(poly, Hv)
+        vol = volume_poly(poly)
         rng = random.Random(seed)
         radius = poly.chamber_radius()
 
@@ -305,7 +268,7 @@ def mass_linear_test(
                 for i, k in enumerate(base)
             )
 
-        for _ in range(trials):
+        for _ in range(_PREFILTER_TRIALS):
             p, q = sample(), sample()
             mid = tuple((a + b) / 2 for a, b in zip(p, q))
             left = 2 * _hhat(poly, mu, vol, mid)
@@ -315,16 +278,19 @@ def mass_linear_test(
 
     gamma_t = None
     if linear:
-        gamma_t = _vertex_average_gamma(poly, Hv, mu, vol)
-        if gamma_t is None:
-            gamma_t = _solved_gamma(poly, mu, vol)
+        rows = _space_echelon(poly)
+        fit = tuple(
+            sum((Hv[p] * row[c] for p, row in rows), Fraction(0)) for c in range(n + N)
+        )
+        if fit[:n] == Hv:
+            gamma_t = fit[n:]
 
     if gamma_t is not None:
         if sum(gamma_t, Fraction(0)) != 0:
             raise StructuralInconsistency("coefficient sum must vanish")
-        if dot(Hv, skeleton_barycenter(poly, poly.dim)) != dot(gamma_t, base):
+        if dot(Hv, skeleton_barycenter(poly, n)) != dot(gamma_t, base):
             raise StructuralInconsistency("no constant term allowed")
-        recon = zero_vec(poly.dim)
+        recon = zero_vec(n)
         for g, eta in zip(gamma_t, poly.conormals):
             recon = tuple(r + g * e for r, e in zip(recon, eta))
         if recon != Hv:
@@ -332,7 +298,7 @@ def mass_linear_test(
         sym = frozenset(i for i, g in enumerate(gamma_t) if g == 0)
         asym = frozenset(range(N)) - sym
     else:
-        sym, asym = symmetric_facets(poly, Hv, _mu=mu)
+        sym, asym = symmetric_facets(poly, Hv)
 
     pervasive = {i: is_pervasive(poly, i) for i in sorted(asym)}
     flat = {i: is_flat(poly, i) for i in sorted(asym)}
@@ -364,12 +330,12 @@ def equivalence_classes(poly: HPolytope) -> EquivalenceClasses:
     for i in range(N):
         for j in range(i + 1, N):
             others = [poly.conormals[k] for k in range(N) if k not in (i, j)]
-            if rank(others) != n - 1:
+            if int_rank(others) != n - 1:
                 continue
             pair_sum = tuple(
                 a + b for a, b in zip(poly.conormals[i], poly.conormals[j])
             )
-            if in_row_span(others, pair_sum):
+            if int_rank(others + [pair_sum]) == n - 1:
                 parent[find(i)] = find(j)
 
     groups: dict[int, set[int]] = {}
@@ -383,7 +349,7 @@ def equivalence_classes(poly: HPolytope) -> EquivalenceClasses:
     for cls in classes:
         members = sorted(cls)
         complement = [poly.conormals[k] for k in range(N) if k not in cls]
-        r = rank(complement)
+        r = int_rank(complement)
         complement_rank[cls] = r
         if r != n - (len(cls) - 1):
             raise StructuralInconsistency(
@@ -411,11 +377,11 @@ def equivalence_classes(poly: HPolytope) -> EquivalenceClasses:
 
 
 def _row_basis(rows) -> list[int]:
-    """Indices of a maximal independent subset of rows."""
+    """Indices of a maximal independent subset of integer rows."""
     picked: list[int] = []
     chosen = []
     for idx, row in enumerate(rows):
-        if rank(chosen + [row]) > len(chosen):
+        if int_rank(chosen + [row]) > len(chosen):
             picked.append(idx)
             chosen.append(row)
     return picked
@@ -598,32 +564,47 @@ def barycenter_pairings_agree(poly: HPolytope, H, dims) -> bool:
     )
 
 
+@memoize
 def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
     """Basis of all pairs (H, gamma) with mu_H == (sum gamma_i kappa_i) V.
 
     The defining identity is linear in the unknowns (H, gamma), so the
     mass linear functionals on a fixed polytope form a vector space; the
-    returned H parts are a basis of it.
+    returned H parts are a basis of it.  The identity is one equation per
+    monomial in kappa: column c < n holds the coefficients of the
+    coordinate moment int x_c, column n + i those of -kappa_i * V.  Over
+    one common denominator that system is integral, fraction-free
+    elimination leaves at most n + N rows spanning the same row space,
+    and the basis is their nullspace in the reduced-echelon convention.
     """
     _require_smooth(poly)
-    n = poly.dim
-    N = poly.n_facets
-    vol = volume_poly(poly)
-    coord_moments = [
-        moment_poly(poly, tuple(Fraction(1 if c == r else 0) for r in range(n)))
-        for c in range(n)
-    ]
-    kappa_vols = [MultiPoly.variable(N, i) * vol for i in range(N)]
-    monomials = set()
-    for p in coord_moments + kappa_vols:
-        monomials.update(m for m, _ in p.terms)
-    rows = []
-    for m in sorted(monomials):
-        row = [p.coefficient(m) for p in coord_moments]
-        row += [-p.coefficient(m) for p in kappa_vols]
-        rows.append(tuple(row))
-    kernel = nullspace(rows, ncols=n + N)
+    n, N = poly.dim, poly.n_facets
+    vol, coords = _skeleton_coord_polys(poly, n)
+    parts = [c.as_dict() for c in coords] + [vol.as_dict()]
+    D = lcm(*(x.denominator for part in parts for x in part.values()))
+    rows: dict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * (n + N))
+    for c, part in enumerate(parts[:n]):
+        for m, x in part.items():
+            rows[m][c] = int(x * D)
+    for m, x in parts[n].items():
+        for i in range(N):
+            rows[m[:i] + (m[i] + 1,) + m[i + 1 :]][n + i] = -int(x * D)
+    system = list(rows.values())
+    pivots, _ = _echelon(system, n + N)
+    kernel = nullspace(system[: len(pivots)], ncols=n + N)
     return tuple((z[:n], z[n:]) for z in kernel)
+
+
+@memoize
+def _space_echelon(poly: HPolytope) -> tuple[tuple[int, Vec], ...]:
+    """The reduced echelon rows of the ``ml_space`` basis rows
+    (H | gamma), each with its pivot column.  Every pivot lies in the H
+    columns, since gamma is determined by H."""
+    n = poly.dim
+    R, pivots = rref([H + gamma for H, gamma in ml_space(poly)], n + poly.n_facets)
+    if any(p >= n for p in pivots):
+        raise StructuralInconsistency("the products kappa_i * V are independent")
+    return tuple(zip(pivots, R))
 
 
 def inessential_space(poly: HPolytope) -> tuple[Vec, ...]:
@@ -635,5 +616,5 @@ def inessential_space(poly: HPolytope) -> tuple[Vec, ...]:
         members = sorted(cls)
         for i in members[1:]:
             gens.append(vec_sub(vec(poly.conormals[i]), vec(poly.conormals[members[0]])))
-    basis_idx = _row_basis(gens)
+    basis_idx = _row_basis([int_vec(g) for g in gens])
     return tuple(gens[i] for i in basis_idx)

@@ -255,6 +255,7 @@ class HPolytope:
     def is_simple(self) -> bool:
         return all(len(active) == self.dim for active in self._basic.values())
 
+    @memoize
     def is_smooth(self) -> bool:
         """Simple, and the active conormals at each vertex form a lattice basis."""
         if not self.is_simple():

@@ -51,11 +51,11 @@ from .linalg import (
     IntVec,
     Vec,
     int_det,
+    int_rank,
     int_vec,
     integer_kernel_basis,
     mat_mul,
     mat_vec,
-    rank,
     unimodular_inverse,
     vec,
     zero_vec,
@@ -248,7 +248,7 @@ def _quotient_normalization(
         core_rows.append(
             tuple(sum(poly.conormals[x][r] for x in grp) for r in range(n))
         )
-    if rank(core_rows) != m:
+    if int_rank(core_rows) != m:
         return None
     killed = integer_kernel_basis(core_rows, n)
     vsat = integer_kernel_basis(killed, n)
@@ -510,7 +510,7 @@ def _recognize_polygon_bundle(poly: HPolytope) -> RecognitionCertificate | None:
         s = tuple(sum(poly.conormals[x][r] for x in triple) for r in range(n))
         if any(s):
             continue
-        if rank([poly.conormals[u], poly.conormals[v]]) != 2:
+        if int_rank([poly.conormals[u], poly.conormals[v]]) != 2:
             continue
         vert = next(
             (

@@ -18,10 +18,10 @@ from pathlib import Path
 import pytest
 
 import masslin
-from masslin import YkBundleSpec, bundle_Yk, linalg
+from masslin import YkBundleSpec, bundle_Yk, linalg, masslinear
 from masslin.constructions import blowup
 from masslin.errors import PolytopeError
-from masslin.linalg import dot, rank, solve_linear, vec
+from masslin.linalg import dot, nullspace, rank, solve_linear, vec
 from masslin.masslinear import (
     barycenter_pairings_agree,
     equivalence_classes,
@@ -46,7 +46,7 @@ from masslin.measure import (
 )
 from masslin.poly import MultiPoly
 from masslin.polytope import HPolytope
-from _suite import SuitePair, report_for, suite_pairs
+from _suite import SuitePair, report_for, suite_pairs, suite_polytopes
 
 F = Fraction
 
@@ -255,9 +255,9 @@ class TestSymmetricFacets:
         assert products == []
 
     def test_positive_decisions_solve_nothing(self, monkeypatch):
-        # on the mass linear Y3(1,1,0) pair gamma is read off the vertex
-        # average, so no elimination runs, and every skeleton identity
-        # multiplies a skeleton measure by that linear form only
+        # on the mass linear Y3(1,1,0) pair gamma is read off the memoized
+        # mass linear space, so no elimination runs, and every skeleton
+        # identity multiplies a skeleton measure by the vertex average only
         poly = bundle_Yk(YkBundleSpec(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)))
         H = (0, 2, 2, 0)
         mass_linear_test(poly, H)
@@ -285,6 +285,37 @@ class TestSymmetricFacets:
         products.clear()
         assert fully_mass_linear_test(poly, H).verdict
         assert products and all(min(pair) <= 1 for pair in products)
+
+    def test_negative_decisions_solve_nothing(self, monkeypatch):
+        # once the mass linear space of a polytope is known, the residual
+        # of H against it decides a negative verdict, and every facet of
+        # this blowup is asymmetric at the base kappa: no elimination and
+        # no polynomial product runs
+        poly = blowup(bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)), (1, 3, 4))
+        H = (3, -1, 2, 5)
+        mass_linear_test(poly, H)
+        rrefs = []
+        plain_rref = linalg.rref
+
+        def counting_rref(*args, **kwargs):
+            rrefs.append(args)
+            return plain_rref(*args, **kwargs)
+
+        products = []
+        plain_mul = MultiPoly.__mul__
+
+        def counting_mul(self, other):
+            if isinstance(other, MultiPoly):
+                products.append((len(self.terms), len(other.terms)))
+            return plain_mul(self, other)
+
+        monkeypatch.setattr(linalg, "rref", counting_rref)
+        monkeypatch.setattr(masslinear, "rref", counting_rref)
+        monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+        rep = mass_linear_test(poly, H)
+        assert not rep.verdict and rep.asymmetric == frozenset(range(7))
+        assert rrefs == []
+        assert products == []
 
 
 class TestEquivalenceClasses:
@@ -605,6 +636,23 @@ class TestMlSpace:
             assert rep.verdict
             assert rep.gamma == gamma
 
+    def test_matches_coefficient_system_on_suite(self):
+        # reference: the nullspace of the system built coefficient by
+        # coefficient from the moments and the products kappa_i * V
+        for sp in suite_polytopes():
+            poly = sp.poly
+            n, N = poly.dim, poly.n_facets
+            vol = volume_poly(poly)
+            moments = [moment_poly(poly, [int(c == r) for r in range(n)]) for c in range(n)]
+            kappa_vols = [MultiPoly.variable(N, i) * vol for i in range(N)]
+            monomials = sorted({m for p in moments + kappa_vols for m, _ in p.terms})
+            rows = [
+                [p.coefficient(m) for p in moments] + [-p.coefficient(m) for p in kappa_vols]
+                for m in monomials
+            ]
+            reference = tuple((z[:n], z[n:]) for z in nullspace(rows, ncols=n + N))
+            assert ml_space(poly) == reference, sp.name
+
     def test_inessential_members_verify(self):
         poly, _ = worked_pair()
         for H in inessential_space(poly):
@@ -612,6 +660,25 @@ class TestMlSpace:
 
 
 class TestPervasiveFlat:
+    def test_flatness_is_decided_in_integers(self, monkeypatch):
+        # the conormals are integer, so the ranks need no rational rref
+        poly = blowup(bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)), (1, 3, 4))
+        rrefs = []
+        plain_rref = linalg.rref
+
+        def counting_rref(*args, **kwargs):
+            rrefs.append(args)
+            return plain_rref(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "rref", counting_rref)
+        flat = [is_flat(poly, i) for i in range(poly.n_facets)]
+        assert rrefs == []
+        assert flat == [
+            rank([poly.conormals[j] for j in range(poly.n_facets)
+                  if j != i and poly.face({i, j}) is not None]) <= poly.dim - 1
+            for i in range(poly.n_facets)
+        ]
+
     def test_simplex_all_pervasive(self):
         poly = simplex(3)
         assert all(is_pervasive(poly, i) for i in range(4))
@@ -645,11 +712,12 @@ class TestOptimizedMode:
             if __debug__:
                 raise SystemExit("not running under -O")
 
-            # the gamma source of a positive verdict: the vertex average
-            def unbalanced_gamma(poly, H, mu, vol):
-                return (Fraction(1),) * poly.n_facets
+            # the one gamma source: the mass linear space
+            def unbalanced_space(poly):
+                H = (Fraction(1),) + (Fraction(0),) * (poly.dim - 1)
+                return ((H, (Fraction(1),) * poly.n_facets),)
 
-            ml._vertex_average_gamma = unbalanced_gamma
+            ml.ml_space = unbalanced_space
             box = HPolytope(2, [(-1, 0), (1, 0), (0, -1), (0, 1)], [0, 1, 0, 1])
             try:
                 ml.mass_linear_test(box, (1, 0))

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from _suite import suite_polytopes
+from masslin import polytope
 from masslin.errors import NotSimpleError, PolytopeError
 from masslin.linalg import dot, primitive, solve_linear, vec_sub
 from masslin.polytope import HPolytope, from_halfspaces_pruned
@@ -210,6 +211,24 @@ class TestSmooth:
 
     def test_pyramid_not_smooth(self):
         assert not square_pyramid().is_smooth()
+
+    def test_smoothness_is_decided_once(self, monkeypatch):
+        # the answer is memoized on the polytope: a second call takes no
+        # determinant
+        p = simplex_bundle_3110()
+        dets = []
+        plain_det = polytope.int_det
+
+        def counting_det(A):
+            dets.append(A)
+            return plain_det(A)
+
+        monkeypatch.setattr(polytope, "int_det", counting_det)
+        assert p.is_smooth()
+        assert len(dets) == len(p.vertices)
+        dets.clear()
+        assert p.is_smooth()
+        assert dets == []
 
     def test_edge_directions_dual_to_conormal_basis(self):
         p = simplex_bundle_3110()
