@@ -9,28 +9,27 @@ that pairing is linear in kappa, that is when the polynomial identity
 
 holds for some gamma; it is decided exactly.  The identity is linear in
 the pair (H, gamma), so the pairs that satisfy it form a vector space,
-``ml_space``, memoized per polytope together with its reduced echelon
-form.  That form is the one source of gamma: H is mass linear exactly
-when it lies in the span of the H parts, and then gamma is the same
-combination of the gamma parts (unique, because the products
-kappa_i * V are independent); otherwise the nonzero residual of H
-against that span is the witness.  A seeded pre-filter that finds the
-midpoint law failing at random chamber points is already a sound
-negative verdict.
+``ml_space``.  The same holds for the skeleton identities
+moment_k(H) == (gamma . kappa) * measure_k of full mass linearity: one
+space of pairs per tuple of skeleton dimensions, memoized per polytope
+with its reduced echelon form.  Those forms are the one source of every
+chamber-wide verdict: H passes exactly when it lies in the span of the
+H parts, gamma is then the same combination of the gamma parts (unique,
+because the products kappa_i * measure_k are independent), and
+otherwise the nonzero residual of H against that span is the witness.
+A seeded pre-filter that finds the midpoint law failing at random
+chamber points is already a sound negative verdict.
 
 Facets with zero coefficient are symmetric (moving them does not move
 the pairing); the same notion is decided for non-mass-linear H by the
-per-facet identity d(moment)/dk_i * V == moment * dV/dk_i.  Facet
-equivalence, inessential witnesses, restriction to symmetric faces and
-the skeleton-barycenter tests follow the same pattern: reduce to exact
-linear algebra or polynomial identities in kappa.  The skeleton tests
-compare each skeleton with the vertex average: every vertex is linear
-in kappa, so the pairing of H with the 0-skeleton barycenter,
-ell_H = m_0 / P_0, is an exact linear form, and the identity is
-moment_k == ell_H * measure_k.  Negative answers are witness-first: an
-identity whose two sides differ at the base kappa fails, and that exact
-nonzero value is its certificate, so only the identities that hold at
-the base kappa are expanded symbolically.
+per-facet identity d(moment)/dk_i * V == moment * dV/dk_i.  Negative
+answers are witness-first: an identity whose two sides differ at the
+base kappa fails, and that exact nonzero value is its certificate, so
+only the identities that hold at the base kappa are expanded
+symbolically.  Facet equivalence, inessential witnesses and generating
+vectors are exact linear algebra on the integer conormals, read through
+per-polytope reductions, so a functional on a known polytope costs no
+elimination and no polynomial product.
 """
 
 from __future__ import annotations
@@ -46,23 +45,22 @@ from .linalg import (
     Vec,
     _echelon,
     dot,
-    in_row_span,
     int_rank,
     int_vec,
+    integer_kernel_basis,
     nullspace,
-    rank,
     rref,
-    solve_linear,
     vec,
     vec_sub,
     zero_vec,
 )
 from .measure import (
+    _skeleton_at_base,
     _skeleton_coord_polys,
     direction_lattice_basis,
     moment_poly,
+    param_vertices,
     skeleton_barycenter,
-    skeleton_measure_polys,
     volume_poly,
 )
 from .poly import MultiPoly
@@ -150,9 +148,11 @@ class Restriction:
 @dataclass(frozen=True)
 class FullMassLinearReport:
     """Pairings <H, B_k> of H with the skeleton barycenters at the base
-    kappa, with equality checked at the base (at_base) and, where it
-    holds there, chamber-wide as moment_k == ell_H * measure_k for every
-    k, ell_H being the pairing with the vertex average (verdict)."""
+    kappa, their equality there (at_base), and chamber-wide equality for
+    every k (verdict): H lies in the memoized space of pairs (H, gamma)
+    with moment_k == (gamma . kappa) * measure_k for k = 0..n, where the
+    k = 0 identity makes gamma . kappa the pairing with the vertex
+    average.  A verdict never holds without at_base."""
 
     values: tuple[Fraction, ...]
     at_base: bool
@@ -196,39 +196,22 @@ def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]
     on kappa_i: the exact identity d(mu)/dk_i * V - mu * dV/dk_i == 0.
     Works whether or not H is mass linear.  Witness-first: the identity
     is evaluated at the base kappa, where a nonzero value proves facet i
-    asymmetric; only facets whose value is zero get the symbolic product.
+    asymmetric.  mu's value and partials there come from one pass over
+    its terms and V's from the memoized vertex sums; only facets whose
+    value is zero get the symbolic product.
     """
     _require_smooth(poly)
     mu = moment_poly(poly, vec(H))
-    vol = volume_poly(poly)
-    base = poly.support
-    mu0, vol0 = mu.eval(base), vol.eval(base)
+    mu0, dmu0 = mu.eval_gradient(poly.support)
+    vol0, dvol0, _ = _skeleton_at_base(poly, poly.dim)
     sym = set()
     for i in range(poly.n_facets):
-        dmu, dvol = mu.partial(i), vol.partial(i)
-        if dmu.eval(base) * vol0 != mu0 * dvol.eval(base):
+        if dmu0[i] * vol0 != mu0 * dvol0[i]:
             continue
-        if (dmu * vol - mu * dvol).is_zero():
+        vol = volume_poly(poly)
+        if (mu.partial(i) * vol - mu * vol.partial(i)).is_zero():
             sym.add(i)
     return frozenset(sym), frozenset(range(poly.n_facets)) - sym
-
-
-def _vertex_average(poly: HPolytope, Hv: Vec) -> Vec:
-    """Coefficients of ell_H = m_0 / P_0, the pairing of H with the
-    vertex average as an exact linear form in kappa.
-
-    m_0 is the moment of the 0-skeleton, linear because every vertex
-    is, and P_0 is its measure, the vertex count."""
-    count, m0 = skeleton_measure_polys(poly, 0, Hv)
-    N = poly.n_facets
-    if count != MultiPoly.constant(N, len(poly.vertices)):
-        raise StructuralInconsistency("the 0-skeleton measure is the vertex count")
-    coeffs = [Fraction(0)] * N
-    for m, c in m0.terms:
-        if sum(m) != 1:
-            raise StructuralInconsistency("the vertex moment is linear in kappa")
-        coeffs[m.index(1)] = c / len(poly.vertices)
-    return tuple(coeffs)
 
 
 # chamber point pairs probed by the seeded pre-filter of mass_linear_test
@@ -276,14 +259,7 @@ def mass_linear_test(poly: HPolytope, H, seed: int | None = None) -> MassLinearR
                 linear = False
                 break
 
-    gamma_t = None
-    if linear:
-        rows = _space_echelon(poly)
-        fit = tuple(
-            sum((Hv[p] * row[c] for p, row in rows), Fraction(0)) for c in range(n + N)
-        )
-        if fit[:n] == Hv:
-            gamma_t = fit[n:]
+    gamma_t = _fit(poly, Hv, (n,)) if linear else None
 
     if gamma_t is not None:
         if sum(gamma_t, Fraction(0)) != 0:
@@ -367,9 +343,8 @@ def equivalence_classes(poly: HPolytope) -> EquivalenceClasses:
             row = [poly.conormals[i][r_] for i in members]
             row += [-w[r_] for w in comp_basis]
             rows.append(tuple(row))
-        kernel = nullspace(rows, ncols=cols)
-        c_parts = [z[:m] for z in kernel]
-        if rank(c_parts) != 1 or not in_row_span(c_parts, (Fraction(1),) * m):
+        c_parts = [z[:m] for z in integer_kernel_basis(rows, cols)]
+        if int_rank(c_parts) != 1 or int_rank(c_parts + [(1,) * m]) != 1:
             raise StructuralInconsistency(
                 f"facet class {members} admits an unbalanced combination"
             )
@@ -387,25 +362,40 @@ def _row_basis(rows) -> list[int]:
     return picked
 
 
+@memoize
+def _inessential_echelon(poly: HPolytope) -> tuple[tuple[int, ...], tuple[Vec, ...]]:
+    """Pivot columns and transform E of the reduced form [R | E] of
+    [A | I], A being the system of ``is_inessential``: the n coordinate
+    rows of the conormals, then one indicator row per equivalence class.
+
+    E A = R, so A beta = b is solvable exactly when the rows of E b past
+    the rank vanish, and then the reduced echelon solution has E b's
+    first rows in the pivot columns and zero elsewhere."""
+    N = poly.n_facets
+    rows = [tuple(eta[r] for eta in poly.conormals) for r in range(poly.dim)]
+    rows += [tuple(int(i in cls) for i in range(N)) for cls in equivalence_classes(poly).classes]
+    m = len(rows)
+    R, pivots = rref([row + tuple(int(i == j) for j in range(m)) for i, row in enumerate(rows)], N)
+    return pivots, tuple(row[N:] for row in R)
+
+
 def is_inessential(poly: HPolytope, H) -> InessentialWitness | None:
     """A witness beta with H = sum beta_i eta_i and zero sum over every
-    equivalence class, or None when H is essential."""
+    equivalence class, or None when H is essential.  beta is the reduced
+    echelon solution, read through ``_inessential_echelon``."""
     _require_smooth(poly)
     Hv = vec(H)
-    eq = equivalence_classes(poly)
-    N = poly.n_facets
-    rows = []
-    rhs = []
-    for r in range(poly.dim):
-        rows.append(tuple(poly.conormals[i][r] for i in range(N)))
-        rhs.append(Hv[r])
-    for cls in eq.classes:
-        rows.append(tuple(Fraction(1 if i in cls else 0) for i in range(N)))
-        rhs.append(Fraction(0))
-    sol = solve_linear(rows, rhs, ncols=N)
-    if sol is None:
+    pivots, E = _inessential_echelon(poly)
+
+    def image(row: Vec) -> Fraction:
+        return sum((e * h for e, h in zip(row, Hv)), Fraction(0))
+
+    if any(image(row) for row in E[len(pivots) :]):
         return None
-    beta = sol.solution
+    beta = [Fraction(0)] * poly.n_facets
+    for p, row in zip(pivots, E):
+        beta[p] = image(row)
+    beta = tuple(beta)
     # inessential functions pair with the center through sum beta_i k_i
     if dot(Hv, skeleton_barycenter(poly, poly.dim)) != dot(beta, poly.support):
         raise StructuralInconsistency("an inessential pairing is sum beta_i kappa_i")
@@ -509,37 +499,37 @@ def generating_vector(
     """The vector xi with <eta_i, xi> = gamma_i for every facet, if any.
 
     Exists only for mass linear H (returns None otherwise, and None when
-    the overdetermined system has no solution).
+    the overdetermined system has no solution).  The conormals at the
+    first vertex form an invertible A_v, so the only candidate is
+    xi = A_v^{-1} gamma_B, read off the memoized vertex map; every
+    equation is then checked.
     """
     if report is None:
         report = mass_linear_test(poly, H)
     if not report.verdict:
         return None
-    sol = solve_linear(list(poly.conormals), list(report.gamma), ncols=poly.dim)
-    if sol is None:
+    xi = param_vertices(poly)[0].at(report.gamma)
+    if any(dot(eta, xi) != g for eta, g in zip(poly.conormals, report.gamma)):
         return None
-    if sol.nullspace:
-        raise StructuralInconsistency("conormals span, so xi is unique")
-    return sol.solution
+    return xi
 
 
 def fully_mass_linear_test(poly: HPolytope, H) -> FullMassLinearReport:
     """Pair H with the barycenters of all k-skeletons.
 
-    values are exact pairings at the base kappa.  The verdict requires
-    the chamber-wide identity m_k == ell_H * P_k for every k = 1..n,
-    where P_k and m_k are the measure and moment of the k-skeleton and
-    ell_H = m_0 / P_0 is the pairing with the vertex average, an exact
-    linear form.  Witness-first: unequal values already refute it, so
-    the identities are expanded only when every value agrees (at_base).
+    values are exact pairings at the base kappa.  The verdict is the fit
+    of H into the memoized space of pairs (H, gamma) with
+    m_k == (gamma . kappa) * P_k for every k = 0..n, P_k and m_k being
+    the measure and moment of the k-skeleton; the k = 0 identity makes
+    gamma . kappa the pairing with the vertex average.  Unequal values
+    are the witness of a negative verdict.
     """
     _require_smooth(poly)
     Hv = vec(H)
-    n = poly.dim
-    values = tuple(dot(Hv, skeleton_barycenter(poly, k)) for k in range(n + 1))
+    dims = tuple(range(poly.dim + 1))
+    values = tuple(dot(Hv, skeleton_barycenter(poly, k)) for k in dims)
     at_base = len(set(values)) == 1
-    verdict = at_base and barycenter_pairings_agree(poly, Hv, range(n + 1))
-    return FullMassLinearReport(values, at_base, verdict)
+    return FullMassLinearReport(values, at_base, _agree(poly, Hv, dims, at_base))
 
 
 def barycenter_pairings_agree(poly: HPolytope, H, dims) -> bool:
@@ -547,40 +537,64 @@ def barycenter_pairings_agree(poly: HPolytope, H, dims) -> bool:
     dimensions, which must include 0 (used for the mass-linearity and
     generated-vector characterizations).
 
-    Each listed k is compared with the vertex average: m_k == ell_H * P_k.
-    Unequal pairings at the base kappa refute it unexpanded."""
-    dims = set(dims)
+    H must fit the memoized pair space of those dimensions, where every
+    listed k satisfies m_k == (gamma . kappa) * P_k with gamma . kappa
+    the pairing with the vertex average.  Unequal pairings at the base
+    kappa are the witness of a negative answer."""
+    dims = tuple(sorted(set(dims)))
     if 0 not in dims:
         raise ValueError("skeleton dimensions must include 0")
     Hv = vec(H)
-    if len({dot(Hv, skeleton_barycenter(poly, k)) for k in dims}) != 1:
-        return False
-    ell = MultiPoly.linear(_vertex_average(poly, Hv))
-    return all(
-        (moment - ell * measure).is_zero()
-        for measure, moment in (
-            skeleton_measure_polys(poly, k, Hv) for k in sorted(dims - {0})
-        )
-    )
+    at_base = len({dot(Hv, skeleton_barycenter(poly, k)) for k in dims}) == 1
+    return _agree(poly, Hv, dims, at_base)
+
+
+def _agree(poly: HPolytope, Hv: Vec, dims: tuple[int, ...], at_base: bool) -> bool:
+    """Does H fit the pair space of dims?  Pairings equal chamber-wide
+    are equal at the base kappa, so a fit must come with at_base."""
+    fits = _fit(poly, Hv, dims) is not None
+    if fits and not at_base:
+        raise StructuralInconsistency("pairings equal chamber-wide agree at the base kappa")
+    return fits
+
+
+def _fit(poly: HPolytope, Hv: Vec, dims: tuple[int, ...]) -> Vec | None:
+    """gamma with (H, gamma) in the pair space of dims, or None.
+
+    The reduced echelon rows R_p of that space, one per pivot column p
+    of the H part, give the combination sum_p H[p] * R_p, whose H part
+    equals H exactly when H lies in the space; its gamma part is then
+    gamma."""
+    n = poly.dim
+    rows = _space_echelon(poly, dims)
+
+    def fit(c: int) -> Fraction:
+        return sum((Hv[p] * row[c] for p, row in rows), Fraction(0))
+
+    if any(fit(c) != h for c, h in enumerate(Hv)):
+        return None
+    return tuple(fit(c) for c in range(n, n + poly.n_facets))
 
 
 @memoize
-def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
-    """Basis of all pairs (H, gamma) with mu_H == (sum gamma_i kappa_i) V.
+def _skeleton_block(poly: HPolytope, k: int) -> tuple[tuple[int, ...], ...]:
+    """The rows left by fraction-free elimination of the integer system
+    of m_k(H) == (gamma . kappa) * P_k in the unknowns (H, gamma).
 
-    The defining identity is linear in the unknowns (H, gamma), so the
-    mass linear functionals on a fixed polytope form a vector space; the
-    returned H parts are a basis of it.  The identity is one equation per
-    monomial in kappa: column c < n holds the coefficients of the
-    coordinate moment int x_c, column n + i those of -kappa_i * V.  Over
-    one common denominator that system is integral, fraction-free
-    elimination leaves at most n + N rows spanning the same row space,
-    and the basis is their nullspace in the reduced-echelon convention.
-    """
-    _require_smooth(poly)
+    The identity is one equation per monomial in kappa: column c < n
+    holds the coefficients of the k-skeleton's coordinate moment
+    int x_c, column n + i those of -kappa_i * P_k, all over one common
+    denominator.  At most n + N rows span the same row space.  The
+    k = 0 block guards that P_0 is the vertex count and every vertex
+    moment is linear in kappa, as every vertex is."""
     n, N = poly.dim, poly.n_facets
-    vol, coords = _skeleton_coord_polys(poly, n)
-    parts = [c.as_dict() for c in coords] + [vol.as_dict()]
+    measure, coords = _skeleton_coord_polys(poly, k)
+    if k == 0:
+        if measure != MultiPoly.constant(N, len(poly.vertices)):
+            raise StructuralInconsistency("the 0-skeleton measure is the vertex count")
+        if any(sum(m) != 1 for c in coords for m, _ in c.terms):
+            raise StructuralInconsistency("the vertex moment is linear in kappa")
+    parts = [c.as_dict() for c in coords] + [measure.as_dict()]
     D = lcm(*(x.denominator for part in parts for x in part.values()))
     rows: dict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * (n + N))
     for c, part in enumerate(parts[:n]):
@@ -591,19 +605,40 @@ def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
             rows[m[:i] + (m[i] + 1,) + m[i + 1 :]][n + i] = -int(x * D)
     system = list(rows.values())
     pivots, _ = _echelon(system, n + N)
-    kernel = nullspace(system[: len(pivots)], ncols=n + N)
-    return tuple((z[:n], z[n:]) for z in kernel)
+    return tuple(tuple(row) for row in system[: len(pivots)])
 
 
 @memoize
-def _space_echelon(poly: HPolytope) -> tuple[tuple[int, Vec], ...]:
-    """The reduced echelon rows of the ``ml_space`` basis rows
-    (H | gamma), each with its pivot column.  Every pivot lies in the H
-    columns, since gamma is determined by H."""
+def _pair_space(poly: HPolytope, dims: tuple[int, ...]) -> tuple[tuple[Vec, Vec], ...]:
+    """Basis of the pairs (H, gamma) with m_k(H) == (gamma . kappa) * P_k
+    for every k in dims: the nullspace, in the reduced-echelon
+    convention, of the stacked surviving rows of each k's block."""
+    n, N = poly.dim, poly.n_facets
+    system = [list(row) for k in dims for row in _skeleton_block(poly, k)]
+    pivots, _ = _echelon(system, n + N)
+    return tuple((z[:n], z[n:]) for z in nullspace(system[: len(pivots)], ncols=n + N))
+
+
+def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
+    """Basis of all pairs (H, gamma) with mu_H == (sum gamma_i kappa_i) V.
+
+    The defining identity is linear in the unknowns (H, gamma), so the
+    mass linear functionals on a fixed polytope form a vector space; the
+    returned H parts are a basis of it.  It is the pair space of the
+    n-skeleton alone, memoized per polytope."""
+    _require_smooth(poly)
+    return _pair_space(poly, (poly.dim,))
+
+
+@memoize
+def _space_echelon(poly: HPolytope, dims: tuple[int, ...]) -> tuple[tuple[int, Vec], ...]:
+    """The reduced echelon rows of the pair space basis rows
+    (H | gamma) for dims, each with its pivot column.  Every pivot lies
+    in the H columns, since gamma is determined by H."""
     n = poly.dim
-    R, pivots = rref([H + gamma for H, gamma in ml_space(poly)], n + poly.n_facets)
+    R, pivots = rref([H + gamma for H, gamma in _pair_space(poly, dims)], n + poly.n_facets)
     if any(p >= n for p in pivots):
-        raise StructuralInconsistency("the products kappa_i * V are independent")
+        raise StructuralInconsistency("the products kappa_i * P_k are independent")
     return tuple(zip(pivots, R))
 
 

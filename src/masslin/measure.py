@@ -20,8 +20,10 @@ iota_{v,T} being the index of the lattice of w_T in F's direction lattice
 the second being the xi_c-derivative of Lawrence's formula in degree 1.
 A k-skeleton needs two scalars per vertex, sums over k-subsets T, which
 ``_vertex_cones`` memoizes; ``_skeleton_coord_polys`` expands them once
-per polytope and k.  ``triangulate`` and ``integrate_monomial`` remain
-as an independent oracle for tests.
+per polytope and k.  Values at the base kappa (skeleton barycenters and
+the gradient of the volume) are the same vertex sums evaluated there,
+``_skeleton_at_base``, with no polynomial expanded.  ``triangulate`` and
+``integrate_monomial`` remain as an independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -272,11 +274,12 @@ def _pairing(poly: HPolytope, coords: Sequence[MultiPoly], H: Sequence) -> Multi
     Hv = vec(H)
     if len(Hv) != poly.dim:
         raise ValueError("functional has wrong dimension")
-    total = MultiPoly.zero(poly.n_facets)
+    total: dict = {}
     for h, coord in zip(Hv, coords):
         if h != 0:
-            total = total + coord * h
-    return total
+            for m, c in (coord * h).terms:
+                total[m] = total.get(m, 0) + c
+    return MultiPoly.from_dict(poly.n_facets, total)
 
 
 def volume_poly(poly: HPolytope) -> MultiPoly:
@@ -355,12 +358,38 @@ def integrate_monomial(poly: HPolytope, exponents: Sequence[int]) -> Fraction:
 
 
 @memoize
+def _skeleton_at_base(poly: HPolytope, k: int) -> tuple[Fraction, Vec, Vec]:
+    """The lattice measure P_k of the k-skeleton, its kappa-gradient and
+    its n coordinate moments, all at the base kappa.
+
+    They are Lawrence's vertex sums evaluated there, with no polynomial:
+    at each vertex L = sum_j q_j kappa_{basis_j}, P_k adds s0 L^k / k!,
+    dP_k/dkappa_{basis_j} adds s0 q_j L^(k-1) / (k-1)!, and int x_c adds
+    s0 v_c L^k / k! + s1_c L^(k+1) / (k+1)!, v being the vertex and
+    (s0, s1) its k-skeleton scalars."""
+    N, n = poly.n_facets, poly.dim
+    base = poly.support
+    total, grad, moments = Fraction(0), [Fraction(0)] * N, [Fraction(0)] * n
+    for cone, vertex in zip(_vertex_cones(poly), poly.vertices):
+        s0, s1 = cone.sums[k]
+        L = sum(q * base[j] for j, q in zip(cone.basis, cone.q))
+        low = L**k / factorial(k)
+        high = L * low / (k + 1)
+        total += s0 * low
+        if k:
+            step = s0 * L ** (k - 1) / factorial(k - 1)
+            for j, q in zip(cone.basis, cone.q):
+                grad[j] += q * step
+        for c in range(n):
+            moments[c] += s0 * vertex.point[c] * low + s1[c] * high
+    return total, tuple(grad), tuple(moments)
+
+
 def skeleton_barycenter(poly: HPolytope, k: int) -> Vec:
     """Barycenter of the union of all k-faces, in the lattice measure."""
     if not 0 <= k <= poly.dim:
         raise ValueError("skeleton dimension out of range")
-    measure, coords = _skeleton_coord_polys(poly, k)
-    total = measure.eval(poly.support)
+    total, _, moments = _skeleton_at_base(poly, k)
     if total == 0:
         raise PolytopeError("zero skeleton measure")
-    return tuple(c.eval(poly.support) / total for c in coords)
+    return tuple(m / total for m in moments)

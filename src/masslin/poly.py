@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import frac
@@ -163,6 +164,47 @@ class MultiPoly:
                     v *= row[e]
             total += v
         return total
+
+    def eval_gradient(self, point: Sequence) -> tuple[Fraction, tuple[Fraction, ...]]:
+        """The value and every first partial derivative at a point, in one
+        pass over the terms.
+
+        With the point as a / d and the coefficients as num / L over common
+        denominators, a term c x^m of degree |m| <= top contributes
+        num a^m d^(top - |m|) to (value) L d^top and e_i times the same
+        product with a_i^(m_i - 1) in place of a_i^(m_i) to (partial i)
+        L d^(top - 1), so the sums run in integers."""
+        pt = [frac(p) for p in point]
+        if len(pt) != self.nvars:
+            raise ValueError("point length does not match variable count")
+        top = self.degree()
+        if top < 1:
+            return self.eval(pt), (Fraction(0),) * self.nvars
+        d = lcm(*(p.denominator for p in pt))
+        L = lcm(*(c.denominator for _, c in self.terms))
+        powers = []
+        for i, p in enumerate(pt):
+            a, row = p.numerator * (d // p.denominator), [1]
+            for _ in range(max(m[i] for m, _ in self.terms)):
+                row.append(row[-1] * a)
+            powers.append(row)
+        dpow = [d**e for e in range(top + 1)]
+        value, grad = 0, [0] * self.nvars
+        for m, c in self.terms:
+            num = c.numerator * (L // c.denominator) * dpow[top - sum(m)]
+            factors = [(i, e) for i, e in enumerate(m) if e]
+            v = num
+            for i, e in factors:
+                v *= powers[i][e]
+            value += v
+            for i, e in factors:
+                g = num * e * powers[i][e - 1]
+                for j, f in factors:
+                    if j != i:
+                        g *= powers[j][f]
+                grad[i] += g
+        scale = L * dpow[top - 1]
+        return Fraction(value, scale * d), tuple(Fraction(g, scale) for g in grad)
 
     def partial(self, i: int) -> "MultiPoly":
         """Exact partial derivative with respect to variable i."""

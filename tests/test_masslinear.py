@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import pytest
 
 import masslin
 from masslin import YkBundleSpec, bundle_Yk, linalg, masslinear
+from masslin.cli import check_document
 from masslin.constructions import blowup
 from masslin.errors import PolytopeError
 from masslin.linalg import dot, nullspace, rank, solve_linear, vec
@@ -256,8 +258,9 @@ class TestSymmetricFacets:
 
     def test_positive_decisions_solve_nothing(self, monkeypatch):
         # on the mass linear Y3(1,1,0) pair gamma is read off the memoized
-        # mass linear space, so no elimination runs, and every skeleton
-        # identity multiplies a skeleton measure by the vertex average only
+        # mass linear space, so no elimination runs, and full mass
+        # linearity is the fit of H into the memoized skeleton pair space,
+        # so no polynomial product is formed
         poly = bundle_Yk(YkBundleSpec(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)))
         H = (0, 2, 2, 0)
         mass_linear_test(poly, H)
@@ -284,7 +287,7 @@ class TestSymmetricFacets:
         assert rrefs == []
         products.clear()
         assert fully_mass_linear_test(poly, H).verdict
-        assert products and all(min(pair) <= 1 for pair in products)
+        assert products == []
 
     def test_negative_decisions_solve_nothing(self, monkeypatch):
         # once the mass linear space of a polytope is known, the residual
@@ -390,6 +393,17 @@ class TestInessential:
             moved = poly.with_support(kappa)
             assert dot(vec(H), center_of_mass(moved)) == dot(w.beta, vec(kappa))
 
+    def test_beta_matches_solved_system_on_suite(self):
+        # reference: solve H = sum beta_i eta_i with zero class sums
+        for pair in suite_pairs():
+            poly, N = pair.poly, pair.poly.n_facets
+            rows = [tuple(eta[r] for eta in poly.conormals) for r in range(poly.dim)]
+            rows += [tuple(int(i in cls) for i in range(N)) for cls in equivalence_classes(poly).classes]
+            rhs = list(pair.H) + [0] * (len(rows) - poly.dim)
+            sol = solve_linear(rows, rhs, ncols=N)
+            w = is_inessential(poly, pair.H)
+            assert (w and w.beta) == (sol and sol.solution), (pair.name, pair.H)
+
 
 class TestReduction:
     def test_pair_cancellation(self):
@@ -490,6 +504,55 @@ class TestGeneratingVector:
     def test_not_mass_linear_none(self):
         poly = bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
         assert generating_vector(poly, (-1, 0, 1, 0)) is None
+
+    def test_every_facet_equation_is_checked(self):
+        # xi comes from the first vertex's facets alone; a gamma off the
+        # image of the conormals (no e_i is in it for a box) has no xi
+        poly = box()
+        rep = mass_linear_test(poly, (1, 0))
+        for i in range(poly.n_facets):
+            bent = tuple(g + (j == i) for j, g in enumerate(rep.gamma))
+            assert generating_vector(poly, None, replace(rep, gamma=bent)) is None
+
+    def test_matches_solved_system_on_suite(self):
+        # reference: solve <eta_i, xi> = gamma_i for every facet
+        for pair in suite_pairs():
+            poly, rep = pair.poly, report_for(pair)
+            expected = None
+            if rep.verdict:
+                sol = solve_linear(list(poly.conormals), list(rep.gamma), ncols=poly.dim)
+                expected = sol and sol.solution
+            assert generating_vector(poly, pair.H, rep) == expected, (pair.name, pair.H)
+
+
+class TestWarmCheck:
+    def test_known_polytope_runs_no_elimination_and_no_product(self, monkeypatch):
+        # once a polytope has been checked, a positive and a negative
+        # functional are decided from memoized per-polytope data: no rref
+        # anywhere and no product of two polynomials (the negative one
+        # has no facet whose symmetry value vanishes at the base kappa)
+        poly = blowup(bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)), (1, 3, 4))
+        positive, negative = ml_space(poly)[0][0], (3, -1, 2, 5)
+        warm = [check_document(poly, H) for H in (positive, negative)]
+        assert warm[0]["mass_linear"] and not warm[1]["mass_linear"]
+        rrefs, products = [], []
+        plain_rref, plain_mul = linalg.rref, MultiPoly.__mul__
+
+        def counting_rref(*args, **kwargs):
+            rrefs.append(args)
+            return plain_rref(*args, **kwargs)
+
+        def counting_mul(self, other):
+            if isinstance(other, MultiPoly):
+                products.append((len(self.terms), len(other.terms)))
+            return plain_mul(self, other)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("masslin") and getattr(mod, "rref", None) is plain_rref:
+                monkeypatch.setattr(mod, "rref", counting_rref)
+        monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+        assert [check_document(poly, H) for H in (positive, negative)] == warm
+        assert rrefs == [] and products == []
 
 
 class TestFullyMassLinear:
@@ -712,12 +775,12 @@ class TestOptimizedMode:
             if __debug__:
                 raise SystemExit("not running under -O")
 
-            # the one gamma source: the mass linear space
-            def unbalanced_space(poly):
+            # the one gamma source: the pair space of the n-skeleton
+            def unbalanced_space(poly, dims):
                 H = (Fraction(1),) + (Fraction(0),) * (poly.dim - 1)
                 return ((H, (Fraction(1),) * poly.n_facets),)
 
-            ml.ml_space = unbalanced_space
+            ml._pair_space = unbalanced_space
             box = HPolytope(2, [(-1, 0), (1, 0), (0, -1), (0, 1)], [0, 1, 0, 1])
             try:
                 ml.mass_linear_test(box, (1, 0))

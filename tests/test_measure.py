@@ -356,6 +356,28 @@ class TestSkeletons:
                     skeleton_measure_polys(square(), k, H)
 
 
+class TestBaseValues:
+    def test_vertex_sums_match_skeleton_polys(self):
+        # skeleton barycenters and the volume gradient at the base kappa
+        # are Lawrence's vertex sums evaluated there; the reference
+        # evaluates the expanded skeleton polynomials
+        polys = [sp.poly for sp in suite_polytopes()]
+        polys += [HPolytope(2, *NON_SMOOTH_TRIANGLE), HPolytope(3, *NON_SMOOTH_TETRAHEDRON)]
+        for poly in polys:
+            base = poly.support
+            for k in range(poly.dim + 1):
+                measure_k, coords = _skeleton_coord_polys(poly, k)
+                total = measure_k.eval(base)
+                assert skeleton_barycenter(poly, k) == tuple(c.eval(base) / total for c in coords)
+                value, grad, moments = measure._skeleton_at_base(poly, k)
+                assert value == total and moments == tuple(c.eval(base) for c in coords)
+                assert grad == tuple(measure_k.partial(i).eval(base) for i in range(poly.n_facets))
+            vol = volume_poly(poly)
+            assert vol.eval_gradient(base) == (
+                vol.eval(base), tuple(vol.partial(i).eval(base) for i in range(poly.n_facets))
+            )
+
+
 class TestEquivariance:
     def test_translation(self):
         poly = simplex(2, 2)
