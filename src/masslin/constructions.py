@@ -34,11 +34,12 @@ from .linalg import (
     dot,
     frac,
     int_det,
+    int_nullspace,
     int_rank,
+    int_rref,
     int_vec,
-    nullspace,
     primitive,
-    rref,
+    scaled,
     vec,
 )
 from .masslinear import equivalence_classes
@@ -603,7 +604,7 @@ def _echelon_pairs(
 ) -> tuple[tuple[Vec, Vec], ...]:
     if not gammas:
         return ()
-    reduced, _ = rref([vec(g) for g in gammas])
+    reduced, _ = int_rref(scaled(gammas)[1])
     n = len(conormals[0])
     out = []
     for g in reduced:
@@ -629,13 +630,13 @@ def ml_space_Yk(k: int, a: Sequence[int]) -> FunctionalSpace:
         list(a) + [0, 0, 0],
         [0] * (k + 1) + [1, 1],
     ]
-    ml = nullspace(rows, N)
+    ml = int_nullspace(rows, N)
     levels = list(a) + [0]
     class_rows = [
         [1 if i <= k and levels[i] == alpha else 0 for i in range(N)]
         for alpha in sorted(set(levels))
     ]
-    iness = nullspace(rows + class_rows, N)
+    iness = int_nullspace(rows + class_rows, N)
     etas = _yk_conormals(k, a)
     return FunctionalSpace(_echelon_pairs(ml, etas), _echelon_pairs(iness, etas))
 
@@ -655,14 +656,14 @@ def ml_space_121(a: Sequence[int], d: int) -> FunctionalSpace:
         [0, 0, a2, a3, 0, 0, 0],
         [0, 0, 0, 0, 0, 1, 1],
     ]
-    ml = nullspace(rows, 7)
+    ml = int_nullspace(rows, 7)
     if a2 * a3 * (a2 - a3) != 0:
         pins = [
             [0, 0, 1, 0, 0, 0, 0],
             [0, 0, 0, 1, 0, 0, 0],
             [0, 0, 0, 0, 1, 0, 0],
         ]
-        iness = nullspace(rows + pins, 7)
+        iness = int_nullspace(rows + pins, 7)
     else:
         iness = ml
     etas = _121_conormals(a, d)

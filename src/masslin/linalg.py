@@ -1,21 +1,23 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra: rational vectors and one integer elimination kernel.
 
 Vectors are tuples of Fractions (plain ints are accepted and coerced),
 matrices are tuples of row tuples.  Everything is immutable and exact;
 there is no floating point anywhere in the package.
 
-Elimination uses the first nonzero entry as pivot so echelon forms,
-nullspace bases and solutions are reproducible across runs.  Integer
-matrices (conormals, lattice maps) have a fraction-free kernel of their
-own: determinant, rank, solve and adjugate by Bareiss elimination, which
-forms no Fraction at all.
+Every elimination is Bareiss's fraction-free one on integer rows,
+``_echelon``, with ``_reduce`` as its back substitution; a rational
+system is first put on integer rows by one common denominator
+(``scaled``).  Fractions appear only at the boundary, formed from the
+final integer rows.  Pivots are the first nonzero entry from the current
+row down, so echelon forms, kernel bases and solutions are reproducible.
+The rational Gauss-Jordan ``rref`` has no library caller: it is kept
+only because the perfbench tracer looks it up by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
@@ -31,31 +33,14 @@ def vec(entries: Sequence) -> Vec:
     return tuple(frac(e) for e in entries)
 
 
-def mat(rows: Sequence[Sequence]) -> Mat:
-    out = tuple(vec(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("inconsistent row lengths")
-    return out
-
-
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
-
-
-def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
     if len(u) != len(v):
         raise ValueError("length mismatch in dot product")
     return sum((frac(a) * frac(b) for a, b in zip(u, v)), Fraction(0))
-
-
-def vec_add(u: Sequence, v: Sequence) -> Vec:
-    return tuple(frac(a) + frac(b) for a, b in zip(u, v))
 
 
 def vec_sub(u: Sequence, v: Sequence) -> Vec:
@@ -67,14 +52,8 @@ def mat_vec(A: Sequence[Sequence], x: Sequence) -> Vec:
 
 
 def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Mat:
-    Bt = transpose(B)
-    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
-
-
-def transpose(A: Sequence[Sequence]) -> Mat:
-    if not A:
-        return ()
-    return tuple(tuple(frac(A[i][j]) for i in range(len(A))) for j in range(len(A[0])))
+    columns = tuple(zip(*B))
+    return tuple(tuple(dot(row, col) for col in columns) for row in A)
 
 
 def int_vec(v: Sequence) -> IntVec:
@@ -98,17 +77,14 @@ def primitive(v: Sequence[int]) -> IntVec:
     return tuple(e // g for e in w)
 
 
-def _rows_as_lists(A: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[frac(e) for e in row] for row in A]
-
-
 def rref(A: Sequence[Sequence], ncols: int | None = None) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices.
+    """Reduced row echelon form and pivot column indices, by rational
+    Gauss-Jordan elimination; ``int_rref`` gives the same on integer rows.
 
     Pivot choice: scanning columns left to right, the first row (from the
     current one down) with a nonzero entry is used.
     """
-    rows = _rows_as_lists(A)
+    rows = [[frac(e) for e in row] for row in A]
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     r = 0
@@ -133,96 +109,6 @@ def rref(A: Sequence[Sequence], ncols: int | None = None) -> tuple[Mat, tuple[in
         if r == len(rows):
             break
     return tuple(tuple(row) for row in rows), tuple(pivots)
-
-
-def rank(A: Sequence[Sequence]) -> int:
-    if not A:
-        return 0
-    return len(rref(A)[1])
-
-
-def nullspace(A: Sequence[Sequence], ncols: int | None = None) -> tuple[Vec, ...]:
-    """Basis of the right kernel, one vector per free column.
-
-    Each basis vector carries 1 in its own free column and 0 in every
-    other free column (the reduced-echelon convention), so the result is
-    canonical for a given matrix.
-    """
-    if ncols is None:
-        if not A:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(A[0])
-    R, pivots = rref(A, ncols)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        x = [Fraction(0)] * ncols
-        x[j] = Fraction(1)
-        for i, p in enumerate(pivots):
-            x[p] = -R[i][j]
-        basis.append(tuple(x))
-    return tuple(basis)
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """One exact solution of A x = b together with a kernel basis."""
-
-    solution: Vec
-    nullspace: tuple[Vec, ...]
-
-
-def solve_linear(A: Sequence[Sequence], b: Sequence, ncols: int | None = None) -> LinearSolution | None:
-    """Solve A x = b exactly; None means the system is infeasible."""
-    rows = _rows_as_lists(A)
-    rhs = [frac(e) for e in b]
-    if len(rows) != len(rhs):
-        raise ValueError("row count does not match right-hand side")
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty system")
-        ncols = len(rows[0])
-    aug = [row + [rhs[i]] for i, row in enumerate(rows)]
-    R, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = R[i][ncols]
-    return LinearSolution(tuple(x), nullspace([r[:ncols] for r in rows] or [], ncols))
-
-
-def det(A: Sequence[Sequence]) -> Fraction:
-    rows = _rows_as_lists(A)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            sign = -sign
-        pv = rows[col][col]
-        result *= pv
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / pv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-    return result * sign
-
-
-def in_row_span(A: Sequence[Sequence], v: Sequence) -> bool:
-    rows = [tuple(row) for row in A]
-    base = rank(rows) if rows else 0
-    return rank(rows + [tuple(v)]) == base
 
 
 def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[IntVec]:
@@ -311,13 +197,40 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     return pivots, sign
 
 
+def _reduce(rows: list[list[int]], pivots: Sequence[int]) -> int:
+    """Back substitution over a Bareiss echelon form from ``_echelon``,
+    in place, to D R, R being the reduced row echelon form that
+    Gauss-Jordan elimination with the same pivot rule gives; returns D.
+
+    D is the last pivot, the minor M of the first r input rows (after
+    the swaps) on the pivot columns, and those rows of R are M^{-1}
+    times the same input rows, so D R is integral (Cramer's rule) and
+    every division is exact.  Rows past the rank stay as they are:
+    Gaussian elimination leaves them D times smaller."""
+    r = len(pivots)
+    if not r:
+        return 1
+    D = rows[r - 1][pivots[-1]]
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    for i in reversed(range(r)):
+        row, p = rows[i], pivots[i]
+        later = [(rows[j], row[q]) for j, q in enumerate(pivots[i + 1 :], i + 1) if row[q]]
+        out = [0] * len(row)
+        out[p] = D
+        for c in free:
+            if c > p:
+                out[c] = (D * row[c] - sum(a * other[c] for other, a in later)) // row[p]
+        rows[i] = out
+    return D
+
+
 def _int_solve_columns(
     A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]
 ) -> tuple[int, list[list[int]] | None]:
     """(d, Y) with A Y = d B and d = det A, for a square integer A and
     integer right-hand sides B (one row per row of A); Y is None when
-    d == 0.  D A^{-1} B is integral for the last pivot D = +-d (Cramer's
-    rule), so back substitution over the echelon form divides exactly."""
+    d == 0.  The reduced echelon form of [A | B] is [I | A^{-1} B], and
+    ``_reduce`` scales it by the last pivot D = +-d."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("fraction-free solve of a non-square matrix")
@@ -325,14 +238,8 @@ def _int_solve_columns(
     pivots, sign = _echelon(rows, n)
     if len(pivots) < n:
         return 0, None
-    D = rows[-1][n - 1] if n else 1
-    Y: list[list[int]] = [[] for _ in range(n)]
-    for c in range(n, len(rows[0]) if rows else 0):
-        for i in reversed(range(n)):
-            row = rows[i]
-            s = D * row[c] - sum(row[j] * Y[j][-1] for j in range(i + 1, n))
-            Y[i].append(s // row[i])
-    return sign * D, [[sign * e for e in row] for row in Y]
+    D = _reduce(rows, pivots)
+    return sign * D, [[sign * e for e in row[n:]] for row in rows]
 
 
 def int_det(A: Sequence[Sequence[int]]) -> int:
@@ -351,9 +258,7 @@ def int_det(A: Sequence[Sequence[int]]) -> int:
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     rows = [list(row) for row in A]
     pivots, sign = _echelon(rows, n)
-    if len(pivots) < n:
-        return 0
-    return sign * rows[-1][n - 1]
+    return sign * rows[-1][n - 1] if len(pivots) == n else 0
 
 
 def int_rank(A: Sequence[Sequence[int]]) -> int:
@@ -376,3 +281,44 @@ def int_adjugate(A: Sequence[Sequence[int]]) -> tuple[int, tuple[IntVec, ...] | 
     n = len(A)
     d, Y = _int_solve_columns(A, [[int(i == j) for j in range(n)] for i in range(n)])
     return d, None if Y is None else tuple(tuple(row) for row in Y)
+
+
+def int_rref(A: Sequence[Sequence[int]], ncols: int | None = None) -> tuple[Mat, tuple[int, ...]]:
+    """The rows and pivots that ``rref`` gives for an integer matrix,
+    pivots taken in the first ncols columns, by Bareiss elimination and
+    ``_reduce``."""
+    rows = [list(row) for row in A]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots, _ = _echelon(rows, ncols)
+    D = _reduce(rows, pivots)
+    return tuple(tuple(Fraction(x, D) for x in row) for row in rows), tuple(pivots)
+
+
+def int_nullspace(A: Sequence[Sequence[int]], ncols: int) -> tuple[Vec, ...]:
+    """Basis of the right kernel of an integer matrix, one vector per
+    free column of its reduced echelon form.
+
+    Each basis vector carries 1 in its own free column and 0 in every
+    other free column (the reduced-echelon convention), so the result
+    depends only on the row space."""
+    rows = [list(row) for row in A]
+    pivots, _ = _echelon(rows, ncols)
+    D = _reduce(rows, pivots)
+    basis = []
+    for j in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[j] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            x[p] = Fraction(-row[j], D)
+        basis.append(tuple(x))
+    return tuple(basis)
+
+
+def scaled(A: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """(D, D A) for a rational matrix A and the lcm D of its
+    denominators: integer rows with the same row space and kernel, and
+    det(D A) = D^n det A for n rows."""
+    rows = [[frac(e) for e in row] for row in A]
+    D = lcm(*(e.denominator for row in rows for e in row))
+    return D, [[e.numerator * (D // e.denominator) for e in row] for row in rows]

@@ -45,11 +45,12 @@ from .linalg import (
     Vec,
     _echelon,
     dot,
+    int_nullspace,
     int_rank,
+    int_rref,
     int_vec,
     integer_kernel_basis,
-    nullspace,
-    rref,
+    scaled,
     vec,
     vec_sub,
     zero_vec,
@@ -352,14 +353,9 @@ def equivalence_classes(poly: HPolytope) -> EquivalenceClasses:
 
 
 def _row_basis(rows) -> list[int]:
-    """Indices of a maximal independent subset of integer rows."""
-    picked: list[int] = []
-    chosen = []
-    for idx, row in enumerate(rows):
-        if int_rank(chosen + [row]) > len(chosen):
-            picked.append(idx)
-            chosen.append(row)
-    return picked
+    """Indices of the first maximal independent subset of integer rows:
+    the pivot columns of the matrix that has them as its columns."""
+    return _echelon([list(col) for col in zip(*rows)], len(rows))[0]
 
 
 @memoize
@@ -370,12 +366,14 @@ def _inessential_echelon(poly: HPolytope) -> tuple[tuple[int, ...], tuple[Vec, .
 
     E A = R, so A beta = b is solvable exactly when the rows of E b past
     the rank vanish, and then the reduced echelon solution has E b's
-    first rows in the pivot columns and zero elsewhere."""
+    first rows in the pivot columns and zero elsewhere: E is not unique,
+    but those images of a solvable b are.  ``int_rref`` reduces the
+    integer [A | I]."""
     N = poly.n_facets
     rows = [tuple(eta[r] for eta in poly.conormals) for r in range(poly.dim)]
     rows += [tuple(int(i in cls) for i in range(N)) for cls in equivalence_classes(poly).classes]
     m = len(rows)
-    R, pivots = rref([row + tuple(int(i == j) for j in range(m)) for i, row in enumerate(rows)], N)
+    R, pivots = int_rref([row + tuple(int(i == j) for j in range(m)) for i, row in enumerate(rows)], N)
     return pivots, tuple(row[N:] for row in R)
 
 
@@ -611,12 +609,12 @@ def _skeleton_block(poly: HPolytope, k: int) -> tuple[tuple[int, ...], ...]:
 @memoize
 def _pair_space(poly: HPolytope, dims: tuple[int, ...]) -> tuple[tuple[Vec, Vec], ...]:
     """Basis of the pairs (H, gamma) with m_k(H) == (gamma . kappa) * P_k
-    for every k in dims: the nullspace, in the reduced-echelon
-    convention, of the stacked surviving rows of each k's block."""
+    for every k in dims: the kernel, in the reduced-echelon convention
+    (which depends only on the row space), of the stacked surviving rows
+    of each k's block."""
     n, N = poly.dim, poly.n_facets
-    system = [list(row) for k in dims for row in _skeleton_block(poly, k)]
-    pivots, _ = _echelon(system, n + N)
-    return tuple((z[:n], z[n:]) for z in nullspace(system[: len(pivots)], ncols=n + N))
+    system = [row for k in dims for row in _skeleton_block(poly, k)]
+    return tuple((z[:n], z[n:]) for z in int_nullspace(system, n + N))
 
 
 def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
@@ -634,9 +632,10 @@ def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
 def _space_echelon(poly: HPolytope, dims: tuple[int, ...]) -> tuple[tuple[int, Vec], ...]:
     """The reduced echelon rows of the pair space basis rows
     (H | gamma) for dims, each with its pivot column.  Every pivot lies
-    in the H columns, since gamma is determined by H."""
+    in the H columns, since gamma is determined by H.  Scaling the basis
+    rows to integers leaves their reduced form unchanged."""
     n = poly.dim
-    R, pivots = rref([H + gamma for H, gamma in _pair_space(poly, dims)], n + poly.n_facets)
+    R, pivots = int_rref(scaled([H + gamma for H, gamma in _pair_space(poly, dims)])[1], n + poly.n_facets)
     if any(p >= n for p in pivots):
         raise StructuralInconsistency("the products kappa_i * P_k are independent")
     return tuple(zip(pivots, R))

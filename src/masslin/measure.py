@@ -36,7 +36,7 @@ from math import comb, factorial, lcm, prod
 from typing import NamedTuple, Sequence
 
 from .errors import PolytopeError, StructuralInconsistency
-from .linalg import Vec, det, int_adjugate, integer_kernel_basis, mat_vec, vec, vec_sub
+from .linalg import Vec, int_adjugate, int_det, integer_kernel_basis, mat_vec, scaled, vec, vec_sub
 from .poly import MultiPoly
 from .polytope import Face, HPolytope, memoize
 
@@ -120,8 +120,7 @@ def triangulate(poly: HPolytope) -> Triangulation:
     signs = []
     for s in simplices:
         base = verts[s[0]].point
-        M = [vec_sub(verts[i].point, base) for i in s[1:]]
-        d = det(M)
+        d = int_det(scaled([vec_sub(verts[i].point, base) for i in s[1:]])[1])
         if d == 0:
             raise PolytopeError("degenerate simplex in triangulation")
         signs.append(1 if d > 0 else -1)
@@ -161,12 +160,14 @@ def _generic_xi(edges, n: int) -> tuple[int, ...]:
 
 def _lattice_index(poly: HPolytope, cone: VertexCone, T: Sequence[int]) -> Fraction:
     """iota_{v,T}: a nonzero maximal minor of w_T over that of a basis of
-    the face's direction lattice."""
+    the face's direction lattice.  w_T is rational, so its minor is taken
+    on integer rows D w_T and divided by D^|T|."""
     face = poly.face(frozenset(cone.basis) - {cone.basis[j] for j in T})
     B = direction_lattice_basis(poly, face)
     for sel in combinations(range(poly.dim), len(T)):
-        if d := det([[b[i] for i in sel] for b in B]):
-            return abs(det([[cone.w[j][i] for i in sel] for j in T]) / d)
+        if d := int_det([[b[i] for i in sel] for b in B]):
+            D, W = scaled([[cone.w[j][i] for i in sel] for j in T])
+            return abs(Fraction(int_det(W), d * D ** len(T)))
     raise StructuralInconsistency("a lattice basis has an invertible minor")
 
 
@@ -345,8 +346,8 @@ def integrate_monomial(poly: HPolytope, exponents: Sequence[int]) -> Fraction:
     total = Fraction(0)
     for s in tri.simplices:
         base = verts[s[0]].point
-        M = [vec_sub(verts[i].point, base) for i in s[1:]]
-        vol = abs(det(M)) / factorial(n)
+        D, M = scaled([vec_sub(verts[i].point, base) for i in s[1:]])
+        vol = Fraction(abs(int_det(M)), D**n * factorial(n))
         p = MultiPoly.constant(n + 1, 1)
         for coord, e in enumerate(exponents):
             lin = MultiPoly.linear([verts[vid].point[coord] for vid in s])

@@ -37,7 +37,6 @@ from .linalg import (
     int_solve,
     int_vec,
     mat_vec,
-    nullspace,
     primitive,
     vec,
 )
@@ -108,7 +107,8 @@ def _check_bounded(conormals: Sequence[IntVec], n: int) -> None:
             continue
         pairings = [sum(a * b for a, b in zip(eta, ray)) for eta in conormals]
         if all(p <= 0 for p in pairings) or all(p >= 0 for p in pairings):
-            ray = nullspace(rows, n)[0]
+            last = next(x for x in reversed(ray) if x)
+            ray = tuple(Fraction(x, last) for x in ray)
             for cand in (ray, tuple(-x for x in ray)):
                 if all(dot(eta, cand) <= 0 for eta in conormals):
                     raise PolytopeError(

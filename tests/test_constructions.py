@@ -30,7 +30,7 @@ from masslin.constructions import (
 )
 from masslin.constructions import _corner_cut_polygon
 from masslin.errors import PolytopeError
-from masslin.linalg import dot, in_row_span, vec
+from masslin.linalg import dot, vec
 from masslin.masslinear import (
     equivalence_classes,
     inessential_space,
@@ -40,6 +40,8 @@ from masslin.masslinear import (
     symmetric_facets,
 )
 from masslin.polytope import HPolytope
+
+from _linalg_ref import in_row_span
 
 
 def yk(k, a, kappa):

@@ -1,31 +1,30 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _linalg_ref import det, identity, in_row_span, nullspace, rank, solve_linear
 from masslin.linalg import (
-    LinearSolution,
-    det,
     dot,
-    identity,
-    in_row_span,
     int_adjugate,
     int_det,
+    int_nullspace,
     int_rank,
+    int_rref,
     int_solve,
     integer_kernel_basis,
     mat_mul,
     mat_vec,
-    nullspace,
     primitive,
-    rank,
     rref,
-    solve_linear,
-    transpose,
+    scaled,
     unimodular_inverse,
-    vec,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -59,10 +58,10 @@ class TestPrimitive:
 
 class TestRank:
     def test_identity(self):
-        assert rank(identity(3)) == 3
+        assert int_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
 
     def test_zero(self):
-        assert rank([[0, 0], [0, 0]]) == 0
+        assert int_rank([[0, 0], [0, 0]]) == 0
 
     def test_simplex_bundle_fiber_conormals(self):
         # four vectors in R^4 satisfying one relation: -e1,-e2,-e3,e1+e2+e3
@@ -72,10 +71,11 @@ class TestRank:
             (0, 0, -1, 0),
             (1, 1, 1, 0),
         ]
-        assert rank(rows) == 3
+        assert int_rank(rows) == 3
 
 
 class TestSolveLinear:
+    # the rational reference solver that other tests compare with
     def test_identity_case(self):
         sol = solve_linear(identity(2), (Fraction(1, 2), 0))
         assert sol.solution == (Fraction(1, 2), Fraction(0))
@@ -98,8 +98,8 @@ class TestSolveLinear:
             (0, 0, 0, -1),
             (-1, -1, 0, 1),
         ]
-        assert rank(rows) == 3
-        assert len(nullspace(transpose(rows))) == 1
+        assert int_rank(rows) == 3
+        assert len(int_nullspace(list(zip(*rows)), 4)) == 1
 
     @given(small_matrix(3, 3), st.lists(rationals, min_size=3, max_size=3))
     @settings(max_examples=60)
@@ -119,13 +119,20 @@ class TestSolveLinear:
 
 class TestDetInvert:
     def test_det_identity(self):
-        assert det(identity(4)) == 1
+        assert int_det([[int(i == j) for j in range(4)] for i in range(4)]) == 1
 
     def test_det_swap(self):
-        assert det([[0, 1], [1, 0]]) == -1
+        assert int_det([[0, 1], [1, 0]]) == -1
 
     def test_det_singular(self):
-        assert det([[1, 2], [2, 4]]) == 0
+        assert int_det([[1, 2], [2, 4]]) == 0
+
+    def test_scaled_rational_matrix(self):
+        # det(D A) = D^n det A for the common denominator D
+        A = [[Fraction(1, 2), 1], [Fraction(1, 3), 0]]
+        assert scaled(A) == (6, [[3, 6], [2, 0]])
+        D, M = scaled(A)
+        assert Fraction(int_det(M), D**2) == det(A) == Fraction(-1, 3)
 
 
 @st.composite
@@ -195,14 +202,14 @@ class TestFractionFree:
 
 class TestNullspace:
     def test_reduced_echelon_convention(self):
-        basis = nullspace([[1, 2, 3]])
+        basis = int_nullspace([[1, 2, 3]], 3)
         assert basis == (
             (Fraction(-2), Fraction(1), Fraction(0)),
             (Fraction(-3), Fraction(0), Fraction(1)),
         )
 
     def test_empty_matrix_needs_ncols(self):
-        assert nullspace([], 2) == (
+        assert int_nullspace([], 2) == (
             (Fraction(1), Fraction(0)),
             (Fraction(0), Fraction(1)),
         )
@@ -210,7 +217,71 @@ class TestNullspace:
     @given(small_matrix(2, 4))
     @settings(max_examples=40)
     def test_dimension_formula(self, A):
-        assert len(nullspace(A)) == 4 - rank(A)
+        assert len(int_nullspace(scaled(A)[1], 4)) == 4 - rank(A)
+
+
+@st.composite
+def echelon_inputs(draw):
+    """(A, width, ncols): an integer or a rational matrix, about half of
+    them with a last row combined from the others, and a bound ncols on
+    the pivot columns, the further columns being right-hand sides."""
+    height, width = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    entries = draw(st.sampled_from([st.integers(-6, 6), rationals]))
+    A = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=height, max_size=height))
+    if height > 1 and draw(st.booleans()):
+        c = draw(st.lists(st.integers(-2, 2), min_size=height - 1, max_size=height - 1))
+        A[-1] = [sum(ci * row[j] for ci, row in zip(c, A)) for j in range(width)]
+    return A, width, draw(st.integers(0, width))
+
+
+class TestReducedEchelon:
+    def test_rank_deficient_example(self):
+        R, pivots = int_rref([[0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 5]])
+        assert pivots == (1, 3)
+        assert R == ((0, 1, 2, 0), (0, 0, 0, 1), (0, 0, 0, 0))
+
+    @given(echelon_inputs())
+    @settings(max_examples=300)
+    def test_matches_rational_rref(self, case):
+        # the same rows and pivots as Gauss-Jordan over the rationals on
+        # the scaled rows, also the rows past the rank when ncols leaves
+        # right-hand sides; over all columns the reduced form and the
+        # kernel basis are those of A itself
+        A, width, ncols = case
+        M = scaled(A)[1]
+        assert int_rref(M, ncols) == rref(M, ncols)
+        assert int_rref(M) == rref(A)
+        assert int_nullspace(M, width) == nullspace(A, width)
+
+
+def test_every_public_linalg_function_has_a_caller():
+    # a public function of masslin.linalg is used by another library
+    # module or looked up by name by the perfbench tracer; anything else
+    # is a second kernel growing back unnoticed
+    def tree(path):
+        return ast.parse(path.read_text(), filename=str(path))
+
+    public = {
+        node.name
+        for node in tree(ROOT / "src" / "masslin" / "linalg.py").body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    used = set()
+    for path in (ROOT / "src" / "masslin").glob("*.py"):
+        if path.name != "linalg.py":
+            for node in ast.walk(tree(path)):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    (functions,) = [
+        node.value
+        for node in tree(ROOT / "perfbench" / "tracer.py").body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "FUNCTIONS" for t in node.targets)
+    ]
+    traced = {attr for _, module, attr in ast.literal_eval(functions) if module == "masslin.linalg"}
+    assert traced <= public
+    assert public - used - traced == set()
 
 
 class TestIntegerKernel:

@@ -19,11 +19,11 @@ from pathlib import Path
 import pytest
 
 import masslin
-from masslin import YkBundleSpec, bundle_Yk, linalg, masslinear
-from masslin.cli import check_document
+from masslin import YkBundleSpec, bundle_Yk, linalg
+from masslin.cli import check_document, classify_document
 from masslin.constructions import blowup
 from masslin.errors import PolytopeError
-from masslin.linalg import dot, nullspace, rank, solve_linear, vec
+from masslin.linalg import dot, vec
 from masslin.masslinear import (
     barycenter_pairings_agree,
     equivalence_classes,
@@ -48,6 +48,7 @@ from masslin.measure import (
 )
 from masslin.poly import MultiPoly
 from masslin.polytope import HPolytope
+from _linalg_ref import nullspace, rank, solve_linear
 from _suite import SuitePair, report_for, suite_pairs, suite_polytopes
 
 F = Fraction
@@ -70,6 +71,21 @@ def bundle(k, a, kappa):
     conormals.append(tuple(0 if i < k else -1 for i in range(n)))
     conormals.append(tuple(a) + (1,))
     return HPolytope(n, conormals, kappa)
+
+
+def count_rrefs(monkeypatch) -> list:
+    """From here on, record every rational rref of the library: patch
+    ``linalg.rref`` and every masslin module attribute bound to it."""
+    calls, plain_rref = [], linalg.rref
+
+    def counting_rref(*args, **kwargs):
+        calls.append(args)
+        return plain_rref(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("masslin") and getattr(mod, "rref", None) is plain_rref:
+            monkeypatch.setattr(mod, "rref", counting_rref)
+    return calls
 
 
 def worked_pair():
@@ -265,13 +281,6 @@ class TestSymmetricFacets:
         H = (0, 2, 2, 0)
         mass_linear_test(poly, H)
         fully_mass_linear_test(poly, H)
-        rrefs = []
-        plain_rref = linalg.rref
-
-        def counting_rref(*args, **kwargs):
-            rrefs.append(args)
-            return plain_rref(*args, **kwargs)
-
         products = []
         plain_mul = MultiPoly.__mul__
 
@@ -280,7 +289,7 @@ class TestSymmetricFacets:
                 products.append((self.degree(), other.degree()))
             return plain_mul(self, other)
 
-        monkeypatch.setattr(linalg, "rref", counting_rref)
+        rrefs = count_rrefs(monkeypatch)
         monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
         rep = mass_linear_test(poly, H)
         assert rep.verdict and rep.gamma == (1, -1, -1, 1, 0, 0)
@@ -297,13 +306,6 @@ class TestSymmetricFacets:
         poly = blowup(bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)), (1, 3, 4))
         H = (3, -1, 2, 5)
         mass_linear_test(poly, H)
-        rrefs = []
-        plain_rref = linalg.rref
-
-        def counting_rref(*args, **kwargs):
-            rrefs.append(args)
-            return plain_rref(*args, **kwargs)
-
         products = []
         plain_mul = MultiPoly.__mul__
 
@@ -312,8 +314,7 @@ class TestSymmetricFacets:
                 products.append((len(self.terms), len(other.terms)))
             return plain_mul(self, other)
 
-        monkeypatch.setattr(linalg, "rref", counting_rref)
-        monkeypatch.setattr(masslinear, "rref", counting_rref)
+        rrefs = count_rrefs(monkeypatch)
         monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
         rep = mass_linear_test(poly, H)
         assert not rep.verdict and rep.asymmetric == frozenset(range(7))
@@ -535,24 +536,36 @@ class TestWarmCheck:
         positive, negative = ml_space(poly)[0][0], (3, -1, 2, 5)
         warm = [check_document(poly, H) for H in (positive, negative)]
         assert warm[0]["mass_linear"] and not warm[1]["mass_linear"]
-        rrefs, products = [], []
-        plain_rref, plain_mul = linalg.rref, MultiPoly.__mul__
-
-        def counting_rref(*args, **kwargs):
-            rrefs.append(args)
-            return plain_rref(*args, **kwargs)
+        products = []
+        plain_mul = MultiPoly.__mul__
 
         def counting_mul(self, other):
             if isinstance(other, MultiPoly):
                 products.append((len(self.terms), len(other.terms)))
             return plain_mul(self, other)
 
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("masslin") and getattr(mod, "rref", None) is plain_rref:
-                monkeypatch.setattr(mod, "rref", counting_rref)
+        rrefs = count_rrefs(monkeypatch)
         monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
         assert [check_document(poly, H) for H in (positive, negative)] == warm
         assert rrefs == [] and products == []
+
+    def test_cold_check_and_classify_run_no_elimination(self, monkeypatch):
+        # every linear system of a check or a classification is integer
+        # or scaled to integers, so even on fresh polytopes (the golden
+        # blowup with its essential H, and the bar pair) no rational
+        # rref runs
+        H = (0, 2, 2, 0)
+
+        def fresh():
+            bar = bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
+            return blowup(bar, (1, 3, 4)), bar
+
+        rrefs = count_rrefs(monkeypatch)
+        checks = [check_document(poly, H) for poly in fresh()]
+        classes = [classify_document(poly, H) for poly in fresh()]
+        assert rrefs == []
+        assert all(doc["mass_linear"] for doc in checks)
+        assert [doc["type"] for doc in classes] == ["b", "inessential"]
 
 
 class TestFullyMassLinear:
@@ -726,14 +739,7 @@ class TestPervasiveFlat:
     def test_flatness_is_decided_in_integers(self, monkeypatch):
         # the conormals are integer, so the ranks need no rational rref
         poly = blowup(bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)), (1, 3, 4))
-        rrefs = []
-        plain_rref = linalg.rref
-
-        def counting_rref(*args, **kwargs):
-            rrefs.append(args)
-            return plain_rref(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, "rref", counting_rref)
+        rrefs = count_rrefs(monkeypatch)
         flat = [is_flat(poly, i) for i in range(poly.n_facets)]
         assert rrefs == []
         assert flat == [

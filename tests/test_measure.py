@@ -43,6 +43,7 @@ from masslin.measure import (
 )
 from masslin.polytope import HPolytope
 
+from _linalg_ref import det
 from _suite import suite_polytopes
 
 F = Fraction
@@ -109,8 +110,6 @@ class TestTriangulate:
         total = F(0)
         for s in tri.simplices:
             base = verts[s[0]].point
-            from masslin.linalg import det
-
             M = [vec_sub(verts[i].point, base) for i in s[1:]]
             total += abs(det(M))
         assert total / _factorial(poly.dim) == volume(poly)

@@ -3,10 +3,11 @@ from itertools import combinations
 
 import pytest
 
+from _linalg_ref import solve_linear
 from _suite import suite_polytopes
 from masslin import polytope
 from masslin.errors import NotSimpleError, PolytopeError
-from masslin.linalg import dot, primitive, solve_linear, vec_sub
+from masslin.linalg import dot, primitive, vec_sub
 from masslin.polytope import HPolytope, from_halfspaces_pruned
 
 # --- shared fixtures -------------------------------------------------------

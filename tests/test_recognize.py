@@ -12,6 +12,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from _linalg_ref import vec_add
 from masslin.constructions import (
     Bundle121Spec,
     D2PolygonBundleSpec,
@@ -29,7 +30,6 @@ from masslin.constructions import (
     trapezoid,
 )
 from masslin.errors import PolytopeError
-from masslin.linalg import vec_add
 from masslin.masslinear import is_inessential, mass_linear_test, ml_space
 from masslin.polytope import HPolytope
 from masslin.recognize import (
