@@ -403,6 +403,19 @@ def finish_params(params: dict) -> None:
         raise click.UsageError(f"unknown parameters: {', '.join(sorted(params))}")
 
 
+def parse_d2_polygon_spec(params: dict) -> D2PolygonBundleSpec:
+    """The polygon document, flat twist pairs and kappa of a triangle
+    bundle over a polygon."""
+    polygon = load_polytope(Path(take(params, "polygon", required=True)))
+    flat = parse_int_vector(take(params, "twists", required=True))
+    if len(flat) % 2:
+        raise click.UsageError("twists must pair up: b1,c1,b2,c2,...")
+    twists = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(len(flat) // 2))
+    kappa = parse_vector(take(params, "kappa", required=True))
+    finish_params(params)
+    return D2PolygonBundleSpec(polygon, twists, kappa)
+
+
 def build_family(family: str, params: dict) -> HPolytope:
     if family == "simplex":
         n = int(take(params, "n", required=True))
@@ -428,16 +441,7 @@ def build_family(family: str, params: dict) -> HPolytope:
         finish_params(params)
         return bundle_121(Bundle121Spec(a, d, kappa))
     if family == "bundle-d2-polygon":
-        polygon = load_polytope(Path(take(params, "polygon", required=True)))
-        flat = parse_int_vector(take(params, "twists", required=True))
-        if len(flat) % 2:
-            raise click.UsageError("twists must pair up: b1,c1,b2,c2,...")
-        twists = tuple(
-            (flat[2 * i], flat[2 * i + 1]) for i in range(len(flat) // 2)
-        )
-        kappa = parse_vector(take(params, "kappa", required=True))
-        finish_params(params)
-        return bundle_D2_polygon(D2PolygonBundleSpec(polygon, twists, kappa))
+        return bundle_D2_polygon(parse_d2_polygon_spec(params))
     if family == "expansion":
         core = load_polytope(Path(take(params, "core", required=True)))
         facet = resolve_facet(core, take(params, "facet", required=True))
@@ -500,12 +504,14 @@ def _batch_paths(directory: Path) -> list[Path]:
     return files
 
 
-def _check_worker(args) -> dict:
-    path_str, h_str, seed = args
+def _batch_worker(args) -> dict:
+    """One file's report: document is check_document or
+    classify_document, and extra its third positional argument."""
+    document, path_str, h_str, extra = args
     path = Path(path_str)
     try:
         poly = load_polytope(path)
-        doc = check_document(poly, parse_vector(h_str), seed=seed)
+        doc = document(poly, parse_vector(h_str), extra)
     except DOMAIN_ERRORS as exc:
         return {
             "file": path.name,
@@ -514,25 +520,12 @@ def _check_worker(args) -> dict:
     return {"file": path.name, **doc}
 
 
-def _classify_worker(args) -> dict:
-    path_str, h_str, with_stages = args
-    path = Path(path_str)
-    try:
-        poly = load_polytope(path)
-        doc = classify_document(poly, parse_vector(h_str), with_stages)
-    except DOMAIN_ERRORS as exc:
-        return {
-            "file": path.name,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-    return {"file": path.name, **doc}
-
-
-def run_batch(worker, arg_list, jobs: int) -> list[dict]:
+def run_batch(document, directory: Path, h_str: str, extra, jobs: int) -> list[dict]:
+    args = [(document, str(p), h_str, extra) for p in _batch_paths(directory)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, arg_list))
-    return [worker(a) for a in arg_list]
+            return list(pool.map(_batch_worker, args))
+    return [_batch_worker(a) for a in args]
 
 
 def emit_batch(command: str, reports: list[dict], fmt: str) -> None:
@@ -571,8 +564,8 @@ def cli():
 def check(polytope: Path, h_str: str, seed, jobs: int, fmt: str):
     """Smoothness, mass linearity, partitions, and barycenter pairings."""
     if polytope.is_dir():
-        args = [(str(p), h_str, seed) for p in _batch_paths(polytope)]
-        emit_batch("check-batch", run_batch(_check_worker, args, jobs), fmt)
+        reports = run_batch(check_document, polytope, h_str, seed, jobs)
+        emit_batch("check-batch", reports, fmt)
         return
     poly = load_polytope(polytope)
     emit(check_document(poly, parse_vector(h_str), seed=seed), fmt)
@@ -588,8 +581,8 @@ def check(polytope: Path, h_str: str, seed, jobs: int, fmt: str):
 def classify(polytope: Path, h_str: str, with_stages: bool, jobs: int, fmt: str):
     """Blow down to a terminal model and name its family."""
     if polytope.is_dir():
-        args = [(str(p), h_str, with_stages) for p in _batch_paths(polytope)]
-        emit_batch("classify-batch", run_batch(_classify_worker, args, jobs), fmt)
+        reports = run_batch(classify_document, polytope, h_str, with_stages, jobs)
+        emit_batch("classify-batch", reports, fmt)
         return
     poly = load_polytope(polytope)
     emit(classify_document(poly, parse_vector(h_str), with_stages), fmt)
@@ -674,22 +667,13 @@ def mlspace(family: str, params, fmt: str):
         finish_params(kv)
         doc = space_document(family, {"a": list(a), "d": d}, ml_space_121(a, d))
     else:
-        polygon = load_polytope(Path(take(kv, "polygon", required=True)))
-        flat = parse_int_vector(take(kv, "twists", required=True))
-        if len(flat) % 2:
-            raise click.UsageError("twists must pair up: b1,c1,b2,c2,...")
-        twists = tuple(
-            (flat[2 * i], flat[2 * i + 1]) for i in range(len(flat) // 2)
-        )
-        kappa = parse_vector(take(kv, "kappa", required=True))
-        finish_params(kv)
-        spec = D2PolygonBundleSpec(polygon, twists, kappa)
+        spec = parse_d2_polygon_spec(kv)
         doc = space_document(
             family,
             {
-                "polygon": polytope_to_document(polygon),
-                "twists": [list(t) for t in twists],
-                "kappa": fmt_vec(kappa),
+                "polygon": polytope_to_document(spec.polygon),
+                "twists": [list(t) for t in spec.twists],
+                "kappa": fmt_vec(spec.kappa),
             },
             ml_space_D2_polygon(spec),
         )

@@ -282,6 +282,42 @@ def _fresh_labels(taken: Sequence[str], stem: str, count: int) -> list[str]:
     return out
 
 
+def _expand(core: HPolytope, folds: dict[int, int]) -> HPolytope:
+    """Expand the core along each facet j of folds, folds[j] times.
+
+    The surviving core facets come first in their order; then, per
+    expanded facet in the order of folds, its folds[j] pure-slot facets
+    (minus a new coordinate vector, support 0) and its lifted facet (the
+    core conormal plus the indicator of those new coordinates, the core
+    support number).
+    """
+    for j, fold in folds.items():
+        if not 0 <= j < core.n_facets:
+            raise PolytopeError("no such facet")
+        if fold < 1:
+            raise PolytopeError("fold must be at least 1")
+    f = sum(folds.values())
+    kept = [j for j in range(core.n_facets) if j not in folds]
+    conormals = [core.conormals[j] + (0,) * f for j in kept]
+    support = [core.support[j] for j in kept]
+    labels = [core.labels[j] for j in kept]
+    start = 0
+    for j, fold in folds.items():
+        for c in range(start, start + fold):
+            pure = tuple(-1 if r == c else 0 for r in range(f))
+            conormals.append((0,) * core.dim + pure)
+        support += [Fraction(0)] * fold
+        lift = tuple(int(start <= r < start + fold) for r in range(f))
+        conormals.append(core.conormals[j] + lift)
+        support.append(core.support[j])
+        start += fold
+    labels += _fresh_labels(labels, "B", f + len(folds))
+    out = HPolytope(core.dim + f, tuple(conormals), tuple(support), tuple(labels))
+    if not out.is_smooth():
+        raise StructuralInconsistency("expansion of a smooth core must be smooth")
+    return out
+
+
 def expansion(core: HPolytope, facet: int, fold: int = 1) -> HPolytope:
     """k-fold expansion of the core along one of its facets.
 
@@ -291,25 +327,7 @@ def expansion(core: HPolytope, facet: int, fold: int = 1) -> HPolytope:
     """
     if not core.is_smooth():
         raise PolytopeError("expansion requires a smooth core")
-    if not 0 <= facet < core.n_facets:
-        raise PolytopeError("no such facet")
-    if fold < 1:
-        raise PolytopeError("fold must be at least 1")
-    pad = (0,) * fold
-    conormals = [core.conormals[j] + pad for j in range(core.n_facets) if j != facet]
-    support = [core.support[j] for j in range(core.n_facets) if j != facet]
-    labels = [core.labels[j] for j in range(core.n_facets) if j != facet]
-    zero = (0,) * core.dim
-    for i in range(fold):
-        conormals.append(zero + tuple(-1 if j == i else 0 for j in range(fold)))
-        support.append(Fraction(0))
-    conormals.append(core.conormals[facet] + (1,) * fold)
-    support.append(core.support[facet])
-    labels += _fresh_labels(labels, "B", fold + 1)
-    out = HPolytope(core.dim + fold, tuple(conormals), tuple(support), tuple(labels))
-    if not out.is_smooth():
-        raise StructuralInconsistency("expansion of a smooth core must be smooth")
-    return out
+    return _expand(core, {facet: fold})
 
 
 def double_expansion(core: HPolytope, j1: int, j2: int) -> HPolytope:
@@ -322,27 +340,7 @@ def double_expansion(core: HPolytope, j1: int, j2: int) -> HPolytope:
         raise PolytopeError("expansion requires a smooth core")
     if j1 == j2:
         raise PolytopeError("double expansion needs two distinct facets")
-    for j in (j1, j2):
-        if not 0 <= j < core.n_facets:
-            raise PolytopeError("no such facet")
-    conormals = [
-        core.conormals[j] + (0, 0) for j in range(core.n_facets) if j not in (j1, j2)
-    ]
-    support = [core.support[j] for j in range(core.n_facets) if j not in (j1, j2)]
-    labels = [core.labels[j] for j in range(core.n_facets) if j not in (j1, j2)]
-    zero = (0,) * core.dim
-    conormals += [
-        zero + (-1, 0),
-        core.conormals[j1] + (1, 0),
-        zero + (0, -1),
-        core.conormals[j2] + (0, 1),
-    ]
-    support += [Fraction(0), core.support[j1], Fraction(0), core.support[j2]]
-    labels += _fresh_labels(labels, "B", 4)
-    out = HPolytope(core.dim + 2, tuple(conormals), tuple(support), tuple(labels))
-    if not out.is_smooth():
-        raise StructuralInconsistency("double expansion of a smooth core must be smooth")
-    return out
+    return _expand(core, {j1: 1, j2: 1})
 
 
 # ---------------------------------------------------------------------------

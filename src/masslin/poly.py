@@ -254,18 +254,3 @@ class MultiPoly:
             parts.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
 
-
-def poly_is_zero(p: MultiPoly) -> bool:
-    return p.is_zero()
-
-
-def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p + q
-
-
-def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p * q
-
-
-def poly_eval(p: MultiPoly, point: Sequence) -> Fraction:
-    return p.eval(point)

@@ -5,9 +5,12 @@ A recognition certificate records how an input polytope matches one of
 the constructors: which facets play which role, the recovered
 constructor parameters, and a unimodular map plus translation carrying
 the input into constructor coordinates.  reconstruct() reruns the
-constructor on the recovered parameters and certificate_holds()
-re-verifies the match, so a certificate is checkable evidence rather
-than a bare claim.
+constructor on the recovered parameters, and certificate_holds() is the
+one verifier: it maps, translates and reorders the input's facet data
+and compares it with the facet data of the rebuilt polytope.  Every
+recognizer proposes a certificate and returns it only when
+certificate_holds() accepts it, so a certificate is checkable evidence
+rather than a bare claim.
 
 classify4d() greedily blows a 4-dimensional mass linear pair down to a
 terminal model, tags every blowdown step by the kind of face that had
@@ -50,6 +53,7 @@ from .errors import PolytopeError, StructuralInconsistency
 from .linalg import (
     IntVec,
     Vec,
+    dot,
     int_det,
     int_rank,
     int_vec,
@@ -81,10 +85,9 @@ class RecognitionCertificate:
 
     base / fiber list the input facet indices playing the base(-type)
     and fiber(-type) roles.  facet_order lists input facet indices in
-    the constructor's facet order, so that
-
-        input.apply_lattice_map(transform).translate(translation)
-             .permute_facets(facet_order) == reconstruct(certificate)
+    the constructor's facet order: the input's conormals mapped by
+    transform, with support numbers translated by translation and taken
+    in facet_order, are the facet data of reconstruct(certificate).
 
     params carries the recovered constructor spec for the bundle
     families; core, core_expanded and fold carry the recovered core
@@ -126,15 +129,41 @@ def reconstruct(cert: RecognitionCertificate) -> HPolytope:
 
 
 def certificate_holds(poly: HPolytope, cert: RecognitionCertificate) -> bool:
-    """Re-verify a certificate against the polytope it was issued for."""
+    """Re-verify a certificate against the polytope it was issued for.
+
+    The input's facet data, mapped by the unimodular transform, translated
+    and put in facet_order, must equal the dimension, conormals and support
+    numbers of reconstruct(cert), the only polytope built.  A segment bundle
+    with non-simplex fiber has no transform; its base pair is checked.
+    """
     if cert.transform is None:
         i, j = cert.base
         return (
             poly.face({i, j}) is None
             and frozenset(cert.base) in equivalence_classes(poly).classes
         )
-    normalized = poly.apply_lattice_map(cert.transform).translate(cert.translation)
-    return normalized.permute_facets(cert.facet_order) == reconstruct(cert)
+    T = [int_vec(row) for row in cert.transform]
+    if abs(int_det(T)) != 1:
+        raise PolytopeError("lattice map must be unimodular")
+    order = cert.facet_order
+    if sorted(order) != list(range(poly.n_facets)):
+        raise PolytopeError("order must be a permutation of facet indices")
+    built = reconstruct(cert)
+    conormals = tuple(int_vec(mat_vec(T, poly.conormals[x])) for x in order)
+    support = tuple(
+        poly.support[x] + dot(eta, cert.translation)
+        for x, eta in zip(order, conormals)
+    )
+    return (poly.dim, conormals, support) == (built.dim, built.conormals, built.support)
+
+
+def _holds(poly: HPolytope, cert: RecognitionCertificate) -> bool:
+    """certificate_holds, with a constructor that rejects the recovered
+    parameters counting as no match."""
+    try:
+        return certificate_holds(poly, cert)
+    except PolytopeError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -201,26 +230,26 @@ def _segment_bundle_certificate(
             "second base conormal of a segment bundle must be a unit lift"
         )
     order = body + (last, i, j)
-    spec = YkBundleSpec(k, image_j[:k], tuple(poly.support[m] for m in order))
-    try:
-        built = bundle_Yk(spec)
-    except PolytopeError as exc:
-        raise StructuralInconsistency(
-            f"recovered segment-bundle parameters are not buildable: {exc}"
-        ) from exc
-    if poly.apply_lattice_map(S).permute_facets(order) != built:
-        raise StructuralInconsistency(
-            "normalized polytope differs from the rebuilt segment bundle"
-        )
-    return RecognitionCertificate(
+    cert = RecognitionCertificate(
         "segment_bundle",
         base=(i, j),
         fiber=others,
-        params=spec,
+        params=YkBundleSpec(k, image_j[:k], tuple(poly.support[m] for m in order)),
         transform=S,
         translation=zero_vec(n),
         facet_order=order,
     )
+    try:
+        holds = certificate_holds(poly, cert)
+    except PolytopeError as exc:
+        raise StructuralInconsistency(
+            f"recovered segment-bundle parameters are not buildable: {exc}"
+        ) from exc
+    if not holds:
+        raise StructuralInconsistency(
+            "normalized polytope differs from the rebuilt segment bundle"
+        )
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -260,57 +289,53 @@ def _quotient_normalization(
     return unimodular_inverse(T)
 
 
-def _expansion_certificate(poly: HPolytope, I) -> RecognitionCertificate | None:
-    """Verify a candidate base-type facet set by rebuilding.
+def _expansion_certificate(poly: HPolytope, groups) -> RecognitionCertificate | None:
+    """Propose groups of base-type facets as an expansion and verify it.
 
-    The largest index of I takes the lifted-core-conormal slot; the
-    rest map to the new coordinate directions in index order.
+    One group of f + 1 facets is an f-fold expansion, two disjoint pairs
+    a double expansion.  In each group the last index takes the
+    lifted-core-conormal slot and the others the pure slots, which map
+    to the new coordinate directions in order; a lifted slot's new
+    coordinate block is the indicator of its group's pure slots.
     """
-    I = tuple(I)
-    bs, w = I[:-1], I[-1]
-    f = len(bs)
-    n = poly.dim
-    m = n - f
-    S = _quotient_normalization(poly, bs, (I,))
+    pure = tuple(x for grp in groups for x in grp[:-1])
+    f = len(pure)
+    m = poly.dim - f
+    S = _quotient_normalization(poly, pure, groups)
     if S is None:
         return None
-    im_w = int_vec(mat_vec(S, poly.conormals[w]))
-    if im_w[m:] != (1,) * f:
-        return None
-    mapped = poly.apply_lattice_map(S)
-    xi = zero_vec(m) + tuple(mapped.support[b] for b in bs)
-    shifted = mapped.translate(xi)
-    fiber = tuple(x for x in range(poly.n_facets) if x not in I)
-    conormals, support, labels = [], [], []
-    for x in fiber:
+    base = tuple(x for grp in groups for x in grp)
+    fiber = tuple(x for x in range(poly.n_facets) if x not in base)
+    blocks = {x: (0,) * f for x in fiber}
+    for grp in groups:
+        blocks[grp[-1]] = tuple(int(b in grp) for b in pure)
+    # the lattice map keeps support numbers: move the pure slots to zero
+    xi = zero_vec(m) + tuple(poly.support[b] for b in pure)
+    conormals, support = [], []
+    for x, block in blocks.items():
         imx = int_vec(mat_vec(S, poly.conormals[x]))
-        if any(c != 0 for c in imx[m:]):
+        if imx[m:] != block:
             return None
         conormals.append(imx[:m])
-        support.append(shifted.support[x])
-        labels.append(poly.labels[x])
-    conormals.append(im_w[:m])
-    support.append(shifted.support[w])
-    labels.append(poly.labels[w])
+        support.append(poly.support[x] + dot(imx, xi))
+    labels = tuple(poly.labels[x] for x in blocks)
     try:
-        core = HPolytope(m, tuple(conormals), tuple(support), tuple(labels))
-        built = expansion(core, core.n_facets - 1, fold=f)
+        core = HPolytope(m, tuple(conormals), tuple(support), labels)
     except PolytopeError:
         return None
-    order = fiber + bs + (w,)
-    if shifted.permute_facets(order) != built:
-        return None
-    return RecognitionCertificate(
-        "expansion",
-        base=I,
+    k = core.n_facets
+    cert = RecognitionCertificate(
+        "expansion" if len(groups) == 1 else "double_expansion",
+        base=base,
         fiber=fiber,
         core=core,
-        core_expanded=(core.n_facets - 1,),
+        core_expanded=tuple(range(k - len(groups), k)),
         fold=f,
         transform=S,
         translation=xi,
-        facet_order=order,
+        facet_order=fiber + base,
     )
+    return cert if _holds(poly, cert) else None
 
 
 def recognize_expansion(poly: HPolytope) -> RecognitionCertificate | None:
@@ -333,66 +358,10 @@ def recognize_expansion(poly: HPolytope) -> RecognitionCertificate | None:
                 if poly.face(set(pq)) is not None:
                     candidates.append(pq)
     for I in candidates:
-        cert = _expansion_certificate(poly, I)
+        cert = _expansion_certificate(poly, (I,))
         if cert is not None:
             return cert
     return None
-
-
-def _double_expansion_certificate(
-    poly: HPolytope, pair1, pair2
-) -> RecognitionCertificate | None:
-    """Verify two equivalent-and-meeting pairs as base-type facets.
-
-    Within each pair the smaller index takes the pure new-coordinate
-    slot; its partner carries the lifted core conormal.
-    """
-    p1, p2 = pair1
-    p3, p4 = pair2
-    n = poly.dim
-    m = n - 2
-    S = _quotient_normalization(poly, (p1, p3), (pair1, pair2))
-    if S is None:
-        return None
-    im2 = int_vec(mat_vec(S, poly.conormals[p2]))
-    im4 = int_vec(mat_vec(S, poly.conormals[p4]))
-    if im2[m:] != (1, 0) or im4[m:] != (0, 1):
-        return None
-    mapped = poly.apply_lattice_map(S)
-    xi = zero_vec(m) + (mapped.support[p1], mapped.support[p3])
-    shifted = mapped.translate(xi)
-    fiber = tuple(x for x in range(poly.n_facets) if x not in (p1, p2, p3, p4))
-    conormals, support, labels = [], [], []
-    for x in fiber:
-        imx = int_vec(mat_vec(S, poly.conormals[x]))
-        if any(c != 0 for c in imx[m:]):
-            return None
-        conormals.append(imx[:m])
-        support.append(shifted.support[x])
-        labels.append(poly.labels[x])
-    for x, imx in ((p2, im2), (p4, im4)):
-        conormals.append(imx[:m])
-        support.append(shifted.support[x])
-        labels.append(poly.labels[x])
-    try:
-        core = HPolytope(m, tuple(conormals), tuple(support), tuple(labels))
-        built = double_expansion(core, core.n_facets - 2, core.n_facets - 1)
-    except PolytopeError:
-        return None
-    order = fiber + (p1, p2, p3, p4)
-    if shifted.permute_facets(order) != built:
-        return None
-    return RecognitionCertificate(
-        "double_expansion",
-        base=(p1, p2, p3, p4),
-        fiber=fiber,
-        core=core,
-        core_expanded=(core.n_facets - 2, core.n_facets - 1),
-        fold=2,
-        transform=S,
-        translation=xi,
-        facet_order=order,
-    )
 
 
 @memoize
@@ -413,7 +382,7 @@ def _double_expansion_candidates(poly: HPolytope) -> tuple[RecognitionCertificat
     for P, Q in itertools.combinations(pairs, 2):
         if set(P) & set(Q):
             continue
-        cert = _double_expansion_certificate(poly, P, Q)
+        cert = _expansion_certificate(poly, (P, Q))
         if cert is not None:
             certs.append(cert)
     return tuple(certs)
@@ -472,16 +441,8 @@ def _recognize_121(poly: HPolytope) -> RecognitionCertificate | None:
             if v6[3] != 1:
                 continue
             order = (t0, t1, f2, f3, f4, f5, f6)
-            try:
-                spec = Bundle121Spec(
-                    v6[:3], v4[0], tuple(poly.support[x] for x in order)
-                )
-                built = bundle_121(spec)
-            except PolytopeError:
-                continue
-            if poly.apply_lattice_map(S).permute_facets(order) != built:
-                continue
-            return RecognitionCertificate(
+            spec = Bundle121Spec(v6[:3], v4[0], tuple(poly.support[x] for x in order))
+            cert = RecognitionCertificate(
                 "bundle_121",
                 base=(f2, f3, f4, f5, f6),
                 fiber=(t0, t1),
@@ -490,6 +451,8 @@ def _recognize_121(poly: HPolytope) -> RecognitionCertificate | None:
                 translation=zero_vec(4),
                 facet_order=order,
             )
+            if _holds(poly, cert):
+                return cert
     return None
 
 
@@ -560,21 +523,19 @@ def _recognize_polygon_bundle(poly: HPolytope) -> RecognitionCertificate | None:
                 tuple(poly.support[x] for x in triple)
                 + tuple(poly.support[x] for x in cycle),
             )
-            built = bundle_D2_polygon(spec)
         except PolytopeError:
             continue
-        order = triple + tuple(cycle)
-        if poly.apply_lattice_map(S).permute_facets(order) != built:
-            continue
-        return RecognitionCertificate(
+        cert = RecognitionCertificate(
             "polygon_bundle",
             base=tuple(cycle),
             fiber=triple,
             params=spec,
             transform=S,
             translation=zero_vec(4),
-            facet_order=order,
+            facet_order=triple + tuple(cycle),
         )
+        if _holds(poly, cert):
+            return cert
     return None
 
 
@@ -603,6 +564,15 @@ def _recognize_simplex_segment_bundle(
     constructor parameters were recovered."""
     cert = recognize_bundle_over_segment(poly)
     return cert if cert is not None and cert.params is not None else None
+
+
+def _b_certificate(poly: HPolytope, asymmetric) -> RecognitionCertificate | None:
+    """The first double expansion of a polygon whose base-type facets
+    are exactly the asymmetric facets: the shape of family b."""
+    for cert in _double_expansion_candidates(poly):
+        if cert.core.dim == 2 and frozenset(cert.base) == asymmetric:
+            return cert
+    return None
 
 
 # the bundle shapes of essential pairs, in preference order
@@ -637,10 +607,9 @@ def recognize_type(poly: HPolytope, H) -> TypeRecognition:
             if cert is not None:
                 found.append((tag, cert))
     else:
-        for cert in _double_expansion_candidates(poly):
-            if cert.core.dim == 2 and frozenset(cert.base) == report.asymmetric:
-                found.append(("b", cert))
-                break
+        cert = _b_certificate(poly, report.asymmetric)
+        if cert is not None:
+            found.append(("b", cert))
     return TypeRecognition(tuple(t for t, _ in found), tuple(found))
 
 
@@ -910,11 +879,7 @@ def essential_blowup_planner(poly: HPolytope, H) -> BlowupPlan:
         raise ValueError("functional is not mass linear on this polytope")
     if is_inessential(poly, Hv) is None:
         return BlowupPlan(False, "functional is already essential on the input")
-    cert = None
-    for cand in _double_expansion_candidates(poly):
-        if cand.core.dim == 2 and frozenset(cand.base) == report.asymmetric:
-            cert = cand
-            break
+    cert = _b_certificate(poly, report.asymmetric)
     if cert is None:
         raise PolytopeError(
             "input is not a double expansion of a polygon whose base-type "

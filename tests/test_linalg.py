@@ -284,6 +284,31 @@ def test_every_public_linalg_function_has_a_caller():
     assert public - used - traced == set()
 
 
+def test_every_private_function_has_a_caller():
+    # a module-level _-prefixed function of src/masslin is used somewhere
+    # in src/masslin outside its own body; anything else is a leftover of
+    # a replaced path
+    top_level = [
+        node
+        for path in (ROOT / "src" / "masslin").glob("*.py")
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    private = {
+        node.name
+        for node in top_level
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    }
+    called = set()
+    for stmt in top_level:
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(stmt)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        called |= names - {getattr(stmt, "name", None)}
+    assert private - called == set()
+
+
 class TestIntegerKernel:
     def test_simple_relation(self):
         basis = integer_kernel_basis([(1, 1, 0)], 3)

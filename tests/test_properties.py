@@ -15,11 +15,16 @@ from masslin import (
     blowdown,
     blowup,
     center_of_mass,
+    double_expansion,
     equivalence_classes,
+    expansion,
     fully_mass_linear_test,
     mass_linear_test,
+    recognize_double_expansion,
+    recognize_expansion,
     restrict_to_face,
 )
+from masslin.recognize import certificate_holds, reconstruct
 from _suite import combine_conormals, report_for, suite_pairs, suite_polytopes
 
 
@@ -105,6 +110,20 @@ class TestRestriction:
         assert seen >= 10
 
 
+def _draw_unimodular(data, n):
+    """A product of one to three elementary row operations."""
+    T = [[Fr(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        c = data.draw(st.integers(-2, 2))
+        if i == j:
+            continue
+        for col in range(n):
+            T[i][col] += c * T[j][col]
+    return T
+
+
 class TestEquivariance:
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
@@ -130,16 +149,7 @@ class TestEquivariance:
     @settings(max_examples=20, deadline=None)
     def test_lattice_map(self, data):
         pair = data.draw(st.sampled_from(_small_pairs()))
-        n = pair.poly.dim
-        T = [[Fr(i == j) for j in range(n)] for i in range(n)]
-        for _ in range(data.draw(st.integers(1, 3))):
-            i = data.draw(st.integers(0, n - 1))
-            j = data.draw(st.integers(0, n - 1))
-            c = data.draw(st.integers(-2, 2))
-            if i == j:
-                continue
-            for col in range(n):
-                T[i][col] += c * T[j][col]
+        T = _draw_unimodular(data, pair.poly.dim)
         mapped = pair.poly.apply_lattice_map(T)
         newH = tuple(_dot(row, pair.H) for row in T)
         rep0 = report_for(pair)
@@ -220,3 +230,39 @@ class TestBlowupRoundTrip:
         assert report.polytope == poly
         shifted = tuple(i + 1 for i in sorted(I))
         assert shifted == report.index_set or shifted in report.alternatives
+
+
+class TestMovedExpansions:
+    """An expansion or double expansion of a small suite core, moved by
+    a unimodular map, a translation and a facet permutation, is still
+    recognized by a certificate that holds and rebuilds the recovered
+    core's own expansion."""
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_recognized_after_moving(self, data):
+        cores = [sp.poly for sp in suite_polytopes() if sp.poly.dim <= 3]
+        core = data.draw(st.sampled_from([c for c in cores if c.n_facets <= 6]))
+        facets = st.integers(0, core.n_facets - 1)
+        if data.draw(st.booleans()):
+            fold = data.draw(st.sampled_from((1, 2)))
+            poly = expansion(core, data.draw(facets), fold)
+            recognize = recognize_expansion
+        else:
+            j1 = data.draw(facets)
+            j2 = data.draw(facets.filter(lambda j: j != j1))
+            poly = double_expansion(core, j1, j2)
+            recognize = recognize_double_expansion
+        n = poly.dim
+        moved = poly.apply_lattice_map(_draw_unimodular(data, n))
+        moved = moved.translate(data.draw(st.tuples(*[st.integers(-3, 3)] * n)))
+        moved = moved.permute_facets(data.draw(st.permutations(range(poly.n_facets))))
+        cert = recognize(moved)
+        assert cert is not None
+        assert certificate_holds(moved, cert)
+        assert cert.core.dim + cert.fold == n
+        if cert.family == "expansion":
+            rebuilt = expansion(cert.core, cert.core_expanded[0], cert.fold)
+        else:
+            rebuilt = double_expansion(cert.core, *cert.core_expanded)
+        assert reconstruct(cert) == rebuilt

@@ -8,6 +8,7 @@ the edge F2 cap F4 cap G1, where the same functional is essential.
 """
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
@@ -154,6 +155,53 @@ class TestSegmentBundle:
         lumpy = HPolytope(2, ((-1, 0), (0, -1), (1, 2)), (0, 0, 2))
         with pytest.raises(PolytopeError, match="smooth"):
             recognize_bundle_over_segment(lumpy)
+
+
+class TestCertificateHolds:
+    """certificate_holds compares mapped facet data with the rebuilt
+    polytope; the golden Y3 bundle's segment-bundle certificate."""
+
+    def golden(self):
+        poly, _ = twisted_pair()
+        cert = recognize_bundle_over_segment(poly)
+        assert cert.params is not None
+        return poly, cert
+
+    def test_builds_only_the_constructor_output(self, monkeypatch):
+        poly, cert = self.golden()
+        built = []
+        post_init = HPolytope.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(HPolytope, "__post_init__", counting)
+        assert certificate_holds(poly, cert)
+        # the one build is reconstruct(cert), equal to the input here
+        assert built == [poly]
+
+    def test_tampered_translation_fails(self):
+        poly, cert = self.golden()
+        assert not certificate_holds(poly, replace(cert, translation=(1, 0, 0, 0)))
+
+    def test_swapped_facet_order_fails(self):
+        poly, cert = self.golden()
+        order = list(cert.facet_order)
+        order[0], order[4] = order[4], order[0]
+        assert not certificate_holds(poly, replace(cert, facet_order=tuple(order)))
+
+    def test_non_unimodular_transform_raises(self):
+        poly, cert = self.golden()
+        T = ((2, 0, 0, 0),) + tuple(cert.transform[1:])
+        with pytest.raises(PolytopeError, match="lattice map must be unimodular"):
+            certificate_holds(poly, replace(cert, transform=T))
+
+    def test_order_that_is_no_permutation_raises(self):
+        poly, cert = self.golden()
+        order = (0,) + cert.facet_order[:-1]
+        with pytest.raises(PolytopeError, match="order must be a permutation"):
+            certificate_holds(poly, replace(cert, facet_order=order))
 
 
 def test_face_slice_takes_face_or_index_set():
