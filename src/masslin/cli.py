@@ -61,7 +61,7 @@ from .masslinear import (
 )
 from .measure import skeleton_barycenter
 from .polytope import HPolytope
-from .recognize import classify4d, replay_trace
+from .recognize import classify4d
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,8 @@ def fmt_frac(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    if isinstance(s, int):
+    # type, not isinstance: JSON true is a bool, and bool subclasses int
+    if type(s) is int:
         return Fraction(s)
     if isinstance(s, str):
         try:
@@ -125,6 +126,8 @@ def document_to_polytope(data) -> HPolytope:
     for key in ("dim", "facets"):
         if key not in data:
             raise PolytopeError(f"polytope document lacks the {key!r} field")
+    if type(data["dim"]) is not int:
+        raise PolytopeError("dim must be an integer")
     facets = data["facets"]
     if not isinstance(facets, list) or not facets:
         raise PolytopeError("facets must be a non-empty list")
@@ -133,9 +136,7 @@ def document_to_polytope(data) -> HPolytope:
         if not isinstance(f, dict) or "normal" not in f or "kappa" not in f:
             raise PolytopeError(f"facet {i} needs normal and kappa fields")
         normal = f["normal"]
-        if not isinstance(normal, list) or not all(
-            isinstance(c, int) for c in normal
-        ):
+        if not isinstance(normal, list) or not all(type(c) is int for c in normal):
             raise PolytopeError(f"facet {i} normal must be a list of integers")
         conormals.append(tuple(normal))
         support.append(parse_frac(f["kappa"]))
@@ -144,7 +145,7 @@ def document_to_polytope(data) -> HPolytope:
     if labels and len(labels) != len(facets):
         raise PolytopeError("either every facet carries a label or none does")
     return HPolytope(
-        int(data["dim"]),
+        data["dim"],
         tuple(conormals),
         tuple(support),
         tuple(labels),
@@ -292,21 +293,16 @@ def check_document(poly: HPolytope, H, seed=None) -> dict:
 
 def classify_document(poly: HPolytope, H, with_stages=False) -> dict:
     result = classify4d(poly, H)
-    stages = [result.terminal]
-    for step in reversed(result.trace):
-        stages.insert(0, replay_trace(stages[0], [step]))
-    trace = []
-    for k, step in enumerate(result.trace):
-        stage = stages[k]
-        trace.append(
-            {
-                "removed": step.label,
-                "position": step.facet,
-                "face": [stage.labels[i] for i in step.index_set],
-                "epsilon": fmt_frac(step.epsilon),
-                "tag": step.tag,
-            }
-        )
+    trace = [
+        {
+            "removed": step.label,
+            "position": step.facet,
+            "face": [stage.labels[i] for i in step.index_set],
+            "epsilon": fmt_frac(step.epsilon),
+            "tag": step.tag,
+        }
+        for step, stage in zip(result.trace, result.stages)
+    ]
     doc = {
         "command": "classify",
         "polytope": poly.name,
@@ -324,7 +320,7 @@ def classify_document(poly: HPolytope, H, with_stages=False) -> dict:
         "detail": result.detail,
     }
     if with_stages:
-        doc["stages"] = [polytope_to_document(p) for p in stages]
+        doc["stages"] = [polytope_to_document(p) for p in result.stages]
     return doc
 
 
@@ -600,8 +596,7 @@ def construct(family: str, params, name, fmt: str):
     if name is None:
         tokens = " ".join(sorted(params))
         name = f"{family} {tokens}" if tokens else family
-    poly = HPolytope(poly.dim, poly.conormals, poly.support, poly.labels, name)
-    emit(polytope_to_document(poly), fmt)
+    emit({**polytope_to_document(poly), "name": name}, fmt)
 
 
 @cli.command(name="blowup")

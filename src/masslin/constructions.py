@@ -358,6 +358,11 @@ def blowup(poly: HPolytope, face_indices, eps=None) -> HPolytope:
     the exceptional facet is placed first.  eps defaults to half the largest
     admissible value.
     """
+    return _blowup(poly, face_indices, eps, 0, _exceptional_label(poly.labels))
+
+
+def _blowup(poly: HPolytope, face_indices, eps, at: int, label: str) -> HPolytope:
+    """blowup, with the exceptional facet inserted at position at as label."""
     if not poly.is_smooth():
         raise PolytopeError("blowup requires a smooth polytope")
     I = sorted(set(face_indices))
@@ -393,9 +398,9 @@ def blowup(poly: HPolytope, face_indices, eps=None) -> HPolytope:
         )
     out = HPolytope(
         poly.dim,
-        (eta0,) + poly.conormals,
-        (ksum - eps,) + poly.support,
-        (_exceptional_label(poly.labels),) + poly.labels,
+        poly.conormals[:at] + (eta0,) + poly.conormals[at:],
+        poly.support[:at] + (ksum - eps,) + poly.support[at:],
+        poly.labels[:at] + (label,) + poly.labels[at:],
         poly.name,
     )
     if not out.is_smooth():
@@ -407,9 +412,11 @@ def blowup(poly: HPolytope, face_indices, eps=None) -> HPolytope:
 class BlowdownReport:
     """Outcome of a blowdown attempt.
 
-    ok=True: polytope is the relaxed polytope (facet removed), index_set the
-    recovered fiber facets in the input's indexing, epsilon the cut depth,
-    alternatives any other index sets that also satisfy every condition.
+    ok=True: polytope is the relaxed polytope (facet removed, labels kept),
+    index_set the recovered fiber facets in the input's indexing, epsilon
+    the cut depth, alternatives any other index sets that also satisfy
+    every condition.  Blowing polytope up along index_set (shifted past
+    the facet) by epsilon gives the input with the facet moved first.
     ok=False: failed_condition names the first violated requirement -
     "bundle structure" (the facet is no simplex-bundle), "conormal sum"
     (no fiber set sums to the facet conormal), or "face pattern" (removing
@@ -474,9 +481,10 @@ def _drop_facet(poly: HPolytope, e: int) -> HPolytope:
 def blowdown(poly: HPolytope, facet: int = 0) -> BlowdownReport:
     """Try to undo a blowup whose exceptional facet is the given one.
 
-    Candidate fiber sets are enumerated from the facet's bundle structures;
-    each surviving candidate is verified by an exact round trip.  Failure is
-    an outcome, not an error.
+    Candidate fiber sets come from the facet's bundle structures and must
+    sum to its conormal; the facet is dropped once, the only build, and a
+    candidate holds when every vertex the drop creates lies on its face,
+    which makes it an exact inverse of blowup.  Failure is an outcome.
     """
     if not poly.is_smooth():
         raise PolytopeError("blowdown requires a smooth polytope")
@@ -513,16 +521,15 @@ def blowdown(poly: HPolytope, facet: int = 0) -> BlowdownReport:
             detail=f"no fiber set of facet {poly.labels[e]} has conormals "
             "summing to its conormal",
         )
-    valid: list[tuple[tuple[int, ...], HPolytope, Fraction]] = []
+    try:
+        bar = _drop_facet(poly, e)
+        bar_vertices = bar.vertices
+    except PolytopeError as exc:
+        detail = f"relaxing facet {poly.labels[e]} fails: {exc}"
+        return BlowdownReport(ok=False, failed_condition="face pattern", detail=detail)
+    valid: list[tuple[tuple[int, ...], Fraction]] = []
     first_detail = ""
     for I in summed:
-        try:
-            bar = _drop_facet(poly, e)
-            bar_vertices = bar.vertices
-        except PolytopeError as exc:
-            if not first_detail:
-                first_detail = f"relaxing facet {poly.labels[e]} fails: {exc}"
-            continue
         escaped = None
         planes = [poly.conormals[i] for i in I]
         offsets = [poly.support[i] for i in I]
@@ -549,30 +556,24 @@ def blowdown(poly: HPolytope, facet: int = 0) -> BlowdownReport:
             raise StructuralInconsistency(
                 "all blowdown conditions hold but the relaxed polytope is not smooth"
             )
-        shifted = tuple(i - 1 if i > e else i for i in I)
-        order = [e] + [i for i in range(poly.n_facets) if i != e]
-        if blowup(bar, shifted, eps) != poly.permute_facets(order):
-            if not first_detail:
-                names = ", ".join(poly.labels[i] for i in I)
-                first_detail = (
-                    f"cutting the relaxed polytope along {names} does not "
-                    "reproduce the input"
-                )
-            continue
-        valid.append((tuple(I), bar, eps))
+        # bar blown up along I by eps is poly with facet e first: the cut
+        # is (eta_e, kappa_e), and no check of blowup can fail, since a
+        # vertex of bar off F_I with <eta_e, v> = kappa_e would make poly
+        # non-simple
+        valid.append((tuple(I), eps))
     if not valid:
         return BlowdownReport(
             ok=False,
             failed_condition="face pattern",
             detail=first_detail or "removing the facet changes distant incidences",
         )
-    (I0, bar0, eps0) = valid[0]
+    (I0, eps0) = valid[0]
     return BlowdownReport(
         ok=True,
-        polytope=bar0,
+        polytope=bar,
         index_set=I0,
         epsilon=eps0,
-        alternatives=tuple(I for I, _, _ in valid[1:]),
+        alternatives=tuple(I for I, _ in valid[1:]),
     )
 
 
@@ -739,11 +740,7 @@ def _corner_cut_polygon(k: int) -> HPolytope:
     order, each new edge between its predecessor and e1."""
     p = HPolytope(2, ((-1, 0), (0, -1), (1, 1)), (0, 0, 1), ("e1", "e2", "e3"))
     for j in range(4, k + 1):
-        prev = f"e{j - 1}"
-        bl = blowup(p, (p.label_index(prev), p.label_index("e1")))
-        order = [bl.label_index(f"e{m}") for m in range(1, j)] + [0]
-        p = bl.permute_facets(order)
-        p = HPolytope(2, p.conormals, p.support, p.labels[:-1] + (f"e{j}",))
+        p = _blowup(p, (j - 2, 0), None, p.n_facets, f"e{j}")
     return p
 
 

@@ -41,6 +41,7 @@ from .constructions import (
     Bundle121Spec,
     D2PolygonBundleSpec,
     YkBundleSpec,
+    _blowup,
     blowdown,
     blowup,
     bundle_121,
@@ -672,6 +673,9 @@ class ClassificationResult:
     polytope matching both a2 and a3 is reported as a2 with the a3
     certificate here).  detail explains unclassified outcomes.
 
+    stages are the polytopes walked, the input first and the terminal
+    last; trace[k] was applied to stages[k].
+
     terminal_recognition names the terminal polytope's constructor
     shape without reference to the functional (see TerminalRecognition),
     or is None when no shape matches.  For a1 / a2 / a3 it holds the
@@ -690,6 +694,7 @@ class ClassificationResult:
     alternatives: tuple[tuple[str, RecognitionCertificate], ...]
     detail: str = ""
     terminal_recognition: TerminalRecognition | None = None
+    stages: tuple[HPolytope, ...] = ()
 
 
 def _is_edge_type(poly: HPolytope, report: MassLinearReport, i, j, g) -> bool:
@@ -754,16 +759,11 @@ def _first_blowdown(cur: HPolytope, cur_report: MassLinearReport, Hv):
 
 def replay_trace(terminal: HPolytope, trace) -> HPolytope:
     """Apply the recorded blowdowns in reverse as blowups, restoring
-    each removed facet at its original position with its label."""
+    each removed facet at its original position with its label, one
+    build per step, with every check of ``blowup``."""
     cur = terminal
     for step in reversed(tuple(trace)):
-        e = step.facet
-        up = blowup(cur, step.face, step.epsilon)
-        order = list(range(1, e + 1)) + [0] + list(range(e + 1, up.n_facets))
-        up = up.permute_facets(order)
-        labels = list(up.labels)
-        labels[e] = step.label
-        cur = HPolytope(up.dim, up.conormals, up.support, tuple(labels), up.name)
+        cur = _blowup(cur, step.face, step.epsilon, step.facet, step.label)
     return cur
 
 
@@ -789,16 +789,18 @@ def classify4d(poly: HPolytope, H) -> ClassificationResult:
     if all(x == 0 for x in Hv):
         return ClassificationResult(
             "zero", (), poly, report, is_inessential(poly, Hv), None, (),
-            "the zero functional", _recognize_terminal(poly),
+            "the zero functional", _recognize_terminal(poly), (poly,),
         )
     witness = is_inessential(poly, Hv)
     if witness is not None:
         return ClassificationResult(
             "inessential", (), poly, report, witness, None, (),
             "functional is inessential on the input", _recognize_terminal(poly),
+            (poly,),
         )
     cur, cur_report = poly, report
     trace: list[BlowdownStep] = []
+    stages = [poly]
     while True:
         rec = recognize_type(cur, Hv)
         if rec.tags:
@@ -818,6 +820,7 @@ def classify4d(poly: HPolytope, H) -> ClassificationResult:
             break
         step, cur, cur_report = found
         trace.append(step)
+        stages.append(cur)
     if tag in ("a1", "a2", "a3"):
         terminal_recognition = TerminalRecognition(cert)
     else:
@@ -832,6 +835,7 @@ def classify4d(poly: HPolytope, H) -> ClassificationResult:
         alternatives,
         detail,
         terminal_recognition,
+        tuple(stages),
     )
     rebuilt = replay_trace(result.terminal, result.trace)
     if rebuilt != poly or rebuilt.labels != poly.labels:

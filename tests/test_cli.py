@@ -7,6 +7,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from masslin.cli import (
+    classify_document,
     document_to_polytope,
     dumps,
     fmt_frac,
@@ -14,8 +15,9 @@ from masslin.cli import (
     parse_frac,
     polytope_to_document,
 )
-from masslin.constructions import YkBundleSpec, bundle_Yk, simplex
+from masslin.constructions import YkBundleSpec, blowup, bundle_Yk, simplex
 from masslin.errors import PolytopeError
+from masslin.recognize import classify4d
 
 
 def run(capsys, *argv):
@@ -77,6 +79,24 @@ class TestDocuments:
                         {"normal": [1, 1], "kappa": "1", "label": "B"},
                     ],
                 }
+            )
+        triangle = [
+            {"normal": [-1, 0], "kappa": "0"},
+            {"normal": [0, -1], "kappa": "0"},
+            {"normal": [1, 1], "kappa": "1"},
+        ]
+        document_to_polytope({"dim": 2, "facets": triangle})
+        # bool is an int subclass, so JSON true must be caught by type
+        for dim in (2.7, "2", True, None):
+            with pytest.raises(PolytopeError, match="dim must be an integer"):
+                document_to_polytope({"dim": dim, "facets": triangle})
+        with pytest.raises(PolytopeError, match="normal"):
+            document_to_polytope(
+                {"dim": 2, "facets": [{"normal": [True, 0], "kappa": "0"}] + triangle[1:]}
+            )
+        with pytest.raises(PolytopeError, match="rational"):
+            document_to_polytope(
+                {"dim": 2, "facets": triangle[:2] + [{"normal": [1, 1], "kappa": True}]}
             )
 
 
@@ -207,6 +227,20 @@ class TestPipeline:
         assert len(doc["stages"]) == 2
         assert doc["stages"][0] == json.loads(out)
         assert doc["stages"][1] == doc["terminal"]
+
+    def test_classify_builds_no_more_than_classify4d(self, builds):
+        def blown():
+            bar = bundle_Yk(YkBundleSpec(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)))
+            return blowup(blowup(bar, (1, 3, 4)), (0, 5))
+
+        first, second = blown(), blown()
+        builds.clear()
+        classify4d(first, (0, 2, 2, 0))
+        walked = len(builds)
+        builds.clear()
+        doc = classify_document(second, (0, 2, 2, 0), with_stages=True)
+        assert len(doc["stages"]) == 3
+        assert len(builds) <= walked
 
     def test_blowdown_inverts_blowup(self, capsys, bar_file, tmp_path):
         _, out, _ = run(capsys, "blowup", str(bar_file), "--face", "F1,F3", "--eps", "1/4")

@@ -450,6 +450,12 @@ class TestBlowdown:
         assert rep.epsilon == Fr(1, 2)
         assert rep.alternatives == ()
 
+    def test_ok_blowdown_builds_only_the_relaxed_polytope(self, builds):
+        B = blowup(yk(3, (-1, -1, 0), (0, 0, 0, 1, 0, 2)), (1, 3, 4))
+        builds.clear()
+        rep = blowdown(B, 0)
+        assert rep.ok and builds == [rep.polytope]
+
     def test_round_trip_simplex_edge(self):
         s = simplex(3)
         B = blowup(s, (1, 2), eps=Fr(1, 4))
@@ -536,7 +542,15 @@ class TestMinimalFamilies:
     def test_corner_cut_polygon_shape(self):
         p = _corner_cut_polygon(6)
         assert p.conormals == ((-1, 0), (0, -1), (1, 1), (0, 1), (-1, 1), (-2, 1))
+        assert p.labels == ("e1", "e2", "e3", "e4", "e5", "e6")
         assert p.is_smooth() and len(p.vertices) == 6
+
+    def test_corner_cut_polygon_builds_once_per_cut(self, builds):
+        for k in (4, 5, 7):
+            builds.clear()
+            p = _corner_cut_polygon(k)
+            # the triangle, then one polytope per cut corner
+            assert len(builds) == k - 2 and builds[-1] is p
 
     def test_a3_structure(self):
         A = minimal_family_a3(7)

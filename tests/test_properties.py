@@ -215,21 +215,37 @@ class TestBlowupRoundTrip:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_blowdown_inverts_blowup(self, data):
+        """A suite polytope, moved by a unimodular map, a translation and
+        a facet permutation and blown up with the exceptional facet at a
+        drawn position, blows down there to the moved polytope; blowing
+        that up again along the reported face by the reported depth gives
+        the blown-up polytope back, as ``blowdown`` proves without
+        building it."""
         sp = data.draw(st.sampled_from(suite_polytopes()))
-        poly = sp.poly
+        n = sp.poly.dim
+        xi = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        order = data.draw(st.permutations(range(sp.poly.n_facets)))
+        poly = sp.poly.apply_lattice_map(_draw_unimodular(data, n))
+        poly = poly.translate(xi).permute_facets(order)
         faces = [
             f.index_set
             for f in sorted(poly.face_lattice.values(), key=lambda f: sorted(f.index_set))
             if 0 <= f.dimension <= poly.dim - 2
         ]
         assume(faces)
-        I = data.draw(st.sampled_from(faces))
-        blown = blowup(poly, I)
-        report = blowdown(blown, 0)
+        I = sorted(data.draw(st.sampled_from(faces)))
+        at = data.draw(st.integers(0, poly.n_facets))
+        # facet 0 of the blowup moves to position at
+        to_at = list(range(1, at + 1)) + [0] + list(range(at + 1, poly.n_facets + 1))
+        blown = blowup(poly, I).permute_facets(to_at)
+        report = blowdown(blown, at)
         assert report.ok
-        assert report.polytope == poly
-        shifted = tuple(i + 1 for i in sorted(I))
+        assert report.polytope == poly and report.polytope.labels == poly.labels
+        shifted = tuple(i + 1 if i >= at else i for i in I)
         assert shifted == report.index_set or shifted in report.alternatives
+        face = tuple(i - 1 if i > at else i for i in report.index_set)
+        again = blowup(report.polytope, face, report.epsilon).permute_facets(to_at)
+        assert again == blown and again.labels == blown.labels
 
 
 class TestMovedExpansions:

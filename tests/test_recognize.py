@@ -167,19 +167,12 @@ class TestCertificateHolds:
         assert cert.params is not None
         return poly, cert
 
-    def test_builds_only_the_constructor_output(self, monkeypatch):
+    def test_builds_only_the_constructor_output(self, builds):
         poly, cert = self.golden()
-        built = []
-        post_init = HPolytope.__post_init__
-
-        def counting(self):
-            built.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(HPolytope, "__post_init__", counting)
+        builds.clear()
         assert certificate_holds(poly, cert)
         # the one build is reconstruct(cert), equal to the input here
-        assert built == [poly]
+        assert builds == [poly]
 
     def test_tampered_translation_fails(self):
         poly, cert = self.golden()
@@ -367,6 +360,25 @@ class TestClassify4d:
         res = classify4d(poly, H)
         rebuilt = replay_trace(res.terminal, res.trace)
         assert rebuilt == poly and rebuilt.labels == poly.labels
+
+    def test_replay_builds_one_polytope_per_step(self, builds):
+        bar, H = twisted_pair()
+        poly = blowup(blowup(bar, (1, 3, 4)), (0, 5))
+        res = classify4d(poly, H)
+        assert len(res.trace) == 2
+        builds.clear()
+        rebuilt = replay_trace(res.terminal, res.trace)
+        assert len(builds) == len(res.trace) and builds[-1] is rebuilt
+
+    def test_stages_are_the_walked_polytopes(self):
+        bar, H = twisted_pair()
+        poly = blowup(blowup(bar, (1, 3, 4)), (0, 5))
+        res = classify4d(poly, H)
+        assert res.stages[0] is poly and res.stages[-1] is res.terminal
+        assert len(res.stages) == len(res.trace) + 1
+        for k in range(len(res.trace), 0, -1):
+            up = replay_trace(res.stages[k], res.trace[k - 1:k])
+            assert up == res.stages[k - 1] and up.labels == res.stages[k - 1].labels
 
     def test_a1_terminal_is_input(self):
         poly, H = essential_yk()
