@@ -140,16 +140,22 @@ def document_to_polytope(data) -> HPolytope:
             raise PolytopeError(f"facet {i} normal must be a list of integers")
         conormals.append(tuple(normal))
         support.append(parse_frac(f["kappa"]))
-        if "label" in f and f["label"] is not None:
-            labels.append(str(f["label"]))
+        label = f.get("label")
+        if label is not None:
+            if not isinstance(label, str):
+                raise PolytopeError(f"facet {i} label must be a string")
+            labels.append(label)
     if labels and len(labels) != len(facets):
         raise PolytopeError("either every facet carries a label or none does")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise PolytopeError("name must be a string")
     return HPolytope(
         data["dim"],
         tuple(conormals),
         tuple(support),
         tuple(labels),
-        data.get("name"),
+        name,
     )
 
 

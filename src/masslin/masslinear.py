@@ -20,9 +20,19 @@ otherwise the nonzero residual of H against that span is the witness.
 A seeded pre-filter that finds the midpoint law failing at random
 chamber points is already a sound negative verdict.
 
+The spaces are cut out on the slice kappa_B = 0 of the first vertex's
+chart (``measure._slice``).  Translating by xi adds <eta_i, xi> to
+kappa_i, moves moment_k by <H, xi> * measure_k and gamma . kappa by
+<sum_i gamma_i eta_i, xi>, and leaves measure_k fixed.  So an identity
+that holds in all N variables forces H == sum_i gamma_i eta_i, and an
+identity on the slice together with that equation holds everywhere,
+every kappa being a translate of a slice point.  Each pair space is the
+kernel of the slice rows and those n rows.
+
 Facets with zero coefficient are symmetric (moving them does not move
 the pairing); the same notion is decided for non-mass-linear H by the
-per-facet identity d(moment)/dk_i * V == moment * dV/dk_i.  Negative
+per-facet identity d(moment)/dk_i * V == moment * dV/dk_i, which is
+translation invariant and so decided on the slice as well.  Negative
 answers are witness-first: an identity whose two sides differ at the
 base kappa fails, and that exact nonzero value is its certificate, so
 only the identities that hold at the base kappa are expanded
@@ -56,8 +66,10 @@ from .linalg import (
     zero_vec,
 )
 from .measure import (
-    _skeleton_at_base,
-    _skeleton_coord_polys,
+    _pairing,
+    _slice,
+    _slice_coord_polys,
+    _vertex_cones,
     direction_lattice_basis,
     moment_poly,
     param_vertices,
@@ -194,25 +206,52 @@ def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]
     """Partition facets into (symmetric, asymmetric) for H.
 
     Facet i is symmetric when the center-of-mass pairing does not depend
-    on kappa_i: the exact identity d(mu)/dk_i * V - mu * dV/dk_i == 0.
-    Works whether or not H is mass linear.  Witness-first: the identity
-    is evaluated at the base kappa, where a nonzero value proves facet i
-    asymmetric.  mu's value and partials there come from one pass over
-    its terms and V's from the memoized vertex sums; only facets whose
-    value is zero get the symbolic product.
+    on kappa_i: the exact identity F_i = d(mu)/dk_i * V - mu * dV/dk_i
+    == 0.  Works whether or not H is mass linear.  F_i is translation
+    invariant, so it is decided on the slice kappa_B = 0 from the slice
+    polynomials mu' and V'.  Off B, d/dk_i is the slice partial.  At the
+    facet B_p, the chain rule through the translation that keeps kappa
+    on the slice gives dmu/dk_{B_p} = sum_j <eta_j, w_p> dmu'/dk_j
+    - <H, w_p> V' and dV/dk_{B_p} = sum_j <eta_j, w_p> dV'/dk_j, w_p
+    being the first vertex's edge that leaves B_p.  Witness-first: F_i
+    is evaluated at the slice point of the base polytope, where it takes
+    its base value, and a nonzero value proves facet i asymmetric; only
+    facets whose value is zero get the symbolic product.
     """
     _require_smooth(poly)
-    mu = moment_poly(poly, vec(H))
-    mu0, dmu0 = mu.eval_gradient(poly.support)
-    vol0, dvol0, _ = _skeleton_at_base(poly, poly.dim)
+    Hv = vec(H)
+    n, N = poly.dim, poly.n_facets
+    B, base = _slice(poly)
+    vol, coords = _slice_coord_polys(poly, n)
+    mu = _pairing(poly, coords, Hv)
+    cone = _vertex_cones(poly)[0]
+    edges = [
+        (i, [(j, x) for j in range(N) if j not in B and (x := dot(poly.conormals[j], w))], dot(Hv, w))
+        for i, w in zip(cone.basis, cone.w)
+    ]
+
+    def on_basis(dmu: list, dvol: list, vol) -> tuple[list, list]:
+        """Fill in the partials at B from those off B; vol is V' or its
+        value, and 0 * vol the zero of the same kind."""
+        for i, mix, h in edges:
+            dmu[i] = sum((x * dmu[j] for j, x in mix), -h * vol)
+            dvol[i] = sum((x * dvol[j] for j, x in mix), 0 * vol)
+        return dmu, dvol
+
+    mu0, dmu0 = mu.eval_gradient(base)
+    vol0, dvol0 = vol.eval_gradient(base)
+    dmu0, dvol0 = on_basis(list(dmu0), list(dvol0), vol0)
     sym = set()
-    for i in range(poly.n_facets):
+    partials = None
+    for i in range(N):
         if dmu0[i] * vol0 != mu0 * dvol0[i]:
             continue
-        vol = volume_poly(poly)
-        if (mu.partial(i) * vol - mu * vol.partial(i)).is_zero():
+        if partials is None:
+            partials = on_basis([mu.partial(j) for j in range(N)], [vol.partial(j) for j in range(N)], vol)
+        dmu, dvol = partials
+        if (dmu[i] * vol - mu * dvol[i]).is_zero():
             sym.add(i)
-    return frozenset(sym), frozenset(range(poly.n_facets)) - sym
+    return frozenset(sym), frozenset(range(N)) - sym
 
 
 # chamber point pairs probed by the seeded pre-filter of mass_linear_test
@@ -577,21 +616,24 @@ def _fit(poly: HPolytope, Hv: Vec, dims: tuple[int, ...]) -> Vec | None:
 @memoize
 def _skeleton_block(poly: HPolytope, k: int) -> tuple[tuple[int, ...], ...]:
     """The rows left by fraction-free elimination of the integer system
-    of m_k(H) == (gamma . kappa) * P_k in the unknowns (H, gamma).
+    of m_k(H) == (gamma . kappa) * P_k on the slice kappa_B = 0, in the
+    unknowns (H, gamma).
 
-    The identity is one equation per monomial in kappa: column c < n
-    holds the coefficients of the k-skeleton's coordinate moment
-    int x_c, column n + i those of -kappa_i * P_k, all over one common
-    denominator.  At most n + N rows span the same row space.  The
-    k = 0 block guards that P_0 is the vertex count and every vertex
-    moment is linear in kappa, as every vertex is."""
+    The identity is one equation per monomial in the N - n slice
+    variables: column c < n holds the coefficients of the k-skeleton's
+    coordinate moment int x_c, column n + i those of -kappa_i * P_k, all
+    over one common denominator; kappa_i vanishes on the slice for i in
+    B, so those columns are zero.  At most n + N rows span the same row
+    space.  The k = 0 block guards that P_0 is the vertex count and
+    every vertex moment is linear in kappa, as every vertex is."""
     n, N = poly.dim, poly.n_facets
-    measure, coords = _skeleton_coord_polys(poly, k)
+    measure, coords = _slice_coord_polys(poly, k)
     if k == 0:
         if measure != MultiPoly.constant(N, len(poly.vertices)):
             raise StructuralInconsistency("the 0-skeleton measure is the vertex count")
         if any(sum(m) != 1 for c in coords for m, _ in c.terms):
             raise StructuralInconsistency("the vertex moment is linear in kappa")
+    B = _slice(poly)[0]
     parts = [c.as_dict() for c in coords] + [measure.as_dict()]
     D = lcm(*(x.denominator for part in parts for x in part.values()))
     rows: dict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * (n + N))
@@ -600,7 +642,8 @@ def _skeleton_block(poly: HPolytope, k: int) -> tuple[tuple[int, ...], ...]:
             rows[m][c] = int(x * D)
     for m, x in parts[n].items():
         for i in range(N):
-            rows[m[:i] + (m[i] + 1,) + m[i + 1 :]][n + i] = -int(x * D)
+            if i not in B:
+                rows[m[:i] + (m[i] + 1,) + m[i + 1 :]][n + i] = -int(x * D)
     system = list(rows.values())
     pivots, _ = _echelon(system, n + N)
     return tuple(tuple(row) for row in system[: len(pivots)])
@@ -611,9 +654,12 @@ def _pair_space(poly: HPolytope, dims: tuple[int, ...]) -> tuple[tuple[Vec, Vec]
     """Basis of the pairs (H, gamma) with m_k(H) == (gamma . kappa) * P_k
     for every k in dims: the kernel, in the reduced-echelon convention
     (which depends only on the row space), of the stacked surviving rows
-    of each k's block."""
+    of each k's slice block and the n rows of H == sum_i gamma_i eta_i,
+    which together cut out the same space as the identities in all N
+    variables."""
     n, N = poly.dim, poly.n_facets
     system = [row for k in dims for row in _skeleton_block(poly, k)]
+    system += [tuple(int(c == r) for c in range(n)) + tuple(-eta[r] for eta in poly.conormals) for r in range(n)]
     return tuple((z[:n], z[n:]) for z in int_nullspace(system, n + N))
 
 

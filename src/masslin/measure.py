@@ -19,10 +19,21 @@ iota_{v,T} being the index of the lattice of w_T in F's direction lattice
 
 the second being the xi_c-derivative of Lawrence's formula in degree 1.
 A k-skeleton needs two scalars per vertex, sums over k-subsets T, which
-``_vertex_cones`` memoizes; ``_skeleton_coord_polys`` expands them once
-per polytope and k.  Values at the base kappa (skeleton barycenters and
-the gradient of the volume) are the same vertex sums evaluated there,
-``_skeleton_at_base``, with no polynomial expanded.  ``triangulate`` and
+``_vertex_cones`` memoizes.  Values at the base kappa (skeleton
+barycenters) are the same vertex sums evaluated there,
+``_skeleton_at_base``, with no polynomial expanded.
+
+Translating the polytope by xi adds <eta_i, xi> to kappa_i.  The
+measures do not move and the moment of <H, x> moves by <H, xi> times the
+measure, so every question that compares them is settled on the slice
+kappa_B = 0, B being the facets through the first vertex: A_B is
+invertible, so each kappa is a translate of exactly one point of it.
+``_slice_coord_polys`` expands the skeleton polynomials there, once per
+polytope and k, in the N - n variables off B: at a vertex, the terms of
+L_v in kappa_B are dropped before the multinomial expansion, and the
+first vertex adds only its degree-0 term.  The public polynomials
+(``volume_poly``, ``moment_poly``, ``skeleton_measure_polys``) keep all
+N variables, from ``_skeleton_coord_polys``.  ``triangulate`` and
 ``integrate_monomial`` remain as an independent oracle for tests.
 """
 
@@ -36,7 +47,7 @@ from math import comb, factorial, lcm, prod
 from typing import NamedTuple, Sequence
 
 from .errors import PolytopeError, StructuralInconsistency
-from .linalg import Vec, int_adjugate, int_det, integer_kernel_basis, mat_vec, scaled, vec, vec_sub
+from .linalg import Vec, dot, int_adjugate, int_det, integer_kernel_basis, scaled, vec, vec_sub
 from .poly import MultiPoly
 from .polytope import Face, HPolytope, memoize
 
@@ -53,7 +64,7 @@ class ParamVertex:
     rows: tuple[Vec, ...]
 
     def at(self, kappa: Sequence) -> Vec:
-        return mat_vec(self.rows, kappa)
+        return tuple(sum((row[j] * kappa[j] for j in self.basis), Fraction(0)) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -171,14 +182,26 @@ def _lattice_index(poly: HPolytope, cone: VertexCone, T: Sequence[int]) -> Fract
     raise StructuralInconsistency("a lattice basis has an invertible minor")
 
 
-def _cone_term(poly: HPolytope, cone: VertexCone, T: Sequence[int]) -> tuple[Fraction, Vec]:
-    """The vertex's term in the face spanned by its edges T: c_{v,T} and
-    c_{v,T} sum_{j in T} w_j / q_j."""
-    iota = _lattice_index(poly, cone, T) if T and not cone.unimodular else 1
-    P = prod(cone.q[j] for j in T)
-    others = [prod(cone.q[i] for i in T if i != j) for j in T]
-    cw = (sum(cone.w[j][c] * o for j, o in zip(T, others)) for c in range(poly.dim))
-    return Fraction(iota, P), tuple(Fraction(iota * x, P * P) for x in cw)
+def _cone_sums(poly: HPolytope, cone: VertexCone, Ts) -> tuple[Fraction, Vec]:
+    """Sums over the edge sets T in Ts of the vertex's terms in the faces
+    they span: c_{v,T} and c_{v,T} sum_{j in T} w_j / q_j.
+
+    Over Q = prod_j q_j these are iota_{v,T} prod_{j not in T} q_j / Q
+    and iota_{v,T} sum_{j in T} w_j prod_{i in T - j} q_i
+    prod_{i not in T} q_i^2 / Q^2, whose numerators are integers when
+    the cone is unimodular; one division per sum ends in Fractions."""
+    n = poly.dim
+    s0, s1 = 0, [0] * n
+    for T in Ts:
+        iota = _lattice_index(poly, cone, T) if T and not cone.unimodular else 1
+        rest = prod(q for i, q in enumerate(cone.q) if i not in T)
+        s0 += iota * rest
+        for j in T:
+            f = iota * rest * rest * prod(cone.q[i] for i in T if i != j)
+            for c in range(n):
+                s1[c] += f * cone.w[j][c]
+    Q = prod(cone.q)
+    return Fraction(s0) / Q, tuple(Fraction(x) / (Q * Q) for x in s1)
 
 
 @memoize
@@ -198,8 +221,7 @@ def _vertex_cones(poly: HPolytope) -> tuple[VertexCone, ...]:
         cone = cone._replace(q=tuple(-sum(a * b for a, b in zip(xi, e)) for e in cone.w))
         if 0 in cone.q:
             raise StructuralInconsistency("xi must pair nonzero with every edge")
-        terms = [[_cone_term(poly, cone, T) for T in combinations(range(n), k)] for k in range(n + 1)]
-        sums = tuple((sum(c for c, _ in ts), tuple(map(sum, zip(*(cw for _, cw in ts))))) for ts in terms)
+        sums = tuple(_cone_sums(poly, cone, combinations(range(n), k)) for k in range(n + 1))
         out.append(cone._replace(sums=sums))
     return tuple(out)
 
@@ -207,47 +229,57 @@ def _vertex_cones(poly: HPolytope) -> tuple[VertexCone, ...]:
 @lru_cache(maxsize=None)
 def _exponents(n: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(alpha, d! / alpha!) for every alpha in N^n of total degree d."""
-    if n == 1:
-        return (((d,), 1),)
+    if n == 0:
+        return (((), 1),) if d == 0 else ()
     return tuple(((e,) + r, m * comb(d, e)) for e in range(d + 1) for r, m in _exponents(n - 1, d - e))
 
 
-def _powers(N: int, cone: VertexCone, d: int):
-    """L_v^d by the multinomial theorem: (monomial in kappa, alpha,
-    coefficient) per exponent vector alpha on the basis variables."""
-    for alpha, m in _exponents(len(cone.basis), d):
+def _powers(N: int, cone: VertexCone, d: int, drop: frozenset[int]):
+    """L_v^d with the variables in drop set to zero, by the multinomial
+    theorem: (monomial in kappa, (j, alpha_j) for each kept basis
+    position j, coefficient) per exponent vector alpha on the kept basis
+    variables."""
+    kept = [j for j, f in enumerate(cone.basis) if f not in drop]
+    for alpha, m in _exponents(len(kept), d):
         mono = [0] * N
-        for j, q, a in zip(cone.basis, cone.q, alpha):
-            mono[j] = a
-            m *= q**a
-        yield tuple(mono), alpha, m
+        for j, a in zip(kept, alpha):
+            mono[cone.basis[j]] = a
+            m *= cone.q[j] ** a
+        yield tuple(mono), zip(kept, alpha), m
 
 
-def _integrate(poly: HPolytope, k: int, terms) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
-    """Measure and coordinate moments of k-faces from vertex terms (cone, s0, s1).
+def _integrate(poly: HPolytope, k: int, terms, drop: frozenset[int] = frozenset()) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
+    """Measure and coordinate moments of k-faces from vertex terms (cone, s0, s1),
+    restricted to kappa_i = 0 for the facets i in drop.
 
     As v_c(kappa) = -sum_j w_{j,c} kappa_{basis[j]}, the coefficient of
     kappa^alpha in a vertex's moment is that of L_v^(k+1) / (k+1)! times
-    s1_c - s0 sum_j alpha_j w_{j,c} / q_j.  All scalars go over a common
-    denominator, so the sums run in integers when every vertex is smooth.
+    s1_c - s0 sum_j alpha_j w_{j,c} / q_j.  Dropped variables leave L_v
+    before the expansion, so only the terms of the restriction are
+    formed.  All scalars go over a common denominator D: with
+    D / denominator(s0) a multiple of every numerator(q_j) times
+    denominator(w_{j,c}), each D s0 w_{j,c} / q_j is an exact integer
+    quotient, so the sums run in integers.
     """
     N, n = poly.n_facets, poly.dim
     parts = []
     for cone, s0, s1 in terms:
-        b = [s0 * e[c] / q for e, q in zip(cone.w, cone.q) for c in range(n)]
-        D = lcm(*(x.denominator for x in (s0, *s1, *b)))
-        ints = [int(x * D) for x in (s0, *s1, *b)]
-        parts.append((cone, D, ints[0], ints[1:n + 1], ints[n + 1:]))
+        m = lcm(*(q.numerator * x.denominator for e, q in zip(cone.w, cone.q) for x in e))
+        D = lcm(s0.denominator * m, *(x.denominator for x in s1))
+        unit = s0.numerator * (D // s0.denominator)
+        b = [unit * e[c] // q for e, q in zip(cone.w, cone.q) for c in range(n)]
+        parts.append((cone, D, unit, [x.numerator * (D // x.denominator) for x in s1], b))
     den = lcm(*(part[1] for part in parts))
     measure, coords = {}, [{} for _ in range(n)]
     for cone, D, s0, s1, b in parts:
         scale = den // D
-        for mono, _, p in _powers(N, cone, k):
+        for mono, _, p in _powers(N, cone, k, drop):
             measure[mono] = measure.get(mono, 0) + scale * s0 * p
-        for mono, alpha, p in _powers(N, cone, k + 1):
+        for mono, alpha, p in _powers(N, cone, k + 1, drop):
             p *= scale
+            alpha = [(j * n, a) for j, a in alpha if a]
             for c, dc in enumerate(coords):
-                g = s1[c] - sum(a * b[j * n + c] for j, a in enumerate(alpha) if a)
+                g = s1[c] - sum(a * b[j + c] for j, a in alpha)
                 dc[mono] = dc.get(mono, 0) + p * g
     polys = [MultiPoly.from_dict(N, {m: Fraction(x, d) for m, x in dc.items()}) for dc, d in
              [(measure, den * factorial(k))] + [(dc, den * factorial(k + 1)) for dc in coords]]
@@ -260,14 +292,31 @@ def _face_polys(poly: HPolytope, face: Face) -> tuple[MultiPoly, tuple[MultiPoly
     vertex v of the face, T the edges at v along the face."""
     cones = [_vertex_cones(poly)[vid] for vid in face.vertex_ids]
     Ts = [[j for j, f in enumerate(cone.basis) if f not in face.index_set] for cone in cones]
-    return _integrate(poly, face.dimension, ((c, *_cone_term(poly, c, T)) for c, T in zip(cones, Ts)))
+    return _integrate(poly, face.dimension, ((c, *_cone_sums(poly, c, [T])) for c, T in zip(cones, Ts)))
 
 
 @memoize
 def _skeleton_coord_polys(poly: HPolytope, k: int) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
-    """Lattice measure of the k-skeleton and its n coordinate moments:
-    the one integration pass, once per polytope and k."""
+    """Lattice measure of the k-skeleton and its n coordinate moments in
+    all N variables, once per polytope and k."""
     return _integrate(poly, k, ((cone, *cone.sums[k]) for cone in _vertex_cones(poly)))
+
+
+@memoize
+def _slice(poly: HPolytope) -> tuple[frozenset[int], Vec]:
+    """The facets B through the first vertex v0 and the support numbers
+    kappa' = kappa - A v0 of the polytope moved by -v0, the one point of
+    the slice kappa_B = 0 on its translation orbit."""
+    v0 = poly.vertices[0].point
+    return frozenset(param_vertices(poly)[0].basis), tuple(k - dot(eta, v0) for eta, k in zip(poly.conormals, poly.support))
+
+
+@memoize
+def _slice_coord_polys(poly: HPolytope, k: int) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
+    """Lattice measure of the k-skeleton and its n coordinate moments on
+    the slice kappa_B = 0 (``_slice``): the integration pass behind every
+    pair space and symmetric facet, once per polytope and k."""
+    return _integrate(poly, k, ((cone, *cone.sums[k]) for cone in _vertex_cones(poly)), _slice(poly)[0])
 
 
 def _pairing(poly: HPolytope, coords: Sequence[MultiPoly], H: Sequence) -> MultiPoly:
@@ -359,38 +408,33 @@ def integrate_monomial(poly: HPolytope, exponents: Sequence[int]) -> Fraction:
 
 
 @memoize
-def _skeleton_at_base(poly: HPolytope, k: int) -> tuple[Fraction, Vec, Vec]:
-    """The lattice measure P_k of the k-skeleton, its kappa-gradient and
-    its n coordinate moments, all at the base kappa.
+def _skeleton_at_base(poly: HPolytope, k: int) -> tuple[Fraction, Vec]:
+    """The lattice measure P_k of the k-skeleton and its n coordinate
+    moments, both at the base kappa.
 
     They are Lawrence's vertex sums evaluated there, with no polynomial:
-    at each vertex L = sum_j q_j kappa_{basis_j}, P_k adds s0 L^k / k!,
-    dP_k/dkappa_{basis_j} adds s0 q_j L^(k-1) / (k-1)!, and int x_c adds
-    s0 v_c L^k / k! + s1_c L^(k+1) / (k+1)!, v being the vertex and
-    (s0, s1) its k-skeleton scalars."""
-    N, n = poly.n_facets, poly.dim
+    at each vertex L = sum_j q_j kappa_{basis_j}, P_k adds s0 L^k / k!
+    and int x_c adds s0 v_c L^k / k! + s1_c L^(k+1) / (k+1)!, v being
+    the vertex and (s0, s1) its k-skeleton scalars."""
+    n = poly.dim
     base = poly.support
-    total, grad, moments = Fraction(0), [Fraction(0)] * N, [Fraction(0)] * n
+    total, moments = Fraction(0), [Fraction(0)] * n
     for cone, vertex in zip(_vertex_cones(poly), poly.vertices):
         s0, s1 = cone.sums[k]
         L = sum(q * base[j] for j, q in zip(cone.basis, cone.q))
         low = L**k / factorial(k)
         high = L * low / (k + 1)
         total += s0 * low
-        if k:
-            step = s0 * L ** (k - 1) / factorial(k - 1)
-            for j, q in zip(cone.basis, cone.q):
-                grad[j] += q * step
         for c in range(n):
             moments[c] += s0 * vertex.point[c] * low + s1[c] * high
-    return total, tuple(grad), tuple(moments)
+    return total, tuple(moments)
 
 
 def skeleton_barycenter(poly: HPolytope, k: int) -> Vec:
     """Barycenter of the union of all k-faces, in the lattice measure."""
     if not 0 <= k <= poly.dim:
         raise ValueError("skeleton dimension out of range")
-    total, _, moments = _skeleton_at_base(poly, k)
+    total, moments = _skeleton_at_base(poly, k)
     if total == 0:
         raise PolytopeError("zero skeleton measure")
     return tuple(m / total for m in moments)

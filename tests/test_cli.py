@@ -98,6 +98,18 @@ class TestDocuments:
             document_to_polytope(
                 {"dim": 2, "facets": triangle[:2] + [{"normal": [1, 1], "kappa": True}]}
             )
+        # labels and names are strings or null, never converted
+        for label in (True, 1, [1], {"a": 1}):
+            labelled = [dict(f, label=str(i)) for i, f in enumerate(triangle)]
+            labelled[1]["label"] = label
+            with pytest.raises(PolytopeError, match="facet 1 label must be a string"):
+                document_to_polytope({"dim": 2, "facets": labelled})
+        for name in (True, 3, [1], {"a": 1}):
+            with pytest.raises(PolytopeError, match="name must be a string"):
+                document_to_polytope({"dim": 2, "facets": triangle, "name": name})
+        named = document_to_polytope({"dim": 2, "facets": triangle, "name": "T"})
+        assert named.name == "T"
+        assert document_to_polytope({"dim": 2, "facets": triangle, "name": None}).name is None
 
 
 class TestConstruct:

@@ -25,6 +25,7 @@ from masslin.constructions import blowup
 from masslin.errors import PolytopeError
 from masslin.linalg import dot, vec
 from masslin.masslinear import (
+    _pair_space,
     barycenter_pairings_agree,
     equivalence_classes,
     fully_mass_linear_test,
@@ -39,6 +40,7 @@ from masslin.masslinear import (
     restrict_to_face,
     symmetric_facets,
 )
+from masslin import measure
 from masslin.measure import (
     center_of_mass,
     moment_poly,
@@ -49,6 +51,7 @@ from masslin.measure import (
 from masslin.poly import MultiPoly
 from masslin.polytope import HPolytope
 from _linalg_ref import nullspace, rank, solve_linear
+from _slice_ref import full_pair_space, full_symmetric_facets
 from _suite import SuitePair, report_for, suite_pairs, suite_polytopes
 
 F = Fraction
@@ -230,7 +233,8 @@ class TestSymmetricFacets:
 
     def test_matches_symbolic_definition_on_suite(self):
         # the base-kappa witness may only skip products, never change the
-        # partition: compare with the identity expanded for every facet
+        # partition, and the slice must not either: compare with the
+        # identity expanded in all N variables for every facet
         symmetric_negatives = set()
         for pair in suite_pairs():
             poly = pair.poly
@@ -320,6 +324,48 @@ class TestSymmetricFacets:
         assert not rep.verdict and rep.asymmetric == frozenset(range(7))
         assert rrefs == []
         assert products == []
+
+
+class TestSlice:
+    """Pair spaces and symmetric facets come from the skeleton
+    polynomials on the slice kappa_B = 0; the references expand them in
+    all N support numbers.  On the whole suite, symmetric facets are
+    compared with the identity in all N variables by
+    ``TestSymmetricFacets.test_matches_symbolic_definition_on_suite``."""
+
+    def test_pair_spaces_match_full_variable_blocks_on_suite(self):
+        for sp in suite_polytopes():
+            poly = sp.poly
+            for dims in ((poly.dim,), tuple(range(poly.dim + 1))):
+                assert _pair_space(poly, dims) == full_pair_space(poly, dims), (sp.name, dims)
+
+    def test_symmetric_facets_through_the_first_vertex(self):
+        # the facets of B take the chain-rule partials: here facet 4 of
+        # B is symmetric, which only the symbolic identity decides, and
+        # facets 0 and 2 of B are asymmetric
+        poly = masslin.product(masslin.trapezoid(1), masslin.simplex(1))
+        H = (-2, 1, 0)
+        assert param_vertices(poly)[0].basis == (0, 2, 4)
+        assert not mass_linear_test(poly, H).verdict
+        expected = (frozenset({4, 5}), frozenset({0, 1, 2, 3}))
+        assert symmetric_facets(poly, H) == expected == full_symmetric_facets(poly, H)
+
+    @pytest.mark.parametrize("H", [(0, -1, 2, -3), (1, 0, 0, 0)])
+    def test_cold_check_does_not_expand_all_variables(self, monkeypatch, H):
+        calls = []
+        full = measure._skeleton_coord_polys
+
+        def counting(poly, k):
+            calls.append(k)
+            return full(poly, k)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("masslin") and getattr(mod, "_skeleton_coord_polys", None) is full:
+                monkeypatch.setattr(mod, "_skeleton_coord_polys", counting)
+        poly = bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
+        report = check_document(poly, H)
+        assert report["mass_linear"] == (H == (0, -1, 2, -3))
+        assert calls == []
 
 
 class TestEquivalenceClasses:

@@ -357,8 +357,8 @@ class TestSkeletons:
 
 class TestBaseValues:
     def test_vertex_sums_match_skeleton_polys(self):
-        # skeleton barycenters and the volume gradient at the base kappa
-        # are Lawrence's vertex sums evaluated there; the reference
+        # skeleton measures and barycenters at the base kappa are
+        # Lawrence's vertex sums evaluated there; the reference
         # evaluates the expanded skeleton polynomials
         polys = [sp.poly for sp in suite_polytopes()]
         polys += [HPolytope(2, *NON_SMOOTH_TRIANGLE), HPolytope(3, *NON_SMOOTH_TETRAHEDRON)]
@@ -368,9 +368,8 @@ class TestBaseValues:
                 measure_k, coords = _skeleton_coord_polys(poly, k)
                 total = measure_k.eval(base)
                 assert skeleton_barycenter(poly, k) == tuple(c.eval(base) / total for c in coords)
-                value, grad, moments = measure._skeleton_at_base(poly, k)
+                value, moments = measure._skeleton_at_base(poly, k)
                 assert value == total and moments == tuple(c.eval(base) for c in coords)
-                assert grad == tuple(measure_k.partial(i).eval(base) for i in range(poly.n_facets))
             vol = volume_poly(poly)
             assert vol.eval_gradient(base) == (
                 vol.eval(base), tuple(vol.partial(i).eval(base) for i in range(poly.n_facets))
@@ -412,6 +411,15 @@ class TestMemo:
         after_one = _stored_entries(poly)
         for H in functionals[1:]:
             check_document(poly, H)
+        assert _stored_entries(poly) == after_one
+
+    def test_memo_complete_after_a_mass_linear_check(self):
+        # a negative check after a positive one needs nothing new: the
+        # symmetric facets come from the slice pass the pair spaces built
+        poly = bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
+        assert check_document(poly, (0, -1, 2, -3))["mass_linear"]
+        after_one = _stored_entries(poly)
+        assert not check_document(poly, (1, 0, 0, 0))["mass_linear"]
         assert _stored_entries(poly) == after_one
 
 

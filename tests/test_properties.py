@@ -24,7 +24,9 @@ from masslin import (
     recognize_expansion,
     restrict_to_face,
 )
+from masslin.masslinear import _pair_space, symmetric_facets
 from masslin.recognize import certificate_holds, reconstruct
+from _linalg_ref import rank
 from _suite import combine_conormals, report_for, suite_pairs, suite_polytopes
 
 
@@ -124,6 +126,14 @@ def _draw_unimodular(data, n):
     return T
 
 
+def _same_span(a, b):
+    return rank(a) == rank(b) == rank(list(a) + list(b))
+
+
+def _dims(poly):
+    return (poly.dim,), tuple(range(poly.dim + 1))
+
+
 class TestEquivariance:
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
@@ -171,6 +181,34 @@ class TestEquivariance:
         assert rep1.asymmetric == frozenset(
             order.index(i) for i in rep0.asymmetric
         )
+
+    # pair spaces and symmetric facets are decided on the slice
+    # kappa_B = 0 of the first vertex's chart: a lattice map can make
+    # another vertex first, and so change B, and a translation moves
+    # the base polytope's point on the slice; neither may change them
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_slice_translation(self, data):
+        pair = data.draw(st.sampled_from(suite_pairs()))
+        poly = pair.poly
+        xi = data.draw(st.tuples(*[st.integers(-3, 3) for _ in range(poly.dim)]))
+        moved = poly.translate(xi)
+        for dims in _dims(poly):
+            assert _pair_space(moved, dims) == _pair_space(poly, dims)
+        assert symmetric_facets(moved, pair.H) == symmetric_facets(poly, pair.H)
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_slice_lattice_map(self, data):
+        pair = data.draw(st.sampled_from(suite_pairs()))
+        poly = pair.poly
+        T = _draw_unimodular(data, poly.dim)
+        mapped = poly.apply_lattice_map(T)
+        for dims in _dims(poly):
+            expected = [tuple(_dot(row, H) for row in T) + gamma for H, gamma in _pair_space(poly, dims)]
+            assert _same_span([H + gamma for H, gamma in _pair_space(mapped, dims)], expected)
+        newH = tuple(_dot(row, pair.H) for row in T)
+        assert symmetric_facets(mapped, newH) == symmetric_facets(poly, pair.H)
 
 
 class TestBalancedCombinations:
