@@ -14,11 +14,9 @@ closed-form coefficient spaces of the bundle families).
 
 Exit codes: 0 success, 1 usage errors, 2 domain errors (malformed
 documents, invariant violations, impossible operations); domain errors
-print one machine-readable JSON object.  --seed feeds the randomized
-rejection pre-filter inside the mass linearity test; verdicts are
-always confirmed symbolically and never depend on it.  check and
-classify also accept a directory of *.polytope.json files, processed in
-name order; --jobs parallelizes that batch.
+print one machine-readable JSON object.  check and classify also accept
+a directory of *.polytope.json files, processed in name order; --jobs
+parallelizes that batch.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import click
@@ -264,8 +263,8 @@ def domain_guard(fn):
 # report documents
 
 
-def check_document(poly: HPolytope, H, seed=None) -> dict:
-    report = mass_linear_test(poly, H, seed=seed)
+def check_document(poly: HPolytope, H) -> dict:
+    report = mass_linear_test(poly, H)
     eq = equivalence_classes(poly)
     witness = is_inessential(poly, H)
     full = fully_mass_linear_test(poly, H)
@@ -507,13 +506,13 @@ def _batch_paths(directory: Path) -> list[Path]:
 
 
 def _batch_worker(args) -> dict:
-    """One file's report: document is check_document or
-    classify_document, and extra its third positional argument."""
-    document, path_str, h_str, extra = args
+    """One file's report: document is check_document or a partial of
+    classify_document, called with the polytope and H."""
+    document, path_str, h_str = args
     path = Path(path_str)
     try:
         poly = load_polytope(path)
-        doc = document(poly, parse_vector(h_str), extra)
+        doc = document(poly, parse_vector(h_str))
     except DOMAIN_ERRORS as exc:
         return {
             "file": path.name,
@@ -522,8 +521,8 @@ def _batch_worker(args) -> dict:
     return {"file": path.name, **doc}
 
 
-def run_batch(document, directory: Path, h_str: str, extra, jobs: int) -> list[dict]:
-    args = [(document, str(p), h_str, extra) for p in _batch_paths(directory)]
+def run_batch(document, directory: Path, h_str: str, jobs: int) -> list[dict]:
+    args = [(document, str(p), h_str) for p in _batch_paths(directory)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_batch_worker, args))
@@ -559,18 +558,17 @@ def cli():
 @cli.command()
 @click.argument("polytope", type=click.Path(exists=True, path_type=Path))
 @click.option("-H", "--functional", "h_str", required=True, help="H as c1,c2,...")
-@click.option("--seed", type=int, default=None, help="pre-filter sample seed")
 @click.option("--jobs", type=int, default=1, show_default=True)
 @FORMAT
 @domain_guard
-def check(polytope: Path, h_str: str, seed, jobs: int, fmt: str):
+def check(polytope: Path, h_str: str, jobs: int, fmt: str):
     """Smoothness, mass linearity, partitions, and barycenter pairings."""
     if polytope.is_dir():
-        reports = run_batch(check_document, polytope, h_str, seed, jobs)
+        reports = run_batch(check_document, polytope, h_str, jobs)
         emit_batch("check-batch", reports, fmt)
         return
     poly = load_polytope(polytope)
-    emit(check_document(poly, parse_vector(h_str), seed=seed), fmt)
+    emit(check_document(poly, parse_vector(h_str)), fmt)
 
 
 @cli.command()
@@ -583,7 +581,7 @@ def check(polytope: Path, h_str: str, seed, jobs: int, fmt: str):
 def classify(polytope: Path, h_str: str, with_stages: bool, jobs: int, fmt: str):
     """Blow down to a terminal model and name its family."""
     if polytope.is_dir():
-        reports = run_batch(classify_document, polytope, h_str, with_stages, jobs)
+        reports = run_batch(partial(classify_document, with_stages=with_stages), polytope, h_str, jobs)
         emit_batch("classify-batch", reports, fmt)
         return
     poly = load_polytope(polytope)

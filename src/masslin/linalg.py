@@ -51,11 +51,6 @@ def mat_vec(A: Sequence[Sequence], x: Sequence) -> Vec:
     return tuple(dot(row, x) for row in A)
 
 
-def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Mat:
-    columns = tuple(zip(*B))
-    return tuple(tuple(dot(row, col) for col in columns) for row in A)
-
-
 def int_vec(v: Sequence) -> IntVec:
     out = []
     for e in v:

@@ -17,8 +17,6 @@ chamber-wide verdict: H passes exactly when it lies in the span of the
 H parts, gamma is then the same combination of the gamma parts (unique,
 because the products kappa_i * measure_k are independent), and
 otherwise the nonzero residual of H against that span is the witness.
-A seeded pre-filter that finds the midpoint law failing at random
-chamber points is already a sound negative verdict.
 
 The spaces are cut out on the slice kappa_B = 0 of the first vertex's
 chart (``measure._slice``).  Translating by xi adds <eta_i, xi> to
@@ -44,7 +42,6 @@ elimination and no polynomial product.
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,10 +68,8 @@ from .measure import (
     _slice_coord_polys,
     _vertex_cones,
     direction_lattice_basis,
-    moment_poly,
-    param_vertices,
     skeleton_barycenter,
-    volume_poly,
+    volume_poly,  # unused here; perfbench's tracer test reads it from this module
 )
 from .poly import MultiPoly
 from .polytope import Face, HPolytope, memoize
@@ -83,13 +78,6 @@ from .polytope import Face, HPolytope, memoize
 def _require_smooth(poly: HPolytope) -> None:
     if not poly.is_smooth():
         raise PolytopeError("mass linearity analysis requires a smooth polytope")
-
-
-def _hhat(poly: HPolytope, mu: MultiPoly, vol: MultiPoly, kappa) -> Fraction:
-    v = vol.eval(kappa)
-    if v == 0:
-        raise PolytopeError("zero volume inside chamber box")
-    return mu.eval(kappa) / v
 
 
 @dataclass(frozen=True)
@@ -254,21 +242,14 @@ def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]
     return frozenset(sym), frozenset(range(N)) - sym
 
 
-# chamber point pairs probed by the seeded pre-filter of mass_linear_test
-_PREFILTER_TRIALS = 8
-
-
-def mass_linear_test(poly: HPolytope, H, seed: int | None = None) -> MassLinearReport:
+def mass_linear_test(poly: HPolytope, H) -> MassLinearReport:
     """Decide whether the center-of-mass pairing of H is linear in kappa.
 
-    The verdict always comes from exact algebra, read off the memoized
-    reduced echelon form of ``ml_space``: its rows R_p, one per pivot
-    column p of the H part, give the combination sum_p H[p] * R_p, whose
-    H part equals H exactly when H is mass linear; its gamma part is then
-    gamma, and otherwise the nonzero difference is the witness.  A seed
-    turns on a randomized pre-filter probing the midpoint law of
-    kappa -> <H, c> at chamber points; it can only reject nonlinear
-    pairings early, never change a verdict.
+    The verdict comes from exact algebra, read off the memoized reduced
+    echelon form of ``ml_space``: its rows R_p, one per pivot column p of
+    the H part, give the combination sum_p H[p] * R_p, whose H part
+    equals H exactly when H is mass linear; its gamma part is then
+    gamma, and otherwise the nonzero difference is the witness.
     """
     _require_smooth(poly)
     Hv = vec(H)
@@ -277,29 +258,7 @@ def mass_linear_test(poly: HPolytope, H, seed: int | None = None) -> MassLinearR
         raise ValueError("functional has wrong dimension")
     N = poly.n_facets
     base = poly.support
-
-    linear = True
-    if seed is not None:
-        mu = moment_poly(poly, Hv)
-        vol = volume_poly(poly)
-        rng = random.Random(seed)
-        radius = poly.chamber_radius()
-
-        def sample():
-            return tuple(
-                k + radius[i] * Fraction(rng.randint(-8, 8), 16)
-                for i, k in enumerate(base)
-            )
-
-        for _ in range(_PREFILTER_TRIALS):
-            p, q = sample(), sample()
-            mid = tuple((a + b) / 2 for a, b in zip(p, q))
-            left = 2 * _hhat(poly, mu, vol, mid)
-            if left != _hhat(poly, mu, vol, p) + _hhat(poly, mu, vol, q):
-                linear = False
-                break
-
-    gamma_t = _fit(poly, Hv, (n,)) if linear else None
+    gamma_t = _fit(poly, Hv, (n,))
 
     if gamma_t is not None:
         if sum(gamma_t, Fraction(0)) != 0:
@@ -422,6 +381,8 @@ def is_inessential(poly: HPolytope, H) -> InessentialWitness | None:
     echelon solution, read through ``_inessential_echelon``."""
     _require_smooth(poly)
     Hv = vec(H)
+    if len(Hv) != poly.dim:
+        raise ValueError("functional has wrong dimension")
     pivots, E = _inessential_echelon(poly)
 
     def image(row: Vec) -> Fraction:
@@ -538,14 +499,17 @@ def generating_vector(
     Exists only for mass linear H (returns None otherwise, and None when
     the overdetermined system has no solution).  The conormals at the
     first vertex form an invertible A_v, so the only candidate is
-    xi = A_v^{-1} gamma_B, read off the memoized vertex map; every
-    equation is then checked.
+    xi = A_v^{-1} gamma_B = -sum_j gamma_{B_j} w_j, w_j being the edges
+    of the first vertex cone; every equation is then checked.
     """
     if report is None:
         report = mass_linear_test(poly, H)
     if not report.verdict:
         return None
-    xi = param_vertices(poly)[0].at(report.gamma)
+    cone = _vertex_cones(poly)[0]
+    xi = tuple(
+        -sum((report.gamma[f] * e[c] for f, e in zip(cone.basis, cone.w)), Fraction(0)) for c in range(poly.dim)
+    )
     if any(dot(eta, xi) != g for eta, g in zip(poly.conormals, report.gamma)):
         return None
     return xi

@@ -19,9 +19,7 @@ iota_{v,T} being the index of the lattice of w_T in F's direction lattice
 
 the second being the xi_c-derivative of Lawrence's formula in degree 1.
 A k-skeleton needs two scalars per vertex, sums over k-subsets T, which
-``_vertex_cones`` memoizes.  Values at the base kappa (skeleton
-barycenters) are the same vertex sums evaluated there,
-``_skeleton_at_base``, with no polynomial expanded.
+``_vertex_cones`` memoizes.
 
 Translating the polytope by xi adds <eta_i, xi> to kappa_i.  The
 measures do not move and the moment of <H, x> moves by <H, xi> times the
@@ -31,9 +29,11 @@ invertible, so each kappa is a translate of exactly one point of it.
 ``_slice_coord_polys`` expands the skeleton polynomials there, once per
 polytope and k, in the N - n variables off B: at a vertex, the terms of
 L_v in kappa_B are dropped before the multinomial expansion, and the
-first vertex adds only its degree-0 term.  The public polynomials
-(``volume_poly``, ``moment_poly``, ``skeleton_measure_polys``) keep all
-N variables, from ``_skeleton_coord_polys``.  ``triangulate`` and
+first vertex adds only its degree-0 term.  Skeleton barycenters are
+those polynomials evaluated at the slice point of the polytope, moved
+back by the first vertex.  Only the public polynomials (``volume_poly``,
+``moment_poly``, ``skeleton_measure_polys``) keep all N variables, from
+``_skeleton_coord_polys``.  ``triangulate`` and
 ``integrate_monomial`` remain as an independent oracle for tests.
 """
 
@@ -53,48 +53,11 @@ from .polytope import Face, HPolytope, memoize
 
 
 @dataclass(frozen=True)
-class ParamVertex:
-    """A vertex as a linear map kappa -> point.
-
-    rows is an n x N rational matrix supported on the columns of the
-    vertex basis; evaluating at the base kappa reproduces the vertex.
-    """
-
-    basis: tuple[int, ...]
-    rows: tuple[Vec, ...]
-
-    def at(self, kappa: Sequence) -> Vec:
-        return tuple(sum((row[j] * kappa[j] for j in self.basis), Fraction(0)) for row in self.rows)
-
-
-@dataclass(frozen=True)
 class Triangulation:
     """Simplices as vertex-id tuples, orientation signs frozen at base kappa."""
 
     simplices: tuple[tuple[int, ...], ...]
     signs: tuple[int, ...]
-
-
-@memoize
-def param_vertices(poly: HPolytope) -> tuple[ParamVertex, ...]:
-    out = []
-    N = poly.n_facets
-    for v in poly.vertices:
-        basis = tuple(sorted(v.basis))
-        d, adj = int_adjugate([poly.conormals[j] for j in basis])
-        if d == 0:
-            raise StructuralInconsistency("vertex conormals must be invertible")
-        rows = []
-        for r in range(poly.dim):
-            row = [Fraction(0)] * N
-            for pos, j in enumerate(basis):
-                row[j] = Fraction(adj[r][pos], d)
-            rows.append(tuple(row))
-        pv = ParamVertex(basis, tuple(rows))
-        if pv.at(poly.support) != v.point:
-            raise StructuralInconsistency("vertex map must reproduce the vertex")
-        out.append(pv)
-    return tuple(out)
 
 
 def _face_children(poly: HPolytope, face: Face) -> list[Face]:
@@ -206,15 +169,23 @@ def _cone_sums(poly: HPolytope, cone: VertexCone, Ts) -> tuple[Fraction, Vec]:
 
 @memoize
 def _vertex_cones(poly: HPolytope) -> tuple[VertexCone, ...]:
-    """Every vertex cone with its skeleton scalars, for ``_generic_xi``."""
+    """Every vertex cone with its skeleton scalars, for ``_generic_xi``.
+
+    The edges are the columns of -A_v^{-1} = -adj / det, integral exactly
+    when |det A_v| = 1, and v = -sum_j w_j kappa_{basis[j]} must give
+    back the vertex."""
     n = poly.dim
     cones = []
-    for pv in param_vertices(poly):
-        w = tuple(tuple(-pv.rows[c][j] for c in range(n)) for j in pv.basis)
-        # A_v^{-1} is integral exactly when |det A_v| = 1
-        unimodular = all(x.denominator == 1 for e in w for x in e)
-        w = tuple(tuple(map(int, e)) for e in w) if unimodular else w
-        cones.append(VertexCone(pv.basis, w, (), unimodular, ()))
+    for v in poly.vertices:
+        basis = tuple(sorted(v.basis))
+        d, adj = int_adjugate([poly.conormals[j] for j in basis])
+        if d == 0:
+            raise StructuralInconsistency("vertex conormals must be invertible")
+        unimodular = abs(d) == 1
+        w = tuple(tuple(-d * adj[c][j] if unimodular else Fraction(-adj[c][j], d) for c in range(n)) for j in range(n))
+        if tuple(-sum(e[c] * poly.support[f] for e, f in zip(w, basis)) for c in range(n)) != v.point:
+            raise StructuralInconsistency("vertex map must reproduce the vertex")
+        cones.append(VertexCone(basis, w, (), unimodular, ()))
     xi = _generic_xi([cone.w for cone in cones], n)
     out = []
     for cone in cones:
@@ -308,7 +279,7 @@ def _slice(poly: HPolytope) -> tuple[frozenset[int], Vec]:
     kappa' = kappa - A v0 of the polytope moved by -v0, the one point of
     the slice kappa_B = 0 on its translation orbit."""
     v0 = poly.vertices[0].point
-    return frozenset(param_vertices(poly)[0].basis), tuple(k - dot(eta, v0) for eta, k in zip(poly.conormals, poly.support))
+    return frozenset(_vertex_cones(poly)[0].basis), tuple(k - dot(eta, v0) for eta, k in zip(poly.conormals, poly.support))
 
 
 @memoize
@@ -408,33 +379,17 @@ def integrate_monomial(poly: HPolytope, exponents: Sequence[int]) -> Fraction:
 
 
 @memoize
-def _skeleton_at_base(poly: HPolytope, k: int) -> tuple[Fraction, Vec]:
-    """The lattice measure P_k of the k-skeleton and its n coordinate
-    moments, both at the base kappa.
-
-    They are Lawrence's vertex sums evaluated there, with no polynomial:
-    at each vertex L = sum_j q_j kappa_{basis_j}, P_k adds s0 L^k / k!
-    and int x_c adds s0 v_c L^k / k! + s1_c L^(k+1) / (k+1)!, v being
-    the vertex and (s0, s1) its k-skeleton scalars."""
-    n = poly.dim
-    base = poly.support
-    total, moments = Fraction(0), [Fraction(0)] * n
-    for cone, vertex in zip(_vertex_cones(poly), poly.vertices):
-        s0, s1 = cone.sums[k]
-        L = sum(q * base[j] for j, q in zip(cone.basis, cone.q))
-        low = L**k / factorial(k)
-        high = L * low / (k + 1)
-        total += s0 * low
-        for c in range(n):
-            moments[c] += s0 * vertex.point[c] * low + s1[c] * high
-    return total, tuple(moments)
-
-
 def skeleton_barycenter(poly: HPolytope, k: int) -> Vec:
-    """Barycenter of the union of all k-faces, in the lattice measure."""
+    """Barycenter of the union of all k-faces, in the lattice measure.
+
+    The slice polynomials at the support numbers of the polytope moved
+    by -v0 (``_slice``) give its k-skeleton measure P_k and moments;
+    moving back adds v0 to the barycenter."""
     if not 0 <= k <= poly.dim:
         raise ValueError("skeleton dimension out of range")
-    total, moments = _skeleton_at_base(poly, k)
+    measure, coords = _slice_coord_polys(poly, k)
+    base = _slice(poly)[1]
+    total = measure.eval(base)
     if total == 0:
         raise PolytopeError("zero skeleton measure")
-    return tuple(m / total for m in moments)
+    return tuple(c.eval(base) / total + x for c, x in zip(coords, poly.vertices[0].point))

@@ -55,11 +55,11 @@ from .linalg import (
     IntVec,
     Vec,
     dot,
+    int_adjugate,
     int_det,
     int_rank,
     int_vec,
     integer_kernel_basis,
-    mat_mul,
     mat_vec,
     unimodular_inverse,
     vec,
@@ -177,6 +177,16 @@ def _cols(*vectors) -> list[tuple]:
     return [tuple(v[r] for v in vectors) for r in range(n)]
 
 
+def _chart(poly: HPolytope, facets) -> tuple[IntVec, ...] | None:
+    """The integer map S with S eta_{facets[j]} = -e_j, that is minus the
+    inverse of the matrix with those conormals as columns, or None when
+    they are not a lattice basis."""
+    d, adj = int_adjugate(_cols(*(poly.conormals[f] for f in facets)))
+    if abs(d) != 1:
+        return None
+    return tuple(tuple(-d * x for x in row) for row in adj)
+
+
 # ---------------------------------------------------------------------------
 # bundles over a segment
 
@@ -215,12 +225,11 @@ def _segment_bundle_certificate(
         return RecognitionCertificate("segment_bundle", base=(i, j), fiber=others)
     k = n - 1
     body, last = others[:-1], others[-1]
-    A = _cols(*[poly.conormals[m] for m in body], poly.conormals[i])
-    if abs(int_det(A)) != 1:
+    S = _chart(poly, body + (i,))
+    if S is None:
         raise StructuralInconsistency(
             "base pair of a segment bundle admits no vertex basis"
         )
-    S = tuple(int_vec(tuple(-x for x in row)) for row in unimodular_inverse(A))
     if tuple(mat_vec(S, poly.conormals[last])) != (1,) * k + (0,):
         raise StructuralInconsistency(
             "fiber conormals of a segment bundle must close up to zero"
@@ -412,7 +421,6 @@ def _recognize_121(poly: HPolytope) -> RecognitionCertificate | None:
     n, N = poly.dim, poly.n_facets
     if n != 4 or N != 7:
         return None
-    targets = _cols((0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1), (-1, 0, 0, 0))
     for p, q in itertools.combinations(range(N), 2):
         if tuple(-c for c in poly.conormals[p]) != poly.conormals[q]:
             continue
@@ -422,17 +430,9 @@ def _recognize_121(poly: HPolytope) -> RecognitionCertificate | None:
             continue
         f2, f3, f4, f5, f6 = (origins[x] for x in inner.facet_order)
         for t0, t1 in ((p, q), (q, p)):
-            A = _cols(
-                poly.conormals[f2],
-                poly.conormals[f3],
-                poly.conormals[f5],
-                poly.conormals[t1],
-            )
-            if abs(int_det(A)) != 1:
+            S = _chart(poly, (t1, f2, f3, f5))
+            if S is None:
                 continue
-            S = tuple(
-                int_vec(row) for row in mat_mul(targets, unimodular_inverse(A))
-            )
             if tuple(mat_vec(S, poly.conormals[t0])) != (1, 0, 0, 0):
                 continue
             v4 = int_vec(mat_vec(S, poly.conormals[f4]))
@@ -487,10 +487,9 @@ def _recognize_polygon_bundle(poly: HPolytope) -> RecognitionCertificate | None:
         if vert is None:
             continue
         g, gp = sorted(x for x in vert.basis if x not in (u, v))
-        A = _cols(
-            poly.conormals[u], poly.conormals[v], poly.conormals[g], poly.conormals[gp]
-        )
-        S = tuple(int_vec(tuple(-x for x in row)) for row in unimodular_inverse(A))
+        S = _chart(poly, (u, v, g, gp))
+        if S is None:
+            continue
         base = [x for x in range(N) if x not in triple]
         images = {x: int_vec(mat_vec(S, poly.conormals[x])) for x in base}
         if any(im[2:] == (0, 0) for im in images.values()):

@@ -3,7 +3,8 @@ integer elimination kernel.
 
 Everything here is built on ``masslin.linalg.rref`` (rational
 Gauss-Jordan elimination), except ``det``, which is Leibniz's
-permutation expansion; tests compare the library's answers with these.
+permutation expansion, and the plain product ``mat_mul``; tests compare
+the library's answers with these.
 """
 
 from __future__ import annotations
@@ -15,11 +16,16 @@ from math import prod
 from typing import Sequence
 
 from masslin import linalg
-from masslin.linalg import Mat, Vec, frac
+from masslin.linalg import Mat, Vec, dot, frac
 
 
 def identity(n: int) -> Mat:
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Mat:
+    columns = tuple(zip(*B))
+    return tuple(tuple(dot(row, col) for col in columns) for row in A)
 
 
 def vec_add(u: Sequence, v: Sequence) -> Vec:

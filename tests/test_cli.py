@@ -175,16 +175,10 @@ class TestCheck:
         doc = run_json(capsys, "check", str(path), "-H", "1,0")
         assert doc["mass_linear"] and doc["inessential"] and not doc["essential"]
 
-    def test_seed_never_changes_output(self, capsys, bar_file):
-        outs = set()
-        for seed in (None, 3, 4):
-            argv = ["check", str(bar_file), "-H", "0,2,2,0"]
-            if seed is not None:
-                argv += ["--seed", str(seed)]
-            code, out, _ = run(capsys, *argv)
-            assert code == 0
-            outs.add(out)
-        assert len(outs) == 1
+    def test_seed_is_usage_error(self, capsys, bar_file):
+        # every verdict is exact, so check takes no sampling seed
+        code, _, err = run(capsys, "check", str(bar_file), "-H", "0,2,2,0", "--seed", "3")
+        assert code == 1 and "--seed" in err
 
     def test_report_serialization_stable(self, capsys, bar_file):
         code, out, _ = run(capsys, "check", str(bar_file), "-H", "0,2,2,0")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _linalg_ref import det, identity, in_row_span, nullspace, rank, solve_linear
+from _linalg_ref import det, identity, in_row_span, mat_mul, nullspace, rank, solve_linear
 from masslin.linalg import (
     dot,
     int_adjugate,
@@ -16,7 +16,6 @@ from masslin.linalg import (
     int_rref,
     int_solve,
     integer_kernel_basis,
-    mat_mul,
     mat_vec,
     primitive,
     rref,

@@ -20,7 +20,7 @@ import pytest
 
 import masslin
 from masslin import YkBundleSpec, bundle_Yk, linalg
-from masslin.cli import check_document, classify_document
+from masslin.cli import barycenters_document, check_document, classify_document
 from masslin.constructions import blowup
 from masslin.errors import PolytopeError
 from masslin.linalg import dot, vec
@@ -44,7 +44,6 @@ from masslin import measure
 from masslin.measure import (
     center_of_mass,
     moment_poly,
-    param_vertices,
     skeleton_measure_polys,
     volume_poly,
 )
@@ -141,11 +140,6 @@ class TestMassLinearTest:
         rep = mass_linear_test(poly, (-1, 0, 1, 0))
         assert not rep.verdict
         assert rep.gamma is None
-
-    def test_negative_with_prefilter(self):
-        poly = bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
-        rep = mass_linear_test(poly, (-1, 0, 1, 0), seed=7)
-        assert not rep.verdict
 
     def test_gamma_sum_zero_and_reconstruction(self):
         pairs = [
@@ -345,13 +339,16 @@ class TestSlice:
         # facets 0 and 2 of B are asymmetric
         poly = masslin.product(masslin.trapezoid(1), masslin.simplex(1))
         H = (-2, 1, 0)
-        assert param_vertices(poly)[0].basis == (0, 2, 4)
+        assert sorted(poly.vertices[0].basis) == [0, 2, 4]
         assert not mass_linear_test(poly, H).verdict
         expected = (frozenset({4, 5}), frozenset({0, 1, 2, 3}))
         assert symmetric_facets(poly, H) == expected == full_symmetric_facets(poly, H)
 
     @pytest.mark.parametrize("H", [(0, -1, 2, -3), (1, 0, 0, 0)])
     def test_cold_check_does_not_expand_all_variables(self, monkeypatch, H):
+        # check, classify and barycenters read everything off the slice
+        # pass; the N-variable polynomials serve only the public
+        # polynomial functions
         calls = []
         full = measure._skeleton_coord_polys
 
@@ -362,9 +359,17 @@ class TestSlice:
         for mod in list(sys.modules.values()):
             if getattr(mod, "__name__", "").startswith("masslin") and getattr(mod, "_skeleton_coord_polys", None) is full:
                 monkeypatch.setattr(mod, "_skeleton_coord_polys", counting)
-        poly = bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
-        report = check_document(poly, H)
+
+        def cold():
+            return bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
+
+        report = check_document(cold(), H)
         assert report["mass_linear"] == (H == (0, -1, 2, -3))
+        assert len(barycenters_document(cold(), H)["table"]) == 5
+        # an essential pair one blowdown away from type b
+        bar = cold()
+        G = tuple(a - b - c + d for a, b, c, d in zip(*bar.conormals[:4]))
+        assert classify_document(blowup(bar, (1, 3, 4)), G)["type"] == "b"
         assert calls == []
 
 
@@ -421,6 +426,13 @@ class TestInessential:
 
     def test_blowup_essential(self):
         assert is_inessential(worked_blowup(), (0, 2, 2, 0)) is None
+
+    @pytest.mark.parametrize("H", [(1, 0, 0), (1, 0, 0, 0, 5)])
+    def test_wrong_dimension(self, H):
+        # a functional of the wrong length is an error, not "essential"
+        poly = bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
+        with pytest.raises(ValueError, match="functional has wrong dimension"):
+            is_inessential(poly, H)
 
     def test_zero_functional(self):
         poly, _ = worked_pair()
@@ -658,13 +670,15 @@ class TestFullyMassLinear:
             return None if sol is None else sol.solution
 
         def vertex_average(poly, H):
-            # independent of the skeleton pass: average <H, v(kappa)>
-            pvs = param_vertices(poly)
-            return tuple(
-                sum((h * pv.rows[r][j] for pv in pvs for r, h in enumerate(H)), F(0))
-                / len(pvs)
-                for j in range(poly.n_facets)
-            )
+            # independent of the skeleton pass: average <H, v(kappa)>,
+            # v(kappa) = A_v^{-1} kappa_B = adj(A_v) kappa_B / det A_v
+            total = [F(0)] * poly.n_facets
+            for v in poly.vertices:
+                basis = sorted(v.basis)
+                d, adj = linalg.int_adjugate([poly.conormals[j] for j in basis])
+                for pos, j in enumerate(basis):
+                    total[j] += sum(h * adj[r][pos] for r, h in enumerate(H)) / d
+            return tuple(t / len(poly.vertices) for t in total)
 
         # at its symmetric support a hexagon has every skeleton barycenter
         # at its center, so these pairs agree at the base kappa but are

@@ -34,7 +34,6 @@ from masslin.measure import (
     face_measure_polys,
     integrate_monomial,
     moment_poly,
-    param_vertices,
     skeleton_barycenter,
     skeleton_measure_polys,
     triangulate,
@@ -356,20 +355,24 @@ class TestSkeletons:
 
 
 class TestBaseValues:
-    def test_vertex_sums_match_skeleton_polys(self):
-        # skeleton measures and barycenters at the base kappa are
-        # Lawrence's vertex sums evaluated there; the reference
-        # evaluates the expanded skeleton polynomials
+    def test_slice_values_match_skeleton_polys(self):
+        # skeleton barycenters evaluate the slice polynomials at the
+        # polytope moved by -v0 and move back by v0; the reference
+        # evaluates the polynomials in all N variables at the base kappa
         polys = [sp.poly for sp in suite_polytopes()]
         polys += [HPolytope(2, *NON_SMOOTH_TRIANGLE), HPolytope(3, *NON_SMOOTH_TETRAHEDRON)]
         for poly in polys:
             base = poly.support
+            moved = measure._slice(poly)[1]
+            v0 = poly.vertices[0].point
             for k in range(poly.dim + 1):
                 measure_k, coords = _skeleton_coord_polys(poly, k)
                 total = measure_k.eval(base)
-                assert skeleton_barycenter(poly, k) == tuple(c.eval(base) / total for c in coords)
-                value, moments = measure._skeleton_at_base(poly, k)
-                assert value == total and moments == tuple(c.eval(base) for c in coords)
+                moments = tuple(c.eval(base) for c in coords)
+                assert skeleton_barycenter(poly, k) == tuple(m / total for m in moments)
+                slice_measure, slice_coords = measure._slice_coord_polys(poly, k)
+                assert slice_measure.eval(moved) == total
+                assert tuple(c.eval(moved) + x * total for c, x in zip(slice_coords, v0)) == moments
             vol = volume_poly(poly)
             assert vol.eval_gradient(base) == (
                 vol.eval(base), tuple(vol.partial(i).eval(base) for i in range(poly.n_facets))
@@ -520,6 +523,59 @@ class TestGenericXi:
         assert out.stdout.strip() == "raised: xi must pair nonzero with every edge"
 
 
+class TestVertexMap:
+    """Each vertex cone checks that its conormals are invertible and that
+    -sum_j w_j kappa_{B_j} gives back the vertex."""
+
+    def test_singular_conormals_raise(self, monkeypatch):
+        monkeypatch.setattr(measure, "int_adjugate", lambda A: (0, None))
+        with pytest.raises(StructuralInconsistency, match="vertex conormals must be invertible"):
+            volume_poly(square())
+
+    def test_wrong_adjugate_raises(self, monkeypatch):
+        adjugate = measure.int_adjugate
+
+        def negated(A):
+            d, adj = adjugate(A)
+            return d, tuple(tuple(-x for x in row) for row in adj)
+
+        monkeypatch.setattr(measure, "int_adjugate", negated)
+        with pytest.raises(StructuralInconsistency, match="vertex map must reproduce the vertex"):
+            skeleton_barycenter(square(), 2)
+
+    def test_vertex_check_survives_dash_O(self):
+        script = textwrap.dedent("""
+            import masslin.measure as m
+            from masslin.errors import StructuralInconsistency
+            from masslin.polytope import HPolytope
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+            adjugate = m.int_adjugate
+
+            def negated(A):
+                d, adj = adjugate(A)
+                return d, tuple(tuple(-x for x in row) for row in adj)
+
+            m.int_adjugate = negated
+            box = HPolytope(2, [(-1, 0), (1, 0), (0, -1), (0, 1)], [0, 1, 0, 1])
+            try:
+                m.skeleton_barycenter(box, 2)
+            except StructuralInconsistency as exc:
+                print("raised:", exc)
+        """)
+        src = str(Path(masslin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised: vertex map must reproduce the vertex"
+
+
 def _chamber_points(poly):
     """The base kappa and two further points of its chamber."""
     radius = poly.chamber_radius()
@@ -552,12 +608,11 @@ class TestTriangulationOracle:
         # and int x_c = v0_c * volume + sum_r B[r][c] int y_r
         for sp in suite_polytopes():
             poly, n = sp.poly, sp.poly.dim
-            pvs = param_vertices(poly)
             for key, face in poly.face_lattice.items():
                 measure_poly, coords = _face_polys(poly, face)
                 got = (measure_poly.eval(poly.support), tuple(p.eval(poly.support) for p in coords))
                 if face.dimension == 0:
-                    assert got == (1, pvs[face.vertex_ids[0]].at(poly.support))
+                    assert got == (1, poly.vertices[face.vertex_ids[0]].point)
                     continue
                 k = face.dimension
                 sliced, _ = _face_slice(poly, face)
