@@ -29,76 +29,35 @@ invertible, so each kappa is a translate of exactly one point of it.
 ``_slice_coord_polys`` expands the skeleton polynomials there, once per
 polytope and k, in the N - n variables off B: at a vertex, the terms of
 L_v in kappa_B are dropped before the multinomial expansion, and the
-first vertex adds only its degree-0 term.  Skeleton barycenters are
-those polynomials evaluated at the slice point of the polytope, moved
-back by the first vertex.  Only the public polynomials (``volume_poly``,
-``moment_poly``, ``skeleton_measure_polys``) keep all N variables, from
-``_skeleton_coord_polys``.  ``triangulate`` and
-``integrate_monomial`` remain as an independent oracle for tests.
+first vertex adds only its degree-0 term.  Volumes and skeleton
+barycenters are those polynomials evaluated at the slice point of the
+polytope, the barycenters moved back by the first vertex.  Only the
+public polynomials (``volume_poly``, ``moment_poly``,
+``skeleton_measure_polys``) keep all N variables, from
+``_skeleton_coord_polys``.
+
+Monomial integrals use the same cones, by Brion's formula for a power of
+a linear form l pairing nonzero with every edge (Baldoni, Berline,
+De Loera, Koeppe, Vergne, Math. Comp. 80, 2011):
+
+    int_P <l, x>^M dx = M! / (M+n)! sum_v iota_v <l, v>^(M+n) / prod_j <-l, w_j>,
+
+iota_v being the index of the lattice of the edges at v in Z^n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import combinations, count, product
 from math import comb, factorial, lcm, prod
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import PolytopeError, StructuralInconsistency
-from .linalg import Vec, dot, int_adjugate, int_det, integer_kernel_basis, scaled, vec, vec_sub
+from .linalg import Vec, dot, int_adjugate, int_det, integer_kernel_basis, scaled, vec
 from .poly import MultiPoly
 from .polytope import Face, HPolytope, memoize
-
-
-@dataclass(frozen=True)
-class Triangulation:
-    """Simplices as vertex-id tuples, orientation signs frozen at base kappa."""
-
-    simplices: tuple[tuple[int, ...], ...]
-    signs: tuple[int, ...]
-
-
-def _face_children(poly: HPolytope, face: Face) -> list[Face]:
-    """Facets of a face: canonical index grows by exactly one."""
-    out = []
-    for key, g in poly.face_lattice.items():
-        if g.dimension == face.dimension - 1 and face.index_set < key:
-            out.append(g)
-    return sorted(out, key=lambda f: tuple(sorted(f.index_set)))
-
-
-@memoize
-def _pulling_simplices(poly: HPolytope, face: Face) -> tuple[tuple[int, ...], ...]:
-    """Pulling triangulation of a face, anchored at its smallest vertex.
-
-    Vertex ids refer to poly.vertices, which is sorted by coordinates, so
-    the smallest id is the lexicographically smallest point.
-    """
-    if face.dimension == 0:
-        return (face.vertex_ids,)
-    anchor = min(face.vertex_ids)
-    return tuple(
-        simplex + (anchor,)
-        for g in _face_children(poly, face)
-        if anchor not in g.vertex_ids
-        for simplex in _pulling_simplices(poly, g)
-    )
-
-
-def triangulate(poly: HPolytope) -> Triangulation:
-    """Pulling triangulation of the whole polytope, deterministic."""
-    simplices = _pulling_simplices(poly, poly.face_lattice[frozenset()])
-    verts = poly.vertices
-    signs = []
-    for s in simplices:
-        base = verts[s[0]].point
-        d = int_det(scaled([vec_sub(verts[i].point, base) for i in s[1:]])[1])
-        if d == 0:
-            raise PolytopeError("degenerate simplex in triangulation")
-        signs.append(1 if d > 0 else -1)
-    return Triangulation(simplices, tuple(signs))
 
 
 def direction_lattice_basis(poly: HPolytope, face: Face) -> list[tuple[int, ...]]:
@@ -320,7 +279,9 @@ cached_moment_poly = moment_poly
 
 
 def volume(poly: HPolytope) -> Fraction:
-    return volume_poly(poly).eval(poly.support)
+    """Exact volume at the base kappa, from the slice pass: the volume
+    does not move under translation."""
+    return _slice_coord_polys(poly, poly.dim)[0].eval(_slice(poly)[1])
 
 
 def center_of_mass(poly: HPolytope) -> Vec:
@@ -354,28 +315,32 @@ def skeleton_measure_polys(poly: HPolytope, k: int, H: Sequence):
 def integrate_monomial(poly: HPolytope, exponents: Sequence[int]) -> Fraction:
     """Exact integral of prod_i x_i^{e_i} over the polytope at the base kappa.
 
-    Per simplex, substitute x = sum_j lambda_j v_j and expand in the
-    barycentric variables lambda_j; a barycentric monomial integrates in
-    closed form:  int_S prod lambda^a = n! vol(S) prod(a_j!) / (n+|a|)!.
+    By Brion's formula for powers of linear forms (module docstring).
+    With M = |e|, the e-th finite difference of y -> <y, x>^M at any
+    shift a gives x^e = 1/M! sum_{0<=p<=e} (-1)^(M-|p|) prod_i C(e_i, p_i)
+    <p + a, x>^M; here a = t xi for the first t that makes every form
+    generic.  On the integer vertices L v and edges W = D w of a cone,
+    iota_v / prod_j <-l, w_j> = |det W| / prod_j <-l, W_j>, so each term
+    is one integer quotient and the sum is divided once by (M+n)! L^(M+n).
     """
     n = poly.dim
-    if len(exponents) != n or any(e < 0 for e in exponents):
+    if len(exponents) != n or not all(type(e) is int and e >= 0 for e in exponents):
         raise ValueError("need one nonnegative exponent per coordinate")
-    verts = poly.vertices
-    tri = triangulate(poly)
+    M = sum(exponents)
+    L, verts = scaled([v.point for v in poly.vertices])
+    edges = [scaled(cone.w)[1] for cone in _vertex_cones(poly)]
+    dets = [abs(int_det(W)) for W in edges]
+    xi = _generic_xi(edges, n)
+    shifts = [(p, (-1) ** (M - sum(p)) * prod(map(comb, exponents, p)))
+              for p in product(*(range(e + 1) for e in exponents))]
+    t = next(t for t in count() if all(sum(map(mul, p, w)) + t * sum(map(mul, xi, w))
+                                       for p, _ in shifts for W in edges for w in W))
     total = Fraction(0)
-    for s in tri.simplices:
-        base = verts[s[0]].point
-        D, M = scaled([vec_sub(verts[i].point, base) for i in s[1:]])
-        vol = Fraction(abs(int_det(M)), D**n * factorial(n))
-        p = MultiPoly.constant(n + 1, 1)
-        for coord, e in enumerate(exponents):
-            lin = MultiPoly.linear([verts[vid].point[coord] for vid in s])
-            for _ in range(e):
-                p = p * lin
-        for mono, c in p.terms:
-            total += c * vol * Fraction(factorial(n) * prod(map(factorial, mono)), factorial(n + sum(mono)))
-    return total
+    for p, c in shifts:
+        ell = [a + t * x for a, x in zip(p, xi)]
+        for v, W, det in zip(verts, edges, dets):
+            total += Fraction(c * det * sum(map(mul, ell, v)) ** (M + n), prod(-sum(map(mul, ell, w)) for w in W))
+    return total / (factorial(M + n) * L ** (M + n))
 
 
 @memoize

@@ -45,6 +45,7 @@ from masslin.measure import (
     center_of_mass,
     moment_poly,
     skeleton_measure_polys,
+    volume,
     volume_poly,
 )
 from masslin.poly import MultiPoly
@@ -226,21 +227,17 @@ class TestSymmetricFacets:
         assert asym == frozenset(range(6))
 
     def test_matches_symbolic_definition_on_suite(self):
-        # the base-kappa witness may only skip products, never change the
-        # partition, and the slice must not either: compare with the
-        # identity expanded in all N variables for every facet
+        # the slice must not change the partition: compare with the
+        # reference that decides every facet in all N variables, where an
+        # exact nonzero value of the identity at the base kappa already
+        # proves a facet asymmetric, and expands it everywhere else
         symmetric_negatives = set()
         for pair in suite_pairs():
             poly = pair.poly
-            mu, vol = moment_poly(poly, pair.H), volume_poly(poly)
-            reference = frozenset(
-                i
-                for i in range(poly.n_facets)
-                if (mu.partial(i) * vol - mu * vol.partial(i)).is_zero()
-            )
+            reference, complement = full_symmetric_facets(poly, pair.H)
             sym, asym = symmetric_facets(poly, pair.H)
             assert sym == reference, (pair.name, pair.H)
-            assert asym == frozenset(range(poly.n_facets)) - reference
+            assert asym == complement
             if reference and not report_for(pair).verdict:
                 symmetric_negatives.add((pair.name, reference))
         # a facet whose value at the base kappa is zero still needs the
@@ -346,9 +343,9 @@ class TestSlice:
 
     @pytest.mark.parametrize("H", [(0, -1, 2, -3), (1, 0, 0, 0)])
     def test_cold_check_does_not_expand_all_variables(self, monkeypatch, H):
-        # check, classify and barycenters read everything off the slice
-        # pass; the N-variable polynomials serve only the public
-        # polynomial functions
+        # check, classify, barycenters, volume and center of mass read
+        # everything off the slice pass; the N-variable polynomials serve
+        # only the public polynomial functions
         calls = []
         full = measure._skeleton_coord_polys
 
@@ -370,6 +367,8 @@ class TestSlice:
         bar = cold()
         G = tuple(a - b - c + d for a, b, c, d in zip(*bar.conormals[:4]))
         assert classify_document(blowup(bar, (1, 3, 4)), G)["type"] == "b"
+        assert volume(cold()) == F(1, 4)
+        assert center_of_mass(cold()) == (F(7, 30), F(7, 30), F(4, 15), F(23, 30))
         assert calls == []
 
 

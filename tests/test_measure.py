@@ -13,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,6 @@ from masslin.measure import (
     moment_poly,
     skeleton_barycenter,
     skeleton_measure_polys,
-    triangulate,
     volume,
     volume_poly,
 )
@@ -44,6 +44,7 @@ from masslin.polytope import HPolytope
 
 from _linalg_ref import det
 from _suite import suite_polytopes
+from _triangulation_ref import triangulate, triangulated_integral
 
 F = Fraction
 
@@ -194,6 +195,11 @@ class TestMonomialOracle:
             integrate_monomial(square(), (1,))
         with pytest.raises(ValueError):
             integrate_monomial(square(), (1, -1))
+        # only a nonnegative int is an exponent, not an integral float,
+        # a Fraction, a string or a bool
+        for exps in ((1.5, 0), (2.0, 0), (F(1), 0), ("1", 0), (True, 0)):
+            with pytest.raises(ValueError, match="need one nonnegative exponent per coordinate"):
+                integrate_monomial(square(), exps)
 
 
 class TestMoments:
@@ -218,8 +224,8 @@ class TestMoments:
         assert c[2] == integrate_monomial(poly, exps) / V
 
     def test_moment_poly_matches_monomials(self):
-        # integrate_monomial is an independent oracle: it integrates over
-        # triangulate's simplices with barycentric formulas
+        # the triangulation reference is an independent oracle: it
+        # integrates over triangulate's simplices with barycentric formulas
         blown_up = blowup(bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)), (0, 2, 3))
         for poly, H in (
             (bundle(2, (1, 2), (0, 0, 1, 0, 5)), (1, 2, 3)),
@@ -228,7 +234,7 @@ class TestMoments:
             n = poly.dim
             mp = moment_poly(poly, H)
             direct = sum(
-                F(H[j]) * integrate_monomial(poly, tuple(1 if i == j else 0 for i in range(n)))
+                F(H[j]) * triangulated_integral(poly, tuple(1 if i == j else 0 for i in range(n)))
                 for j in range(n)
             )
             assert mp.eval(poly.support) == direct
@@ -588,8 +594,16 @@ def _chamber_points(poly):
 
 
 class TestTriangulationOracle:
-    """The vertex-cone polynomials against integrate_monomial, which
-    integrates over a pulling triangulation, on every suite polytope."""
+    """The vertex-cone integrals against the reference that integrates
+    over a pulling triangulation, on every suite polytope."""
+
+    def test_monomials_to_degree_three(self):
+        polys = [sp.poly for sp in suite_polytopes()]
+        polys += [HPolytope(2, *NON_SMOOTH_TRIANGLE), HPolytope(3, *NON_SMOOTH_TETRAHEDRON)]
+        for poly in polys:
+            for exps in product(range(4), repeat=poly.dim):
+                if sum(exps) <= 3:
+                    assert integrate_monomial(poly, exps) == triangulated_integral(poly, exps), exps
 
     def test_volume_and_moments_in_the_chamber(self):
         for sp in suite_polytopes():
@@ -598,9 +612,9 @@ class TestTriangulationOracle:
             moments = [moment_poly(poly, _unit(n, c)) for c in range(n)]
             for kappa in _chamber_points(poly):
                 moved = poly.with_support(kappa)
-                assert vol.eval(kappa) == integrate_monomial(moved, (0,) * n), sp.name
+                assert vol.eval(kappa) == triangulated_integral(moved, (0,) * n), sp.name
                 for c, mp in enumerate(moments):
-                    assert mp.eval(kappa) == integrate_monomial(moved, _unit(n, c)), sp.name
+                    assert mp.eval(kappa) == triangulated_integral(moved, _unit(n, c)), sp.name
 
     def test_faces_against_face_slices(self):
         # a face slice is the face in coordinates y of its direction
@@ -616,8 +630,8 @@ class TestTriangulationOracle:
                     continue
                 k = face.dimension
                 sliced, _ = _face_slice(poly, face)
-                vol = integrate_monomial(sliced, (0,) * k)
-                ys = [integrate_monomial(sliced, _unit(k, r)) for r in range(k)]
+                vol = triangulated_integral(sliced, (0,) * k)
+                ys = [triangulated_integral(sliced, _unit(k, r)) for r in range(k)]
                 v0 = poly.vertices[face.vertex_ids[0]].point
                 B = direction_lattice_basis(poly, face)
                 expect = tuple(v0[c] * vol + sum(B[r][c] * ys[r] for r in range(k)) for c in range(n))
