@@ -104,6 +104,14 @@ def parse_int_vector(s: str) -> tuple[int, ...]:
         raise click.UsageError(f"not a comma-separated integer vector: {s!r}") from exc
 
 
+def parse_number(s: str, name: str, kind=int):
+    """s as an int, or a Fraction; a malformed value is a usage error."""
+    try:
+        return kind(s.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.UsageError(f"{name} is not {'an integer' if kind is int else 'a rational number'}: {s!r}") from exc
+
+
 def polytope_to_document(poly: HPolytope) -> dict:
     return {
         "name": poly.name,
@@ -419,8 +427,8 @@ def parse_d2_polygon_spec(params: dict) -> D2PolygonBundleSpec:
 
 def build_family(family: str, params: dict) -> HPolytope:
     if family == "simplex":
-        n = int(take(params, "n", required=True))
-        size = parse_frac(take(params, "size", default="1"))
+        n = parse_number(take(params, "n", required=True), "n")
+        size = parse_number(take(params, "size", default="1"), "size", Fraction)
         finish_params(params)
         return simplex(n, size)
     if family == "product":
@@ -430,14 +438,14 @@ def build_family(family: str, params: dict) -> HPolytope:
         finish_params(params)
         return product(load_polytope(Path(paths[0])), load_polytope(Path(paths[1])))
     if family == "bundle-yk":
-        k = int(take(params, "k", required=True))
+        k = parse_number(take(params, "k", required=True), "k")
         a = parse_int_vector(take(params, "a", required=True))
         kappa = parse_vector(take(params, "kappa", required=True))
         finish_params(params)
         return bundle_Yk(YkBundleSpec(k, a, kappa))
     if family == "bundle-121":
         a = parse_int_vector(take(params, "a", required=True))
-        d = int(take(params, "d", required=True))
+        d = parse_number(take(params, "d", required=True), "d")
         kappa = parse_vector(take(params, "kappa", required=True))
         finish_params(params)
         return bundle_121(Bundle121Spec(a, d, kappa))
@@ -446,7 +454,7 @@ def build_family(family: str, params: dict) -> HPolytope:
     if family == "expansion":
         core = load_polytope(Path(take(params, "core", required=True)))
         facet = resolve_facet(core, take(params, "facet", required=True))
-        fold = int(take(params, "fold", default="1"))
+        fold = parse_number(take(params, "fold", default="1"), "fold")
         finish_params(params)
         return expansion(core, facet, fold=fold)
     if family == "double-expansion":
@@ -456,11 +464,11 @@ def build_family(family: str, params: dict) -> HPolytope:
         finish_params(params)
         return double_expansion(core, j1, j2)
     if family == "minimal-a3":
-        n = int(take(params, "n", required=True))
+        n = parse_number(take(params, "n", required=True), "n")
         finish_params(params)
         return minimal_family_a3(n)
     if family == "minimal-b":
-        n = int(take(params, "n", required=True))
+        n = parse_number(take(params, "n", required=True), "n")
         finish_params(params)
         return minimal_family_b(n)
     raise click.UsageError(f"unknown family {family!r}")
@@ -558,7 +566,7 @@ def cli():
 @cli.command()
 @click.argument("polytope", type=click.Path(exists=True, path_type=Path))
 @click.option("-H", "--functional", "h_str", required=True, help="H as c1,c2,...")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @FORMAT
 @domain_guard
 def check(polytope: Path, h_str: str, jobs: int, fmt: str):
@@ -575,7 +583,7 @@ def check(polytope: Path, h_str: str, jobs: int, fmt: str):
 @click.argument("polytope", type=click.Path(exists=True, path_type=Path))
 @click.option("-H", "--functional", "h_str", required=True, help="H as c1,c2,...")
 @click.option("--trace", "with_stages", is_flag=True, help="embed every stage")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @FORMAT
 @domain_guard
 def classify(polytope: Path, h_str: str, with_stages: bool, jobs: int, fmt: str):
@@ -613,7 +621,7 @@ def blowup_cmd(polytope: Path, face: str, eps, fmt: str):
     """Blow up along the face cut by the named facets."""
     poly = load_polytope(polytope)
     index_set = resolve_face(poly, face)
-    out = blowup(poly, index_set, parse_frac(eps) if eps is not None else None)
+    out = blowup(poly, index_set, None if eps is None else parse_number(eps, "--eps", Fraction))
     emit(polytope_to_document(out), fmt)
 
 
@@ -656,13 +664,13 @@ def mlspace(family: str, params, fmt: str):
     """Mass linear and inessential coefficient spaces of a bundle family."""
     kv = parse_kv(params)
     if family == "bundle-yk":
-        k = int(take(kv, "k", required=True))
+        k = parse_number(take(kv, "k", required=True), "k")
         a = parse_int_vector(take(kv, "a", required=True))
         finish_params(kv)
         doc = space_document(family, {"k": k, "a": list(a)}, ml_space_Yk(k, a))
     elif family == "bundle-121":
         a = parse_int_vector(take(kv, "a", required=True))
-        d = int(take(kv, "d", required=True))
+        d = parse_number(take(kv, "d", required=True), "d")
         finish_params(kv)
         doc = space_document(family, {"a": list(a), "d": d}, ml_space_121(a, d))
     else:

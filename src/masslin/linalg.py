@@ -10,8 +10,8 @@ system is first put on integer rows by one common denominator
 (``scaled``).  Fractions appear only at the boundary, formed from the
 final integer rows.  Pivots are the first nonzero entry from the current
 row down, so echelon forms, kernel bases and solutions are reproducible.
-The rational Gauss-Jordan ``rref`` has no library caller: it is kept
-only because the perfbench tracer looks it up by name.
+``rref`` (``int_rref`` on ``scaled`` rows) has no library caller: it is
+kept only because the perfbench tracer looks it up by name.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ def vec_sub(u: Sequence, v: Sequence) -> Vec:
     return tuple(frac(a) - frac(b) for a, b in zip(u, v))
 
 
-def mat_vec(A: Sequence[Sequence], x: Sequence) -> Vec:
-    return tuple(dot(row, x) for row in A)
-
-
 def int_vec(v: Sequence) -> IntVec:
     out = []
     for e in v:
@@ -73,37 +69,10 @@ def primitive(v: Sequence[int]) -> IntVec:
 
 
 def rref(A: Sequence[Sequence], ncols: int | None = None) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices, by rational
-    Gauss-Jordan elimination; ``int_rref`` gives the same on integer rows.
-
-    Pivot choice: scanning columns left to right, the first row (from the
-    current one down) with a nonzero entry is used.
-    """
-    rows = [[frac(e) for e in row] for row in A]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    r = 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][col]
-        rows[r] = [e / pv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    """Reduced row echelon form and pivot columns of a rational matrix,
+    pivots taken in the first ncols columns: ``int_rref`` on its
+    ``scaled`` rows (rows past the rank are those of the scaled rows)."""
+    return int_rref(scaled(A)[1], ncols)
 
 
 def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[IntVec]:
@@ -142,14 +111,6 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[IntVec]:
             if c == n:
                 break
     return [tuple(U[j]) for j in range(c, n)]
-
-
-def unimodular_inverse(U: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
-    """Integer inverse of a unimodular integer matrix."""
-    d, adj = int_adjugate(U)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    return tuple(int_vec([Fraction(a, d) for a in row]) for row in adj)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +240,9 @@ def int_adjugate(A: Sequence[Sequence[int]]) -> tuple[int, tuple[IntVec, ...] | 
 
 
 def int_rref(A: Sequence[Sequence[int]], ncols: int | None = None) -> tuple[Mat, tuple[int, ...]]:
-    """The rows and pivots that ``rref`` gives for an integer matrix,
-    pivots taken in the first ncols columns, by Bareiss elimination and
-    ``_reduce``."""
+    """Reduced row echelon form and pivot columns of an integer matrix,
+    pivots in the first ncols columns, by Bareiss elimination and
+    ``_reduce``; rows past the rank are as Gauss-Jordan leaves them."""
     rows = [list(row) for row in A]
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
@@ -296,16 +257,14 @@ def int_nullspace(A: Sequence[Sequence[int]], ncols: int) -> tuple[Vec, ...]:
 
     Each basis vector carries 1 in its own free column and 0 in every
     other free column (the reduced-echelon convention), so the result
-    depends only on the row space."""
-    rows = [list(row) for row in A]
-    pivots, _ = _echelon(rows, ncols)
-    D = _reduce(rows, pivots)
+    depends only on the row space; it is read off ``int_rref``."""
+    R, pivots = int_rref(A, ncols)
     basis = []
     for j in (c for c in range(ncols) if c not in pivots):
         x = [Fraction(0)] * ncols
         x[j] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            x[p] = Fraction(-row[j], D)
+        for row, p in zip(R, pivots):
+            x[p] = -row[j]
         basis.append(tuple(x))
     return tuple(basis)
 

@@ -63,6 +63,7 @@ from .linalg import (
     zero_vec,
 )
 from .measure import (
+    _functional,
     _pairing,
     _slice,
     _slice_coord_polys,
@@ -252,10 +253,8 @@ def mass_linear_test(poly: HPolytope, H) -> MassLinearReport:
     gamma, and otherwise the nonzero difference is the witness.
     """
     _require_smooth(poly)
-    Hv = vec(H)
+    Hv = _functional(poly, H)
     n = poly.dim
-    if len(Hv) != n:
-        raise ValueError("functional has wrong dimension")
     N = poly.n_facets
     base = poly.support
     gamma_t = _fit(poly, Hv, (n,))
@@ -380,9 +379,7 @@ def is_inessential(poly: HPolytope, H) -> InessentialWitness | None:
     equivalence class, or None when H is essential.  beta is the reduced
     echelon solution, read through ``_inessential_echelon``."""
     _require_smooth(poly)
-    Hv = vec(H)
-    if len(Hv) != poly.dim:
-        raise ValueError("functional has wrong dimension")
+    Hv = _functional(poly, H)
     pivots, E = _inessential_echelon(poly)
 
     def image(row: Vec) -> Fraction:
@@ -526,7 +523,7 @@ def fully_mass_linear_test(poly: HPolytope, H) -> FullMassLinearReport:
     are the witness of a negative verdict.
     """
     _require_smooth(poly)
-    Hv = vec(H)
+    Hv = _functional(poly, H)
     dims = tuple(range(poly.dim + 1))
     values = tuple(dot(Hv, skeleton_barycenter(poly, k)) for k in dims)
     at_base = len(set(values)) == 1
@@ -542,12 +539,12 @@ def barycenter_pairings_agree(poly: HPolytope, H, dims) -> bool:
     listed k satisfies m_k == (gamma . kappa) * P_k with gamma . kappa
     the pairing with the vertex average.  Unequal pairings at the base
     kappa are the witness of a negative answer."""
-    dims = tuple(sorted(set(dims)))
     if 0 not in dims:
         raise ValueError("skeleton dimensions must include 0")
-    Hv = vec(H)
+    Hv = _functional(poly, H)
+    # skeleton_barycenter rejects a bad dimension before dims is sorted
     at_base = len({dot(Hv, skeleton_barycenter(poly, k)) for k in dims}) == 1
-    return _agree(poly, Hv, dims, at_base)
+    return _agree(poly, Hv, tuple(sorted(set(dims))), at_base)
 
 
 def _agree(poly: HPolytope, Hv: Vec, dims: tuple[int, ...], at_base: bool) -> bool:

@@ -249,13 +249,18 @@ def _slice_coord_polys(poly: HPolytope, k: int) -> tuple[MultiPoly, tuple[MultiP
     return _integrate(poly, k, ((cone, *cone.sums[k]) for cone in _vertex_cones(poly)), _slice(poly)[0])
 
 
-def _pairing(poly: HPolytope, coords: Sequence[MultiPoly], H: Sequence) -> MultiPoly:
-    """The <H, x> moment sum_c h_c * coords[c]; H must have n entries."""
+def _functional(poly: HPolytope, H: Sequence) -> Vec:
+    """H as a rational vector, which must have n entries."""
     Hv = vec(H)
     if len(Hv) != poly.dim:
         raise ValueError("functional has wrong dimension")
+    return Hv
+
+
+def _pairing(poly: HPolytope, coords: Sequence[MultiPoly], H: Sequence) -> MultiPoly:
+    """The <H, x> moment sum_c h_c * coords[c]; H must have n entries."""
     total: dict = {}
-    for h, coord in zip(Hv, coords):
+    for h, coord in zip(_functional(poly, H), coords):
         if h != 0:
             for m, c in (coord * h).terms:
                 total[m] = total.get(m, 0) + c
@@ -306,7 +311,7 @@ def face_measure(poly: HPolytope, face: Face) -> tuple[Fraction, Vec]:
 def skeleton_measure_polys(poly: HPolytope, k: int, H: Sequence):
     """Total lattice measure of the k-skeleton and total <H, x> moment over
     it, as exact polynomials in kappa."""
-    if not 0 <= k <= poly.dim:
+    if type(k) is not int or not 0 <= k <= poly.dim:
         raise ValueError("skeleton dimension out of range")
     measure, coords = _skeleton_coord_polys(poly, k)
     return measure, _pairing(poly, coords, H)
@@ -350,7 +355,7 @@ def skeleton_barycenter(poly: HPolytope, k: int) -> Vec:
     The slice polynomials at the support numbers of the polytope moved
     by -v0 (``_slice``) give its k-skeleton measure P_k and moments;
     moving back adds v0 to the barycenter."""
-    if not 0 <= k <= poly.dim:
+    if type(k) is not int or not 0 <= k <= poly.dim:
         raise ValueError("skeleton dimension out of range")
     measure, coords = _slice_coord_polys(poly, k)
     base = _slice(poly)[1]

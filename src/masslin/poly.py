@@ -146,28 +146,16 @@ class MultiPoly:
         return result
 
     def eval(self, point: Sequence) -> Fraction:
-        pt = [frac(p) for p in point]
-        if len(pt) != self.nvars:
-            raise ValueError("point length does not match variable count")
-        # powers[i][e] = pt[i]**e, built once up to the top degree in variable i
-        powers = []
-        for i, x in enumerate(pt):
-            row = [Fraction(1)]
-            for _ in range(max((m[i] for m, _ in self.terms), default=0)):
-                row.append(row[-1] * x)
-            powers.append(row)
-        total = Fraction(0)
-        for m, c in self.terms:
-            v = c
-            for row, e in zip(powers, m):
-                if e:
-                    v *= row[e]
-            total += v
-        return total
+        """The value at a point, by the integer pass of ``eval_gradient``."""
+        return self._integer_pass(point, False)[0]
 
     def eval_gradient(self, point: Sequence) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """The value and every first partial derivative at a point, in one
-        pass over the terms.
+        """The value and every first partial derivative at a point."""
+        return self._integer_pass(point, True)
+
+    def _integer_pass(self, point: Sequence, gradient: bool) -> tuple[Fraction, tuple[Fraction, ...] | None]:
+        """The value at a point and, if asked for, every first partial
+        derivative, in one pass over the terms.
 
         With the point as a / d and the coefficients as num / L over common
         denominators, a term c x^m of degree |m| <= top contributes
@@ -177,15 +165,13 @@ class MultiPoly:
         pt = [frac(p) for p in point]
         if len(pt) != self.nvars:
             raise ValueError("point length does not match variable count")
-        top = self.degree()
-        if top < 1:
-            return self.eval(pt), (Fraction(0),) * self.nvars
+        top = max(self.degree(), 0)
         d = lcm(*(p.denominator for p in pt))
         L = lcm(*(c.denominator for _, c in self.terms))
         powers = []
         for i, p in enumerate(pt):
             a, row = p.numerator * (d // p.denominator), [1]
-            for _ in range(max(m[i] for m, _ in self.terms)):
+            for _ in range(max((m[i] for m, _ in self.terms), default=0)):
                 row.append(row[-1] * a)
             powers.append(row)
         dpow = [d**e for e in range(top + 1)]
@@ -197,14 +183,18 @@ class MultiPoly:
             for i, e in factors:
                 v *= powers[i][e]
             value += v
-            for i, e in factors:
-                g = num * e * powers[i][e - 1]
-                for j, f in factors:
-                    if j != i:
-                        g *= powers[j][f]
-                grad[i] += g
-        scale = L * dpow[top - 1]
-        return Fraction(value, scale * d), tuple(Fraction(g, scale) for g in grad)
+            if gradient:
+                for i, e in factors:
+                    g = num * e * powers[i][e - 1]
+                    for j, f in factors:
+                        if j != i:
+                            g *= powers[j][f]
+                    grad[i] += g
+        value = Fraction(value, L * dpow[top])
+        if not gradient:
+            return value, None
+        scale = L * dpow[top - 1] if top else 1
+        return value, tuple(Fraction(g, scale) for g in grad)
 
     def partial(self, i: int) -> "MultiPoly":
         """Exact partial derivative with respect to variable i."""

@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import NotSimpleError, PolytopeError, StructuralInconsistency
@@ -36,7 +37,6 @@ from .linalg import (
     int_rank,
     int_solve,
     int_vec,
-    mat_vec,
     primitive,
     vec,
 )
@@ -71,8 +71,9 @@ def memoize(fn):
 
     Results live in the polytope's instance dict, beside the
     ``cached_property`` attributes of ``HPolytope``, in one ``_memo``
-    dict keyed by the function and its remaining arguments, which must
-    be hashable.  Memoize only data of the polytope itself: a functional
+    dict keyed by the function, its remaining arguments (which must be
+    hashable) and their types, so that 1, 1.0 and True do not share an
+    entry.  Memoize only data of the polytope itself: a functional
     H is never part of a key, so whatever depends on H is assembled from
     memoized parts on each call and the memo does not grow over a scan
     of functionals.  An exception is not memoized.
@@ -82,7 +83,7 @@ def memoize(fn):
     @wraps(fn)
     def memoized(poly, *args):
         memo = poly.__dict__.setdefault("_memo", {})
-        key = (name, *args)
+        key = (name, *args, *map(type, args))
         if key not in memo:
             memo[key] = fn(poly, *args)
         return memo[key]
@@ -401,7 +402,7 @@ class HPolytope:
         Tm = [int_vec(row) for row in T]
         if abs(int_det(Tm)) != 1:
             raise PolytopeError("lattice map must be unimodular")
-        new_conormals = tuple(int_vec(mat_vec(Tm, eta)) for eta in self.conormals)
+        new_conormals = tuple(tuple(sum(map(mul, row, eta)) for row in Tm) for eta in self.conormals)
         return HPolytope(self.dim, new_conormals, self.support, self.labels, self.name)
 
     def permute_facets(self, order: Sequence[int]) -> "HPolytope":

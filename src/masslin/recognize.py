@@ -6,11 +6,13 @@ the constructors: which facets play which role, the recovered
 constructor parameters, and a unimodular map plus translation carrying
 the input into constructor coordinates.  reconstruct() reruns the
 constructor on the recovered parameters, and certificate_holds() is the
-one verifier: it maps, translates and reorders the input's facet data
-and compares it with the facet data of the rebuilt polytope.  Every
-recognizer proposes a certificate and returns it only when
-certificate_holds() accepts it, so a certificate is checkable evidence
-rather than a bare claim.
+one verifier: it compares the input's facet data, mapped, translated
+and reordered by the one chart map _mapped(), with that of the rebuilt
+polytope.  Every recognizer reads mapped facet data from _mapped() too
+(the polygon recognizer at the translation that moves its corner vertex
+to the origin, where the base polygon is read) and returns a
+certificate only when certificate_holds() accepts it, so a certificate
+is checkable evidence rather than a bare claim.
 
 classify4d() greedily blows a 4-dimensional mass linear pair down to a
 terminal model, tags every blowdown step by the kind of face that had
@@ -36,6 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from .constructions import (
     Bundle121Spec,
@@ -54,14 +57,11 @@ from .errors import PolytopeError, StructuralInconsistency
 from .linalg import (
     IntVec,
     Vec,
-    dot,
     int_adjugate,
     int_det,
     int_rank,
     int_vec,
     integer_kernel_basis,
-    mat_vec,
-    unimodular_inverse,
     vec,
     zero_vec,
 )
@@ -150,12 +150,8 @@ def certificate_holds(poly: HPolytope, cert: RecognitionCertificate) -> bool:
     if sorted(order) != list(range(poly.n_facets)):
         raise PolytopeError("order must be a permutation of facet indices")
     built = reconstruct(cert)
-    conormals = tuple(int_vec(mat_vec(T, poly.conormals[x])) for x in order)
-    support = tuple(
-        poly.support[x] + dot(eta, cert.translation)
-        for x, eta in zip(order, conormals)
-    )
-    return (poly.dim, conormals, support) == (built.dim, built.conormals, built.support)
+    mapped = tuple(tuple(data[x] for x in order) for data in _mapped(poly, T, cert.translation))
+    return (poly.dim, *mapped) == (built.dim, built.conormals, built.support)
 
 
 def _holds(poly: HPolytope, cert: RecognitionCertificate) -> bool:
@@ -168,23 +164,26 @@ def _holds(poly: HPolytope, cert: RecognitionCertificate) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# small linear-algebra helpers
+# the chart map
 
 
-def _cols(*vectors) -> list[tuple]:
-    """The matrix with the given columns, in row representation."""
-    n = len(vectors[0])
-    return [tuple(v[r] for v in vectors) for r in range(n)]
-
-
-def _chart(poly: HPolytope, facets) -> tuple[IntVec, ...] | None:
-    """The integer map S with S eta_{facets[j]} = -e_j, that is minus the
-    inverse of the matrix with those conormals as columns, or None when
-    they are not a lattice basis."""
-    d, adj = int_adjugate(_cols(*(poly.conormals[f] for f in facets)))
+def _chart(columns) -> tuple[IntVec, ...] | None:
+    """The integer map S with S c_j = -e_j for the given columns c_j, that
+    is minus the inverse of the matrix they form, or None when they are
+    not a lattice basis."""
+    d, adj = int_adjugate(list(zip(*columns)))
     if abs(d) != 1:
         return None
     return tuple(tuple(-d * x for x in row) for row in adj)
+
+
+def _mapped(poly: HPolytope, S, xi=()) -> tuple[tuple[IntVec, ...], Vec]:
+    """The one chart map: every facet's conormal mapped by the integer
+    matrix S, in plain integers, and its support number moved by the
+    translation xi to kappa + <S eta, xi>, in facet index order."""
+    conormals = tuple(tuple(sum(map(mul, row, eta)) for row in S) for eta in poly.conormals)
+    support = tuple(k + sum(map(mul, eta, xi)) for eta, k in zip(conormals, poly.support))
+    return conormals, support
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +224,17 @@ def _segment_bundle_certificate(
         return RecognitionCertificate("segment_bundle", base=(i, j), fiber=others)
     k = n - 1
     body, last = others[:-1], others[-1]
-    S = _chart(poly, body + (i,))
+    S = _chart(poly.conormals[f] for f in body + (i,))
     if S is None:
         raise StructuralInconsistency(
             "base pair of a segment bundle admits no vertex basis"
         )
-    if tuple(mat_vec(S, poly.conormals[last])) != (1,) * k + (0,):
+    images = _mapped(poly, S)[0]
+    if images[last] != (1,) * k + (0,):
         raise StructuralInconsistency(
             "fiber conormals of a segment bundle must close up to zero"
         )
-    image_j = int_vec(mat_vec(S, poly.conormals[j]))
-    if image_j[k] != 1:
+    if images[j][k] != 1:
         raise StructuralInconsistency(
             "second base conormal of a segment bundle must be a unit lift"
         )
@@ -244,7 +243,7 @@ def _segment_bundle_certificate(
         "segment_bundle",
         base=(i, j),
         fiber=others,
-        params=YkBundleSpec(k, image_j[:k], tuple(poly.support[m] for m in order)),
+        params=YkBundleSpec(k, images[j][:k], tuple(poly.support[m] for m in order)),
         transform=S,
         translation=zero_vec(n),
         facet_order=order,
@@ -293,10 +292,7 @@ def _quotient_normalization(
     vsat = integer_kernel_basis(killed, n)
     if len(vsat) != m:
         return None
-    T = _cols(*vsat, *[tuple(-c for c in poly.conormals[b]) for b in b_roles])
-    if abs(int_det(T)) != 1:
-        return None
-    return unimodular_inverse(T)
+    return _chart([*(tuple(-c for c in v) for v in vsat), *(poly.conormals[b] for b in b_roles)])
 
 
 def _expansion_certificate(poly: HPolytope, groups) -> RecognitionCertificate | None:
@@ -321,16 +317,16 @@ def _expansion_certificate(poly: HPolytope, groups) -> RecognitionCertificate | 
         blocks[grp[-1]] = tuple(int(b in grp) for b in pure)
     # the lattice map keeps support numbers: move the pure slots to zero
     xi = zero_vec(m) + tuple(poly.support[b] for b in pure)
-    conormals, support = [], []
-    for x, block in blocks.items():
-        imx = int_vec(mat_vec(S, poly.conormals[x]))
-        if imx[m:] != block:
-            return None
-        conormals.append(imx[:m])
-        support.append(poly.support[x] + dot(imx, xi))
-    labels = tuple(poly.labels[x] for x in blocks)
+    images, support = _mapped(poly, S, xi)
+    if any(images[x][m:] != block for x, block in blocks.items()):
+        return None
     try:
-        core = HPolytope(m, tuple(conormals), tuple(support), labels)
+        core = HPolytope(
+            m,
+            tuple(images[x][:m] for x in blocks),
+            tuple(support[x] for x in blocks),
+            tuple(poly.labels[x] for x in blocks),
+        )
     except PolytopeError:
         return None
     k = core.n_facets
@@ -430,16 +426,12 @@ def _recognize_121(poly: HPolytope) -> RecognitionCertificate | None:
             continue
         f2, f3, f4, f5, f6 = (origins[x] for x in inner.facet_order)
         for t0, t1 in ((p, q), (q, p)):
-            S = _chart(poly, (t1, f2, f3, f5))
+            S = _chart(poly.conormals[f] for f in (t1, f2, f3, f5))
             if S is None:
                 continue
-            if tuple(mat_vec(S, poly.conormals[t0])) != (1, 0, 0, 0):
-                continue
-            v4 = int_vec(mat_vec(S, poly.conormals[f4]))
-            if v4[1:] != (1, 1, 0) or v4[0] < 0:
-                continue
-            v6 = int_vec(mat_vec(S, poly.conormals[f6]))
-            if v6[3] != 1:
+            images = _mapped(poly, S)[0]
+            v4, v6 = images[f4], images[f6]
+            if images[t0] != (1, 0, 0, 0) or v4[1:] != (1, 1, 0) or v4[0] < 0 or v6[3] != 1:
                 continue
             order = (t0, t1, f2, f3, f4, f5, f6)
             spec = Bundle121Spec(v6[:3], v4[0], tuple(poly.support[x] for x in order))
@@ -462,9 +454,9 @@ def _recognize_polygon_bundle(poly: HPolytope) -> RecognitionCertificate | None:
 
     The fiber shows up as three facets whose conormals span rank 2 and
     sum to zero; the remaining facets must close into a single
-    adjacency cycle.  A vertex over a polygon corner fixes the
-    normalization: its two base facets start the cycle and take zero
-    twists.
+    adjacency cycle.  A vertex over a polygon corner fixes the chart:
+    its two base facets start the cycle with zero twists, and the base
+    polygon and spec are read with the corner moved to the origin.
     """
     n, N = poly.dim, poly.n_facets
     if n != 4 or N < 6:
@@ -487,12 +479,14 @@ def _recognize_polygon_bundle(poly: HPolytope) -> RecognitionCertificate | None:
         if vert is None:
             continue
         g, gp = sorted(x for x in vert.basis if x not in (u, v))
-        S = _chart(poly, (u, v, g, gp))
+        S = _chart(poly.conormals[f] for f in (u, v, g, gp))
         if S is None:
             continue
         base = [x for x in range(N) if x not in triple]
-        images = {x: int_vec(mat_vec(S, poly.conormals[x])) for x in base}
-        if any(im[2:] == (0, 0) for im in images.values()):
+        # the corner over which vert sits moves to the origin
+        xi = tuple(poly.support[x] for x in (u, v, g, gp))
+        images, support = _mapped(poly, S, xi)
+        if any(images[x][2:] == (0, 0) for x in base):
             continue
         nb = {
             x: [y for y in base if y != x and poly.face({x, y}) is not None]
@@ -514,14 +508,13 @@ def _recognize_polygon_bundle(poly: HPolytope) -> RecognitionCertificate | None:
             polygon = HPolytope(
                 2,
                 tuple(images[x][2:] for x in cycle),
-                tuple(poly.support[x] for x in cycle),
+                tuple(support[x] for x in cycle),
                 tuple(poly.labels[x] for x in cycle),
             )
             spec = D2PolygonBundleSpec(
                 polygon,
                 tuple(images[x][:2] for x in cycle),
-                tuple(poly.support[x] for x in triple)
-                + tuple(poly.support[x] for x in cycle),
+                tuple(support[x] for x in triple + tuple(cycle)),
             )
         except PolytopeError:
             continue
@@ -531,7 +524,7 @@ def _recognize_polygon_bundle(poly: HPolytope) -> RecognitionCertificate | None:
             fiber=triple,
             params=spec,
             transform=S,
-            translation=zero_vec(4),
+            translation=xi,
             facet_order=triple + tuple(cycle),
         )
         if _holds(poly, cert):

@@ -1,10 +1,12 @@
 """Rational reference solvers for the tests, independent of the library's
 integer elimination kernel.
 
-Everything here is built on ``masslin.linalg.rref`` (rational
-Gauss-Jordan elimination), except ``det``, which is Leibniz's
-permutation expansion, and the plain product ``mat_mul``; tests compare
-the library's answers with these.
+``rref`` is rational Gauss-Jordan elimination, the oracle that the
+library's Bareiss ``int_rref`` is checked against, and ``rank``,
+``nullspace``, ``solve_linear`` and ``in_row_span`` are built on it;
+``det`` is Leibniz's permutation expansion, and ``mat_mul`` and
+``mat_vec`` are the plain products.  Tests compare the library's
+answers with these.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from itertools import combinations, permutations
 from math import prod
 from typing import Sequence
 
-from masslin import linalg
 from masslin.linalg import Mat, Vec, dot, frac
 
 
@@ -28,12 +29,46 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Mat:
     return tuple(tuple(dot(row, col) for col in columns) for row in A)
 
 
+def mat_vec(A: Sequence[Sequence], x: Sequence) -> Vec:
+    return tuple(dot(row, x) for row in A)
+
+
 def vec_add(u: Sequence, v: Sequence) -> Vec:
     return tuple(frac(a) + frac(b) for a, b in zip(u, v))
 
 
+def rref(A: Sequence[Sequence], ncols: int | None = None) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and pivot column indices, by rational
+    Gauss-Jordan elimination.
+
+    Pivot choice: scanning columns left to right, the first row (from the
+    current one down) with a nonzero entry is used.
+    """
+    rows = [[frac(e) for e in row] for row in A]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    r = 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][col]
+        rows[r] = [e / pv for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
 def rank(A: Sequence[Sequence]) -> int:
-    return len(linalg.rref(A)[1]) if A else 0
+    return len(rref(A)[1]) if A else 0
 
 
 def nullspace(A: Sequence[Sequence], ncols: int | None = None) -> tuple[Vec, ...]:
@@ -43,7 +78,7 @@ def nullspace(A: Sequence[Sequence], ncols: int | None = None) -> tuple[Vec, ...
         if not A:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(A[0])
-    R, pivots = linalg.rref(A, ncols)
+    R, pivots = rref(A, ncols)
     basis = []
     for j in range(ncols):
         if j in pivots:
@@ -73,7 +108,7 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, ncols: int | None = None) -
         if not A:
             raise ValueError("ncols required for an empty system")
         ncols = len(A[0])
-    R, pivots = linalg.rref([list(row) + [e] for row, e in zip(A, b)], ncols + 1)
+    R, pivots = rref([list(row) + [e] for row, e in zip(A, b)], ncols + 1)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols

@@ -368,3 +368,44 @@ class TestExitCodes:
 
     def test_help_is_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("construct", "simplex", "n=abc"), "n"),
+            (("construct", "simplex", "n=2", "size=abc"), "size"),
+            (("construct", "simplex", "n=2", "size=1/0"), "size"),
+            (("construct", "bundle-yk", "k=1.5", "a=1,1", "kappa=0,0,0,1"), "k"),
+            (("construct", "bundle-121", "a=1,2,3", "d=x", "kappa=0,1,0,0,4,0,40"), "d"),
+            (("construct", "minimal-a3", "n=seven"), "n"),
+            (("construct", "minimal-b", "n="), "n"),
+            (("mlspace", "bundle-yk", "k=abc", "a=1,1"), "k"),
+            (("mlspace", "bundle-121", "a=1,2,3", "d=abc"), "d"),
+        ],
+    )
+    def test_malformed_number_is_usage(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {name} is not ")
+
+    def test_malformed_fold_is_usage(self, capsys, tmp_path):
+        core = tmp_path / "core.polytope.json"
+        core.write_text(dumps(polytope_to_document(simplex(2))))
+        code, _, err = run(capsys, "construct", "expansion", f"core={core}", "facet=F1", "fold=abc")
+        assert code == 1 and err.startswith("error: fold is not an integer")
+
+    def test_malformed_eps_is_usage(self, capsys, bar_file):
+        code, out, err = run(capsys, "blowup", str(bar_file), "--face", "F1,F3", "--eps", "abc")
+        assert code == 1 and out == "" and "--eps" in err
+        # a well-formed depth outside its range is a domain error
+        code, out, _ = run(capsys, "blowup", str(bar_file), "--face", "F1,F3", "--eps", "5")
+        assert code == 2 and json.loads(out)["error"]["type"] == "PolytopeError"
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_must_be_positive(self, capsys, bar_file, tmp_path, jobs):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        (batch / "bar.polytope.json").write_text(bar_file.read_text())
+        for command in ("check", "classify"):
+            code, out, err = run(capsys, command, str(batch), "-H", "0,2,2,0", "--jobs", jobs)
+            assert code == 1 and out == "" and "--jobs" in err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _linalg_ref import det, identity, in_row_span, mat_mul, nullspace, rank, solve_linear
+from _linalg_ref import det, identity, in_row_span, mat_mul, mat_vec, nullspace, rank, rref, solve_linear
 from masslin.linalg import (
     dot,
     int_adjugate,
@@ -16,11 +16,8 @@ from masslin.linalg import (
     int_rref,
     int_solve,
     integer_kernel_basis,
-    mat_vec,
     primitive,
-    rref,
     scaled,
-    unimodular_inverse,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -340,16 +337,6 @@ class TestIntegerKernel:
         # vectors form a lattice basis: as a matrix they have full rank
         if basis:
             assert rank(basis) == len(basis)
-
-
-class TestUnimodular:
-    def test_inverse_is_integer(self):
-        U = [(1, 1), (0, 1)]
-        assert unimodular_inverse(U) == ((1, -1), (0, 1))
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            unimodular_inverse([(1, 1), (1, 1)])
 
 
 class TestSpanMembership:

@@ -743,6 +743,18 @@ class TestBarycenterCharacterizations:
         with pytest.raises(ValueError):
             barycenter_pairings_agree(box(), (1, 0), (1, 2))
 
+    @pytest.mark.parametrize("dims", [(0, 1.5), (0, 1.0), (0, "1"), (0, True), (0, 3)])
+    def test_dims_must_be_skeleton_dimensions(self, dims):
+        with pytest.raises(ValueError, match="skeleton dimension out of range"):
+            barycenter_pairings_agree(box(), (1, 0), dims)
+
+    @pytest.mark.parametrize("H", [(1,), (1, 0, 0)])
+    def test_wrong_dimension(self, H):
+        with pytest.raises(ValueError, match="functional has wrong dimension"):
+            fully_mass_linear_test(box(), H)
+        with pytest.raises(ValueError, match="functional has wrong dimension"):
+            barycenter_pairings_agree(box(), H, (0, 1))
+
 
 class TestMlSpace:
     def test_simplex_everything(self):

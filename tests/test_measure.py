@@ -359,6 +359,18 @@ class TestSkeletons:
                 with pytest.raises(ValueError):
                     skeleton_measure_polys(square(), k, H)
 
+    def test_rejects_bad_dimensions(self):
+        # only an int in 0..n is a skeleton dimension, not an integral
+        # float, a Fraction, a string or a bool, also once the int's
+        # barycenter is memoized
+        poly = square()
+        skeleton_barycenter(poly, 1)
+        for k in (1.5, 1.0, F(1), "1", True, -1, 3):
+            with pytest.raises(ValueError, match="skeleton dimension out of range"):
+                skeleton_barycenter(poly, k)
+            with pytest.raises(ValueError, match="skeleton dimension out of range"):
+                skeleton_measure_polys(poly, k, (1, 0))
+
 
 class TestBaseValues:
     def test_slice_values_match_skeleton_polys(self):

@@ -34,6 +34,7 @@ from masslin.errors import PolytopeError
 from masslin.masslinear import is_inessential, mass_linear_test, ml_space
 from masslin.polytope import HPolytope
 from masslin.recognize import (
+    _chart,
     _face_slice,
     _recognize_polygon_bundle,
     BlowupPlan,
@@ -195,6 +196,20 @@ class TestCertificateHolds:
         order = (0,) + cert.facet_order[:-1]
         with pytest.raises(PolytopeError, match="order must be a permutation"):
             certificate_holds(poly, replace(cert, facet_order=order))
+
+
+class TestChart:
+    """_chart is the one inversion of a unimodular matrix in the library:
+    the map S with S c_j = -e_j for the given columns c_j."""
+
+    def test_inverse_is_integer(self):
+        # minus the inverse of [[1, 1], [0, 1]], whose columns are given
+        assert _chart([(1, 0), (1, 1)]) == ((-1, 1), (0, -1))
+
+    def test_singular_rejected(self):
+        # no lattice basis: singular, or of index 2
+        assert _chart([(1, 1), (1, 1)]) is None
+        assert _chart([(2, 0), (0, 1)]) is None
 
 
 def test_face_slice_takes_face_or_index_set():
