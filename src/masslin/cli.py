@@ -50,7 +50,7 @@ from .constructions import (
     simplex,
 )
 from .errors import PolytopeError, StructuralInconsistency
-from .linalg import dot, vec
+from .linalg import dot
 from .masslinear import (
     equivalence_classes,
     fully_mass_linear_test,
@@ -58,7 +58,7 @@ from .masslinear import (
     is_inessential,
     mass_linear_test,
 )
-from .measure import skeleton_barycenter
+from .measure import _functional, skeleton_barycenter
 from .polytope import HPolytope
 from .recognize import classify4d
 
@@ -350,7 +350,7 @@ def certificate_summary(result) -> dict | None:
 
 
 def barycenters_document(poly: HPolytope, H) -> dict:
-    Hv = vec(H)
+    Hv = _functional(poly, H)
     table = []
     for k in range(poly.dim + 1):
         b = skeleton_barycenter(poly, k)

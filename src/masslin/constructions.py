@@ -90,14 +90,20 @@ class YkBundleSpec:
     kappa: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", int_vec(self.a))
+        object.__setattr__(self, "a", _yk_twists(self.k, self.a))
         object.__setattr__(self, "kappa", vec(self.kappa))
-        if self.k < 1:
-            raise PolytopeError("fiber dimension must be at least 1")
-        if len(self.a) != self.k:
-            raise PolytopeError("twist vector must have length k")
         if len(self.kappa) != self.k + 3:
             raise PolytopeError("need k + 3 support numbers")
+
+
+def _yk_twists(k: int, a: Sequence[int]) -> IntVec:
+    """The twist vector of Y_k, checked against the fiber dimension k."""
+    a = int_vec(a)
+    if k < 1:
+        raise PolytopeError("fiber dimension must be at least 1")
+    if len(a) != k:
+        raise PolytopeError("twist vector must have length k")
+    return a
 
 
 def _yk_conormals(k: int, a: Sequence[int]) -> tuple[IntVec, ...]:
@@ -156,14 +162,20 @@ class Bundle121Spec:
     kappa: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", int_vec(self.a))
+        object.__setattr__(self, "a", _121_twists(self.a, self.d))
         object.__setattr__(self, "kappa", vec(self.kappa))
-        if len(self.a) != 3:
-            raise PolytopeError("need a 3-vector of twists")
-        if self.d < 0:
-            raise PolytopeError("the segment twist d must be nonnegative")
         if len(self.kappa) != 7:
             raise PolytopeError("need 7 support numbers")
+
+
+def _121_twists(a: Sequence[int], d: int) -> IntVec:
+    """The twists (a1, a2, a3) of the 121 tower, checked with d."""
+    a = int_vec(a)
+    if len(a) != 3:
+        raise PolytopeError("need a 3-vector of twists")
+    if d < 0:
+        raise PolytopeError("the segment twist d must be nonnegative")
+    return a
 
 
 def _121_conormals(a: Sequence[int], d: int) -> tuple[IntVec, ...]:
@@ -620,9 +632,7 @@ def _echelon_pairs(
 def ml_space_Yk(k: int, a: Sequence[int]) -> FunctionalSpace:
     """Mass-linear and inessential spaces of the simplex bundle over a
     segment, in its canonical facet order and gamma normalization."""
-    a = int_vec(a)
-    if len(a) != k:
-        raise PolytopeError("twist vector must have length k")
+    a = _yk_twists(k, a)
     N = k + 3
     rows = [
         [1] * (k + 1) + [0, 0],
@@ -643,10 +653,7 @@ def ml_space_Yk(k: int, a: Sequence[int]) -> FunctionalSpace:
 def ml_space_121(a: Sequence[int], d: int) -> FunctionalSpace:
     """Mass-linear and inessential spaces of the 121 tower, facet order
     T0, T1, F2..F6."""
-    a = int_vec(a)
-    if len(a) != 3:
-        raise PolytopeError("need a 3-vector of twists")
-    a1, a2, a3 = a
+    a1, a2, a3 = a = _121_twists(a, d)
     rows = [
         [1, 1, 0, 0, 0, 0, 0],
         [d, 0, 0, 0, 0, 0, 0],

@@ -496,8 +496,8 @@ def generating_vector(
     Exists only for mass linear H (returns None otherwise, and None when
     the overdetermined system has no solution).  The conormals at the
     first vertex form an invertible A_v, so the only candidate is
-    xi = A_v^{-1} gamma_B = -sum_j gamma_{B_j} w_j, w_j being the edges
-    of the first vertex cone; every equation is then checked.
+    xi = A_v^{-1} gamma_B = -sum_j gamma_{B_j} w_j / d on the first
+    vertex cone (``VertexCone``); every equation is then checked.
     """
     if report is None:
         report = mass_linear_test(poly, H)
@@ -505,7 +505,7 @@ def generating_vector(
         return None
     cone = _vertex_cones(poly)[0]
     xi = tuple(
-        -sum((report.gamma[f] * e[c] for f, e in zip(cone.basis, cone.w)), Fraction(0)) for c in range(poly.dim)
+        -sum((report.gamma[f] * e[c] for f, e in zip(cone.basis, cone.w)), Fraction(0)) / cone.d for c in range(poly.dim)
     )
     if any(dot(eta, xi) != g for eta, g in zip(poly.conormals, report.gamma)):
         return None

@@ -6,20 +6,22 @@ all quantities below, with faces measured in their direction lattice,
 are exact polynomials in kappa.
 
 Each is a sum over vertex cones (Lawrence, Math. Comp. 57, 1991; Brion
-1988), with no triangulation.  Edge j at v leaves facet B_j along
-w_j = -A_v^{-1} e_j.  One deterministic xi, checked to pair nonzero with
-every edge, gives q_j = -<xi, w_j> and L_v = <xi, v(kappa)>.  The face F
-spanned by the edges T at v gets c_{v,T} = iota_{v,T} / prod_{j in T} q_j,
-iota_{v,T} being the index of the lattice of w_T in F's direction lattice
-(1 whenever |det A_v| = 1).  With k = dim F:
+1988), with no triangulation, in integers.  With d = |det A_v|, edge j
+at v leaves facet B_j along the integer vector w_j = -d A_v^{-1} e_j.
+One deterministic xi, checked to pair nonzero with every edge, gives
+q_j = -<xi, w_j> and L_v = <xi, v(kappa)> = sum_j q_j kappa_{B_j} / d.
+The face F spanned by the edges T at v gets c_{v,T} = iota_{v,T} /
+prod_{j in T} q_j, iota_{v,T} being the index of the lattice of w_T in
+F's direction lattice; the scale d^|T| of the edges cancels in the
+quotient.  With k = dim F:
 
     measure(F) = sum_{v in F} c_{v,T} L_v^k / k!
     int_F x_c  = sum_{v in F} c_{v,T} [v_c L_v^k / k!
                      + (sum_{j in T} w_{j,c} / q_j) L_v^(k+1) / (k+1)!]
 
 the second being the xi_c-derivative of Lawrence's formula in degree 1.
-A k-skeleton needs two scalars per vertex, sums over k-subsets T, which
-``_vertex_cones`` memoizes.
+A k-skeleton needs two scalars per vertex, sums over the k-subsets T
+that ``_cone_sums`` forms only for the k a caller integrates.
 
 Translating the polytope by xi adds <eta_i, xi> to kappa_i.  The
 measures do not move and the moment of <H, x> moves by <H, xi> times the
@@ -73,15 +75,14 @@ def direction_lattice_basis(poly: HPolytope, face: Face) -> list[tuple[int, ...]
 
 
 class VertexCone(NamedTuple):
-    """The tangent cone at one vertex: its basis facets (sorted), edge
-    vectors w (integer when unimodular) and q for one generic xi, and per
-    k the sums over k-subsets T of c_{v,T} and c_{v,T} sum_{j in T} w_j / q_j."""
+    """The tangent cone at one vertex, in integers: its basis facets
+    (sorted), d = |det A_v|, the edges w_j = -d A_v^{-1} e_j and q_j =
+    -<xi, w_j> for one generic xi."""
 
     basis: tuple[int, ...]
-    w: tuple[tuple, ...]
-    q: tuple
-    unimodular: bool
-    sums: tuple[tuple[Fraction, Vec], ...]
+    d: int
+    w: tuple[tuple[int, ...], ...]
+    q: tuple[int, ...]
 
 
 def _generic_xi(edges, n: int) -> tuple[int, ...]:
@@ -91,69 +92,64 @@ def _generic_xi(edges, n: int) -> tuple[int, ...]:
     return tuple(t**i for i in range(n))
 
 
-def _lattice_index(poly: HPolytope, cone: VertexCone, T: Sequence[int]) -> Fraction:
-    """iota_{v,T}: a nonzero maximal minor of w_T over that of a basis of
-    the face's direction lattice.  w_T is rational, so its minor is taken
-    on integer rows D w_T and divided by D^|T|."""
+def _lattice_index(poly: HPolytope, cone: VertexCone, T: Sequence[int]) -> int:
+    """iota_{v,T}: a nonzero maximal minor of w_T over the same minor of a
+    basis of the face's direction lattice, which contains w_T, so the
+    quotient is an integer."""
     face = poly.face(frozenset(cone.basis) - {cone.basis[j] for j in T})
     B = direction_lattice_basis(poly, face)
     for sel in combinations(range(poly.dim), len(T)):
-        if d := int_det([[b[i] for i in sel] for b in B]):
-            D, W = scaled([[cone.w[j][i] for i in sel] for j in T])
-            return abs(Fraction(int_det(W), d * D ** len(T)))
+        if m := int_det([[b[i] for i in sel] for b in B]):
+            iota, r = divmod(int_det([[cone.w[j][i] for i in sel] for j in T]), m)
+            if r:
+                raise StructuralInconsistency("edges must lie in the face's direction lattice")
+            return abs(iota)
     raise StructuralInconsistency("a lattice basis has an invertible minor")
 
 
-def _cone_sums(poly: HPolytope, cone: VertexCone, Ts) -> tuple[Fraction, Vec]:
-    """Sums over the edge sets T in Ts of the vertex's terms in the faces
-    they span: c_{v,T} and c_{v,T} sum_{j in T} w_j / q_j.
+def _cone_sums(poly: HPolytope, cone: VertexCone, Ts) -> tuple[int, tuple[int, ...]]:
+    """Integer numerators of the sums over the edge sets T in Ts of the
+    vertex's terms in the faces they span: c_{v,T}, over Q = prod_j q_j,
+    and c_{v,T} sum_{j in T} w_j / q_j, over Q^2.
 
-    Over Q = prod_j q_j these are iota_{v,T} prod_{j not in T} q_j / Q
-    and iota_{v,T} sum_{j in T} w_j prod_{i in T - j} q_i
-    prod_{i not in T} q_i^2 / Q^2, whose numerators are integers when
-    the cone is unimodular; one division per sum ends in Fractions."""
+    These are iota_{v,T} prod_{j not in T} q_j and iota_{v,T} sum_{j in T}
+    w_j prod_{i in T - j} q_i prod_{i not in T} q_i^2."""
     n = poly.dim
     s0, s1 = 0, [0] * n
     for T in Ts:
-        iota = _lattice_index(poly, cone, T) if T and not cone.unimodular else 1
+        iota = _lattice_index(poly, cone, T) if T and cone.d != 1 else 1
         rest = prod(q for i, q in enumerate(cone.q) if i not in T)
         s0 += iota * rest
         for j in T:
             f = iota * rest * rest * prod(cone.q[i] for i in T if i != j)
             for c in range(n):
                 s1[c] += f * cone.w[j][c]
-    Q = prod(cone.q)
-    return Fraction(s0) / Q, tuple(Fraction(x) / (Q * Q) for x in s1)
+    return s0, tuple(s1)
 
 
 @memoize
 def _vertex_cones(poly: HPolytope) -> tuple[VertexCone, ...]:
-    """Every vertex cone with its skeleton scalars, for ``_generic_xi``.
+    """Every vertex cone, for ``_generic_xi``.
 
-    The edges are the columns of -A_v^{-1} = -adj / det, integral exactly
-    when |det A_v| = 1, and v = -sum_j w_j kappa_{basis[j]} must give
-    back the vertex."""
+    The edges are the columns of -sign(det A_v) adj(A_v), and v = -sum_j
+    w_j kappa_{basis[j]} / d must give back the vertex."""
     n = poly.dim
     cones = []
     for v in poly.vertices:
         basis = tuple(sorted(v.basis))
-        d, adj = int_adjugate([poly.conormals[j] for j in basis])
-        if d == 0:
+        det, adj = int_adjugate([poly.conormals[j] for j in basis])
+        if det == 0:
             raise StructuralInconsistency("vertex conormals must be invertible")
-        unimodular = abs(d) == 1
-        w = tuple(tuple(-d * adj[c][j] if unimodular else Fraction(-adj[c][j], d) for c in range(n)) for j in range(n))
-        if tuple(-sum(e[c] * poly.support[f] for e, f in zip(w, basis)) for c in range(n)) != v.point:
+        d = abs(det)
+        w = tuple(tuple(-(det // d) * adj[c][j] for c in range(n)) for j in range(n))
+        if any(-sum(e[c] * poly.support[f] for e, f in zip(w, basis)) != d * v.point[c] for c in range(n)):
             raise StructuralInconsistency("vertex map must reproduce the vertex")
-        cones.append(VertexCone(basis, w, (), unimodular, ()))
+        cones.append(VertexCone(basis, d, w, ()))
     xi = _generic_xi([cone.w for cone in cones], n)
-    out = []
-    for cone in cones:
-        cone = cone._replace(q=tuple(-sum(a * b for a, b in zip(xi, e)) for e in cone.w))
-        if 0 in cone.q:
-            raise StructuralInconsistency("xi must pair nonzero with every edge")
-        sums = tuple(_cone_sums(poly, cone, combinations(range(n), k)) for k in range(n + 1))
-        out.append(cone._replace(sums=sums))
-    return tuple(out)
+    cones = tuple(cone._replace(q=tuple(-sum(map(mul, xi, e)) for e in cone.w)) for cone in cones)
+    if any(0 in cone.q for cone in cones):
+        raise StructuralInconsistency("xi must pair nonzero with every edge")
+    return cones
 
 
 @lru_cache(maxsize=None)
@@ -164,13 +160,13 @@ def _exponents(n: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(((e,) + r, m * comb(d, e)) for e in range(d + 1) for r, m in _exponents(n - 1, d - e))
 
 
-def _powers(N: int, cone: VertexCone, d: int, drop: frozenset[int]):
-    """L_v^d with the variables in drop set to zero, by the multinomial
-    theorem: (monomial in kappa, (j, alpha_j) for each kept basis
-    position j, coefficient) per exponent vector alpha on the kept basis
-    variables."""
+def _powers(N: int, cone: VertexCone, e: int, drop: frozenset[int]):
+    """(d L_v)^e = (sum_j q_j kappa_{basis[j]})^e with the variables in
+    drop set to zero, by the multinomial theorem: (monomial in kappa,
+    (j, alpha_j) for each kept basis position j, integer coefficient) per
+    exponent vector alpha on the kept basis variables."""
     kept = [j for j, f in enumerate(cone.basis) if f not in drop]
-    for alpha, m in _exponents(len(kept), d):
+    for alpha, m in _exponents(len(kept), e):
         mono = [0] * N
         for j, a in zip(kept, alpha):
             mono[cone.basis[j]] = a
@@ -179,40 +175,36 @@ def _powers(N: int, cone: VertexCone, d: int, drop: frozenset[int]):
 
 
 def _integrate(poly: HPolytope, k: int, terms, drop: frozenset[int] = frozenset()) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
-    """Measure and coordinate moments of k-faces from vertex terms (cone, s0, s1),
-    restricted to kappa_i = 0 for the facets i in drop.
+    """Measure and coordinate moments of k-faces from vertex terms (cone,
+    s0, s1) of ``_cone_sums``, restricted to kappa_i = 0 for the facets i
+    in drop.
 
-    As v_c(kappa) = -sum_j w_{j,c} kappa_{basis[j]}, the coefficient of
-    kappa^alpha in a vertex's moment is that of L_v^(k+1) / (k+1)! times
-    s1_c - s0 sum_j alpha_j w_{j,c} / q_j.  Dropped variables leave L_v
+    A vertex adds s0 (d L_v)^k / (Q d^k k!) to the measure.  As v_c(kappa)
+    = -sum_j w_{j,c} kappa_{basis[j]} / d, the coefficient of kappa^alpha
+    in its moment is that of (d L_v)^(k+1) / (Q^2 d^(k+1) (k+1)!) times
+    s1_c - s0 sum_j alpha_j w_{j,c} Q / q_j.  Dropped variables leave L_v
     before the expansion, so only the terms of the restriction are
-    formed.  All scalars go over a common denominator D: with
-    D / denominator(s0) a multiple of every numerator(q_j) times
-    denominator(w_{j,c}), each D s0 w_{j,c} / q_j is an exact integer
-    quotient, so the sums run in integers.
+    formed.  The sums run in integers over one common denominator each,
+    the lcm of Q d^k and of Q^2 d^(k+1) over the vertices.
     """
     N, n = poly.n_facets, poly.dim
-    parts = []
-    for cone, s0, s1 in terms:
-        m = lcm(*(q.numerator * x.denominator for e, q in zip(cone.w, cone.q) for x in e))
-        D = lcm(s0.denominator * m, *(x.denominator for x in s1))
-        unit = s0.numerator * (D // s0.denominator)
-        b = [unit * e[c] // q for e, q in zip(cone.w, cone.q) for c in range(n)]
-        parts.append((cone, D, unit, [x.numerator * (D // x.denominator) for x in s1], b))
-    den = lcm(*(part[1] for part in parts))
+    terms = [(cone, prod(cone.q), s0, s1) for cone, s0, s1 in terms]
+    den0 = lcm(*(Q * cone.d**k for cone, Q, _, _ in terms))
+    den1 = lcm(*(Q * Q * cone.d ** (k + 1) for cone, Q, _, _ in terms))
     measure, coords = {}, [{} for _ in range(n)]
-    for cone, D, s0, s1, b in parts:
-        scale = den // D
+    for cone, Q, s0, s1 in terms:
+        scale = den0 // (Q * cone.d**k) * s0
         for mono, _, p in _powers(N, cone, k, drop):
-            measure[mono] = measure.get(mono, 0) + scale * s0 * p
+            measure[mono] = measure.get(mono, 0) + scale * p
+        scale = den1 // (Q * Q * cone.d ** (k + 1))
+        b = [s0 * (Q // q) * e[c] for e, q in zip(cone.w, cone.q) for c in range(n)]
         for mono, alpha, p in _powers(N, cone, k + 1, drop):
             p *= scale
             alpha = [(j * n, a) for j, a in alpha if a]
             for c, dc in enumerate(coords):
-                g = s1[c] - sum(a * b[j + c] for j, a in alpha)
-                dc[mono] = dc.get(mono, 0) + p * g
+                dc[mono] = dc.get(mono, 0) + p * (s1[c] - sum(a * b[j + c] for j, a in alpha))
     polys = [MultiPoly.from_dict(N, {m: Fraction(x, d) for m, x in dc.items()}) for dc, d in
-             [(measure, den * factorial(k))] + [(dc, den * factorial(k + 1)) for dc in coords]]
+             [(measure, den0 * factorial(k))] + [(dc, den1 * factorial(k + 1)) for dc in coords]]
     return polys[0], tuple(polys[1:])
 
 
@@ -225,11 +217,16 @@ def _face_polys(poly: HPolytope, face: Face) -> tuple[MultiPoly, tuple[MultiPoly
     return _integrate(poly, face.dimension, ((c, *_cone_sums(poly, c, [T])) for c, T in zip(cones, Ts)))
 
 
+def _skeleton_terms(poly: HPolytope, k: int):
+    """Each vertex's terms summed over the k-subsets of its edges."""
+    return ((cone, *_cone_sums(poly, cone, combinations(range(poly.dim), k))) for cone in _vertex_cones(poly))
+
+
 @memoize
 def _skeleton_coord_polys(poly: HPolytope, k: int) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
     """Lattice measure of the k-skeleton and its n coordinate moments in
     all N variables, once per polytope and k."""
-    return _integrate(poly, k, ((cone, *cone.sums[k]) for cone in _vertex_cones(poly)))
+    return _integrate(poly, k, _skeleton_terms(poly, k))
 
 
 @memoize
@@ -246,7 +243,7 @@ def _slice_coord_polys(poly: HPolytope, k: int) -> tuple[MultiPoly, tuple[MultiP
     """Lattice measure of the k-skeleton and its n coordinate moments on
     the slice kappa_B = 0 (``_slice``): the integration pass behind every
     pair space and symmetric facet, once per polytope and k."""
-    return _integrate(poly, k, ((cone, *cone.sums[k]) for cone in _vertex_cones(poly)), _slice(poly)[0])
+    return _integrate(poly, k, _skeleton_terms(poly, k), _slice(poly)[0])
 
 
 def _functional(poly: HPolytope, H: Sequence) -> Vec:
@@ -324,27 +321,27 @@ def integrate_monomial(poly: HPolytope, exponents: Sequence[int]) -> Fraction:
     With M = |e|, the e-th finite difference of y -> <y, x>^M at any
     shift a gives x^e = 1/M! sum_{0<=p<=e} (-1)^(M-|p|) prod_i C(e_i, p_i)
     <p + a, x>^M; here a = t xi for the first t that makes every form
-    generic.  On the integer vertices L v and edges W = D w of a cone,
-    iota_v / prod_j <-l, w_j> = |det W| / prod_j <-l, W_j>, so each term
-    is one integer quotient and the sum is divided once by (M+n)! L^(M+n).
+    generic.  On the integer vertices L v and the integer edges w of a
+    cone, iota_v = |det w| = d^(n-1), so each term is one integer
+    quotient and the sum is divided once by (M+n)! L^(M+n).
     """
     n = poly.dim
     if len(exponents) != n or not all(type(e) is int and e >= 0 for e in exponents):
         raise ValueError("need one nonnegative exponent per coordinate")
     M = sum(exponents)
     L, verts = scaled([v.point for v in poly.vertices])
-    edges = [scaled(cone.w)[1] for cone in _vertex_cones(poly)]
-    dets = [abs(int_det(W)) for W in edges]
-    xi = _generic_xi(edges, n)
+    cones = _vertex_cones(poly)
+    xi = _generic_xi([cone.w for cone in cones], n)
     shifts = [(p, (-1) ** (M - sum(p)) * prod(map(comb, exponents, p)))
               for p in product(*(range(e + 1) for e in exponents))]
     t = next(t for t in count() if all(sum(map(mul, p, w)) + t * sum(map(mul, xi, w))
-                                       for p, _ in shifts for W in edges for w in W))
+                                       for p, _ in shifts for cone in cones for w in cone.w))
     total = Fraction(0)
     for p, c in shifts:
         ell = [a + t * x for a, x in zip(p, xi)]
-        for v, W, det in zip(verts, edges, dets):
-            total += Fraction(c * det * sum(map(mul, ell, v)) ** (M + n), prod(-sum(map(mul, ell, w)) for w in W))
+        for v, cone in zip(verts, cones):
+            total += Fraction(c * cone.d ** (n - 1) * sum(map(mul, ell, v)) ** (M + n),
+                              prod(-sum(map(mul, ell, w)) for w in cone.w))
     return total / (factorial(M + n) * L ** (M + n))
 
 

@@ -708,6 +708,12 @@ def _is_edge_type(poly: HPolytope, report: MassLinearReport, i, j, g) -> bool:
     )
 
 
+def _first_edge(poly: HPolytope, report: MassLinearReport, candidates) -> tuple | None:
+    """The first (i, j, g) among the candidates that ``_is_edge_type``
+    accepts, or None."""
+    return next((c for c in candidates if _is_edge_type(poly, report, *c)), None)
+
+
 def _blowup_type_tag(bar: HPolytope, report: MassLinearReport, I) -> str:
     """Classify the face of bar whose blowup the removed facet was."""
     if len(I) == 2:
@@ -899,20 +905,8 @@ def essential_blowup_planner(poly: HPolytope, H) -> BlowupPlan:
     ]
     if not bridges:
         return BlowupPlan(False, "no core edge runs between the two expanded edges")
-    first = None
-    for g in bridges:
-        G = cert.fiber[g]
-        for bi in cert.base[:2]:
-            for bj in cert.base[2:]:
-                if report.gamma[bi] + report.gamma[bj] != 0:
-                    continue
-                if _is_edge_type(poly, report, bi, bj, G):
-                    first = (bi, bj, G)
-                    break
-            if first:
-                break
-        if first:
-            break
+    first = _first_edge(poly, report, ((bi, bj, cert.fiber[g]) for g in bridges
+                                       for bi in cert.base[:2] for bj in cert.base[2:]))
     if first is None:
         raise StructuralInconsistency(
             "feasibility criteria hold but no admissible edge exists"
@@ -925,20 +919,9 @@ def essential_blowup_planner(poly: HPolytope, H) -> BlowupPlan:
     tied = j2 in equivalence_classes(core).class_of(j1)
     if tied:
         rep1 = mass_linear_test(blown, Hv)
-        second = None
-        for shared in first[:2]:
-            others = [x for x in cert.base if x not in first[:2]]
-            for k in others:
-                if report.gamma[shared] + report.gamma[k] != 0:
-                    continue
-                for gp in sorted(rep1.symmetric):
-                    if _is_edge_type(blown, rep1, shared + 1, k + 1, gp):
-                        second = (shared + 1, k + 1, gp)
-                        break
-                if second:
-                    break
-            if second:
-                break
+        others = [x for x in cert.base if x not in first[:2]]
+        second = _first_edge(blown, rep1, ((shared + 1, k + 1, gp) for shared in first[:2]
+                                           for k in others for gp in sorted(rep1.symmetric)))
         if second is None:
             raise StructuralInconsistency(
                 "equivalent expanded edges but no second admissible edge exists"

@@ -278,6 +278,14 @@ class TestBarycenters:
         assert all(row["barycenter"] == ["1/3", "1/3"] for row in doc["table"])
         assert all(row["pairing"] == "1/3" for row in doc["table"])
 
+    def test_wrong_length_functional_reads_as_in_check(self, capsys, tmp_path):
+        path = tmp_path / "s2.polytope.json"
+        path.write_text(dumps(polytope_to_document(simplex(2))))
+        outcomes = [run(capsys, command, str(path), "-H", "1,2,3")[:2] for command in ("check", "barycenters")]
+        assert outcomes[0] == outcomes[1]
+        code, out = outcomes[1]
+        assert code == 2 and json.loads(out)["error"]["message"] == "functional has wrong dimension"
+
 
 class TestMlSpace:
     def test_yk_spaces(self, capsys):
@@ -293,6 +301,19 @@ class TestMlSpace:
         for entry in doc["mass_linear"]:
             coeffs = [Fr(c) for c in entry["coefficients"]]
             assert sum(coeffs) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bundle-121", "a=1,1,1", "d=-1"),
+            ("bundle-121", "a=1,2", "d=0"),
+            ("bundle-yk", "k=0", "a=0"),
+            ("bundle-yk", "k=2", "a=1"),
+        ],
+    )
+    def test_parameters_the_spec_rejects_are_domain_errors(self, capsys, argv):
+        code, out, _ = run(capsys, "mlspace", *argv)
+        assert code == 2 and json.loads(out)["error"]["type"] == "PolytopeError"
 
     def test_d2_space_from_file(self, capsys, tmp_path):
         path = tmp_path / "sq.polytope.json"

@@ -170,6 +170,13 @@ class TestYkSpace:
         poly = yk(2, (-1, 2), (0, 0, 1, 0, 3))
         space_agrees_with_polytope(poly, ml_space_Yk(2, (-1, 2)))
 
+    @pytest.mark.parametrize("k, a", [(0, ()), (-1, ()), (2, (1,)), (2, (1, 2, 3))])
+    def test_solver_rejects_what_the_spec_rejects(self, k, a):
+        with pytest.raises(PolytopeError) as spec_error:
+            YkBundleSpec(k, a, (0,) * (k + 3))
+        with pytest.raises(PolytopeError, match=str(spec_error.value)):
+            ml_space_Yk(k, a)
+
     def test_known_essential_functional(self):
         poly = yk(3, (1, 2, 3), (0, 0, 0, 1, 0, 4))
         g = (1, 1, -1, -1, 0, 0)
@@ -199,6 +206,13 @@ class Test121:
     def test_negative_d_rejected(self):
         with pytest.raises(PolytopeError):
             Bundle121Spec((1, 2, 3), -1, (0, 5, 0, 0, 4, 0, 9))
+
+    @pytest.mark.parametrize("a, d", [((1, 1, 1), -1), ((1, 2), 0), ((1, 2, 3, 4), 1)])
+    def test_solver_rejects_what_the_spec_rejects(self, a, d):
+        with pytest.raises(PolytopeError) as spec_error:
+            Bundle121Spec(a, d, (0, 1, 0, 0, 4, 0, 40))
+        with pytest.raises(PolytopeError, match=str(spec_error.value)):
+            ml_space_121(a, d)
 
     def test_segment_pins_when_twisted(self):
         fs = ml_space_121((1, 2, 3), 1)

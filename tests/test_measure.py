@@ -24,7 +24,7 @@ from masslin.cli import check_document
 from masslin.constructions import blowup
 from masslin.errors import StructuralInconsistency
 from masslin.linalg import dot, vec, vec_sub
-from masslin.masslinear import _face_slice
+from masslin.masslinear import _face_slice, mass_linear_test
 from masslin.measure import (
     _face_polys,
     _skeleton_coord_polys,
@@ -444,6 +444,42 @@ class TestMemo:
         assert _stored_entries(poly) == after_one
 
 
+class TestPerKConeSums:
+    """Cone sums are formed only for the skeleton dimensions k that a
+    caller integrates: a mass linearity test reads k = n alone, a full
+    check every k."""
+
+    @staticmethod
+    def _recorded_sizes(monkeypatch):
+        sizes = set()
+        plain = measure._cone_sums
+
+        def recording(poly, cone, Ts):
+            Ts = list(Ts)
+            sizes.update(len(T) for T in Ts)
+            return plain(poly, cone, Ts)
+
+        monkeypatch.setattr(measure, "_cone_sums", recording)
+        return sizes
+
+    @staticmethod
+    def _fresh_pair():
+        sp = next(sp for sp in suite_polytopes() if sp.poly.dim == 4)
+        return HPolytope(4, sp.poly.conormals, sp.poly.support, sp.poly.labels), sp.functionals[0]
+
+    def test_mass_linear_test_sums_only_k_equal_n(self, monkeypatch):
+        poly, H = self._fresh_pair()
+        sizes = self._recorded_sizes(monkeypatch)
+        mass_linear_test(poly, H)
+        assert sizes == {4}
+
+    def test_check_document_sums_every_k(self, monkeypatch):
+        poly, H = self._fresh_pair()
+        sizes = self._recorded_sizes(monkeypatch)
+        check_document(poly, H)
+        assert sizes == set(range(5))
+
+
 def _unit(n, c):
     return tuple(int(i == c) for i in range(n))
 
@@ -459,12 +495,17 @@ def _all_polys(poly):
 
 NON_SMOOTH_TRIANGLE = ((-1, 0), (0, -1), (1, 2)), (0, 0, 2)
 NON_SMOOTH_TETRAHEDRON = ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 2)), (0, 0, 0, 2)
+# one vertex with |det A_v| = 3, whose edges span an index 3^(n-1)
+# sublattice of Z^n
+DET3_TRIANGLE = ((-1, 0), (0, -1), (1, 3)), (0, 0, 3)
+DET3_TETRAHEDRON = ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 3)), (0, 0, 0, 3)
 
 
 class TestNonSmooth:
-    """Simple polytopes with a vertex where |det A_v| = 2: the edges there
-    span a sublattice of index 2 in the direction lattice of some faces,
-    so every face term through that vertex carries its lattice index."""
+    """Simple polytopes with a vertex where |det A_v| = 2 or 3: the edges
+    there span a sublattice of index d in the direction lattice of some
+    faces, so every face term through that vertex carries its lattice
+    index."""
 
     def test_triangle(self):
         poly = HPolytope(2, *NON_SMOOTH_TRIANGLE)
@@ -487,6 +528,40 @@ class TestNonSmooth:
             (F(1, 2), F(1, 2), F(1, 4)),
         ]
 
+    def test_triangle_with_determinant_three(self):
+        # edges of lattice lengths 1, 3 and 1 on the facets 0, 1 and 2
+        poly = HPolytope(2, *DET3_TRIANGLE)
+        assert poly.is_simple() and not poly.is_smooth()
+        assert volume(poly) == F(3, 2) == integrate_monomial(poly, (0, 0))
+        assert [skeleton_barycenter(poly, k) for k in range(3)] == [
+            (1, F(1, 3)),
+            (F(6, 5), F(1, 5)),
+            (1, F(1, 3)),
+        ]
+
+    def test_tetrahedron_with_determinant_three(self):
+        poly = HPolytope(3, *DET3_TETRAHEDRON)
+        assert volume(poly) == F(3, 2) == integrate_monomial(poly, (0, 0, 0))
+        assert integrate_monomial(poly, (1, 2, 0)) == F(27, 40)
+        assert [skeleton_barycenter(poly, k) for k in range(4)] == [
+            (F(3, 4), F(3, 4), F(1, 4)),
+            (F(7, 8), F(7, 8), F(1, 8)),
+            (F(5, 6), F(5, 6), F(1, 6)),
+            (F(3, 4), F(3, 4), F(1, 4)),
+        ]
+
+    def test_vertex_cones_are_integer(self):
+        inputs = [(2, NON_SMOOTH_TRIANGLE), (3, NON_SMOOTH_TETRAHEDRON), (2, DET3_TRIANGLE), (3, DET3_TETRAHEDRON)]
+        dets = set()
+        for n, data in inputs:
+            poly = HPolytope(n, *data)
+            for cone in measure._vertex_cones(poly):
+                assert type(cone.d) is int and cone.d == abs(det([poly.conormals[j] for j in cone.basis]))
+                assert all(type(x) is int for x in cone.basis + cone.q)
+                assert all(type(x) is int for e in cone.w for x in e)
+                dets.add(cone.d)
+        assert dets == {1, 2, 3}
+
 
 class TestGenericXi:
     def test_first_generic_point_of_the_moment_curve(self):
@@ -501,6 +576,7 @@ class TestGenericXi:
             lambda: blowup(bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)), (0, 2, 3)),
             lambda: HPolytope(2, *NON_SMOOTH_TRIANGLE),
             lambda: HPolytope(3, *NON_SMOOTH_TETRAHEDRON),
+            lambda: HPolytope(3, *DET3_TETRAHEDRON),
         ]
         expected = [(_all_polys(make()), measure._vertex_cones(make())) for make in makers]
         monkeypatch.setattr(measure, "_generic_xi", lambda edges, n: xi[:n])
@@ -612,6 +688,7 @@ class TestTriangulationOracle:
     def test_monomials_to_degree_three(self):
         polys = [sp.poly for sp in suite_polytopes()]
         polys += [HPolytope(2, *NON_SMOOTH_TRIANGLE), HPolytope(3, *NON_SMOOTH_TETRAHEDRON)]
+        polys += [HPolytope(2, *DET3_TRIANGLE), HPolytope(3, *DET3_TETRAHEDRON)]
         for poly in polys:
             for exps in product(range(4), repeat=poly.dim):
                 if sum(exps) <= 3:
