@@ -162,20 +162,23 @@ class Bundle121Spec:
     kappa: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _121_twists(self.a, self.d))
+        a, d = _121_twists(self.a, self.d)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "kappa", vec(self.kappa))
         if len(self.kappa) != 7:
             raise PolytopeError("need 7 support numbers")
 
 
-def _121_twists(a: Sequence[int], d: int) -> IntVec:
-    """The twists (a1, a2, a3) of the 121 tower, checked with d."""
-    a = int_vec(a)
+def _121_twists(a: Sequence[int], d: int) -> tuple[IntVec, int]:
+    """The twists (a1, a2, a3) and d of the 121 tower, checked to be
+    integers, with d nonnegative."""
+    a, (d,) = int_vec(a), int_vec((d,))
     if len(a) != 3:
         raise PolytopeError("need a 3-vector of twists")
     if d < 0:
         raise PolytopeError("the segment twist d must be nonnegative")
-    return a
+    return a, d
 
 
 def _121_conormals(a: Sequence[int], d: int) -> tuple[IntVec, ...]:
@@ -229,9 +232,7 @@ class D2PolygonBundleSpec:
     kappa: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "twists", tuple(tuple(int(x) for x in t) for t in self.twists)
-        )
+        object.__setattr__(self, "twists", tuple(int_vec(t) for t in self.twists))
         object.__setattr__(self, "kappa", vec(self.kappa))
         k = self.polygon.n_facets
         if self.polygon.dim != 2:
@@ -386,11 +387,6 @@ def _blowup(poly: HPolytope, face_indices, eps, at: int, label: str) -> HPolytop
     f = poly.face(I)
     if f is None:
         raise PolytopeError(f"facets {names} do not meet in a face")
-    if f.index_set != frozenset(I):
-        raise PolytopeError(
-            f"facets {names} cut a face of codimension "
-            f"{poly.dim - f.dimension}, not {len(I)}"
-        )
     eta0 = tuple(sum(poly.conormals[i][j] for i in I) for j in range(poly.dim))
     if primitive(eta0) != eta0:
         raise StructuralInconsistency("conormal sum over a smooth face is primitive")
@@ -653,7 +649,8 @@ def ml_space_Yk(k: int, a: Sequence[int]) -> FunctionalSpace:
 def ml_space_121(a: Sequence[int], d: int) -> FunctionalSpace:
     """Mass-linear and inessential spaces of the 121 tower, facet order
     T0, T1, F2..F6."""
-    a1, a2, a3 = a = _121_twists(a, d)
+    a, d = _121_twists(a, d)
+    a1, a2, a3 = a
     rows = [
         [1, 1, 0, 0, 0, 0, 0],
         [d, 0, 0, 0, 0, 0, 0],

@@ -45,7 +45,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import PolytopeError, StructuralInconsistency
 from .linalg import (
@@ -198,9 +197,10 @@ def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]
     on kappa_i: the exact identity F_i = d(mu)/dk_i * V - mu * dV/dk_i
     == 0.  Works whether or not H is mass linear.  F_i is translation
     invariant, so it is decided on the slice kappa_B = 0 from the slice
-    polynomials mu' and V'.  Off B, d/dk_i is the slice partial.  At the
-    facet B_p, the chain rule through the translation that keeps kappa
-    on the slice gives dmu/dk_{B_p} = sum_j <eta_j, w_p> dmu'/dk_j
+    polynomials mu' and V', over one denominator that scales every F_i
+    alike.  Off B, d/dk_i is the slice partial.  At the facet B_p, the
+    chain rule through the translation that keeps kappa on the slice
+    gives dmu/dk_{B_p} = sum_j <eta_j, w_p> dmu'/dk_j
     - <H, w_p> V' and dV/dk_{B_p} = sum_j <eta_j, w_p> dV'/dk_j, w_p
     being the first vertex's edge that leaves B_p.  Witness-first: F_i
     is evaluated at the slice point of the base polytope, where it takes
@@ -211,7 +211,7 @@ def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]
     Hv = vec(H)
     n, N = poly.dim, poly.n_facets
     B, base = _slice(poly)
-    vol, coords = _slice_coord_polys(poly, n)
+    _, vol, coords = _slice_coord_polys(poly, n)
     mu = _pairing(poly, coords, Hv)
     cone = _vertex_cones(poly)[0]
     edges = [
@@ -403,8 +403,9 @@ def inessential_reduction(
     """Split a mass linear H as h_tilde + h_prime, h_prime inessential,
     so that every facet of the class except its last is h_tilde-symmetric
     and other facets keep their symmetry status."""
+    Hv = _functional(poly, H)
     if report is None:
-        report = mass_linear_test(poly, H)
+        report = mass_linear_test(poly, Hv)
     if not report.verdict:
         raise ValueError("reduction requires a mass linear functional")
     members = sorted(cls)
@@ -421,7 +422,7 @@ def inessential_reduction(
         h_prime = tuple(
             a + beta[i] * b for a, b in zip(h_prime, poly.conormals[i])
         )
-    h_tilde = vec_sub(vec(H), h_prime)
+    h_tilde = vec_sub(Hv, h_prime)
     return Reduction(h_prime, h_tilde, vec(beta))
 
 
@@ -447,20 +448,16 @@ def _face_slice(poly: HPolytope, face) -> tuple[HPolytope, tuple[int, ...]]:
     face = _resolve_face(poly, face)
     B = direction_lattice_basis(poly, face)
     v0 = poly.vertices[face.vertex_ids[0]].point
-    k = face.dimension
     conormals, support, origins, labels = [], [], [], []
     for j in range(poly.n_facets):
-        if j in face.index_set:
-            continue
-        sub = poly.face(face.index_set | {j})
-        if sub is None or sub.dimension != k - 1:
+        if j in face.index_set or poly.face(face.index_set | {j}) is None:
             continue
         eta = poly.conormals[j]
         conormals.append(int_vec(tuple(dot(b, eta) for b in B)))
         support.append(poly.support[j] - dot(eta, v0))
         origins.append(j)
         labels.append(poly.labels[j])
-    out = HPolytope(k, tuple(conormals), tuple(support), tuple(labels))
+    out = HPolytope(face.dimension, tuple(conormals), tuple(support), tuple(labels))
     if not out.is_smooth():
         raise StructuralInconsistency("a face of a smooth polytope must be smooth")
     return out, tuple(origins)
@@ -583,28 +580,27 @@ def _skeleton_block(poly: HPolytope, k: int) -> tuple[tuple[int, ...], ...]:
     The identity is one equation per monomial in the N - n slice
     variables: column c < n holds the coefficients of the k-skeleton's
     coordinate moment int x_c, column n + i those of -kappa_i * P_k, all
-    over one common denominator; kappa_i vanishes on the slice for i in
-    B, so those columns are zero.  At most n + N rows span the same row
-    space.  The k = 0 block guards that P_0 is the vertex count and
+    over one common denominator, which cancels from the identity: the
+    entries are the slice pass's integer numerators.  kappa_i vanishes
+    on the slice for i in B, so those columns are zero.  At most n + N
+    rows span the same row space.  The k = 0 block guards that P_0 is the vertex count and
     every vertex moment is linear in kappa, as every vertex is."""
     n, N = poly.dim, poly.n_facets
-    measure, coords = _slice_coord_polys(poly, k)
+    D, measure, coords = _slice_coord_polys(poly, k)
     if k == 0:
-        if measure != MultiPoly.constant(N, len(poly.vertices)):
+        if measure != MultiPoly.constant(N, D * len(poly.vertices)):
             raise StructuralInconsistency("the 0-skeleton measure is the vertex count")
         if any(sum(m) != 1 for c in coords for m, _ in c.terms):
             raise StructuralInconsistency("the vertex moment is linear in kappa")
     B = _slice(poly)[0]
-    parts = [c.as_dict() for c in coords] + [measure.as_dict()]
-    D = lcm(*(x.denominator for part in parts for x in part.values()))
     rows: dict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * (n + N))
-    for c, part in enumerate(parts[:n]):
-        for m, x in part.items():
-            rows[m][c] = int(x * D)
-    for m, x in parts[n].items():
+    for c, coord in enumerate(coords):
+        for m, x in coord.terms:
+            rows[m][c] = x
+    for m, x in measure.terms:
         for i in range(N):
             if i not in B:
-                rows[m[:i] + (m[i] + 1,) + m[i + 1 :]][n + i] = -int(x * D)
+                rows[m[:i] + (m[i] + 1,) + m[i + 1 :]][n + i] = -x
     system = list(rows.values())
     pivots, _ = _echelon(system, n + N)
     return tuple(tuple(row) for row in system[: len(pivots)])

@@ -31,12 +31,14 @@ invertible, so each kappa is a translate of exactly one point of it.
 ``_slice_coord_polys`` expands the skeleton polynomials there, once per
 polytope and k, in the N - n variables off B: at a vertex, the terms of
 L_v in kappa_B are dropped before the multinomial expansion, and the
-first vertex adds only its degree-0 term.  Volumes and skeleton
-barycenters are those polynomials evaluated at the slice point of the
-polytope, the barycenters moved back by the first vertex.  Only the
-public polynomials (``volume_poly``, ``moment_poly``,
-``skeleton_measure_polys``) keep all N variables, from
-``_skeleton_coord_polys``.
+first vertex adds only its degree-0 term.  Its integer polynomials share
+one denominator D, which cancels from every identity and ratio formed
+of them.  Volumes and skeleton barycenters are those polynomials
+evaluated at the slice point of the polytope, the barycenters moved
+back by the first vertex.  Only the public polynomials
+(``volume_poly``, ``moment_poly``, ``skeleton_measure_polys``) keep all
+N variables, from ``_skeleton_coord_polys``; they and the face
+polynomials are divided by D.
 
 Monomial integrals use the same cones, by Brion's formula for a power of
 a linear form l pairing nonzero with every edge (Baldoni, Berline,
@@ -132,8 +134,10 @@ def _vertex_cones(poly: HPolytope) -> tuple[VertexCone, ...]:
     """Every vertex cone, for ``_generic_xi``.
 
     The edges are the columns of -sign(det A_v) adj(A_v), and v = -sum_j
-    w_j kappa_{basis[j]} / d must give back the vertex."""
+    w_j kappa_{basis[j]} / d must give back the vertex, checked in
+    integers on the support numbers kappa = K / L."""
     n = poly.dim
+    L, (K,) = scaled([poly.support])
     cones = []
     for v in poly.vertices:
         basis = tuple(sorted(v.basis))
@@ -142,7 +146,8 @@ def _vertex_cones(poly: HPolytope) -> tuple[VertexCone, ...]:
             raise StructuralInconsistency("vertex conormals must be invertible")
         d = abs(det)
         w = tuple(tuple(-(det // d) * adj[c][j] for c in range(n)) for j in range(n))
-        if any(-sum(e[c] * poly.support[f] for e, f in zip(w, basis)) != d * v.point[c] for c in range(n)):
+        if any(-sum(e[c] * K[f] for e, f in zip(w, basis)) * x.denominator != d * L * x.numerator
+               for c, x in enumerate(v.point)):
             raise StructuralInconsistency("vertex map must reproduce the vertex")
         cones.append(VertexCone(basis, d, w, ()))
     xi = _generic_xi([cone.w for cone in cones], n)
@@ -174,38 +179,35 @@ def _powers(N: int, cone: VertexCone, e: int, drop: frozenset[int]):
         yield tuple(mono), zip(kept, alpha), m
 
 
-def _integrate(poly: HPolytope, k: int, terms, drop: frozenset[int] = frozenset()) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
+def _integrate(poly: HPolytope, k: int, terms, drop: frozenset[int] = frozenset()) -> tuple[int, MultiPoly, tuple[MultiPoly, ...]]:
     """Measure and coordinate moments of k-faces from vertex terms (cone,
     s0, s1) of ``_cone_sums``, restricted to kappa_i = 0 for the facets i
-    in drop.
+    in drop, as (D, D measure, D moments) with integer coefficients, D
+    the lcm of Q^2 d^(k+1) over the vertices times (k+1)!.
 
-    A vertex adds s0 (d L_v)^k / (Q d^k k!) to the measure.  As v_c(kappa)
-    = -sum_j w_{j,c} kappa_{basis[j]} / d, the coefficient of kappa^alpha
-    in its moment is that of (d L_v)^(k+1) / (Q^2 d^(k+1) (k+1)!) times
-    s1_c - s0 sum_j alpha_j w_{j,c} Q / q_j.  Dropped variables leave L_v
-    before the expansion, so only the terms of the restriction are
-    formed.  The sums run in integers over one common denominator each,
-    the lcm of Q d^k and of Q^2 d^(k+1) over the vertices.
+    A vertex adds s0 (d L_v)^k / (Q d^k k!) = s0 Q d (k+1) (d L_v)^k /
+    (Q^2 d^(k+1) (k+1)!) to the measure.  As v_c(kappa) = -sum_j w_{j,c}
+    kappa_{basis[j]} / d, the coefficient of kappa^alpha in its moment
+    is that of (d L_v)^(k+1) / (Q^2 d^(k+1) (k+1)!) times s1_c - s0
+    sum_j alpha_j w_{j,c} Q / q_j.  Dropped variables leave L_v before
+    the expansion, so only the terms of the restriction are formed.
     """
     N, n = poly.n_facets, poly.dim
     terms = [(cone, prod(cone.q), s0, s1) for cone, s0, s1 in terms]
-    den0 = lcm(*(Q * cone.d**k for cone, Q, _, _ in terms))
-    den1 = lcm(*(Q * Q * cone.d ** (k + 1) for cone, Q, _, _ in terms))
+    den = lcm(*(Q * Q * cone.d ** (k + 1) for cone, Q, _, _ in terms))
     measure, coords = {}, [{} for _ in range(n)]
     for cone, Q, s0, s1 in terms:
-        scale = den0 // (Q * cone.d**k) * s0
+        scale = den // (Q * Q * cone.d ** (k + 1))
+        f = scale * Q * cone.d * (k + 1) * s0
         for mono, _, p in _powers(N, cone, k, drop):
-            measure[mono] = measure.get(mono, 0) + scale * p
-        scale = den1 // (Q * Q * cone.d ** (k + 1))
+            measure[mono] = measure.get(mono, 0) + f * p
         b = [s0 * (Q // q) * e[c] for e, q in zip(cone.w, cone.q) for c in range(n)]
         for mono, alpha, p in _powers(N, cone, k + 1, drop):
             p *= scale
             alpha = [(j * n, a) for j, a in alpha if a]
             for c, dc in enumerate(coords):
                 dc[mono] = dc.get(mono, 0) + p * (s1[c] - sum(a * b[j + c] for j, a in alpha))
-    polys = [MultiPoly.from_dict(N, {m: Fraction(x, d) for m, x in dc.items()}) for dc, d in
-             [(measure, den0 * factorial(k))] + [(dc, den1 * factorial(k + 1)) for dc in coords]]
-    return polys[0], tuple(polys[1:])
+    return den * factorial(k + 1), MultiPoly.from_dict(N, measure), tuple(MultiPoly.from_dict(N, dc) for dc in coords)
 
 
 def _face_polys(poly: HPolytope, face: Face) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
@@ -214,7 +216,8 @@ def _face_polys(poly: HPolytope, face: Face) -> tuple[MultiPoly, tuple[MultiPoly
     vertex v of the face, T the edges at v along the face."""
     cones = [_vertex_cones(poly)[vid] for vid in face.vertex_ids]
     Ts = [[j for j, f in enumerate(cone.basis) if f not in face.index_set] for cone in cones]
-    return _integrate(poly, face.dimension, ((c, *_cone_sums(poly, c, [T])) for c, T in zip(cones, Ts)))
+    D, measure, coords = _integrate(poly, face.dimension, ((c, *_cone_sums(poly, c, [T])) for c, T in zip(cones, Ts)))
+    return measure / D, tuple(c / D for c in coords)
 
 
 def _skeleton_terms(poly: HPolytope, k: int):
@@ -226,7 +229,8 @@ def _skeleton_terms(poly: HPolytope, k: int):
 def _skeleton_coord_polys(poly: HPolytope, k: int) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
     """Lattice measure of the k-skeleton and its n coordinate moments in
     all N variables, once per polytope and k."""
-    return _integrate(poly, k, _skeleton_terms(poly, k))
+    D, measure, coords = _integrate(poly, k, _skeleton_terms(poly, k))
+    return measure / D, tuple(c / D for c in coords)
 
 
 @memoize
@@ -239,9 +243,10 @@ def _slice(poly: HPolytope) -> tuple[frozenset[int], Vec]:
 
 
 @memoize
-def _slice_coord_polys(poly: HPolytope, k: int) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
+def _slice_coord_polys(poly: HPolytope, k: int) -> tuple[int, MultiPoly, tuple[MultiPoly, ...]]:
     """Lattice measure of the k-skeleton and its n coordinate moments on
-    the slice kappa_B = 0 (``_slice``): the integration pass behind every
+    the slice kappa_B = 0 (``_slice``), as integer polynomials over one
+    denominator D (``_integrate``): the integration pass behind every
     pair space and symmetric facet, once per polytope and k."""
     return _integrate(poly, k, _skeleton_terms(poly, k), _slice(poly)[0])
 
@@ -283,7 +288,8 @@ cached_moment_poly = moment_poly
 def volume(poly: HPolytope) -> Fraction:
     """Exact volume at the base kappa, from the slice pass: the volume
     does not move under translation."""
-    return _slice_coord_polys(poly, poly.dim)[0].eval(_slice(poly)[1])
+    D, measure, _ = _slice_coord_polys(poly, poly.dim)
+    return measure.eval(_slice(poly)[1]) / D
 
 
 def center_of_mass(poly: HPolytope) -> Vec:
@@ -350,11 +356,12 @@ def skeleton_barycenter(poly: HPolytope, k: int) -> Vec:
     """Barycenter of the union of all k-faces, in the lattice measure.
 
     The slice polynomials at the support numbers of the polytope moved
-    by -v0 (``_slice``) give its k-skeleton measure P_k and moments;
-    moving back adds v0 to the barycenter."""
+    by -v0 (``_slice``) give its k-skeleton measure P_k and moments over
+    one denominator, which cancels from their ratio; moving back adds v0
+    to the barycenter."""
     if type(k) is not int or not 0 <= k <= poly.dim:
         raise ValueError("skeleton dimension out of range")
-    measure, coords = _slice_coord_polys(poly, k)
+    _, measure, coords = _slice_coord_polys(poly, k)
     base = _slice(poly)[1]
     total = measure.eval(base)
     if total == 0:

@@ -55,7 +55,10 @@ class Vertex:
 
 @dataclass(frozen=True)
 class Face:
-    """A nonempty face, keyed by the set of ALL facets containing it."""
+    """A nonempty face, keyed by the set of ALL facets containing it.
+
+    On a simple polytope that set is the set of facets that cut it out,
+    and the face has dimension n minus its size."""
 
     index_set: frozenset[int]
     vertex_ids: tuple[int, ...]
@@ -271,35 +274,25 @@ class HPolytope:
         """All nonempty faces keyed by canonical (maximal) facet index set.
 
         Includes the polytope itself under the empty key.  Requires a
-        simple polytope, where dimension = n - |canonical index set|.
+        simple polytope, where the facets through a vertex are exactly
+        its n basis facets: a subset S of a vertex basis cuts out a face
+        of dimension n - |S|, with the vertices whose basis contains S,
+        that lies on no other facet.
         """
-        verts = self.vertices
-        faces: dict[frozenset[int], Face] = {}
-        for vid, v in enumerate(verts):
+        ids: dict[frozenset[int], list[int]] = {}
+        for vid, v in enumerate(self.vertices):
             basis = sorted(v.basis)
             for r in range(self.dim + 1):
                 for S in combinations(basis, r):
-                    key = frozenset(S)
-                    if key in faces:
-                        continue
-                    ids = [w for w, u in enumerate(verts) if key <= u.basis]
-                    canonical = frozenset.intersection(*[verts[w].basis for w in ids])
-                    if canonical == key:
-                        faces[key] = Face(key, tuple(ids), self.dim - len(key))
-        return faces
+                    ids.setdefault(frozenset(S), []).append(vid)
+        return {S: Face(S, tuple(vs), self.dim - len(S)) for S, vs in ids.items()}
 
     def face(self, index_set) -> Face | None:
         """The face cut out by the given facets, or None when empty.
 
-        The returned Face is keyed by its canonical index set, which may
-        be strictly larger than the requested one.
-        """
-        req = frozenset(index_set)
-        ids = [w for w, u in enumerate(self.vertices) if req <= u.basis]
-        if not ids:
-            return None
-        canonical = frozenset.intersection(*[self.vertices[w].basis for w in ids])
-        return self.face_lattice[canonical]
+        Facets that meet lie in a vertex basis, so on a simple polytope
+        they are the canonical index set of their face."""
+        return self.face_lattice.get(frozenset(index_set))
 
     def faces_of_dimension(self, k: int) -> list[Face]:
         return sorted(

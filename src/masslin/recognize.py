@@ -700,7 +700,7 @@ def _is_edge_type(poly: HPolytope, report: MassLinearReport, i, j, g) -> bool:
     if report.gamma[i] + report.gamma[j] != 0:
         return False
     f = poly.face({i, j, g})
-    if f is None or f.dimension != 1 or f.index_set != frozenset((i, j, g)):
+    if f is None or f.dimension != 1:
         return False
     return all(
         x in (i, j, g) or poly.face({i, j, g, x}) is not None

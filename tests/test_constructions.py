@@ -214,6 +214,16 @@ class Test121:
         with pytest.raises(PolytopeError, match=str(spec_error.value)):
             ml_space_121(a, d)
 
+    @pytest.mark.parametrize("d", [Fr(1, 2), 1.5])
+    def test_non_integer_d_rejected(self, d):
+        # the same error as a non-integer Y_k twist
+        with pytest.raises(ValueError, match="expected integer entries"):
+            YkBundleSpec(1, (d,), (0, 0, 1, 0))
+        with pytest.raises(ValueError, match="expected integer entries"):
+            Bundle121Spec((1, 0, 0), d, (0, 1, 0, 0, 4, 0, 40))
+        with pytest.raises(ValueError, match="expected integer entries"):
+            ml_space_121((1, 0, 0), d)
+
     def test_segment_pins_when_twisted(self):
         fs = ml_space_121((1, 2, 3), 1)
         assert len(fs.mass_linear) == 2 and len(fs.inessential) == 1
@@ -275,6 +285,13 @@ class TestD2Polygon:
         with pytest.raises(PolytopeError, match="twist"):
             D2PolygonBundleSpec(
                 square_base(), ((1, 0), (0, 0), (0, 0), (0, 0)), (0, 0, 1, 0, 0, 3, 3)
+            )
+
+    @pytest.mark.parametrize("b", [Fr(3, 2), 1.9])
+    def test_non_integer_twists_rejected(self, b):
+        with pytest.raises(ValueError, match="expected integer entries"):
+            D2PolygonBundleSpec(
+                square_base(), ((0, 0), (0, 0), (b, -1), (0, 0)), (0, 0, 1, 0, 0, 3, 3)
             )
 
     def test_untwisted_space_is_inessential_with_fiber_plane(self):

@@ -21,7 +21,7 @@ import pytest
 import masslin
 from masslin import YkBundleSpec, bundle_Yk, linalg
 from masslin.cli import barycenters_document, check_document, classify_document
-from masslin.constructions import blowup
+from masslin.constructions import blowup, product
 from masslin.errors import PolytopeError
 from masslin.linalg import dot, vec
 from masslin.masslinear import (
@@ -497,6 +497,13 @@ class TestReduction:
         poly = bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
         with pytest.raises(ValueError):
             inessential_reduction(poly, (-1, 0, 1, 0), {0, 1})
+
+    def test_wrong_length_functional_rejected_with_report(self):
+        # a passed report must not let the functional skip its length check
+        poly = product(simplex(1), simplex(2))
+        rep = mass_linear_test(poly, (1, 0, 0))
+        with pytest.raises(ValueError, match="functional has wrong dimension"):
+            inessential_reduction(poly, (1, 0, 0, 7), {0, 1}, report=rep)
 
 
 class TestRestriction:

@@ -388,13 +388,24 @@ class TestBaseValues:
                 total = measure_k.eval(base)
                 moments = tuple(c.eval(base) for c in coords)
                 assert skeleton_barycenter(poly, k) == tuple(m / total for m in moments)
-                slice_measure, slice_coords = measure._slice_coord_polys(poly, k)
-                assert slice_measure.eval(moved) == total
-                assert tuple(c.eval(moved) + x * total for c, x in zip(slice_coords, v0)) == moments
+                D, slice_measure, slice_coords = measure._slice_coord_polys(poly, k)
+                assert slice_measure.eval(moved) / D == total
+                assert tuple(c.eval(moved) / D + x * total for c, x in zip(slice_coords, v0)) == moments
             vol = volume_poly(poly)
             assert vol.eval_gradient(base) == (
                 vol.eval(base), tuple(vol.partial(i).eval(base) for i in range(poly.n_facets))
             )
+
+    def test_slice_polys_have_integer_coefficients(self):
+        # the slice pass hands its readers integers over one denominator
+        polys = [sp.poly for sp in suite_polytopes()]
+        polys += [HPolytope(2, *NON_SMOOTH_TRIANGLE), HPolytope(3, *DET3_TETRAHEDRON)]
+        for poly in polys:
+            for k in range(poly.dim + 1):
+                D, slice_measure, slice_coords = measure._slice_coord_polys(poly, k)
+                assert type(D) is int and D > 0
+                for p in (slice_measure, *slice_coords):
+                    assert all(type(c) is int for _, c in p.terms)
 
 
 class TestEquivariance:
@@ -634,8 +645,10 @@ class TestVertexMap:
             return d, tuple(tuple(-x for x in row) for row in adj)
 
         monkeypatch.setattr(measure, "int_adjugate", negated)
-        with pytest.raises(StructuralInconsistency, match="vertex map must reproduce the vertex"):
-            skeleton_barycenter(square(), 2)
+        # the second square has support numbers over the denominator 6
+        for poly in (square(), square(F(1, 2), F(2, 3))):
+            with pytest.raises(StructuralInconsistency, match="vertex map must reproduce the vertex"):
+                skeleton_barycenter(poly, 2)
 
     def test_vertex_check_survives_dash_O(self):
         script = textwrap.dedent("""

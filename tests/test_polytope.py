@@ -277,6 +277,24 @@ class TestFaces:
         assert v.dimension == 0
         assert v.index_set == frozenset({0, 2})
 
+    def test_face_matches_vertex_basis_definition_on_suite(self):
+        # brute force: the face cut out by S has the vertices whose basis
+        # contains S, its key is the intersection of those bases and its
+        # dimension the affine rank of those vertices
+        for sp in suite_polytopes():
+            p = sp.poly
+            for r in range(p.dim + 1):
+                for S in combinations(range(p.n_facets), r):
+                    ids = tuple(w for w, v in enumerate(p.vertices) if set(S) <= v.basis)
+                    f = p.face(S)
+                    if not ids:
+                        assert f is None, (sp.name, S)
+                        continue
+                    key = frozenset.intersection(*(p.vertices[w].basis for w in ids))
+                    dim = polytope._affine_rank([p.vertices[w].point for w in ids])
+                    assert f == polytope.Face(key, ids, dim), (sp.name, S)
+                    assert p.face_lattice[key] is f
+
     def test_euler_relation(self):
         for p in (simplex2(), unit_square(), simplex_bundle_3110()):
             total = 0
