@@ -180,24 +180,6 @@ def _reduce(rows: list[list[int]], pivots: Sequence[int]) -> int:
     return D
 
 
-def _int_solve_columns(
-    A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]
-) -> tuple[int, list[list[int]] | None]:
-    """(d, Y) with A Y = d B and d = det A, for a square integer A and
-    integer right-hand sides B (one row per row of A); Y is None when
-    d == 0.  The reduced echelon form of [A | B] is [I | A^{-1} B], and
-    ``_reduce`` scales it by the last pivot D = +-d."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("fraction-free solve of a non-square matrix")
-    rows = [list(a) + list(b) for a, b in zip(A, B)]
-    pivots, sign = _echelon(rows, n)
-    if len(pivots) < n:
-        return 0, None
-    D = _reduce(rows, pivots)
-    return sign * D, [[sign * e for e in row[n:]] for row in rows]
-
-
 def int_det(A: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix: Bareiss elimination, or
     cofactor expansion up to 3 x 3, where it is an order of magnitude
@@ -223,20 +205,20 @@ def int_rank(A: Sequence[Sequence[int]]) -> int:
     return len(_echelon(rows, len(rows[0]) if rows else 0)[0])
 
 
-def int_solve(A: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, IntVec | None]:
-    """(d, y) with A y = d b and d = det A for a square integer system, so
-    that y / d is the solution; y is None when A is singular."""
-    d, Y = _int_solve_columns(A, [(e,) for e in b])
-    return d, None if Y is None else tuple(row[0] for row in Y)
-
-
 def int_adjugate(A: Sequence[Sequence[int]]) -> tuple[int, tuple[IntVec, ...] | None]:
     """(d, adj) with A adj = d I and d = det A for a square integer
     matrix, so that adj / d is the inverse; adj is None when A is
-    singular."""
+    singular.  The reduced echelon form of [A | I] is [I | A^{-1}], and
+    ``_reduce`` scales it by the last pivot D = +-d."""
     n = len(A)
-    d, Y = _int_solve_columns(A, [[int(i == j) for j in range(n)] for i in range(n)])
-    return d, None if Y is None else tuple(tuple(row) for row in Y)
+    if any(len(row) != n for row in A):
+        raise ValueError("fraction-free solve of a non-square matrix")
+    rows = [list(a) + [int(i == j) for j in range(n)] for i, a in enumerate(A)]
+    pivots, sign = _echelon(rows, n)
+    if len(pivots) < n:
+        return 0, None
+    D = _reduce(rows, pivots)
+    return sign * D, tuple(tuple(sign * e for e in row[n:]) for row in rows)
 
 
 def int_rref(A: Sequence[Sequence[int]], ncols: int | None = None) -> tuple[Mat, tuple[int, ...]]:

@@ -8,12 +8,16 @@ a genuine facet; redundant half-spaces are an error, not silently dropped.
 
 Vertex enumeration is an exhaustive scan over all C(N, n) n-element
 facet subsets, an O(C(N, n)) bound that is perfectly fine at this
-package's scale (n <= 4, N <= 14 or so).  The conormals are integer, so
-each subset is solved fraction-free (Bareiss elimination, ``int_solve``)
-against the support numbers scaled to integers; feasibility and the
-active facets are read off integer slacks, and a Fraction point is
-formed only for a feasible subset.  The boundedness, full-dimension and
-facet checks and the smoothness test run in integers too.
+package's scale (n <= 4, N <= 14 or so).  No subset is solved on its
+own: each construction tabulates the cofactor vector c_S of every n-1
+conormals and its pairings with all conormals (``_minor_table``), the
+signed maximal minors of the integer conormal matrix.  The rank and the
+recession rays are read off them, and so are each n-subset's
+determinant, integer slacks and basic point, by Cramer's rule
+(``_cramer``); a Fraction point is formed only for a feasible subset.
+A vertex on exactly n facets settles the full-dimension check and the
+hyperplane checks of its facets, so the affine rank is computed only
+where no such vertex does.
 """
 
 from __future__ import annotations
@@ -32,12 +36,11 @@ from .linalg import (
     Vec,
     dot,
     frac,
-    int_adjugate,
     int_det,
     int_rank,
-    int_solve,
     int_vec,
     primitive,
+    scaled,
     vec,
 )
 
@@ -94,63 +97,88 @@ def memoize(fn):
     return memoized
 
 
-def _check_bounded(conormals: Sequence[IntVec], n: int) -> None:
-    if int_rank(conormals) < n:
-        raise PolytopeError("unbounded: conormals do not span the ambient space")
-    # The recession cone is pointed (full conormal rank), so if it is
-    # nontrivial it has an extreme ray vanishing on some rank n-1 subset.
-    # The kernel of n-1 rows is spanned by their cofactor vector, which
-    # is zero exactly when their rank is below n-1.
+MinorTable = dict[tuple[int, ...], tuple[IntVec, list[int]]]
+
+
+def _minor_table(conormals: Sequence[IntVec], n: int) -> MinorTable:
+    """The signed maximal minors of the conormal matrix, one entry per
+    (n-1)-subset S of the facets in ``combinations`` order: the cofactor
+    vector c_S, with det(rows S, then x) = <x, c_S>, and the pairing row
+    P_S, with P_S[i] = <eta_i, c_S> = det(rows S, then eta_i).  Every
+    n x n minor of the conormals is an entry of some P_S.  The rows are
+    lists: CPython keeps freed tuples of each short length on a free
+    list, and N-tuples would hold on to memory after the table is gone."""
+    table = {}
     for S in combinations(range(len(conormals)), n - 1):
         rows = [conormals[i] for i in S]
-        ray = [
-            (-1) ** j * int_det([row[:j] + row[j + 1 :] for row in rows])
+        c = tuple(
+            (-1) ** (n - 1 + j) * int_det([row[:j] + row[j + 1 :] for row in rows])
             for j in range(n)
-        ]
-        if not any(ray):
+        )
+        table[S] = (c, [sum(map(mul, eta, c)) for eta in conormals])
+    return table
+
+
+def _check_bounded(table: MinorTable) -> None:
+    if not any(any(P) for _, P in table.values()):
+        raise PolytopeError("unbounded: conormals do not span the ambient space")
+    # The recession cone is pointed (full conormal rank), so if it is
+    # nontrivial it has an extreme ray vanishing on some rank n-1 subset
+    # S: the cofactor vector c_S, which is zero exactly when the rank of
+    # S is below n-1, and a ray when its pairings P_S have one sign.
+    for c, P in table.values():
+        if any(c) and (max(P) <= 0 or min(P) >= 0):
+            last = next(x for x in reversed(c) if x)
+            sign = 1 if all(p * last <= 0 for p in P) else -1
+            ray = tuple(Fraction(sign * x, last) for x in c)
+            raise PolytopeError(f"unbounded: recession direction {ray}")
+
+
+def _cramer(table: MinorTable, K: Sequence[int], n: int):
+    """Cramer's rule on each nonsingular n-subset J of the facets, in
+    ``combinations`` order: (J, d, w, minors, slacks), minors[r] the
+    table entry of J minus its r-th facet J_r, d = |det A_J| (an entry of
+    the last one) and w_r = (-1)^(r+n) K_{J_r} times the sign of det A_J.
+    Then y = -sum_r w_r c_{J minus J_r} solves A_J y = d K_J, and the
+    slack d K_i - <eta_i, y> of facet i, A_J bordered by eta_i and K
+    expanded along K, is d K_i + sum_r w_r P_{J minus J_r}[i]."""
+    for J in combinations(range(len(K)), n):
+        minors = [table[J[:r] + J[r + 1 :]] for r in range(n)]
+        d = minors[-1][1][J[-1]]
+        if not d:
             continue
-        pairings = [sum(a * b for a, b in zip(eta, ray)) for eta in conormals]
-        if all(p <= 0 for p in pairings) or all(p >= 0 for p in pairings):
-            last = next(x for x in reversed(ray) if x)
-            ray = tuple(Fraction(x, last) for x in ray)
-            for cand in (ray, tuple(-x for x in ray)):
-                if all(dot(eta, cand) <= 0 for eta in conormals):
-                    raise PolytopeError(
-                        f"unbounded: recession direction {tuple(cand)}"
-                    )
+        w = [(-1) ** (r + n) * K[j] for r, j in enumerate(J)]
+        if d < 0:
+            d, w = -d, [-x for x in w]
+        cols = zip(*(P for _, P in minors))
+        yield J, d, w, minors, [d * k + sum(map(mul, w, col)) for k, col in zip(K, cols)]
 
 
-def _enumerate_basic_points(
+def _basic_points(
     conormals: Sequence[IntVec], support: Sequence[Fraction], n: int
 ) -> dict[Vec, frozenset[int]]:
-    """All feasible basic points, mapped to their full active facet sets.
+    """All feasible basic points, mapped to their full active facet sets,
+    after the boundedness check; raises if there are none.
 
     The support numbers are scaled by the lcm L of their denominators to
-    integers K.  Each n-subset J is solved fraction-free, A_J y = d K_J
-    with d = det A_J > 0 after a sign flip, so the basic point is
-    y / (d L) and its slack on facet i is (d K_i - <eta_i, y>) / (d L).
-    Points enter the dict in the order of their first feasible subset in
+    integers K, so the basic point of J is y / (d L) and its slack on
+    facet i is the integer slack from ``_cramer`` over d L.  Points enter
+    the dict in the order of their first feasible subset in
     ``combinations`` order.
     """
-    L = lcm(*(k.denominator for k in support))
-    K = [k.numerator * (L // k.denominator) for k in support]
+    table = _minor_table(conormals, n)
+    _check_bounded(table)
+    L, (K,) = scaled([support])
     points: dict[Vec, frozenset[int]] = {}
-    for J in combinations(range(len(conormals)), n):
-        d, y = int_solve([conormals[j] for j in J], [K[j] for j in J])
-        if d == 0:
-            continue
-        if d < 0:
-            d, y = -d, tuple(-e for e in y)
-        active = []
-        for i, eta in enumerate(conormals):
-            s = d * K[i] - sum(a * b for a, b in zip(eta, y))
-            if s < 0:
-                break
-            if s == 0:
-                active.append(i)
-        else:
-            point = tuple(Fraction(e, d * L) for e in y)
-            points.setdefault(point, frozenset(active))
+    for _, d, w, minors, slacks in _cramer(table, K, n):
+        if min(slacks) >= 0:
+            point = tuple(
+                Fraction(-sum(wr * c[j] for wr, (c, _) in zip(w, minors)), d * L)
+                for j in range(n)
+            )
+            points.setdefault(point, frozenset(i for i, s in enumerate(slacks) if not s))
+    if not points:
+        raise PolytopeError("empty polytope")
     return points
 
 
@@ -163,6 +191,32 @@ def _affine_rank(points: Sequence[Vec]) -> int:
         D = lcm(*(x.denominator for x in p))
         rows.append([x.numerator * (D // x.denominator) for x in p] + [D])
     return int_rank(rows) - 1
+
+
+def _facet_spans(
+    points: dict[Vec, frozenset[int]], n_facets: int, n: int
+) -> tuple[bool, list[bool | None]]:
+    """Whether the basic points span R^n, and per facet None when no
+    basic point lies on it, else whether those on it span a hyperplane.
+
+    A basic point on exactly n facets is a vertex with a simplicial
+    neighbourhood: it solves those n facets, so their conormals are
+    independent, and near it the polytope is the cone they cut out.  So
+    one such vertex makes the polytope full-dimensional, and each of its
+    n facets holds an (n-1)-dimensional piece of that cone's boundary, so
+    spans a hyperplane.  ``_affine_rank`` runs only for a facet that
+    meets no such vertex, or for the whole polytope when none exists.
+    """
+    simple = {i for active in points.values() if len(active) == n for i in active}
+    full = bool(simple) or _affine_rank(list(points)) == n
+    spans: list[bool | None] = []
+    for i in range(n_facets):
+        if i in simple:
+            spans.append(True)
+            continue
+        on_facet = [p for p, act in points.items() if i in act]
+        spans.append(_affine_rank(on_facet) == n - 1 if on_facet else None)
+    return full, spans
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,19 +255,16 @@ class HPolytope:
         object.__setattr__(self, "conormals", conormals)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "labels", labels)
-        _check_bounded(conormals, n)
-        pts = _enumerate_basic_points(conormals, support, n)
-        if not pts:
-            raise PolytopeError("empty polytope")
-        if _affine_rank(list(pts)) < n:
+        pts = _basic_points(conormals, support, n)
+        full, spans = _facet_spans(pts, len(conormals), n)
+        if not full:
             raise PolytopeError("polytope is not full-dimensional")
-        for i in range(len(conormals)):
-            on_facet = [p for p, act in pts.items() if i in act]
-            if not on_facet:
-                raise PolytopeError(f"facet {labels[i]} is redundant (empty)")
-            if _affine_rank(on_facet) < n - 1:
+        for label, spanning in zip(labels, spans):
+            if spanning is None:
+                raise PolytopeError(f"facet {label} is redundant (empty)")
+            if not spanning:
                 raise PolytopeError(
-                    f"facet {labels[i]} does not span a hyperplane (redundant half-space)"
+                    f"facet {label} does not span a hyperplane (redundant half-space)"
                 )
         object.__setattr__(self, "_basic", pts)
 
@@ -340,34 +391,21 @@ class HPolytope:
         if not self.is_smooth():
             raise PolytopeError("chamber radius requires a smooth polytope")
         n, N = self.dim, self.n_facets
+        L, (K,) = scaled([self.support])
         min_gap = None
         max_sens = Fraction(0)
-        for J in combinations(range(N), n):
-            d, adj = int_adjugate([self.conormals[j] for j in J])
-            if d == 0:
-                continue
-            kappa_J = [self.support[j] for j in J]
-            x = [sum(a * k for a, k in zip(row, kappa_J)) / d for row in adj]
-            slacks = {
-                i: self.support[i] - dot(self.conormals[i], x)
-                for i in range(N)
-                if i not in J
-            }
-            for i in slacks:
-                eta = self.conormals[i]
-                # sum_c |(A_J^{-T} eta_i)_c|, with A_J^{-1} = adj / d
-                sens = Fraction(
-                    sum(abs(sum(adj[r][c] * eta[r] for r in range(n))) for c in range(n)),
-                    abs(d),
-                )
+        for J, d, _, minors, slacks in _cramer(_minor_table(self.conormals, n), K, n):
+            # A_J^{-1} has the columns (-1)^(r+n-1) c_{J minus J_r} / det A_J,
+            # so the entries of A_J^{-T} eta_i are +-P_{J minus J_r}[i] / d
+            out = [i for i in range(N) if i not in J]
+            for i in out:
+                sens = Fraction(sum(abs(P[i]) for _, P in minors), d)
                 if sens > max_sens:
                     max_sens = sens
-            if all(s > 0 for s in slacks.values()):
-                gap = min(slacks.values())
-            elif any(s < 0 for s in slacks.values()):
-                gap = max(-s for s in slacks.values() if s < 0)
-            else:
+            least = min(slacks[i] for i in out)
+            if not least:
                 raise PolytopeError("degenerate basic point on a smooth polytope")
+            gap = Fraction(abs(least), d * L)
             if min_gap is None or gap < min_gap:
                 min_gap = gap
         if min_gap is None or min_gap <= 0:
@@ -461,17 +499,8 @@ def from_halfspaces_pruned(
             keep_map[eta] = i
             order[order.index(j)] = i
     idx = sorted(order)
-    _check_bounded([conormals[i] for i in idx], n)
-    pts = _enumerate_basic_points([conormals[i] for i in idx], [support[i] for i in idx], n)
-    if not pts:
-        raise PolytopeError("empty polytope")
-    kept = []
-    for pos, i in enumerate(idx):
-        on_facet = [p for p, act in pts.items() if pos in act]
-        if not on_facet:
-            continue
-        if _affine_rank(on_facet) == n - 1:
-            kept.append(i)
+    pts = _basic_points([conormals[i] for i in idx], [support[i] for i in idx], n)
+    kept = [i for i, spanning in zip(idx, _facet_spans(pts, len(idx), n)[1]) if spanning]
     poly = HPolytope(
         dim,
         tuple(conormals[i] for i in kept),

@@ -6,7 +6,9 @@ library's Bareiss ``int_rref`` is checked against, and ``rank``,
 ``nullspace``, ``solve_linear`` and ``in_row_span`` are built on it;
 ``det`` is Leibniz's permutation expansion, and ``mat_mul`` and
 ``mat_vec`` are the plain products.  Tests compare the library's
-answers with these.
+answers with these.  ``int_solve`` is the one exception: a solve
+through the library's Bareiss adjugate, which the library no longer
+calls that way but the kernel tests still do.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
+from operator import mul
 from typing import Sequence
 
-from masslin.linalg import Mat, Vec, dot, frac
+from masslin.linalg import IntVec, Mat, Vec, dot, frac, int_adjugate
 
 
 def identity(n: int) -> Mat:
@@ -133,3 +136,10 @@ def det(A: Sequence[Sequence]) -> Fraction:
 def in_row_span(A: Sequence[Sequence], v: Sequence) -> bool:
     rows = [tuple(row) for row in A]
     return rank(rows + [tuple(v)]) == rank(rows)
+
+
+def int_solve(A: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, IntVec | None]:
+    """(d, y) with A y = d b and d = det A for a square integer system, so
+    that y / d is the solution; y is None when A is singular."""
+    d, adj = int_adjugate(A)
+    return d, None if adj is None else tuple(sum(map(mul, row, b)) for row in adj)

@@ -1,0 +1,133 @@
+"""Reference construction scan for ``HPolytope``, one elimination per question.
+
+The library reads its construction checks off one table of signed
+maximal minors.  This reference answers each question on its own, as
+the library did before the table: the conormal rank by elimination, a
+determinant per cofactor of each candidate recession ray, a
+fraction-free solve (``int_solve``) per n-subset of facets, and the
+affine rank of the basic points on every facet.  ``construct`` runs the
+checks that follow the input validation of ``HPolytope`` in the same
+order, with the same messages; ``pruned`` does the same for
+``from_halfspaces_pruned``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from math import lcm
+
+from _linalg_ref import int_solve
+from masslin.errors import PolytopeError
+from masslin.linalg import dot, int_det, int_rank
+
+
+def check_bounded(conormals, n):
+    if int_rank(conormals) < n:
+        raise PolytopeError("unbounded: conormals do not span the ambient space")
+    # The recession cone is pointed (full conormal rank), so if it is
+    # nontrivial it has an extreme ray vanishing on some rank n-1 subset.
+    # The kernel of n-1 rows is spanned by their cofactor vector, which
+    # is zero exactly when their rank is below n-1.
+    for S in combinations(range(len(conormals)), n - 1):
+        rows = [conormals[i] for i in S]
+        ray = [
+            (-1) ** j * int_det([row[:j] + row[j + 1 :] for row in rows])
+            for j in range(n)
+        ]
+        if not any(ray):
+            continue
+        pairings = [sum(a * b for a, b in zip(eta, ray)) for eta in conormals]
+        if all(p <= 0 for p in pairings) or all(p >= 0 for p in pairings):
+            last = next(x for x in reversed(ray) if x)
+            ray = tuple(Fraction(x, last) for x in ray)
+            for cand in (ray, tuple(-x for x in ray)):
+                if all(dot(eta, cand) <= 0 for eta in conormals):
+                    raise PolytopeError(f"unbounded: recession direction {tuple(cand)}")
+
+
+def basic_points(conormals, support, n):
+    """All feasible basic points, mapped to their full active facet
+    sets, in the order of their first feasible subset: each n-subset J
+    solved fraction-free, A_J y = d K_J with d = det A_J > 0 after a
+    sign flip, K the support numbers scaled by the lcm L of their
+    denominators, so the point is y / (d L)."""
+    L = lcm(*(k.denominator for k in support))
+    K = [k.numerator * (L // k.denominator) for k in support]
+    points = {}
+    for J in combinations(range(len(conormals)), n):
+        d, y = int_solve([conormals[j] for j in J], [K[j] for j in J])
+        if d == 0:
+            continue
+        if d < 0:
+            d, y = -d, tuple(-e for e in y)
+        active = []
+        for i, eta in enumerate(conormals):
+            s = d * K[i] - sum(a * b for a, b in zip(eta, y))
+            if s < 0:
+                break
+            if s == 0:
+                active.append(i)
+        else:
+            point = tuple(Fraction(e, d * L) for e in y)
+            points.setdefault(point, frozenset(active))
+    return points
+
+
+def affine_rank(points):
+    rows = []
+    for p in points:
+        D = lcm(*(x.denominator for x in p))
+        rows.append([x.numerator * (D // x.denominator) for x in p] + [D])
+    return int_rank(rows) - 1
+
+
+def construct(n, conormals, support, labels):
+    """The basic points of a valid half-space system, or the
+    ``PolytopeError`` that ``HPolytope`` raises for it."""
+    check_bounded(conormals, n)
+    pts = basic_points(conormals, support, n)
+    if not pts:
+        raise PolytopeError("empty polytope")
+    if affine_rank(list(pts)) < n:
+        raise PolytopeError("polytope is not full-dimensional")
+    for i in range(len(conormals)):
+        on_facet = [p for p, act in pts.items() if i in act]
+        if not on_facet:
+            raise PolytopeError(f"facet {labels[i]} is redundant (empty)")
+        if affine_rank(on_facet) < n - 1:
+            raise PolytopeError(
+                f"facet {labels[i]} does not span a hyperplane (redundant half-space)"
+            )
+    return pts
+
+
+def pruned_indices(n, conormals, support):
+    """The facets that ``from_halfspaces_pruned`` keeps of a system with
+    distinct conormals, or the ``PolytopeError`` of its scan."""
+    check_bounded(conormals, n)
+    pts = basic_points(conormals, support, n)
+    if not pts:
+        raise PolytopeError("empty polytope")
+    kept = []
+    for i in range(len(conormals)):
+        on_facet = [p for p, act in pts.items() if i in act]
+        if on_facet and affine_rank(on_facet) == n - 1:
+            kept.append(i)
+    return kept
+
+
+def pruned(n, conormals, support):
+    """The kept facets of ``from_halfspaces_pruned`` on a system with
+    distinct conormals, or the ``PolytopeError`` it raises, from its
+    scan or from the polytope built on the kept facets."""
+    kept = pruned_indices(n, conormals, support)
+    if len(kept) < n + 1:
+        raise PolytopeError("a bounded n-polytope needs at least n+1 facets")
+    construct(
+        n,
+        [conormals[i] for i in kept],
+        [support[i] for i in kept],
+        [f"F{j + 1}" for j in range(len(kept))],
+    )
+    return kept

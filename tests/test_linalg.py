@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _linalg_ref import det, identity, in_row_span, mat_mul, mat_vec, nullspace, rank, rref, solve_linear
+from _linalg_ref import (
+    det,
+    identity,
+    in_row_span,
+    int_solve,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    rank,
+    rref,
+    solve_linear,
+)
 from masslin.linalg import (
     dot,
     int_adjugate,
@@ -14,7 +25,6 @@ from masslin.linalg import (
     int_nullspace,
     int_rank,
     int_rref,
-    int_solve,
     integer_kernel_basis,
     primitive,
     scaled,

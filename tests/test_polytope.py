@@ -1,10 +1,19 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, seed, settings
+from hypothesis import strategies as st
 
+import _polytope_ref
 from _linalg_ref import solve_linear
 from _suite import suite_polytopes
+import masslin
 from masslin import polytope
 from masslin.errors import NotSimpleError, PolytopeError
 from masslin.linalg import dot, primitive, vec_sub
@@ -84,53 +93,64 @@ class TestValidation:
             HPolytope(2, p.conormals, p.support, ("a", "a", "c"))
 
 
+# the octahedron |x| + |y| + |z| <= 1: every vertex lies on 4 facets
+OCTAHEDRON = (tuple(product((-1, 1), repeat=3)), (1,) * 8)
+
+# (dim, conormals, support, message) of each construction check
+ERROR_CASES = [
+    (
+        2,
+        ((-1, 0), (0, -1), (1, 0)),
+        (0, 0, 1),
+        "unbounded: recession direction (Fraction(0, 1), Fraction(1, 1))",
+    ),
+    (
+        3,
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)),
+        (1, 1, 1, 0),
+        "unbounded: recession direction "
+        "(Fraction(0, 1), Fraction(0, 1), Fraction(-1, 1))",
+    ),
+    (1, ((1,), (1,)), (0, 1), "unbounded: recession direction (Fraction(-1, 1),)"),
+    (
+        2,
+        ((-1, 0), (1, 0), (-1, 0)),
+        (0, 1, 1),
+        "unbounded: conormals do not span the ambient space",
+    ),
+    (
+        2,
+        ((-1, 0), (1, 0), (0, -1), (0, 1)),
+        (0, 0, 0, 1),
+        "polytope is not full-dimensional",
+    ),
+    (
+        2,
+        ((-1, 0), (1, 0), (0, -1), (0, 1), (1, 1)),
+        (0, 1, 0, 1, 10),
+        "facet F5 is redundant (empty)",
+    ),
+    (
+        2,
+        ((-1, 0), (1, 0), (0, -1), (0, 1), (1, 1)),
+        (0, 1, 0, 1, 2),
+        "facet F5 does not span a hyperplane (redundant half-space)",
+    ),
+    (2, ((-1, 0), (0, -1), (1, 1)), (0, 0, -1), "empty polytope"),
+    (
+        # x <= 1 touches the octahedron at one vertex, which is not simple
+        3,
+        OCTAHEDRON[0] + ((1, 0, 0),),
+        OCTAHEDRON[1] + (1,),
+        "facet F9 does not span a hyperplane (redundant half-space)",
+    ),
+]
+
+
 class TestErrorText:
     """The exact messages, which the integer scan must keep."""
 
-    @pytest.mark.parametrize(
-        "dim, conormals, support, message",
-        [
-            (
-                2,
-                ((-1, 0), (0, -1), (1, 0)),
-                (0, 0, 1),
-                "unbounded: recession direction (Fraction(0, 1), Fraction(1, 1))",
-            ),
-            (
-                3,
-                ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)),
-                (1, 1, 1, 0),
-                "unbounded: recession direction "
-                "(Fraction(0, 1), Fraction(0, 1), Fraction(-1, 1))",
-            ),
-            (1, ((1,), (1,)), (0, 1), "unbounded: recession direction (Fraction(-1, 1),)"),
-            (
-                2,
-                ((-1, 0), (1, 0), (-1, 0)),
-                (0, 1, 1),
-                "unbounded: conormals do not span the ambient space",
-            ),
-            (
-                2,
-                ((-1, 0), (1, 0), (0, -1), (0, 1)),
-                (0, 0, 0, 1),
-                "polytope is not full-dimensional",
-            ),
-            (
-                2,
-                ((-1, 0), (1, 0), (0, -1), (0, 1), (1, 1)),
-                (0, 1, 0, 1, 10),
-                "facet F5 is redundant (empty)",
-            ),
-            (
-                2,
-                ((-1, 0), (1, 0), (0, -1), (0, 1), (1, 1)),
-                (0, 1, 0, 1, 2),
-                "facet F5 does not span a hyperplane (redundant half-space)",
-            ),
-            (2, ((-1, 0), (0, -1), (1, 1)), (0, 0, -1), "empty polytope"),
-        ],
-    )
+    @pytest.mark.parametrize("dim, conormals, support, message", ERROR_CASES)
     def test_message(self, dim, conormals, support, message):
         with pytest.raises(PolytopeError) as exc:
             HPolytope(dim, conormals, support)
@@ -143,6 +163,42 @@ class TestErrorText:
         assert exc.value.point == point
         assert exc.value.active == frozenset({1, 2, 3, 4})
         assert str(exc.value) == f"vertex {point} lies on 4 facets"
+
+    def test_octahedron_has_no_simple_vertex(self):
+        # no vertex settles the full-dimension and facet checks, so each
+        # is decided by the affine rank of the basic points
+        p = HPolytope(3, *OCTAHEDRON)
+        assert len(p._basic) == 6
+        assert not p.is_simple()
+        with pytest.raises(NotSimpleError):
+            p.vertices
+
+    def test_messages_survive_dash_O(self):
+        # every construction check is a raise, not an assert
+        script = textwrap.dedent(f"""
+            from masslin.errors import PolytopeError
+            from masslin.polytope import HPolytope
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+            for dim, conormals, support, _ in {ERROR_CASES!r}:
+                try:
+                    HPolytope(dim, conormals, support)
+                except PolytopeError as exc:
+                    print(exc)
+                else:
+                    print("constructed")
+        """)
+        src = str(Path(masslin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [message for *_, message in ERROR_CASES]
 
 
 # --- vertices ---------------------------------------------------------------
@@ -192,6 +248,65 @@ def test_integer_scan_matches_rational_scan_on_suite():
     for sp in suite_polytopes():
         expected = rational_basic_points(sp.poly)
         assert list(sp.poly._basic.items()) == list(expected.items()), sp.name
+
+
+def _outcome(build):
+    try:
+        return build()
+    except PolytopeError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def halfspace_systems(draw):
+    """A half-space system that passes the input checks of ``HPolytope``:
+    n = 1..4, n + 1 <= N <= n + 5, distinct half-spaces with primitive
+    conormals of entries in -2..2 and support numbers in -1..3 with
+    denominators up to 3.  A simplex or a cube as the base, random extra
+    half-spaces and an optional opposite of the first one give bounded,
+    unbounded, empty, redundant, lower-dimensional and non-simple
+    systems."""
+    n = draw(st.integers(1, 4))
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    base = draw(st.sampled_from(["simplex", "cube", "none"]))
+    if base == "simplex":
+        conormals = [tuple(-x for x in e) for e in unit] + [(1,) * n]
+    elif base == "cube":
+        conormals = [v for e in unit for v in (tuple(-x for x in e), e)]
+    else:
+        conormals = []
+    nonzero = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any).map(primitive)
+    conormals += draw(st.lists(nonzero, max_size=n + 5 - len(conormals)))
+    assume(conormals)
+    numbers = st.one_of(st.integers(-1, 3), st.fractions(-1, 3, max_denominator=3))
+    support = [Fraction(k) for k in draw(st.lists(numbers, min_size=len(conormals), max_size=len(conormals)))]
+    if len(conormals) < n + 5 and draw(st.booleans()):
+        conormals.append(tuple(-x for x in conormals[0]))
+        support.append(-support[0])
+    system = list(dict.fromkeys(zip(conormals, support)))
+    assume(len(system) >= n + 1)
+    return n, [eta for eta, _ in system], [k for _, k in system]
+
+
+@seed(20)
+@settings(max_examples=300, deadline=None)
+@given(halfspace_systems())
+@example((2, [(-1, 0), (0, -1), (1, 0)], [0, 0, 1]))  # unbounded
+@example((2, [(-1, 0), (0, -1), (1, 1)], [0, 0, -1]))  # empty
+@example((2, [(-1, 0), (1, 0), (0, -1), (0, 1), (1, 1)], [0, 1, 0, 1, 10]))  # redundant
+@example((2, [(-1, 0), (1, 0), (0, -1), (0, 1), (1, 1)], [0, 1, 0, 1, 2]))  # touching
+@example((2, [(-1, 0), (1, 0), (0, -1), (0, 1)], [0, 0, 0, 1]))  # flat
+@example((3, [(0, 0, -1), (1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], [0, 1, 1, 1, 1]))  # pyramid
+@example((3, list(OCTAHEDRON[0]), list(OCTAHEDRON[1])))  # no simple vertex
+def test_scan_matches_reference_scan(system):
+    n, conormals, support = system
+    support = [Fraction(k) for k in support]
+    labels = polytope.default_labels(len(conormals))
+    expected = _outcome(lambda: list(_polytope_ref.construct(n, conormals, support, labels).items()))
+    assert _outcome(lambda: list(HPolytope(n, conormals, support)._basic.items())) == expected
+    if len(set(conormals)) == len(conormals):
+        expected = _outcome(lambda: _polytope_ref.pruned(n, conormals, support))
+        assert _outcome(lambda: from_halfspaces_pruned(n, conormals, support)[1]) == expected
 
 
 # --- smoothness -------------------------------------------------------------
