@@ -6,9 +6,9 @@ library's Bareiss ``int_rref`` is checked against, and ``rank``,
 ``nullspace``, ``solve_linear`` and ``in_row_span`` are built on it;
 ``det`` is Leibniz's permutation expansion, and ``mat_mul`` and
 ``mat_vec`` are the plain products.  Tests compare the library's
-answers with these.  ``int_solve`` is the one exception: a solve
-through the library's Bareiss adjugate, which the library no longer
-calls that way but the kernel tests still do.
+answers with these.  ``int_solve`` is the one exception: the
+fraction-free solve that the kernel tests check, built on the
+library's ``int_adjugate`` now that no library code solves that way.
 """
 
 from __future__ import annotations
