@@ -100,8 +100,10 @@ class MassLinearReport:
 
 @dataclass(frozen=True)
 class EquivalenceClasses:
-    """Partition of facet indices; complement_rank certifies each class
-    of size m against the codimension m-1 condition."""
+    """Partition of facet indices, in the order of each class's first
+    facet.  complement_rank maps each class of m facets to the rank of
+    the other conormals, n - m + 1: the class's codimension m - 1
+    condition."""
 
     classes: tuple[frozenset[int], ...]
     complement_rank: dict[frozenset, int]
@@ -281,71 +283,45 @@ def mass_linear_test(poly: HPolytope, H) -> MassLinearReport:
 
 @memoize
 def equivalence_classes(poly: HPolytope) -> EquivalenceClasses:
-    """Facet equivalence classes.
+    """Facet equivalence classes, read off the linear relations of the
+    conormals (Gale duality), in the order of their first facet.
 
-    Two facets are equivalent when the remaining conormals span a
-    hyperplane containing the sum of the two.  Classes are connected
-    components of the pairwise relation; each multi-facet class is then
-    re-verified against the full condition (complement spans codimension
-    m-1, and only balanced combinations of the class conormals land in
-    the complement span).
+    Facets i and j are equivalent when the other conormals span a
+    hyperplane containing eta_i + eta_j.  The relations
+    sum_k lambda_k eta_k = 0 form a space of dimension N - n; with g_k
+    the k-th entries of a basis of it, they are lambda_k = <g_k, t>.
+
+    - The relations vanishing at i and j have dimension
+      N - n - rank(g_i, g_j), so the other conormals have rank
+      n - 2 + rank(g_i, g_j): n - 1 exactly when that rank is 1.
+    - eta_i + eta_j lies in their span exactly when some relation has
+      lambda_i = lambda_j = 1.
+    - So i ~ j exactly when g_i = g_j != 0.  A bounded polytope has a
+      relation with every lambda_k > 0, so no g_k is zero, and the
+      classes are the groups of equal g_k: the relation is transitive.
+    - A class of m facets shares one nonzero g, so the relations
+      vanishing on it have dimension N - n - 1 and its complement has
+      rank n - m + 1, the codimension m - 1 condition.  That rank is
+      computed per class as the certificate ``complement_rank``.
+    - A combination sum_{i in cls} c_i eta_i that lies in the complement
+      span is a relation, so every c_i equals <g, t>: only balanced
+      combinations land there.
     """
     _require_smooth(poly)
     n = poly.dim
-    N = poly.n_facets
-    parent = list(range(N))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(N):
-        for j in range(i + 1, N):
-            others = [poly.conormals[k] for k in range(N) if k not in (i, j)]
-            if int_rank(others) != n - 1:
-                continue
-            pair_sum = tuple(
-                a + b for a, b in zip(poly.conormals[i], poly.conormals[j])
-            )
-            if int_rank(others + [pair_sum]) == n - 1:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, set[int]] = {}
-    for i in range(N):
-        groups.setdefault(find(i), set()).add(i)
-    classes = tuple(
-        sorted((frozenset(g) for g in groups.values()), key=lambda s: min(s))
-    )
-
+    rows = [tuple(eta[r] for eta in poly.conormals) for r in range(n)]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, g in enumerate(zip(*integer_kernel_basis(rows, poly.n_facets))):
+        groups.setdefault(g, []).append(i)
+    classes = tuple(frozenset(members) for members in groups.values())
     complement_rank: dict[frozenset, int] = {}
     for cls in classes:
-        members = sorted(cls)
-        complement = [poly.conormals[k] for k in range(N) if k not in cls]
-        r = int_rank(complement)
+        r = int_rank([eta for k, eta in enumerate(poly.conormals) if k not in cls])
+        if r != n - len(cls) + 1:
+            raise StructuralInconsistency(
+                f"facet class {sorted(cls)} fails the codimension condition"
+            )
         complement_rank[cls] = r
-        if r != n - (len(cls) - 1):
-            raise StructuralInconsistency(
-                f"facet class {members} fails the codimension condition"
-            )
-        if len(cls) < 2:
-            continue
-        # combinations sum_{i in cls} c_i eta_i landing in the complement
-        # span must have all c_i equal
-        comp_basis = [complement[p] for p in _row_basis(complement)]
-        m = len(members)
-        cols = m + len(comp_basis)
-        rows = []
-        for r_ in range(n):
-            row = [poly.conormals[i][r_] for i in members]
-            row += [-w[r_] for w in comp_basis]
-            rows.append(tuple(row))
-        c_parts = [z[:m] for z in integer_kernel_basis(rows, cols)]
-        if int_rank(c_parts) != 1 or int_rank(c_parts + [(1,) * m]) != 1:
-            raise StructuralInconsistency(
-                f"facet class {members} admits an unbalanced combination"
-            )
     return EquivalenceClasses(classes, complement_rank)
 
 

@@ -208,29 +208,6 @@ class MultiPoly:
             d[m2] = d.get(m2, Fraction(0)) + c * m[i]
         return MultiPoly.from_dict(self.nvars, d)
 
-    def remap(self, new_nvars: int, targets: Sequence[tuple[int, int]]) -> "MultiPoly":
-        """Substitute x_i -> sign_i * y_{j_i} per targets[i] = (j_i, sign_i)."""
-        if len(targets) != self.nvars:
-            raise ValueError("one target per variable required")
-        d: dict[Monomial, Fraction] = {}
-        for m, c in self.terms:
-            exp = [0] * new_nvars
-            coeff = c
-            for e, (j, s) in zip(m, targets):
-                if e == 0:
-                    continue
-                if not 0 <= j < new_nvars:
-                    raise ValueError("target index out of range")
-                exp[j] += e
-                if s == -1:
-                    if e % 2:
-                        coeff = -coeff
-                elif s != 1:
-                    raise ValueError("sign must be +1 or -1")
-            mt = tuple(exp)
-            d[mt] = d.get(mt, Fraction(0)) + coeff
-        return MultiPoly.from_dict(new_nvars, d)
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -487,6 +487,10 @@ def from_halfspaces_pruned(
     n = dim
     conormals = [int_vec(v) for v in conormals]
     support = [frac(k) for k in support]
+    if len(conormals) != len(support):
+        raise PolytopeError("conormal and support counts differ")
+    if labels and len(labels) != len(conormals):
+        raise PolytopeError("label count does not match facet count")
     # drop exact duplicates and dominated copies of the same conormal
     keep_map: dict[IntVec, int] = {}
     order: list[int] = []

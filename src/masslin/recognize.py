@@ -344,6 +344,11 @@ def _expansion_certificate(poly: HPolytope, groups) -> RecognitionCertificate | 
     return cert if _holds(poly, cert) else None
 
 
+def _meeting_pairs(poly: HPolytope, cls) -> list[tuple[int, int]]:
+    """The pairs of facets of a class that meet, in ``combinations`` order."""
+    return [pq for pq in itertools.combinations(sorted(cls), 2) if poly.face(set(pq)) is not None]
+
+
 def recognize_expansion(poly: HPolytope) -> RecognitionCertificate | None:
     """Detect an expansion along an equivalence class that cuts a face.
 
@@ -360,9 +365,7 @@ def recognize_expansion(poly: HPolytope) -> RecognitionCertificate | None:
             candidates.append(tuple(sorted(cls)))
     for cls in eq.classes:
         if len(cls) >= 3:
-            for pq in itertools.combinations(sorted(cls), 2):
-                if poly.face(set(pq)) is not None:
-                    candidates.append(pq)
+            candidates += _meeting_pairs(poly, cls)
     for I in candidates:
         cert = _expansion_certificate(poly, (I,))
         if cert is not None:
@@ -378,12 +381,7 @@ def _double_expansion_candidates(poly: HPolytope) -> tuple[RecognitionCertificat
         raise PolytopeError("recognition requires a smooth polytope")
     if poly.dim < 3:
         return ()
-    pairs = []
-    for cls in equivalence_classes(poly).classes:
-        for pq in itertools.combinations(sorted(cls), 2):
-            if poly.face(set(pq)) is not None:
-                pairs.append(pq)
-    pairs.sort()
+    pairs = sorted(pq for cls in equivalence_classes(poly).classes for pq in _meeting_pairs(poly, cls))
     certs = []
     for P, Q in itertools.combinations(pairs, 2):
         if set(P) & set(Q):

@@ -82,29 +82,6 @@ class TestCalculus:
         assert lhs == rhs
 
 
-class TestRemap:
-    def test_rename(self):
-        p = MultiPoly.linear([1, 2])
-        q = p.remap(3, [(2, 1), (0, 1)])
-        assert q.eval((5, 99, 7)) == 7 + 10
-
-    def test_sign_flip(self):
-        p = MultiPoly.variable(1, 0) ** 3
-        q = p.remap(1, [(0, -1)])
-        assert q.eval((2,)) == -8
-
-    def test_even_power_sign(self):
-        p = MultiPoly.variable(1, 0) ** 2
-        q = p.remap(1, [(0, -1)])
-        assert q.eval((2,)) == 4
-
-    @given(poly_strategy(nvars=2), st.lists(rationals, min_size=3, max_size=3))
-    @settings(max_examples=40)
-    def test_remap_eval_consistency(self, p, pt):
-        q = p.remap(3, [(1, -1), (2, 1)])
-        assert q.eval(pt) == p.eval((-pt[1], pt[2]))
-
-
 class TestDegree:
     def test_zero_degree(self):
         assert MultiPoly.zero(2).degree() == -1

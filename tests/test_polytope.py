@@ -488,3 +488,19 @@ class TestTransforms:
         )
         assert kept == [0, 1, 2, 3]
         assert poly == unit_square()
+
+    @pytest.mark.parametrize(
+        "support, labels, message",
+        [
+            ((0, 0, 1), None, "conormal and support counts differ"),
+            ((0, 0, 1, 5, 7), None, "conormal and support counts differ"),
+            ((0, 0, 1, 5), ("a", "b"), "label count does not match facet count"),
+            ((0, 0, 1, 5), ("a", "b", "c"), "label count does not match facet count"),
+        ],
+    )
+    def test_pruned_constructor_checks_counts(self, support, labels, message):
+        """Four half-spaces of a triangle, the last one redundant: a short
+        list would be read past its end, and a long one (or labels for
+        the kept facets only) silently truncated."""
+        with pytest.raises(PolytopeError, match=message):
+            from_halfspaces_pruned(2, ((-1, 0), (0, -1), (1, 1), (1, 0)), support, labels)

@@ -1,15 +1,16 @@
 """Suite-wide invariants, partly randomized: coefficient structure of
 mass linear pairs, equivariance of the verdict under lattice symmetries,
-balanced in-class combinations, restrictions to symmetric faces, blowup
-round trips, and the classification of 4-dimensional pairs under
-lattice symmetries."""
+balanced in-class combinations, facet equivalence against the pairwise
+reference, restrictions to symmetric faces, blowup round trips, and the
+classification of 4-dimensional pairs under lattice symmetries."""
 
 import random
 from fractions import Fraction as Fr
 from functools import lru_cache
+from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from masslin import (
@@ -28,6 +29,7 @@ from masslin import (
 )
 from masslin.masslinear import _pair_space, symmetric_facets
 from masslin.recognize import certificate_holds, classify4d, reconstruct
+import _equivalence_ref
 from _linalg_ref import rank
 from _suite import combine_conormals, report_for, suite_pairs, suite_polytopes
 
@@ -249,6 +251,69 @@ class TestBalancedCombinations:
             )
             moved = HPolytope(poly.dim, poly.conormals, kappa)
             assert _dot(H, center_of_mass(moved)) == _dot(beta, kappa)
+
+
+def _kleinschmidt(s: int, twists) -> HPolytope:
+    """Kleinschmidt's smooth polytope with n + 2 facets, n = r + s: the
+    Delta_r bundle over Delta_s with twists (a_1, ..., a_r), built from
+    its half-spaces.  Fiber facets x_i >= 0 and sum x <= 1; base facets
+    y_j >= 0 and <a, x> + sum y <= 1 + max(0, a)."""
+    r = len(twists)
+    n = r + s
+    conormals = [tuple(-int(i == j) for j in range(n)) for i in range(n)]
+    conormals += [(1,) * r + (0,) * s, tuple(twists) + (1,) * s]
+    return HPolytope(n, conormals, (0,) * n + (1, 1 + max(0, *twists)))
+
+
+class TestEquivalenceOracle:
+    """``equivalence_classes`` reads the classes off one integer kernel of
+    the conormals; the pairwise reference decides the defining condition
+    for every pair and re-checks each class against Part I's codimension
+    and balanced-combination conditions, raising when one fails."""
+
+    @staticmethod
+    def _assert_matches(poly):
+        eq = equivalence_classes(poly)
+        assert (eq.classes, eq.complement_rank) == _equivalence_ref.equivalence_classes(poly)
+
+    def test_suite(self):
+        for sp in suite_polytopes():
+            self._assert_matches(sp.poly)
+
+    @seed(21)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_moved_suite_and_blowups(self, data):
+        poly = data.draw(st.sampled_from(suite_polytopes())).poly
+        faces = sorted(
+            sorted(f.index_set) for f in poly.face_lattice.values() if 0 <= f.dimension <= poly.dim - 2
+        )
+        if faces and data.draw(st.booleans()):
+            poly = blowup(poly, data.draw(st.sampled_from(faces)))
+        n = poly.dim
+        poly = poly.apply_lattice_map(_draw_unimodular(data, n))
+        poly = poly.translate(data.draw(st.tuples(*[st.integers(-2, 2)] * n)))
+        poly = poly.permute_facets(data.draw(st.permutations(range(poly.n_facets))))
+        self._assert_matches(poly)
+
+    def test_kleinschmidt(self):
+        """Every Delta_r bundle over Delta_s with r + s <= 4 and twists in
+        [-1, 2].  Their relation vectors lie in a plane: (1, a_i) on the
+        fiber facet x_i >= 0, (1, 0) on sum x <= 1 and (0, 1) on every
+        base facet, so the fiber facets group by equal twists."""
+        count = 0
+        for r in range(1, 4):
+            for s in range(1, 5 - r):
+                for twists in product(range(-1, 3), repeat=r):
+                    poly = _kleinschmidt(s, twists)
+                    assert poly.n_facets == r + s + 2 and poly.is_smooth()
+                    self._assert_matches(poly)
+                    eq = equivalence_classes(poly)
+                    n = r + s
+                    assert eq.class_of(n) == {n} | {i for i, a in enumerate(twists) if a == 0}
+                    assert eq.class_of(n + 1) == set(range(r, n + 2)) - {n}
+                    count += 1
+        assert count == 108
 
 
 class TestBlowupRoundTrip:
