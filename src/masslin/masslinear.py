@@ -309,9 +309,9 @@ def equivalence_classes(poly: HPolytope) -> EquivalenceClasses:
     """
     _require_smooth(poly)
     n = poly.dim
-    rows = [tuple(eta[r] for eta in poly.conormals) for r in range(n)]
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i, g in enumerate(zip(*integer_kernel_basis(rows, poly.n_facets))):
+    relations = integer_kernel_basis(list(zip(*poly.conormals)), poly.n_facets)
+    for i, g in enumerate(zip(*relations)):
         groups.setdefault(g, []).append(i)
     classes = tuple(frozenset(members) for members in groups.values())
     complement_rank: dict[frozenset, int] = {}
