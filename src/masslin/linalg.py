@@ -81,9 +81,10 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[IntVec]:
     Column reduction by unimodular operations, tracked on an identity
     matrix; the tracker columns over the zero columns of the reduced
     matrix form the kernel basis.  The kernel of an integer matrix is a
-    saturated sublattice, so this basis spans it over Z.
+    saturated sublattice, so this basis spans it over Z.  A
+    non-integer entry raises ValueError (``int_vec``).
     """
-    A = [[int(frac(e)) for e in row] for row in rows]
+    A = [list(int_vec(row)) for row in rows]
     for row in A:
         if len(row) != n:
             raise ValueError("row length does not match n")

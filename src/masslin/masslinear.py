@@ -35,9 +35,19 @@ answers are witness-first: an identity whose two sides differ at the
 base kappa fails, and that exact nonzero value is its certificate, so
 only the identities that hold at the base kappa are expanded
 symbolically.  Facet equivalence, inessential witnesses and generating
-vectors are exact linear algebra on the integer conormals, read through
-per-polytope reductions, so a functional on a known polytope costs no
-elimination and no polynomial product.
+vectors are exact linear algebra on the integer conormals.
+
+All elimination and integration is per polytope, memoized on it: the
+slice pass, the pair spaces with their reduced echelon rows, the
+inessential transform, and the base values and barycenters
+(``measure._slice_values``).  Each is kept as integers over one
+denominator.  The work per functional is integer arithmetic: H is
+scaled once to Hi / L, every sum and comparison runs on Hi against
+those forms, equalities of quotients are cross-multiplied, and
+Fractions are formed only for the values a report returns (gamma,
+beta, the pairings, xi).  The one polynomial it forms is the moment
+mu_H of ``symmetric_facets``, whose products are expanded only for
+facets whose base value vanishes.
 """
 
 from __future__ import annotations
@@ -45,15 +55,17 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import PolytopeError, StructuralInconsistency
 from .linalg import (
+    IntVec,
     Vec,
     _echelon,
+    _reduce,
     dot,
     int_nullspace,
     int_rank,
-    int_rref,
     int_vec,
     integer_kernel_basis,
     scaled,
@@ -66,9 +78,9 @@ from .measure import (
     _pairing,
     _slice,
     _slice_coord_polys,
+    _slice_values,
     _vertex_cones,
     direction_lattice_basis,
-    skeleton_barycenter,
     volume_poly,  # unused here; perfbench's tracer test reads it from this module
 )
 from .poly import MultiPoly
@@ -207,17 +219,20 @@ def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]
     being the first vertex's edge that leaves B_p.  Witness-first: F_i
     is evaluated at the slice point of the base polytope, where it takes
     its base value, and a nonzero value proves facet i asymmetric; only
-    facets whose value is zero get the symbolic product.
+    facets whose value is zero get the symbolic product.  F_i is
+    homogeneous in H, so H is scaled to integers once, and the base
+    values come in integers from ``_slice_values``.
     """
     _require_smooth(poly)
-    Hv = vec(H)
     n, N = poly.dim, poly.n_facets
-    B, base = _slice(poly)
+    _, Hi = _integral(poly, H)
+    B = _slice(poly)[0]
     _, vol, coords = _slice_coord_polys(poly, n)
-    mu = _pairing(poly, coords, Hv)
+    mu = _pairing(poly, coords, Hi)
     cone = _vertex_cones(poly)[0]
     edges = [
-        (i, [(j, x) for j in range(N) if j not in B and (x := dot(poly.conormals[j], w))], dot(Hv, w))
+        (i, [(j, x) for j in range(N) if j not in B and (x := sum(map(mul, poly.conormals[j], w)))],
+         sum(map(mul, Hi, w)))
         for i, w in zip(cone.basis, cone.w)
     ]
 
@@ -229,9 +244,11 @@ def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]
             dvol[i] = sum((x * dvol[j] for j, x in mix), 0 * vol)
         return dmu, dvol
 
-    mu0, dmu0 = mu.eval_gradient(base)
-    vol0, dvol0 = vol.eval_gradient(base)
-    dmu0, dvol0 = on_basis(list(dmu0), list(dvol0), vol0)
+    at = _slice_values(poly, n)
+    mu0 = sum(map(mul, Hi, at.moments))
+    vol0 = at.measure
+    dmu0 = [sum(h * grad[j] for h, grad in zip(Hi, at.moment_grads)) for j in range(N)]
+    dmu0, dvol0 = on_basis(dmu0, list(at.measure_grad), vol0)
     sym = set()
     partials = None
     for i in range(N):
@@ -252,33 +269,49 @@ def mass_linear_test(poly: HPolytope, H) -> MassLinearReport:
     echelon form of ``ml_space``: its rows R_p, one per pivot column p of
     the H part, give the combination sum_p H[p] * R_p, whose H part
     equals H exactly when H is mass linear; its gamma part is then
-    gamma, and otherwise the nonzero difference is the witness.
+    gamma, and otherwise the nonzero difference is the witness.  With
+    H = Hi / L and gamma = G / (L D), every check runs on the integers
+    Hi and G.
     """
     _require_smooth(poly)
-    Hv = _functional(poly, H)
-    n = poly.dim
+    L, Hi = _integral(poly, H)
     N = poly.n_facets
-    base = poly.support
-    gamma_t = _fit(poly, Hv, (n,))
-
-    if gamma_t is not None:
-        if sum(gamma_t, Fraction(0)) != 0:
-            raise StructuralInconsistency("coefficient sum must vanish")
-        if dot(Hv, skeleton_barycenter(poly, n)) != dot(gamma_t, base):
-            raise StructuralInconsistency("no constant term allowed")
-        recon = zero_vec(n)
-        for g, eta in zip(gamma_t, poly.conormals):
-            recon = tuple(r + g * e for r, e in zip(recon, eta))
-        if recon != Hv:
-            raise StructuralInconsistency("H must equal sum of gamma_i times conormals")
-        sym = frozenset(i for i, g in enumerate(gamma_t) if g == 0)
-        asym = frozenset(range(N)) - sym
+    fit = _fit(poly, Hi, (poly.dim,))
+    if fit is None:
+        sym, asym = symmetric_facets(poly, Hi)
+        gamma = None
     else:
-        sym, asym = symmetric_facets(poly, Hv)
+        D, G = fit
+        if sum(G) != 0:
+            raise StructuralInconsistency("coefficient sum must vanish")
+        if not _pairs_linearly(poly, Hi, G, D):
+            raise StructuralInconsistency("no constant term allowed")
+        if any(sum(g * eta[c] for g, eta in zip(G, poly.conormals)) != h * D for c, h in enumerate(Hi)):
+            raise StructuralInconsistency("H must equal sum of gamma_i times conormals")
+        gamma = tuple(Fraction(g, L * D) for g in G)
+        sym = frozenset(i for i, g in enumerate(G) if g == 0)
+        asym = frozenset(range(N)) - sym
 
     pervasive = {i: is_pervasive(poly, i) for i in sorted(asym)}
     flat = {i: is_flat(poly, i) for i in sorted(asym)}
-    return MassLinearReport(gamma_t is not None, gamma_t, sym, asym, pervasive, flat)
+    return MassLinearReport(gamma is not None, gamma, sym, asym, pervasive, flat)
+
+
+def _integral(poly: HPolytope, H) -> tuple[int, IntVec]:
+    """(L, L H) for the lcm L of the denominators of H, which must have
+    n entries: the functional on integers, formed once per call."""
+    L, (Hi,) = scaled([_functional(poly, H)])
+    return L, tuple(Hi)
+
+
+def _pairs_linearly(poly: HPolytope, Hi: IntVec, C: IntVec, D: int) -> bool:
+    """<H, center of mass> == sum_i c_i kappa_i at the base kappa, for
+    H = Hi / L and c = C / (L D): the barycenter numerators P over Q
+    (``_slice_values``) and the support numbers K / e cross-multiplied,
+    L cancelling."""
+    at = _slice_values(poly, poly.dim)
+    e, (K,) = scaled([poly.support])
+    return sum(map(mul, Hi, at.center)) * D * e == sum(map(mul, C, K)) * at.center_den
 
 
 @memoize
@@ -332,45 +365,47 @@ def _row_basis(rows) -> list[int]:
 
 
 @memoize
-def _inessential_echelon(poly: HPolytope) -> tuple[tuple[int, ...], tuple[Vec, ...]]:
-    """Pivot columns and transform E of the reduced form [R | E] of
-    [A | I], A being the system of ``is_inessential``: the n coordinate
-    rows of the conormals, then one indicator row per equivalence class.
+def _inessential_echelon(poly: HPolytope) -> tuple[tuple[int, ...], int, tuple[IntVec, ...]]:
+    """Pivot columns, D and the integer rows D E of the transform E of
+    the reduced form [R | E] of [A | I], A being the system of
+    ``is_inessential``: the n coordinate rows of the conormals, then one
+    indicator row per equivalence class.
 
     E A = R, so A beta = b is solvable exactly when the rows of E b past
     the rank vanish, and then the reduced echelon solution has E b's
     first rows in the pivot columns and zero elsewhere: E is not unique,
-    but those images of a solvable b are.  ``int_rref`` reduces the
-    integer [A | I]."""
+    but those images of a solvable b are.  ``_echelon`` and ``_reduce``
+    reduce the integer [A | I]; the rows past the rank are left as
+    integer multiples of those of E, which vanish together.  b is H
+    followed by zero class sums, so only the first n columns of E are
+    kept."""
     N = poly.n_facets
     rows = [tuple(eta[r] for eta in poly.conormals) for r in range(poly.dim)]
     rows += [tuple(int(i in cls) for i in range(N)) for cls in equivalence_classes(poly).classes]
     m = len(rows)
-    R, pivots = int_rref([row + tuple(int(i == j) for j in range(m)) for i, row in enumerate(rows)], N)
-    return pivots, tuple(row[N:] for row in R)
+    system = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    pivots, _ = _echelon(system, N)
+    D = _reduce(system, pivots)
+    return tuple(pivots), D, tuple(tuple(row[N : N + poly.dim]) for row in system)
 
 
 def is_inessential(poly: HPolytope, H) -> InessentialWitness | None:
     """A witness beta with H = sum beta_i eta_i and zero sum over every
     equivalence class, or None when H is essential.  beta is the reduced
-    echelon solution, read through ``_inessential_echelon``."""
+    echelon solution, read through ``_inessential_echelon`` in integers:
+    with H = Hi / L, beta = (D E) Hi / (L D)."""
     _require_smooth(poly)
-    Hv = _functional(poly, H)
-    pivots, E = _inessential_echelon(poly)
-
-    def image(row: Vec) -> Fraction:
-        return sum((e * h for e, h in zip(row, Hv)), Fraction(0))
-
-    if any(image(row) for row in E[len(pivots) :]):
+    L, Hi = _integral(poly, H)
+    pivots, D, E = _inessential_echelon(poly)
+    if any(sum(map(mul, row, Hi)) for row in E[len(pivots) :]):
         return None
-    beta = [Fraction(0)] * poly.n_facets
+    beta = [0] * poly.n_facets
     for p, row in zip(pivots, E):
-        beta[p] = image(row)
-    beta = tuple(beta)
+        beta[p] = sum(map(mul, row, Hi))
     # inessential functions pair with the center through sum beta_i k_i
-    if dot(Hv, skeleton_barycenter(poly, poly.dim)) != dot(beta, poly.support):
+    if not _pairs_linearly(poly, Hi, beta, D):
         raise StructuralInconsistency("an inessential pairing is sum beta_i kappa_i")
-    return InessentialWitness(beta)
+    return InessentialWitness(tuple(Fraction(b, L * D) for b in beta))
 
 
 def inessential_reduction(
@@ -470,19 +505,20 @@ def generating_vector(
     the overdetermined system has no solution).  The conormals at the
     first vertex form an invertible A_v, so the only candidate is
     xi = A_v^{-1} gamma_B = -sum_j gamma_{B_j} w_j / d on the first
-    vertex cone (``VertexCone``); every equation is then checked.
+    vertex cone (``VertexCone``); every equation is then checked, in
+    integers: with gamma = G / L, the numerators X = -sum_j G_{B_j} w_j
+    of xi = X / (L d) must give <eta_i, X> == G_i d.
     """
     if report is None:
         report = mass_linear_test(poly, H)
     if not report.verdict:
         return None
     cone = _vertex_cones(poly)[0]
-    xi = tuple(
-        -sum((report.gamma[f] * e[c] for f, e in zip(cone.basis, cone.w)), Fraction(0)) / cone.d for c in range(poly.dim)
-    )
-    if any(dot(eta, xi) != g for eta, g in zip(poly.conormals, report.gamma)):
+    L, (G,) = scaled([report.gamma])
+    X = [-sum(G[f] * e[c] for f, e in zip(cone.basis, cone.w)) for c in range(poly.dim)]
+    if any(sum(map(mul, eta, X)) != g * cone.d for eta, g in zip(poly.conormals, G)):
         return None
-    return xi
+    return tuple(Fraction(x, L * cone.d) for x in X)
 
 
 def fully_mass_linear_test(poly: HPolytope, H) -> FullMassLinearReport:
@@ -496,11 +532,11 @@ def fully_mass_linear_test(poly: HPolytope, H) -> FullMassLinearReport:
     are the witness of a negative verdict.
     """
     _require_smooth(poly)
-    Hv = _functional(poly, H)
+    L, Hi = _integral(poly, H)
     dims = tuple(range(poly.dim + 1))
-    values = tuple(dot(Hv, skeleton_barycenter(poly, k)) for k in dims)
-    at_base = len(set(values)) == 1
-    return FullMassLinearReport(values, at_base, _agree(poly, Hv, dims, at_base))
+    pairings = _center_pairings(poly, Hi, dims)
+    values = tuple(Fraction(a, L * q) for a, q in pairings)
+    return FullMassLinearReport(values, *_agree(poly, Hi, dims, pairings))
 
 
 def barycenter_pairings_agree(poly: HPolytope, H, dims) -> bool:
@@ -514,37 +550,50 @@ def barycenter_pairings_agree(poly: HPolytope, H, dims) -> bool:
     kappa are the witness of a negative answer."""
     if 0 not in dims:
         raise ValueError("skeleton dimensions must include 0")
-    Hv = _functional(poly, H)
-    # skeleton_barycenter rejects a bad dimension before dims is sorted
-    at_base = len({dot(Hv, skeleton_barycenter(poly, k)) for k in dims}) == 1
-    return _agree(poly, Hv, tuple(sorted(set(dims))), at_base)
+    _, Hi = _integral(poly, H)
+    # _slice_values rejects a bad dimension before dims is sorted
+    pairings = _center_pairings(poly, Hi, dims)
+    return _agree(poly, Hi, tuple(sorted(set(dims))), pairings)[1]
 
 
-def _agree(poly: HPolytope, Hv: Vec, dims: tuple[int, ...], at_base: bool) -> bool:
-    """Does H fit the pair space of dims?  Pairings equal chamber-wide
-    are equal at the base kappa, so a fit must come with at_base."""
-    fits = _fit(poly, Hv, dims) is not None
+def _center_pairings(poly: HPolytope, Hi: IntVec, dims) -> list[tuple[int, int]]:
+    """L <H, B_k> for each k in dims, as an integer numerator over the
+    barycenter's positive denominator (``_slice_values``)."""
+    return [(sum(map(mul, Hi, at.center)), at.center_den) for at in (_slice_values(poly, k) for k in dims)]
+
+
+def _agree(poly: HPolytope, Hi: IntVec, dims: tuple[int, ...], pairings) -> tuple[bool, bool]:
+    """(at_base, fits): are the pairings equal at the base kappa, compared
+    by cross-multiplication, and does H fit the pair space of dims?
+    Pairings equal chamber-wide are equal at the base kappa, so a fit
+    must come with at_base."""
+    a0, q0 = pairings[0]
+    at_base = all(a * q0 == a0 * q for a, q in pairings)
+    fits = _fit(poly, Hi, dims) is not None
     if fits and not at_base:
         raise StructuralInconsistency("pairings equal chamber-wide agree at the base kappa")
-    return fits
+    return at_base, fits
 
 
-def _fit(poly: HPolytope, Hv: Vec, dims: tuple[int, ...]) -> Vec | None:
-    """gamma with (H, gamma) in the pair space of dims, or None.
+def _fit(poly: HPolytope, Hi: IntVec, dims: tuple[int, ...]) -> tuple[int, IntVec] | None:
+    """(D, G) with (H, G / (L D)) in the pair space of dims, for
+    H = Hi / L, or None.
 
     The reduced echelon rows R_p of that space, one per pivot column p
     of the H part, give the combination sum_p H[p] * R_p, whose H part
     equals H exactly when H lies in the space; its gamma part is then
-    gamma."""
-    n = poly.dim
-    rows = _space_echelon(poly, dims)
+    gamma.  On the integer rows D R_p (``_space_echelon``) the test is
+    sum_p Hi[p] D R_p[c] == Hi[c] D, and G is the gamma part of the same
+    sum."""
+    D, rows = _space_echelon(poly, dims)
 
-    def fit(c: int) -> Fraction:
-        return sum((Hv[p] * row[c] for p, row in rows), Fraction(0))
+    def fit(c: int) -> int:
+        return sum(Hi[p] * row[c] for p, row in rows)
 
-    if any(fit(c) != h for c, h in enumerate(Hv)):
+    if any(fit(c) != h * D for c, h in enumerate(Hi)):
         return None
-    return tuple(fit(c) for c in range(n, n + poly.n_facets))
+    n = poly.dim
+    return D, tuple(fit(c) for c in range(n, n + poly.n_facets))
 
 
 @memoize
@@ -608,16 +657,21 @@ def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
 
 
 @memoize
-def _space_echelon(poly: HPolytope, dims: tuple[int, ...]) -> tuple[tuple[int, Vec], ...]:
-    """The reduced echelon rows of the pair space basis rows
-    (H | gamma) for dims, each with its pivot column.  Every pivot lies
-    in the H columns, since gamma is determined by H.  Scaling the basis
-    rows to integers leaves their reduced form unchanged."""
+def _space_echelon(poly: HPolytope, dims: tuple[int, ...]) -> tuple[int, tuple[tuple[int, IntVec], ...]]:
+    """D and the integer rows D R of the reduced echelon form R of the
+    pair space basis rows (H | gamma) for dims, each with its pivot
+    column.  Every pivot lies in the H columns, since gamma is
+    determined by H.  Scaling the basis rows to integers leaves their
+    reduced form unchanged, and ``_reduce`` gives D R with D its last
+    pivot; the basis rows are independent, so every row is a pivot
+    row."""
     n = poly.dim
-    R, pivots = int_rref(scaled([H + gamma for H, gamma in _pair_space(poly, dims)])[1], n + poly.n_facets)
+    rows = scaled([H + gamma for H, gamma in _pair_space(poly, dims)])[1]
+    pivots, _ = _echelon(rows, n + poly.n_facets)
     if any(p >= n for p in pivots):
         raise StructuralInconsistency("the products kappa_i * P_k are independent")
-    return tuple(zip(pivots, R))
+    D = _reduce(rows, pivots)
+    return D, tuple((p, tuple(row)) for p, row in zip(pivots, rows))
 
 
 def inessential_space(poly: HPolytope) -> tuple[Vec, ...]:

@@ -35,10 +35,12 @@ first vertex adds only its degree-0 term.  Its integer polynomials share
 one denominator D, which cancels from every identity and ratio formed
 of them.  Volumes and skeleton barycenters are those polynomials
 evaluated at the slice point of the polytope, the barycenters moved
-back by the first vertex.  Only the public polynomials
-(``volume_poly``, ``moment_poly``, ``skeleton_measure_polys``) keep all
-N variables, from ``_skeleton_coord_polys``; they and the face
-polynomials are divided by D.
+back by the first vertex; ``_slice_values`` keeps those base values,
+with every first partial, as integers once per polytope and k.  Only
+the public polynomials (``volume_poly``, ``moment_poly``,
+``skeleton_measure_polys``) keep all N variables, from
+``_skeleton_coord_polys``; they and the face polynomials are divided
+by D.
 
 Monomial integrals use the same cones, by Brion's formula for a power of
 a linear form l pairing nonzero with every edge (Baldoni, Berline,
@@ -351,19 +353,53 @@ def integrate_monomial(poly: HPolytope, exponents: Sequence[int]) -> Fraction:
     return total / (factorial(M + n) * L ** (M + n))
 
 
+class SliceValues(NamedTuple):
+    """The k-skeleton measure and coordinate moments on the slice, with
+    every first partial, at the slice point of the polytope, as integers
+    over one denominator, which cancels from every identity and ratio
+    formed of them; and the k-skeleton barycenter as integer numerators
+    over one positive denominator."""
+
+    measure: int
+    measure_grad: tuple[int, ...]
+    moments: tuple[int, ...]
+    moment_grads: tuple[tuple[int, ...], ...]
+    center: tuple[int, ...]
+    center_den: int
+
+
 @memoize
+def _slice_values(poly: HPolytope, k: int) -> SliceValues:
+    """The base values of the slice pass (``_slice_coord_polys``), once
+    per polytope and k: the skeleton barycenter, and the value and
+    gradient of every per-functional identity at the base kappa, read
+    off them in integers.  Moving back from the slice point adds v0 to
+    the barycenter."""
+    if type(k) is not int or not 0 <= k <= poly.dim:
+        raise ValueError("skeleton dimension out of range")
+    _, measure, coords = _slice_coord_polys(poly, k)
+    base = _slice(poly)[1]
+    values = [p.eval_gradient(base) for p in (measure, *coords)]
+    _, ((V, *dV), *moments) = scaled([(v, *g) for v, g in values])
+    if V == 0:
+        raise PolytopeError("zero skeleton measure")
+    e, (v0,) = scaled([poly.vertices[0].point])
+    return SliceValues(
+        V,
+        tuple(dV),
+        tuple(m[0] for m in moments),
+        tuple(tuple(m[1:]) for m in moments),
+        tuple(e * m[0] + V * x for m, x in zip(moments, v0)),
+        e * V,
+    )
+
+
 def skeleton_barycenter(poly: HPolytope, k: int) -> Vec:
     """Barycenter of the union of all k-faces, in the lattice measure.
 
     The slice polynomials at the support numbers of the polytope moved
     by -v0 (``_slice``) give its k-skeleton measure P_k and moments over
     one denominator, which cancels from their ratio; moving back adds v0
-    to the barycenter."""
-    if type(k) is not int or not 0 <= k <= poly.dim:
-        raise ValueError("skeleton dimension out of range")
-    _, measure, coords = _slice_coord_polys(poly, k)
-    base = _slice(poly)[1]
-    total = measure.eval(base)
-    if total == 0:
-        raise PolytopeError("zero skeleton measure")
-    return tuple(c.eval(base) / total + x for c, x in zip(coords, poly.vertices[0].point))
+    to the barycenter (``_slice_values``)."""
+    at = _slice_values(poly, k)
+    return tuple(Fraction(c, at.center_den) for c in at.center)

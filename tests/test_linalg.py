@@ -331,6 +331,12 @@ class TestIntegerKernel:
     def test_full_rank_trivial_kernel(self):
         assert integer_kernel_basis(identity(3), 3) == []
 
+    @pytest.mark.parametrize("row", [(Fraction(1, 2), 1), (1.7, 1)])
+    def test_non_integer_entry_raises(self, row):
+        # a truncated entry would give the kernel of another matrix
+        with pytest.raises(ValueError, match="expected integer entries"):
+            integer_kernel_basis([row], 2)
+
     @given(
         st.lists(
             st.lists(st.integers(-6, 6), min_size=4, max_size=4),

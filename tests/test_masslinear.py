@@ -849,7 +849,8 @@ class TestPervasiveFlat:
 
 class TestOptimizedMode:
     def test_invariant_checks_survive_dash_O(self):
-        # asserts vanish under python -O; the gamma checks must not
+        # asserts vanish under python -O; the integer checks of gamma and
+        # beta must not: each is made to fail by one patched internal
         script = textwrap.dedent("""
             from fractions import Fraction
             import masslin.masslinear as ml
@@ -859,17 +860,43 @@ class TestOptimizedMode:
             if __debug__:
                 raise SystemExit("not running under -O")
 
-            # the one gamma source: the pair space of the n-skeleton
-            def unbalanced_space(poly, dims):
-                H = (Fraction(1),) + (Fraction(0),) * (poly.dim - 1)
-                return ((H, (Fraction(1),) * poly.n_facets),)
+            def attempt(check, **patches):
+                saved = {name: getattr(ml, name) for name in patches}
+                for name, fn in patches.items():
+                    setattr(ml, name, fn)
+                box = HPolytope(2, [(-1, 0), (1, 0), (0, -1), (0, 1)], [0, 1, 0, 1])
+                try:
+                    check(box)
+                except StructuralInconsistency as exc:
+                    print("raised:", exc)
+                finally:
+                    for name, fn in saved.items():
+                        setattr(ml, name, fn)
 
-            ml._pair_space = unbalanced_space
-            box = HPolytope(2, [(-1, 0), (1, 0), (0, -1), (0, 1)], [0, 1, 0, 1])
-            try:
-                ml.mass_linear_test(box, (1, 0))
-            except StructuralInconsistency as exc:
-                print("raised:", exc)
+            # the one gamma source: the pair space of the n-skeleton,
+            # here one pair (e_1, gamma)
+            def space(*gamma):
+                def pair_space(poly, dims):
+                    H = (Fraction(1),) + (Fraction(0),) * (poly.dim - 1)
+                    return ((H, tuple(map(Fraction, gamma))),)
+                return pair_space
+
+            # the base values, with the barycenter moved by (1, ..., 1)
+            slice_values = ml._slice_values
+
+            def moved_center(poly, k):
+                at = slice_values(poly, k)
+                return at._replace(center=tuple(c + at.center_den for c in at.center))
+
+            # on the unit square (1, 0) is mass linear and inessential,
+            # gamma = beta = (-1/2, 1/2, 0, 0)
+            def test(box):
+                return ml.mass_linear_test(box, (1, 0))
+
+            attempt(test, _pair_space=space(1, 1, 1, 1))
+            attempt(test, _slice_values=moved_center)
+            attempt(test, _pair_space=space(0, 0, Fraction(-1, 2), Fraction(1, 2)))
+            attempt(lambda box: ml.is_inessential(box, (1, 0)), _slice_values=moved_center)
         """)
         src = str(Path(masslin.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -880,4 +907,9 @@ class TestOptimizedMode:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "raised: coefficient sum must vanish"
+        assert out.stdout.splitlines() == [
+            "raised: coefficient sum must vanish",
+            "raised: no constant term allowed",
+            "raised: H must equal sum of gamma_i times conormals",
+            "raised: an inessential pairing is sum beta_i kappa_i",
+        ]

@@ -22,14 +22,19 @@ from masslin import (
     equivalence_classes,
     expansion,
     fully_mass_linear_test,
+    generating_vector,
+    is_inessential,
     mass_linear_test,
+    ml_space,
     recognize_double_expansion,
     recognize_expansion,
     restrict_to_face,
+    skeleton_barycenter,
 )
-from masslin.masslinear import _pair_space, symmetric_facets
+from masslin.masslinear import _pair_space, barycenter_pairings_agree, symmetric_facets
 from masslin.recognize import certificate_holds, classify4d, reconstruct
 import _equivalence_ref
+import _functional_ref
 from _linalg_ref import rank
 from _suite import combine_conormals, report_for, suite_pairs, suite_polytopes
 
@@ -136,6 +141,20 @@ def _same_span(a, b):
 
 def _dims(poly):
     return (poly.dim,), tuple(range(poly.dim + 1))
+
+
+def _draw_moved(data, poly):
+    """A suite polytope or one of its blowups, moved by a lattice map, a
+    translation and a reordering of its facets."""
+    faces = sorted(
+        sorted(f.index_set) for f in poly.face_lattice.values() if 0 <= f.dimension <= poly.dim - 2
+    )
+    if faces and data.draw(st.booleans()):
+        poly = blowup(poly, data.draw(st.sampled_from(faces)))
+    n = poly.dim
+    poly = poly.apply_lattice_map(_draw_unimodular(data, n))
+    poly = poly.translate(data.draw(st.tuples(*[st.integers(-2, 2)] * n)))
+    return poly.permute_facets(data.draw(st.permutations(range(poly.n_facets))))
 
 
 class TestEquivariance:
@@ -284,17 +303,7 @@ class TestEquivalenceOracle:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_moved_suite_and_blowups(self, data):
-        poly = data.draw(st.sampled_from(suite_polytopes())).poly
-        faces = sorted(
-            sorted(f.index_set) for f in poly.face_lattice.values() if 0 <= f.dimension <= poly.dim - 2
-        )
-        if faces and data.draw(st.booleans()):
-            poly = blowup(poly, data.draw(st.sampled_from(faces)))
-        n = poly.dim
-        poly = poly.apply_lattice_map(_draw_unimodular(data, n))
-        poly = poly.translate(data.draw(st.tuples(*[st.integers(-2, 2)] * n)))
-        poly = poly.permute_facets(data.draw(st.permutations(range(poly.n_facets))))
-        self._assert_matches(poly)
+        self._assert_matches(_draw_moved(data, data.draw(st.sampled_from(suite_polytopes())).poly))
 
     def test_kleinschmidt(self):
         """Every Delta_r bundle over Delta_s with r + s <= 4 and twists in
@@ -314,6 +323,80 @@ class TestEquivalenceOracle:
                     assert eq.class_of(n + 1) == set(range(r, n + 2)) - {n}
                     count += 1
         assert count == 108
+
+
+class TestFunctionalOracle:
+    """The per-functional path runs in integers: H scaled once, integer
+    echelon rows, base values, barycenter numerators and edges.  The
+    Fraction references of ``_functional_ref`` decide the same reports
+    as the library did before.  Every benchmark functional is integral,
+    so H is drawn here over the denominators 1, 2, 3, 5 and 7 too: from
+    the mass linear space (positives, some inessential) or at random
+    (mostly negatives)."""
+
+    @staticmethod
+    def _draw_functional(data, poly):
+        n = poly.dim
+        if data.draw(st.booleans()):
+            basis = [H for H, _ in ml_space(poly)]
+            coeffs = data.draw(st.tuples(*[st.integers(-2, 2)] * len(basis)))
+            H = [sum((c * h[i] for c, h in zip(coeffs, basis)), Fr(0)) for i in range(n)]
+        else:
+            H = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
+        den = data.draw(st.sampled_from((1, 2, 3, 5, 7)))
+        return tuple(Fr(h) / den for h in H)
+
+    @staticmethod
+    def _assert_matches(poly, H):
+        report = mass_linear_test(poly, H)
+        assert report == _functional_ref.mass_linear_test(poly, H)
+        assert symmetric_facets(poly, H) == _functional_ref.symmetric_facets(poly, H)
+        assert is_inessential(poly, H) == _functional_ref.is_inessential(poly, H)
+        assert fully_mass_linear_test(poly, H) == _functional_ref.fully_mass_linear_test(poly, H)
+        assert generating_vector(poly, H, report) == _functional_ref.generating_vector(poly, H, report)
+        for k in range(poly.dim + 1):
+            assert skeleton_barycenter(poly, k) == _functional_ref.skeleton_barycenter(poly, k)
+        dims = (0, poly.dim - 1, poly.dim)
+        assert barycenter_pairings_agree(poly, H, dims) == _functional_ref.barycenter_pairings_agree(poly, H, dims)
+
+    def test_suite(self):
+        for pair in suite_pairs():
+            self._assert_matches(pair.poly, pair.H)
+
+    @seed(22)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_moved_suite_and_blowups(self, data):
+        poly = _draw_moved(data, data.draw(st.sampled_from(suite_polytopes())).poly)
+        self._assert_matches(poly, self._draw_functional(data, poly))
+
+
+class TestHomogeneity:
+    """Every identity of the per-functional path is linear in H: scaling
+    H by q keeps each verdict and each partition of the facets, and
+    scales gamma, beta, the skeleton pairings and xi by q."""
+
+    @pytest.mark.parametrize("q", [Fr(-1), Fr(1, 2), Fr(7, 3)])
+    def test_scaling_the_functional(self, q):
+        def times(v):
+            return None if v is None else tuple(q * x for x in v)
+
+        for pair in suite_pairs():
+            poly, H = pair.poly, pair.H
+            qH = times(H)
+            rep, rep_q = mass_linear_test(poly, H), mass_linear_test(poly, qH)
+            assert (rep_q.verdict, rep_q.symmetric, rep_q.asymmetric, rep_q.pervasive, rep_q.flat) == (
+                rep.verdict, rep.symmetric, rep.asymmetric, rep.pervasive, rep.flat
+            ), pair.name
+            assert rep_q.gamma == times(rep.gamma), pair.name
+            wit, wit_q = is_inessential(poly, H), is_inessential(poly, qH)
+            assert (wit_q is None) == (wit is None), pair.name
+            if wit is not None:
+                assert wit_q.beta == times(wit.beta), pair.name
+            full, full_q = fully_mass_linear_test(poly, H), fully_mass_linear_test(poly, qH)
+            assert (full_q.verdict, full_q.at_base) == (full.verdict, full.at_base), pair.name
+            assert full_q.values == times(full.values), pair.name
+            assert generating_vector(poly, qH, rep_q) == times(generating_vector(poly, H, rep)), pair.name
 
 
 class TestBlowupRoundTrip:
