@@ -48,6 +48,15 @@ from .poly import MultiPoly
 from .polytope import HPolytope
 
 
+def _built(data, labels: tuple[str, ...], check) -> HPolytope:
+    """The polytope of a constructor's facet data (dimension, conormals,
+    support numbers), after its post-build check with every facet at its
+    own position in the constructor's order."""
+    poly = HPolytope(*data, labels)
+    check(poly, range(poly.n_facets))
+    return poly
+
+
 # ---------------------------------------------------------------------------
 # elementary builders
 
@@ -128,9 +137,8 @@ def yk_structural_values(spec: YkBundleSpec) -> tuple[Fraction, Fraction]:
     return lam, h
 
 
-def bundle_Yk(spec: YkBundleSpec) -> HPolytope:
-    """Simplex bundle over a segment with the canonical conormals."""
-    k = spec.k
+def _yk_data(spec: YkBundleSpec) -> tuple:
+    """The facet data of bundle_Yk(spec), after its chamber test."""
     lam, h = yk_structural_values(spec)
     bound = max(0, *spec.a) * lam
     if lam <= 0 or h <= bound:
@@ -139,11 +147,18 @@ def bundle_Yk(spec: YkBundleSpec) -> HPolytope:
             f"fiber size {lam} must be positive and height {h} must exceed "
             f"{bound}"
         )
-    labels = tuple(f"F{i + 1}" for i in range(k + 1)) + ("G1", "G2")
-    poly = HPolytope(k + 1, _yk_conormals(k, spec.a), spec.kappa, labels)
-    if len(poly.vertices) != 2 * (k + 1) or not poly.is_smooth():
+    return spec.k + 1, _yk_conormals(spec.k, spec.a), spec.kappa
+
+
+def _yk_check(poly: HPolytope, position) -> None:
+    if len(poly.vertices) != 2 * poly.dim or not poly.is_smooth():
         raise StructuralInconsistency("chamber test failed to reject a bad bundle")
-    return poly
+
+
+def bundle_Yk(spec: YkBundleSpec) -> HPolytope:
+    """Simplex bundle over a segment with the canonical conormals."""
+    labels = tuple(f"F{i + 1}" for i in range(spec.k + 1)) + ("G1", "G2")
+    return _built(_yk_data(spec), labels, _yk_check)
 
 
 def trapezoid(twist: int = 1, kappa=(0, 1, 0, 2)) -> HPolytope:
@@ -197,13 +212,9 @@ def _121_conormals(a: Sequence[int], d: int) -> tuple[IntVec, ...]:
 def _reject_unless_combinatorial_product(
     poly: HPolytope, expected_vertices: int, what: str
 ) -> None:
-    bad = None
     for v in poly.vertices:
         if abs(int_det([poly.conormals[i] for i in v.basis])) != 1:
-            bad = v
-            break
-    if bad is not None:
-        raise PolytopeError(f"{what}: vertex {bad.point} is not smooth")
+            raise PolytopeError(f"{what}: vertex {v.point} is not smooth")
     if len(poly.vertices) != expected_vertices:
         raise PolytopeError(
             f"{what}: expected {expected_vertices} vertices, found "
@@ -211,11 +222,17 @@ def _reject_unless_combinatorial_product(
         )
 
 
+def _121_data(spec: Bundle121Spec) -> tuple:
+    return 4, _121_conormals(spec.a, spec.d), spec.kappa
+
+
+def _121_check(poly: HPolytope, position) -> None:
+    _reject_unless_combinatorial_product(poly, 12, "121 bundle")
+
+
 def bundle_121(spec: Bundle121Spec) -> HPolytope:
     labels = ("T0", "T1", "F2", "F3", "F4", "F5", "F6")
-    poly = HPolytope(4, _121_conormals(spec.a, spec.d), spec.kappa, labels)
-    _reject_unless_combinatorial_product(poly, 12, "121 bundle")
-    return poly
+    return _built(_121_data(spec), labels, _121_check)
 
 
 @dataclass(frozen=True)
@@ -262,20 +279,28 @@ def _d2_conormals(
     return tuple(rows)
 
 
-def bundle_D2_polygon(spec: D2PolygonBundleSpec) -> HPolytope:
-    k = spec.polygon.n_facets
-    labels = ("F1", "F2", "F3") + tuple(f"G{i + 1}" for i in range(k))
-    poly = HPolytope(4, _d2_conormals(spec.polygon, spec.twists), spec.kappa, labels)
+def _d2_data(spec: D2PolygonBundleSpec) -> tuple:
+    return 4, _d2_conormals(spec.polygon, spec.twists), spec.kappa
+
+
+def _d2_check(poly: HPolytope, position) -> None:
+    """The product chamber, and two adjacent base facets at every vertex."""
+    k = poly.n_facets - 3
     _reject_unless_combinatorial_product(poly, 3 * k, "triangle bundle over polygon")
     for v in poly.vertices:
-        base = sorted(i - 3 for i in v.basis if i >= 3)
+        base = sorted(position[i] - 3 for i in v.basis if position[i] >= 3)
         if len(base) != 2 or (base[1] - base[0]) % k not in (1, k - 1):
             raise PolytopeError(
                 f"triangle bundle over polygon: vertex {v.point} does not sit "
                 "over a polygon vertex (support numbers leave the product "
                 "chamber)"
             )
-    return poly
+
+
+def bundle_D2_polygon(spec: D2PolygonBundleSpec) -> HPolytope:
+    k = spec.polygon.n_facets
+    labels = ("F1", "F2", "F3") + tuple(f"G{i + 1}" for i in range(k))
+    return _built(_d2_data(spec), labels, _d2_check)
 
 
 # ---------------------------------------------------------------------------
@@ -295,27 +320,32 @@ def _fresh_labels(taken: Sequence[str], stem: str, count: int) -> list[str]:
     return out
 
 
-def _expand(core: HPolytope, folds: dict[int, int]) -> HPolytope:
-    """Expand the core along each facet j of folds, folds[j] times.
+def _expand(core: HPolytope, folds: Sequence[tuple[int, int]]) -> tuple:
+    """The facet data of the core expanded along each facet j of the
+    (j, fold) pairs in folds, fold times, after the expansion checks.
 
     The surviving core facets come first in their order; then, per
-    expanded facet in the order of folds, its folds[j] pure-slot facets
+    expanded facet in the order of folds, its fold pure-slot facets
     (minus a new coordinate vector, support 0) and its lifted facet (the
     core conormal plus the indicator of those new coordinates, the core
     support number).
     """
-    for j, fold in folds.items():
+    if not core.is_smooth():
+        raise PolytopeError("expansion requires a smooth core")
+    expanded = dict(folds)
+    if len(expanded) != len(folds):
+        raise PolytopeError("double expansion needs two distinct facets")
+    for j, fold in folds:
         if not 0 <= j < core.n_facets:
             raise PolytopeError("no such facet")
         if fold < 1:
             raise PolytopeError("fold must be at least 1")
-    f = sum(folds.values())
-    kept = [j for j in range(core.n_facets) if j not in folds]
+    f = sum(expanded.values())
+    kept = [j for j in range(core.n_facets) if j not in expanded]
     conormals = [core.conormals[j] + (0,) * f for j in kept]
     support = [core.support[j] for j in kept]
-    labels = [core.labels[j] for j in kept]
     start = 0
-    for j, fold in folds.items():
+    for j, fold in folds:
         for c in range(start, start + fold):
             pure = tuple(-1 if r == c else 0 for r in range(f))
             conormals.append((0,) * core.dim + pure)
@@ -324,11 +354,21 @@ def _expand(core: HPolytope, folds: dict[int, int]) -> HPolytope:
         conormals.append(core.conormals[j] + lift)
         support.append(core.support[j])
         start += fold
-    labels += _fresh_labels(labels, "B", f + len(folds))
-    out = HPolytope(core.dim + f, tuple(conormals), tuple(support), tuple(labels))
-    if not out.is_smooth():
+    return core.dim + f, tuple(conormals), tuple(support)
+
+
+def _expansion_check(poly: HPolytope, position) -> None:
+    if not poly.is_smooth():
         raise StructuralInconsistency("expansion of a smooth core must be smooth")
-    return out
+
+
+def _expansion(core: HPolytope, folds: Sequence[tuple[int, int]]) -> HPolytope:
+    """The polytope of _expand(core, folds): the surviving core facets
+    keep their labels, and the new ones are B1, B2, ..."""
+    data = _expand(core, folds)
+    labels = [core.labels[j] for j in range(core.n_facets) if j not in dict(folds)]
+    labels += _fresh_labels(labels, "B", len(data[1]) - len(labels))
+    return _built(data, tuple(labels), _expansion_check)
 
 
 def expansion(core: HPolytope, facet: int, fold: int = 1) -> HPolytope:
@@ -338,9 +378,7 @@ def expansion(core: HPolytope, facet: int, fold: int = 1) -> HPolytope:
     facets living in fold new coordinates; every other facet survives as a
     fiber-type facet with the same support number.
     """
-    if not core.is_smooth():
-        raise PolytopeError("expansion requires a smooth core")
-    return _expand(core, {facet: fold})
+    return _expansion(core, ((facet, fold),))
 
 
 def double_expansion(core: HPolytope, j1: int, j2: int) -> HPolytope:
@@ -349,11 +387,18 @@ def double_expansion(core: HPolytope, j1: int, j2: int) -> HPolytope:
     Base-type facets come last, in the order B1, B2 (from j1) then
     B3, B4 (from j2).
     """
-    if not core.is_smooth():
-        raise PolytopeError("expansion requires a smooth core")
-    if j1 == j2:
-        raise PolytopeError("double expansion needs two distinct facets")
-    return _expand(core, {j1: 1, j2: 1})
+    return _expansion(core, ((j1, 1), (j2, 1)))
+
+
+# each constructor's facet-data step, which takes its arguments and
+# checks them, and its post-build check on a polytope with that facet
+# data, where facet i has position[i] in the constructor's order
+CONSTRUCTOR_STEPS = {
+    bundle_Yk: (_yk_data, _yk_check),
+    bundle_121: (_121_data, _121_check),
+    bundle_D2_polygon: (_d2_data, _d2_check),
+    _expansion: (_expand, _expansion_check),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -176,10 +176,15 @@ class FullMassLinearReport:
 
 def is_pervasive(poly: HPolytope, i: int) -> bool:
     """Does facet i meet every other facet?"""
-    return all(
-        poly.face(frozenset({i, j})) is not None
-        for j in range(poly.n_facets)
-        if j != i
+    return i in _pervasive_facets(poly)
+
+
+@memoize
+def _pervasive_facets(poly: HPolytope) -> frozenset[int]:
+    """The facets that meet every other facet."""
+    N = poly.n_facets
+    return frozenset(
+        i for i in range(N) if all(poly.face({i, j}) is not None for j in range(N) if j != i)
     )
 
 

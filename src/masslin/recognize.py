@@ -5,10 +5,12 @@ A recognition certificate records how an input polytope matches one of
 the constructors: which facets play which role, the recovered
 constructor parameters, and a unimodular map plus translation carrying
 the input into constructor coordinates.  reconstruct() reruns the
-constructor on the recovered parameters, and certificate_holds() is the
-one verifier: it compares the input's facet data, mapped, translated
-and reordered by the one chart map _mapped(), with that of the rebuilt
-polytope.  Every recognizer reads mapped facet data from _mapped() too
+constructor on the recovered parameters.  certificate_holds() is the
+one verifier, and builds no polytope: it compares the input's facet
+data, mapped, translated and reordered by the one chart map _mapped(),
+with the facet data of the constructor's facet-data step, and on a
+match runs the constructor's post-build checks on the input itself.
+Every recognizer reads mapped facet data from _mapped() too
 (the polygon recognizer at the translation that moves its corner vertex
 to the origin, where the base polygon is read) and returns a
 certificate only when certificate_holds() accepts it, so a certificate
@@ -41,17 +43,17 @@ from fractions import Fraction
 from operator import mul
 
 from .constructions import (
+    CONSTRUCTOR_STEPS,
     Bundle121Spec,
     D2PolygonBundleSpec,
     YkBundleSpec,
     _blowup,
+    _expansion,
     blowdown,
     blowup,
     bundle_121,
     bundle_D2_polygon,
     bundle_Yk,
-    double_expansion,
-    expansion,
 )
 from .errors import PolytopeError, StructuralInconsistency
 from .linalg import (
@@ -88,7 +90,9 @@ class RecognitionCertificate:
     and fiber(-type) roles.  facet_order lists input facet indices in
     the constructor's facet order: the input's conormals mapped by
     transform, with support numbers translated by translation and taken
-    in facet_order, are the facet data of reconstruct(certificate).
+    in facet_order, are the facet data of reconstruct(certificate), and
+    certificate_holds checks them against the constructor's facet-data
+    step, with its post-build checks run on the input.
 
     params carries the recovered constructor spec for the bundle
     families; core, core_expanded and fold carry the recovered core
@@ -110,23 +114,29 @@ class RecognitionCertificate:
     alternatives: tuple["RecognitionCertificate", ...] = ()
 
 
-def reconstruct(cert: RecognitionCertificate) -> HPolytope:
-    """Rerun the matching constructor on the recovered parameters."""
+def _constructor_call(cert: RecognitionCertificate):
+    """The certificate family's constructor and its recovered arguments."""
     if cert.family == "segment_bundle":
         if cert.params is None:
             raise ValueError(
                 "no constructor parameters were recovered (non-simplex fiber)"
             )
-        return bundle_Yk(cert.params)
+        return bundle_Yk, (cert.params,)
     if cert.family == "bundle_121":
-        return bundle_121(cert.params)
+        return bundle_121, (cert.params,)
     if cert.family == "polygon_bundle":
-        return bundle_D2_polygon(cert.params)
+        return bundle_D2_polygon, (cert.params,)
     if cert.family == "expansion":
-        return expansion(cert.core, cert.core_expanded[0], cert.fold)
+        return _expansion, (cert.core, ((cert.core_expanded[0], cert.fold),))
     if cert.family == "double_expansion":
-        return double_expansion(cert.core, *cert.core_expanded)
+        return _expansion, (cert.core, tuple((j, 1) for j in cert.core_expanded))
     raise ValueError(f"unknown certificate family {cert.family!r}")
+
+
+def reconstruct(cert: RecognitionCertificate) -> HPolytope:
+    """Rerun the matching constructor on the recovered parameters."""
+    build, args = _constructor_call(cert)
+    return build(*args)
 
 
 def certificate_holds(poly: HPolytope, cert: RecognitionCertificate) -> bool:
@@ -134,8 +144,14 @@ def certificate_holds(poly: HPolytope, cert: RecognitionCertificate) -> bool:
 
     The input's facet data, mapped by the unimodular transform, translated
     and put in facet_order, must equal the dimension, conormals and support
-    numbers of reconstruct(cert), the only polytope built.  A segment bundle
-    with non-simplex fiber has no transform; its base pair is checked.
+    numbers of the constructor's facet-data step, which raises
+    PolytopeError on a parameter the constructor rejects.  Equal facet
+    data make the same polytope, so the constructor's post-build checks
+    then run on the input, read through facet_order, and no polytope is
+    built.  Unequal facet data give False, also where the constructor
+    would have rejected its build (which raised PolytopeError before).  A
+    segment bundle with non-simplex fiber has no transform; its base pair
+    is checked.
     """
     if cert.transform is None:
         i, j = cert.base
@@ -149,9 +165,14 @@ def certificate_holds(poly: HPolytope, cert: RecognitionCertificate) -> bool:
     order = cert.facet_order
     if sorted(order) != list(range(poly.n_facets)):
         raise PolytopeError("order must be a permutation of facet indices")
-    built = reconstruct(cert)
-    mapped = tuple(tuple(data[x] for x in order) for data in _mapped(poly, T, cert.translation))
-    return (poly.dim, *mapped) == (built.dim, built.conormals, built.support)
+    build, args = _constructor_call(cert)
+    facet_data, check = CONSTRUCTOR_STEPS[build]
+    data = facet_data(*args)
+    mapped = tuple(tuple(part[x] for x in order) for part in _mapped(poly, T, cert.translation))
+    if (poly.dim, *mapped) != data:
+        return False
+    check(poly, {x: p for p, x in enumerate(order)})
+    return True
 
 
 def _holds(poly: HPolytope, cert: RecognitionCertificate) -> bool:
@@ -256,7 +277,7 @@ def _segment_bundle_certificate(
         ) from exc
     if not holds:
         raise StructuralInconsistency(
-            "normalized polytope differs from the rebuilt segment bundle"
+            "normalized polytope differs from the segment bundle it determines"
         )
     return cert
 
@@ -354,7 +375,7 @@ def recognize_expansion(poly: HPolytope) -> RecognitionCertificate | None:
 
     Full classes are tried first (fold = class size - 1), then pairs
     inside larger classes (1-fold substructures, which is how a simplex
-    is recognized); each candidate is verified by rebuilding.
+    is recognized); each candidate is verified by certificate_holds.
     """
     if not poly.is_smooth():
         raise PolytopeError("recognition requires a smooth polytope")

@@ -5,9 +5,10 @@ reference, restrictions to symmetric faces, blowup round trips, and the
 classification of 4-dimensional pairs under lattice symmetries."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as Fr
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -31,8 +32,12 @@ from masslin import (
     restrict_to_face,
     skeleton_barycenter,
 )
+from masslin import recognize
+from masslin.constructions import CONSTRUCTOR_STEPS, Bundle121Spec, D2PolygonBundleSpec, YkBundleSpec
+from masslin.errors import PolytopeError, StructuralInconsistency
 from masslin.masslinear import _pair_space, barycenter_pairings_agree, symmetric_facets
 from masslin.recognize import certificate_holds, classify4d, reconstruct
+import _certificate_ref
 import _equivalence_ref
 import _functional_ref
 from _linalg_ref import rank
@@ -470,6 +475,140 @@ class TestMovedExpansions:
         else:
             rebuilt = double_expansion(cert.core, *cert.core_expanded)
         assert reconstruct(cert) == rebuilt
+
+
+def _checked_certificates(poly):
+    """Every certificate the recognizers check on poly, in the order they
+    check them, and the base pairs of its segment bundles without a
+    simplex fiber, which have no transform."""
+    seen = []
+    plain = recognize.certificate_holds
+
+    def recording(p, cert):
+        if p is poly:
+            seen.append(cert)
+        return plain(p, cert)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recognize, "certificate_holds", recording)
+        segment = recognize.recognize_bundle_over_segment(poly)
+        recognize._recognize_121(poly)
+        recognize._recognize_polygon_bundle(poly)
+        recognize.recognize_expansion(poly)
+        recognize._double_expansion_candidates(poly)
+    if segment is not None:
+        seen += [c for c in (segment, *segment.alternatives) if c.transform is None]
+    return seen
+
+
+def _moved_by_one(values, r, step):
+    """values with entry r moved by step."""
+    return tuple(values[:r]) + (values[r] + step,) + tuple(values[r + 1 :])
+
+
+def _one_place_changes(cert):
+    """Thunks for the certificates that differ from cert in one place, by
+    kind: a translation entry, a support number or a twist of the
+    parameters, or a support number of the core moved by +-1, or two
+    places of the facet order swapped.  A thunk raises PolytopeError when
+    the spec or the core rejects the change."""
+    spec, core = cert.params, cert.core
+
+    def respec(**changes):
+        return replace(cert, params=replace(spec, **changes))
+
+    def recore(kappa):
+        return replace(cert, core=core.with_support(kappa))
+
+    def moves(values):
+        return [_moved_by_one(values, r, s) for r in range(len(values)) for s in (-1, 1)]
+
+    out = {}
+    if cert.translation is not None:
+        out["translation"] = [partial(replace, cert, translation=xi) for xi in moves(cert.translation)]
+    if cert.facet_order is not None:
+        out["order"] = []
+        for p, q in combinations(range(len(cert.facet_order)), 2):
+            order = list(cert.facet_order)
+            order[p], order[q] = order[q], order[p]
+            out["order"].append(partial(replace, cert, facet_order=tuple(order)))
+    if spec is not None:
+        out["kappa"] = [partial(respec, kappa=kappa) for kappa in moves(spec.kappa)]
+    if isinstance(spec, (YkBundleSpec, Bundle121Spec)):
+        out["twist"] = [partial(respec, a=a) for a in moves(spec.a)]
+    if isinstance(spec, Bundle121Spec):
+        out["twist"] += [partial(respec, d=d) for (d,) in moves((spec.d,))]
+    if isinstance(spec, D2PolygonBundleSpec):
+        twists = spec.twists
+        out["twist"] = [partial(respec, twists=twists[:r] + (t,) + twists[r + 1 :])
+                        for r in range(len(twists)) for t in moves(twists[r])]
+    if core is not None:
+        out["kappa"] = [partial(recore, kappa) for kappa in moves(core.support)]
+    return out
+
+
+def _outcome(check, poly, cert):
+    try:
+        return check(poly, cert)
+    except (PolytopeError, StructuralInconsistency) as exc:
+        return type(exc)
+
+
+def _assert_matches_reference(poly, cert):
+    """certificate_holds and _holds against the rebuilding reference.
+    Where the facet data are equal, both give the same answer or raise
+    the same exception; where they differ, the library answers False and
+    the reference may have raised PolytopeError in its rebuild."""
+    old = _outcome(_certificate_ref.certificate_holds, poly, cert)
+    new = _outcome(certificate_holds, poly, cert)
+    assert new == old or (new is False and issubclass(old, PolytopeError)), (cert, old, new)
+    assert _outcome(recognize._holds, poly, cert) == _outcome(_certificate_ref.holds, poly, cert)
+
+
+@lru_cache(maxsize=1)
+def _4d_suite_polytopes():
+    return tuple(sp.poly for sp in suite_polytopes() if sp.poly.dim == 4)
+
+
+class TestCertificateOracle:
+    """certificate_holds checks a certificate on facet data and runs the
+    constructor's post-build checks on the input; the reference rebuilds
+    the constructor's polytope and compares."""
+
+    def test_suite_certificates(self):
+        families = set()
+        for poly in _4d_suite_polytopes():
+            fresh = HPolytope(poly.dim, poly.conormals, poly.support, poly.labels)
+            for cert in _checked_certificates(fresh):
+                _assert_matches_reference(fresh, cert)
+                if cert.transform is not None:
+                    built = reconstruct(cert)
+                    data = (built.dim, built.conormals, built.support)
+                    build, args = recognize._constructor_call(cert)
+                    assert CONSTRUCTOR_STEPS[build][0](*args) == data
+                families.add(cert.family)
+        assert families == {"segment_bundle", "bundle_121", "polygon_bundle",
+                            "expansion", "double_expansion"}
+
+    @seed(23)
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_moved_and_changed_certificates(self, data):
+        poly = data.draw(st.sampled_from(_4d_suite_polytopes()))
+        poly = poly.apply_lattice_map(_draw_unimodular(data, 4))
+        poly = poly.translate(data.draw(st.tuples(*[st.integers(-2, 2)] * 4)))
+        poly = poly.permute_facets(data.draw(st.permutations(range(poly.n_facets))))
+        for cert in _checked_certificates(poly):
+            _assert_matches_reference(poly, cert)
+            changes = _one_place_changes(cert)
+            if not changes:
+                continue
+            kind = data.draw(st.sampled_from(sorted(changes)))
+            try:
+                changed = data.draw(st.sampled_from(changes[kind]))()
+            except PolytopeError:
+                continue
+            _assert_matches_reference(poly, changed)
 
 
 @lru_cache(maxsize=1)

@@ -15,6 +15,9 @@ import pytest
 
 from _linalg_ref import vec_add
 from masslin.constructions import (
+    CONSTRUCTOR_STEPS,
+    _121_data,
+    _d2_data,
     Bundle121Spec,
     D2PolygonBundleSpec,
     YkBundleSpec,
@@ -35,7 +38,10 @@ from masslin.masslinear import is_inessential, mass_linear_test, ml_space
 from masslin.polytope import HPolytope
 from masslin.recognize import (
     _chart,
+    _constructor_call,
     _face_slice,
+    _holds,
+    _recognize_121,
     _recognize_polygon_bundle,
     BlowupPlan,
     ClassificationResult,
@@ -158,9 +164,36 @@ class TestSegmentBundle:
             recognize_bundle_over_segment(lumpy)
 
 
+def identity_certificate(family, spec, poly):
+    """A certificate of the spec for poly with the identity chart."""
+    n = poly.dim
+    return RecognitionCertificate(
+        family,
+        base=(),
+        fiber=(),
+        params=spec,
+        transform=tuple(tuple(int(r == c) for c in range(n)) for r in range(n)),
+        translation=(0,) * n,
+        facet_order=tuple(range(poly.n_facets)),
+    )
+
+
+# one constructor output per certificate family, with its recognizer
+FAMILY_EXAMPLES = {
+    "segment_bundle": lambda: (recognize_bundle_over_segment, twisted_pair()[0]),
+    "bundle_121": lambda: (
+        _recognize_121,
+        bundle_121(Bundle121Spec((1, 2, 3), 1, (0, 1, 0, 0, 4, 0, 40))),
+    ),
+    "polygon_bundle": lambda: (_recognize_polygon_bundle, minimal_family_a3(7)),
+    "expansion": lambda: (recognize_expansion, expansion(trapezoid(1), 0, fold=2)),
+    "double_expansion": lambda: (recognize_double_expansion, minimal_family_b(6)),
+}
+
+
 class TestCertificateHolds:
-    """certificate_holds compares mapped facet data with the rebuilt
-    polytope; the golden Y3 bundle's segment-bundle certificate."""
+    """certificate_holds compares mapped facet data with the constructor's
+    facet-data step; the golden Y3 bundle's segment-bundle certificate."""
 
     def golden(self):
         poly, _ = twisted_pair()
@@ -168,12 +201,12 @@ class TestCertificateHolds:
         assert cert.params is not None
         return poly, cert
 
-    def test_builds_only_the_constructor_output(self, builds):
+    def test_builds_no_polytope(self, builds):
         poly, cert = self.golden()
         builds.clear()
         assert certificate_holds(poly, cert)
-        # the one build is reconstruct(cert), equal to the input here
-        assert builds == [poly]
+        # the post-build checks run on the input itself
+        assert builds == []
 
     def test_tampered_translation_fails(self):
         poly, cert = self.golden()
@@ -196,6 +229,61 @@ class TestCertificateHolds:
         order = (0,) + cert.facet_order[:-1]
         with pytest.raises(PolytopeError, match="order must be a permutation"):
             certificate_holds(poly, replace(cert, facet_order=order))
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_EXAMPLES))
+    def test_facet_data_step_is_the_rebuilt_facet_data(self, family):
+        recognize, poly = FAMILY_EXAMPLES[family]()
+        cert = recognize(poly)
+        assert cert.family == family
+        built = reconstruct(cert)
+        build, args = _constructor_call(cert)
+        facet_data = CONSTRUCTOR_STEPS[build][0]
+        assert facet_data(*args) == (built.dim, built.conormals, built.support)
+
+    def test_121_facet_data_of_a_nonsmooth_polytope_raise(self):
+        # the conormals of the tower with these support numbers cut out a
+        # valid polytope with 11 vertices that is not smooth: equal facet
+        # data, so the post-build check rejects the input as bundle_121
+        # rejects its build
+        spec = Bundle121Spec((1, 2, 3), 1, (0, 5, 0, 0, 4, 0, 9))
+        poly = HPolytope(*_121_data(spec))
+        assert len(poly.vertices) == 11 and not poly.is_smooth()
+        cert = identity_certificate("bundle_121", spec, poly)
+        with pytest.raises(PolytopeError, match="121 bundle: vertex .* is not smooth"):
+            certificate_holds(poly, cert)
+        assert not _holds(poly, cert)
+
+    def test_rejected_build_with_other_facet_data_is_no_match(self):
+        # the one corner where the answer changed: the constructor rejects
+        # its build, whose facet data differ from the input's anyway
+        spec = Bundle121Spec((1, 2, 3), 1, (0, 5, 0, 0, 4, 0, 9))
+        poly = bundle_121(replace(spec, kappa=(0, 1, 0, 0, 4, 0, 40)))
+        cert = identity_certificate("bundle_121", spec, poly)
+        assert certificate_holds(poly, cert) is False
+
+    def test_polygon_bundle_off_the_polygon_vertices_raises(self):
+        # smooth, with 3k vertices, but a vertex lies on three base facets
+        base = HPolytope(2, ((-1, 0), (0, -1), (1, 1), (0, 1)), (0, 0, 3, 2))
+        spec = D2PolygonBundleSpec(
+            base, ((0, 0), (0, 0), (0, 0), (1, 0)), (0, 0, 4) + base.support
+        )
+        message = "does not sit over a polygon vertex"
+        with pytest.raises(PolytopeError, match=message):
+            bundle_D2_polygon(spec)
+        poly = HPolytope(*_d2_data(spec))
+        assert poly.is_smooth() and len(poly.vertices) == 12
+        cert = identity_certificate("polygon_bundle", spec, poly)
+        with pytest.raises(PolytopeError, match=message):
+            certificate_holds(poly, cert)
+        # read through the facet order: the base facets come first here,
+        # and the product of the triangle with the same quadrilateral holds
+        order = (3, 4, 5, 6, 0, 1, 2)
+        at = tuple(order.index(x) for x in range(7))
+        with pytest.raises(PolytopeError, match=message):
+            certificate_holds(poly.permute_facets(order), replace(cert, facet_order=at))
+        spec = D2PolygonBundleSpec(base, ((0, 0),) * 4, (0, 0, 1) + base.support)
+        cert = replace(cert, params=spec, facet_order=at)
+        assert certificate_holds(bundle_D2_polygon(spec).permute_facets(order), cert)
 
 
 class TestChart:
