@@ -240,16 +240,14 @@ def int_nullspace(A: Sequence[Sequence[int]], ncols: int) -> tuple[Vec, ...]:
 
     Each basis vector carries 1 in its own free column and 0 in every
     other free column (the reduced-echelon convention), so the result
-    depends only on the row space; it is read off ``int_rref``."""
-    R, pivots = int_rref(A, ncols)
-    basis = []
-    for j in (c for c in range(ncols) if c not in pivots):
-        x = [Fraction(0)] * ncols
-        x[j] = Fraction(1)
-        for row, p in zip(R, pivots):
-            x[p] = -row[j]
-        basis.append(tuple(x))
-    return tuple(basis)
+    depends only on the row space; it is read off the integer rows D R
+    (``_reduce``), with Fractions only for the returned vectors."""
+    rows = [list(row) for row in A]
+    pivots, _ = _echelon(rows, ncols)
+    D = _reduce(rows, pivots)
+    at = dict(zip(pivots, rows))
+    return tuple(tuple(Fraction(-at[c][j], D) if c in at else Fraction(int(c == j)) for c in range(ncols))
+                 for j in range(ncols) if j not in at)
 
 
 def scaled(A: Sequence[Sequence]) -> tuple[int, list[list[int]]]:

@@ -66,6 +66,7 @@ from .linalg import (
     dot,
     int_nullspace,
     int_rank,
+    int_rref,
     int_vec,
     integer_kernel_basis,
     scaled,
@@ -532,9 +533,10 @@ def fully_mass_linear_test(poly: HPolytope, H) -> FullMassLinearReport:
     values are exact pairings at the base kappa.  The verdict is the fit
     of H into the memoized space of pairs (H, gamma) with
     m_k == (gamma . kappa) * P_k for every k = 0..n, P_k and m_k being
-    the measure and moment of the k-skeleton; the k = 0 identity makes
-    gamma . kappa the pairing with the vertex average.  Unequal values
-    are the witness of a negative verdict.
+    the measure and moment of the k-skeleton, solved inside ``ml_space``
+    as the part of it that the k < n identities cut out (``_pair_space``);
+    the k = 0 identity makes gamma . kappa the pairing with the vertex
+    average.  Unequal values are the witness of a negative verdict.
     """
     _require_smooth(poly)
     L, Hi = _integral(poly, H)
@@ -601,20 +603,14 @@ def _fit(poly: HPolytope, Hi: IntVec, dims: tuple[int, ...]) -> tuple[int, IntVe
     return D, tuple(fit(c) for c in range(n, n + poly.n_facets))
 
 
-@memoize
-def _skeleton_block(poly: HPolytope, k: int) -> tuple[tuple[int, ...], ...]:
-    """The rows left by fraction-free elimination of the integer system
-    of m_k(H) == (gamma . kappa) * P_k on the slice kappa_B = 0, in the
-    unknowns (H, gamma).
-
-    The identity is one equation per monomial in the N - n slice
-    variables: column c < n holds the coefficients of the k-skeleton's
-    coordinate moment int x_c, column n + i those of -kappa_i * P_k, all
-    over one common denominator, which cancels from the identity: the
-    entries are the slice pass's integer numerators.  kappa_i vanishes
-    on the slice for i in B, so those columns are zero.  At most n + N
-    rows span the same row space.  The k = 0 block guards that P_0 is the vertex count and
-    every vertex moment is linear in kappa, as every vertex is."""
+def _identity_rows(poly: HPolytope, k: int) -> list[list[int]]:
+    """The integer system of m_k(H) == (gamma . kappa) * P_k on the slice
+    kappa_B = 0 in the unknowns (H, gamma), one row per monomial in the
+    N - n slice variables: column c < n holds the coefficients of int x_c
+    over the k-skeleton, column n + i those of -kappa_i * P_k (zero for i
+    in B), as the slice pass's integer numerators over one denominator.
+    The k = 0 rows guard that P_0 is the vertex count and every vertex
+    moment is linear in kappa, as every vertex is."""
     n, N = poly.dim, poly.n_facets
     D, measure, coords = _slice_coord_polys(poly, k)
     if k == 0:
@@ -631,23 +627,36 @@ def _skeleton_block(poly: HPolytope, k: int) -> tuple[tuple[int, ...], ...]:
         for i in range(N):
             if i not in B:
                 rows[m[:i] + (m[i] + 1,) + m[i + 1 :]][n + i] = -x
-    system = list(rows.values())
-    pivots, _ = _echelon(system, n + N)
-    return tuple(tuple(row) for row in system[: len(pivots)])
+    return list(rows.values())
 
 
 @memoize
 def _pair_space(poly: HPolytope, dims: tuple[int, ...]) -> tuple[tuple[Vec, Vec], ...]:
     """Basis of the pairs (H, gamma) with m_k(H) == (gamma . kappa) * P_k
-    for every k in dims: the kernel, in the reduced-echelon convention
-    (which depends only on the row space), of the stacked surviving rows
-    of each k's slice block and the n rows of H == sum_i gamma_i eta_i,
-    which together cut out the same space as the identities in all N
-    variables."""
+    for every k in dims, in the reduced-echelon kernel convention (one
+    vector per free column, 1 there and 0 in the other free columns).
+    For one k it is the kernel of its slice rows (``_identity_rows``)
+    and the n rows of H == sum_i gamma_i eta_i, which together cut out
+    the identity in all N variables.  Several are solved inside the
+    memoized space of top = max(dims), with basis z_1..z_r (for top = n,
+    that of ``ml_space``): the space of dims is the intersection of the
+    spaces of its k, each of which satisfies H == sum_i gamma_i eta_i,
+    so it is the part of top's space that the other k's rows cut out,
+    the sums sum_j t_j z_j with t in the kernel of those rows times Z.
+    The z_j are independent, so these sums are a basis.  A convention
+    vector is 0 past its free column, so the convention's basis is their
+    reduced form with the columns reversed, in reverse order."""
     n, N = poly.dim, poly.n_facets
-    system = [row for k in dims for row in _skeleton_block(poly, k)]
-    system += [tuple(int(c == r) for c in range(n)) + tuple(-eta[r] for eta in poly.conormals) for r in range(n)]
-    return tuple((z[:n], z[n:]) for z in int_nullspace(system, n + N))
+    top = max(dims)
+    if set(dims) == {top}:
+        system = _identity_rows(poly, top)
+        system += [[int(c == r) for c in range(n)] + [-eta[r] for eta in poly.conormals] for r in range(n)]
+        return tuple((z[:n], z[n:]) for z in int_nullspace(system, n + N))
+    others = [row for k in sorted(set(dims) - {top}) for row in _identity_rows(poly, k)]
+    Z = scaled([H + gamma for H, gamma in _pair_space(poly, (top,))])[1]
+    T = scaled(int_nullspace([[sum(map(mul, row, z)) for z in Z] for row in others], len(Z)))[1]
+    R, _ = int_rref([[sum(t * z[c] for t, z in zip(ts, Z)) for c in reversed(range(n + N))] for ts in T])
+    return tuple((x[::-1][:n], x[::-1][n:]) for x in reversed(R))
 
 
 def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
@@ -656,7 +665,8 @@ def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
     The defining identity is linear in the unknowns (H, gamma), so the
     mass linear functionals on a fixed polytope form a vector space; the
     returned H parts are a basis of it.  It is the pair space of the
-    n-skeleton alone, memoized per polytope."""
+    n-skeleton alone, memoized per polytope; the pair spaces of several
+    skeleton dimensions are solved inside it (``_pair_space``)."""
     _require_smooth(poly)
     return _pair_space(poly, (poly.dim,))
 
@@ -664,7 +674,8 @@ def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
 @memoize
 def _space_echelon(poly: HPolytope, dims: tuple[int, ...]) -> tuple[int, tuple[tuple[int, IntVec], ...]]:
     """D and the integer rows D R of the reduced echelon form R of the
-    pair space basis rows (H | gamma) for dims, each with its pivot
+    basis rows (H | gamma) of ``_pair_space`` for dims (for several
+    dims solved inside the space of the largest), each with its pivot
     column.  Every pivot lies in the H columns, since gamma is
     determined by H.  Scaling the basis rows to integers leaves their
     reduced form unchanged, and ``_reduce`` gives D R with D its last

@@ -33,10 +33,11 @@ polytope and k, in the N - n variables off B: at a vertex, the terms of
 L_v in kappa_B are dropped before the multinomial expansion, and the
 first vertex adds only its degree-0 term.  Its integer polynomials share
 one denominator D, which cancels from every identity and ratio formed
-of them.  Volumes and skeleton barycenters are those polynomials
-evaluated at the slice point of the polytope, the barycenters moved
-back by the first vertex; ``_slice_values`` keeps those base values,
-with every first partial, as integers once per polytope and k.  Only
+of them.  Their values at the slice point of the polytope, with every
+first partial, come from the vertex-cone terms in closed form
+(``_slice_values``), once per polytope and k; skeleton barycenters are
+those values moved back by the first vertex.  So a k < n polynomial is
+expanded only where a pair space needs its rows, and never evaluated.  Only
 the public polynomials (``volume_poly``, ``moment_poly``,
 ``skeleton_measure_polys``) keep all N variables, from
 ``_skeleton_coord_polys``; they and the face polynomials are divided
@@ -56,7 +57,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -181,6 +182,13 @@ def _powers(N: int, cone: VertexCone, e: int, drop: frozenset[int]):
         yield tuple(mono), zip(kept, alpha), m
 
 
+def _scales(k: int, terms) -> tuple[int, list]:
+    """den = lcm of Q^2 d^(k+1), and each term as (cone, Q, s0, s1, scale)."""
+    terms = [(cone, prod(cone.q), s0, s1) for cone, s0, s1 in terms]
+    den = lcm(*(Q * Q * cone.d ** (k + 1) for cone, Q, _, _ in terms))
+    return den, [(cone, Q, s0, s1, den // (Q * Q * cone.d ** (k + 1))) for cone, Q, s0, s1 in terms]
+
+
 def _integrate(poly: HPolytope, k: int, terms, drop: frozenset[int] = frozenset()) -> tuple[int, MultiPoly, tuple[MultiPoly, ...]]:
     """Measure and coordinate moments of k-faces from vertex terms (cone,
     s0, s1) of ``_cone_sums``, restricted to kappa_i = 0 for the facets i
@@ -195,11 +203,9 @@ def _integrate(poly: HPolytope, k: int, terms, drop: frozenset[int] = frozenset(
     the expansion, so only the terms of the restriction are formed.
     """
     N, n = poly.n_facets, poly.dim
-    terms = [(cone, prod(cone.q), s0, s1) for cone, s0, s1 in terms]
-    den = lcm(*(Q * Q * cone.d ** (k + 1) for cone, Q, _, _ in terms))
+    den, terms = _scales(k, terms)
     measure, coords = {}, [{} for _ in range(n)]
-    for cone, Q, s0, s1 in terms:
-        scale = den // (Q * Q * cone.d ** (k + 1))
+    for cone, Q, s0, s1, scale in terms:
         f = scale * Q * cone.d * (k + 1) * s0
         for mono, _, p in _powers(N, cone, k, drop):
             measure[mono] = measure.get(mono, 0) + f * p
@@ -222,9 +228,11 @@ def _face_polys(poly: HPolytope, face: Face) -> tuple[MultiPoly, tuple[MultiPoly
     return measure / D, tuple(c / D for c in coords)
 
 
-def _skeleton_terms(poly: HPolytope, k: int):
-    """Each vertex's terms summed over the k-subsets of its edges."""
-    return ((cone, *_cone_sums(poly, cone, combinations(range(poly.dim), k))) for cone in _vertex_cones(poly))
+@memoize
+def _skeleton_terms(poly: HPolytope, k: int) -> tuple:
+    """Each vertex's terms summed over the k-subsets of its edges, once
+    per polytope and k."""
+    return tuple((cone, *_cone_sums(poly, cone, combinations(range(poly.dim), k))) for cone in _vertex_cones(poly))
 
 
 @memoize
@@ -370,28 +378,41 @@ class SliceValues(NamedTuple):
 
 @memoize
 def _slice_values(poly: HPolytope, k: int) -> SliceValues:
-    """The base values of the slice pass (``_slice_coord_polys``), once
-    per polytope and k: the skeleton barycenter, and the value and
-    gradient of every per-functional identity at the base kappa, read
-    off them in integers.  Moving back from the slice point adds v0 to
-    the barycenter."""
+    """The base values of the slice pass, once per polytope and k: the
+    skeleton barycenter, and the value and gradient of every
+    per-functional identity at the base kappa, in integers, read off the
+    cone terms in closed form.  With Q, scale and f as in ``_integrate``,
+    Lambda_v = sum_j q_j kappa_{B_j} and mu_{v,c} = sum_j w_{j,c}
+    kappa_{B_j} over the j off B, the slice polynomials over its
+    denominator are sum_v f Lambda_v^k and sum_v scale (s1_c
+    Lambda_v^(k+1) - (k+1) s0 Q Lambda_v^k mu_{v,c}), as alpha_j times a
+    term of Lambda_v^(k+1) is kappa_{B_j} times its partial; partials by
+    the product rule, zero on B.  At the slice point K / e all are
+    integers over e^(k+1); dividing by their gcd with e^(k+1) scales
+    them as ``scaled`` does.  Moving back adds v0 to the barycenter."""
     if type(k) is not int or not 0 <= k <= poly.dim:
         raise ValueError("skeleton dimension out of range")
-    _, measure, coords = _slice_coord_polys(poly, k)
-    base = _slice(poly)[1]
-    values = [p.eval_gradient(base) for p in (measure, *coords)]
-    _, ((V, *dV), *moments) = scaled([(v, *g) for v, g in values])
+    B, base = _slice(poly)
+    e, (K,) = scaled([base])
+    rows = [[0] * (poly.n_facets + 1) for _ in range(poly.dim + 1)]  # (value, *gradient)
+    for cone, Q, s0, s1, scale in _scales(k, _skeleton_terms(poly, k))[1]:
+        kept = [(f, q, w) for f, q, w in zip(cone.basis, cone.q, cone.w) if f not in B]
+        lam, mu = sum(q * K[f] for f, q, _ in kept), [sum(w[c] * K[f] for f, _, w in kept) for c in range(poly.dim)]
+        a, f0, pk, dpk = (k + 1) * s0 * Q, scale * Q * cone.d * (k + 1) * s0, lam**k, k * lam ** (k - 1) if k else 0
+        rows[0][0] += f0 * pk * e
+        for c, row in enumerate(rows[1:]):
+            row[0] += scale * (s1[c] * lam - a * mu[c]) * pk
+        for f, q, w in kept:
+            rows[0][f + 1] += f0 * dpk * q * e * e
+            for c, row in enumerate(rows[1:]):
+                row[f + 1] += scale * e * (((k + 1) * s1[c] * q - a * w[c]) * pk - a * dpk * q * mu[c])
+    G = gcd(e ** (k + 1), *(x for row in rows for x in row))
+    (V, *dV), *moments = [[x // G for x in row] for row in rows]
     if V == 0:
         raise PolytopeError("zero skeleton measure")
     e, (v0,) = scaled([poly.vertices[0].point])
-    return SliceValues(
-        V,
-        tuple(dV),
-        tuple(m[0] for m in moments),
-        tuple(tuple(m[1:]) for m in moments),
-        tuple(e * m[0] + V * x for m, x in zip(moments, v0)),
-        e * V,
-    )
+    return SliceValues(V, tuple(dV), tuple(m[0] for m in moments), tuple(tuple(m[1:]) for m in moments),
+                       tuple(e * m[0] + V * x for m, x in zip(moments, v0)), e * V)
 
 
 def skeleton_barycenter(poly: HPolytope, k: int) -> Vec:

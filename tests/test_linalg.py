@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from _linalg_ref import (
@@ -224,6 +224,36 @@ class TestNullspace:
     @settings(max_examples=40)
     def test_dimension_formula(self, A):
         assert len(int_nullspace(scaled(A)[1], 4)) == 4 - rank(A)
+
+    @staticmethod
+    def _through_int_rref(A, ncols):
+        """The kernel basis read off the Fraction rows of ``int_rref``."""
+        R, pivots = int_rref(A, ncols)
+        basis = []
+        for j in (c for c in range(ncols) if c not in pivots):
+            x = [Fraction(0)] * ncols
+            x[j] = Fraction(1)
+            for row, p in zip(R, pivots):
+                x[p] = -row[j]
+            basis.append(tuple(x))
+        return tuple(basis)
+
+    @seed(24)
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_matches_reading_through_int_rref(self, data):
+        # tall, wide and square integer matrices, half of them with rows
+        # combined from the first few, so that the rank falls short
+        height, width = data.draw(st.integers(0, 9)), data.draw(st.integers(1, 9))
+        A = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=width, max_size=width), min_size=height, max_size=height))
+        if height > 1 and data.draw(st.booleans()):
+            r = data.draw(st.integers(1, height - 1))
+            for i in range(r, height):
+                c = data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+                A[i] = [sum(ci * row[j] for ci, row in zip(c, A)) for j in range(width)]
+        ncols = data.draw(st.integers(0, width))
+        assert int_nullspace(A, ncols) == self._through_int_rref(A, ncols)
+        assert int_nullspace(A, width) == self._through_int_rref(A, width)
 
 
 @st.composite

@@ -22,7 +22,7 @@ import masslin
 from masslin import YkBundleSpec, bundle_Yk, linalg
 from masslin.cli import barycenters_document, check_document, classify_document
 from masslin.constructions import blowup, product
-from masslin.errors import PolytopeError
+from masslin.errors import PolytopeError, StructuralInconsistency
 from masslin.linalg import dot, vec
 from masslin.masslinear import (
     _pair_space,
@@ -320,7 +320,10 @@ class TestSymmetricFacets:
 class TestSlice:
     """Pair spaces and symmetric facets come from the skeleton
     polynomials on the slice kappa_B = 0; the references expand them in
-    all N support numbers.  On the whole suite, symmetric facets are
+    all N support numbers.  The pair space of several dimensions is
+    solved inside that of the largest one, and must give the reference's
+    exact basis (``TestPairSpaceOracle`` in the property tests draws
+    every set of dimensions).  On the whole suite, symmetric facets are
     compared with the identity in all N variables by
     ``TestSymmetricFacets.test_matches_symbolic_definition_on_suite``."""
 
@@ -329,6 +332,31 @@ class TestSlice:
             poly = sp.poly
             for dims in ((poly.dim,), tuple(range(poly.dim + 1))):
                 assert _pair_space(poly, dims) == full_pair_space(poly, dims), (sp.name, dims)
+
+    @pytest.mark.parametrize("broken, message", [
+        ("measure", "the 0-skeleton measure is the vertex count"),
+        ("moment", "the vertex moment is linear in kappa"),
+    ])
+    def test_vertex_rows_guard_the_full_check(self, monkeypatch, broken, message):
+        # the k = 0 rows are built on every full check, although the
+        # pair space of several k is solved inside that of k = n
+        import masslin.masslinear as ml
+
+        plain = ml._slice_coord_polys
+
+        def wrong(poly, k):
+            D, measure_k, coords = plain(poly, k)
+            if k == 0 and broken == "measure":
+                measure_k = measure_k + MultiPoly.constant(poly.n_facets, 1)
+            elif k == 0:
+                coords = (coords[0] + MultiPoly.constant(poly.n_facets, 1),) + coords[1:]
+            return D, measure_k, coords
+
+        monkeypatch.setattr(ml, "_slice_coord_polys", wrong)
+        poly = bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
+        assert mass_linear_test(poly, (0, -1, 2, -3)).verdict
+        with pytest.raises(StructuralInconsistency, match=message):
+            fully_mass_linear_test(poly, (0, -1, 2, -3))
 
     def test_symmetric_facets_through_the_first_vertex(self):
         # the facets of B take the chain-rule partials: here facet 4 of

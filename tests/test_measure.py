@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -42,6 +43,7 @@ from masslin.measure import (
 )
 from masslin.polytope import HPolytope
 
+import _slice_ref
 from _linalg_ref import det
 from _suite import suite_polytopes
 from _triangulation_ref import triangulate, triangulated_integral
@@ -408,6 +410,43 @@ class TestBaseValues:
                     assert all(type(c) is int for _, c in p.terms)
 
 
+def _moved(poly):
+    """The polytope translated, sheared by a unimodular map and with its
+    facets reversed: a new first vertex, slice basis and slice point."""
+    n = poly.dim
+    shear = [[int(i == j) + int(i == 0 and j == n - 1 and n > 1) for j in range(n)] for i in range(n)]
+    return [
+        poly.translate(tuple(range(1, n + 1))),
+        poly.apply_lattice_map(shear),
+        poly.permute_facets(tuple(reversed(range(poly.n_facets)))),
+    ]
+
+
+class TestSliceValuesOracle:
+    """``_slice_values`` reads the base values off the vertex cone terms
+    in closed form; the reference ``_slice_ref.slice_values`` evaluates
+    the slice polynomials with every first partial.  Every field must be
+    equal, also on cones with d != 1, which take lattice indices."""
+
+    @staticmethod
+    def _assert_matches(poly):
+        for k in range(poly.dim + 1):
+            assert measure._slice_values(poly, k) == _slice_ref.slice_values(poly, k), k
+
+    def test_suite(self):
+        for sp in suite_polytopes():
+            self._assert_matches(sp.poly)
+
+    def test_non_smooth(self):
+        for n, data in ((2, NON_SMOOTH_TRIANGLE), (3, NON_SMOOTH_TETRAHEDRON), (3, DET3_TETRAHEDRON)):
+            self._assert_matches(HPolytope(n, *data))
+
+    def test_moved_suite(self):
+        for sp in suite_polytopes():
+            for moved in _moved(sp.poly):
+                self._assert_matches(moved)
+
+
 class TestEquivariance:
     def test_translation(self):
         poly = simplex(2, 2)
@@ -489,6 +528,23 @@ class TestPerKConeSums:
         sizes = self._recorded_sizes(monkeypatch)
         check_document(poly, H)
         assert sizes == set(range(5))
+
+    def test_check_document_sums_each_cone_once_per_k(self, monkeypatch):
+        # the base values and the slice polynomials read one memo of the
+        # cone terms per polytope and k
+        poly, H = self._fresh_pair()
+        calls = Counter()
+        plain = measure._cone_sums
+
+        def counting(poly, cone, Ts):
+            Ts = list(Ts)
+            calls[cone, len(Ts[0])] += 1
+            return plain(poly, cone, Ts)
+
+        monkeypatch.setattr(measure, "_cone_sums", counting)
+        check_document(poly, H)
+        assert set(calls.values()) == {1}
+        assert len(calls) == len(poly.vertices) * 5
 
 
 def _unit(n, c):

@@ -40,6 +40,7 @@ from masslin.recognize import certificate_holds, classify4d, reconstruct
 import _certificate_ref
 import _equivalence_ref
 import _functional_ref
+import _slice_ref
 from _linalg_ref import rank
 from _suite import combine_conormals, report_for, suite_pairs, suite_polytopes
 
@@ -328,6 +329,27 @@ class TestEquivalenceOracle:
                     assert eq.class_of(n + 1) == set(range(r, n + 2)) - {n}
                     count += 1
         assert count == 108
+
+
+class TestPairSpaceOracle:
+    """``_pair_space`` solves several skeleton dimensions inside the pair
+    space of the largest one.  It must return the exact basis, in the
+    same order, of the full-variable reference and of the stacked solve
+    of every dimension's slice rows, for any nonempty set of dimensions,
+    also one without n."""
+
+    @seed(24)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_moved_suite_and_kleinschmidt(self, data):
+        if data.draw(st.booleans()):
+            poly = _draw_moved(data, data.draw(st.sampled_from(suite_polytopes())).poly)
+        else:
+            r = data.draw(st.integers(1, 3))
+            poly = _kleinschmidt(data.draw(st.integers(1, 4 - r)), data.draw(st.tuples(*[st.integers(-1, 2)] * r)))
+        dims = tuple(sorted(data.draw(st.sets(st.integers(0, poly.dim), min_size=1))))
+        expected = _slice_ref.full_pair_space(poly, dims)
+        assert _pair_space(poly, dims) == expected == _slice_ref.stacked_pair_space(poly, dims), dims
 
 
 class TestFunctionalOracle:
