@@ -33,7 +33,6 @@ from .linalg import (
     Vec,
     dot,
     frac,
-    int_det,
     int_nullspace,
     int_rank,
     int_rref,
@@ -212,8 +211,10 @@ def _121_conormals(a: Sequence[int], d: int) -> tuple[IntVec, ...]:
 def _reject_unless_combinatorial_product(
     poly: HPolytope, expected_vertices: int, what: str
 ) -> None:
+    """Raise at the first vertex whose |det A_v|, as construction found
+    it, is not 1, and unless there are expected_vertices vertices."""
     for v in poly.vertices:
-        if abs(int_det([poly.conormals[i] for i in v.basis])) != 1:
+        if poly._edges[v.basis][0] != 1:
             raise PolytopeError(f"{what}: vertex {v.point} is not smooth")
     if len(poly.vertices) != expected_vertices:
         raise PolytopeError(

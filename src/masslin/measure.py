@@ -8,12 +8,15 @@ are exact polynomials in kappa.
 Each is a sum over vertex cones (Lawrence, Math. Comp. 57, 1991; Brion
 1988), with no triangulation, in integers.  With d = |det A_v|, edge j
 at v leaves facet B_j along the integer vector w_j = -d A_v^{-1} e_j.
-One deterministic xi, checked to pair nonzero with every edge, gives
-q_j = -<xi, w_j> and L_v = <xi, v(kappa)> = sum_j q_j kappa_{B_j} / d.
-The face F spanned by the edges T at v gets c_{v,T} = iota_{v,T} /
-prod_{j in T} q_j, iota_{v,T} being the index of the lattice of w_T in
-F's direction lattice; the scale d^|T| of the edges cancels in the
-quotient.  With k = dim F:
+Construction already has both, as a determinant and signed cofactor
+vectors of its minor table (``polytope._cramer``), and keeps them per
+vertex; no vertex system is solved here.  One deterministic xi,
+checked to pair nonzero with every edge, gives q_j = -<xi, w_j> and
+L_v = <xi, v(kappa)> = sum_j q_j kappa_{B_j} / d.  The face F spanned
+by the edges T at v gets c_{v,T} = iota_{v,T} / prod_{j in T} q_j,
+iota_{v,T} being the index of the lattice of w_T in F's direction
+lattice; the scale d^|T| of the edges cancels in the quotient.  With
+k = dim F:
 
     measure(F) = sum_{v in F} c_{v,T} L_v^k / k!
     int_F x_c  = sum_{v in F} c_{v,T} [v_c L_v^k / k!
@@ -62,7 +65,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import PolytopeError, StructuralInconsistency
-from .linalg import Vec, dot, int_adjugate, int_det, integer_kernel_basis, scaled, vec
+from .linalg import Vec, int_det, integer_kernel_basis, scaled, vec
 from .poly import MultiPoly
 from .polytope import Face, HPolytope, memoize
 
@@ -136,19 +139,18 @@ def _cone_sums(poly: HPolytope, cone: VertexCone, Ts) -> tuple[int, tuple[int, .
 def _vertex_cones(poly: HPolytope) -> tuple[VertexCone, ...]:
     """Every vertex cone, for ``_generic_xi``.
 
-    The edges are the columns of -sign(det A_v) adj(A_v), and v = -sum_j
-    w_j kappa_{basis[j]} / d must give back the vertex, checked in
-    integers on the support numbers kappa = K / L."""
+    d and the edges are those that construction read off its cofactors
+    (``polytope._basic_points``); v = -sum_j w_j kappa_{basis[j]} / d
+    must give back the vertex, checked in integers on the support
+    numbers kappa = K / L."""
     n = poly.dim
     L, (K,) = scaled([poly.support])
     cones = []
     for v in poly.vertices:
         basis = tuple(sorted(v.basis))
-        det, adj = int_adjugate([poly.conormals[j] for j in basis])
-        if det == 0:
+        d, w = poly._edges[v.basis]
+        if not d:
             raise StructuralInconsistency("vertex conormals must be invertible")
-        d = abs(det)
-        w = tuple(tuple(-(det // d) * adj[c][j] for c in range(n)) for j in range(n))
         if any(-sum(e[c] * K[f] for e, f in zip(w, basis)) * x.denominator != d * L * x.numerator
                for c, x in enumerate(v.point)):
             raise StructuralInconsistency("vertex map must reproduce the vertex")
@@ -247,9 +249,14 @@ def _skeleton_coord_polys(poly: HPolytope, k: int) -> tuple[MultiPoly, tuple[Mul
 def _slice(poly: HPolytope) -> tuple[frozenset[int], Vec]:
     """The facets B through the first vertex v0 and the support numbers
     kappa' = kappa - A v0 of the polytope moved by -v0, the one point of
-    the slice kappa_B = 0 on its translation orbit."""
-    v0 = poly.vertices[0].point
-    return frozenset(_vertex_cones(poly)[0].basis), tuple(k - dot(eta, v0) for eta, k in zip(poly.conormals, poly.support))
+    the slice kappa_B = 0 on its translation orbit.  With kappa = K / L
+    and v0 = y / (d L), y = -sum_j w_j K_{B_j} from its cone, kappa'_i
+    is the integer d K_i - <eta_i, y> over d L."""
+    cone = _vertex_cones(poly)[0]
+    L, (K,) = scaled([poly.support])
+    y = [-sum(e[c] * K[f] for e, f in zip(cone.w, cone.basis)) for c in range(poly.dim)]
+    return frozenset(cone.basis), tuple(Fraction(cone.d * k - sum(map(mul, eta, y)), cone.d * L)
+                                        for eta, k in zip(poly.conormals, K))
 
 
 @memoize

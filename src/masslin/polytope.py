@@ -15,9 +15,12 @@ signed maximal minors of the integer conormal matrix.  The rank and the
 recession rays are read off them, and so are each n-subset's
 determinant, integer slacks and basic point, by Cramer's rule
 (``_cramer``); a Fraction point is formed only for a feasible subset.
-A vertex on exactly n facets settles the full-dimension check and the
-hyperplane checks of its facets, so the affine rank is computed only
-where no such vertex does.
+Each point keeps the determinant and the edges of its first feasible
+subset, signed cofactor vectors of the same table: they are the vertex
+cones of ``measure`` and decide ``is_smooth``.  A vertex on exactly n
+facets settles the full-dimension check and the hyperplane checks of
+its facets, so the affine rank is computed only where no such vertex
+does.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import combinations
 from math import lcm
-from operator import mul
+from operator import mul, neg
 from typing import Sequence
 
 from .errors import NotSimpleError, PolytopeError, StructuralInconsistency
@@ -136,12 +139,14 @@ def _check_bounded(table: MinorTable) -> None:
 
 def _cramer(table: MinorTable, K: Sequence[int], n: int):
     """Cramer's rule on each nonsingular n-subset J of the facets, in
-    ``combinations`` order: (J, d, w, minors, slacks), minors[r] the
-    table entry of J minus its r-th facet J_r, d = |det A_J| (an entry of
-    the last one) and w_r = (-1)^(r+n) K_{J_r} times the sign of det A_J.
-    Then y = -sum_r w_r c_{J minus J_r} solves A_J y = d K_J, and the
-    slack d K_i - <eta_i, y> of facet i, A_J bordered by eta_i and K
-    expanded along K, is d K_i + sum_r w_r P_{J minus J_r}[i]."""
+    ``combinations`` order: (J, d, w, minors, slacks), minors[r] = (c_r,
+    P_r) the table entry of J minus its r-th facet J_r, d = |det A_J|
+    and w_r = (-1)^(r+n) K_{J_r} times the sign of det A_J.  Then y =
+    -sum_r w_r c_r solves A_J y = d K_J, and the slack d K_i - <eta_i, y>
+    of facet i, A_J bordered by eta_i and K expanded along K, is d K_i +
+    sum_r w_r P_r[i].  The same entries give the edges at a simple
+    vertex: c_r vanishes on J minus J_r, and P_r[J_r] = +-det A_J, so
+    -sign(P_r[J_r]) c_r is the edge -d A_J^{-1} e_r leaving facet J_r."""
     for J in combinations(range(len(K)), n):
         minors = [table[J[:r] + J[r + 1 :]] for r in range(n)]
         d = minors[-1][1][J[-1]]
@@ -154,32 +159,45 @@ def _cramer(table: MinorTable, K: Sequence[int], n: int):
         yield J, d, w, minors, [d * k + sum(map(mul, w, col)) for k, col in zip(K, cols)]
 
 
+Edges = tuple[int, tuple[IntVec, ...]]
+
+
 def _basic_points(
     conormals: Sequence[IntVec], support: Sequence[Fraction], n: int
-) -> dict[Vec, frozenset[int]]:
+) -> tuple[dict[Vec, frozenset[int]], dict[frozenset[int], Edges]]:
     """All feasible basic points, mapped to their full active facet sets,
-    after the boundedness check; raises if there are none.
+    after the boundedness check; raises if there are none.  Beside them,
+    keyed by the same active sets, which tell the points apart, each
+    point's d = |det A_J| and edges w_r = -d A_J^{-1} e_r, r over the
+    sorted facets of its first feasible subset J (``_cramer``): n^2
+    integers per point, so the minor table can be freed.  At a simple
+    vertex J is its basis, the only feasible subset.
 
     The support numbers are scaled by the lcm L of their denominators to
     integers K, so the basic point of J is y / (d L) and its slack on
     facet i is the integer slack from ``_cramer`` over d L.  Points enter
-    the dict in the order of their first feasible subset in
+    the dicts in the order of their first feasible subset in
     ``combinations`` order.
     """
     table = _minor_table(conormals, n)
     _check_bounded(table)
     L, (K,) = scaled([support])
     points: dict[Vec, frozenset[int]] = {}
-    for _, d, w, minors, slacks in _cramer(table, K, n):
+    edges: dict[frozenset[int], Edges] = {}
+    for J, d, w, minors, slacks in _cramer(table, K, n):
         if min(slacks) >= 0:
             point = tuple(
                 Fraction(-sum(wr * c[j] for wr, (c, _) in zip(w, minors)), d * L)
                 for j in range(n)
             )
-            points.setdefault(point, frozenset(i for i, s in enumerate(slacks) if not s))
+            active = frozenset(i for i, s in enumerate(slacks) if not s)
+            if points.setdefault(point, active) is active:
+                edges[active] = d, tuple(
+                    [c if P[j] < 0 else tuple(map(neg, c)) for (c, P), j in zip(minors, J)]
+                )
     if not points:
         raise PolytopeError("empty polytope")
-    return points
+    return points, edges
 
 
 def _affine_rank(points: Sequence[Vec]) -> int:
@@ -255,7 +273,7 @@ class HPolytope:
         object.__setattr__(self, "conormals", conormals)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "labels", labels)
-        pts = _basic_points(conormals, support, n)
+        pts, edges = _basic_points(conormals, support, n)
         full, spans = _facet_spans(pts, len(conormals), n)
         if not full:
             raise PolytopeError("polytope is not full-dimensional")
@@ -267,6 +285,7 @@ class HPolytope:
                     f"facet {label} does not span a hyperplane (redundant half-space)"
                 )
         object.__setattr__(self, "_basic", pts)
+        object.__setattr__(self, "_edges", edges)
 
     # equality is geometric: same facet data in the same order; labels and
     # name are presentation only
@@ -312,13 +331,9 @@ class HPolytope:
 
     @memoize
     def is_smooth(self) -> bool:
-        """Simple, and the active conormals at each vertex form a lattice basis."""
-        if not self.is_simple():
-            return False
-        for v in self.vertices:
-            if abs(int_det([self.conormals[i] for i in v.basis])) != 1:
-                return False
-        return True
+        """Simple, and the active conormals at each vertex form a lattice
+        basis: every |det A_v| that construction found is 1."""
+        return self.is_simple() and all(d == 1 for d, _ in self._edges.values())
 
     @cached_property
     def face_lattice(self) -> dict[frozenset[int], Face]:
@@ -468,48 +483,3 @@ class HPolytope:
     def __repr__(self):
         nm = f" {self.name!r}" if self.name else ""
         return f"<HPolytope{nm} dim={self.dim} facets={self.n_facets}>"
-
-
-def from_halfspaces_pruned(
-    dim: int,
-    conormals: Sequence[Sequence[int]],
-    support: Sequence,
-    labels: Sequence[str] | None = None,
-    name: str | None = None,
-) -> tuple[HPolytope, list[int]]:
-    """Build a polytope dropping redundant half-spaces.
-
-    Returns the polytope and the list of kept input indices.  A bounded
-    full-dimensional polytope equals the intersection of its
-    facet-defining half-spaces, so dropping non-facet-defining ones does
-    not change the point set.
-    """
-    n = dim
-    conormals = [int_vec(v) for v in conormals]
-    support = [frac(k) for k in support]
-    if len(conormals) != len(support):
-        raise PolytopeError("conormal and support counts differ")
-    if labels and len(labels) != len(conormals):
-        raise PolytopeError("label count does not match facet count")
-    # drop exact duplicates and dominated copies of the same conormal
-    keep_map: dict[IntVec, int] = {}
-    order: list[int] = []
-    for i, eta in enumerate(conormals):
-        j = keep_map.get(eta)
-        if j is None:
-            keep_map[eta] = i
-            order.append(i)
-        elif support[i] < support[j]:
-            keep_map[eta] = i
-            order[order.index(j)] = i
-    idx = sorted(order)
-    pts = _basic_points([conormals[i] for i in idx], [support[i] for i in idx], n)
-    kept = [i for i, spanning in zip(idx, _facet_spans(pts, len(idx), n)[1]) if spanning]
-    poly = HPolytope(
-        dim,
-        tuple(conormals[i] for i in kept),
-        tuple(support[i] for i in kept),
-        tuple(labels[i] for i in kept) if labels else (),
-        name,
-    )
-    return poly, kept

@@ -8,18 +8,28 @@ fraction-free solve (``int_solve``) per n-subset of facets, and the
 affine rank of the basic points on every facet.  ``construct`` runs the
 checks that follow the input validation of ``HPolytope`` in the same
 order, with the same messages; ``pruned`` does the same for
-``from_halfspaces_pruned``.
+``from_halfspaces_pruned``, the pruning constructor that no library
+code calls, kept here with its tests.
+
+The library also keeps, per vertex, the determinant and edges that its
+table already holds.  ``vertex_cones`` and ``is_smooth`` read them per
+vertex instead, off the adjugate and the determinant of A_v, as the
+library did before.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 from math import lcm
+from operator import mul
 
 from _linalg_ref import int_solve
 from masslin.errors import PolytopeError
-from masslin.linalg import dot, int_det, int_rank
+from masslin.linalg import dot, frac, int_adjugate, int_det, int_rank, int_vec
+from masslin.measure import VertexCone, _generic_xi
+from masslin.polytope import HPolytope, _basic_points, _facet_spans
 
 
 def check_bounded(conormals, n):
@@ -131,3 +141,71 @@ def pruned(n, conormals, support):
         [f"F{j + 1}" for j in range(len(kept))],
     )
     return kept
+
+
+def from_halfspaces_pruned(
+    dim: int,
+    conormals: Sequence[Sequence[int]],
+    support: Sequence,
+    labels: Sequence[str] | None = None,
+    name: str | None = None,
+) -> tuple[HPolytope, list[int]]:
+    """Build a polytope dropping redundant half-spaces.
+
+    Returns the polytope and the list of kept input indices.  A bounded
+    full-dimensional polytope equals the intersection of its
+    facet-defining half-spaces, so dropping non-facet-defining ones does
+    not change the point set.
+    """
+    n = dim
+    conormals = [int_vec(v) for v in conormals]
+    support = [frac(k) for k in support]
+    if len(conormals) != len(support):
+        raise PolytopeError("conormal and support counts differ")
+    if labels and len(labels) != len(conormals):
+        raise PolytopeError("label count does not match facet count")
+    # drop exact duplicates and dominated copies of the same conormal
+    keep_map: dict[tuple[int, ...], int] = {}
+    order: list[int] = []
+    for i, eta in enumerate(conormals):
+        j = keep_map.get(eta)
+        if j is None:
+            keep_map[eta] = i
+            order.append(i)
+        elif support[i] < support[j]:
+            keep_map[eta] = i
+            order[order.index(j)] = i
+    idx = sorted(order)
+    pts, _ = _basic_points([conormals[i] for i in idx], [support[i] for i in idx], n)
+    kept = [i for i, spanning in zip(idx, _facet_spans(pts, len(idx), n)[1]) if spanning]
+    poly = HPolytope(
+        dim,
+        tuple(conormals[i] for i in kept),
+        tuple(support[i] for i in kept),
+        tuple(labels[i] for i in kept) if labels else (),
+        name,
+    )
+    return poly, kept
+
+
+def vertex_cones(poly):
+    """Every vertex cone of ``measure._vertex_cones``: the edges are the
+    columns of -sign(det A_v) adj(A_v), and q pairs them with the xi of
+    ``measure._generic_xi``."""
+    n = poly.dim
+    cones = []
+    for v in poly.vertices:
+        basis = tuple(sorted(v.basis))
+        det, adj = int_adjugate([poly.conormals[j] for j in basis])
+        d = abs(det)
+        w = tuple(tuple(-(det // d) * adj[c][j] for c in range(n)) for j in range(n))
+        cones.append(VertexCone(basis, d, w, ()))
+    xi = _generic_xi([cone.w for cone in cones], n)
+    return tuple(cone._replace(q=tuple(-sum(map(mul, xi, e)) for e in cone.w)) for cone in cones)
+
+
+def is_smooth(poly):
+    """Simple, with |det A_v| = 1 at every vertex, one determinant each."""
+    return poly.is_simple() and all(
+        abs(int_det([poly.conormals[i] for i in v.basis])) == 1 for v in poly.vertices
+    )

@@ -13,13 +13,14 @@ skeleton dimensions inside the pair space of the largest:
 ``slice_values`` evaluates the slice polynomials with every first
 partial, and ``stacked_pair_space`` eliminates each dimension's slice
 rows on their own and solves their stack in all n + N unknowns.
+``slice_point`` forms kappa - A v0 in Fractions from the first vertex.
 """
 
 from collections import defaultdict
 from math import lcm
 
 from masslin.errors import PolytopeError
-from masslin.linalg import _echelon, int_nullspace, scaled, vec
+from masslin.linalg import _echelon, dot, int_nullspace, scaled, vec
 from masslin.masslinear import _identity_rows
 from masslin.measure import SliceValues, _skeleton_coord_polys, _slice, _slice_coord_polys, moment_poly, volume_poly
 
@@ -99,3 +100,10 @@ def stacked_pair_space(poly, dims):
         system += block[: len(pivots)]
     system += [[int(c == r) for c in range(n)] + [-eta[r] for eta in poly.conormals] for r in range(n)]
     return tuple((z[:n], z[n:]) for z in int_nullspace(system, n + N))
+
+
+def slice_point(poly):
+    """``measure._slice``: the facets through the first vertex v0 and
+    the support numbers kappa - A v0."""
+    v0 = poly.vertices[0]
+    return v0.basis, tuple(k - dot(eta, v0.point) for eta, k in zip(poly.conormals, poly.support))

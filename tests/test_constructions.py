@@ -1,6 +1,7 @@
 """Builders, expansions, blowups, blowdowns, and the closed-form
 coefficient spaces of the bundle families."""
 
+import re
 from fractions import Fraction as Fr
 
 import pytest
@@ -28,9 +29,9 @@ from masslin.constructions import (
     trapezoid,
     yk_structural_values,
 )
-from masslin.constructions import _corner_cut_polygon
+from masslin.constructions import _121_data, _corner_cut_polygon
 from masslin.errors import PolytopeError
-from masslin.linalg import dot, vec
+from masslin.linalg import dot, int_det, vec
 from masslin.masslinear import (
     equivalence_classes,
     inessential_space,
@@ -202,6 +203,15 @@ class Test121:
     def test_out_of_chamber_rejected(self):
         with pytest.raises(PolytopeError):
             bundle_121(Bundle121Spec((1, 2, 3), 1, (0, 5, 0, 0, 4, 0, 9)))
+
+    def test_out_of_chamber_names_the_first_singular_vertex(self):
+        # the first vertex, in sorted order, with |det A_v| != 1 by a
+        # determinant of its own
+        spec = Bundle121Spec((1, 2, 3), 1, (0, 5, 0, 0, 4, 0, 9))
+        poly = HPolytope(*_121_data(spec))
+        v = next(v for v in poly.vertices if abs(int_det([poly.conormals[i] for i in v.basis])) != 1)
+        with pytest.raises(PolytopeError, match=re.escape(f"121 bundle: vertex {v.point} is not smooth")):
+            bundle_121(spec)
 
     def test_negative_d_rejected(self):
         with pytest.raises(PolytopeError):

@@ -43,6 +43,7 @@ from masslin.measure import (
 )
 from masslin.polytope import HPolytope
 
+import _polytope_ref
 import _slice_ref
 from _linalg_ref import det
 from _suite import suite_polytopes
@@ -430,6 +431,7 @@ class TestSliceValuesOracle:
 
     @staticmethod
     def _assert_matches(poly):
+        assert measure._slice(poly) == _slice_ref.slice_point(poly)
         for k in range(poly.dim + 1):
             assert measure._slice_values(poly, k) == _slice_ref.slice_values(poly, k), k
 
@@ -445,6 +447,37 @@ class TestSliceValuesOracle:
         for sp in suite_polytopes():
             for moved in _moved(sp.poly):
                 self._assert_matches(moved)
+
+
+class TestVertexConeOracle:
+    """``_vertex_cones`` reads d and the edges that construction kept;
+    the reference ``_polytope_ref.vertex_cones`` reads them per vertex
+    off the adjugate of A_v.  Every cone must be equal, and
+    ``is_smooth`` must agree with one determinant per vertex."""
+
+    @staticmethod
+    def _assert_matches(poly):
+        cones = measure._vertex_cones(poly)
+        assert cones == _polytope_ref.vertex_cones(poly)
+        assert poly.is_smooth() == _polytope_ref.is_smooth(poly)
+        return cones
+
+    def test_suite(self):
+        for sp in suite_polytopes():
+            self._assert_matches(sp.poly)
+
+    def test_moved_suite(self):
+        for sp in suite_polytopes():
+            for moved in _moved(sp.poly):
+                self._assert_matches(moved)
+
+    def test_non_smooth(self):
+        dets = set()
+        for n, data in ((2, NON_SMOOTH_TRIANGLE), (3, NON_SMOOTH_TETRAHEDRON), (3, DET3_TETRAHEDRON)):
+            poly = HPolytope(n, *data)
+            dets.update(cone.d for cone in self._assert_matches(poly))
+            assert not poly.is_smooth()
+        assert dets == {1, 2, 3}
 
 
 class TestEquivariance:
@@ -684,25 +717,32 @@ class TestGenericXi:
         assert out.stdout.strip() == "raised: xi must pair nonzero with every edge"
 
 
+def _replace_edges(poly, edges):
+    """Replace the d and edges that construction kept at every vertex by
+    edges(d, w), before any cone is read."""
+    for active, (d, w) in poly._edges.items():
+        poly._edges[active] = edges(d, w)
+    return poly
+
+
+def _negated(d, w):
+    return d, tuple(tuple(-x for x in e) for e in w)
+
+
 class TestVertexMap:
     """Each vertex cone checks that its conormals are invertible and that
-    -sum_j w_j kappa_{B_j} gives back the vertex."""
+    -sum_j w_j kappa_{B_j} gives back the vertex, whatever d and edges
+    construction handed it."""
 
-    def test_singular_conormals_raise(self, monkeypatch):
-        monkeypatch.setattr(measure, "int_adjugate", lambda A: (0, None))
+    def test_singular_conormals_raise(self):
+        poly = _replace_edges(square(), lambda d, w: (0, w))
         with pytest.raises(StructuralInconsistency, match="vertex conormals must be invertible"):
-            volume_poly(square())
+            volume_poly(poly)
 
-    def test_wrong_adjugate_raises(self, monkeypatch):
-        adjugate = measure.int_adjugate
-
-        def negated(A):
-            d, adj = adjugate(A)
-            return d, tuple(tuple(-x for x in row) for row in adj)
-
-        monkeypatch.setattr(measure, "int_adjugate", negated)
+    def test_wrong_adjugate_raises(self):
         # the second square has support numbers over the denominator 6
         for poly in (square(), square(F(1, 2), F(2, 3))):
+            _replace_edges(poly, _negated)
             with pytest.raises(StructuralInconsistency, match="vertex map must reproduce the vertex"):
                 skeleton_barycenter(poly, 2)
 
@@ -714,14 +754,9 @@ class TestVertexMap:
 
             if __debug__:
                 raise SystemExit("not running under -O")
-            adjugate = m.int_adjugate
-
-            def negated(A):
-                d, adj = adjugate(A)
-                return d, tuple(tuple(-x for x in row) for row in adj)
-
-            m.int_adjugate = negated
             box = HPolytope(2, [(-1, 0), (1, 0), (0, -1), (0, 1)], [0, 1, 0, 1])
+            for active, (d, w) in box._edges.items():
+                box._edges[active] = d, tuple(tuple(-x for x in e) for e in w)
             try:
                 m.skeleton_barycenter(box, 2)
             except StructuralInconsistency as exc:

@@ -11,13 +11,14 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import _polytope_ref
+from _polytope_ref import from_halfspaces_pruned
 from _linalg_ref import solve_linear
 from _suite import suite_polytopes
 import masslin
-from masslin import polytope
+from masslin import linalg, polytope
 from masslin.errors import NotSimpleError, PolytopeError
 from masslin.linalg import dot, primitive, vec_sub
-from masslin.polytope import HPolytope, from_halfspaces_pruned
+from masslin.polytope import HPolytope
 
 # --- shared fixtures -------------------------------------------------------
 
@@ -329,22 +330,25 @@ class TestSmooth:
         assert not square_pyramid().is_smooth()
 
     def test_smoothness_is_decided_once(self, monkeypatch):
-        # the answer is memoized on the polytope: a second call takes no
-        # determinant
-        p = simplex_bundle_3110()
+        # construction found every |det A_v|, so is_smooth takes no
+        # determinant, on a smooth, a simple non-smooth and a non-simple
+        # polytope alike
+        polys = [simplex_bundle_3110(), HPolytope(2, ((-1, 0), (0, -1), (1, 2)), (0, 0, 1)), square_pyramid()]
         dets = []
-        plain_det = polytope.int_det
 
         def counting_det(A):
             dets.append(A)
-            return plain_det(A)
+            return 0
 
         monkeypatch.setattr(polytope, "int_det", counting_det)
-        assert p.is_smooth()
-        assert len(dets) == len(p.vertices)
-        dets.clear()
-        assert p.is_smooth()
+        monkeypatch.setattr(linalg, "int_det", counting_det)
+        assert [p.is_smooth() for p in polys] == [True, False, False]
         assert dets == []
+
+    def test_smoothness_agrees_with_a_determinant_per_vertex(self):
+        polys = [simplex2(), unit_square(), simplex_bundle_3110(), square_pyramid(), HPolytope(3, *OCTAHEDRON)]
+        polys += [HPolytope(2, ((-1, 0), (0, -1), (1, k)), (0, 0, k)) for k in (1, 2, 3)]
+        assert [p.is_smooth() for p in polys] == [_polytope_ref.is_smooth(p) for p in polys]
 
     def test_edge_directions_dual_to_conormal_basis(self):
         p = simplex_bundle_3110()
