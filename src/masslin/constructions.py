@@ -25,13 +25,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import PolytopeError, StructuralInconsistency
 from .linalg import (
     IntVec,
     Vec,
-    dot,
     frac,
     int_nullspace,
     int_rank,
@@ -438,11 +438,9 @@ def _blowup(poly: HPolytope, face_indices, eps, at: int, label: str) -> HPolytop
         raise StructuralInconsistency("conormal sum over a smooth face is primitive")
     ksum = sum((poly.support[i] for i in I), Fraction(0))
     on_face = set(f.vertex_ids)
-    slack = min(
-        ksum - dot(eta0, v.point)
-        for w, v in enumerate(poly.vertices)
-        if w not in on_face
-    )
+    # ksum - <eta0, v> over the vertices off the face, in integers over D
+    D, rows = scaled([(ksum, *v.point) for w, v in enumerate(poly.vertices) if w not in on_face])
+    slack = Fraction(min(k - sum(map(mul, eta0, p)) for k, *p in rows), D)
     if eps is None:
         eps = slack / 2
     eps = frac(eps)
@@ -583,16 +581,15 @@ def blowdown(poly: HPolytope, facet: int = 0) -> BlowdownReport:
         return BlowdownReport(ok=False, failed_condition="face pattern", detail=detail)
     valid: list[tuple[tuple[int, ...], Fraction]] = []
     first_detail = ""
+    # the vertices the drop creates, those of bar beyond facet e, in
+    # integers over one common denominator with poly's support numbers
+    _, (K, *rows) = scaled([poly.support, *(v.point for v in bar_vertices)])
+    created = [(v, p) for v, p in zip(bar_vertices, rows) if sum(map(mul, eta_e, p)) > K[e]]
     for I in summed:
-        escaped = None
-        planes = [poly.conormals[i] for i in I]
-        offsets = [poly.support[i] for i in I]
-        for v in bar_vertices:
-            if dot(eta_e, v.point) <= poly.support[e]:
-                continue
-            if any(dot(pl, v.point) != off for pl, off in zip(planes, offsets)):
-                escaped = v
-                break
+        escaped = next(
+            (v for v, p in created if any(sum(map(mul, poly.conormals[i], p)) != K[i] for i in I)),
+            None,
+        )
         if escaped is not None:
             if not first_detail:
                 culprits = ", ".join(

@@ -9,7 +9,7 @@ Each is a sum over vertex cones (Lawrence, Math. Comp. 57, 1991; Brion
 1988), with no triangulation, in integers.  With d = |det A_v|, edge j
 at v leaves facet B_j along the integer vector w_j = -d A_v^{-1} e_j.
 Construction already has both, as a determinant and signed cofactor
-vectors of its minor table (``polytope._cramer``), and keeps them per
+vectors of its minor rows (``polytope._subsets``), and keeps them per
 vertex; no vertex system is solved here.  One deterministic xi,
 checked to pair nonzero with every edge, gives q_j = -<xi, w_j> and
 L_v = <xi, v(kappa)> = sum_j q_j kappa_{B_j} / d.  The face F spanned
@@ -220,16 +220,6 @@ def _integrate(poly: HPolytope, k: int, terms, drop: frozenset[int] = frozenset(
     return den * factorial(k + 1), MultiPoly.from_dict(N, measure), tuple(MultiPoly.from_dict(N, dc) for dc in coords)
 
 
-def _face_polys(poly: HPolytope, face: Face) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
-    """Lattice measure of a face and its n coordinate moments (the
-    integrals of x_c over the face), as polynomials in kappa: one term per
-    vertex v of the face, T the edges at v along the face."""
-    cones = [_vertex_cones(poly)[vid] for vid in face.vertex_ids]
-    Ts = [[j for j, f in enumerate(cone.basis) if f not in face.index_set] for cone in cones]
-    D, measure, coords = _integrate(poly, face.dimension, ((c, *_cone_sums(poly, c, [T])) for c, T in zip(cones, Ts)))
-    return measure / D, tuple(c / D for c in coords)
-
-
 @memoize
 def _skeleton_terms(poly: HPolytope, k: int) -> tuple:
     """Each vertex's terms summed over the k-subsets of its edges, once
@@ -312,20 +302,6 @@ def volume(poly: HPolytope) -> Fraction:
 def center_of_mass(poly: HPolytope) -> Vec:
     """Exact center of mass at the base kappa: the n-skeleton barycenter."""
     return skeleton_barycenter(poly, poly.dim)
-
-
-def face_measure_polys(poly: HPolytope, face: Face, H: Sequence | None = None):
-    """Lattice measure of a face, and optionally its <H, x> moment, as
-    polynomials in kappa."""
-    measure, coords = _face_polys(poly, face)
-    return measure, None if H is None else _pairing(poly, coords, H)
-
-
-def face_measure(poly: HPolytope, face: Face) -> tuple[Fraction, Vec]:
-    """Lattice k-volume of the face and its unnormalized coordinate moment
-    (the integral of x over the face), both at the base kappa."""
-    measure, coords = _face_polys(poly, face)
-    return measure.eval(poly.support), tuple(c.eval(poly.support) for c in coords)
 
 
 def skeleton_measure_polys(poly: HPolytope, k: int, H: Sequence):

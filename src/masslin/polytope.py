@@ -9,27 +9,33 @@ a genuine facet; redundant half-spaces are an error, not silently dropped.
 Vertex enumeration is an exhaustive scan over all C(N, n) n-element
 facet subsets, an O(C(N, n)) bound that is perfectly fine at this
 package's scale (n <= 4, N <= 14 or so).  No subset is solved on its
-own: each construction tabulates the cofactor vector c_S of every n-1
-conormals and its pairings with all conormals (``_minor_table``), the
-signed maximal minors of the integer conormal matrix.  The rank and the
-recession rays are read off them, and so are each n-subset's
-determinant, integer slacks and basic point, by Cramer's rule
-(``_cramer``); a Fraction point is formed only for a feasible subset.
-Each point keeps the determinant and the edges of its first feasible
-subset, signed cofactor vectors of the same table: they are the vertex
-cones of ``measure`` and decide ``is_smooth``.  A vertex on exactly n
-facets settles the full-dimension check and the hyperplane checks of
-its facets, so the affine rank is computed only where no such vertex
-does.
+own.  The signed maximal minors of the conormal matrix (``_minor_rows``)
+give the rank, the recession rays and, by Cramer's rule (``_subsets``),
+each n-subset's determinant, slacks and basic point.  Each point keeps
+the determinant and the edges of its first feasible subset: they are the
+vertex cones of ``measure`` and decide ``is_smooth``.  A vertex on
+exactly n facets settles the full-dimension check and the hyperplane
+checks of its facets, so the affine rank is computed only where no such
+vertex does.
+
+Each facet-indexed row of the scan is one Python int, sum_i v_i 2^(B i)
+(``_Packing``).  Packing is linear, so a row of minors costs n
+multiply-adds of packed rows, a subset's slack row n + 1, and a sign
+test over all N facets one mask compare.  The fields decode exactly
+while every |v| < 2^(B-1), which ``_field_width`` makes sure of: by
+Hadamard's inequality an n x n minor of the conormals is at most
+H = sqrt(max_i |eta_i|^2)^n in absolute value, and a slack, an
+(n+1) x (n+1) determinant bordered by the integer support numbers K,
+expanded along K, at most (n+1) max|K| H.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from itertools import combinations
-from math import lcm
+from math import isqrt, lcm
 from operator import mul, neg
 from typing import Sequence
 
@@ -100,63 +106,124 @@ def memoize(fn):
     return memoized
 
 
-MinorTable = dict[tuple[int, ...], tuple[IntVec, list[int]]]
+def _field_width(conormals: Sequence[IntVec], K: Sequence[int], n: int) -> int:
+    """Bits per packed field: every entry v of a row of the scan has
+    |v| <= (n+1) max(1, |K|) H < 2^(B-1) (module docstring)."""
+    H = isqrt(max(sum(x * x for x in eta) for eta in conormals) ** n)
+    return ((n + 1) * max(1, *map(abs, K)) * H).bit_length() + 1
 
 
-def _minor_table(conormals: Sequence[IntVec], n: int) -> MinorTable:
-    """The signed maximal minors of the conormal matrix, one entry per
-    (n-1)-subset S of the facets in ``combinations`` order: the cofactor
-    vector c_S, with det(rows S, then x) = <x, c_S>, and the pairing row
-    P_S, with P_S[i] = <eta_i, c_S> = det(rows S, then eta_i).  Every
-    n x n minor of the conormals is an entry of some P_S.  The rows are
-    lists: CPython keeps freed tuples of each short length on a free
-    list, and N-tuples would hold on to memory after the table is gone."""
-    table = {}
-    for S in combinations(range(len(conormals)), n - 1):
-        rows = [conormals[i] for i in S]
-        c = tuple(
-            (-1) ** (n - 1 + j) * int_det([row[:j] + row[j + 1 :] for row in rows])
-            for j in range(n)
-        )
-        table[S] = (c, [sum(map(mul, eta, c)) for eta in conormals])
+class _Packing:
+    """Rows of N facet fields, then n coordinate fields, B bits each.  Added
+    to a row, ``bias`` (2^(B-1) a field) makes every field nonnegative, with
+    its top bit set exactly when the entry is; carries only run up, so
+    ``top``, the facet part of it, tests the facet fields alone."""
+
+    def __init__(self, B: int, N: int, n: int):
+        self.B, self.N, self.n = B, N, n
+        self.mask, self.half = (1 << B) - 1, 1 << (B - 1)
+        self.bias = self.half * (((1 << (B * (N + n))) - 1) // self.mask)
+        self.top = self.bias & ((1 << (B * N)) - 1)
+
+    def pack(self, row: Sequence[int]) -> int:
+        return sum(v << (self.B * i) for i, v in enumerate(row))
+
+    def nonneg(self, X: int) -> bool:
+        return (X + self.top) & self.top == self.top
+
+    def fields(self, X: int, start: int, stop: int) -> list[int]:
+        B, mask, half = self.B, self.mask, self.half
+        X = (X + self.bias) >> (B * start)
+        return [((X >> (B * i)) & mask) - half for i in range(stop - start)]
+
+
+@cache
+def _expansion_plans(n: int) -> tuple[list[list[tuple[int, int]]], ...]:
+    """Per prefix length k < n-1, (n-k-2)-subset T' and column s, the sign
+    of e_s moved into place in e_T' (0 for s in T') and the index of s + T'
+    among the (n-k-1)-subsets of the columns (``_minor_rows``)."""
+    plans = []
+    for k in range(n - 1):
+        index = {T: q for q, T in enumerate(combinations(range(n), n - k - 1))}
+        plans.append([
+            [(0, 0) if s in T else ((-1) ** sum(t < s for t in T), index[tuple(sorted((s, *T)))])
+             for s in range(n)]
+            for T in combinations(range(n), n - k - 2)
+        ])
+    return tuple(plans)
+
+
+def _minor_rows(conormals: Sequence[IntVec], n: int, packing: _Packing) -> dict[tuple[int, ...], int]:
+    """Per (n-1)-subset S of the facets, in ``combinations`` order, the
+    packed row P_S of det(rows S, then x) over x = eta_i, then x = e_j:
+    the pairings of the cofactor vector c_S, then c_S itself.  A prefix R
+    of k facets keeps the rows of det(rows R, e_T, then x), T over the
+    (n-k-1)-subsets of the columns; R + (b,) has the rows sum_s b_s
+    det(rows R, e_s, e_T', then x), each term a row of R up to sign."""
+    N = len(conormals)
+    cols = [packing.pack((*col, *(int(u == j) for j in range(n)))) for u, col in enumerate(zip(*conormals))]
+    plans = _expansion_plans(n)
+    table: dict[tuple[int, ...], int] = {}
+
+    def expand(S: tuple[int, ...], state: list[int]) -> None:
+        k = len(S)
+        if k == n - 1:  # n = 1 only
+            table[S] = state[0]
+            return
+        G = [[sign * state[q] for sign, q in plan] for plan in plans[k]]
+        for i in range(S[-1] + 1 if S else 0, N - n + 2 + k):
+            if k == n - 2:
+                table[S + (i,)] = sum(map(mul, conormals[i], G[0]))
+            else:
+                expand(S + (i,), [sum(map(mul, conormals[i], g)) for g in G])
+
+    # det(e_T, then x) = (-1)^(n-1+u) x_u for T all columns but u
+    expand((), [(-1) ** (n - 1 + u) * cols[u] for u in reversed(range(n))])
     return table
 
 
-def _check_bounded(table: MinorTable) -> None:
-    if not any(any(P) for _, P in table.values()):
+def _check_bounded(table: dict[tuple[int, ...], int], packing: _Packing) -> None:
+    nonneg = packing.nonneg
+    if all(nonneg(P) and nonneg(-P) for P in table.values()):
         raise PolytopeError("unbounded: conormals do not span the ambient space")
     # The recession cone is pointed (full conormal rank), so if it is
-    # nontrivial it has an extreme ray vanishing on some rank n-1 subset
-    # S: the cofactor vector c_S, which is zero exactly when the rank of
-    # S is below n-1, and a ray when its pairings P_S have one sign.
-    for c, P in table.values():
-        if any(c) and (max(P) <= 0 or min(P) >= 0):
+    # nontrivial some n-1 conormals S of rank n-1 vanish on an extreme ray:
+    # c_S, nonzero (as P_S is) exactly then, is a ray if its pairings have one sign.
+    for P in table.values():
+        if P and (nonneg(P) or nonneg(-P)):
+            c = packing.fields(P, packing.N, packing.N + packing.n)
             last = next(x for x in reversed(c) if x)
-            sign = 1 if all(p * last <= 0 for p in P) else -1
+            sign = 1 if nonneg(-P if last > 0 else P) else -1
             ray = tuple(Fraction(sign * x, last) for x in c)
             raise PolytopeError(f"unbounded: recession direction {ray}")
 
 
-def _cramer(table: MinorTable, K: Sequence[int], n: int):
+def _subsets(table: dict[tuple[int, ...], int], K: Sequence[int], n: int, packing: _Packing):
     """Cramer's rule on each nonsingular n-subset J of the facets, in
-    ``combinations`` order: (J, d, w, minors, slacks), minors[r] = (c_r,
-    P_r) the table entry of J minus its r-th facet J_r, d = |det A_J|
-    and w_r = (-1)^(r+n) K_{J_r} times the sign of det A_J.  Then y =
-    -sum_r w_r c_r solves A_J y = d K_J, and the slack d K_i - <eta_i, y>
-    of facet i, A_J bordered by eta_i and K expanded along K, is d K_i +
-    sum_r w_r P_r[i].  The same entries give the edges at a simple
-    vertex: c_r vanishes on J minus J_r, and P_r[J_r] = +-det A_J, so
-    -sign(P_r[J_r]) c_r is the edge -d A_J^{-1} e_r leaving facet J_r."""
-    for J in combinations(range(len(K)), n):
-        minors = [table[J[:r] + J[r + 1 :]] for r in range(n)]
-        d = minors[-1][1][J[-1]]
-        if not d:
-            continue
-        w = [(-1) ** (r + n) * K[j] for r, j in enumerate(J)]
-        if d < 0:
-            d, w = -d, [-x for x in w]
-        cols = zip(*(P for _, P in minors))
-        yield J, d, w, minors, [d * k + sum(map(mul, w, col)) for k, col in zip(K, cols)]
+    ``combinations`` order: (J, d, s, minors, slack), minors[r] = P_r the
+    row of J minus its r-th facet J_r, d = |det A_J| = |P_{n-1}[J_{n-1}]|,
+    s_r = (-1)^(r+n) sign(det A_J).  With w_r = s_r K_{J_r}, y = -sum_r
+    w_r c_r solves A_J y = d K_J, and slack = d K + sum_r w_r P_r (A_J
+    bordered by x and K, expanded along K; s_{n-1} = -sign(det A_J))
+    holds d K_i - <eta_i, y>, then -y.  As P_r[J_r] = (-1)^(n-1-r) det
+    A_J, s_r c_r is the edge -d A_J^{-1} e_r leaving facet J_r."""
+    B, mask, half, top, N = packing.B, packing.mask, packing.half, packing.top, packing.N
+    Kp = packing.pack(K)
+    alternating = [(-1) ** (r + n) for r in range(n)]
+    for S, P in table.items():
+        biased = P + top
+        fronts = [S[:r] + S[r + 1 :] for r in range(n - 1)]
+        w = [a * K[i] for a, i in zip(alternating, S)]
+        for j in range(S[-1] + 1 if S else 0, N):
+            det = ((biased >> (B * j)) & mask) - half
+            if not det:
+                continue
+            # J without J_r, r < n-1, is S without S_r, then j
+            minors = [table[T + (j,)] for T in fronts]
+            slack = det * Kp - K[j] * P + sum(map(mul, w, minors))
+            minors.append(P)
+            d, s = (det, alternating) if det > 0 else (-det, [-a for a in alternating])
+            yield S + (j,), d, s, minors, slack if det > 0 else -slack
 
 
 Edges = tuple[int, tuple[IntVec, ...]]
@@ -169,32 +236,34 @@ def _basic_points(
     after the boundedness check; raises if there are none.  Beside them,
     keyed by the same active sets, which tell the points apart, each
     point's d = |det A_J| and edges w_r = -d A_J^{-1} e_r, r over the
-    sorted facets of its first feasible subset J (``_cramer``): n^2
-    integers per point, so the minor table can be freed.  At a simple
+    sorted facets of its first feasible subset J (``_subsets``): n^2
+    integers per point, so the minor rows can be freed.  At a simple
     vertex J is its basis, the only feasible subset.
 
-    The support numbers are scaled by the lcm L of their denominators to
-    integers K, so the basic point of J is y / (d L) and its slack on
-    facet i is the integer slack from ``_cramer`` over d L.  Points enter
-    the dicts in the order of their first feasible subset in
-    ``combinations`` order.
+    With K the support numbers times the lcm L of their denominators, the
+    basic point of J is y / (d L), and J is feasible when no facet field
+    of its slack row is negative.  Points enter the dicts in the order of
+    their first feasible subset in ``combinations`` order.
     """
-    table = _minor_table(conormals, n)
-    _check_bounded(table)
+    N = len(conormals)
     L, (K,) = scaled([support])
+    packing = _Packing(_field_width(conormals, K, n), N, n)
+    table = _minor_rows(conormals, n, packing)
+    _check_bounded(table, packing)
+    B, mask, nonneg, fields = packing.B, packing.mask, packing.nonneg, packing.fields
     points: dict[Vec, frozenset[int]] = {}
     edges: dict[frozenset[int], Edges] = {}
-    for J, d, w, minors, slacks in _cramer(table, K, n):
-        if min(slacks) >= 0:
-            point = tuple(
-                Fraction(-sum(wr * c[j] for wr, (c, _) in zip(w, minors)), d * L)
-                for j in range(n)
-            )
-            active = frozenset(i for i, s in enumerate(slacks) if not s)
-            if points.setdefault(point, active) is active:
-                edges[active] = d, tuple(
-                    [c if P[j] < 0 else tuple(map(neg, c)) for (c, P), j in zip(minors, J)]
-                )
+    for J, d, s, minors, slack in _subsets(table, K, n, packing):
+        if not nonneg(slack):
+            continue
+        # nonnegative fields carry nothing into the next one
+        active = frozenset([i for i in range(N) if not (slack >> (B * i)) & mask])
+        if not active.issuperset(J):
+            # a basic point lies on the facets it solves: the fields were too narrow
+            raise StructuralInconsistency("a basic point has zero slack on its own facets")
+        if active not in edges:
+            points[tuple([Fraction(-y, d * L) for y in fields(slack, N, N + n)])] = active
+            edges[active] = d, tuple([tuple(fields(sr * P, N, N + n)) for sr, P in zip(s, minors)])
     if not points:
         raise PolytopeError("empty polytope")
     return points, edges
@@ -407,25 +476,22 @@ class HPolytope:
             raise PolytopeError("chamber radius requires a smooth polytope")
         n, N = self.dim, self.n_facets
         L, (K,) = scaled([self.support])
-        min_gap = None
-        max_sens = Fraction(0)
-        for J, d, _, minors, slacks in _cramer(_minor_table(self.conormals, n), K, n):
+        packing = _Packing(_field_width(self.conormals, K, n), N, n)
+        gaps, max_sens = [], Fraction(0)
+        for J, d, _, minors, slack in _subsets(_minor_rows(self.conormals, n, packing), K, n, packing):
             # A_J^{-1} has the columns (-1)^(r+n-1) c_{J minus J_r} / det A_J,
             # so the entries of A_J^{-T} eta_i are +-P_{J minus J_r}[i] / d
+            rows = [packing.fields(P, 0, N) for P in minors]
+            slacks = packing.fields(slack, 0, N)
             out = [i for i in range(N) if i not in J]
-            for i in out:
-                sens = Fraction(sum(abs(P[i]) for _, P in minors), d)
-                if sens > max_sens:
-                    max_sens = sens
+            max_sens = max(max_sens, *(Fraction(sum(abs(P[i]) for P in rows), d) for i in out))
             least = min(slacks[i] for i in out)
             if not least:
                 raise PolytopeError("degenerate basic point on a smooth polytope")
-            gap = Fraction(abs(least), d * L)
-            if min_gap is None or gap < min_gap:
-                min_gap = gap
-        if min_gap is None or min_gap <= 0:
+            gaps.append(Fraction(abs(least), d * L))
+        if not gaps or min(gaps) <= 0:
             raise StructuralInconsistency("a smooth polytope has a positive chamber gap")
-        return min_gap / (2 * (1 + max_sens))
+        return min(gaps) / (2 * (1 + max_sens))
 
     def chamber_radius(self) -> tuple[Fraction, ...]:
         """Per-facet safe perturbation radii (uniform by construction)."""

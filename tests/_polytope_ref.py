@@ -15,6 +15,12 @@ The library also keeps, per vertex, the determinant and edges that its
 table already holds.  ``vertex_cones`` and ``is_smooth`` read them per
 vertex instead, off the adjugate and the determinant of A_v, as the
 library did before.
+
+``minor_table``, ``cramer`` and ``table_basic_points`` are the
+library's scan before its rows were packed into ints: one list of N
+integers per pairing row and per subset's slacks, and every cofactor
+a determinant of its own.  ``chamber_delta`` reads the chamber radius
+off that scan.
 """
 
 from __future__ import annotations
@@ -23,11 +29,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 from math import lcm
-from operator import mul
+from operator import mul, neg
 
 from _linalg_ref import int_solve
-from masslin.errors import PolytopeError
-from masslin.linalg import dot, frac, int_adjugate, int_det, int_rank, int_vec
+from masslin.errors import PolytopeError, StructuralInconsistency
+from masslin.linalg import dot, frac, int_adjugate, int_det, int_rank, int_vec, scaled
 from masslin.measure import VertexCone, _generic_xi
 from masslin.polytope import HPolytope, _basic_points, _facet_spans
 
@@ -209,3 +215,99 @@ def is_smooth(poly):
     return poly.is_simple() and all(
         abs(int_det([poly.conormals[i] for i in v.basis])) == 1 for v in poly.vertices
     )
+
+
+def minor_table(conormals, n):
+    """The signed maximal minors of the conormal matrix, one entry per
+    (n-1)-subset S of the facets in ``combinations`` order: the cofactor
+    vector c_S, with det(rows S, then x) = <x, c_S>, and the pairing row
+    P_S, with P_S[i] = <eta_i, c_S> = det(rows S, then eta_i)."""
+    table = {}
+    for S in combinations(range(len(conormals)), n - 1):
+        rows = [conormals[i] for i in S]
+        c = tuple(
+            (-1) ** (n - 1 + j) * int_det([row[:j] + row[j + 1 :] for row in rows])
+            for j in range(n)
+        )
+        table[S] = (c, [sum(map(mul, eta, c)) for eta in conormals])
+    return table
+
+
+def check_bounded_table(table):
+    """``check_bounded`` read off the minor table."""
+    if not any(any(P) for _, P in table.values()):
+        raise PolytopeError("unbounded: conormals do not span the ambient space")
+    for c, P in table.values():
+        if any(c) and (max(P) <= 0 or min(P) >= 0):
+            last = next(x for x in reversed(c) if x)
+            sign = 1 if all(p * last <= 0 for p in P) else -1
+            ray = tuple(Fraction(sign * x, last) for x in c)
+            raise PolytopeError(f"unbounded: recession direction {ray}")
+
+
+def cramer(table, K, n):
+    """Cramer's rule on each nonsingular n-subset J of the facets, in
+    ``combinations`` order: (J, d, w, minors, slacks), minors[r] = (c_r,
+    P_r) the table entry of J minus its r-th facet J_r, d = |det A_J|
+    and w_r = (-1)^(r+n) K_{J_r} times the sign of det A_J, and
+    slacks[i] = d K_i + sum_r w_r P_r[i]."""
+    for J in combinations(range(len(K)), n):
+        minors = [table[J[:r] + J[r + 1 :]] for r in range(n)]
+        d = minors[-1][1][J[-1]]
+        if not d:
+            continue
+        w = [(-1) ** (r + n) * K[j] for r, j in enumerate(J)]
+        if d < 0:
+            d, w = -d, [-x for x in w]
+        cols = zip(*(P for _, P in minors))
+        yield J, d, w, minors, [d * k + sum(map(mul, w, col)) for k, col in zip(K, cols)]
+
+
+def table_basic_points(conormals, support, n):
+    """``polytope._basic_points`` on the minor table: the points with
+    their active sets, and per point d and the edges -sign(P_r[J_r]) c_r
+    of its first feasible subset, or the ``PolytopeError`` it raises."""
+    table = minor_table(conormals, n)
+    check_bounded_table(table)
+    L, (K,) = scaled([support])
+    points = {}
+    edges = {}
+    for J, d, w, minors, slacks in cramer(table, K, n):
+        if min(slacks) >= 0:
+            point = tuple(
+                Fraction(-sum(wr * c[j] for wr, (c, _) in zip(w, minors)), d * L)
+                for j in range(n)
+            )
+            active = frozenset(i for i, s in enumerate(slacks) if not s)
+            if points.setdefault(point, active) is active:
+                edges[active] = d, tuple(
+                    [c if P[j] < 0 else tuple(map(neg, c)) for (c, P), j in zip(minors, J)]
+                )
+    if not points:
+        raise PolytopeError("empty polytope")
+    return points, edges
+
+
+def chamber_delta(poly):
+    """``HPolytope._chamber_delta`` read off the minor table."""
+    if not poly.is_smooth():
+        raise PolytopeError("chamber radius requires a smooth polytope")
+    n, N = poly.dim, poly.n_facets
+    L, (K,) = scaled([poly.support])
+    min_gap = None
+    max_sens = Fraction(0)
+    for J, d, _, minors, slacks in cramer(minor_table(poly.conormals, n), K, n):
+        out = [i for i in range(N) if i not in J]
+        for i in out:
+            sens = Fraction(sum(abs(P[i]) for _, P in minors), d)
+            if sens > max_sens:
+                max_sens = sens
+        least = min(slacks[i] for i in out)
+        if not least:
+            raise PolytopeError("degenerate basic point on a smooth polytope")
+        gap = Fraction(abs(least), d * L)
+        if min_gap is None or gap < min_gap:
+            min_gap = gap
+    if min_gap is None or min_gap <= 0:
+        raise StructuralInconsistency("a smooth polytope has a positive chamber gap")
+    return min_gap / (2 * (1 + max_sens))

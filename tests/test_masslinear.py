@@ -30,7 +30,6 @@ from masslin.masslinear import (
     equivalence_classes,
     fully_mass_linear_test,
     generating_vector,
-    inessential_reduction,
     inessential_space,
     is_flat,
     is_inessential,
@@ -51,6 +50,7 @@ from masslin.measure import (
 from masslin.poly import MultiPoly
 from masslin.polytope import HPolytope
 from _linalg_ref import nullspace, rank, solve_linear
+from _reduction_ref import inessential_reduction
 from _slice_ref import full_pair_space, full_symmetric_facets
 from _suite import SuitePair, report_for, suite_pairs, suite_polytopes
 

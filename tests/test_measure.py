@@ -27,13 +27,10 @@ from masslin.errors import StructuralInconsistency
 from masslin.linalg import dot, vec, vec_sub
 from masslin.masslinear import _face_slice, mass_linear_test
 from masslin.measure import (
-    _face_polys,
     _skeleton_coord_polys,
     cached_moment_poly,
     center_of_mass,
     direction_lattice_basis,
-    face_measure,
-    face_measure_polys,
     integrate_monomial,
     moment_poly,
     skeleton_barycenter,
@@ -45,6 +42,7 @@ from masslin.polytope import HPolytope
 
 import _polytope_ref
 import _slice_ref
+from _face_ref import face_measure, face_measure_polys, face_polys
 from _linalg_ref import det
 from _suite import suite_polytopes
 from _triangulation_ref import triangulate, triangulated_integral
@@ -589,7 +587,7 @@ def _all_polys(poly):
     faces = sorted(poly.face_lattice.items(), key=lambda kv: sorted(kv[0]))
     return (
         [_skeleton_coord_polys(poly, k) for k in range(poly.dim + 1)],
-        [_face_polys(poly, face) for _, face in faces],
+        [face_polys(poly, face) for _, face in faces],
     )
 
 
@@ -816,7 +814,7 @@ class TestTriangulationOracle:
         for sp in suite_polytopes():
             poly, n = sp.poly, sp.poly.dim
             for key, face in poly.face_lattice.items():
-                measure_poly, coords = _face_polys(poly, face)
+                measure_poly, coords = face_polys(poly, face)
                 got = (measure_poly.eval(poly.support), tuple(p.eval(poly.support) for p in coords))
                 if face.dimension == 0:
                     assert got == (1, poly.vertices[face.vertex_ids[0]].point)

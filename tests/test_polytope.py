@@ -259,15 +259,15 @@ def _outcome(build):
 
 
 @st.composite
-def halfspace_systems(draw):
+def halfspace_systems(draw, max_dim=4, spare=5):
     """A half-space system that passes the input checks of ``HPolytope``:
-    n = 1..4, n + 1 <= N <= n + 5, distinct half-spaces with primitive
-    conormals of entries in -2..2 and support numbers in -1..3 with
-    denominators up to 3.  A simplex or a cube as the base, random extra
-    half-spaces and an optional opposite of the first one give bounded,
-    unbounded, empty, redundant, lower-dimensional and non-simple
-    systems."""
-    n = draw(st.integers(1, 4))
+    n = 1..max_dim, n + 1 <= N <= n + spare, distinct half-spaces with
+    primitive conormals of entries in -2..2 and support numbers in -1..3
+    with denominators up to 3.  A simplex or a cube as the base, random
+    extra half-spaces and an optional opposite of the first one give
+    bounded, unbounded, empty, redundant, lower-dimensional and
+    non-simple systems."""
+    n = draw(st.integers(1, max_dim))
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     base = draw(st.sampled_from(["simplex", "cube", "none"]))
     if base == "simplex":
@@ -277,11 +277,11 @@ def halfspace_systems(draw):
     else:
         conormals = []
     nonzero = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any).map(primitive)
-    conormals += draw(st.lists(nonzero, max_size=n + 5 - len(conormals)))
+    conormals += draw(st.lists(nonzero, max_size=n + spare - len(conormals)))
     assume(conormals)
     numbers = st.one_of(st.integers(-1, 3), st.fractions(-1, 3, max_denominator=3))
     support = [Fraction(k) for k in draw(st.lists(numbers, min_size=len(conormals), max_size=len(conormals)))]
-    if len(conormals) < n + 5 and draw(st.booleans()):
+    if len(conormals) < n + spare and draw(st.booleans()):
         conormals.append(tuple(-x for x in conormals[0]))
         support.append(-support[0])
     system = list(dict.fromkeys(zip(conormals, support)))
@@ -308,6 +308,79 @@ def test_scan_matches_reference_scan(system):
     if len(set(conormals)) == len(conormals):
         expected = _outcome(lambda: _polytope_ref.pruned(n, conormals, support))
         assert _outcome(lambda: from_halfspaces_pruned(n, conormals, support)[1]) == expected
+
+
+@st.composite
+def wide_systems(draw):
+    """A cube with support numbers near 10^40 cut by up to 6 - n half-spaces
+    with primitive conormals of entries near +-10^6, n = 1..5: every
+    point is feasible near the origin, and the packed fields are some 200
+    bits wide."""
+    n = draw(st.integers(1, 5))
+    conormals = [tuple(sign * int(i == j) for j in range(n)) for i in range(n) for sign in (-1, 1)]
+    support = [Fraction(draw(st.integers(10**40 - 10**30, 10**40)), draw(st.integers(1, 7))) for _ in conormals]
+    near = st.tuples(st.sampled_from((-1, 1)), st.integers(-9, 9)).map(lambda t: t[0] * (10**6 + t[1]))
+    cuts = draw(st.lists(st.lists(near, min_size=n, max_size=n).map(primitive), max_size=6 - n, unique=True))
+    support += [Fraction(draw(st.integers(0, n * 10**46))) for _ in cuts]
+    return n, conormals + cuts, support
+
+
+def _kernel_outcome(scan, n, conormals, support):
+    """The points and edges of a scan in their order, or its error."""
+    try:
+        points, edges = scan(conormals, support, n)
+    except PolytopeError as exc:
+        return type(exc), str(exc)
+    return list(points.items()), list(edges.items())
+
+
+@seed(27)
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(halfspace_systems(5, 6), wide_systems()))
+@example((3, [(0, 0, -1), (1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], [0, 1, 1, 1, 1]))  # pyramid
+@example((3, list(OCTAHEDRON[0]), list(OCTAHEDRON[1])))  # octahedron
+@example((3, [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0)], [0, 1, 0, 1]))  # rank 2
+@example((2, [(-1, 0), (0, -1), (1, 0)], [0, 0, 1]))  # unbounded
+@example((2, [(-1, 0), (0, -1), (1, 1)], [0, 0, -1]))  # empty
+@example((3, [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (10**6 + 1, 10**6, 999_999)], [0, 0, 0, 10**40 + 3]))
+def test_packed_scan_matches_minor_table(system):
+    n, conormals, support = system
+    support = [Fraction(k) for k in support]
+    expected = _kernel_outcome(_polytope_ref.table_basic_points, n, conormals, support)
+    assert _kernel_outcome(polytope._basic_points, n, conormals, support) == expected
+
+
+def test_chamber_radius_matches_minor_table_on_suite():
+    for sp in suite_polytopes():
+        if sp.poly.is_smooth():
+            assert sp.poly.chamber_radius() == (_polytope_ref.chamber_delta(sp.poly),) * sp.poly.n_facets, sp.name
+
+
+def test_narrow_fields_raise_under_dash_O():
+    # too narrow a field carries into its neighbours; the zero slacks of a
+    # basic point on its own facets catch it, with asserts stripped too
+    script = textwrap.dedent("""
+        import masslin.polytope as p
+        from masslin.errors import StructuralInconsistency
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        p._field_width = lambda conormals, K, n: 4
+        try:
+            p.HPolytope(2, [(-1, 0), (1, 0), (0, -1), (0, 1)], [0, 100, 0, 100])
+        except StructuralInconsistency as exc:
+            print("raised:", exc)
+    """)
+    src = str(Path(masslin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised: a basic point has zero slack on its own facets"
 
 
 # --- smoothness -------------------------------------------------------------
