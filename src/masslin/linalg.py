@@ -60,9 +60,7 @@ def int_vec(v: Sequence) -> IntVec:
 def primitive(v: Sequence[int]) -> IntVec:
     """Divide an integer vector by the gcd of its entries, keeping direction."""
     w = int_vec(v)
-    g = 0
-    for e in w:
-        g = gcd(g, abs(e))
+    g = gcd(*w)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(e // g for e in w)

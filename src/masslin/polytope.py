@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, wraps
 from itertools import combinations
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul, neg
 from typing import Sequence
 
@@ -48,7 +48,6 @@ from .linalg import (
     int_det,
     int_rank,
     int_vec,
-    primitive,
     scaled,
     vec,
 )
@@ -327,7 +326,9 @@ class HPolytope:
         for v in conormals:
             if len(v) != n:
                 raise PolytopeError(f"conormal {v} has wrong length")
-            if primitive(v) != v:
+            if gcd(*v) != 1:
+                if not any(v):
+                    raise ValueError("zero vector has no primitive representative")
                 raise PolytopeError(f"conormal {v} is not primitive")
         labels = tuple(self.labels) if self.labels else default_labels(len(conormals))
         if len(labels) != len(conormals):

@@ -16,10 +16,11 @@ to the origin, where the base polygon is read) and returns a
 certificate only when certificate_holds() accepts it, so a certificate
 is checkable evidence rather than a bare claim.
 
-classify4d() greedily blows a 4-dimensional mass linear pair down to a
-terminal model, tags every blowdown step by the kind of face that had
-been blown up (symmetric 2-face, cancelling-coefficient edge on a
-symmetric facet, vertex, or other), and names the terminal family:
+classify4d() takes every 4-dimensional mass linear pair through one
+flow: it greedily blows the pair down to a terminal model, tags each
+blowdown step by the kind of face that had been blown up (symmetric
+2-face, cancelling-coefficient edge on a symmetric facet, vertex, or
+other), and names the terminal family:
 
   * "a1"  segment bundle with 3-simplex fiber,
   * "a2"  segment bundle over a (triangle bundle over a segment),
@@ -27,12 +28,13 @@ symmetric facet, vertex, or other), and names the terminal family:
   * "b"   double expansion of a polygon on which the functional is
           inessential with the four base-type facets asymmetric,
 
-plus "inessential" and "zero" for functionals that never were essential
-and "unclassified" when no structured family matches.  Replaying the
-recorded trace as blowups on the terminal polytope reconstructs the
-input exactly, and the support-number coefficients of the functional
-are unchanged at every stage; both facts are asserted before a result
-is returned.
+plus "inessential" and "zero", with the empty trace, for functionals
+that never were essential and "unclassified" when no structured family
+matches.  Replaying the trace as blowups on the terminal reconstructs
+the input exactly, and the support-number coefficients of the
+functional are unchanged at every stage; both are asserted before a
+result is returned.  The recognizers are memoized per polytope, so
+recognizing the terminal again checks no certificate.
 """
 
 from __future__ import annotations
@@ -211,6 +213,7 @@ def _mapped(poly: HPolytope, S, xi=()) -> tuple[tuple[IntVec, ...], Vec]:
 # bundles over a segment
 
 
+@memoize
 def recognize_bundle_over_segment(poly: HPolytope) -> RecognitionCertificate | None:
     """Detect a bundle over a segment.
 
@@ -396,8 +399,8 @@ def recognize_expansion(poly: HPolytope) -> RecognitionCertificate | None:
 
 @memoize
 def _double_expansion_candidates(poly: HPolytope) -> tuple[RecognitionCertificate, ...]:
-    """All verified double-expansion structures, in index order; memoized,
-    since recognize_type and the terminal recognition both walk them."""
+    """All verified double-expansion structures, in index order; memoized
+    per polytope, like every recognizer that classify4d repeats."""
     if not poly.is_smooth():
         raise PolytopeError("recognition requires a smooth polytope")
     if poly.dim < 3:
@@ -424,6 +427,7 @@ def recognize_double_expansion(poly: HPolytope) -> RecognitionCertificate | None
 # the two remaining 4-dimensional bundle shapes
 
 
+@memoize
 def _recognize_121(poly: HPolytope) -> RecognitionCertificate | None:
     """Segment bundle over a (triangle bundle over a segment).
 
@@ -468,6 +472,7 @@ def _recognize_121(poly: HPolytope) -> RecognitionCertificate | None:
     return None
 
 
+@memoize
 def _recognize_polygon_bundle(poly: HPolytope) -> RecognitionCertificate | None:
     """Triangle bundle over a polygon.
 
@@ -690,11 +695,8 @@ class ClassificationResult:
     terminal_recognition names the terminal polytope's constructor
     shape without reference to the functional (see TerminalRecognition),
     or is None when no shape matches.  For a1 / a2 / a3 it holds the
-    tag's certificate.  For b it is the bundle shape when the terminal
-    is also a bundle (the Y3 bundle under the golden b pair, say), else
-    the first double-expansion structure, which need not be the one
-    backing the tag.  For zero, inessential and unclassified outcomes it
-    is found on the terminal in the same way."""
+    tag's certificate; under b it may be a bundle (the Y3 bundle under
+    the golden b pair, say) or a double expansion other than the tag's."""
 
     type: str
     trace: tuple[BlowdownStep, ...]
@@ -784,80 +786,65 @@ def replay_trace(terminal: HPolytope, trace) -> HPolytope:
     return cur
 
 
-def classify4d(poly: HPolytope, H) -> ClassificationResult:
-    """Classify a 4-dimensional mass linear pair.
-
-    The zero functional and inessential functionals are tagged
-    directly.  For an essential functional, facets are blown down
-    greedily in index order (restarting after each success, with the
-    coefficient vector checked invariant) until a structured family
-    matches or no facet blows down; the terminal pair is then named
-    a1 / a2 / a3 (still essential) or b (turned inessential on a double
-    expansion with asymmetric base-type facets), else unclassified.
-    """
+def _smooth_4d_pair(poly: HPolytope, H, task: str) -> tuple[Vec, MassLinearReport]:
+    """H and its report, checked to be a smooth 4-d mass linear pair."""
     if poly.dim != 4:
-        raise ValueError("classification works on 4-dimensional polytopes")
+        raise ValueError(f"{task} works on 4-dimensional polytopes")
     if not poly.is_smooth():
-        raise PolytopeError("classification requires a smooth polytope")
+        raise PolytopeError(f"{task} requires a smooth polytope")
     Hv = vec(H)
     report = mass_linear_test(poly, Hv)
     if not report.verdict:
         raise ValueError("functional is not mass linear on this polytope")
-    if all(x == 0 for x in Hv):
-        return ClassificationResult(
-            "zero", (), poly, report, is_inessential(poly, Hv), None, (),
-            "the zero functional", _recognize_terminal(poly), (poly,),
-        )
+    return Hv, report
+
+
+def classify4d(poly: HPolytope, H) -> ClassificationResult:
+    """Classify a 4-dimensional mass linear pair, every outcome in one flow.
+
+    Zero and inessential functionals take the empty trace.  For an
+    essential one, facets are blown down greedily in index order
+    (restarting after each success, with the coefficient vector checked
+    invariant) until recognize_type names the pair a1 / a2 / a3 (still
+    essential) or b (turned inessential on a double expansion with
+    asymmetric base-type facets), else unclassified once no facet blows
+    down.  The terminal's witness is read once; its recognition reuses
+    the memoized recognizers, so for a1 / a2 / a3 it is the tag's own.
+    """
+    Hv, report = _smooth_4d_pair(poly, H, "classification")
     witness = is_inessential(poly, Hv)
-    if witness is not None:
-        return ClassificationResult(
-            "inessential", (), poly, report, witness, None, (),
-            "functional is inessential on the input", _recognize_terminal(poly),
-            (poly,),
-        )
-    cur, cur_report = poly, report
-    trace: list[BlowdownStep] = []
-    stages = [poly]
-    while True:
-        rec = recognize_type(cur, Hv)
+    cur, cur_report, trace, stages = poly, report, [], [poly]
+    tag, cert, alternatives, detail = "unclassified", None, (), ""
+    if not any(Hv):
+        tag, detail = "zero", "the zero functional"
+    elif witness is not None:
+        tag, detail = "inessential", "functional is inessential on the input"
+    else:
+        while not (rec := recognize_type(cur, Hv)).tags:
+            found = _first_blowdown(cur, cur_report, Hv)
+            if found is None:
+                break
+            step, cur, cur_report = found
+            trace.append(step)
+            stages.append(cur)
+        if trace:
+            witness = is_inessential(cur, Hv)
         if rec.tags:
-            tag = rec.tags[0]
-            cert = rec.certificates[0][1]
+            tag, cert = rec.certificates[0]
             alternatives = rec.certificates[1:]
-            detail = ""
-            break
-        found = _first_blowdown(cur, cur_report, Hv)
-        if found is None:
-            tag, cert, alternatives = "unclassified", None, ()
-            still = "inessential" if is_inessential(cur, Hv) else "essential"
+        else:
+            still = "essential" if witness is None else "inessential"
             detail = (
                 "terminal polytope is minimal but matches no structured "
                 f"family; the functional is {still} there"
             )
-            break
-        step, cur, cur_report = found
-        trace.append(step)
-        stages.append(cur)
-    if tag in ("a1", "a2", "a3"):
-        terminal_recognition = TerminalRecognition(cert)
-    else:
-        terminal_recognition = _recognize_terminal(cur)
-    result = ClassificationResult(
-        tag,
-        tuple(trace),
-        cur,
-        cur_report,
-        is_inessential(cur, Hv),
-        cert,
-        alternatives,
-        detail,
-        terminal_recognition,
-        tuple(stages),
-    )
-    rebuilt = replay_trace(result.terminal, result.trace)
+    rebuilt = replay_trace(cur, trace)
     if rebuilt != poly or rebuilt.labels != poly.labels:
         raise StructuralInconsistency("trace replay failed to rebuild the input")
-    return result
+    return ClassificationResult(
+        tag, tuple(trace), cur, cur_report, witness, cert, alternatives, detail,
+        _recognize_terminal(cur), tuple(stages),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -890,14 +877,7 @@ def essential_blowup_planner(poly: HPolytope, H) -> BlowupPlan:
     suffices when the expanded edges are inequivalent in the core; a
     second one is appended when they are equivalent.
     """
-    if poly.dim != 4:
-        raise ValueError("planning works on 4-dimensional polytopes")
-    if not poly.is_smooth():
-        raise PolytopeError("planning requires a smooth polytope")
-    Hv = vec(H)
-    report = mass_linear_test(poly, Hv)
-    if not report.verdict:
-        raise ValueError("functional is not mass linear on this polytope")
+    Hv, report = _smooth_4d_pair(poly, H, "planning")
     if is_inessential(poly, Hv) is None:
         return BlowupPlan(False, "functional is already essential on the input")
     cert = _b_certificate(poly, report.asymmetric)

@@ -4,6 +4,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from _suite import suite_polytopes
 import masslin
 from masslin import linalg, polytope
 from masslin.errors import NotSimpleError, PolytopeError
-from masslin.linalg import dot, primitive, vec_sub
+from masslin.linalg import dot, primitive, scaled, vec_sub
 from masslin.polytope import HPolytope
 
 # --- shared fixtures -------------------------------------------------------
@@ -348,6 +349,33 @@ def test_packed_scan_matches_minor_table(system):
     support = [Fraction(k) for k in support]
     expected = _kernel_outcome(_polytope_ref.table_basic_points, n, conormals, support)
     assert _kernel_outcome(polytope._basic_points, n, conormals, support) == expected
+
+
+def _assert_fields_fit(n, conormals, support):
+    """Every field the scan packs lies strictly inside +-2^(B-1), B the
+    ``_field_width``: read off the unpacked minor table and Cramer's rule,
+    the pairings and cofactor vector of each (n-1)-subset, and the slacks
+    and -y = sum_r w_r c_r of each nonsingular n-subset."""
+    K = scaled([support])[1][0]
+    half = 1 << (polytope._field_width(conormals, K, n) - 1)
+    table = _polytope_ref.minor_table(conormals, n)
+    rows = [(*P, *c) for c, P in table.values()]
+    for _, _, w, minors, slacks in _polytope_ref.cramer(table, K, n):
+        rows.append((*slacks, *(sum(map(mul, w, col)) for col in zip(*(c for c, _ in minors)))))
+    assert max(abs(x) for row in rows for x in row) < half
+
+
+@seed(28)
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(halfspace_systems(5, 6), wide_systems()))
+def test_packed_fields_fit_their_width(system):
+    n, conormals, support = system
+    _assert_fields_fit(n, conormals, [Fraction(k) for k in support])
+
+
+def test_packed_fields_fit_their_width_on_suite():
+    for sp in suite_polytopes():
+        _assert_fields_fit(sp.poly.dim, sp.poly.conormals, sp.poly.support)
 
 
 def test_chamber_radius_matches_minor_table_on_suite():
