@@ -493,30 +493,24 @@ def _facet_fiber_structure(poly: HPolytope, e: int, I: Sequence[int]) -> bool:
         return False
     if poly.face(set(I) | {e}) is not None:
         return False
-    face_e = poly.face({e})
-    ids = face_e.vertex_ids
+    vertices = poly.vertices
+    bases = {w: vertices[w].basis for w in poly.face({e}).vertex_ids}
     missing: dict[int, int] = {}
-    for w in ids:
-        basis = poly.vertices[w].basis
+    for w, basis in bases.items():
         gone = [i for i in I if i not in basis]
         if len(gone) != 1:
             return False
         missing[w] = gone[0]
     if set(missing.values()) != set(I):
         return False
-    neighbors = {
-        j
-        for w in ids
-        for j in poly.vertices[w].basis
-        if j != e and j not in I
-    }
+    neighbors = {j for basis in bases.values() for j in basis if j != e and j not in I}
     patterns: dict[int, set[frozenset[int]]] = {i: set() for i in I}
-    for w in ids:
-        patterns[missing[w]].add(poly.vertices[w].basis & neighbors)
+    for w, basis in bases.items():
+        patterns[missing[w]].add(basis & neighbors)
     base_patterns = next(iter(patterns.values()))
     if any(p != base_patterns for p in patterns.values()):
         return False
-    return len(ids) == len(I) * len(base_patterns)
+    return len(bases) == len(I) * len(base_patterns)
 
 
 def _drop_facet(poly: HPolytope, e: int) -> HPolytope:

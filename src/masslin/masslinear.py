@@ -84,7 +84,7 @@ from .measure import (
     volume_poly,  # unused here; perfbench's tracer test reads it from this module
 )
 from .poly import MultiPoly
-from .polytope import Face, HPolytope, memoize
+from .polytope import Face, HPolytope, _scaled_support, memoize
 
 
 def _require_smooth(poly: HPolytope) -> None:
@@ -305,7 +305,7 @@ def _pairs_linearly(poly: HPolytope, Hi: IntVec, C: IntVec, D: int) -> bool:
     (``_slice_values``) and the support numbers K / e cross-multiplied,
     L cancelling."""
     at = _slice_values(poly, poly.dim)
-    e, (K,) = scaled([poly.support])
+    e, K = _scaled_support(poly)
     return sum(map(mul, Hi, at.center)) * D * e == sum(map(mul, C, K)) * at.center_den
 
 
@@ -457,9 +457,8 @@ def restrict_to_face(poly: HPolytope, H, face) -> Restriction:
         raise PolytopeError("face is not symmetric for this functional")
     restricted, origins = _face_slice(poly, face)
     B = direction_lattice_basis(poly, face)
-    v0 = poly.vertices[face.vertex_ids[0]].point
     functional = tuple(dot(vec(b), Hv) for b in B)
-    return Restriction(restricted, functional, origins, v0, tuple(tuple(b) for b in B))
+    return Restriction(restricted, functional, origins, poly.vertices[face.vertex_ids[0]].point, B)
 
 
 def generating_vector(

@@ -43,8 +43,7 @@ those values moved back by the first vertex.  So a k < n polynomial is
 expanded only where a pair space needs its rows, and never evaluated.  Only
 the public polynomials (``volume_poly``, ``moment_poly``,
 ``skeleton_measure_polys``) keep all N variables, from
-``_skeleton_coord_polys``; they and the face polynomials are divided
-by D.
+``_skeleton_coord_polys``; they are divided by D.
 
 Monomial integrals use the same cones, by Brion's formula for a power of
 a linear form l pairing nonzero with every edge (Baldoni, Berline,
@@ -58,7 +57,7 @@ iota_v being the index of the lattice of the edges at v in Z^n.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import combinations, count, product
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
@@ -67,19 +66,21 @@ from typing import NamedTuple, Sequence
 from .errors import PolytopeError, StructuralInconsistency
 from .linalg import Vec, int_det, integer_kernel_basis, scaled, vec
 from .poly import MultiPoly
-from .polytope import Face, HPolytope, memoize
+from .polytope import Face, HPolytope, _scaled_support, memoize
 
 
-def direction_lattice_basis(poly: HPolytope, face: Face) -> list[tuple[int, ...]]:
+@memoize
+def direction_lattice_basis(poly: HPolytope, face: Face) -> tuple[tuple[int, ...], ...]:
     """Integer lattice basis of the face's direction space, which its
-    conormals alone cut out, the same for every kappa in the chamber."""
+    conormals alone cut out, the same for every kappa in the chamber:
+    the one chart of the face, once per polytope and face."""
     rows = [poly.conormals[i] for i in sorted(face.index_set)]
     if not rows:
-        return [tuple(1 if i == j else 0 for i in range(poly.dim)) for j in range(poly.dim)]
+        return tuple(tuple(1 if i == j else 0 for i in range(poly.dim)) for j in range(poly.dim))
     B = integer_kernel_basis(rows, poly.dim)
     if len(B) != face.dimension:
         raise StructuralInconsistency("direction space dimension mismatch")
-    return B
+    return tuple(map(tuple, B))
 
 
 class VertexCone(NamedTuple):
@@ -144,7 +145,7 @@ def _vertex_cones(poly: HPolytope) -> tuple[VertexCone, ...]:
     must give back the vertex, checked in integers on the support
     numbers kappa = K / L."""
     n = poly.dim
-    L, (K,) = scaled([poly.support])
+    L, K = _scaled_support(poly)
     cones = []
     for v in poly.vertices:
         basis = tuple(sorted(v.basis))
@@ -162,7 +163,7 @@ def _vertex_cones(poly: HPolytope) -> tuple[VertexCone, ...]:
     return cones
 
 
-@lru_cache(maxsize=None)
+@cache
 def _exponents(n: int, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(alpha, d! / alpha!) for every alpha in N^n of total degree d."""
     if n == 0:
@@ -243,7 +244,7 @@ def _slice(poly: HPolytope) -> tuple[frozenset[int], Vec]:
     and v0 = y / (d L), y = -sum_j w_j K_{B_j} from its cone, kappa'_i
     is the integer d K_i - <eta_i, y> over d L."""
     cone = _vertex_cones(poly)[0]
-    L, (K,) = scaled([poly.support])
+    L, K = _scaled_support(poly)
     y = [-sum(e[c] * K[f] for e, f in zip(cone.w, cone.basis)) for c in range(poly.dim)]
     return frozenset(cone.basis), tuple(Fraction(cone.d * k - sum(map(mul, eta, y)), cone.d * L)
                                         for eta, k in zip(poly.conormals, K))

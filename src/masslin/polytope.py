@@ -27,13 +27,19 @@ Hadamard's inequality an n x n minor of the conormals is at most
 H = sqrt(max_i |eta_i|^2)^n in absolute value, and a slack, an
 (n+1) x (n+1) determinant bordered by the integer support numbers K,
 expanded along K, at most (n+1) max|K| H.
+
+Construction keeps the basic points and their edges (``_basic``,
+``_edges``), which it validates against.  Everything else a polytope
+derives, its vertices and face lattice included, goes through
+``memoize`` into its one ``_memo`` dict: there is no other per-polytope
+store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, wraps
+from functools import cache, wraps
 from itertools import combinations
 from math import gcd, isqrt, lcm
 from operator import mul, neg
@@ -83,21 +89,21 @@ def default_labels(n_facets: int) -> tuple[str, ...]:
 def memoize(fn):
     """Memoize ``fn(poly, *args)`` on the polytope it is called with.
 
-    Results live in the polytope's instance dict, beside the
-    ``cached_property`` attributes of ``HPolytope``, in one ``_memo``
-    dict keyed by the function, its remaining arguments (which must be
-    hashable) and their types, so that 1, 1.0 and True do not share an
-    entry.  Memoize only data of the polytope itself: a functional
-    H is never part of a key, so whatever depends on H is assembled from
-    memoized parts on each call and the memo does not grow over a scan
-    of functionals.  An exception is not memoized.
+    Results live in the ``_memo`` dict that construction gives each
+    polytope, keyed by the function's name alone or, with further
+    arguments (which must be hashable), by the name, the arguments and
+    their types, so that 1, 1.0 and True do not share an entry.  Memoize
+    only data of the polytope itself: a functional H is never part of a
+    key, so whatever depends on H is assembled from memoized parts on
+    each call and the memo does not grow over a scan of functionals.  An
+    exception is not memoized.
     """
     name = f"{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
     def memoized(poly, *args):
-        memo = poly.__dict__.setdefault("_memo", {})
-        key = (name, *args, *map(type, args))
+        key = (name, *args, *map(type, args)) if args else name
+        memo = poly._memo
         if key not in memo:
             memo[key] = fn(poly, *args)
         return memo[key]
@@ -356,6 +362,7 @@ class HPolytope:
                 )
         object.__setattr__(self, "_basic", pts)
         object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_memo", {})
 
     # equality is geometric: same facet data in the same order; labels and
     # name are presentation only
@@ -381,7 +388,8 @@ class HPolytope:
         except ValueError:
             raise KeyError(f"no facet labeled {label!r}") from None
 
-    @cached_property
+    @property
+    @memoize
     def vertices(self) -> tuple[Vertex, ...]:
         """All vertices, sorted by coordinates; raises if not simple."""
         verts = []
@@ -405,7 +413,8 @@ class HPolytope:
         basis: every |det A_v| that construction found is 1."""
         return self.is_simple() and all(d == 1 for d, _ in self._edges.values())
 
-    @cached_property
+    @property
+    @memoize
     def face_lattice(self) -> dict[frozenset[int], Face]:
         """All nonempty faces keyed by canonical (maximal) facet index set.
 
@@ -436,10 +445,6 @@ class HPolytope:
             key=lambda f: tuple(sorted(f.index_set)),
         )
 
-    @cached_property
-    def _vertex_pattern(self) -> frozenset[frozenset[int]]:
-        return frozenset(v.basis for v in self.vertices)
-
     def with_support(self, new_support) -> "HPolytope":
         return HPolytope(self.dim, self.conormals, tuple(frac(k) for k in new_support), self.labels, self.name)
 
@@ -458,6 +463,7 @@ class HPolytope:
         if len(new_support) != self.n_facets:
             raise PolytopeError("support vector has wrong length")
         mid = tuple((a + b) / 2 for a, b in zip(self.support, new_support))
+        pattern = {v.basis for v in self.vertices}
         for kappa in (new_support, mid):
             try:
                 other = self.with_support(kappa)
@@ -465,18 +471,19 @@ class HPolytope:
                 return False
             if not other.is_smooth():
                 return False
-            if other._vertex_pattern != self._vertex_pattern:
+            if {v.basis for v in other.vertices} != pattern:
                 return False
         return True
 
-    @cached_property
-    def _chamber_delta(self) -> Fraction:
-        """Uniform box radius: any support perturbation bounded by this
-        entrywise stays inside the chamber."""
+    @memoize
+    def chamber_radius(self) -> tuple[Fraction, ...]:
+        """Per-facet safe perturbation radii, uniform by construction: any
+        support perturbation bounded entrywise by them stays inside the
+        chamber."""
         if not self.is_smooth():
             raise PolytopeError("chamber radius requires a smooth polytope")
         n, N = self.dim, self.n_facets
-        L, (K,) = scaled([self.support])
+        L, K = _scaled_support(self)
         packing = _Packing(_field_width(self.conormals, K, n), N, n)
         gaps, max_sens = [], Fraction(0)
         for J, d, _, minors, slack in _subsets(_minor_rows(self.conormals, n, packing), K, n, packing):
@@ -492,12 +499,7 @@ class HPolytope:
             gaps.append(Fraction(abs(least), d * L))
         if not gaps or min(gaps) <= 0:
             raise StructuralInconsistency("a smooth polytope has a positive chamber gap")
-        return min(gaps) / (2 * (1 + max_sens))
-
-    def chamber_radius(self) -> tuple[Fraction, ...]:
-        """Per-facet safe perturbation radii (uniform by construction)."""
-        d = self._chamber_delta
-        return (d,) * self.n_facets
+        return (min(gaps) / (2 * (1 + max_sens)),) * N
 
     def translate(self, xi) -> "HPolytope":
         xi = vec(xi)
@@ -550,3 +552,11 @@ class HPolytope:
     def __repr__(self):
         nm = f" {self.name!r}" if self.name else ""
         return f"<HPolytope{nm} dim={self.dim} facets={self.n_facets}>"
+
+
+@memoize
+def _scaled_support(poly: HPolytope) -> tuple[int, IntVec]:
+    """(L, K): the support numbers are K / L, L the lcm of their
+    denominators."""
+    L = lcm(*(k.denominator for k in poly.support))
+    return L, tuple(k.numerator * (L // k.denominator) for k in poly.support)

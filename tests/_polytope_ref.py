@@ -289,7 +289,8 @@ def table_basic_points(conormals, support, n):
 
 
 def chamber_delta(poly):
-    """``HPolytope._chamber_delta`` read off the minor table."""
+    """The uniform radius of ``HPolytope.chamber_radius`` read off the
+    minor table."""
     if not poly.is_smooth():
         raise PolytopeError("chamber radius requires a smooth polytope")
     n, N = poly.dim, poly.n_facets

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -21,11 +22,11 @@ import pytest
 
 import masslin
 from masslin import measure
-from masslin.cli import check_document
+from masslin.cli import check_document, classify_document
 from masslin.constructions import blowup
-from masslin.errors import StructuralInconsistency
+from masslin.errors import PolytopeError, StructuralInconsistency
 from masslin.linalg import dot, vec, vec_sub
-from masslin.masslinear import _face_slice, mass_linear_test
+from masslin.masslinear import _face_slice, mass_linear_test, restrict_to_face
 from masslin.measure import (
     _skeleton_coord_polys,
     cached_moment_poly,
@@ -44,7 +45,7 @@ import _polytope_ref
 import _slice_ref
 from _face_ref import face_measure, face_measure_polys, face_polys
 from _linalg_ref import det
-from _suite import suite_polytopes
+from _suite import suite_pairs, suite_polytopes
 from _triangulation_ref import triangulate, triangulated_integral
 
 F = Fraction
@@ -525,6 +526,43 @@ class TestMemo:
         assert _stored_entries(poly) == after_one
 
 
+class TestOneStore:
+    """What a polytope derives after construction lives in its one memo:
+    its instance dict holds the dataclass fields, what construction keeps
+    (``_basic``, ``_edges``) and ``_memo``, and nothing else."""
+
+    KEPT = {f.name for f in fields(HPolytope)} | {"_basic", "_edges", "_memo"}
+
+    @staticmethod
+    def _derive(poly, H, face, smooth):
+        """Every public derivation; on a non-smooth polytope those that
+        need smoothness raise PolytopeError."""
+        for needs_smooth in (lambda: check_document(poly, H), lambda: classify_document(poly, H),
+                             poly.chamber_radius, lambda: poly.in_same_chamber(poly.support),
+                             lambda: restrict_to_face(poly, H, face)):
+            if smooth:
+                needs_smooth()
+            else:
+                with pytest.raises(PolytopeError, match="smooth"):
+                    needs_smooth()
+        poly.faces_of_dimension(1)
+        volume(poly)
+        integrate_monomial(poly, (1,) * poly.dim)
+
+    def test_smooth_pair(self):
+        pair = next(p for p in suite_pairs() if p.name == "golden_blowup" and mass_linear_test(p.poly, p.H).verdict)
+        poly = HPolytope(4, pair.poly.conormals, pair.poly.support, pair.poly.labels)
+        face = (min(mass_linear_test(poly, pair.H).symmetric),)
+        self._derive(poly, pair.H, face, True)
+        assert set(vars(poly)) == self.KEPT
+
+    def test_non_smooth_polytope(self):
+        # no suite polytope is non-smooth; this simplex has a vertex of index 2
+        poly = HPolytope(4, ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1), (1, 1, 1, 2)), (0, 0, 0, 0, 2))
+        self._derive(poly, (1, 0, 0, -1), (0,), False)
+        assert set(vars(poly)) == self.KEPT
+
+
 class TestPerKConeSums:
     """Cone sums are formed only for the skeleton dimensions k that a
     caller integrates: a mass linearity test reads k = n alone, a full
@@ -691,7 +729,7 @@ class TestGenericXi:
     def test_genericity_check_survives_dash_O(self):
         script = textwrap.dedent("""
             import masslin.measure as m
-            from masslin.errors import StructuralInconsistency
+            from masslin.errors import PolytopeError, StructuralInconsistency
             from masslin.polytope import HPolytope
 
             if __debug__:
@@ -747,7 +785,7 @@ class TestVertexMap:
     def test_vertex_check_survives_dash_O(self):
         script = textwrap.dedent("""
             import masslin.measure as m
-            from masslin.errors import StructuralInconsistency
+            from masslin.errors import PolytopeError, StructuralInconsistency
             from masslin.polytope import HPolytope
 
             if __debug__:

@@ -19,14 +19,19 @@ from masslin import (
     HPolytope,
     blowdown,
     blowup,
+    bundle_121,
+    bundle_D2_polygon,
     center_of_mass,
     double_expansion,
     equivalence_classes,
+    essential_blowup_planner,
     expansion,
     fully_mass_linear_test,
     generating_vector,
     is_inessential,
     mass_linear_test,
+    minimal_family_a3,
+    minimal_family_b,
     ml_space,
     recognize_double_expansion,
     recognize_expansion,
@@ -34,7 +39,7 @@ from masslin import (
     skeleton_barycenter,
 )
 from masslin import recognize
-from masslin.constructions import CONSTRUCTOR_STEPS, Bundle121Spec, D2PolygonBundleSpec, YkBundleSpec
+from masslin.constructions import CONSTRUCTOR_STEPS, Bundle121Spec, D2PolygonBundleSpec, YkBundleSpec, _corner_cut_polygon
 from masslin.errors import PolytopeError, StructuralInconsistency
 from masslin.masslinear import _pair_space, barycenter_pairings_agree, symmetric_facets
 from masslin.recognize import certificate_holds, classify4d, reconstruct, replay_trace
@@ -43,7 +48,7 @@ import _equivalence_ref
 import _functional_ref
 import _slice_ref
 from _linalg_ref import rank
-from _suite import combine_conormals, report_for, suite_pairs, suite_polytopes
+from _suite import combine_conormals, expanded_pair_functional, report_for, square, suite_pairs, suite_polytopes
 
 
 @lru_cache(maxsize=1)
@@ -828,3 +833,85 @@ class TestKleinschmidtSweep:
         rebuilt = replay_trace(res.terminal, res.trace)
         assert rebuilt == poly and rebuilt.labels == poly.labels, case
         return res.type, len(res.trace)
+
+
+class TestFamilySweep:
+    """The models the Kleinschmidt sweep never reaches, a3 above all: 121
+    towers with twists in [-1, 1]^3 and d in {0, 1}; triangle bundles
+    over the square and the corner-cut 4- and 5-gons, with twists from
+    ``TWISTS`` and the base support numbers times 16; minimal_family_a3(7,
+    8), minimal_family_b(5, 6, 7) and double expansions of the square
+    and the corner-cut pentagon.  Each with a nonzero ml_space takes two
+    functionals drawn from its basis, and a double expansion also its expanded-pair
+    functional, blown up as ``essential_blowup_planner`` plans where it
+    can.  Every mass linear pair is also blown up along a face cut out by
+    facets symmetric for H.  Each pair is moved and checked as in
+    ``TestKleinschmidtSweep``, with no facet reordering."""
+
+    TWISTS = ((0, 0), (1, -1), (1, 0), (0, 1), (-1, 1), (2, -2))
+
+    def test_seeded_sweep(self):
+        seen, skipped, built = self.sweep(29)
+        assert {"a2", "a3", "b"} <= {t for t, _ in seen}
+        # parameter points a constructor rejects with PolytopeError are
+        # skipped, and only a few of them
+        assert skipped <= built // 10, (skipped, built)
+
+    @classmethod
+    def _bases(cls) -> tuple[list, int]:
+        """(polytope, whether it is a double expansion) per parameter
+        point that its constructor accepts, and the number rejected."""
+
+        def tower(a, d):
+            return bundle_121(Bundle121Spec(a, d, (0, 1, 0, 0, 4, 0, 40)))
+
+        def polygon_bundle(polygon, twists):
+            kappa = (0, 0, 1) + tuple(16 * x for x in polygon.support)
+            return bundle_D2_polygon(D2PolygonBundleSpec(polygon, ((0, 0), (0, 0)) + twists, kappa))
+
+        calls = [(tower, a, d) for a in product(range(-1, 2), repeat=3) for d in (0, 1)]
+        for polygon, twists in ((square(), cls.TWISTS), (_corner_cut_polygon(4), cls.TWISTS),
+                                (_corner_cut_polygon(5), cls.TWISTS[:4])):
+            calls += [(polygon_bundle, polygon, tw) for tw in product(twists, repeat=polygon.n_facets - 2)]
+        calls += [(minimal_family_a3, N) for N in (7, 8)] + [(minimal_family_b, N) for N in (5, 6, 7)]
+        calls += [(double_expansion, polygon, j1, j2) for polygon in (square(), _corner_cut_polygon(5))
+                  for j1, j2 in ((0, 2), (1, 3), (0, 1))]
+        bases, skipped = [], 0
+        for build, *args in calls:
+            try:
+                bases.append((build(*args), build in (minimal_family_b, double_expansion)))
+            except PolytopeError:
+                skipped += 1
+        return bases, skipped
+
+    @classmethod
+    def sweep(cls, seed) -> tuple[Counter, int, int]:
+        """The drawn pairs counted by (type, trace length) as in
+        ``TestKleinschmidtSweep.sweep``, the parameter points skipped and
+        the polytopes built."""
+        rng = random.Random(seed)
+        bases, skipped = cls._bases()
+        seen = Counter()
+        for base, expanded in bases:
+            basis = [H for H, _ in ml_space(base)]
+            Hs = [expanded_pair_functional(base)] if expanded else []
+            for _ in range(2 if basis else 0):
+                c = [rng.randint(-2, 2) for _ in basis]
+                Hs.append(tuple(sum((a * h[m] for a, h in zip(c, basis)), Fr(0)) for m in range(4)))
+            inputs = [(base, H) for H in Hs]
+            for H in Hs:
+                report = mass_linear_test(base, H)
+                faces = sorted(sorted(f.index_set) for f in base.face_lattice.values()
+                               if f.dimension <= 2 and report.symmetric.issuperset(f.index_set))
+                if report.verdict and faces:
+                    inputs.append((blowup(base, rng.choice(faces)), H))
+            if expanded and (plan := essential_blowup_planner(base, Hs[0])).feasible:
+                poly = base
+                for I, eps in plan.steps:
+                    poly = blowup(poly, I, eps)
+                inputs.append((poly, Hs[0]))
+            for poly, H in inputs:
+                T = _unimodular(rng, 4)
+                poly = poly.apply_lattice_map(T).translate([rng.randint(-2, 2) for _ in range(4)])
+                seen[TestKleinschmidtSweep._check(poly, tuple(_dot(row, H) for row in T))] += 1
+        return seen, skipped, len(bases)
