@@ -34,20 +34,20 @@ translation invariant and so decided on the slice as well.  Negative
 answers are witness-first: an identity whose two sides differ at the
 base kappa fails, and that exact nonzero value is its certificate, so
 only the identities that hold at the base kappa are expanded
-symbolically.  Facet equivalence, inessential witnesses and generating
-vectors are exact linear algebra on the integer conormals.
+symbolically.  Facet equivalence and generating vectors are exact
+linear algebra on the integer conormals; an inessential witness is the
+gamma of the fit, when its sum over every equivalence class vanishes.
 
 All elimination and integration is per polytope, memoized on it: the
-slice pass, the pair spaces with their reduced echelon rows, the
-inessential transform, and the base values and barycenters
-(``measure._slice_values``).  Each is kept as integers over one
-denominator.  The work per functional is integer arithmetic: H is
-scaled once to Hi / L, every sum and comparison runs on Hi against
-those forms, equalities of quotients are cross-multiplied, and
-Fractions are formed only for the values a report returns (gamma,
-beta, the pairings, xi).  The one polynomial it forms is the moment
-mu_H of ``symmetric_facets``, whose products are expanded only for
-facets whose base value vanishes.
+slice pass, the pair spaces with their reduced echelon rows, and the
+base values and barycenters (``measure._slice_values``).  Each is kept
+as integers over one denominator.  The work per functional is integer
+arithmetic: H is scaled once to Hi / L, every sum and comparison runs on
+Hi against those forms, equalities of quotients are cross-multiplied,
+and Fractions are formed only for the values a report returns (gamma,
+beta, the pairings, xi).  The one polynomial it forms is the moment mu_H
+of ``symmetric_facets``, whose products are expanded only for facets
+whose base value vanishes.
 """
 
 from __future__ import annotations
@@ -129,6 +129,10 @@ class EquivalenceClasses:
 
 @dataclass(frozen=True)
 class InessentialWitness:
+    """The coefficients beta of an inessential H: H = sum_i beta_i eta_i
+    and sum_{i in C} beta_i = 0 for every equivalence class C.  They are
+    unique, and they are the gamma of H's ``MassLinearReport``."""
+
     beta: Vec
 
 
@@ -359,48 +363,29 @@ def _row_basis(rows) -> list[int]:
     return _echelon([list(col) for col in zip(*rows)], len(rows))[0]
 
 
-@memoize
-def _inessential_echelon(poly: HPolytope) -> tuple[tuple[int, ...], int, tuple[IntVec, ...]]:
-    """Pivot columns, D and the integer rows D E of the transform E of
-    the reduced form [R | E] of [A | I], A being the system of
-    ``is_inessential``: the n coordinate rows of the conormals, then one
-    indicator row per equivalence class.
-
-    E A = R, so A beta = b is solvable exactly when the rows of E b past
-    the rank vanish, and then the reduced echelon solution has E b's
-    first rows in the pivot columns and zero elsewhere: E is not unique,
-    but those images of a solvable b are.  ``_echelon`` and ``_reduce``
-    reduce the integer [A | I]; the rows past the rank are left as
-    integer multiples of those of E, which vanish together.  b is H
-    followed by zero class sums, so only the first n columns of E are
-    kept."""
-    N = poly.n_facets
-    rows = [tuple(eta[r] for eta in poly.conormals) for r in range(poly.dim)]
-    rows += [tuple(int(i in cls) for i in range(N)) for cls in equivalence_classes(poly).classes]
-    m = len(rows)
-    system = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
-    pivots, _ = _echelon(system, N)
-    D = _reduce(system, pivots)
-    return tuple(pivots), D, tuple(tuple(row[N : N + poly.dim]) for row in system)
-
-
 def is_inessential(poly: HPolytope, H) -> InessentialWitness | None:
     """A witness beta with H = sum beta_i eta_i and zero sum over every
-    equivalence class, or None when H is essential.  beta is the reduced
-    echelon solution, read through ``_inessential_echelon`` in integers:
-    with H = Hi / L, beta = (D E) Hi / (L D)."""
+    equivalence class, or None: for H essential and for H not mass linear.
+
+    By Part I such a beta makes H mass linear with pairing
+    sum beta_i kappa_i, so beta = gamma; and a gamma with zero class sums
+    is a beta, as H = sum gamma_i eta_i.  So beta is read off the fit of
+    ``mass_linear_test``: G / (L D) for H = Hi / L.  It is unique: a
+    relation lambda_k = <g_k, t> of the conormals (``equivalence_classes``)
+    with zero class sums has <g_k, t> = 0 for every k, and the g_k span
+    R^(N - n), so t = 0."""
     _require_smooth(poly)
     L, Hi = _integral(poly, H)
-    pivots, D, E = _inessential_echelon(poly)
-    if any(sum(map(mul, row, Hi)) for row in E[len(pivots) :]):
+    fit = _fit(poly, Hi, (poly.dim,))
+    if fit is None:
         return None
-    beta = [0] * poly.n_facets
-    for p, row in zip(pivots, E):
-        beta[p] = sum(map(mul, row, Hi))
+    D, G = fit
+    if any(sum(G[i] for i in cls) for cls in equivalence_classes(poly).classes):
+        return None
     # inessential functions pair with the center through sum beta_i k_i
-    if not _pairs_linearly(poly, Hi, beta, D):
+    if not _pairs_linearly(poly, Hi, G, D):
         raise StructuralInconsistency("an inessential pairing is sum beta_i kappa_i")
-    return InessentialWitness(tuple(Fraction(b, L * D) for b in beta))
+    return InessentialWitness(tuple(Fraction(g, L * D) for g in G))
 
 
 def _resolve_face(poly: HPolytope, face) -> Face:

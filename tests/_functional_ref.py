@@ -10,7 +10,9 @@ Fraction reduced echelon form, the post-checks with ``dot``, beta from
 the Fraction transform E, the pairings with the Fraction barycenters,
 xi as A_v^{-1} gamma_B, and the symmetric facets from Fraction base
 values and gradients.  Each returns what the library function of the
-same name returns.
+same name returns.  The library reads beta off the gamma fit, so the
+[A | I] solve of ``is_inessential`` here is the independent reference
+for beta.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ import _certificate_ref
 import _equivalence_ref
 import _functional_ref
 import _slice_ref
-from _linalg_ref import rank
+from _linalg_ref import nullspace, rank
 from _suite import combine_conormals, expanded_pair_functional, report_for, square, suite_pairs, suite_polytopes
 
 
@@ -272,6 +272,7 @@ class TestBalancedCombinations:
         assume(any(H))
         rep = mass_linear_test(poly, H)
         assert rep.verdict
+        assert is_inessential(poly, H).beta == tuple(beta) == rep.gamma
 
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         radius = poly.chamber_radius()
@@ -306,6 +307,11 @@ class TestEquivalenceOracle:
     def _assert_matches(poly):
         eq = equivalence_classes(poly)
         assert (eq.classes, eq.complement_rank) == _equivalence_ref.equivalence_classes(poly)
+        # a relation of the conormals with zero class sums vanishes, so an
+        # inessential witness beta is unique and is the report's gamma
+        rows = [tuple(eta[r] for eta in poly.conormals) for r in range(poly.dim)]
+        rows += [tuple(int(i in cls) for i in range(poly.n_facets)) for cls in eq.classes]
+        assert nullspace(rows, poly.n_facets) == ()
 
     def test_suite(self):
         for sp in suite_polytopes():
@@ -384,7 +390,10 @@ class TestFunctionalOracle:
         report = mass_linear_test(poly, H)
         assert report == _functional_ref.mass_linear_test(poly, H)
         assert symmetric_facets(poly, H) == _functional_ref.symmetric_facets(poly, H)
-        assert is_inessential(poly, H) == _functional_ref.is_inessential(poly, H)
+        witness = is_inessential(poly, H)
+        assert witness == _functional_ref.is_inessential(poly, H)
+        if report.verdict and witness is None:
+            assert any(sum(report.gamma[i] for i in cls) for cls in equivalence_classes(poly).classes)
         assert fully_mass_linear_test(poly, H) == _functional_ref.fully_mass_linear_test(poly, H)
         assert generating_vector(poly, H, report) == _functional_ref.generating_vector(poly, H, report)
         for k in range(poly.dim + 1):
@@ -820,12 +829,15 @@ class TestKleinschmidtSweep:
         case = (poly.conormals, poly.support, H)
         report = mass_linear_test(poly, H)
         assert fully_mass_linear_test(poly, H).verdict == report.verdict, case
+        witness = is_inessential(poly, H)
+        assert witness == _functional_ref.is_inessential(poly, H), case
         if not report.verdict:
             return "not mass linear", 0
+        assert witness is None or witness.beta == report.gamma, case
         res = classify4d(poly, H)
         if not any(H):
             assert res.type == "zero", case
-        elif is_inessential(poly, H) is not None:
+        elif witness is not None:
             assert res.type == "inessential", case
         else:
             assert res.type in ("a1", "a2", "a3", "b"), (case, res.detail)
