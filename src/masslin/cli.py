@@ -52,10 +52,10 @@ from .constructions import (
 from .errors import PolytopeError, StructuralInconsistency
 from .linalg import dot
 from .masslinear import (
+    _beta,
     equivalence_classes,
     fully_mass_linear_test,
     generating_vector,
-    is_inessential,
     mass_linear_test,
 )
 from .measure import _functional, skeleton_barycenter
@@ -274,7 +274,7 @@ def domain_guard(fn):
 def check_document(poly: HPolytope, H) -> dict:
     report = mass_linear_test(poly, H)
     eq = equivalence_classes(poly)
-    witness = is_inessential(poly, H)
+    witness = _beta(poly, report.gamma)
     full = fully_mass_linear_test(poly, H)
     xi = generating_vector(poly, H, report)
     pairing = None

@@ -35,8 +35,9 @@ answers are witness-first: an identity whose two sides differ at the
 base kappa fails, and that exact nonzero value is its certificate, so
 only the identities that hold at the base kappa are expanded
 symbolically.  Facet equivalence and generating vectors are exact
-linear algebra on the integer conormals; an inessential witness is the
-gamma of the fit, when its sum over every equivalence class vanishes.
+linear algebra on the integer conormals.  H is fitted in one place,
+``_gamma``, and an inessential witness is that gamma when its sum over
+every equivalence class vanishes (``_beta``), read off a report.
 
 All elimination and integration is per polytope, memoized on it: the
 slice pass, the pair spaces with their reduced echelon rows, and the
@@ -45,9 +46,9 @@ as integers over one denominator.  The work per functional is integer
 arithmetic: H is scaled once to Hi / L, every sum and comparison runs on
 Hi against those forms, equalities of quotients are cross-multiplied,
 and Fractions are formed only for the values a report returns (gamma,
-beta, the pairings, xi).  The one polynomial it forms is the moment mu_H
-of ``symmetric_facets``, whose products are expanded only for facets
-whose base value vanishes.
+which is also beta, the pairings, xi).  The one polynomial it forms is
+the moment mu_H of ``symmetric_facets``, whose products are expanded
+only for facets whose base value vanishes.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class EquivalenceClasses:
 class InessentialWitness:
     """The coefficients beta of an inessential H: H = sum_i beta_i eta_i
     and sum_{i in C} beta_i = 0 for every equivalence class C.  They are
-    unique, and they are the gamma of H's ``MassLinearReport``."""
+    unique: the gamma of H's ``MassLinearReport``, read off by ``_beta``."""
 
     beta: Vec
 
@@ -262,38 +263,38 @@ def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]
 
 
 def mass_linear_test(poly: HPolytope, H) -> MassLinearReport:
-    """Decide whether the center-of-mass pairing of H is linear in kappa.
-
-    The verdict comes from exact algebra, read off the memoized reduced
-    echelon form of ``ml_space``: its rows R_p, one per pivot column p of
-    the H part, give the combination sum_p H[p] * R_p, whose H part
-    equals H exactly when H is mass linear; its gamma part is then
-    gamma, and otherwise the nonzero difference is the witness.  With
-    H = Hi / L and gamma = G / (L D), every check runs on the integers
-    Hi and G.
-    """
-    _require_smooth(poly)
-    L, Hi = _integral(poly, H)
-    N = poly.n_facets
-    fit = _fit(poly, Hi, (poly.dim,))
-    if fit is None:
-        sym, asym = symmetric_facets(poly, Hi)
-        gamma = None
+    """Decide whether the center-of-mass pairing of H is linear in kappa:
+    gamma is the one fit ``_gamma``, its zero entries the symmetric
+    facets, which ``symmetric_facets`` decides when there is no gamma."""
+    gamma = _gamma(poly, H)
+    if gamma is None:
+        sym, asym = symmetric_facets(poly, H)
     else:
-        D, G = fit
-        if sum(G) != 0:
-            raise StructuralInconsistency("coefficient sum must vanish")
-        if not _pairs_linearly(poly, Hi, G, D):
-            raise StructuralInconsistency("no constant term allowed")
-        if any(sum(g * eta[c] for g, eta in zip(G, poly.conormals)) != h * D for c, h in enumerate(Hi)):
-            raise StructuralInconsistency("H must equal sum of gamma_i times conormals")
-        gamma = tuple(Fraction(g, L * D) for g in G)
-        sym = frozenset(i for i, g in enumerate(G) if g == 0)
-        asym = frozenset(range(N)) - sym
-
+        sym = frozenset(i for i, g in enumerate(gamma) if g == 0)
+        asym = frozenset(range(poly.n_facets)) - sym
     pervasive = {i: is_pervasive(poly, i) for i in sorted(asym)}
     flat = {i: is_flat(poly, i) for i in sorted(asym)}
     return MassLinearReport(gamma is not None, gamma, sym, asym, pervasive, flat)
+
+
+def _gamma(poly: HPolytope, H) -> Vec | None:
+    """gamma with mu_H == (gamma . kappa) V, or None, read off the memoized
+    reduced echelon form of ``ml_space`` (``_fit``).  With H = Hi / L and
+    gamma = G / (L D), the checks of gamma run on the integers Hi and G,
+    here for every caller."""
+    _require_smooth(poly)
+    L, Hi = _integral(poly, H)
+    fit = _fit(poly, Hi, (poly.dim,))
+    if fit is None:
+        return None
+    D, G = fit
+    if sum(G) != 0:
+        raise StructuralInconsistency("coefficient sum must vanish")
+    if not _pairs_linearly(poly, Hi, G, D):
+        raise StructuralInconsistency("no constant term allowed")
+    if any(sum(g * eta[c] for g, eta in zip(G, poly.conormals)) != h * D for c, h in enumerate(Hi)):
+        raise StructuralInconsistency("H must equal sum of gamma_i times conormals")
+    return tuple(Fraction(g, L * D) for g in G)
 
 
 def _integral(poly: HPolytope, H) -> tuple[int, IntVec]:
@@ -369,23 +370,20 @@ def is_inessential(poly: HPolytope, H) -> InessentialWitness | None:
 
     By Part I such a beta makes H mass linear with pairing
     sum beta_i kappa_i, so beta = gamma; and a gamma with zero class sums
-    is a beta, as H = sum gamma_i eta_i.  So beta is read off the fit of
-    ``mass_linear_test``: G / (L D) for H = Hi / L.  It is unique: a
-    relation lambda_k = <g_k, t> of the conormals (``equivalence_classes``)
-    with zero class sums has <g_k, t> = 0 for every k, and the g_k span
-    R^(N - n), so t = 0."""
-    _require_smooth(poly)
-    L, Hi = _integral(poly, H)
-    fit = _fit(poly, Hi, (poly.dim,))
-    if fit is None:
+    is a beta, as H = sum gamma_i eta_i.  So beta is the gamma of
+    ``mass_linear_test`` (``_gamma``), when its class sums vanish
+    (``_beta``).  It is unique: a relation lambda_k = <g_k, t> of the
+    conormals (``equivalence_classes``) with zero class sums has
+    <g_k, t> = 0 for every k, and the g_k span R^(N - n), so t = 0."""
+    return _beta(poly, _gamma(poly, H))
+
+
+def _beta(poly: HPolytope, gamma: Vec | None) -> InessentialWitness | None:
+    """The inessential witness of a report's gamma: gamma itself when its
+    sum over every equivalence class vanishes, else None."""
+    if gamma is None or any(sum(gamma[i] for i in cls) for cls in equivalence_classes(poly).classes):
         return None
-    D, G = fit
-    if any(sum(G[i] for i in cls) for cls in equivalence_classes(poly).classes):
-        return None
-    # inessential functions pair with the center through sum beta_i k_i
-    if not _pairs_linearly(poly, Hi, G, D):
-        raise StructuralInconsistency("an inessential pairing is sum beta_i kappa_i")
-    return InessentialWitness(tuple(Fraction(g, L * D) for g in G))
+    return InessentialWitness(gamma)
 
 
 def _resolve_face(poly: HPolytope, face) -> Face:

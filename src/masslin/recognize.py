@@ -72,9 +72,9 @@ from .linalg import (
 from .masslinear import (
     InessentialWitness,
     MassLinearReport,
+    _beta,
     _face_slice,
     equivalence_classes,
-    is_inessential,
     mass_linear_test,
 )
 from .polytope import HPolytope, memoize
@@ -608,25 +608,25 @@ def recognize_type(poly: HPolytope, H) -> TypeRecognition:
     the double-expansion shape b, which additionally requires the four
     base-type facets to be exactly the asymmetric facets.  A non
     mass-linear functional or a polytope of the wrong dimension simply
-    matches nothing.
+    matches nothing.  The pair is fitted once, by ``mass_linear_test``,
+    and ``_recognize`` reads the rest off its report.
     """
-    none = TypeRecognition((), ())
     if poly.dim != 4 or not poly.is_smooth():
-        return none
-    Hv = vec(H)
-    report = mass_linear_test(poly, Hv)
+        return TypeRecognition((), ())
+    return _recognize(poly, mass_linear_test(poly, H))
+
+
+def _recognize(poly: HPolytope, report: MassLinearReport) -> TypeRecognition:
+    """``recognize_type`` of a smooth 4-d polytope and the functional of
+    report: whether it is essential is read off the report's gamma
+    (``_beta``), so no fit runs again."""
     if not report.verdict:
-        return none
-    found = []
-    if is_inessential(poly, Hv) is None:
-        for tag, recognizer in _BUNDLE_RECOGNIZERS:
-            cert = recognizer(poly)
-            if cert is not None:
-                found.append((tag, cert))
+        return TypeRecognition((), ())
+    if _beta(poly, report.gamma) is None:
+        found = [(tag, cert) for tag, recognizer in _BUNDLE_RECOGNIZERS if (cert := recognizer(poly)) is not None]
     else:
         cert = _b_certificate(poly, report.asymmetric)
-        if cert is not None:
-            found.append(("b", cert))
+        found = [("b", cert)] if cert is not None else []
     return TypeRecognition(tuple(t for t, _ in found), tuple(found))
 
 
@@ -683,11 +683,11 @@ class ClassificationResult:
 
     type is one of a1 / a2 / a3 / b / inessential / zero /
     unclassified.  trace lists the blowdowns performed, terminal the
-    polytope they ended on, with its mass-linearity report and
-    inessential witness (None when essential there).  certificate backs
-    the family tag; alternatives lists further matching families (a
-    polytope matching both a2 and a3 is reported as a2 with the a3
-    certificate here).  detail explains unclassified outcomes.
+    polytope they ended on, with its mass-linearity report and the
+    inessential witness read off its gamma (None when essential there).
+    certificate backs the family tag; alternatives lists further matching
+    families (a polytope matching both a2 and a3 is reported as a2 with
+    the a3 certificate here).  detail explains unclassified outcomes.
 
     stages are the polytopes walked, the input first and the terminal
     last; trace[k] was applied to stages[k].
@@ -808,32 +808,32 @@ def classify4d(poly: HPolytope, H) -> ClassificationResult:
     invariant) until recognize_type names the pair a1 / a2 / a3 (still
     essential) or b (turned inessential on a double expansion with
     asymmetric base-type facets), else unclassified once no facet blows
-    down.  The terminal's witness is read once; its recognition reuses
-    the memoized recognizers, so for a1 / a2 / a3 it is the tag's own.
+    down.  Each stage is fitted once, by ``mass_linear_test`` in
+    ``_smooth_4d_pair`` or ``_first_blowdown``, and its type and
+    inessential witness are read off that report; the terminal's
+    recognition reuses the memoized recognizers, so for a1 / a2 / a3 it
+    is the tag's own.
     """
     Hv, report = _smooth_4d_pair(poly, H, "classification")
-    witness = is_inessential(poly, Hv)
     cur, cur_report, trace, stages = poly, report, [], [poly]
     tag, cert, alternatives, detail = "unclassified", None, (), ""
     if not any(Hv):
         tag, detail = "zero", "the zero functional"
-    elif witness is not None:
+    elif _beta(poly, report.gamma) is not None:
         tag, detail = "inessential", "functional is inessential on the input"
     else:
-        while not (rec := recognize_type(cur, Hv)).tags:
+        while not (rec := _recognize(cur, cur_report)).tags:
             found = _first_blowdown(cur, cur_report, Hv)
             if found is None:
                 break
             step, cur, cur_report = found
             trace.append(step)
             stages.append(cur)
-        if trace:
-            witness = is_inessential(cur, Hv)
         if rec.tags:
             tag, cert = rec.certificates[0]
             alternatives = rec.certificates[1:]
         else:
-            still = "essential" if witness is None else "inessential"
+            still = "essential" if _beta(cur, cur_report.gamma) is None else "inessential"
             detail = (
                 "terminal polytope is minimal but matches no structured "
                 f"family; the functional is {still} there"
@@ -842,7 +842,7 @@ def classify4d(poly: HPolytope, H) -> ClassificationResult:
     if rebuilt != poly or rebuilt.labels != poly.labels:
         raise StructuralInconsistency("trace replay failed to rebuild the input")
     return ClassificationResult(
-        tag, tuple(trace), cur, cur_report, witness, cert, alternatives, detail,
+        tag, tuple(trace), cur, cur_report, _beta(cur, cur_report.gamma), cert, alternatives, detail,
         _recognize_terminal(cur), tuple(stages),
     )
 
@@ -878,7 +878,7 @@ def essential_blowup_planner(poly: HPolytope, H) -> BlowupPlan:
     second one is appended when they are equivalent.
     """
     Hv, report = _smooth_4d_pair(poly, H, "planning")
-    if is_inessential(poly, Hv) is None:
+    if _beta(poly, report.gamma) is None:
         return BlowupPlan(False, "functional is already essential on the input")
     cert = _b_certificate(poly, report.asymmetric)
     if cert is None:
@@ -930,7 +930,7 @@ def essential_blowup_planner(poly: HPolytope, H) -> BlowupPlan:
         eps2 = sum((blown.support[x] for x in step2), Fraction(0)) - out.support[0]
         steps.append((step2, eps2))
     final = mass_linear_test(out, Hv)
-    if not final.verdict or is_inessential(out, Hv) is not None:
+    if not final.verdict or _beta(out, final.gamma) is not None:
         raise StructuralInconsistency(
             "planned blowups failed to make the functional essential"
         )

@@ -21,7 +21,9 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-from masslin import blowup, is_inessential, mass_linear_test
+import pytest
+
+from masslin import blowup, is_inessential, mass_linear_test, masslinear
 from masslin.errors import MasslinError
 from masslin import cli
 from _suite import report_for, suite_pairs
@@ -98,6 +100,46 @@ def test_check_documents_are_pinned():
 def test_classify_documents_are_pinned():
     expected = json.loads(CLASSIFY_DIGESTS.read_text())
     assert _changed(_classify_digests(), expected) == []
+
+
+@pytest.fixture
+def skeleton_fits(monkeypatch):
+    """The polytopes that ``masslinear._fit`` fits a functional on with
+    the n-skeleton pair space from here on in the test, in order."""
+    fitted = []
+    fit = masslinear._fit
+
+    def counting(poly, Hi, dims):
+        if dims == (poly.dim,):
+            fitted.append(poly)
+        return fit(poly, Hi, dims)
+
+    monkeypatch.setattr(masslinear, "_fit", counting)
+    return fitted
+
+
+def test_check_fits_each_pair_once(skeleton_fits):
+    # the verdict, the witness and the generating vector share one fit
+    for pair in suite_pairs():
+        skeleton_fits.clear()
+        cli.check_document(pair.poly, pair.H)
+        assert skeleton_fits == [pair.poly], pair.name
+
+
+def test_classify_fits_each_stage_once(skeleton_fits):
+    # each stage's type and witness are read off the report of its one fit
+    classified = set()
+    for name, H, times, poly in _classify_chains():
+        skeleton_fits.clear()
+        try:
+            stages = cli.classify_document(poly, H, with_stages=True)["stages"]
+        except (MasslinError, ValueError):
+            assert len(skeleton_fits) <= 1, (name, times)
+            continue
+        classified.add((name, times))
+        assert [cli.polytope_to_document(p) for p in skeleton_fits] == stages, (name, times)
+    # the golden pair, as given and blown up once and twice more
+    assert {("golden_blowup", t) for t in range(3)} <= classified
 
 
 def _write(path: Path, rows) -> None:

@@ -264,6 +264,10 @@ class TestSymmetricFacets:
         monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
         assert symmetric_facets(poly, H) == (frozenset(), frozenset(range(7)))
         assert products == []
+        # nor does is_inessential, which never asks for symmetric facets
+        monkeypatch.setattr(masslin.masslinear, "symmetric_facets", None)
+        assert is_inessential(poly, H) is None
+        assert products == []
         assert not fully_mass_linear_test(poly, H).verdict
         assert products == []
 
@@ -877,8 +881,9 @@ class TestPervasiveFlat:
 
 class TestOptimizedMode:
     def test_invariant_checks_survive_dash_O(self):
-        # asserts vanish under python -O; the integer checks of gamma and
-        # beta must not: each is made to fail by one patched internal
+        # asserts vanish under python -O; the integer checks of gamma must
+        # not: each is made to fail by one patched internal, and
+        # is_inessential meets the same checks, as beta is that gamma
         script = textwrap.dedent("""
             from fractions import Fraction
             import masslin.masslinear as ml
@@ -939,5 +944,5 @@ class TestOptimizedMode:
             "raised: coefficient sum must vanish",
             "raised: no constant term allowed",
             "raised: H must equal sum of gamma_i times conormals",
-            "raised: an inessential pairing is sum beta_i kappa_i",
+            "raised: no constant term allowed",
         ]

@@ -835,6 +835,8 @@ class TestKleinschmidtSweep:
             return "not mass linear", 0
         assert witness is None or witness.beta == report.gamma, case
         res = classify4d(poly, H)
+        # the terminal witness is read off the terminal's report
+        assert res.terminal_inessential == _functional_ref.is_inessential(res.terminal, H), case
         if not any(H):
             assert res.type == "zero", case
         elif witness is not None:
