@@ -487,11 +487,11 @@ class BlowdownReport:
 def _facet_fiber_structure(poly: HPolytope, e: int, I: Sequence[int]) -> bool:
     """Does facet e carry a simplex-bundle structure with fiber facets
     {F_i cap F_e : i in I}?  Purely combinatorial plus the conormal-sum
-    proportionality that any simplex fiber forces."""
+    proportionality that any simplex fiber forces.  Each vertex of F_e
+    missing exactly one facet of I makes F_{I cup {e}} empty, and every
+    F_i missed by some vertex, as distinct facets never contain F_e."""
     s = tuple(sum(poly.conormals[i][j] for i in I) for j in range(poly.dim))
     if int_rank([s, poly.conormals[e]]) > 1:
-        return False
-    if poly.face(set(I) | {e}) is not None:
         return False
     vertices = poly.vertices
     bases = {w: vertices[w].basis for w in poly.face({e}).vertex_ids}
@@ -501,8 +501,6 @@ def _facet_fiber_structure(poly: HPolytope, e: int, I: Sequence[int]) -> bool:
         if len(gone) != 1:
             return False
         missing[w] = gone[0]
-    if set(missing.values()) != set(I):
-        return False
     neighbors = {j for basis in bases.values() for j in basis if j != e and j not in I}
     patterns: dict[int, set[frozenset[int]]] = {i: set() for i in I}
     for w, basis in bases.items():
@@ -646,14 +644,10 @@ class FunctionalSpace:
 def _echelon_pairs(
     gammas: Sequence[Sequence], conormals: Sequence[IntVec]
 ) -> tuple[tuple[Vec, Vec], ...]:
-    if not gammas:
-        return ()
     reduced, _ = int_rref(scaled(gammas)[1])
     n = len(conormals[0])
     out = []
     for g in reduced:
-        if all(x == 0 for x in g):
-            continue
         h = tuple(
             sum((gi * eta[j] for gi, eta in zip(g, conormals)), Fraction(0))
             for j in range(n)

@@ -180,19 +180,13 @@ def _reduce(rows: list[list[int]], pivots: Sequence[int]) -> int:
 
 
 def int_det(A: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix: Bareiss elimination, or
-    cofactor expansion up to 3 x 3, where it is an order of magnitude
-    cheaper in Python."""
+    """Determinant of a square integer matrix by Bareiss elimination; the
+    empty matrix has determinant 1."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("determinant of a non-square matrix")
-    if n <= 3:
-        if n < 2:
-            return A[0][0] if n else 1
-        if n == 2:
-            return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-        (a, b, c), (d, e, f), (g, h, i) = A
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if not n:
+        return 1
     rows = [list(row) for row in A]
     pivots, sign = _echelon(rows, n)
     return sign * rows[-1][n - 1] if len(pivots) == n else 0

@@ -22,11 +22,12 @@ Each facet-indexed row of the scan is one Python int, sum_i v_i 2^(B i)
 (``_Packing``).  Packing is linear, so a row of minors costs n
 multiply-adds of packed rows, a subset's slack row n + 1, and a sign
 test over all N facets one mask compare.  The fields decode exactly
-while every |v| < 2^(B-1), which ``_field_width`` makes sure of: by
-Hadamard's inequality an n x n minor of the conormals is at most
-H = sqrt(max_i |eta_i|^2)^n in absolute value, and a slack, an
+while every |v| < 2^(B-1), which ``_field_width`` makes sure of.  Every
+field is a determinant of at most n distinct conormal rows (and unit
+rows), so by Hadamard's inequality it is at most H, the square root of
+the product of the n largest |eta_i|^2, in absolute value; a slack, an
 (n+1) x (n+1) determinant bordered by the integer support numbers K,
-expanded along K, at most (n+1) max|K| H.
+expanded along K, is at most (n+1) max|K| H.
 
 Construction keeps the basic points and their edges (``_basic``,
 ``_edges``), which it validates against.  Everything else a polytope
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, wraps
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul, neg
 from typing import Sequence
 
@@ -114,7 +115,7 @@ def memoize(fn):
 def _field_width(conormals: Sequence[IntVec], K: Sequence[int], n: int) -> int:
     """Bits per packed field: every entry v of a row of the scan has
     |v| <= (n+1) max(1, |K|) H < 2^(B-1) (module docstring)."""
-    H = isqrt(max(sum(x * x for x in eta) for eta in conormals) ** n)
+    H = isqrt(prod(sorted(sum(x * x for x in eta) for eta in conormals)[-n:]))
     return ((n + 1) * max(1, *map(abs, K)) * H).bit_length() + 1
 
 

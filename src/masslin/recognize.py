@@ -10,11 +10,13 @@ one verifier, and builds no polytope: it compares the input's facet
 data, mapped, translated and reordered by the one chart map _mapped(),
 with the facet data of the constructor's facet-data step, and on a
 match runs the constructor's post-build checks on the input itself.
-Every recognizer reads mapped facet data from _mapped() too
-(the polygon recognizer at the translation that moves its corner vertex
-to the origin, where the base polygon is read) and returns a
-certificate only when certificate_holds() accepts it, so a certificate
-is checkable evidence rather than a bare claim.
+Every recognizer reads the roles it proposes off the input's own facet
+incidence and conormal relations, with no slice polytope, reads mapped
+facet data from _mapped() too (the polygon recognizer at
+the translation that moves its corner vertex to the origin, where the
+base polygon is read) and returns a certificate only when
+certificate_holds() accepts it, so a certificate is checkable evidence
+rather than a bare claim.
 
 classify4d() takes every 4-dimensional mass linear pair through one
 flow: it greedily blows the pair down to a terminal model, tags each
@@ -73,7 +75,6 @@ from .masslinear import (
     InessentialWitness,
     MassLinearReport,
     _beta,
-    _face_slice,
     equivalence_classes,
     mass_linear_test,
 )
@@ -254,14 +255,6 @@ def _segment_bundle_certificate(
             "base pair of a segment bundle admits no vertex basis"
         )
     images = _mapped(poly, S)[0]
-    if images[last] != (1,) * k + (0,):
-        raise StructuralInconsistency(
-            "fiber conormals of a segment bundle must close up to zero"
-        )
-    if images[j][k] != 1:
-        raise StructuralInconsistency(
-            "second base conormal of a segment bundle must be a unit lift"
-        )
     order = body + (last, i, j)
     cert = RecognitionCertificate(
         "segment_bundle",
@@ -431,11 +424,13 @@ def recognize_double_expansion(poly: HPolytope) -> RecognitionCertificate | None
 def _recognize_121(poly: HPolytope) -> RecognitionCertificate | None:
     """Segment bundle over a (triangle bundle over a segment).
 
-    The segment fiber shows up as a pair of opposite parallel facets;
-    slicing one of them must yield a 3-dimensional segment bundle with
-    triangle fiber, whose roles fix the tower normalization.  The
-    orientation of the parallel pair is chosen to make the inner
-    segment twist nonnegative.
+    The segment fiber shows up as a pair of opposite parallel facets.
+    The tower's other roles are read off the facet incidence: of the
+    remaining five facets, the one pair that does not meet is the base
+    segment (F5, F6, in index order) and the other three, in index
+    order, are the triangle facets F2, F3, F4.  The orientation of the
+    parallel pair is chosen to make the inner segment twist
+    nonnegative; certificate_holds decides every proposal.
     """
     n, N = poly.dim, poly.n_facets
     if n != 4 or N != 7:
@@ -443,11 +438,12 @@ def _recognize_121(poly: HPolytope) -> RecognitionCertificate | None:
     for p, q in itertools.combinations(range(N), 2):
         if tuple(-c for c in poly.conormals[p]) != poly.conormals[q]:
             continue
-        slice3, origins = _face_slice(poly, poly.face({p}))
-        inner = recognize_bundle_over_segment(slice3)
-        if inner is None or inner.params is None or inner.params.k != 2:
+        others = [x for x in range(N) if x not in (p, q)]
+        apart = [pq for pq in itertools.combinations(others, 2) if poly.face(set(pq)) is None]
+        if len(apart) != 1:
             continue
-        f2, f3, f4, f5, f6 = (origins[x] for x in inner.facet_order)
+        f5, f6 = apart[0]
+        f2, f3, f4 = (x for x in others if x not in apart[0])
         for t0, t1 in ((p, q), (q, p)):
             S = _chart(poly.conormals[f] for f in (t1, f2, f3, f5))
             if S is None:
@@ -476,11 +472,13 @@ def _recognize_121(poly: HPolytope) -> RecognitionCertificate | None:
 def _recognize_polygon_bundle(poly: HPolytope) -> RecognitionCertificate | None:
     """Triangle bundle over a polygon.
 
-    The fiber shows up as three facets whose conormals span rank 2 and
-    sum to zero; the remaining facets must close into a single
-    adjacency cycle.  A vertex over a polygon corner fixes the chart:
-    its two base facets start the cycle with zero twists, and the base
-    polygon and spec are read with the corner moved to the origin.
+    The fiber shows up as three facets whose conormals sum to zero, two
+    of them on a vertex (so they span rank 2); the remaining facets must
+    close into a single adjacency cycle.  A vertex over a polygon corner
+    fixes the chart: its two base facets start the cycle with zero
+    twists, and the base polygon and spec are read with the corner moved
+    to the origin.  Where the base facets form several cycles, the walk
+    repeats a facet and the polygon's duplicate half-space is rejected.
     """
     n, N = poly.dim, poly.n_facets
     if n != 4 or N < 6:
@@ -489,8 +487,6 @@ def _recognize_polygon_bundle(poly: HPolytope) -> RecognitionCertificate | None:
         u, v, w = triple
         s = tuple(sum(poly.conormals[x][r] for x in triple) for r in range(n))
         if any(s):
-            continue
-        if int_rank([poly.conormals[u], poly.conormals[v]]) != 2:
             continue
         vert = next(
             (
@@ -519,15 +515,8 @@ def _recognize_polygon_bundle(poly: HPolytope) -> RecognitionCertificate | None:
         if any(len(ys) != 2 for ys in nb.values()):
             continue
         cycle = [g, gp]
-        good = True
         while len(cycle) < len(base):
-            nxt = [y for y in nb[cycle[-1]] if y != cycle[-2]]
-            if len(nxt) != 1 or nxt[0] in cycle:
-                good = False
-                break
-            cycle.append(nxt[0])
-        if not good or cycle[0] not in nb[cycle[-1]]:
-            continue
+            cycle += [y for y in nb[cycle[-1]] if y != cycle[-2]]
         try:
             polygon = HPolytope(
                 2,

@@ -46,8 +46,7 @@ from masslin import (
     skeleton_barycenter,
     trapezoid,
 )
-from masslin.masslinear import barycenter_pairings_agree
-from masslin.recognize import _face_slice
+from masslin.masslinear import _face_slice, barycenter_pairings_agree
 
 from _suite import (
     SEED,

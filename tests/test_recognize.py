@@ -14,6 +14,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from _linalg_ref import vec_add
+from masslin import recognize
 from masslin.constructions import (
     CONSTRUCTOR_STEPS,
     _121_data,
@@ -34,12 +35,11 @@ from masslin.constructions import (
     trapezoid,
 )
 from masslin.errors import PolytopeError
-from masslin.masslinear import is_inessential, mass_linear_test, ml_space
+from masslin.masslinear import _face_slice, is_inessential, mass_linear_test, ml_space
 from masslin.polytope import HPolytope
 from masslin.recognize import (
     _chart,
     _constructor_call,
-    _face_slice,
     _holds,
     _recognize_121,
     _recognize_polygon_bundle,
@@ -298,6 +298,34 @@ class TestChart:
         # no lattice basis: singular, or of index 2
         assert _chart([(1, 1), (1, 1)]) is None
         assert _chart([(2, 0), (0, 1)]) is None
+
+
+class TestTower121:
+    """_recognize_121 reads the tower's roles off the facet incidence."""
+
+    def test_builds_no_polytope(self, builds):
+        poly = bundle_121(Bundle121Spec((1, 2, 3), 1, (0, 1, 0, 0, 4, 0, 40)))
+        builds.clear()
+        assert _recognize_121(poly) is not None
+        assert builds == []
+
+    def test_product_tower_certificates(self):
+        # zero twists: both opposite pairs, T0 T1 and F5 F6, are parallel
+        poly = bundle_121(Bundle121Spec((0, 0, 0), 0, (0, 1, 0, 0, 4, 0, 40)))
+        T = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 2, 1, 0), (0, 0, 3, 1))
+        identity = tuple(range(7))
+        cases = (
+            (poly, identity, (0, 1, 0, 0, 4, 0, 40)),
+            (poly.permute_facets((6, 5, 4, 3, 2, 1, 0)), identity, (40, 0, 4, 0, 0, 1, 0)),
+            (poly.permute_facets((5, 6, 0, 1, 2, 3, 4)), (0, 1, 4, 5, 6, 2, 3), (0, 40, 0, 0, 4, 0, 1)),
+            (poly.apply_lattice_map(T), identity, (0, 1, 0, 0, 4, 0, 40)),
+        )
+        for moved, order, kappa in cases:
+            cert = _recognize_121(moved)
+            assert cert.facet_order == order
+            assert cert.params == Bundle121Spec((0, 0, 0), 0, kappa)
+            assert cert.fiber == order[:2] and cert.base == order[2:]
+            assert certificate_holds(moved, cert)
 
 
 def test_face_slice_takes_face_or_index_set():
@@ -571,6 +599,18 @@ class TestClassify4d:
         assert is_inessential(poly, H) is None
         res = classify4d(poly, H)
         assert res.type == "b" and res.terminal_inessential is not None
+
+    def test_unclassified_without_bundle_recognizers(self, monkeypatch):
+        monkeypatch.setattr(recognize, "_BUNDLE_RECOGNIZERS", ())
+        poly = minimal_family_a3(7)
+        H = first_essential(poly)
+        symmetric = mass_linear_test(poly, H).symmetric
+        face = next(pq for pq in itertools.combinations(sorted(symmetric), 2) if poly.face(set(pq)) is not None)
+        for length, start in enumerate((poly, blowup(poly, face))):
+            res = classify4d(start, H)
+            assert res.type == "unclassified" and len(res.trace) == length
+            assert res.detail.endswith("the functional is essential there")
+            assert res.terminal == poly and res.certificate is None
 
     def test_dimension_checked(self):
         with pytest.raises(ValueError, match="4-dimensional"):
