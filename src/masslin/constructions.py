@@ -44,7 +44,7 @@ from .linalg import (
 from .masslinear import equivalence_classes
 from .measure import volume_poly
 from .poly import MultiPoly
-from .polytope import HPolytope
+from .polytope import HPolytope, _integral_points, _scaled_support
 
 
 def _built(data, labels: tuple[str, ...], check) -> HPolytope:
@@ -430,17 +430,19 @@ def _blowup(poly: HPolytope, face_indices, eps, at: int, label: str) -> HPolytop
     names = ", ".join(poly.labels[i] for i in I)
     if len(I) < 2:
         raise PolytopeError("blowup needs a face of codimension at least 2")
-    f = poly.face(I)
-    if f is None:
+    # on a simple polytope, facets meet exactly when a vertex lies on all
+    if not any(active.issuperset(I) for active in poly._edges):
         raise PolytopeError(f"facets {names} do not meet in a face")
     eta0 = tuple(sum(poly.conormals[i][j] for i in I) for j in range(poly.dim))
     if primitive(eta0) != eta0:
         raise StructuralInconsistency("conormal sum over a smooth face is primitive")
     ksum = sum((poly.support[i] for i in I), Fraction(0))
-    on_face = set(f.vertex_ids)
-    # ksum - <eta0, v> over the vertices off the face, in integers over D
-    D, rows = scaled([(ksum, *v.point) for w, v in enumerate(poly.vertices) if w not in on_face])
-    slack = Fraction(min(k - sum(map(mul, eta0, p)) for k, *p in rows), D)
+    # ksum - <eta0, v> over the vertices off the face, in integers over L
+    # (every d is 1), in the frame that the derived build reads them in
+    L, K = _scaled_support(poly)
+    kI = sum(K[i] for i in I)
+    slack = Fraction(min(kI - sum(map(mul, eta0, y)) for active, y in _integral_points(poly).items()
+                         if not active.issuperset(I)), L)
     if eps is None:
         eps = slack / 2
     eps = frac(eps)
@@ -454,6 +456,7 @@ def _blowup(poly: HPolytope, face_indices, eps, at: int, label: str) -> HPolytop
         poly.support[:at] + (ksum - eps,) + poly.support[at:],
         poly.labels[:at] + (label,) + poly.labels[at:],
         poly.name,
+        poly,
     )
     if not out.is_smooth():
         raise StructuralInconsistency("blowup of a smooth polytope must be smooth")
@@ -464,7 +467,8 @@ def _blowup(poly: HPolytope, face_indices, eps, at: int, label: str) -> HPolytop
 class BlowdownReport:
     """Outcome of a blowdown attempt.
 
-    ok=True: polytope is the relaxed polytope (facet removed, labels kept),
+    ok=True: polytope is the relaxed polytope (facet removed, labels kept,
+    derived from the input by the local update of ``polytope``),
     index_set the recovered fiber facets in the input's indexing, epsilon
     the cut depth, alternatives any other index sets that also satisfy
     every condition.  Blowing polytope up along index_set (shifted past
@@ -519,6 +523,7 @@ def _drop_facet(poly: HPolytope, e: int) -> HPolytope:
         tuple(poly.support[i] for i in keep),
         tuple(poly.labels[i] for i in keep),
         poly.name,
+        poly,
     )
 
 
@@ -526,9 +531,11 @@ def blowdown(poly: HPolytope, facet: int = 0) -> BlowdownReport:
     """Try to undo a blowup whose exceptional facet is the given one.
 
     Candidate fiber sets come from the facet's bundle structures and must
-    sum to its conormal; the facet is dropped once, the only build, and a
-    candidate holds when every vertex the drop creates lies on its face,
-    which makes it an exact inverse of blowup.  Failure is an outcome.
+    sum to its conormal; the facet is dropped once, the only build, which
+    takes the relaxed polytope's vertices from the input's by the local
+    update of ``polytope``, and a candidate holds when every vertex the
+    drop creates lies on its face, which makes it an exact inverse of
+    blowup.  Failure is an outcome.
     """
     if not poly.is_smooth():
         raise PolytopeError("blowdown requires a smooth polytope")
@@ -573,15 +580,13 @@ def blowdown(poly: HPolytope, facet: int = 0) -> BlowdownReport:
         return BlowdownReport(ok=False, failed_condition="face pattern", detail=detail)
     valid: list[tuple[tuple[int, ...], Fraction]] = []
     first_detail = ""
-    # the vertices the drop creates, those of bar beyond facet e, in
-    # integers over one common denominator with poly's support numbers
-    _, (K, *rows) = scaled([poly.support, *(v.point for v in bar_vertices)])
-    created = [(v, p) for v, p in zip(bar_vertices, rows) if sum(map(mul, eta_e, p)) > K[e]]
+    # the vertices the drop creates are those of bar whose basis, in poly's
+    # indexing, is no vertex basis of poly; bar is simple, so a vertex lies
+    # on a facet exactly when the facet is in its basis
+    created = [(v, frozenset([i + (i >= e) for i in v.basis])) for v in bar_vertices]
+    created = [(v, basis) for v, basis in created if basis not in poly._edges]
     for I in summed:
-        escaped = next(
-            (v for v, p in created if any(sum(map(mul, poly.conormals[i], p)) != K[i] for i in I)),
-            None,
-        )
+        escaped = next((v for v, basis in created if not basis.issuperset(I)), None)
         if escaped is not None:
             if not first_detail:
                 culprits = ", ".join(

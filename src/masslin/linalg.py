@@ -50,10 +50,12 @@ def vec_sub(u: Sequence, v: Sequence) -> Vec:
 def int_vec(v: Sequence) -> IntVec:
     out = []
     for e in v:
-        f = frac(e)
-        if f.denominator != 1:
-            raise ValueError(f"expected integer entries, got {e}")
-        out.append(f.numerator)
+        if type(e) is not int:
+            f = frac(e)
+            if f.denominator != 1:
+                raise ValueError(f"expected integer entries, got {e}")
+            e = f.numerator
+        out.append(e)
     return tuple(out)
 
 

@@ -6,17 +6,17 @@ numbers kappa_i.  Construction validates that the data defines a bounded,
 nonempty, full-dimensional polytope in which every half-space contributes
 a genuine facet; redundant half-spaces are an error, not silently dropped.
 
-Vertex enumeration is an exhaustive scan over all C(N, n) n-element
-facet subsets, an O(C(N, n)) bound that is perfectly fine at this
-package's scale (n <= 4, N <= 14 or so).  No subset is solved on its
-own.  The signed maximal minors of the conormal matrix (``_minor_rows``)
-give the rank, the recession rays and, by Cramer's rule (``_subsets``),
-each n-subset's determinant, slacks and basic point.  Each point keeps
-the determinant and the edges of its first feasible subset: they are the
-vertex cones of ``measure`` and decide ``is_smooth``.  A vertex on
-exactly n facets settles the full-dimension check and the hyperplane
-checks of its facets, so the affine rank is computed only where no such
-vertex does.
+Vertex enumeration from facet data is an exhaustive scan over all
+C(N, n) n-element facet subsets, an O(C(N, n)) bound that is perfectly
+fine at this package's scale (n <= 4, N <= 14 or so).  No subset is
+solved on its own.  The signed maximal minors of the conormal matrix
+(``_minor_rows``) give the rank, the recession rays and, by Cramer's
+rule (``_subsets``), each n-subset's determinant, slacks and basic
+point.  Each point keeps the determinant and the edges of its first
+feasible subset: they are the vertex cones of ``measure`` and decide
+``is_smooth``.  A vertex on exactly n facets settles the full-dimension
+check and the hyperplane checks of its facets, so the affine rank is
+computed only where no such vertex does.
 
 Each facet-indexed row of the scan is one Python int, sum_i v_i 2^(B i)
 (``_Packing``).  Packing is linear, so a row of minors costs n
@@ -29,6 +29,32 @@ the product of the n largest |eta_i|^2, in absolute value; a slack, an
 (n+1) x (n+1) determinant bordered by the integer support numbers K,
 expanded along K, is at most (n+1) max|K| H.
 
+The scan is for polytopes built from facet data alone, such as parsed
+documents.  A polytope derived from a parent whose half-spaces are its
+own with one inserted (a blowup, a replayed stage) or one dropped (the
+relaxed polytope of a blowdown) takes the parent as the private
+``_parent`` argument and gets its points and edges by a local update
+(``_derived_points``), in one integer frame with the parent's points
+(``_integral_points``).  A vertex cone depends only on its basis
+facets, so a parent vertex that the change leaves a vertex keeps its
+point, d and edges, its facet indices shifted; that is every vertex
+strictly inside an inserted half-space, and every vertex off a dropped
+facet.  The new vertices come from pivots, as in the simplex method, on
+the lines of the parent's edges: where an inserted facet crosses an edge
+of a vertex it cuts off, and, past a dropped facet, where the line of an
+edge that leaves it first meets another facet.  Every edge of a new
+vertex then gets a ratio test, whose landing, if not yet listed, is
+pivoted to and walked in turn.  Each new vertex is checked, in
+integers, to lie on its basis facets, to be feasible and to be simple,
+and each edge it walks to leave exactly its own facet.  An edge between
+two kept vertices lies in the parent, so inside an inserted half-space
+that holds at both ends, and needs no test.  The listed vertices are
+then closed under edges, and as the graph of a polytope is connected
+(Balinski 1961), they are all of them.  Wherever the update meets a
+vertex on an inserted hyperplane, a point on more than n facets or an
+unbounded edge, it leaves the build to the scan, so every error is the
+scan's.  The child keeps no reference to its parent.
+
 Construction keeps the basic points and their edges (``_basic``,
 ``_edges``), which it validates against.  Everything else a polytope
 derives, its vertices and face lattice included, goes through
@@ -38,7 +64,7 @@ store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cache, wraps
 from itertools import combinations
@@ -275,6 +301,164 @@ def _basic_points(
     return points, edges
 
 
+class _Degenerate(Exception):
+    """The local update met a vertex that is not simple or an unbounded
+    edge: the scan decides."""
+
+
+def _pivot(B, y, d, W, r, k, S, a):
+    """The basic solution where facet k enters basis B (sorted facets;
+    y / (d L) its point, W its edges) on the line of edge r, the facet
+    B[r] leaving: (B', y', d', W') in the same terms, B' sorted.  S is the
+    slack of facet k at B scaled by d L, and a[j] = <eta_k, W[j]>.  With
+    d' = |a_r| and s its sign, the edge that leaves k is -s W[r] and the
+    one that leaves B[j] is s (a_r W[j] - a_j W[r]) / d, both exact."""
+    ar = a[r]
+    sign, wr = (1 if ar > 0 else -1), W[r]
+    y2 = []
+    for yc, wc in zip(y, wr):
+        # y' / (d' L) = y / (d L) + S wr / (d L a_r)
+        q, rem = divmod(sign * (ar * yc + S * wc), d)
+        if rem:
+            raise StructuralInconsistency("a pivot must land on a point of its basis lattice")
+        y2.append(q)
+    pairs = sorted(
+        (k, tuple([-sign * x for x in wr])) if j == r
+        else (f, tuple([sign * (ar * x - aj * z) // d for x, z in zip(w, wr)]))
+        for j, (f, w, aj) in enumerate(zip(B, W, a))
+    )
+    return tuple(f for f, _ in pairs), tuple(y2), abs(ar), tuple(w for _, w in pairs)
+
+
+def _derived_points(
+    parent: HPolytope, conormals: Sequence[IntVec], support: Sequence[Fraction], n: int
+) -> tuple[dict[Vec, frozenset[int]], dict[frozenset[int], Edges]] | None:
+    """``_basic_points`` of a polytope whose half-spaces are parent's with
+    one inserted or one dropped, by the local update of the module
+    docstring; None where the update meets anything but simple, bounded
+    vertices, so that the scan decides.  The dicts come in the scan's
+    order, lexicographic in the sorted bases."""
+    old = tuple(zip(parent.conormals, parent.support))
+    new = tuple(zip(conormals, support))
+    inserted = len(new) == len(old) + 1
+    short, long = (old, new) if inserted else (new, old)
+    at = next((i for i, pair in enumerate(short) if pair != long[i]), len(short))
+    if len(long) != len(short) + 1 or short[at:] != long[at + 1 :]:
+        raise StructuralInconsistency("a derived polytope must differ from its parent in one facet")
+    if not parent.is_simple():
+        return None
+    # One frame for both: a basic point with |det A_B| = d is y / (d L), y
+    # integral, with slacks d K - <eta, y> over d L.  The fields of the
+    # packed slack and pairing rows are those of the scan of the longer
+    # system, so ``_field_width`` of that system bounds them.
+    L, (K,) = scaled([[k for _, k in long]])
+    N = len(conormals)
+    packing = _Packing(_field_width([eta for eta, _ in long], K, n), N, 0)
+    eta_x, K_x = long[at][0], K[at]
+    if not inserted:
+        del K[at]
+    cols = [packing.pack(col) for col in zip(*conormals)]
+    Kp, fields = packing.pack(K), packing.fields
+
+    def slacks(y, d):
+        return fields(d * Kp - sum(map(mul, y, cols)), 0, N)
+
+    def pairings(w):
+        return fields(sum(map(mul, w, cols)), 0, N)
+
+    shift = [i + (i >= at) if inserted else i - (i > at) for i in range(len(old))]
+    up = L // _scaled_support(parent)[0]  # 1 for a drop: the longer system is parent's
+    rows: dict[frozenset[int], tuple] = {}  # every listed vertex: basis -> (point, d, W)
+    found: list[tuple] = []  # the new ones, to walk: (B, y, d, W, S)
+
+    def admit(B, y, d, W, seed=False):
+        """List the basic point y / (d L) of the sorted basis B, after the
+        checks that it lies on B and is feasible and simple; an infeasible
+        seed of an insertion is no vertex and is left out."""
+        S = slacks(y, d)
+        if any([S[f] for f in B]):
+            raise StructuralInconsistency("a derived vertex must lie on its basis facets")
+        if min(S) < 0:
+            if seed:
+                return
+            raise StructuralInconsistency("a ratio test must land on a feasible point")
+        if S.count(0) > n:
+            raise _Degenerate
+        rows[frozenset(B)] = tuple([Fraction(c, d * L) for c in y]), d, W
+        found.append((B, y, d, W, S))
+
+    frames = _integral_points(parent)
+    try:
+        for point, active in parent._basic.items():
+            d, W = parent._edges[active]
+            if inserted:
+                y = frames[active]
+                S = K_x * d - up * sum(map(mul, eta_x, y))
+                if S > 0:
+                    rows[frozenset([shift[i] for i in active])] = point, d, W
+                    continue
+                if not S:
+                    raise _Degenerate
+                # a cut vertex: the new facet enters along each edge toward it
+                B = [shift[i] for i in sorted(active)]
+                y = [c * up for c in y]
+                a = [sum(map(mul, eta_x, w)) for w in W]
+                for r, ar in enumerate(a):
+                    if ar < 0:
+                        admit(*_pivot(B, y, d, W, r, at, S, a), seed=True)
+            elif at not in active:
+                rows[frozenset([shift[i] for i in active])] = point, d, W
+            else:
+                # past the dropped facet, on the line of the edge leaving it,
+                # the first facet met enters in its place B[r]
+                Bp = sorted(active)
+                r = Bp.index(at)
+                y = frames[active]
+                S = slacks(y, d)
+                k = _ratio_test(S, [-a for a in pairings(W[r])])
+                B = [shift[i] for i in Bp]
+                if frozenset([*B[:r], *B[r + 1 :], k]) not in rows:
+                    a = [sum(map(mul, conormals[k], w)) for w in W]
+                    admit(*_pivot(B, y, d, W, r, k, S[k], a))
+        # closure: every edge of a new vertex lands on a listed vertex; an
+        # edge between two vertices is tested from one end
+        tested = set()
+        for B, y, d, W, S in found:
+            key = frozenset(B)
+            for t, w in enumerate(W):
+                if (key, B[t]) in tested:
+                    continue
+                A = pairings(w)
+                if [A[f] for f in B] != [-d if j == t else 0 for j in range(n)]:
+                    raise StructuralInconsistency("a derived edge must leave exactly its own facet")
+                k = _ratio_test(S, A)
+                landing = frozenset([*B[:t], *B[t + 1 :], k])
+                if landing not in rows:
+                    a = [sum(map(mul, conormals[k], v)) for v in W]
+                    admit(*_pivot(B, y, d, W, t, k, S[k], a))
+                tested.add((landing, k))
+    except _Degenerate:
+        return None
+    if not rows:
+        return None
+    order = sorted(rows, key=sorted)
+    return {rows[B][0]: B for B in order}, {B: rows[B][1:] for B in order}
+
+
+def _ratio_test(S: Sequence[int], A: Sequence[int]) -> int:
+    """The facet k that a move along an edge meets first: the least S_k /
+    A_k over A_k > 0, exact by cross-multiplying, the first of a tie (whose
+    point, on more than n facets, ``admit`` rejects); raises
+    ``_Degenerate`` on an unbounded edge."""
+    best = None
+    for k, a in enumerate(A):
+        if a > 0 and (best is None or S[k] * A[best] < S[best] * a):
+            best = k
+    if best is None:
+        raise _Degenerate
+    return best
+
+
 def _affine_rank(points: Sequence[Vec]) -> int:
     """Dimension of the affine span of rational points, as the integer
     rank of their homogeneous coordinates (D p, D) minus one, D the lcm
@@ -319,8 +503,9 @@ class HPolytope:
     support: tuple[Fraction, ...]
     labels: tuple[str, ...] = ()
     name: str | None = None
+    _parent: InitVar[HPolytope | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _parent=None):
         n = self.dim
         if n < 1:
             raise PolytopeError("dimension must be at least 1")
@@ -350,7 +535,8 @@ class HPolytope:
         object.__setattr__(self, "conormals", conormals)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "labels", labels)
-        pts, edges = _basic_points(conormals, support, n)
+        derived = None if _parent is None else _derived_points(_parent, conormals, support, n)
+        pts, edges = derived or _basic_points(conormals, support, n)
         full, spans = _facet_spans(pts, len(conormals), n)
         if not full:
             raise PolytopeError("polytope is not full-dimensional")
@@ -553,6 +739,20 @@ class HPolytope:
     def __repr__(self):
         nm = f" {self.name!r}" if self.name else ""
         return f"<HPolytope{nm} dim={self.dim} facets={self.n_facets}>"
+
+
+@memoize
+def _integral_points(poly: HPolytope) -> dict[frozenset[int], list[int]]:
+    """Each basic point times d L, keyed by its active set: d its |det A_J|
+    and L the lcm of the support denominators."""
+    L, _ = _scaled_support(poly)
+    out = {}
+    for point, active in poly._basic.items():
+        m = poly._edges[active][0] * L
+        if any([m % x.denominator for x in point]):
+            raise StructuralInconsistency("a basic point must have denominators dividing d L")
+        out[active] = [x.numerator * (m // x.denominator) for x in point]
+    return out
 
 
 @memoize

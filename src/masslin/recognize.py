@@ -450,7 +450,7 @@ def _recognize_121(poly: HPolytope) -> RecognitionCertificate | None:
                 continue
             images = _mapped(poly, S)[0]
             v4, v6 = images[f4], images[f6]
-            if images[t0] != (1, 0, 0, 0) or v4[1:] != (1, 1, 0) or v4[0] < 0 or v6[3] != 1:
+            if v4[1:] != (1, 1, 0) or v4[0] < 0 or v6[3] != 1:
                 continue
             order = (t0, t1, f2, f3, f4, f5, f6)
             spec = Bundle121Spec(v6[:3], v4[0], tuple(poly.support[x] for x in order))

@@ -259,9 +259,13 @@ class TestPipeline:
     def test_blowdown_failure_is_domain_error(self, capsys, bar_file):
         code, out, _ = run(capsys, "blowdown", str(bar_file), "--facet", "F1")
         assert code == 2
-        err = json.loads(out)["error"]
-        assert err["type"] == "BlowdownNotPossible"
-        assert err["failed_condition"] == "conormal sum"
+        assert json.loads(out) == {"error": {
+            "type": "BlowdownNotPossible",
+            "message": "facet F1 does not blow down: no fiber set of facet F1 has conormals "
+                       "summing to its conormal",
+            "failed_condition": "conormal sum",
+            "alternatives": [],
+        }}
 
     def test_unknown_facet_label(self, capsys, bar_file):
         code, out, _ = run(capsys, "blowup", str(bar_file), "--face", "F9,G1")

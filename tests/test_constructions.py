@@ -514,21 +514,32 @@ class TestBlowdown:
         rep = blowdown(ambiguous_example(2), 0)
         assert not rep.ok
         assert rep.failed_condition == "face pattern"
+        assert rep.detail == (
+            "relaxing facet F1 fails: vertex (Fraction(0, 1), Fraction(0, 1), "
+            "Fraction(2, 1)) lies on 4 facets"
+        )
         assert rep.polytope is None
 
     def test_equivalent_facets_never_blow_down(self):
         Y = yk(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
         # every facet sits in a two-element equivalence class here
         for i in range(Y.n_facets):
-            assert not blowdown(Y, i).ok
+            rep = blowdown(Y, i)
+            assert not rep.ok and rep.failed_condition == "conormal sum"
+            assert rep.detail == (
+                f"no fiber set of facet {Y.labels[i]} has conormals summing to its conormal"
+            )
 
     def test_box_facet_fails_conormal_sum(self):
         box = product(simplex(1), simplex(1))
         rep = blowdown(box, 0)
         assert not rep.ok and rep.failed_condition == "conormal sum"
+        assert rep.detail == "no fiber set of facet F1 has conormals summing to its conormal"
 
     def test_simplex_facet_fails(self):
-        assert not blowdown(simplex(3), 0).ok
+        rep = blowdown(simplex(3), 0)
+        assert not rep.ok and rep.failed_condition == "conormal sum"
+        assert rep.detail == "no fiber set of facet F1 has conormals summing to its conormal"
 
     def test_polygon_blowdown_to_trapezoid(self):
         p = _corner_cut_polygon(5)

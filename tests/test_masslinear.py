@@ -946,3 +946,44 @@ class TestOptimizedMode:
             "raised: H must equal sum of gamma_i times conormals",
             "raised: no constant term allowed",
         ]
+
+    def test_derived_build_checks_survive_dash_O(self):
+        # a blowup and a blowdown derived from a parent with a corrupted
+        # edge on the changed face: the walk's integer checks must raise
+        script = textwrap.dedent("""
+            from masslin.constructions import blowdown, blowup, simplex
+            from masslin.errors import StructuralInconsistency
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+
+            def corrupt(poly, leaving, other):
+                # at each vertex on both facets, add the edge that leaves
+                # other to the one that leaves leaving
+                for active, (d, w) in poly._edges.items():
+                    if {leaving, other} <= active:
+                        B, w = sorted(active), list(w)
+                        w[B.index(leaving)] = tuple(map(sum, zip(w[B.index(leaving)], w[B.index(other)])))
+                        poly._edges[active] = d, tuple(w)
+                return poly
+
+            for derive in (lambda: blowup(corrupt(simplex(3), 1, 2), (1, 2)),
+                           lambda: blowdown(corrupt(blowup(simplex(3), (1, 2)), 0, 1), 0)):
+                try:
+                    derive()
+                except StructuralInconsistency as exc:
+                    print("raised:", exc)
+        """)
+        src = str(Path(masslin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "raised: a derived vertex must lie on its basis facets",
+            "raised: a derived edge must leave exactly its own facet",
+        ]

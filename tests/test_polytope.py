@@ -1,14 +1,16 @@
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, seed, settings
+from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import _polytope_ref
@@ -16,7 +18,7 @@ from _polytope_ref import from_halfspaces_pruned
 from _linalg_ref import solve_linear
 from _suite import suite_polytopes
 import masslin
-from masslin import linalg, polytope
+from masslin import constructions, linalg, polytope, recognize
 from masslin.errors import NotSimpleError, PolytopeError
 from masslin.linalg import dot, primitive, scaled, vec_sub
 from masslin.polytope import HPolytope
@@ -385,6 +387,107 @@ def test_chamber_radius_matches_minor_table_on_suite():
     for sp in suite_polytopes():
         if sp.poly.is_smooth():
             assert sp.poly.chamber_radius() == (_polytope_ref.chamber_delta(sp.poly),) * sp.poly.n_facets, sp.name
+
+
+# --- derived builds ---------------------------------------------------------
+
+
+def _changed(parent, at, halfspace=None):
+    """parent's conormals and support numbers with the half-space
+    inserted at position at, or with facet at dropped."""
+    facets = list(zip(parent.conormals, parent.support))
+    if halfspace is None:
+        del facets[at]
+    else:
+        facets.insert(at, halfspace)
+    return tuple(zip(*facets))
+
+
+def _derived(parent, at, halfspace=None):
+    """The polytope of ``_changed`` built from parent, or what it raises."""
+    try:
+        return HPolytope(parent.dim, *_changed(parent, at, halfspace), (), None, parent)
+    except PolytopeError as exc:
+        return type(exc), str(exc)
+
+
+class TestDerivedBuild:
+    """A polytope that shares all facets but one with a parent, as a
+    blowup, a blowdown's relaxed polytope or a replayed stage does, takes
+    its vertices and edges from the parent by the local update;
+    ``scan_checked`` holds each such build to the scan of its facet data,
+    and each blowdown report to the one that the scan alone gives."""
+
+    def test_suite_blowups_and_blowdowns_match_the_oracle(self, scan_checked):
+        suite = suite_polytopes.__wrapped__()  # built afresh under the check
+        for sp in suite:
+            poly = sp.poly
+            if not poly.is_smooth():
+                continue
+            for e in range(poly.n_facets):
+                constructions.blowdown(poly, e)
+            for codim in range(2, poly.dim + 1):
+                face = min(tuple(sorted(f)) for f in poly.face_lattice if len(f) == codim)
+                constructions.blowup(poly, face)
+        for poly in scan_checked:
+            points, edges = _polytope_ref.table_basic_points(poly.conormals, poly.support, poly.dim)
+            assert (list(poly._basic.items()), list(poly._edges.items())) == (
+                list(points.items()), list(edges.items()))
+        assert len(scan_checked) > 150
+
+    def test_deferred_builds_raise_as_the_scan(self, scan_checked):
+        square = unit_square()
+        cases = [
+            (simplex2(), 2, None),  # unbounded
+            (square, 4, ((1, 1), 1)),  # a cut through two vertices
+            (square, 0, ((1, 1), -1)),  # everything cut
+        ]
+        for parent, at, halfspace in cases:
+            assert polytope._derived_points(parent, *_changed(parent, at, halfspace), parent.dim) is None
+            assert isinstance(_derived(parent, at, halfspace), tuple)
+        # a drop that leaves a vertex on four facets: the scan keeps it
+        relaxed = _derived(HPolytope(
+            3, ((0, 0, 1), (0, 0, -1), (0, -1, 0), (0, 1, 1), (-1, 0, 0), (1, 0, 1)),
+            (1, 0, 0, 2, 0, 2)), 0)
+        assert not relaxed.is_simple()
+        # a half-space that cuts nothing is a redundant facet either way
+        assert polytope._derived_points(square, *_changed(square, 2, ((1, 1), 5)), 2) is not None
+        assert _derived(square, 2, ((1, 1), 5)) == (PolytopeError, "facet F3 is redundant (empty)")
+        assert scan_checked == [relaxed]
+
+    @seed(33)
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_random_updates_match_the_scan(self, scan_checked, data):
+        """Half-spaces with conormal entries in -2..2 and support numbers
+        in -1..2n (denominators up to 3) inserted into the cube [0, 2]^n,
+        n = 1..4, one after another, each into the last polytope that
+        built; then facets dropped: cuts through vertices, cuts of
+        everything or of nothing, unbounded and non-simple results."""
+        n = data.draw(st.integers(1, 4))
+        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        poly = HPolytope(n, [v for e in unit for v in (tuple(-x for x in e), e)], [0, 2] * n)
+        conormal = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any).map(primitive)
+        for _ in range(data.draw(st.integers(1, 3))):
+            halfspace = (data.draw(conormal), data.draw(st.fractions(-1, 2 * n, max_denominator=3)))
+            built = _derived(poly, data.draw(st.integers(0, poly.n_facets)), halfspace)
+            poly = built if isinstance(built, HPolytope) else poly
+        for _ in range(2):
+            built = _derived(poly, data.draw(st.integers(0, poly.n_facets - 1)))
+            poly = built if isinstance(built, HPolytope) else poly
+
+    def test_no_derived_polytope_keeps_its_parent(self):
+        parent = simplex_bundle_3110()
+        blown = constructions.blowup(parent, (1, 3, 4))
+        rep = constructions.blowdown(blown, 0)
+        face = tuple(x - 1 for x in rep.index_set)
+        step = recognize.BlowdownStep(0, "E1", rep.index_set, rep.epsilon, "other", face)
+        replayed = recognize.replay_trace(rep.polytope, [step])
+        assert replayed == blown and replayed.labels == blown.labels
+        refs = [weakref.ref(poly) for poly in (parent, blown, rep.polytope)]
+        del parent, blown, rep
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 3
 
 
 def test_narrow_fields_raise_under_dash_O():

@@ -789,8 +789,9 @@ class TestKleinschmidtSweep:
     while the type depends on the facet order
     (``test_facet_order_with_blowdowns``)."""
 
-    def test_seeded_sweep(self):
+    def test_seeded_sweep(self, scan_checked):
         seen = self.sweep(2011)
+        assert scan_checked
         # every outcome but a3 and unclassified shows up, blowdowns included
         assert {"not mass linear", "zero", "inessential", "a1", "a2", "b"} <= {t for t, _ in seen}
         assert seen[("a1", 1)] and seen[("b", 1)]
@@ -859,14 +860,19 @@ class TestFamilySweep:
     functionals drawn from its basis, and a double expansion also its expanded-pair
     functional, blown up as ``essential_blowup_planner`` plans where it
     can.  Every mass linear pair is also blown up along a face cut out by
-    facets symmetric for H.  Each pair is moved and checked as in
+    facets symmetric for H: an inessential pair along one such face, an
+    essential pair along one of each codimension 2, 3 and 4 and twice and
+    three times in a row.  Each pair is moved and checked as in
     ``TestKleinschmidtSweep``, with no facet reordering."""
 
     TWISTS = ((0, 0), (1, -1), (1, 0), (0, 1), (-1, 1), (2, -2))
 
-    def test_seeded_sweep(self):
+    def test_seeded_sweep(self, scan_checked):
         seen, skipped, built = self.sweep(29)
+        assert scan_checked
         assert {"a2", "a3", "b"} <= {t for t, _ in seen}
+        # replays of one, two and three blowdowns
+        assert {1, 2, 3} <= {length for _, length in seen}
         # parameter points a constructor rejects with PolytopeError are
         # skipped, and only a few of them
         assert skipped <= built // 10, (skipped, built)
@@ -898,6 +904,14 @@ class TestFamilySweep:
                 skipped += 1
         return bases, skipped
 
+    @staticmethod
+    def _symmetric_faces(poly, H) -> list[list[int]]:
+        """The faces of dimension at most 2 cut out by facets symmetric for
+        H, by sorted index set; none when H is not mass linear."""
+        report = mass_linear_test(poly, H)
+        return sorted(sorted(f.index_set) for f in poly.face_lattice.values()
+                      if report.verdict and f.dimension <= 2 and report.symmetric.issuperset(f.index_set))
+
     @classmethod
     def sweep(cls, seed) -> tuple[Counter, int, int]:
         """The drawn pairs counted by (type, trace length) as in
@@ -914,11 +928,24 @@ class TestFamilySweep:
                 Hs.append(tuple(sum((a * h[m] for a, h in zip(c, basis)), Fr(0)) for m in range(4)))
             inputs = [(base, H) for H in Hs]
             for H in Hs:
-                report = mass_linear_test(base, H)
-                faces = sorted(sorted(f.index_set) for f in base.face_lattice.values()
-                               if f.dimension <= 2 and report.symmetric.issuperset(f.index_set))
-                if report.verdict and faces:
+                faces = cls._symmetric_faces(base, H)
+                if not faces:
+                    continue
+                if is_inessential(base, H) is not None:
                     inputs.append((blowup(base, rng.choice(faces)), H))
+                    continue
+                # an essential pair: one blowup per face codimension, and
+                # chains of two and three blowups
+                for codim in (2, 3, 4):
+                    if drawn := [I for I in faces if len(I) == codim]:
+                        inputs.append((blowup(base, rng.choice(drawn)), H))
+                poly = base
+                for length in (1, 2, 3):
+                    if not (faces := cls._symmetric_faces(poly, H)):
+                        break
+                    poly = blowup(poly, rng.choice(faces))
+                    if length > 1:
+                        inputs.append((poly, H))
             if expanded and (plan := essential_blowup_planner(base, Hs[0])).feasible:
                 poly = base
                 for I, eps in plan.steps:
