@@ -490,29 +490,19 @@ class BlowdownReport:
 
 def _facet_fiber_structure(poly: HPolytope, e: int, I: Sequence[int]) -> bool:
     """Does facet e carry a simplex-bundle structure with fiber facets
-    {F_i cap F_e : i in I}?  Purely combinatorial plus the conormal-sum
-    proportionality that any simplex fiber forces.  Each vertex of F_e
-    missing exactly one facet of I makes F_{I cup {e}} empty, and every
-    F_i missed by some vertex, as distinct facets never contain F_e."""
+    {F_i cap F_e : i in I}?  Yes when the conormal sum over I is
+    proportional to eta_e, as any simplex fiber forces, and every vertex
+    of F_e misses exactly one facet of I.  The product structure follows:
+    from a vertex w missing i, the edge of F_e leaving F_j (j in I - {i})
+    ends at a vertex that has lost j, so it gains i and keeps w's base
+    facets (those outside I and e).  So the base patterns agree across I,
+    and as a vertex is fixed by its basis, F_e has |I| vertices per
+    pattern."""
     s = tuple(sum(poly.conormals[i][j] for i in I) for j in range(poly.dim))
     if int_rank([s, poly.conormals[e]]) > 1:
         return False
     vertices = poly.vertices
-    bases = {w: vertices[w].basis for w in poly.face({e}).vertex_ids}
-    missing: dict[int, int] = {}
-    for w, basis in bases.items():
-        gone = [i for i in I if i not in basis]
-        if len(gone) != 1:
-            return False
-        missing[w] = gone[0]
-    neighbors = {j for basis in bases.values() for j in basis if j != e and j not in I}
-    patterns: dict[int, set[frozenset[int]]] = {i: set() for i in I}
-    for w, basis in bases.items():
-        patterns[missing[w]].add(basis & neighbors)
-    base_patterns = next(iter(patterns.values()))
-    if any(p != base_patterns for p in patterns.values()):
-        return False
-    return len(bases) == len(I) * len(base_patterns)
+    return all(sum(i not in vertices[w].basis for i in I) == 1 for w in poly.face({e}).vertex_ids)
 
 
 def _drop_facet(poly: HPolytope, e: int) -> HPolytope:
@@ -530,12 +520,14 @@ def _drop_facet(poly: HPolytope, e: int) -> HPolytope:
 def blowdown(poly: HPolytope, facet: int = 0) -> BlowdownReport:
     """Try to undo a blowup whose exceptional facet is the given one.
 
-    Candidate fiber sets come from the facet's bundle structures and must
-    sum to its conormal; the facet is dropped once, the only build, which
-    takes the relaxed polytope's vertices from the input's by the local
-    update of ``polytope``, and a candidate holds when every vertex the
-    drop creates lies on its face, which makes it an exact inverse of
-    blowup.  Failure is an outcome.
+    Candidate fiber sets I are the sets of 2..n neighbors over which the
+    facet is a simplex bundle (``_facet_fiber_structure``) and whose
+    conormals sum to its conormal.  The facet is dropped once, the only
+    build, which takes the relaxed polytope's vertices from the input's
+    by the local update of ``polytope``.  A candidate holds when every
+    vertex the drop creates lies on F_I, which makes it an exact inverse
+    of blowup.  Failure is an outcome; when no candidate holds, the
+    detail names a created vertex off the first candidate's F_I.
     """
     if not poly.is_smooth():
         raise PolytopeError("blowdown requires a smooth polytope")
@@ -578,25 +570,19 @@ def blowdown(poly: HPolytope, facet: int = 0) -> BlowdownReport:
     except PolytopeError as exc:
         detail = f"relaxing facet {poly.labels[e]} fails: {exc}"
         return BlowdownReport(ok=False, failed_condition="face pattern", detail=detail)
-    valid: list[tuple[tuple[int, ...], Fraction]] = []
-    first_detail = ""
     # the vertices the drop creates are those of bar whose basis, in poly's
     # indexing, is no vertex basis of poly; bar is simple, so a vertex lies
     # on a facet exactly when the facet is in its basis
     created = [(v, frozenset([i + (i >= e) for i in v.basis])) for v in bar_vertices]
     created = [(v, basis) for v, basis in created if basis not in poly._edges]
-    for I in summed:
-        escaped = next((v for v, basis in created if not basis.issuperset(I)), None)
-        if escaped is not None:
-            if not first_detail:
-                culprits = ", ".join(
-                    bar.labels[i] for i in sorted(escaped.basis)
-                )
-                first_detail = (
-                    f"new vertex {escaped.point} (on {culprits}) misses the "
-                    "blown-down face"
-                )
-            continue
+    escaped = [next((v for v, basis in created if not basis.issuperset(I)), None) for I in summed]
+    held = [I for I, v in zip(summed, escaped) if v is None]
+    if not held:
+        culprits = ", ".join(bar.labels[i] for i in sorted(escaped[0].basis))
+        detail = f"new vertex {escaped[0].point} (on {culprits}) misses the blown-down face"
+        return BlowdownReport(ok=False, failed_condition="face pattern", detail=detail)
+    valid: list[tuple[tuple[int, ...], Fraction]] = []
+    for I in held:
         eps = sum((poly.support[i] for i in I), Fraction(0)) - poly.support[e]
         if eps <= 0:
             raise StructuralInconsistency("a genuine facet forces positive depth")
@@ -609,12 +595,6 @@ def blowdown(poly: HPolytope, facet: int = 0) -> BlowdownReport:
         # vertex of bar off F_I with <eta_e, v> = kappa_e would make poly
         # non-simple
         valid.append((tuple(I), eps))
-    if not valid:
-        return BlowdownReport(
-            ok=False,
-            failed_condition="face pattern",
-            detail=first_detail or "removing the facet changes distant incidences",
-        )
     (I0, eps0) = valid[0]
     return BlowdownReport(
         ok=True,

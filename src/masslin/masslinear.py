@@ -290,7 +290,11 @@ def _gamma(poly: HPolytope, H) -> Vec | None:
     D, G = fit
     if sum(G) != 0:
         raise StructuralInconsistency("coefficient sum must vanish")
-    if not _pairs_linearly(poly, Hi, G, D):
+    # <H, center of mass> == gamma . kappa at the base kappa, the
+    # numerators cross-multiplied with those of K / e, L cancelling
+    ((a, q),) = _center_pairings(poly, Hi, (poly.dim,))
+    e, K = _scaled_support(poly)
+    if a * D * e != sum(map(mul, G, K)) * q:
         raise StructuralInconsistency("no constant term allowed")
     if any(sum(g * eta[c] for g, eta in zip(G, poly.conormals)) != h * D for c, h in enumerate(Hi)):
         raise StructuralInconsistency("H must equal sum of gamma_i times conormals")
@@ -302,16 +306,6 @@ def _integral(poly: HPolytope, H) -> tuple[int, IntVec]:
     n entries: the functional on integers, formed once per call."""
     L, (Hi,) = scaled([_functional(poly, H)])
     return L, tuple(Hi)
-
-
-def _pairs_linearly(poly: HPolytope, Hi: IntVec, C: IntVec, D: int) -> bool:
-    """<H, center of mass> == sum_i c_i kappa_i at the base kappa, for
-    H = Hi / L and c = C / (L D): the barycenter numerators P over Q
-    (``_slice_values``) and the support numbers K / e cross-multiplied,
-    L cancelling."""
-    at = _slice_values(poly, poly.dim)
-    e, K = _scaled_support(poly)
-    return sum(map(mul, Hi, at.center)) * D * e == sum(map(mul, C, K)) * at.center_den
 
 
 @memoize

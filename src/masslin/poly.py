@@ -4,6 +4,13 @@ A polynomial is stored as a sorted tuple of (exponent tuple, coefficient)
 terms with no zero coefficients, so equality and hashing are structural
 and `is_zero` is decidable by inspection.  Terms are kept in graded
 lexicographic order of the exponent tuples.
+
+The arithmetic is what the library uses: sums, differences and
+negations of polynomials in the same variables, products with a
+polynomial or a rational scalar (on either side), division by a nonzero
+scalar, evaluation (with the gradient) and partial derivatives.  A
+scalar sum or a power raises TypeError: use ``MultiPoly.constant`` and
+products.
 """
 
 from __future__ import annotations
@@ -96,26 +103,19 @@ class MultiPoly:
             raise ValueError("variable-count mismatch")
 
     def __add__(self, other):
-        if isinstance(other, MultiPoly):
-            self._check_compat(other)
-            d = dict(self.terms)
-            for m, c in other.terms:
-                d[m] = d.get(m, Fraction(0)) + c
-            return MultiPoly(self.nvars, _normalize(self.nvars, d))
-        return self + MultiPoly.constant(self.nvars, other)
-
-    __radd__ = __add__
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        self._check_compat(other)
+        d = dict(self.terms)
+        for m, c in other.terms:
+            d[m] = d.get(m, Fraction(0)) + c
+        return MultiPoly(self.nvars, _normalize(self.nvars, d))
 
     def __neg__(self):
         return MultiPoly(self.nvars, tuple((m, -c) for m, c in self.terms))
 
     def __sub__(self, other):
-        if isinstance(other, MultiPoly):
-            return self + (-other)
-        return self + MultiPoly.constant(self.nvars, -frac(other))
-
-    def __rsub__(self, other):
-        return (-self) + MultiPoly.constant(self.nvars, other)
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
@@ -136,14 +136,6 @@ class MultiPoly:
     def __truediv__(self, other):
         c = frac(other)
         return self * (Fraction(1) / c)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.constant(self.nvars, 1)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def eval(self, point: Sequence) -> Fraction:
         """The value at a point, by the integer pass of ``eval_gradient``."""

@@ -305,10 +305,9 @@ def _quotient_normalization(
         )
     if int_rank(core_rows) != m:
         return None
+    # killed is a basis of a rank-(n - m) kernel, so vsat has m rows
     killed = integer_kernel_basis(core_rows, n)
     vsat = integer_kernel_basis(killed, n)
-    if len(vsat) != m:
-        return None
     return _chart([*(tuple(-c for c in v) for v in vsat), *(poly.conormals[b] for b in b_roles)])
 
 

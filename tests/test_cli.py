@@ -15,8 +15,20 @@ from masslin.cli import (
     parse_frac,
     polytope_to_document,
 )
-from masslin.constructions import YkBundleSpec, blowup, bundle_Yk, simplex
+from masslin.constructions import (
+    Bundle121Spec,
+    D2PolygonBundleSpec,
+    YkBundleSpec,
+    blowup,
+    bundle_121,
+    bundle_D2_polygon,
+    bundle_Yk,
+    double_expansion,
+    minimal_family_a3,
+    simplex,
+)
 from masslin.errors import PolytopeError
+from masslin.polytope import HPolytope
 from masslin.recognize import classify4d
 
 
@@ -146,6 +158,36 @@ class TestConstruct:
         b.write_text(out)
         doc = run_json(capsys, "construct", "product", f"of={a},{b}")
         assert document_to_polytope(doc).dim == 3
+
+    @pytest.mark.parametrize(
+        "argv, build",
+        [
+            (
+                ("bundle-121", "a=1,2,3", "d=1", "kappa=0,1,0,0,4,0,40"),
+                lambda square: bundle_121(Bundle121Spec((1, 2, 3), 1, (0, 1, 0, 0, 4, 0, 40))),
+            ),
+            (
+                ("bundle-d2-polygon", "polygon={square}", "twists=0,0,0,0,1,-1,0,0", "kappa=0,0,1,0,0,3,3"),
+                lambda square: bundle_D2_polygon(
+                    D2PolygonBundleSpec(square, ((0, 0), (0, 0), (1, -1), (0, 0)), (0, 0, 1, 0, 0, 3, 3))
+                ),
+            ),
+            (
+                ("double-expansion", "core={square}", "j1=F1", "j2=2"),
+                lambda square: double_expansion(square, 0, 2),
+            ),
+            (("minimal-a3", "n=8"), lambda square: minimal_family_a3(8)),
+        ],
+        ids=["bundle-121", "bundle-d2-polygon", "double-expansion", "minimal-a3"],
+    )
+    def test_document_parses_back_to_the_builder(self, capsys, tmp_path, argv, build):
+        square = HPolytope(2, ((-1, 0), (0, -1), (1, 0), (0, 1)), (0, 0, 3, 3))
+        path = tmp_path / "square.polytope.json"
+        path.write_text(dumps(polytope_to_document(square)))
+        doc = run_json(capsys, "construct", *(a.format(square=path) for a in argv))
+        built = build(square)
+        back = document_to_polytope(doc)
+        assert back == built and back.labels == built.labels
 
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, err = run(capsys, "construct", "hypercube", "n=3")
@@ -362,6 +404,22 @@ class TestBatch:
         code1, out1, _ = run(capsys, "check", str(batch), "-H", "0,2,2,0")
         code2, out2, _ = run(capsys, "check", str(batch), "-H", "0,2,2,0", "--jobs", "2")
         assert (code1, out1) == (code2, out2)
+
+    def test_classify_directory(self, capsys, bar_file, tmp_path):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        _, out, _ = run(capsys, "blowup", str(bar_file), "--face", "F2,F4,G1")
+        (batch / "a.polytope.json").write_text(out)
+        _, out, _ = run(capsys, "blowup", str(batch / "a.polytope.json"), "--face", "E1,G1")
+        (batch / "b.polytope.json").write_text(out)
+        code1, out1, _ = run(capsys, "classify", str(batch), "-H", "0,2,2,0")
+        code2, out2, _ = run(capsys, "classify", str(batch), "-H", "0,2,2,0", "--jobs", "2")
+        assert code1 == 0 and (code1, out1) == (code2, out2)
+        doc = json.loads(out1)
+        assert doc["command"] == "classify-batch"
+        assert [r["file"] for r in doc["reports"]] == ["a.polytope.json", "b.polytope.json"]
+        assert [r["type"] for r in doc["reports"]] == ["b", "b"]
+        assert [len(r["trace"]) for r in doc["reports"]] == [1, 2]
 
     def test_batch_with_bad_file_exits_2(self, capsys, bar_file, tmp_path):
         batch = tmp_path / "batch"

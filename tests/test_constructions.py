@@ -1,6 +1,7 @@
 """Builders, expansions, blowups, blowdowns, and the closed-form
 coefficient spaces of the bundle families."""
 
+import itertools
 import re
 from fractions import Fraction as Fr
 
@@ -29,7 +30,7 @@ from masslin.constructions import (
     trapezoid,
     yk_structural_values,
 )
-from masslin.constructions import _121_data, _corner_cut_polygon
+from masslin.constructions import _121_data, _corner_cut_polygon, _facet_fiber_structure
 from masslin.errors import PolytopeError
 from masslin.linalg import dot, int_det, vec
 from masslin.masslinear import (
@@ -42,7 +43,9 @@ from masslin.masslinear import (
 )
 from masslin.polytope import HPolytope
 
+from _blowdown_ref import facet_fiber_structure, per_vertex
 from _linalg_ref import in_row_span
+from _suite import suite_polytopes
 
 
 def yk(k, a, kappa):
@@ -550,10 +553,59 @@ class TestBlowdown:
                   for i in rep.index_set}
         assert labels == {"e1", "e4"}
 
+    def test_all_candidates_escape(self):
+        # a roof ridge (F2, F3) between the end walls F4 and F5, cut flat by
+        # F1: both pairs are fiber sets of F1, but only F4 + F5 sums to its
+        # conormal (F2 + F3 is twice it), and the ridge's ends that the drop
+        # restores lie on F2 and F3, not on both F4 and F5
+        P = HPolytope(
+            3,
+            ((0, 0, 1), (1, 0, 1), (-1, 0, 1), (0, 1, 0), (0, -1, 1), (1, 0, 0), (-1, 0, 0), (0, 0, -1)),
+            (3, 4, 4, 2, 4, 2, 2, 0),
+        )
+        assert P.is_smooth()
+        assert _facet_fiber_structure(P, 0, (1, 2)) and _facet_fiber_structure(P, 0, (3, 4))
+        rep = blowdown(P, 0)
+        assert not rep.ok and rep.failed_condition == "face pattern"
+        assert rep.detail == (
+            "new vertex (Fraction(0, 1), Fraction(0, 1), Fraction(4, 1)) (on F2, F3, F5) "
+            "misses the blown-down face"
+        )
+
     def test_report_is_dataclass_outcome(self):
         rep = blowdown(simplex(2), 0)
         assert isinstance(rep, BlowdownReport) and not rep.ok
         assert rep.failed_condition in {"bundle structure", "conormal sum", "face pattern"}
+
+
+class TestFiberStructure:
+    @staticmethod
+    def cases():
+        """Every (polytope, facet, neighbor set of size 2..n) of the suite
+        polytopes and of one blowup of each, along a face of codimension
+        max(2, n - 1) through its first vertex."""
+        for sp in suite_polytopes():
+            n = sp.poly.dim
+            blown = blowup(sp.poly, sorted(sp.poly.vertices[0].basis)[: max(2, n - 1)])
+            for poly in (sp.poly, blown):
+                for e in range(poly.n_facets):
+                    neigh = [j for j in range(poly.n_facets) if j != e and poly.face({j, e}) is not None]
+                    for size in range(2, n + 1):
+                        for I in itertools.combinations(neigh, size):
+                            yield poly, e, I
+
+    def test_matches_four_condition_reference(self):
+        fibered = 0
+        for poly, e, I in self.cases():
+            verdict = facet_fiber_structure(poly, e, I)
+            assert _facet_fiber_structure(poly, e, I) == verdict, (poly.name, e, I)
+            fibered += verdict
+        assert fibered > 0
+
+    def test_proportionality_decides_some_sets(self):
+        assert any(
+            per_vertex(poly, e, I) and not facet_fiber_structure(poly, e, I) for poly, e, I in self.cases()
+        )
 
 
 # ---------------------------------------------------------------------------

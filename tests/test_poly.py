@@ -94,3 +94,8 @@ class TestDegree:
         p = MultiPoly.variable(2, 0)
         assert (2 * p - p - p).is_zero()
         assert (p / 2).eval((1, 0)) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("op", [lambda p: p + 1, lambda p: 1 + p, lambda p: p - 1, lambda p: 1 - p, lambda p: p**2])
+    def test_scalar_sums_and_powers_are_unsupported(self, op):
+        with pytest.raises(TypeError):
+            op(MultiPoly.variable(2, 0))
