@@ -44,7 +44,7 @@ from .linalg import (
 from .masslinear import equivalence_classes
 from .measure import volume_poly
 from .poly import MultiPoly
-from .polytope import HPolytope, _integral_points, _scaled_support
+from .polytope import HPolytope, _scaled_support
 
 
 def _built(data, labels: tuple[str, ...], check) -> HPolytope:
@@ -214,7 +214,7 @@ def _reject_unless_combinatorial_product(
     """Raise at the first vertex whose |det A_v|, as construction found
     it, is not 1, and unless there are expected_vertices vertices."""
     for v in poly.vertices:
-        if poly._edges[v.basis][0] != 1:
+        if poly._basic[v.basis][1] != 1:
             raise PolytopeError(f"{what}: vertex {v.point} is not smooth")
     if len(poly.vertices) != expected_vertices:
         raise PolytopeError(
@@ -232,6 +232,8 @@ def _121_check(poly: HPolytope, position) -> None:
 
 
 def bundle_121(spec: Bundle121Spec) -> HPolytope:
+    """The 121 tower of spec, facets labelled T0, T1, F2..F6; raises
+    PolytopeError unless it has the product's 12 vertices, all smooth."""
     labels = ("T0", "T1", "F2", "F3", "F4", "F5", "F6")
     return _built(_121_data(spec), labels, _121_check)
 
@@ -299,6 +301,8 @@ def _d2_check(poly: HPolytope, position) -> None:
 
 
 def bundle_D2_polygon(spec: D2PolygonBundleSpec) -> HPolytope:
+    """The triangle bundle of spec, facets F1..F3 then G1..Gk; raises
+    PolytopeError unless its 3k smooth vertices sit over the polygon's."""
     k = spec.polygon.n_facets
     labels = ("F1", "F2", "F3") + tuple(f"G{i + 1}" for i in range(k))
     return _built(_d2_data(spec), labels, _d2_check)
@@ -431,17 +435,17 @@ def _blowup(poly: HPolytope, face_indices, eps, at: int, label: str) -> HPolytop
     if len(I) < 2:
         raise PolytopeError("blowup needs a face of codimension at least 2")
     # on a simple polytope, facets meet exactly when a vertex lies on all
-    if not any(active.issuperset(I) for active in poly._edges):
+    if not any(active.issuperset(I) for active in poly._basic):
         raise PolytopeError(f"facets {names} do not meet in a face")
     eta0 = tuple(sum(poly.conormals[i][j] for i in I) for j in range(poly.dim))
     if primitive(eta0) != eta0:
         raise StructuralInconsistency("conormal sum over a smooth face is primitive")
     ksum = sum((poly.support[i] for i in I), Fraction(0))
     # ksum - <eta0, v> over the vertices off the face, in integers over L
-    # (every d is 1), in the frame that the derived build reads them in
+    # (every d is 1)
     L, K = _scaled_support(poly)
     kI = sum(K[i] for i in I)
-    slack = Fraction(min(kI - sum(map(mul, eta0, y)) for active, y in _integral_points(poly).items()
+    slack = Fraction(min(kI - sum(map(mul, eta0, y)) for active, (y, _, _) in poly._basic.items()
                          if not active.issuperset(I)), L)
     if eps is None:
         eps = slack / 2
@@ -574,7 +578,7 @@ def blowdown(poly: HPolytope, facet: int = 0) -> BlowdownReport:
     # indexing, is no vertex basis of poly; bar is simple, so a vertex lies
     # on a facet exactly when the facet is in its basis
     created = [(v, frozenset([i + (i >= e) for i in v.basis])) for v in bar_vertices]
-    created = [(v, basis) for v, basis in created if basis not in poly._edges]
+    created = [(v, basis) for v, basis in created if basis not in poly._basic]
     escaped = [next((v for v, basis in created if not basis.issuperset(I)), None) for I in summed]
     held = [I for I, v in zip(summed, escaped) if v is None]
     if not held:

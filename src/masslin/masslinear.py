@@ -122,6 +122,7 @@ class EquivalenceClasses:
     complement_rank: dict[frozenset, int]
 
     def class_of(self, i: int) -> frozenset[int]:
+        """The class holding facet i; KeyError if none does."""
         for cls in self.classes:
             if i in cls:
                 return cls

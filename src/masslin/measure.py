@@ -138,22 +138,21 @@ def _cone_sums(poly: HPolytope, cone: VertexCone, Ts) -> tuple[int, tuple[int, .
 
 @memoize
 def _vertex_cones(poly: HPolytope) -> tuple[VertexCone, ...]:
-    """Every vertex cone, for ``_generic_xi``.
+    """Every vertex cone, for ``_generic_xi``, in ``vertices`` order.
 
-    d and the edges are those that construction read off its cofactors
-    (``polytope._basic_points``); v = -sum_j w_j kappa_{basis[j]} / d
-    must give back the vertex, checked in integers on the support
-    numbers kappa = K / L."""
+    Construction keeps each vertex y / (d L) with d and the edges w_j
+    (``polytope._basic_points``).  d must be nonzero, checked before
+    ``vertices`` divides by it, and the vertex map must give back the
+    vertex: y = -sum_j w_j K_{basis[j]}, with kappa = K / L."""
     n = poly.dim
-    L, K = _scaled_support(poly)
+    _, K = _scaled_support(poly)
+    if not all(d for _, d, _ in poly._basic.values()):
+        raise StructuralInconsistency("vertex conormals must be invertible")
     cones = []
     for v in poly.vertices:
         basis = tuple(sorted(v.basis))
-        d, w = poly._edges[v.basis]
-        if not d:
-            raise StructuralInconsistency("vertex conormals must be invertible")
-        if any(-sum(e[c] * K[f] for e, f in zip(w, basis)) * x.denominator != d * L * x.numerator
-               for c, x in enumerate(v.point)):
+        y, d, w = poly._basic[v.basis]
+        if any(-sum(e[c] * K[f] for e, f in zip(w, basis)) != y[c] for c in range(n)):
             raise StructuralInconsistency("vertex map must reproduce the vertex")
         cones.append(VertexCone(basis, d, w, ()))
     xi = _generic_xi([cone.w for cone in cones], n)
@@ -241,13 +240,12 @@ def _slice(poly: HPolytope) -> tuple[frozenset[int], Vec]:
     """The facets B through the first vertex v0 and the support numbers
     kappa' = kappa - A v0 of the polytope moved by -v0, the one point of
     the slice kappa_B = 0 on its translation orbit.  With kappa = K / L
-    and v0 = y / (d L), y = -sum_j w_j K_{B_j} from its cone, kappa'_i
-    is the integer d K_i - <eta_i, y> over d L."""
-    cone = _vertex_cones(poly)[0]
+    and v0 = y / (d L) as construction keeps it, kappa'_i is the integer
+    d K_i - <eta_i, y> over d L."""
+    B = poly.vertices[0].basis
+    y, d, _ = poly._basic[B]
     L, K = _scaled_support(poly)
-    y = [-sum(e[c] * K[f] for e, f in zip(cone.w, cone.basis)) for c in range(poly.dim)]
-    return frozenset(cone.basis), tuple(Fraction(cone.d * k - sum(map(mul, eta, y)), cone.d * L)
-                                        for eta, k in zip(poly.conormals, K))
+    return B, tuple(Fraction(d * k - sum(map(mul, eta, y)), d * L) for eta, k in zip(poly.conormals, K))
 
 
 @memoize

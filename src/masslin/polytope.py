@@ -12,9 +12,9 @@ fine at this package's scale (n <= 4, N <= 14 or so).  No subset is
 solved on its own.  The signed maximal minors of the conormal matrix
 (``_minor_rows``) give the rank, the recession rays and, by Cramer's
 rule (``_subsets``), each n-subset's determinant, slacks and basic
-point.  Each point keeps the determinant and the edges of its first
-feasible subset: they are the vertex cones of ``measure`` and decide
-``is_smooth``.  A vertex on exactly n facets settles the full-dimension
+point.  Each point keeps its numerators y over d L, and the determinant
+d and edges of its first feasible subset, the vertex cones of
+``measure``.  A vertex on exactly n facets settles the full-dimension
 check and the hyperplane checks of its facets, so the affine rank is
 computed only where no such vertex does.
 
@@ -33,13 +33,12 @@ The scan is for polytopes built from facet data alone, such as parsed
 documents.  A polytope derived from a parent whose half-spaces are its
 own with one inserted (a blowup, a replayed stage) or one dropped (the
 relaxed polytope of a blowdown) takes the parent as the private
-``_parent`` argument and gets its points and edges by a local update
-(``_derived_points``), in one integer frame with the parent's points
-(``_integral_points``).  A vertex cone depends only on its basis
+``_parent`` argument and gets its table by a local update
+(``_derived_points``).  A vertex cone depends only on its basis
 facets, so a parent vertex that the change leaves a vertex keeps its
-point, d and edges, its facet indices shifted; that is every vertex
-strictly inside an inserted half-space, and every vertex off a dropped
-facet.  The new vertices come from pivots, as in the simplex method, on
+d and edges, its facet indices shifted and y rescaled to the child's L;
+that is every vertex strictly inside an inserted half-space, and every
+vertex off a dropped facet.  The new vertices come from pivots, as in the simplex method, on
 the lines of the parent's edges: where an inserted facet crosses an edge
 of a vertex it cuts off, and, past a dropped facet, where the line of an
 edge that leaves it first meets another facet.  Every edge of a new
@@ -55,11 +54,11 @@ vertex on an inserted hyperplane, a point on more than n facets or an
 unbounded edge, it leaves the build to the scan, so every error is the
 scan's.  The child keeps no reference to its parent.
 
-Construction keeps the basic points and their edges (``_basic``,
-``_edges``), which it validates against.  Everything else a polytope
-derives, its vertices and face lattice included, goes through
-``memoize`` into its one ``_memo`` dict: there is no other per-polytope
-store.
+Construction keeps one table, ``_basic``, which it validates against:
+per basic point, keyed by its active facets, the integers (y, d, W) of
+``_basic_points``.  Everything else a polytope derives, its vertices and
+face lattice included, goes through ``memoize`` into its one ``_memo``
+dict: there is no other per-polytope store.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from fractions import Fraction
 from functools import cache, wraps
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
-from operator import mul, neg
+from operator import mul
 from typing import Sequence
 
 from .errors import NotSimpleError, PolytopeError, StructuralInconsistency
@@ -258,33 +257,27 @@ def _subsets(table: dict[tuple[int, ...], int], K: Sequence[int], n: int, packin
             yield S + (j,), d, s, minors, slack if det > 0 else -slack
 
 
-Edges = tuple[int, tuple[IntVec, ...]]
+Table = dict[frozenset[int], tuple[IntVec, int, tuple[IntVec, ...]]]
 
 
-def _basic_points(
-    conormals: Sequence[IntVec], support: Sequence[Fraction], n: int
-) -> tuple[dict[Vec, frozenset[int]], dict[frozenset[int], Edges]]:
-    """All feasible basic points, mapped to their full active facet sets,
-    after the boundedness check; raises if there are none.  Beside them,
-    keyed by the same active sets, which tell the points apart, each
-    point's d = |det A_J| and edges w_r = -d A_J^{-1} e_r, r over the
-    sorted facets of its first feasible subset J (``_subsets``): n^2
-    integers per point, so the minor rows can be freed.  At a simple
-    vertex J is its basis, the only feasible subset.
+def _basic_points(conormals: Sequence[IntVec], support: Sequence[Fraction], n: int) -> Table:
+    """All feasible basic points, after the boundedness check; raises if
+    there are none.  Each is keyed by its full active facet set and held
+    as (y, d, W) of its first feasible subset J (``_subsets``): the point
+    is y / (d L), L the lcm of the support denominators, d = |det A_J|
+    and W the edges w_r = -d A_J^{-1} e_r, r over the sorted facets of J,
+    so the minor rows can be freed.  At a simple vertex J is its basis.
 
-    With K the support numbers times the lcm L of their denominators, the
-    basic point of J is y / (d L), and J is feasible when no facet field
-    of its slack row is negative.  Points enter the dicts in the order of
-    their first feasible subset in ``combinations`` order.
-    """
+    J is feasible when no facet field of its slack row is negative.
+    Points enter the table in the order of their first feasible subset in
+    ``combinations`` order."""
     N = len(conormals)
-    L, (K,) = scaled([support])
+    _, (K,) = scaled([support])
     packing = _Packing(_field_width(conormals, K, n), N, n)
     table = _minor_rows(conormals, n, packing)
     _check_bounded(table, packing)
     B, mask, nonneg, fields = packing.B, packing.mask, packing.nonneg, packing.fields
-    points: dict[Vec, frozenset[int]] = {}
-    edges: dict[frozenset[int], Edges] = {}
+    points: Table = {}
     for J, d, s, minors, slack in _subsets(table, K, n, packing):
         if not nonneg(slack):
             continue
@@ -293,12 +286,12 @@ def _basic_points(
         if not active.issuperset(J):
             # a basic point lies on the facets it solves: the fields were too narrow
             raise StructuralInconsistency("a basic point has zero slack on its own facets")
-        if active not in edges:
-            points[tuple([Fraction(-y, d * L) for y in fields(slack, N, N + n)])] = active
-            edges[active] = d, tuple([tuple(fields(sr * P, N, N + n)) for sr, P in zip(s, minors)])
+        if active not in points:
+            points[active] = (tuple([-y for y in fields(slack, N, N + n)]), d,
+                              tuple([tuple(fields(sr * P, N, N + n)) for sr, P in zip(s, minors)]))
     if not points:
         raise PolytopeError("empty polytope")
-    return points, edges
+    return points
 
 
 class _Degenerate(Exception):
@@ -332,11 +325,11 @@ def _pivot(B, y, d, W, r, k, S, a):
 
 def _derived_points(
     parent: HPolytope, conormals: Sequence[IntVec], support: Sequence[Fraction], n: int
-) -> tuple[dict[Vec, frozenset[int]], dict[frozenset[int], Edges]] | None:
+) -> Table | None:
     """``_basic_points`` of a polytope whose half-spaces are parent's with
     one inserted or one dropped, by the local update of the module
     docstring; None where the update meets anything but simple, bounded
-    vertices, so that the scan decides.  The dicts come in the scan's
+    vertices, so that the scan decides.  The table comes in the scan's
     order, lexicographic in the sorted bases."""
     old = tuple(zip(parent.conormals, parent.support))
     new = tuple(zip(conormals, support))
@@ -347,11 +340,12 @@ def _derived_points(
         raise StructuralInconsistency("a derived polytope must differ from its parent in one facet")
     if not parent.is_simple():
         return None
-    # One frame for both: a basic point with |det A_B| = d is y / (d L), y
-    # integral, with slacks d K - <eta, y> over d L.  The fields of the
-    # packed slack and pairing rows are those of the scan of the longer
-    # system, so ``_field_width`` of that system bounds them.
+    # The walk runs in the frame of the longer system, which parent points
+    # move up into by L / L_parent: a basic point with |det A_B| = d is y /
+    # (d L), with slacks d K - <eta, y> over d L, and ``_field_width`` of
+    # that system bounds the packed fields.
     L, (K,) = scaled([[k for _, k in long]])
+    up, down = L // _scaled_support(parent)[0], L // lcm(*(k.denominator for k in support))
     N = len(conormals)
     packing = _Packing(_field_width([eta for eta, _ in long], K, n), N, 0)
     eta_x, K_x = long[at][0], K[at]
@@ -367,8 +361,7 @@ def _derived_points(
         return fields(sum(map(mul, w, cols)), 0, N)
 
     shift = [i + (i >= at) if inserted else i - (i > at) for i in range(len(old))]
-    up = L // _scaled_support(parent)[0]  # 1 for a drop: the longer system is parent's
-    rows: dict[frozenset[int], tuple] = {}  # every listed vertex: basis -> (point, d, W)
+    rows: Table = {}  # every listed vertex
     found: list[tuple] = []  # the new ones, to walk: (B, y, d, W, S)
 
     def admit(B, y, d, W, seed=False):
@@ -384,36 +377,32 @@ def _derived_points(
             raise StructuralInconsistency("a ratio test must land on a feasible point")
         if S.count(0) > n:
             raise _Degenerate
-        rows[frozenset(B)] = tuple([Fraction(c, d * L) for c in y]), d, W
+        rows[frozenset(B)] = y, d, W
         found.append((B, y, d, W, S))
 
-    frames = _integral_points(parent)
     try:
-        for point, active in parent._basic.items():
-            d, W = parent._edges[active]
+        for active, (y, d, W) in parent._basic.items():
+            y = tuple([c * up for c in y]) if up != 1 else y
             if inserted:
-                y = frames[active]
-                S = K_x * d - up * sum(map(mul, eta_x, y))
+                S = K_x * d - sum(map(mul, eta_x, y))
                 if S > 0:
-                    rows[frozenset([shift[i] for i in active])] = point, d, W
+                    rows[frozenset([shift[i] for i in active])] = y, d, W
                     continue
                 if not S:
                     raise _Degenerate
                 # a cut vertex: the new facet enters along each edge toward it
                 B = [shift[i] for i in sorted(active)]
-                y = [c * up for c in y]
                 a = [sum(map(mul, eta_x, w)) for w in W]
                 for r, ar in enumerate(a):
                     if ar < 0:
                         admit(*_pivot(B, y, d, W, r, at, S, a), seed=True)
             elif at not in active:
-                rows[frozenset([shift[i] for i in active])] = point, d, W
+                rows[frozenset([shift[i] for i in active])] = y, d, W
             else:
                 # past the dropped facet, on the line of the edge leaving it,
                 # the first facet met enters in its place B[r]
                 Bp = sorted(active)
                 r = Bp.index(at)
-                y = frames[active]
                 S = slacks(y, d)
                 k = _ratio_test(S, [-a for a in pairings(W[r])])
                 B = [shift[i] for i in Bp]
@@ -441,8 +430,10 @@ def _derived_points(
         return None
     if not rows:
         return None
-    order = sorted(rows, key=sorted)
-    return {rows[B][0]: B for B in order}, {B: rows[B][1:] for B in order}
+    # down into the child's frame by L / L_child, exactly: y is then
+    # +-adj(A_B) K_B, K the child's integer support numbers
+    return {B: (tuple([c // down for c in rows[B][0]]), *rows[B][1:]) if down != 1 else rows[B]
+            for B in sorted(rows, key=sorted)}
 
 
 def _ratio_test(S: Sequence[int], A: Sequence[int]) -> int:
@@ -459,20 +450,15 @@ def _ratio_test(S: Sequence[int], A: Sequence[int]) -> int:
     return best
 
 
-def _affine_rank(points: Sequence[Vec]) -> int:
-    """Dimension of the affine span of rational points, as the integer
-    rank of their homogeneous coordinates (D p, D) minus one, D the lcm
-    of each point's denominators."""
-    rows = []
-    for p in points:
-        D = lcm(*(x.denominator for x in p))
-        rows.append([x.numerator * (D // x.denominator) for x in p] + [D])
-    return int_rank(rows) - 1
+def _affine_rank(rows) -> int:
+    """Dimension of the affine span of basic points (y, d, W) of one
+    table: the rank of the rows (p, 1), p = y / (d L), minus one.  The
+    row (y, d) is d (L p, 1), a row scale by d and a column scale by L,
+    common to all rows, so it has the same rank."""
+    return int_rank([(*y, d) for y, d, _ in rows]) - 1
 
 
-def _facet_spans(
-    points: dict[Vec, frozenset[int]], n_facets: int, n: int
-) -> tuple[bool, list[bool | None]]:
+def _facet_spans(points: Table, n_facets: int, n: int) -> tuple[bool, list[bool | None]]:
     """Whether the basic points span R^n, and per facet None when no
     basic point lies on it, else whether those on it span a hyperplane.
 
@@ -484,20 +470,29 @@ def _facet_spans(
     spans a hyperplane.  ``_affine_rank`` runs only for a facet that
     meets no such vertex, or for the whole polytope when none exists.
     """
-    simple = {i for active in points.values() if len(active) == n for i in active}
-    full = bool(simple) or _affine_rank(list(points)) == n
+    simple = {i for active in points if len(active) == n for i in active}
+    full = bool(simple) or _affine_rank(points.values()) == n
     spans: list[bool | None] = []
     for i in range(n_facets):
         if i in simple:
             spans.append(True)
             continue
-        on_facet = [p for p, act in points.items() if i in act]
+        on_facet = [row for act, row in points.items() if i in act]
         spans.append(_affine_rank(on_facet) == n - 1 if on_facet else None)
     return full, spans
 
 
 @dataclass(frozen=True, eq=False)
 class HPolytope:
+    """The polytope of the facets <conormals[i], x> <= support[i] in R^dim,
+    primitive integer conormals, Fraction support numbers.  Labels and name
+    are presentation only: polytopes are equal when dim, conormals and
+    support agree, in order.  Construction raises ``PolytopeError`` unless
+    each half-space is a facet of a bounded, nonempty, full-dimensional
+    polytope, and keeps the table ``_basic`` (``_basic_points``) and an
+    empty ``_memo``; the private ``_parent``, sharing all facets but one,
+    is a polytope to derive the table from (``_derived_points``)."""
+
     dim: int
     conormals: tuple[IntVec, ...]
     support: tuple[Fraction, ...]
@@ -536,7 +531,7 @@ class HPolytope:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "labels", labels)
         derived = None if _parent is None else _derived_points(_parent, conormals, support, n)
-        pts, edges = derived or _basic_points(conormals, support, n)
+        pts = derived or _basic_points(conormals, support, n)
         full, spans = _facet_spans(pts, len(conormals), n)
         if not full:
             raise PolytopeError("polytope is not full-dimensional")
@@ -548,11 +543,8 @@ class HPolytope:
                     f"facet {label} does not span a hyperplane (redundant half-space)"
                 )
         object.__setattr__(self, "_basic", pts)
-        object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_memo", {})
 
-    # equality is geometric: same facet data in the same order; labels and
-    # name are presentation only
     def __eq__(self, other):
         if not isinstance(other, HPolytope):
             return NotImplemented
@@ -570,6 +562,7 @@ class HPolytope:
         return len(self.conormals)
 
     def label_index(self, label: str) -> int:
+        """The index of the facet with the given label; KeyError if none."""
         try:
             return self.labels.index(label)
         except ValueError:
@@ -579,11 +572,12 @@ class HPolytope:
     @memoize
     def vertices(self) -> tuple[Vertex, ...]:
         """All vertices, sorted by coordinates; raises if not simple."""
-        verts = []
-        for point, active in self._basic.items():
+        L, verts = _scaled_support(self)[0], []
+        for active, (y, d, _) in self._basic.items():
+            point = tuple([Fraction(c, d * L) for c in y])
             if len(active) != self.dim:
                 raise NotSimpleError(
-                    f"vertex {tuple(point)} lies on {len(active)} facets",
+                    f"vertex {point} lies on {len(active)} facets",
                     point=point,
                     active=active,
                 )
@@ -592,13 +586,14 @@ class HPolytope:
         return tuple(verts)
 
     def is_simple(self) -> bool:
-        return all(len(active) == self.dim for active in self._basic.values())
+        """Whether every vertex lies on exactly dim facets."""
+        return all(len(active) == self.dim for active in self._basic)
 
     @memoize
     def is_smooth(self) -> bool:
         """Simple, and the active conormals at each vertex form a lattice
         basis: every |det A_v| that construction found is 1."""
-        return self.is_simple() and all(d == 1 for d, _ in self._edges.values())
+        return self.is_simple() and all(d == 1 for _, d, _ in self._basic.values())
 
     @property
     @memoize
@@ -627,12 +622,14 @@ class HPolytope:
         return self.face_lattice.get(frozenset(index_set))
 
     def faces_of_dimension(self, k: int) -> list[Face]:
+        """The faces of dimension k, sorted by their sorted index sets."""
         return sorted(
             (f for f in self.face_lattice.values() if f.dimension == k),
             key=lambda f: tuple(sorted(f.index_set)),
         )
 
     def with_support(self, new_support) -> "HPolytope":
+        """The polytope at new support numbers, with these conormals, labels and name."""
         return HPolytope(self.dim, self.conormals, tuple(frac(k) for k in new_support), self.labels, self.name)
 
     def in_same_chamber(self, new_support) -> bool:
@@ -650,15 +647,13 @@ class HPolytope:
         if len(new_support) != self.n_facets:
             raise PolytopeError("support vector has wrong length")
         mid = tuple((a + b) / 2 for a, b in zip(self.support, new_support))
-        pattern = {v.basis for v in self.vertices}
         for kappa in (new_support, mid):
             try:
                 other = self.with_support(kappa)
             except PolytopeError:
                 return False
-            if not other.is_smooth():
-                return False
-            if {v.basis for v in other.vertices} != pattern:
+            # both smooth, so their tables are keyed by the vertex bases
+            if not other.is_smooth() or other._basic.keys() != self._basic.keys():
                 return False
         return True
 
@@ -689,6 +684,7 @@ class HPolytope:
         return (min(gaps) / (2 * (1 + max_sens)),) * N
 
     def translate(self, xi) -> "HPolytope":
+        """The polytope moved by xi: each kappa_i becomes kappa_i + <eta_i, xi>."""
         xi = vec(xi)
         new_support = tuple(
             k + dot(eta, xi) for eta, k in zip(self.conormals, self.support)
@@ -739,20 +735,6 @@ class HPolytope:
     def __repr__(self):
         nm = f" {self.name!r}" if self.name else ""
         return f"<HPolytope{nm} dim={self.dim} facets={self.n_facets}>"
-
-
-@memoize
-def _integral_points(poly: HPolytope) -> dict[frozenset[int], list[int]]:
-    """Each basic point times d L, keyed by its active set: d its |det A_J|
-    and L the lcm of the support denominators."""
-    L, _ = _scaled_support(poly)
-    out = {}
-    for point, active in poly._basic.items():
-        m = poly._edges[active][0] * L
-        if any([m % x.denominator for x in point]):
-            raise StructuralInconsistency("a basic point must have denominators dividing d L")
-        out[active] = [x.numerator * (m // x.denominator) for x in point]
-    return out
 
 
 @memoize

@@ -16,6 +16,10 @@ table already holds.  ``vertex_cones`` and ``is_smooth`` read them per
 vertex instead, off the adjugate and the determinant of A_v, as the
 library did before.
 
+The library keeps one table of integers per basic point;
+``points_and_edges`` turns it back into the view the reference scans
+give, point to active set and active set to determinant and edges.
+
 ``minor_table``, ``cramer`` and ``table_basic_points`` are the
 library's scan before its rows were packed into ints: one list of N
 integers per pairing row and per subset's slacks, and every cofactor
@@ -36,6 +40,16 @@ from masslin.errors import PolytopeError, StructuralInconsistency
 from masslin.linalg import dot, frac, int_adjugate, int_det, int_rank, int_vec, scaled
 from masslin.measure import VertexCone, _generic_xi
 from masslin.polytope import HPolytope, _basic_points, _facet_spans
+
+
+def points_and_edges(table, support):
+    """The table of ``polytope._basic_points``, of a system with these
+    support numbers, as two dicts in its order: each point y / (d L),
+    with L the lcm of the support denominators, mapped to its active
+    set, and each active set to its (d, edges)."""
+    L = lcm(*(Fraction(k).denominator for k in support))
+    points = {tuple(Fraction(c, d * L) for c in y): active for active, (y, d, _) in table.items()}
+    return points, {active: (d, W) for active, (_, d, W) in table.items()}
 
 
 def check_bounded(conormals, n):
@@ -182,7 +196,7 @@ def from_halfspaces_pruned(
             keep_map[eta] = i
             order[order.index(j)] = i
     idx = sorted(order)
-    pts, _ = _basic_points([conormals[i] for i in idx], [support[i] for i in idx], n)
+    pts = _basic_points([conormals[i] for i in idx], [support[i] for i in idx], n)
     kept = [i for i, spanning in zip(idx, _facet_spans(pts, len(idx), n)[1]) if spanning]
     poly = HPolytope(
         dim,

@@ -31,8 +31,8 @@ def _outcome(build):
 @pytest.fixture
 def scan_checked(monkeypatch):
     """Every polytope derived from a parent from here on in the test,
-    checked against a scan of its own facet data: the same ``_basic`` and
-    ``_edges``, in order, and the same vertices, or the same exception;
+    checked against a scan of its own facet data: the same ``_basic``
+    table, in order, and the same vertices, or the same exception;
     and every blowdown report against the one that the scan alone gives.
     Returns the derived polytopes built."""
     derived = []
@@ -51,7 +51,6 @@ def scan_checked(monkeypatch):
             raise
         scan = scanned(self)
         assert list(self._basic.items()) == list(scan._basic.items())
-        assert list(self._edges.items()) == list(scan._edges.items())
         assert _outcome(lambda: self.vertices) == _outcome(lambda: scan.vertices)
         derived.append(self)
 

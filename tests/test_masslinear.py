@@ -960,11 +960,11 @@ class TestOptimizedMode:
             def corrupt(poly, leaving, other):
                 # at each vertex on both facets, add the edge that leaves
                 # other to the one that leaves leaving
-                for active, (d, w) in poly._edges.items():
+                for active, (y, d, w) in poly._basic.items():
                     if {leaving, other} <= active:
                         B, w = sorted(active), list(w)
                         w[B.index(leaving)] = tuple(map(sum, zip(w[B.index(leaving)], w[B.index(other)])))
-                        poly._edges[active] = d, tuple(w)
+                        poly._basic[active] = y, d, tuple(w)
                 return poly
 
             for derive in (lambda: blowup(corrupt(simplex(3), 1, 2), (1, 2)),

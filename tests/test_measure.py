@@ -529,9 +529,9 @@ class TestMemo:
 class TestOneStore:
     """What a polytope derives after construction lives in its one memo:
     its instance dict holds the dataclass fields, what construction keeps
-    (``_basic``, ``_edges``) and ``_memo``, and nothing else."""
+    (``_basic``) and ``_memo``, and nothing else."""
 
-    KEPT = {f.name for f in fields(HPolytope)} | {"_basic", "_edges", "_memo"}
+    KEPT = {f.name for f in fields(HPolytope)} | {"_basic", "_memo"}
 
     @staticmethod
     def _derive(poly, H, face, smooth):
@@ -753,32 +753,36 @@ class TestGenericXi:
         assert out.stdout.strip() == "raised: xi must pair nonzero with every edge"
 
 
-def _replace_edges(poly, edges):
-    """Replace the d and edges that construction kept at every vertex by
-    edges(d, w), before any cone is read."""
-    for active, (d, w) in poly._edges.items():
-        poly._edges[active] = edges(d, w)
+def _replace_rows(poly, row):
+    """Replace the integers (y, d, w) that construction kept at every
+    vertex by row(y, d, w), before any cone is read."""
+    for active, (y, d, w) in poly._basic.items():
+        poly._basic[active] = row(y, d, w)
     return poly
 
 
-def _negated(d, w):
-    return d, tuple(tuple(-x for x in e) for e in w)
+def _negated(y, d, w):
+    return y, d, tuple(tuple(-x for x in e) for e in w)
+
+
+def _off_vertex(y, d, w):
+    return (y[0] + 1, *y[1:]), d, w
 
 
 class TestVertexMap:
     """Each vertex cone checks that its conormals are invertible and that
-    -sum_j w_j kappa_{B_j} gives back the vertex, whatever d and edges
-    construction handed it."""
+    -sum_j w_j kappa_{B_j} gives back the vertex, whatever point, d and
+    edges construction handed it."""
 
     def test_singular_conormals_raise(self):
-        poly = _replace_edges(square(), lambda d, w: (0, w))
+        poly = _replace_rows(square(), lambda y, d, w: (y, 0, w))
         with pytest.raises(StructuralInconsistency, match="vertex conormals must be invertible"):
             volume_poly(poly)
 
     def test_wrong_adjugate_raises(self):
         # the second square has support numbers over the denominator 6
-        for poly in (square(), square(F(1, 2), F(2, 3))):
-            _replace_edges(poly, _negated)
+        for poly, row in product((square(), square(F(1, 2), F(2, 3))), (_negated, _off_vertex)):
+            _replace_rows(poly, row)
             with pytest.raises(StructuralInconsistency, match="vertex map must reproduce the vertex"):
                 skeleton_barycenter(poly, 2)
 
@@ -791,8 +795,8 @@ class TestVertexMap:
             if __debug__:
                 raise SystemExit("not running under -O")
             box = HPolytope(2, [(-1, 0), (1, 0), (0, -1), (0, 1)], [0, 1, 0, 1])
-            for active, (d, w) in box._edges.items():
-                box._edges[active] = d, tuple(tuple(-x for x in e) for e in w)
+            for active, (y, d, w) in box._basic.items():
+                box._basic[active] = y, d, tuple(tuple(-x for x in e) for e in w)
             try:
                 m.skeleton_barycenter(box, 2)
             except StructuralInconsistency as exc:

@@ -254,7 +254,8 @@ def rational_basic_points(p: HPolytope) -> dict:
 def test_integer_scan_matches_rational_scan_on_suite():
     for sp in suite_polytopes():
         expected = rational_basic_points(sp.poly)
-        assert list(sp.poly._basic.items()) == list(expected.items()), sp.name
+        points, _ = _polytope_ref.points_and_edges(sp.poly._basic, sp.poly.support)
+        assert list(points.items()) == list(expected.items()), sp.name
 
 
 def _outcome(build):
@@ -310,7 +311,8 @@ def test_scan_matches_reference_scan(system):
     support = [Fraction(k) for k in support]
     labels = polytope.default_labels(len(conormals))
     expected = _outcome(lambda: list(_polytope_ref.construct(n, conormals, support, labels).items()))
-    assert _outcome(lambda: list(HPolytope(n, conormals, support)._basic.items())) == expected
+    assert _outcome(lambda: list(_polytope_ref.points_and_edges(
+        HPolytope(n, conormals, support)._basic, support)[0].items())) == expected
     if len(set(conormals)) == len(conormals):
         expected = _outcome(lambda: _polytope_ref.pruned(n, conormals, support))
         assert _outcome(lambda: from_halfspaces_pruned(n, conormals, support)[1]) == expected
@@ -340,6 +342,11 @@ def _kernel_outcome(scan, n, conormals, support):
     return list(points.items()), list(edges.items())
 
 
+def _table_scan(conormals, support, n):
+    """``polytope._basic_points`` in the view of the reference scans."""
+    return _polytope_ref.points_and_edges(polytope._basic_points(conormals, support, n), support)
+
+
 @seed(27)
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(halfspace_systems(5, 6), wide_systems()))
@@ -353,7 +360,7 @@ def test_packed_scan_matches_minor_table(system):
     n, conormals, support = system
     support = [Fraction(k) for k in support]
     expected = _kernel_outcome(_polytope_ref.table_basic_points, n, conormals, support)
-    assert _kernel_outcome(polytope._basic_points, n, conormals, support) == expected
+    assert _kernel_outcome(_table_scan, n, conormals, support) == expected
 
 
 def _assert_fields_fit(n, conormals, support):
@@ -430,9 +437,9 @@ class TestDerivedBuild:
                 face = min(tuple(sorted(f)) for f in poly.face_lattice if len(f) == codim)
                 constructions.blowup(poly, face)
         for poly in scan_checked:
-            points, edges = _polytope_ref.table_basic_points(poly.conormals, poly.support, poly.dim)
-            assert (list(poly._basic.items()), list(poly._edges.items())) == (
-                list(points.items()), list(edges.items()))
+            expected = _polytope_ref.table_basic_points(poly.conormals, poly.support, poly.dim)
+            view = _polytope_ref.points_and_edges(poly._basic, poly.support)
+            assert [list(d.items()) for d in view] == [list(d.items()) for d in expected]
         assert len(scan_checked) > 150
 
     def test_deferred_builds_raise_as_the_scan(self, scan_checked):
@@ -475,6 +482,20 @@ class TestDerivedBuild:
         for _ in range(2):
             built = _derived(poly, data.draw(st.integers(0, poly.n_facets - 1)))
             poly = built if isinstance(built, HPolytope) else poly
+
+    def test_rescale_into_the_child_frame(self, scan_checked):
+        # the default depth halves a slack of 1, so the blowup raises the
+        # lcm L of the support denominators from 1 to 2; blowing it down
+        # drops the only fractional support number, so L falls back to 1
+        # and every kept vertex moves into the child's frame
+        blown = constructions.blowup(constructions.simplex(3), (1, 2))
+        assert [k.denominator for k in blown.support] == [2, 1, 1, 1, 1]
+        relaxed = constructions.blowdown(blown, 0).polytope
+        assert relaxed == constructions.simplex(3)
+        for poly in (blown, relaxed):
+            scan = HPolytope(poly.dim, poly.conormals, poly.support)
+            assert list(poly._basic.items()) == list(scan._basic.items())
+        assert scan_checked[:2] == [blown, relaxed]
 
     def test_no_derived_polytope_keeps_its_parent(self):
         parent = simplex_bundle_3110()
@@ -617,7 +638,7 @@ class TestFaces:
                         assert f is None, (sp.name, S)
                         continue
                     key = frozenset.intersection(*(p.vertices[w].basis for w in ids))
-                    dim = polytope._affine_rank([p.vertices[w].point for w in ids])
+                    dim = _polytope_ref.affine_rank([p.vertices[w].point for w in ids])
                     assert f == polytope.Face(key, ids, dim), (sp.name, S)
                     assert p.face_lattice[key] is f
 
