@@ -4,14 +4,15 @@ Vectors are tuples of Fractions (plain ints are accepted and coerced),
 matrices are tuples of row tuples.  Everything is immutable and exact;
 there is no floating point anywhere in the package.
 
-Every elimination is Bareiss's fraction-free one on integer rows,
-``_echelon``, with ``_reduce`` as its back substitution; a rational
-system is first put on integer rows by one common denominator
+Every elimination over the rationals is Bareiss's fraction-free one on
+integer rows, ``_echelon``, with ``_reduce`` as its back substitution; a
+rational system is first put on integer rows by one common denominator
 (``scaled``).  Fractions appear only at the boundary, formed from the
 final integer rows.  Pivots are the first nonzero entry from the current
 row down, so echelon forms, kernel bases and solutions are reproducible.
-``rref`` (``int_rref`` on ``scaled`` rows) has no library caller: it is
-kept only because the perfbench tracer looks it up by name.
+Only ``integer_kernel_basis`` reduces columns, by the unimodular steps
+that a lattice basis needs.  ``rref`` (``int_rref`` on ``scaled`` rows)
+has no library caller; it stays because the perfbench tracer patches it.
 """
 
 from __future__ import annotations

@@ -483,23 +483,6 @@ def fully_mass_linear_test(poly: HPolytope, H) -> FullMassLinearReport:
     return FullMassLinearReport(values, *_agree(poly, Hi, dims, pairings))
 
 
-def barycenter_pairings_agree(poly: HPolytope, H, dims) -> bool:
-    """Chamber-wide equality of <H, B_k> for the listed skeleton
-    dimensions, which must include 0 (used for the mass-linearity and
-    generated-vector characterizations).
-
-    H must fit the memoized pair space of those dimensions, where every
-    listed k satisfies m_k == (gamma . kappa) * P_k with gamma . kappa
-    the pairing with the vertex average.  Unequal pairings at the base
-    kappa are the witness of a negative answer."""
-    if 0 not in dims:
-        raise ValueError("skeleton dimensions must include 0")
-    _, Hi = _integral(poly, H)
-    # _slice_values rejects a bad dimension before dims is sorted
-    pairings = _center_pairings(poly, Hi, dims)
-    return _agree(poly, Hi, tuple(sorted(set(dims))), pairings)[1]
-
-
 def _center_pairings(poly: HPolytope, Hi: IntVec, dims) -> list[tuple[int, int]]:
     """L <H, B_k> for each k in dims, as an integer numerator over the
     barycenter's positive denominator (``_slice_values``)."""

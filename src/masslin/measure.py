@@ -40,10 +40,11 @@ of them.  Their values at the slice point of the polytope, with every
 first partial, come from the vertex-cone terms in closed form
 (``_slice_values``), once per polytope and k; skeleton barycenters are
 those values moved back by the first vertex.  So a k < n polynomial is
-expanded only where a pair space needs its rows, and never evaluated.  Only
-the public polynomials (``volume_poly``, ``moment_poly``,
-``skeleton_measure_polys``) keep all N variables, from
-``_skeleton_coord_polys``; they are divided by D.
+expanded only where a pair space needs its rows, and never evaluated.  The
+polynomials in all N variables come from ``_skeleton_coord_polys``,
+divided by D.  Only ``volume_poly`` is public; ``moment_poly``,
+``cached_moment_poly`` and ``skeleton_measure_polys`` have no library
+caller and stay because the perfbench tracer patches them by name.
 
 Monomial integrals use the same cones, by Brion's formula for a power of
 a linear form l pairing nonzero with every edge (Baldoni, Berline,

@@ -8,9 +8,8 @@ lexicographic order of the exponent tuples.
 The arithmetic is what the library uses: sums, differences and
 negations of polynomials in the same variables, products with a
 polynomial or a rational scalar (on either side), division by a nonzero
-scalar, evaluation (with the gradient) and partial derivatives.  A
-scalar sum or a power raises TypeError: use ``MultiPoly.constant`` and
-products.
+scalar, evaluation and partial derivatives.  A scalar sum or a power
+raises TypeError: use ``MultiPoly.constant`` and products.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .linalg import frac
 
@@ -79,9 +78,6 @@ class MultiPoly:
                 d[tuple(1 if j == i else 0 for j in range(n))] = c
         return MultiPoly.from_dict(n, d)
 
-    def as_dict(self) -> dict[Monomial, Fraction]:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -90,13 +86,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(sum(m) for m, _ in self.terms)
-
-    def coefficient(self, m: Monomial) -> Fraction:
-        m = tuple(m)
-        for mon, c in self.terms:
-            if mon == m:
-                return c
-        return Fraction(0)
 
     def _check_compat(self, other: "MultiPoly") -> None:
         if self.nvars != other.nvars:
@@ -138,22 +127,12 @@ class MultiPoly:
         return self * (Fraction(1) / c)
 
     def eval(self, point: Sequence) -> Fraction:
-        """The value at a point, by the integer pass of ``eval_gradient``."""
-        return self._integer_pass(point, False)[0]
-
-    def eval_gradient(self, point: Sequence) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """The value and every first partial derivative at a point."""
-        return self._integer_pass(point, True)
-
-    def _integer_pass(self, point: Sequence, gradient: bool) -> tuple[Fraction, tuple[Fraction, ...] | None]:
-        """The value at a point and, if asked for, every first partial
-        derivative, in one pass over the terms.
+        """The value at a point, in one integer pass over the terms.
 
         With the point as a / d and the coefficients as num / L over common
         denominators, a term c x^m of degree |m| <= top contributes
-        num a^m d^(top - |m|) to (value) L d^top and e_i times the same
-        product with a_i^(m_i - 1) in place of a_i^(m_i) to (partial i)
-        L d^(top - 1), so the sums run in integers."""
+        num a^m d^(top - |m|) to the value times L d^top, so the sum runs
+        in integers."""
         pt = [frac(p) for p in point]
         if len(pt) != self.nvars:
             raise ValueError("point length does not match variable count")
@@ -167,26 +146,13 @@ class MultiPoly:
                 row.append(row[-1] * a)
             powers.append(row)
         dpow = [d**e for e in range(top + 1)]
-        value, grad = 0, [0] * self.nvars
+        value = 0
         for m, c in self.terms:
-            num = c.numerator * (L // c.denominator) * dpow[top - sum(m)]
-            factors = [(i, e) for i, e in enumerate(m) if e]
-            v = num
-            for i, e in factors:
-                v *= powers[i][e]
+            v = c.numerator * (L // c.denominator) * dpow[top - sum(m)]
+            for row, e in zip(powers, m):
+                v *= row[e]
             value += v
-            if gradient:
-                for i, e in factors:
-                    g = num * e * powers[i][e - 1]
-                    for j, f in factors:
-                        if j != i:
-                            g *= powers[j][f]
-                    grad[i] += g
-        value = Fraction(value, L * dpow[top])
-        if not gradient:
-            return value, None
-        scale = L * dpow[top - 1] if top else 1
-        return value, tuple(Fraction(g, scale) for g in grad)
+        return Fraction(value, L * dpow[top])
 
     def partial(self, i: int) -> "MultiPoly":
         """Exact partial derivative with respect to variable i."""

@@ -633,29 +633,30 @@ class HPolytope:
         return HPolytope(self.dim, self.conormals, tuple(frac(k) for k in new_support), self.labels, self.name)
 
     def in_same_chamber(self, new_support) -> bool:
-        """Same smooth combinatorial type at the new support numbers.
+        """Same smooth combinatorial type on the whole segment from the
+        support numbers to the new ones: the polytope builds at the new
+        point with the same vertex bases.
 
-        Checks the vertex pattern at the new point and at the segment
-        midpoint.  Pattern equality at sample points is necessary but not
-        literally sufficient for membership in the same connected
-        component; with the midpoint included this is a sufficient
-        practical test at this package's scale.
+        That one build decides the segment.  For a fixed basis B the
+        point v_B(kappa) is linear in kappa, so a strict slack on every
+        facet off B at both ends holds all along.  Edge j of v_B runs
+        along a fixed w_j; the listed vertex of B - B_j + k where it ends
+        here stays on its line, ahead of v_B at a positive distance, and
+        feasible, so the edge ends there all along.  The listed vertices
+        are then closed under edges, and as the graph of a polytope is
+        connected (Balinski 1961), they are all of its vertices.
+        Smoothness reads d off the same bases.
         """
         if not self.is_smooth():
             raise PolytopeError("chamber test requires a smooth polytope")
         new_support = vec(new_support)
         if len(new_support) != self.n_facets:
             raise PolytopeError("support vector has wrong length")
-        mid = tuple((a + b) / 2 for a, b in zip(self.support, new_support))
-        for kappa in (new_support, mid):
-            try:
-                other = self.with_support(kappa)
-            except PolytopeError:
-                return False
-            # both smooth, so their tables are keyed by the vertex bases
-            if not other.is_smooth() or other._basic.keys() != self._basic.keys():
-                return False
-        return True
+        try:
+            other = self.with_support(new_support)
+        except PolytopeError:
+            return False
+        return other._basic.keys() == self._basic.keys()
 
     @memoize
     def chamber_radius(self) -> tuple[Fraction, ...]:

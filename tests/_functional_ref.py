@@ -12,7 +12,9 @@ xi as A_v^{-1} gamma_B, and the symmetric facets from Fraction base
 values and gradients.  Each returns what the library function of the
 same name returns.  The library reads beta off the gamma fit, so the
 [A | I] solve of ``is_inessential`` here is the independent reference
-for beta.
+for beta.  ``barycenter_pairings_agree`` has no library counterpart: it
+fits H into the library's pair space of the listed skeleton dimensions,
+for the barycenter characterizations of mass linearity and generation.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from masslin.masslinear import (
     is_pervasive,
 )
 from masslin.measure import _functional, _pairing, _slice, _slice_coord_polys, _vertex_cones
+
+from _slice_ref import value_gradient
 
 
 def skeleton_barycenter(poly, k):
@@ -84,8 +88,8 @@ def symmetric_facets(poly, H):
             dvol[i] = sum((x * dvol[j] for j, x in mix), 0 * vol)
         return dmu, dvol
 
-    mu0, dmu0 = mu.eval_gradient(base)
-    vol0, dvol0 = vol.eval_gradient(base)
+    mu0, dmu0 = value_gradient(mu, base)
+    vol0, dvol0 = value_gradient(vol, base)
     dmu0, dvol0 = on_basis(list(dmu0), list(dvol0), vol0)
     sym = set()
     partials = None

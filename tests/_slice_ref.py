@@ -14,6 +14,7 @@ skeleton dimensions inside the pair space of the largest:
 partial, and ``stacked_pair_space`` eliminates each dimension's slice
 rows on their own and solves their stack in all n + N unknowns.
 ``slice_point`` forms kappa - A v0 in Fractions from the first vertex.
+``value_gradient`` evaluates a polynomial and its first partials.
 """
 
 from collections import defaultdict
@@ -30,7 +31,7 @@ def full_skeleton_block(poly, k):
     one equation per monomial in all N support numbers."""
     n, N = poly.dim, poly.n_facets
     measure, coords = _skeleton_coord_polys(poly, k)
-    parts = [c.as_dict() for c in coords] + [measure.as_dict()]
+    parts = [dict(c.terms) for c in coords] + [dict(measure.terms)]
     D = lcm(*(x.denominator for part in parts for x in part.values()))
     rows = defaultdict(lambda: [0] * (n + N))
     for c, part in enumerate(parts[:n]):
@@ -51,12 +52,17 @@ def full_pair_space(poly, dims):
     return tuple((z[:n], z[n:]) for z in int_nullspace(system, n + N))
 
 
+def value_gradient(p, point):
+    """The value and every first partial derivative of p at a point."""
+    return p.eval(point), tuple(p.partial(i).eval(point) for i in range(p.nvars))
+
+
 def full_symmetric_facets(poly, H):
     """(symmetric, asymmetric) from mu and V in all N variables: the
     identity at the base kappa first, then expanded where that is zero."""
     mu, vol = moment_poly(poly, vec(H)), volume_poly(poly)
-    mu0, dmu0 = mu.eval_gradient(poly.support)
-    vol0, dvol0 = vol.eval_gradient(poly.support)
+    mu0, dmu0 = value_gradient(mu, poly.support)
+    vol0, dvol0 = value_gradient(vol, poly.support)
     sym = frozenset(
         i
         for i in range(poly.n_facets)
@@ -73,7 +79,7 @@ def slice_values(poly, k):
         raise ValueError("skeleton dimension out of range")
     _, measure, coords = _slice_coord_polys(poly, k)
     base = _slice(poly)[1]
-    values = [p.eval_gradient(base) for p in (measure, *coords)]
+    values = [value_gradient(p, base) for p in (measure, *coords)]
     _, ((V, *dV), *moments) = scaled([(v, *g) for v, g in values])
     if V == 0:
         raise PolytopeError("zero skeleton measure")

@@ -46,8 +46,9 @@ from masslin import (
     skeleton_barycenter,
     trapezoid,
 )
-from masslin.masslinear import _face_slice, barycenter_pairings_agree
+from masslin.masslinear import _face_slice
 
+from _functional_ref import barycenter_pairings_agree
 from _suite import (
     SEED,
     combine_conormals,

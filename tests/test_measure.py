@@ -125,7 +125,7 @@ class TestTriangulate:
 class TestVolume:
     def test_interval_poly(self):
         vp = volume_poly(HPolytope(1, [(-1,), (1,)], [0, 1]))
-        assert vp.as_dict() == {(1, 0): F(1), (0, 1): F(1)}
+        assert dict(vp.terms) == {(1, 0): F(1), (0, 1): F(1)}
 
     def test_simplex_volumes(self):
         for n in (1, 2, 3, 4):
@@ -393,10 +393,6 @@ class TestBaseValues:
                 D, slice_measure, slice_coords = measure._slice_coord_polys(poly, k)
                 assert slice_measure.eval(moved) / D == total
                 assert tuple(c.eval(moved) / D + x * total for c, x in zip(slice_coords, v0)) == moments
-            vol = volume_poly(poly)
-            assert vol.eval_gradient(base) == (
-                vol.eval(base), tuple(vol.partial(i).eval(base) for i in range(poly.n_facets))
-            )
 
     def test_slice_polys_have_integer_coefficients(self):
         # the slice pass hands its readers integers over one denominator

@@ -681,6 +681,38 @@ class TestChamber:
         with pytest.raises(PolytopeError):
             square_pyramid().chamber_radius()
 
+    def test_endpoint_build_decides_the_segment(self):
+        # inside: every chamber_radius step, 2 kappa and a translate; the
+        # bundle point crosses the non-simple wall at h = 1 to a smooth
+        # polytope with other bases
+        cases = []
+        for sp in suite_polytopes():
+            p = sp.poly
+            if not p.is_smooth():
+                continue
+            xi = tuple(Fraction((-1) ** c * (c + 1), 2) for c in range(p.dim))
+            kappas = [tuple(2 * k for k in p.support), p.translate(xi).support]
+            for i, d in enumerate(p.chamber_radius()):
+                for step in (d, -d):
+                    kappas.append(p.support[:i] + (p.support[i] + step,) + p.support[i + 1:])
+            cases += [(p, kappa, True) for kappa in kappas]
+        cases.append((simplex_bundle_3110(), (0, 0, 0, 1, 0, Fraction(1, 2)), False))
+        for p, kappa, inside in cases:
+            other = p.with_support(kappa)
+            assert other.is_smooth()
+            assert (other._basic.keys() == p._basic.keys()) == inside == p.in_same_chamber(kappa)
+            if inside:
+                for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+                    q = p.with_support([(1 - t) * a + t * b for a, b in zip(p.support, kappa)])
+                    assert q.is_smooth() and q._basic.keys() == p._basic.keys()
+
+    def test_one_build(self, builds):
+        p = simplex_bundle_3110()
+        for kappa, inside in (((0, 0, 0, Fraction(1, 2), 0, 2), True), ((0, 0, 0, 1, 0, Fraction(1, 2)), False)):
+            builds.clear()
+            assert p.in_same_chamber(kappa) == inside
+            assert len(builds) == 1
+
 
 # --- transforms -------------------------------------------------------------
 
