@@ -585,27 +585,22 @@ def blowdown(poly: HPolytope, facet: int = 0) -> BlowdownReport:
         culprits = ", ".join(bar.labels[i] for i in sorted(escaped[0].basis))
         detail = f"new vertex {escaped[0].point} (on {culprits}) misses the blown-down face"
         return BlowdownReport(ok=False, failed_condition="face pattern", detail=detail)
-    valid: list[tuple[tuple[int, ...], Fraction]] = []
-    for I in held:
-        eps = sum((poly.support[i] for i in I), Fraction(0)) - poly.support[e]
-        if eps <= 0:
-            raise StructuralInconsistency("a genuine facet forces positive depth")
-        if not bar.is_smooth():
-            raise StructuralInconsistency(
-                "all blowdown conditions hold but the relaxed polytope is not smooth"
-            )
-        # bar blown up along I by eps is poly with facet e first: the cut
-        # is (eta_e, kappa_e), and no check of blowup can fail, since a
-        # vertex of bar off F_I with <eta_e, v> = kappa_e would make poly
-        # non-simple
-        valid.append((tuple(I), eps))
-    (I0, eps0) = valid[0]
+    if not bar.is_smooth():
+        raise StructuralInconsistency(
+            "all blowdown conditions hold but the relaxed polytope is not smooth"
+        )
+    # bar blown up along I by eps is poly with facet e first: the cut is
+    # (eta_e, kappa_e), and no check of blowup can fail, since a vertex of
+    # bar off F_I with <eta_e, v> = kappa_e would make poly non-simple
+    depths = [sum((poly.support[i] for i in I), Fraction(0)) - poly.support[e] for I in held]
+    if min(depths) <= 0:
+        raise StructuralInconsistency("a genuine facet forces positive depth")
     return BlowdownReport(
         ok=True,
         polytope=bar,
-        index_set=I0,
-        epsilon=eps0,
-        alternatives=tuple(I for I, _ in valid[1:]),
+        index_set=held[0],
+        epsilon=depths[0],
+        alternatives=tuple(held[1:]),
     )
 
 

@@ -81,7 +81,6 @@ from .measure import (
     _slice_coord_polys,
     _slice_values,
     _vertex_cones,
-    direction_lattice_basis,
     volume_poly,  # unused here; perfbench's tracer test reads it from this module
 )
 from .poly import MultiPoly
@@ -392,14 +391,29 @@ def _resolve_face(poly: HPolytope, face) -> Face:
     return found
 
 
+@memoize
+def direction_lattice_basis(poly: HPolytope, face: Face) -> tuple[tuple[int, ...], ...]:
+    """Integer lattice basis of the face's direction space, which its
+    conormals alone cut out, the same for every kappa in the chamber:
+    the one chart of the face, once per polytope and face."""
+    rows = [poly.conormals[i] for i in sorted(face.index_set)]
+    if not rows:
+        return tuple(tuple(1 if i == j else 0 for i in range(poly.dim)) for j in range(poly.dim))
+    B = integer_kernel_basis(rows, poly.dim)
+    if len(B) != face.dimension:
+        raise StructuralInconsistency("direction space dimension mismatch")
+    return tuple(map(tuple, B))
+
+
 def _face_slice(poly: HPolytope, face) -> tuple[HPolytope, tuple[int, ...]]:
     """A face as a full-dimensional polytope in a chart of its direction
     lattice, plus the input facet cutting each slice facet.
 
-    The chart is x = v0 + B^T y, with B from direction_lattice_basis and
-    v0 the face's first vertex.  face is a Face or a facet index set
-    naming the face it cuts out; an empty face raises PolytopeError, and
-    a slice that is not smooth raises StructuralInconsistency."""
+    The chart is x = v0 + B^T y, with v0 the face's first vertex and B
+    from ``direction_lattice_basis``, the library's one face chart, which
+    ``restrict_to_face`` also reports.  face is a Face or a facet index
+    set naming the face it cuts out; an empty face raises PolytopeError,
+    and a slice that is not smooth raises StructuralInconsistency."""
     face = _resolve_face(poly, face)
     B = direction_lattice_basis(poly, face)
     v0 = poly.vertices[face.vertex_ids[0]].point

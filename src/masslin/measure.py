@@ -10,13 +10,15 @@ Each is a sum over vertex cones (Lawrence, Math. Comp. 57, 1991; Brion
 at v leaves facet B_j along the integer vector w_j = -d A_v^{-1} e_j.
 Construction already has both, as a determinant and signed cofactor
 vectors of its minor rows (``polytope._subsets``), and keeps them per
-vertex; no vertex system is solved here.  One deterministic xi,
-checked to pair nonzero with every edge, gives q_j = -<xi, w_j> and
-L_v = <xi, v(kappa)> = sum_j q_j kappa_{B_j} / d.  The face F spanned
-by the edges T at v gets c_{v,T} = iota_{v,T} / prod_{j in T} q_j,
-iota_{v,T} being the index of the lattice of w_T in F's direction
-lattice; the scale d^|T| of the edges cancels in the quotient.  With
-k = dim F:
+vertex; no vertex system is solved here, and the pass reads that
+vertex table (``HPolytope._basic``) alone, never the face lattice.  One
+deterministic xi, checked to pair nonzero with every edge, gives
+q_j = -<xi, w_j> and L_v = <xi, v(kappa)> = sum_j q_j kappa_{B_j} / d.
+The face F spanned by the edges T at v gets c_{v,T} = iota_{v,T} /
+prod_{j in T} q_j, iota_{v,T} being the index of the lattice of w_T in
+F's direction lattice, its saturation: the gcd of the maximal minors of
+w_T, and 1 when d = 1.  The scale d^|T| of the edges cancels in the
+quotient.  With k = dim F:
 
     measure(F) = sum_{v in F} c_{v,T} L_v^k / k!
     int_F x_c  = sum_{v in F} c_{v,T} [v_c L_v^k / k!
@@ -65,23 +67,9 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import PolytopeError, StructuralInconsistency
-from .linalg import Vec, int_det, integer_kernel_basis, scaled, vec
+from .linalg import Vec, int_det, scaled, vec
 from .poly import MultiPoly
-from .polytope import Face, HPolytope, _scaled_support, memoize
-
-
-@memoize
-def direction_lattice_basis(poly: HPolytope, face: Face) -> tuple[tuple[int, ...], ...]:
-    """Integer lattice basis of the face's direction space, which its
-    conormals alone cut out, the same for every kappa in the chamber:
-    the one chart of the face, once per polytope and face."""
-    rows = [poly.conormals[i] for i in sorted(face.index_set)]
-    if not rows:
-        return tuple(tuple(1 if i == j else 0 for i in range(poly.dim)) for j in range(poly.dim))
-    B = integer_kernel_basis(rows, poly.dim)
-    if len(B) != face.dimension:
-        raise StructuralInconsistency("direction space dimension mismatch")
-    return tuple(map(tuple, B))
+from .polytope import HPolytope, _scaled_support, memoize
 
 
 class VertexCone(NamedTuple):
@@ -102,19 +90,13 @@ def _generic_xi(edges, n: int) -> tuple[int, ...]:
     return tuple(t**i for i in range(n))
 
 
-def _lattice_index(poly: HPolytope, cone: VertexCone, T: Sequence[int]) -> int:
-    """iota_{v,T}: a nonzero maximal minor of w_T over the same minor of a
-    basis of the face's direction lattice, which contains w_T, so the
-    quotient is an integer."""
-    face = poly.face(frozenset(cone.basis) - {cone.basis[j] for j in T})
-    B = direction_lattice_basis(poly, face)
-    for sel in combinations(range(poly.dim), len(T)):
-        if m := int_det([[b[i] for i in sel] for b in B]):
-            iota, r = divmod(int_det([[cone.w[j][i] for i in sel] for j in T]), m)
-            if r:
-                raise StructuralInconsistency("edges must lie in the face's direction lattice")
-            return abs(iota)
-    raise StructuralInconsistency("a lattice basis has an invertible minor")
+def _lattice_index(cone: VertexCone, T: Sequence[int]) -> int:
+    """iota_{v,T}: the gcd of the maximal minors of w_T.  The direction
+    lattice of the face the edges T span is the saturation of the lattice
+    of w_T, and by the Smith normal form a lattice's index in its
+    saturation is the gcd of its maximal minors."""
+    sels = combinations(range(len(cone.w)), len(T))
+    return gcd(*(int_det([[cone.w[j][i] for i in sel] for j in T]) for sel in sels))
 
 
 def _cone_sums(poly: HPolytope, cone: VertexCone, Ts) -> tuple[int, tuple[int, ...]]:
@@ -127,7 +109,7 @@ def _cone_sums(poly: HPolytope, cone: VertexCone, Ts) -> tuple[int, tuple[int, .
     n = poly.dim
     s0, s1 = 0, [0] * n
     for T in Ts:
-        iota = _lattice_index(poly, cone, T) if T and cone.d != 1 else 1
+        iota = _lattice_index(cone, T) if T and cone.d != 1 else 1
         rest = prod(q for i, q in enumerate(cone.q) if i not in T)
         s0 += iota * rest
         for j in T:

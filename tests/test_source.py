@@ -1,5 +1,7 @@
-"""The library's invariant checks are raises, never ``assert``
-statements, so that they still run under ``python -O``."""
+"""Static checks of the library source: its invariant checks are raises,
+never ``assert`` statements, so that they still run under ``python -O``;
+it imports nothing it does not read; and it defines nothing that no
+reader needs."""
 
 import ast
 from pathlib import Path
@@ -49,3 +51,61 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     found = [f"{path.name}:{name}" for path in SOURCES for name in _unused_imports(path)]
     assert SOURCES and found == []
+
+
+# Definitions that no library code reads, each kept for a reader outside
+# ``src/``.
+UNREAD_ALLOWED = {
+    # perfbench's tracer patches these two by name
+    ("linalg.py", "rref"),
+    ("measure.py", "skeleton_measure_polys"),
+    # perfbench's corpus reads the faces of each dimension
+    ("polytope.py", "HPolytope.faces_of_dimension"),
+    # the three moves under which every result must be invariant
+    ("polytope.py", "HPolytope.translate"),
+    ("polytope.py", "HPolytope.apply_lattice_map"),
+    ("polytope.py", "HPolytope.permute_facets"),
+    # the tests build their polynomials with these
+    ("poly.py", "MultiPoly.variable"),
+    ("poly.py", "MultiPoly.linear"),
+}
+
+
+def _is_click_command(node) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def _definitions(tree):
+    """(qualified name, bare name, node) of each module-level function or
+    class and each method not named ``__x__``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def test_every_definition_has_a_reader():
+    """Each definition is read as a name or an attribute somewhere in
+    ``src/``, is listed in ``masslin.__all__`` or is a CLI command; the
+    exceptions are exactly the definitions that are still unread."""
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    read = set(masslin.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {
+        (name, qualified)
+        for name, tree in trees.items()
+        for qualified, bare, node in _definitions(tree)
+        if bare not in read and not (name == "cli.py" and _is_click_command(node))
+    }
+    assert SOURCES and sorted(unread - UNREAD_ALLOWED) == [] and sorted(UNREAD_ALLOWED - unread) == []
