@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -532,6 +531,10 @@ def _batch_worker(args) -> dict:
 def run_batch(document, directory: Path, h_str: str, jobs: int) -> list[dict]:
     args = [(document, str(p), h_str) for p in _batch_paths(directory)]
     if jobs > 1:
+        # imported here, so that a plain import of the CLI loads no
+        # process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_batch_worker, args))
     return [_batch_worker(a) for a in args]

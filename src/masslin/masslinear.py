@@ -40,13 +40,16 @@ linear algebra on the integer conormals.  H is fitted in one place,
 every equivalence class vanishes (``_beta``), read off a report.
 
 All elimination and integration is per polytope, memoized on it: the
-slice pass, the pair spaces with their reduced echelon rows, and the
-base values and barycenters (``measure._slice_values``).  Each is kept
-as integers over one denominator.  The work per functional is integer
-arithmetic: H is scaled once to Hi / L, every sum and comparison runs on
-Hi against those forms, equalities of quotients are cross-multiplied,
-and Fractions are formed only for the values a report returns (gamma,
-which is also beta, the pairings, xi).  The one polynomial it forms is
+slice pass (one vertex-cone integration at k = n, whose partials give
+every lower skeleton), the pair spaces with their reduced echelon rows,
+and the base values and barycenters, which are the slice polynomials
+and their first partials evaluated in integers at the slice point
+(``measure._slice_values``).  Each is kept as integers over one
+denominator.  The work per functional is integer arithmetic: H is
+scaled once to Hi / L, every sum and comparison runs on Hi against those
+forms, equalities of quotients are cross-multiplied, and Fractions are
+formed only for the values a report returns (gamma, which is also beta,
+the pairings, xi).  The one polynomial it forms is
 the moment mu_H of ``symmetric_facets``, whose products are expanded
 only for facets whose base value vanishes.
 """
@@ -78,6 +81,7 @@ from .measure import (
     _functional,
     _pairing,
     _slice,
+    _slice_chain,
     _slice_coord_polys,
     _slice_values,
     _vertex_cones,
@@ -174,13 +178,20 @@ def is_pervasive(poly: HPolytope, i: int) -> bool:
     return i in _pervasive_facets(poly)
 
 
+def _neighbours(poly: HPolytope) -> list[set[int]]:
+    """The other facets that meet each facet: on a simple polytope two
+    facets meet exactly when some vertex basis holds both."""
+    meets = [set() for _ in range(poly.n_facets)]
+    for v in poly.vertices:
+        for i in v.basis:
+            meets[i] |= v.basis
+    return [m - {i} for i, m in enumerate(meets)]
+
+
 @memoize
 def _pervasive_facets(poly: HPolytope) -> frozenset[int]:
     """The facets that meet every other facet."""
-    N = poly.n_facets
-    return frozenset(
-        i for i in range(N) if all(poly.face({i, j}) is not None for j in range(N) if j != i)
-    )
+    return frozenset(i for i, m in enumerate(_neighbours(poly)) if len(m) == poly.n_facets - 1)
 
 
 def is_flat(poly: HPolytope, i: int) -> bool:
@@ -192,16 +203,9 @@ def is_flat(poly: HPolytope, i: int) -> bool:
 @memoize
 def _flat_facets(poly: HPolytope) -> frozenset[int]:
     """The facets whose neighbours' conormals lie in a hyperplane."""
-    flat = set()
-    for i in range(poly.n_facets):
-        rows = [
-            poly.conormals[j]
-            for j in range(poly.n_facets)
-            if j != i and poly.face(frozenset({i, j})) is not None
-        ]
-        if int_rank(rows) <= poly.dim - 1:
-            flat.add(i)
-    return frozenset(flat)
+    return frozenset(
+        i for i, m in enumerate(_neighbours(poly)) if int_rank([poly.conormals[j] for j in sorted(m)]) <= poly.dim - 1
+    )
 
 
 def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]]:
@@ -214,27 +218,21 @@ def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]
     polynomials mu' and V', over one denominator that scales every F_i
     alike.  Off B, d/dk_i is the slice partial.  At the facet B_p, the
     chain rule through the translation that keeps kappa on the slice
-    gives dmu/dk_{B_p} = sum_j <eta_j, w_p> dmu'/dk_j
-    - <H, w_p> V' and dV/dk_{B_p} = sum_j <eta_j, w_p> dV'/dk_j, w_p
-    being the first vertex's edge that leaves B_p.  Witness-first: F_i
-    is evaluated at the slice point of the base polytope, where it takes
-    its base value, and a nonzero value proves facet i asymmetric; only
-    facets whose value is zero get the symbolic product.  F_i is
-    homogeneous in H, so H is scaled to integers once, and the base
-    values come in integers from ``_slice_values``.
+    (``measure._slice_chain``) gives dmu/dk_{B_p} = sum_j <eta_j, w_p>
+    dmu'/dk_j - <H, w_p> V' and dV/dk_{B_p} = sum_j <eta_j, w_p>
+    dV'/dk_j, w_p being the first vertex's edge that leaves B_p.
+    Witness-first: F_i is evaluated at the slice point of the base
+    polytope, where it takes its base value, and a nonzero value proves
+    facet i asymmetric; only facets whose value is zero get the symbolic
+    product.  F_i is homogeneous in H, so H is scaled to integers once,
+    and the base values come in integers from ``_slice_values``.
     """
     _require_smooth(poly)
     n, N = poly.dim, poly.n_facets
     _, Hi = _integral(poly, H)
-    B = _slice(poly)[0]
     _, vol, coords = _slice_coord_polys(poly, n)
     mu = _pairing(poly, coords, Hi)
-    cone = _vertex_cones(poly)[0]
-    edges = [
-        (i, [(j, x) for j in range(N) if j not in B and (x := sum(map(mul, poly.conormals[j], w)))],
-         sum(map(mul, Hi, w)))
-        for i, w in zip(cone.basis, cone.w)
-    ]
+    edges = [(i, mix, sum(map(mul, Hi, w))) for i, mix, w in _slice_chain(poly)]
 
     def on_basis(dmu: list, dvol: list, vol) -> tuple[list, list]:
         """Fill in the partials at B from those off B; vol is V' or its
@@ -544,7 +542,10 @@ def _identity_rows(poly: HPolytope, k: int) -> list[list[int]]:
     over the k-skeleton, column n + i those of -kappa_i * P_k (zero for i
     in B), as the slice pass's integer numerators over one denominator.
     The k = 0 rows guard that P_0 is the vertex count and every vertex
-    moment is linear in kappa, as every vertex is."""
+    moment is linear in kappa, as every vertex is.  The k < n slice
+    polynomials are partials of the k = n ones (``measure._lower_skeleta``),
+    so on every full check the measure guard also checks that
+    derivation's chain rule, whose e_n must count the vertices."""
     n, N = poly.dim, poly.n_facets
     D, measure, coords = _slice_coord_polys(poly, k)
     if k == 0:

@@ -5,46 +5,65 @@ In a chamber each vertex is linear in the support vector kappa, v(kappa)
 all quantities below, with faces measured in their direction lattice,
 are exact polynomials in kappa.
 
-Each is a sum over vertex cones (Lawrence, Math. Comp. 57, 1991; Brion
-1988), with no triangulation, in integers.  With d = |det A_v|, edge j
-at v leaves facet B_j along the integer vector w_j = -d A_v^{-1} e_j.
-Construction already has both, as a determinant and signed cofactor
-vectors of its minor rows (``polytope._subsets``), and keeps them per
-vertex; no vertex system is solved here, and the pass reads that
-vertex table (``HPolytope._basic``) alone, never the face lattice.  One
-deterministic xi, checked to pair nonzero with every edge, gives
-q_j = -<xi, w_j> and L_v = <xi, v(kappa)> = sum_j q_j kappa_{B_j} / d.
-The face F spanned by the edges T at v gets c_{v,T} = iota_{v,T} /
-prod_{j in T} q_j, iota_{v,T} being the index of the lattice of w_T in
-F's direction lattice, its saturation: the gcd of the maximal minors of
-w_T, and 1 when d = 1.  The scale d^|T| of the edges cancels in the
-quotient.  With k = dim F:
+The volume and moments are a sum over vertex cones (Lawrence, Math.
+Comp. 57, 1991; Brion 1988), with no triangulation, in integers.  With
+d = |det A_v|, edge j at v leaves facet B_j along the integer vector w_j
+= -d A_v^{-1} e_j.  Construction already has both, as a determinant and
+signed cofactor vectors of its minor rows (``polytope._subsets``), and
+keeps them per vertex; no vertex system is solved here, and the pass
+reads that vertex table (``HPolytope._basic``) alone, never the face
+lattice.  One deterministic xi, checked to pair nonzero with every edge,
+gives q_j = -<xi, w_j> and L_v = <xi, v(kappa)> = sum_j q_j kappa_{B_j}
+/ d.  The edges at v span a lattice of index d^(n-1) in Z^n, so with Q =
+prod_j q_j:
 
-    measure(F) = sum_{v in F} c_{v,T} L_v^k / k!
-    int_F x_c  = sum_{v in F} c_{v,T} [v_c L_v^k / k!
-                     + (sum_{j in T} w_{j,c} / q_j) L_v^(k+1) / (k+1)!]
+    vol        = sum_v d^(n-1) L_v^n / (Q n!)
+    int_P x_c  = sum_v d^(n-1) / Q [v_c L_v^n / n!
+                     + (sum_j w_{j,c} / q_j) L_v^(n+1) / (n+1)!]
 
 the second being the xi_c-derivative of Lawrence's formula in degree 1.
-A k-skeleton needs two scalars per vertex, sums over the k-subsets T
-that ``_cone_sums`` forms only for the k a caller integrates.
+
+Every lower skeleton is read off these by differentiation (Brion 1988;
+Guillemin, Moment Maps and Combinatorial Invariants of Hamiltonian
+T^n-spaces, 1994).  On a simple polytope the facets S cut out a face
+F_S of dimension n - |S| exactly when they lie in one vertex basis, and
+moving kappa_i moves facet i at unit lattice speed, so with d_S = prod_{i
+in S} d/dkappa_i
+
+    measure(F_S) = g_S d_S V,    int_{F_S} x_c = g_S d_S m_c,
+
+g_S being the index of the lattice of the rows eta_S in its saturation,
+the gcd of their maximal minors (1 on every face of a smooth polytope),
+and d_S V = 0 when the facets S do not meet.  So the k-skeleton measure
+P_k = sum_{|S| = n-k} g_S d_S V is the elementary symmetric polynomial
+e_{n-k} of the partials applied to V, plus a correction on the faces
+where g_S != 1; one pass over the facets forms every e_j
+(``_lower_skeleta``).
 
 Translating the polytope by xi adds <eta_i, xi> to kappa_i.  The
 measures do not move and the moment of <H, x> moves by <H, xi> times the
 measure, so every question that compares them is settled on the slice
-kappa_B = 0, B being the facets through the first vertex: A_B is
+kappa_B = 0, B being the facets through the first vertex v0: A_B is
 invertible, so each kappa is a translate of exactly one point of it.
-``_slice_coord_polys`` expands the skeleton polynomials there, once per
-polytope and k, in the N - n variables off B: at a vertex, the terms of
-L_v in kappa_B are dropped before the multinomial expansion, and the
-first vertex adds only its degree-0 term.  Its integer polynomials share
-one denominator D, which cancels from every identity and ratio formed
-of them.  Their values at the slice point of the polytope, with every
-first partial, come from the vertex-cone terms in closed form
-(``_slice_values``), once per polytope and k; skeleton barycenters are
-those values moved back by the first vertex.  So a k < n polynomial is
-expanded only where a pair space needs its rows, and never evaluated.  The
-polynomials in all N variables come from ``_skeleton_coord_polys``,
-divided by D.  Only ``volume_poly`` is public; ``moment_poly``,
+``_slice_coord_polys`` gives the skeleton polynomials there, once per
+polytope, in the N - n variables off B.  At k = n they come from the
+vertex cones, with the terms of L_v in kappa_B dropped before the
+multinomial expansion (``_integrate``).  Below n they are derivatives of
+those by the chain rule through the translation that keeps kappa on the
+slice: off B, d/dkappa_j is the slice partial; at the facet B_p, whose
+edge at v0 is w_p, it is D_{B_p} = sum_{j not in B} (<eta_j, w_p> / d)
+d/dkappa_j (``_slice_chain``); and as the translation moves m_c by xi_c
+V, each B_p in S adds a term to the moments:
+
+    m'_{k,c} = sum_S g_S [D_S m'_c - sum_{B_p in S} (w_{p,c} / d) D_{S - B_p} V'].
+
+The integer polynomials of each k share one denominator, which cancels
+from every identity and ratio formed of them.  Their values at the slice
+point of the polytope, with every first partial, are integers over one
+power of its denominator (``_slice_values``), once per polytope and k;
+skeleton barycenters are those values moved back by the first vertex.
+The polynomials in all N variables come from ``_skeleton_coord_polys``,
+by plain partials.  Only ``volume_poly`` is public; ``moment_poly``,
 ``cached_moment_poly`` and ``skeleton_measure_polys`` have no library
 caller and stay because the perfbench tracer patches them by name.
 
@@ -88,35 +107,6 @@ def _generic_xi(edges, n: int) -> tuple[int, ...]:
     with every edge; one edge vanishes at no more than n - 1 values of t."""
     t = next(t for t in count(2) if all(sum(a * t**i for i, a in enumerate(w)) for ws in edges for w in ws))
     return tuple(t**i for i in range(n))
-
-
-def _lattice_index(cone: VertexCone, T: Sequence[int]) -> int:
-    """iota_{v,T}: the gcd of the maximal minors of w_T.  The direction
-    lattice of the face the edges T span is the saturation of the lattice
-    of w_T, and by the Smith normal form a lattice's index in its
-    saturation is the gcd of its maximal minors."""
-    sels = combinations(range(len(cone.w)), len(T))
-    return gcd(*(int_det([[cone.w[j][i] for i in sel] for j in T]) for sel in sels))
-
-
-def _cone_sums(poly: HPolytope, cone: VertexCone, Ts) -> tuple[int, tuple[int, ...]]:
-    """Integer numerators of the sums over the edge sets T in Ts of the
-    vertex's terms in the faces they span: c_{v,T}, over Q = prod_j q_j,
-    and c_{v,T} sum_{j in T} w_j / q_j, over Q^2.
-
-    These are iota_{v,T} prod_{j not in T} q_j and iota_{v,T} sum_{j in T}
-    w_j prod_{i in T - j} q_i prod_{i not in T} q_i^2."""
-    n = poly.dim
-    s0, s1 = 0, [0] * n
-    for T in Ts:
-        iota = _lattice_index(cone, T) if T and cone.d != 1 else 1
-        rest = prod(q for i, q in enumerate(cone.q) if i not in T)
-        s0 += iota * rest
-        for j in T:
-            f = iota * rest * rest * prod(cone.q[i] for i in T if i != j)
-            for c in range(n):
-                s1[c] += f * cone.w[j][c]
-    return s0, tuple(s1)
 
 
 @memoize
@@ -167,54 +157,128 @@ def _powers(N: int, cone: VertexCone, e: int, drop: frozenset[int]):
         yield tuple(mono), zip(kept, alpha), m
 
 
-def _scales(k: int, terms) -> tuple[int, list]:
-    """den = lcm of Q^2 d^(k+1), and each term as (cone, Q, s0, s1, scale)."""
-    terms = [(cone, prod(cone.q), s0, s1) for cone, s0, s1 in terms]
-    den = lcm(*(Q * Q * cone.d ** (k + 1) for cone, Q, _, _ in terms))
-    return den, [(cone, Q, s0, s1, den // (Q * Q * cone.d ** (k + 1))) for cone, Q, s0, s1 in terms]
+@memoize
+def _integrate(poly: HPolytope, drop: frozenset[int]) -> tuple[int, MultiPoly, tuple[MultiPoly, ...]]:
+    """Volume and coordinate moments from the vertex cones, restricted to
+    kappa_i = 0 for the facets i in drop, as (D, D V, D moments) with
+    integer coefficients, D the lcm of Q^2 d^2 over the vertices times
+    (n+1)!; once per polytope and drop.
 
-
-def _integrate(poly: HPolytope, k: int, terms, drop: frozenset[int] = frozenset()) -> tuple[int, MultiPoly, tuple[MultiPoly, ...]]:
-    """Measure and coordinate moments of k-faces from vertex terms (cone,
-    s0, s1) of ``_cone_sums``, restricted to kappa_i = 0 for the facets i
-    in drop, as (D, D measure, D moments) with integer coefficients, D
-    the lcm of Q^2 d^(k+1) over the vertices times (k+1)!.
-
-    A vertex adds s0 (d L_v)^k / (Q d^k k!) = s0 Q d (k+1) (d L_v)^k /
-    (Q^2 d^(k+1) (k+1)!) to the measure.  As v_c(kappa) = -sum_j w_{j,c}
-    kappa_{basis[j]} / d, the coefficient of kappa^alpha in its moment
-    is that of (d L_v)^(k+1) / (Q^2 d^(k+1) (k+1)!) times s1_c - s0
-    sum_j alpha_j w_{j,c} Q / q_j.  Dropped variables leave L_v before
-    the expansion, so only the terms of the restriction are formed.
+    A vertex adds (d L_v)^n / (Q d n!) = (n+1) Q d (d L_v)^n / (Q^2 d^2
+    (n+1)!) to the volume.  As v_c(kappa) = -sum_j w_{j,c} kappa_{basis[j]}
+    / d, the coefficient of kappa^alpha in its moment is that of
+    (d L_v)^(n+1) / (Q^2 d^2 (n+1)!) times sum_j (1 - alpha_j) w_{j,c}
+    Q / q_j.  Dropped variables leave L_v before the expansion, so only
+    the terms of the restriction are formed.
     """
     N, n = poly.n_facets, poly.dim
-    den, terms = _scales(k, terms)
+    cones = _vertex_cones(poly)
+    den = lcm(*(prod(cone.q) ** 2 * cone.d**2 for cone in cones))
     measure, coords = {}, [{} for _ in range(n)]
-    for cone, Q, s0, s1, scale in terms:
-        f = scale * Q * cone.d * (k + 1) * s0
-        for mono, _, p in _powers(N, cone, k, drop):
+    for cone in cones:
+        Q = prod(cone.q)
+        scale = den // (Q * Q * cone.d**2)
+        f = scale * Q * cone.d * (n + 1)
+        for mono, _, p in _powers(N, cone, n, drop):
             measure[mono] = measure.get(mono, 0) + f * p
-        b = [s0 * (Q // q) * e[c] for e, q in zip(cone.w, cone.q) for c in range(n)]
-        for mono, alpha, p in _powers(N, cone, k + 1, drop):
+        b = [(Q // q) * e[c] for e, q in zip(cone.w, cone.q) for c in range(n)]
+        s = [sum(b[j * n + c] for j in range(n)) for c in range(n)]
+        for mono, alpha, p in _powers(N, cone, n + 1, drop):
             p *= scale
             alpha = [(j * n, a) for j, a in alpha if a]
             for c, dc in enumerate(coords):
-                dc[mono] = dc.get(mono, 0) + p * (s1[c] - sum(a * b[j + c] for j, a in alpha))
-    return den * factorial(k + 1), MultiPoly.from_dict(N, measure), tuple(MultiPoly.from_dict(N, dc) for dc in coords)
+                dc[mono] = dc.get(mono, 0) + p * (s[c] - sum(a * b[j + c] for j, a in alpha))
+    return den * factorial(n + 1), MultiPoly.from_dict(N, measure), tuple(MultiPoly.from_dict(N, dc) for dc in coords)
+
+
+def _derive(op, p: dict) -> dict:
+    """sum_j x dp/dkappa_j over the pairs (j, x) of op, for an integer
+    polynomial p kept as a dict of its terms."""
+    out: dict = {}
+    for m, c in p.items():
+        for j, x in op:
+            if e := m[j]:
+                m2 = m[:j] + (e - 1,) + m[j + 1 :]
+                out[m2] = out.get(m2, 0) + x * e * c
+    return out
+
+
+def _add(p: dict, q: dict, f: int = 1) -> dict:
+    """p + f q, in place."""
+    for m, c in q.items():
+        p[m] = p.get(m, 0) + f * c
+    return p
+
+
+def _face_index(poly: HPolytope, S: Sequence[int]) -> int:
+    """g_S: the gcd of the maximal minors of the conormals eta_S.  By the
+    Smith normal form it is the index of their lattice in its
+    saturation."""
+    rows = [poly.conormals[i] for i in S]
+    return gcd(*(int_det([[r[c] for c in sel] for r in rows]) for sel in combinations(range(poly.dim), len(S))))
+
+
+def _lower_skeleta(poly: HPolytope, top, ops, d: int, shift) -> tuple[tuple[int, MultiPoly, tuple[MultiPoly, ...]], ...]:
+    """The k-skeleton measure and moments for k = 0..n-1 from the volume
+    and moments top = (D, D V, D m) of ``_integrate``, as (D d^(n-k),
+    measure, moments) with integer coefficients (module docstring).
+
+    ops[i] = ((j, x), ...) is d times the derivative along facet i,
+    sum_j x d/dkappa_j on the variables of top; shift holds (B_p, w_p)
+    for each facet whose derivative adds the translation term, none in
+    all N variables.  The pass R_s += ops[i] R_{s-1}, s = n..1, over the
+    facets leaves e_s of the ops applied to each polynomial.  The sums
+    over the S that hold B_p, in the translation term, are those of e_{s-1}
+    without B_p, R^p_s = R_s - ops[B_p] R^p_{s-1}.  The faces with g_S
+    != 1, subsets of a vertex basis with d != 1, add g_S - 1 times their
+    own term."""
+    N, n = poly.n_facets, poly.dim
+    D, V, coords = top
+    tops = [dict(V.terms), *(dict(c.terms) for c in coords)]
+    R = [tops] + [[{} for _ in tops] for _ in range(n)]
+    for op in ops:
+        for s in range(n, 0, -1):
+            for acc, p in zip(R[s], R[s - 1]):
+                _add(acc, _derive(op, p))
+    for f, w in shift:
+        rest = tops[0]
+        for s in range(1, n + 1):
+            for c in range(n):
+                _add(R[s][c + 1], rest, -w[c])
+            rest = _add(dict(R[s][0]), _derive(ops[f], rest), -1)
+    faces = {S for cone in _vertex_cones(poly) if cone.d != 1 for s in range(1, n + 1) for S in combinations(cone.basis, s)}
+    for S in sorted(faces):
+        if (g := _face_index(poly, S)) == 1:
+            continue
+        terms = tops
+        for i in S:
+            terms = [_derive(ops[i], p) for p in terms]
+        for f, w in shift:
+            if f in S:
+                rest = tops[0]
+                for i in S:
+                    rest = rest if i == f else _derive(ops[i], rest)
+                terms[1:] = [_add(t, rest, -w[c]) for c, t in enumerate(terms[1:])]
+        for acc, t in zip(R[len(S)], terms):
+            _add(acc, t, g - 1)
+    return tuple(
+        (D * d ** (n - k), MultiPoly.from_dict(N, R[n - k][0]), tuple(MultiPoly.from_dict(N, p) for p in R[n - k][1:]))
+        for k in range(n)
+    )
 
 
 @memoize
-def _skeleton_terms(poly: HPolytope, k: int) -> tuple:
-    """Each vertex's terms summed over the k-subsets of its edges, once
-    per polytope and k."""
-    return tuple((cone, *_cone_sums(poly, cone, combinations(range(poly.dim), k))) for cone in _vertex_cones(poly))
+def _full_skeleta(poly: HPolytope) -> tuple:
+    """The k < n skeleton polynomials in all N variables, once per
+    polytope: plain partials, with no translation term."""
+    return _lower_skeleta(poly, _integrate(poly, frozenset()), [((i, 1),) for i in range(poly.n_facets)], 1, ())
 
 
 @memoize
 def _skeleton_coord_polys(poly: HPolytope, k: int) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
     """Lattice measure of the k-skeleton and its n coordinate moments in
     all N variables, once per polytope and k."""
-    D, measure, coords = _integrate(poly, k, _skeleton_terms(poly, k))
+    D, measure, coords = _integrate(poly, frozenset()) if k == poly.dim else _full_skeleta(poly)[k]
     return measure / D, tuple(c / D for c in coords)
 
 
@@ -232,12 +296,40 @@ def _slice(poly: HPolytope) -> tuple[frozenset[int], Vec]:
 
 
 @memoize
+def _slice_chain(poly: HPolytope) -> tuple[tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
+    """(B_p, mix, w_p) for each facet B_p through the first vertex, w_p
+    being its edge there: on the slice, d times the derivative along B_p
+    is sum_j x d/dkappa_j over mix = ((j, <eta_j, w_p>), ...), the facets j
+    off B where that pairing is nonzero."""
+    B = _slice(poly)[0]
+    cone = _vertex_cones(poly)[0]
+    return tuple(
+        (f, tuple((j, x) for j, eta in enumerate(poly.conormals) if j not in B and (x := sum(map(mul, eta, w)))), w)
+        for f, w in zip(cone.basis, cone.w)
+    )
+
+
+@memoize
+def _slice_skeleta(poly: HPolytope) -> tuple:
+    """The k < n skeleton polynomials on the slice, once per polytope:
+    the derivatives of the k = n ones by the chain rule, with the
+    translation term."""
+    d = _vertex_cones(poly)[0].d
+    chain = _slice_chain(poly)
+    ops = [((i, d),) for i in range(poly.n_facets)]
+    for f, mix, _ in chain:
+        ops[f] = mix
+    top = _integrate(poly, _slice(poly)[0])
+    return _lower_skeleta(poly, top, ops, d, [(f, w) for f, _, w in chain])
+
+
 def _slice_coord_polys(poly: HPolytope, k: int) -> tuple[int, MultiPoly, tuple[MultiPoly, ...]]:
     """Lattice measure of the k-skeleton and its n coordinate moments on
     the slice kappa_B = 0 (``_slice``), as integer polynomials over one
-    denominator D (``_integrate``): the integration pass behind every
-    pair space and symmetric facet, once per polytope and k."""
-    return _integrate(poly, k, _skeleton_terms(poly, k), _slice(poly)[0])
+    denominator: the pass behind every pair space and symmetric facet.
+    k = n is integrated once per polytope, and the k < n polynomials are
+    derived from it once, when a caller first needs one."""
+    return _integrate(poly, _slice(poly)[0]) if k == poly.dim else _slice_skeleta(poly)[k]
 
 
 def _functional(poly: HPolytope, H: Sequence) -> Vec:
@@ -341,36 +433,39 @@ class SliceValues(NamedTuple):
     center_den: int
 
 
+def _value_gradient(p: MultiPoly, K: Sequence[int]) -> list[int]:
+    """[p(K), *grad p(K)] for an integer polynomial p in the slice
+    variables, in one pass over its terms.  Each slice variable is
+    positive at K, the support number of a facet off the first vertex of
+    a simple polytope, so a term v with exponent a > 0 in it adds a v /
+    K_j to the partial."""
+    row = [0] * (len(K) + 1)
+    for m, c in p.terms:
+        nz = [(j, a) for j, a in enumerate(m) if a]
+        v = c * prod(K[j] ** a for j, a in nz)
+        row[0] += v
+        for j, a in nz:
+            row[j + 1] += a * v // K[j]
+    return row
+
+
 @memoize
 def _slice_values(poly: HPolytope, k: int) -> SliceValues:
     """The base values of the slice pass, once per polytope and k: the
     skeleton barycenter, and the value and gradient of every
-    per-functional identity at the base kappa, in integers, read off the
-    cone terms in closed form.  With Q, scale and f as in ``_integrate``,
-    Lambda_v = sum_j q_j kappa_{B_j} and mu_{v,c} = sum_j w_{j,c}
-    kappa_{B_j} over the j off B, the slice polynomials over its
-    denominator are sum_v f Lambda_v^k and sum_v scale (s1_c
-    Lambda_v^(k+1) - (k+1) s0 Q Lambda_v^k mu_{v,c}), as alpha_j times a
-    term of Lambda_v^(k+1) is kappa_{B_j} times its partial; partials by
-    the product rule, zero on B.  At the slice point K / e all are
-    integers over e^(k+1); dividing by their gcd with e^(k+1) scales
-    them as ``scaled`` does.  Moving back adds v0 to the barycenter."""
+    per-functional identity at the base kappa, in integers.  The slice
+    polynomials (``_slice_coord_polys``) have integer coefficients and
+    are homogeneous, of degree k for the measure and k + 1 for a moment,
+    so at the slice point K / e the values and partials are integers over
+    e^(k+1): e P(K) and e^2 dP(K) for the measure, m(K) and e dm(K) for a
+    moment.  Dividing them by their gcd with e^(k+1) scales them as
+    ``scaled`` does.  Moving back adds v0 to the barycenter."""
     if type(k) is not int or not 0 <= k <= poly.dim:
         raise ValueError("skeleton dimension out of range")
-    B, base = _slice(poly)
-    e, (K,) = scaled([base])
-    rows = [[0] * (poly.n_facets + 1) for _ in range(poly.dim + 1)]  # (value, *gradient)
-    for cone, Q, s0, s1, scale in _scales(k, _skeleton_terms(poly, k))[1]:
-        kept = [(f, q, w) for f, q, w in zip(cone.basis, cone.q, cone.w) if f not in B]
-        lam, mu = sum(q * K[f] for f, q, _ in kept), [sum(w[c] * K[f] for f, _, w in kept) for c in range(poly.dim)]
-        a, f0, pk, dpk = (k + 1) * s0 * Q, scale * Q * cone.d * (k + 1) * s0, lam**k, k * lam ** (k - 1) if k else 0
-        rows[0][0] += f0 * pk * e
-        for c, row in enumerate(rows[1:]):
-            row[0] += scale * (s1[c] * lam - a * mu[c]) * pk
-        for f, q, w in kept:
-            rows[0][f + 1] += f0 * dpk * q * e * e
-            for c, row in enumerate(rows[1:]):
-                row[f + 1] += scale * e * (((k + 1) * s1[c] * q - a * w[c]) * pk - a * dpk * q * mu[c])
+    e, (K,) = scaled([_slice(poly)[1]])
+    _, measure, coords = _slice_coord_polys(poly, k)
+    (V0, *dV0), *moments = [_value_gradient(p, K) for p in (measure, *coords)]
+    rows = [[e * V0, *(e * e * x for x in dV0)], *([m0, *(e * x for x in dm)] for m0, *dm in moments)]
     G = gcd(e ** (k + 1), *(x for row in rows for x in row))
     (V, *dV), *moments = [[x // G for x in row] for row in rows]
     if V == 0:

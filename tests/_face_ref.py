@@ -12,9 +12,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from masslin.linalg import Vec
-from masslin.measure import _cone_sums, _integrate, _pairing, _vertex_cones
+from masslin.measure import _pairing, _vertex_cones
 from masslin.poly import MultiPoly
 from masslin.polytope import Face, HPolytope
+
+from _slice_ref import _cone_sums, _integrate
 
 
 def face_polys(poly: HPolytope, face: Face) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:

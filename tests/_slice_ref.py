@@ -15,15 +15,104 @@ partial, and ``stacked_pair_space`` eliminates each dimension's slice
 rows on their own and solves their stack in all n + N unknowns.
 ``slice_point`` forms kappa - A v0 in Fractions from the first vertex.
 ``value_gradient`` evaluates a polynomial and its first partials.
+
+``lawrence_skeleton`` integrates each k-skeleton on its own, in all N
+variables or on the slice, by Lawrence's formula over the k-subsets of
+the edges at every vertex, each with its lattice index
+(``_lattice_index``), as the library did before it derived the k < n
+polynomials from the k = n ones by differentiation.  ``_face_ref``
+integrates single faces with the same ``_cone_sums`` and ``_integrate``.
 """
 
 from collections import defaultdict
-from math import lcm
+from itertools import combinations
+from math import factorial, gcd, lcm, prod
 
 from masslin.errors import PolytopeError
-from masslin.linalg import _echelon, dot, int_nullspace, scaled, vec
+from masslin.linalg import _echelon, dot, int_det, int_nullspace, scaled, vec
 from masslin.masslinear import _identity_rows
-from masslin.measure import SliceValues, _skeleton_coord_polys, _slice, _slice_coord_polys, moment_poly, volume_poly
+from masslin.measure import (
+    SliceValues,
+    _powers,
+    _skeleton_coord_polys,
+    _slice,
+    _slice_coord_polys,
+    _vertex_cones,
+    moment_poly,
+    volume_poly,
+)
+from masslin.poly import MultiPoly
+
+
+def _lattice_index(cone, T):
+    """iota_{v,T}: the gcd of the maximal minors of w_T.  The direction
+    lattice of the face the edges T span is the saturation of the lattice
+    of w_T, and by the Smith normal form a lattice's index in its
+    saturation is the gcd of its maximal minors."""
+    sels = combinations(range(len(cone.w)), len(T))
+    return gcd(*(int_det([[cone.w[j][i] for i in sel] for j in T]) for sel in sels))
+
+
+def _cone_sums(poly, cone, Ts):
+    """Integer numerators of the sums over the edge sets T in Ts of the
+    vertex's terms in the faces they span: c_{v,T} = iota_{v,T} /
+    prod_{j in T} q_j, over Q = prod_j q_j, and c_{v,T} sum_{j in T} w_j /
+    q_j, over Q^2.
+
+    These are iota_{v,T} prod_{j not in T} q_j and iota_{v,T} sum_{j in T}
+    w_j prod_{i in T - j} q_i prod_{i not in T} q_i^2."""
+    n = poly.dim
+    s0, s1 = 0, [0] * n
+    for T in Ts:
+        iota = _lattice_index(cone, T) if T and cone.d != 1 else 1
+        rest = prod(q for i, q in enumerate(cone.q) if i not in T)
+        s0 += iota * rest
+        for j in T:
+            f = iota * rest * rest * prod(cone.q[i] for i in T if i != j)
+            for c in range(n):
+                s1[c] += f * cone.w[j][c]
+    return s0, tuple(s1)
+
+
+def _integrate(poly, k, terms, drop=frozenset()):
+    """Measure and coordinate moments of k-faces by Lawrence's formula,
+    from vertex terms (cone, s0, s1) of ``_cone_sums``, restricted to
+    kappa_i = 0 for the facets i in drop, as (D, D measure, D moments)
+    with integer coefficients, D the lcm of Q^2 d^(k+1) over the vertices
+    times (k+1)!.
+
+    The face F spanned by the edges T at v gets c_{v,T} L_v^k / k! in its
+    measure and c_{v,T} [v_c L_v^k / k! + (sum_{j in T} w_{j,c} / q_j)
+    L_v^(k+1) / (k+1)!] in its moment.  A vertex adds s0 (d L_v)^k / (Q
+    d^k k!) = s0 Q d (k+1) (d L_v)^k / (Q^2 d^(k+1) (k+1)!) to the
+    measure.  As v_c(kappa) = -sum_j w_{j,c} kappa_{basis[j]} / d, the
+    coefficient of kappa^alpha in its moment is that of (d L_v)^(k+1) /
+    (Q^2 d^(k+1) (k+1)!) times s1_c - s0 sum_j alpha_j w_{j,c} Q / q_j."""
+    N, n = poly.n_facets, poly.dim
+    terms = [(cone, prod(cone.q), s0, s1) for cone, s0, s1 in terms]
+    den = lcm(*(Q * Q * cone.d ** (k + 1) for cone, Q, _, _ in terms))
+    measure, coords = {}, [{} for _ in range(n)]
+    for cone, Q, s0, s1 in terms:
+        scale = den // (Q * Q * cone.d ** (k + 1))
+        f = scale * Q * cone.d * (k + 1) * s0
+        for mono, _, p in _powers(N, cone, k, drop):
+            measure[mono] = measure.get(mono, 0) + f * p
+        b = [s0 * (Q // q) * e[c] for e, q in zip(cone.w, cone.q) for c in range(n)]
+        for mono, alpha, p in _powers(N, cone, k + 1, drop):
+            p *= scale
+            alpha = [(j * n, a) for j, a in alpha if a]
+            for c, dc in enumerate(coords):
+                dc[mono] = dc.get(mono, 0) + p * (s1[c] - sum(a * b[j + c] for j, a in alpha))
+    return den * factorial(k + 1), MultiPoly.from_dict(N, measure), tuple(MultiPoly.from_dict(N, dc) for dc in coords)
+
+
+def lawrence_skeleton(poly, k, drop=frozenset()):
+    """The k-skeleton measure and coordinate moments by one Lawrence pass
+    over the k-subsets of the edges at every vertex, restricted to
+    kappa_i = 0 for i in drop, as rational polynomials."""
+    terms = [(cone, *_cone_sums(poly, cone, combinations(range(poly.dim), k))) for cone in _vertex_cones(poly)]
+    D, measure, coords = _integrate(poly, k, terms, drop)
+    return measure / D, tuple(c / D for c in coords)
 
 
 def full_skeleton_block(poly, k):

@@ -2,10 +2,15 @@
 construct/blowup/classify pipeline, batch mode, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
+import masslin
 from masslin.cli import (
     classify_document,
     document_to_polytope,
@@ -404,6 +409,18 @@ class TestBatch:
         code1, out1, _ = run(capsys, "check", str(batch), "-H", "0,2,2,0")
         code2, out2, _ = run(capsys, "check", str(batch), "-H", "0,2,2,0", "--jobs", "2")
         assert (code1, out1) == (code2, out2)
+
+    def test_import_loads_no_process_pool(self):
+        # only a batch run with --jobs > 1 needs the process machinery
+        script = (
+            "import sys, masslin.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        src = str(Path(masslin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_classify_directory(self, capsys, bar_file, tmp_path):
         batch = tmp_path / "batch"

@@ -845,6 +845,23 @@ class TestPervasiveFlat:
             for i in range(poly.n_facets)
         ]
 
+    def test_adjacency_matches_face_lookups_on_suite(self):
+        # facets meet exactly when some vertex basis holds both; the
+        # reference looks each pair up in the face lattice
+        for sp in suite_polytopes():
+            poly, N = sp.poly, sp.poly.n_facets
+            meets = [[j for j in range(N) if j != i and poly.face({i, j}) is not None] for i in range(N)]
+            assert [is_pervasive(poly, i) for i in range(N)] == [len(m) == N - 1 for m in meets], sp.name
+            assert [is_flat(poly, i) for i in range(N)] == [
+                rank([poly.conormals[j] for j in m]) <= poly.dim - 1 for m in meets
+            ], sp.name
+
+    def test_check_builds_no_face_lattice(self):
+        poly = blowup(bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)), (1, 3, 4))
+        report = check_document(poly, (0, 1, 0, 0))
+        assert report["asymmetric"]
+        assert not any("face_lattice" in str(key) for key in poly._memo)
+
     def test_simplex_all_pervasive(self):
         poly = simplex(3)
         assert all(is_pervasive(poly, i) for i in range(4))

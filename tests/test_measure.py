@@ -418,10 +418,13 @@ def _moved(poly):
 
 
 class TestSliceValuesOracle:
-    """``_slice_values`` reads the base values off the vertex cone terms
-    in closed form; the reference ``_slice_ref.slice_values`` evaluates
-    the slice polynomials with every first partial.  Every field must be
-    equal, also on cones with d != 1, which take lattice indices."""
+    """``_slice_values`` evaluates the integer slice polynomials with
+    every first partial in one integer pass, as integers over a power of
+    the slice point's denominator; the reference
+    ``_slice_ref.slice_values`` evaluates them in Fractions with
+    ``MultiPoly.eval`` and ``partial`` and scales the values with
+    ``scaled``.  Every field must be equal, also on non-smooth polytopes,
+    whose k < n polynomials take face indices g_S != 1."""
 
     @staticmethod
     def _assert_matches(poly):
@@ -441,6 +444,68 @@ class TestSliceValuesOracle:
         for sp in suite_polytopes():
             for moved in _moved(sp.poly):
                 self._assert_matches(moved)
+
+
+def _non_smooth_fixtures():
+    """Fresh builds of the five non-smooth fixtures, each also with its
+    facets reversed."""
+    polys = []
+    for n, data in ((2, NON_SMOOTH_TRIANGLE), (3, NON_SMOOTH_TETRAHEDRON), (2, DET3_TRIANGLE),
+                    (3, DET3_TETRAHEDRON), (4, INDEX2_SIMPLEX4)):
+        poly = HPolytope(n, *data)
+        polys += [poly, poly.permute_facets(tuple(reversed(range(poly.n_facets))))]
+    return polys
+
+
+class TestDerivedSkeletaOracle:
+    """The k < n skeleton polynomials are partials of the k = n ones
+    (``measure._lower_skeleta``): on the slice by the chain rule with the
+    translation term, in all N variables by plain partials, each face
+    weighted by its index g_S.  The reference
+    ``_slice_ref.lawrence_skeleton`` integrates each k on its own, by
+    Lawrence's formula over the k-subsets of the edges at every vertex
+    with their lattice indices.  They must be equal as rational
+    polynomials at every k; the last two tests break the derivation and
+    check that the reference tells."""
+
+    @staticmethod
+    def _mismatches(poly):
+        B = measure._slice(poly)[0]
+        found = []
+        for k in range(poly.dim + 1):
+            D, measure_k, coords = measure._slice_coord_polys(poly, k)
+            if (measure_k / D, tuple(c / D for c in coords)) != _slice_ref.lawrence_skeleton(poly, k, B):
+                found.append(("slice", k))
+            if _skeleton_coord_polys(poly, k) != _slice_ref.lawrence_skeleton(poly, k):
+                found.append(("full", k))
+        return found
+
+    def test_suite(self):
+        for sp in suite_polytopes():
+            assert self._mismatches(sp.poly) == [], sp.name
+
+    def test_moved_suite(self):
+        for sp in suite_polytopes():
+            for moved in _moved(sp.poly):
+                assert self._mismatches(moved) == [], sp.name
+
+    def test_non_smooth(self):
+        for poly in _non_smooth_fixtures():
+            assert self._mismatches(poly) == [], poly.conormals
+
+    def test_unit_face_indices_fail_on_non_smooth(self, monkeypatch):
+        monkeypatch.setattr(measure, "_face_index", lambda poly, S: 1)
+        for poly in _non_smooth_fixtures():
+            found = self._mismatches(poly)
+            assert ("slice", 0) in found and ("full", 0) in found, poly.conormals
+
+    def test_no_translation_term_fails_on_the_suite(self, monkeypatch):
+        lower = measure._lower_skeleta
+        monkeypatch.setattr(measure, "_lower_skeleta", lambda poly, top, ops, d, shift: lower(poly, top, ops, d, ()))
+        for sp in suite_polytopes():
+            poly = HPolytope(sp.poly.dim, sp.poly.conormals, sp.poly.support, sp.poly.labels)
+            found = self._mismatches(poly)
+            assert found and all(where == "slice" for where, _ in found), sp.name
 
 
 class TestVertexConeOracle:
@@ -475,7 +540,8 @@ class TestVertexConeOracle:
 
 
 class TestLatticeIndex:
-    """``_lattice_index`` reads iota_{v,T} off the edges, as the gcd of
+    """The Lawrence reference ``_slice_ref._lattice_index`` reads
+    iota_{v,T} off the edges, as the gcd of
     the maximal minors of w_T.  The reference is the quotient of the
     first nonzero maximal minor of a basis of the face's direction
     lattice (``direction_lattice_basis``) into the same minor of w_T,
@@ -503,7 +569,7 @@ class TestLatticeIndex:
             for cone in measure._vertex_cones(poly):
                 for size in range(1, poly.dim + 1):
                     for T in combinations(range(poly.dim), size):
-                        iota = measure._lattice_index(cone, T)
+                        iota = _slice_ref._lattice_index(cone, T)
                         assert iota == self._chart_quotient(poly, cone, T), (poly.conormals, cone.basis, T)
                         seen.add((poly.dim, iota))
         assert {(2, 2), (3, 3), (3, 9), (4, 2), (4, 8)} <= seen
@@ -593,56 +659,69 @@ class TestOneStore:
 
 
 class TestPerKConeSums:
-    """Cone sums are formed only for the skeleton dimensions k that a
-    caller integrates: a mass linearity test reads k = n alone, a full
-    check every k."""
+    """Cone sums are formed at k = n alone: one Lawrence pass on the
+    slice (``_integrate``) expands (d L_v)^n and (d L_v)^(n+1) once at
+    each vertex, and every k < n polynomial is a partial of its output,
+    derived once (``_lower_skeleta``).  A mass linearity test reads
+    k = n alone and derives nothing."""
 
     @staticmethod
-    def _recorded_sizes(monkeypatch):
-        sizes = set()
-        plain = measure._cone_sums
+    def _record(monkeypatch):
+        """A counter of the multinomial expansions, per (cone, degree,
+        dropped facets), and the list of derivations run."""
+        powers, derived = Counter(), []
+        expand, lower = measure._powers, measure._lower_skeleta
 
-        def recording(poly, cone, Ts):
-            Ts = list(Ts)
-            sizes.update(len(T) for T in Ts)
-            return plain(poly, cone, Ts)
+        def counting_expand(N, cone, e, drop):
+            powers[cone, e, drop] += 1
+            return expand(N, cone, e, drop)
 
-        monkeypatch.setattr(measure, "_cone_sums", recording)
-        return sizes
+        def counting_lower(poly, top, ops, d, shift):
+            derived.append(poly)
+            return lower(poly, top, ops, d, shift)
+
+        monkeypatch.setattr(measure, "_powers", counting_expand)
+        monkeypatch.setattr(measure, "_lower_skeleta", counting_lower)
+        return powers, derived
 
     @staticmethod
     def _fresh_pair():
         sp = next(sp for sp in suite_polytopes() if sp.poly.dim == 4)
         return HPolytope(4, sp.poly.conormals, sp.poly.support, sp.poly.labels), sp.functionals[0]
 
+    @staticmethod
+    def _slice_pass(poly):
+        """The expansions of the one Lawrence pass on the slice: degrees
+        n and n + 1 once at each vertex."""
+        B = measure._slice(poly)[0]
+        return Counter({(cone, e, B): 1 for cone in measure._vertex_cones(poly) for e in (4, 5)})
+
     def test_mass_linear_test_sums_only_k_equal_n(self, monkeypatch):
         poly, H = self._fresh_pair()
-        sizes = self._recorded_sizes(monkeypatch)
+        powers, derived = self._record(monkeypatch)
         mass_linear_test(poly, H)
-        assert sizes == {4}
+        assert powers == self._slice_pass(poly)
+        assert derived == []
 
-    def test_check_document_sums_every_k(self, monkeypatch):
+    def test_check_document_sums_each_cone_once(self, monkeypatch):
+        # the base values and the slice polynomials of every k read one
+        # cone term per vertex
         poly, H = self._fresh_pair()
-        sizes = self._recorded_sizes(monkeypatch)
+        powers, _ = self._record(monkeypatch)
         check_document(poly, H)
-        assert sizes == set(range(5))
+        assert Counter(cone for cone, _, _ in powers.elements()) == Counter(
+            {cone: 2 for cone in measure._vertex_cones(poly)}
+        )
 
-    def test_check_document_sums_each_cone_once_per_k(self, monkeypatch):
-        # the base values and the slice polynomials read one memo of the
-        # cone terms per polytope and k
+    def test_check_document_integrates_once_on_the_slice(self, monkeypatch):
+        # the full check needs every k; the k < n polynomials are derived
+        # from the one pass at k = n, once per polytope
         poly, H = self._fresh_pair()
-        calls = Counter()
-        plain = measure._cone_sums
-
-        def counting(poly, cone, Ts):
-            Ts = list(Ts)
-            calls[cone, len(Ts[0])] += 1
-            return plain(poly, cone, Ts)
-
-        monkeypatch.setattr(measure, "_cone_sums", counting)
+        powers, derived = self._record(monkeypatch)
         check_document(poly, H)
-        assert set(calls.values()) == {1}
-        assert len(calls) == len(poly.vertices) * 5
+        check_document(poly, H)
+        assert powers == self._slice_pass(poly)
+        assert derived == [poly]
 
 
 def _unit(n, c):
