@@ -5,53 +5,50 @@ function of the support vector kappa: moment over volume, both exact
 polynomials on the chamber of the base polytope.  H is mass linear when
 that pairing is linear in kappa, that is when the polynomial identity
 
-    moment_H - (sum_i gamma_i kappa_i) * volume == 0
+    mu_H - (sum_i gamma_i kappa_i) * V == 0
 
 holds for some gamma; it is decided exactly.  The identity is linear in
 the pair (H, gamma), so the pairs that satisfy it form a vector space,
-``ml_space``.  The same holds for the skeleton identities
-moment_k(H) == (gamma . kappa) * measure_k of full mass linearity: one
-space of pairs per tuple of skeleton dimensions, memoized per polytope
-with its reduced echelon form.  Those forms are the one source of every
-chamber-wide verdict: H passes exactly when it lies in the span of the
-H parts, gamma is then the same combination of the gamma parts (unique,
-because the products kappa_i * measure_k are independent), and
-otherwise the nonzero residual of H against that span is the witness.
+``ml_space``.  So do the pairs of full mass linearity, with m_k(H) ==
+(gamma . kappa) P_k for the moment and measure of each k-skeleton, one
+space per tuple of skeleton dimensions, memoized with its echelon form.
+Those forms are the one source of every chamber-wide verdict: H passes
+exactly when it lies in the span of the H parts, gamma is then the same
+combination of the gamma parts (unique, because the products kappa_i *
+P_k are independent), and otherwise the nonzero residual of H against
+that span is the witness.
 
-The spaces are cut out on the slice kappa_B = 0 of the first vertex's
-chart (``measure._slice``).  Translating by xi adds <eta_i, xi> to
-kappa_i, moves moment_k by <H, xi> * measure_k and gamma . kappa by
-<sum_i gamma_i eta_i, xi>, and leaves measure_k fixed.  So an identity
-that holds in all N variables forces H == sum_i gamma_i eta_i, and an
-identity on the slice together with that equation holds everywhere,
-every kappa being a translate of a slice point.  Each pair space is the
-kernel of the slice rows and those n rows.
+``ml_space`` is cut out on the slice kappa_B = 0 of the first vertex's
+chart (``measure._slice``): translating by xi adds <eta_i, xi> to
+kappa_i, <H, xi> V to mu_H and <sum_i gamma_i eta_i, xi> to gamma .
+kappa, so an identity in all N variables forces H == sum_i gamma_i
+eta_i, and one on the slice together with that equation holds
+everywhere.  Below n no moment is needed: face measures and moments are
+partials of V and mu_H (``measure``), so on ``ml_space``, with d_S =
+prod_{i in S} d/dkappa_i, the Leibniz rule and T = S - i,
 
-Facets with zero coefficient are symmetric (moving them does not move
-the pairing); the same notion is decided for non-mass-linear H by the
-per-facet identity d(moment)/dk_i * V == moment * dV/dk_i, which is
-translation invariant and so decided on the slice as well.  Negative
-answers are witness-first: an identity whose two sides differ at the
-base kappa fails, and that exact nonzero value is its certificate, so
-only the identities that hold at the base kappa are expanded
-symbolically.  Facet equivalence and generating vectors are exact
-linear algebra on the integer conormals.  H is fitted in one place,
-``_gamma``, and an inessential witness is that gamma when its sum over
-every equivalence class vanishes (``_beta``), read off a report.
+    m_k(H) = sum_{|S| = n-k} d_S mu_H = sum_S d_S [(gamma . kappa) V]
+           = (gamma . kappa) P_k + sum_S sum_{i in S} gamma_i d_{S-i} V
+           = (gamma . kappa) P_k + sum_i gamma_i sum_{|T| = n-k-1, i not in T} d_T V,
 
-All elimination and integration is per polytope, memoized on it: the
-slice pass (one vertex-cone integration at k = n, whose partials give
-every lower skeleton), the pair spaces with their reduced echelon rows,
-and the base values and barycenters, which are the slice polynomials
-and their first partials evaluated in integers at the slice point
-(``measure._slice_values``).  Each is kept as integers over one
-denominator.  The work per functional is integer arithmetic: H is
-scaled once to Hi / L, every sum and comparison runs on Hi against those
-forms, equalities of quotients are cross-multiplied, and Fractions are
-formed only for the values a report returns (gamma, which is also beta,
-the pairings, xi).  The one polynomial it forms is
-the moment mu_H of ``symmetric_facets``, whose products are expanded
-only for facets whose base value vanishes.
+and the k-skeleton identity says that these translation invariant face
+measures sum to zero, (sum_i gamma_i) V == 0 at k = n - 1.
+
+Facets with zero coefficient are symmetric; for non-mass-linear H the
+same notion is the translation invariant identity d(mu)/dk_i * V == mu
+* dV/dk_i.  Negative answers are witness-first: an identity whose sides
+differ at the base kappa fails with that value as its certificate.  H
+is fitted in one place, ``_gamma``; an inessential witness is that
+gamma when its sum over every equivalence class vanishes (``_beta``).
+All elimination and integration is per polytope, memoized on it, as
+integers over one denominator: the slice pass, the face measures of the
+gamma rows, the pair spaces with their echelon rows, and the base
+values of one closed-form vertex pass per face size
+(``measure._base_values``).  Per functional, H is scaled once to Hi /
+L, comparisons run on Hi against those forms, quotients are
+cross-multiplied, and Fractions are formed only for the values a report
+returns; the one polynomial formed is the moment mu_H of
+``symmetric_facets``, expanded only for facets whose base value vanishes.
 """
 
 from __future__ import annotations
@@ -59,6 +56,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from operator import mul
 
 from .errors import PolytopeError, StructuralInconsistency
@@ -78,12 +76,13 @@ from .linalg import (
     vec_sub,
 )
 from .measure import (
+    _base_values,
     _functional,
     _pairing,
     _slice,
     _slice_chain,
     _slice_coord_polys,
-    _slice_values,
+    _slice_measures,
     _vertex_cones,
     volume_poly,  # unused here; perfbench's tracer test reads it from this module
 )
@@ -161,12 +160,17 @@ class Restriction:
 
 @dataclass(frozen=True)
 class FullMassLinearReport:
-    """Pairings <H, B_k> of H with the skeleton barycenters at the base
-    kappa, their equality there (at_base), and chamber-wide equality for
-    every k (verdict): H lies in the memoized space of pairs (H, gamma)
-    with moment_k == (gamma . kappa) * measure_k for k = 0..n, where the
-    k = 0 identity makes gamma . kappa the pairing with the vertex
-    average.  A verdict never holds without at_base."""
+    """Pairings <H, B_k> with the skeleton barycenters at the base kappa,
+    their equality there (at_base), and chamber-wide (verdict): H lies in
+    the pairs with m_k == (gamma . kappa) P_k for k = 0..n, gamma . kappa
+    being the pairing with the vertex average, and below n the part of
+    ``ml_space`` where, by the Leibniz rule and T = S - i,
+
+        m_k - (gamma . kappa) P_k = sum_{|S| = n-k} (d_S [(gamma . kappa) V] - (gamma . kappa) d_S V)
+                                  = sum_S sum_{i in S} gamma_i d_{S-i} V
+                                  = sum_i gamma_i sum_{|T| = n-k-1, i not in T} d_T V
+
+    vanishes.  A verdict needs at_base."""
 
     values: tuple[Fraction, ...]
     at_base: bool
@@ -212,48 +216,34 @@ def symmetric_facets(poly: HPolytope, H) -> tuple[frozenset[int], frozenset[int]
     """Partition facets into (symmetric, asymmetric) for H.
 
     Facet i is symmetric when the center-of-mass pairing does not depend
-    on kappa_i: the exact identity F_i = d(mu)/dk_i * V - mu * dV/dk_i
-    == 0.  Works whether or not H is mass linear.  F_i is translation
-    invariant, so it is decided on the slice kappa_B = 0 from the slice
-    polynomials mu' and V', over one denominator that scales every F_i
-    alike.  Off B, d/dk_i is the slice partial.  At the facet B_p, the
-    chain rule through the translation that keeps kappa on the slice
-    (``measure._slice_chain``) gives dmu/dk_{B_p} = sum_j <eta_j, w_p>
-    dmu'/dk_j - <H, w_p> V' and dV/dk_{B_p} = sum_j <eta_j, w_p>
-    dV'/dk_j, w_p being the first vertex's edge that leaves B_p.
-    Witness-first: F_i is evaluated at the slice point of the base
-    polytope, where it takes its base value, and a nonzero value proves
-    facet i asymmetric; only facets whose value is zero get the symbolic
-    product.  F_i is homogeneous in H, so H is scaled to integers once,
-    and the base values come in integers from ``_slice_values``.
+    on kappa_i: F_i = d(mu)/dk_i * V - mu * dV/dk_i == 0, whether or not
+    H is mass linear.  Witness-first: F_i at the base kappa comes from
+    the vertex pass at |S| = 0 and 1 (``measure._base_values``), and a
+    nonzero value proves facet i asymmetric.  Only facets whose value is
+    zero get the symbolic product, on the slice from mu' and V', F_i
+    being translation invariant: off B, d/dk_i is the slice partial; at
+    B_p the chain rule (``measure._slice_chain``) gives dmu/dk_{B_p} =
+    sum_j <eta_j, w_p> dmu'/dk_j - <H, w_p> V' and dV/dk_{B_p} = sum_j
+    <eta_j, w_p> dV'/dk_j, w_p the first vertex's edge leaving B_p.  F_i
+    is homogeneous in H, so H is scaled to integers once.
     """
     _require_smooth(poly)
-    n, N = poly.dim, poly.n_facets
+    N = poly.n_facets
     _, Hi = _integral(poly, H)
-    _, vol, coords = _slice_coord_polys(poly, n)
+    _, vol, coords = _slice_coord_polys(poly)
     mu = _pairing(poly, coords, Hi)
-    edges = [(i, mix, sum(map(mul, Hi, w))) for i, mix, w in _slice_chain(poly)]
-
-    def on_basis(dmu: list, dvol: list, vol) -> tuple[list, list]:
-        """Fill in the partials at B from those off B; vol is V' or its
-        value, and 0 * vol the zero of the same kind."""
-        for i, mix, h in edges:
-            dmu[i] = sum((x * dmu[j] for j, x in mix), -h * vol)
-            dvol[i] = sum((x * dvol[j] for j, x in mix), 0 * vol)
-        return dmu, dvol
-
-    at = _slice_values(poly, n)
+    at, facets = _base_values(poly, 0), _base_values(poly, 1).facets
     mu0 = sum(map(mul, Hi, at.moments))
-    vol0 = at.measure
-    dmu0 = [sum(h * grad[j] for h, grad in zip(Hi, at.moment_grads)) for j in range(N)]
-    dmu0, dvol0 = on_basis(dmu0, list(at.measure_grad), vol0)
-    sym = set()
-    partials = None
-    for i in range(N):
-        if dmu0[i] * vol0 != mu0 * dvol0[i]:
+    sym, partials = set(), None
+    for i, (dvol0, *dm0) in enumerate(facets):
+        if sum(map(mul, Hi, dm0)) * at.measure != mu0 * dvol0:
             continue
         if partials is None:
-            partials = on_basis([mu.partial(j) for j in range(N)], [vol.partial(j) for j in range(N)], vol)
+            dmu, dvol = [mu.partial(j) for j in range(N)], [vol.partial(j) for j in range(N)]
+            for f, mix, w in _slice_chain(poly):
+                dmu[f] = sum((x * dmu[j] for j, x in mix), -sum(map(mul, Hi, w)) * vol)
+                dvol[f] = sum((x * dvol[j] for j, x in mix), MultiPoly.zero(N))
+            partials = dmu, dvol
         dmu, dvol = partials
         if (dmu[i] * vol - mu * dvol[i]).is_zero():
             sym.add(i)
@@ -479,14 +469,19 @@ def generating_vector(
 def fully_mass_linear_test(poly: HPolytope, H) -> FullMassLinearReport:
     """Pair H with the barycenters of all k-skeletons.
 
-    values are exact pairings at the base kappa.  The verdict is the fit
-    of H into the memoized space of pairs (H, gamma) with
-    m_k == (gamma . kappa) * P_k for every k = 0..n, P_k and m_k being
-    the measure and moment of the k-skeleton, solved inside ``ml_space``
-    as the part of it that the k < n identities cut out (``_pair_space``);
-    the k = 0 identity makes gamma . kappa the pairing with the vertex
-    average.  Unequal values are the witness of a negative verdict.
-    """
+    values are exact pairings at the base kappa, read off the vertex pass
+    of each face size (``measure._base_values``); unequal values witness
+    a negative verdict.  The verdict is the fit of H into the memoized
+    pairs with m_k == (gamma . kappa) P_k for k = 0..n, cut out of
+    ``ml_space``, where mu_H == (gamma . kappa) V, by d_S over |S| = n -
+    k, the Leibniz rule and T = S - i:
+
+        m_k = sum_S d_S [(gamma . kappa) V]
+            = (gamma . kappa) P_k + sum_S sum_{i in S} gamma_i d_{S-i} V
+            = (gamma . kappa) P_k + sum_i gamma_i sum_{|T| = n-k-1, i not in T} d_T V,
+
+    so the k < n identities are gamma rows of face measures
+    (``_pair_space``)."""
     _require_smooth(poly)
     L, Hi = _integral(poly, H)
     dims = tuple(range(poly.dim + 1))
@@ -496,9 +491,8 @@ def fully_mass_linear_test(poly: HPolytope, H) -> FullMassLinearReport:
 
 
 def _center_pairings(poly: HPolytope, Hi: IntVec, dims) -> list[tuple[int, int]]:
-    """L <H, B_k> for each k in dims, as an integer numerator over the
-    barycenter's positive denominator (``_slice_values``)."""
-    return [(sum(map(mul, Hi, at.center)), at.center_den) for at in (_slice_values(poly, k) for k in dims)]
+    """L <H, B_k> per k in dims, as integers over the k-skeleton measure."""
+    return [(sum(map(mul, Hi, at.moments)), at.measure) for at in (_base_values(poly, poly.dim - k) for k in dims)]
 
 
 def _agree(poly: HPolytope, Hi: IntVec, dims: tuple[int, ...], pairings) -> tuple[bool, bool]:
@@ -535,25 +529,19 @@ def _fit(poly: HPolytope, Hi: IntVec, dims: tuple[int, ...]) -> tuple[int, IntVe
     return D, tuple(fit(c) for c in range(n, n + poly.n_facets))
 
 
-def _identity_rows(poly: HPolytope, k: int) -> list[list[int]]:
-    """The integer system of m_k(H) == (gamma . kappa) * P_k on the slice
+def _identity_rows(poly: HPolytope) -> list[list[int]]:
+    """The integer system of mu_H == (gamma . kappa) * V on the slice
     kappa_B = 0 in the unknowns (H, gamma), one row per monomial in the
-    N - n slice variables: column c < n holds the coefficients of int x_c
-    over the k-skeleton, column n + i those of -kappa_i * P_k (zero for i
-    in B), as the slice pass's integer numerators over one denominator.
-    The k = 0 rows guard that P_0 is the vertex count and every vertex
-    moment is linear in kappa, as every vertex is.  The k < n slice
-    polynomials are partials of the k = n ones (``measure._lower_skeleta``),
-    so on every full check the measure guard also checks that
-    derivation's chain rule, whose e_n must count the vertices."""
+    N - n slice variables: column c < n holds the coefficients of int x_c,
+    column n + i those of -kappa_i * V (zero for i in B), as integer
+    numerators over one denominator.  The vertex pass's volume
+    (``_base_values``) must be V at the slice point, cross-multiplied."""
     n, N = poly.dim, poly.n_facets
-    D, measure, coords = _slice_coord_polys(poly, k)
-    if k == 0:
-        if measure != MultiPoly.constant(N, D * len(poly.vertices)):
-            raise StructuralInconsistency("the 0-skeleton measure is the vertex count")
-        if any(sum(m) != 1 for c in coords for m, _ in c.terms):
-            raise StructuralInconsistency("the vertex moment is linear in kappa")
-    B = _slice(poly)[0]
+    D, measure, coords = _slice_coord_polys(poly)
+    (B, point), at = _slice(poly), _base_values(poly, 0)
+    e, (K,) = scaled([point])
+    if at.measure * D * e**n != sum(x * prod(map(pow, K, m)) for m, x in measure.terms) * at.den:
+        raise StructuralInconsistency("the vertex pass and the slice pass agree on the volume")
     rows: dict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * (n + N))
     for c, coord in enumerate(coords):
         for m, x in coord.terms:
@@ -567,29 +555,40 @@ def _identity_rows(poly: HPolytope, k: int) -> list[list[int]]:
 
 @memoize
 def _pair_space(poly: HPolytope, dims: tuple[int, ...]) -> tuple[tuple[Vec, Vec], ...]:
-    """Basis of the pairs (H, gamma) with m_k(H) == (gamma . kappa) * P_k
-    for every k in dims, in the reduced-echelon kernel convention (one
-    vector per free column, 1 there and 0 in the other free columns).
-    For one k it is the kernel of its slice rows (``_identity_rows``)
-    and the n rows of H == sum_i gamma_i eta_i, which together cut out
-    the identity in all N variables.  Several are solved inside the
-    memoized space of top = max(dims), with basis z_1..z_r (for top = n,
-    that of ``ml_space``): the space of dims is the intersection of the
-    spaces of its k, each of which satisfies H == sum_i gamma_i eta_i,
-    so it is the part of top's space that the other k's rows cut out,
-    the sums sum_j t_j z_j with t in the kernel of those rows times Z.
-    The z_j are independent, so these sums are a basis.  A convention
-    vector is 0 past its free column, so the convention's basis is their
-    reduced form with the columns reversed, in reverse order."""
+    """Basis of the pairs (H, gamma) with m_k(H) == (gamma . kappa) P_k
+    for every k in dims, which must hold n, in the reduced-echelon kernel
+    convention (one vector per free column, 1 there and 0 in the other
+    free columns).  For dims = (n,) it is ``ml_space``, the kernel of the
+    slice rows (``_identity_rows``) and the n rows of H == sum_i gamma_i
+    eta_i.  There mu_H == (gamma . kappa) V, and d_S over |S| = n - k
+    with the Leibniz rule and T = S - i gives
+
+        m_k(H) = sum_S d_S [(gamma . kappa) V]
+               = (gamma . kappa) P_k + sum_S sum_{i in S} gamma_i d_{S-i} V
+               = (gamma . kappa) P_k + sum_i gamma_i sum_{|T| = n-k-1, i not in T} d_T V,
+
+    so the k < n identity is sum_i gamma_i R^(i) == 0, R^(i) =
+    e_{n-k-1}(d without d_i) V' on the slice (``measure._slice_measures``,
+    translation invariant).  With z_1..z_r the basis of ``ml_space``, the
+    space of dims is the sums sum_j t_j z_j whose gamma meets these rows,
+    one in t per k and monomial; their reduced form with the columns
+    reversed, in reverse order, is the convention basis."""
     n, N = poly.dim, poly.n_facets
-    top = max(dims)
-    if set(dims) == {top}:
-        system = _identity_rows(poly, top)
+    if n not in dims:
+        raise ValueError("a pair space holds the n-skeleton identity")
+    if set(dims) == {n}:
+        system = _identity_rows(poly)
         system += [[int(c == r) for c in range(n)] + [-eta[r] for eta in poly.conormals] for r in range(n)]
         return tuple((z[:n], z[n:]) for z in int_nullspace(system, n + N))
-    others = [row for k in sorted(set(dims) - {top}) for row in _identity_rows(poly, k)]
-    Z = scaled([H + gamma for H, gamma in _pair_space(poly, (top,))])[1]
-    T = scaled(int_nullspace([[sum(map(mul, row, z)) for z in Z] for row in others], len(Z)))[1]
+    Z = scaled([H + gamma for H, gamma in _pair_space(poly, (n,))])[1]
+    rows: dict[tuple, list[int]] = defaultdict(lambda: [0] * len(Z))
+    for k in set(dims) - {n}:
+        for i, R in enumerate(_slice_measures(poly)[n - k - 1]):
+            for t, z in enumerate(Z):
+                if g := z[n + i]:
+                    for m, x in R.items():
+                        rows[k, m][t] += g * x
+    T = scaled(int_nullspace(list(rows.values()), len(Z)))[1]
     R, _ = int_rref([[sum(t * z[c] for t, z in zip(ts, Z)) for c in reversed(range(n + N))] for ts in T])
     return tuple((x[::-1][:n], x[::-1][n:]) for x in reversed(R))
 
@@ -610,7 +609,7 @@ def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
 def _space_echelon(poly: HPolytope, dims: tuple[int, ...]) -> tuple[int, tuple[tuple[int, IntVec], ...]]:
     """D and the integer rows D R of the reduced echelon form R of the
     basis rows (H | gamma) of ``_pair_space`` for dims (for several
-    dims solved inside the space of the largest), each with its pivot
+    dims solved inside ``ml_space``), each with its pivot
     column.  Every pivot lies in the H columns, since gamma is
     determined by H.  Scaling the basis rows to integers leaves their
     reduced form unchanged, and ``_reduce`` gives D R with D its last

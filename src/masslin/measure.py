@@ -8,14 +8,12 @@ are exact polynomials in kappa.
 The volume and moments are a sum over vertex cones (Lawrence, Math.
 Comp. 57, 1991; Brion 1988), with no triangulation, in integers.  With
 d = |det A_v|, edge j at v leaves facet B_j along the integer vector w_j
-= -d A_v^{-1} e_j.  Construction already has both, as a determinant and
-signed cofactor vectors of its minor rows (``polytope._subsets``), and
-keeps them per vertex; no vertex system is solved here, and the pass
-reads that vertex table (``HPolytope._basic``) alone, never the face
-lattice.  One deterministic xi, checked to pair nonzero with every edge,
-gives q_j = -<xi, w_j> and L_v = <xi, v(kappa)> = sum_j q_j kappa_{B_j}
-/ d.  The edges at v span a lattice of index d^(n-1) in Z^n, so with Q =
-prod_j q_j:
+= -d A_v^{-1} e_j.  Construction keeps both per vertex, as a determinant
+and signed cofactor vectors (``HPolytope._basic``), and the pass reads
+that table alone.  One deterministic xi, checked to pair nonzero with
+every edge, gives q_j = -<xi, w_j> and L_v = <xi, v(kappa)> = sum_j q_j
+kappa_{B_j} / d.  The edges at v span a lattice of index d^(n-1) in
+Z^n, so with Q = prod_j q_j:
 
     vol        = sum_v d^(n-1) L_v^n / (Q n!)
     int_P x_c  = sum_v d^(n-1) / Q [v_c L_v^n / n!
@@ -32,44 +30,37 @@ in S} d/dkappa_i
 
     measure(F_S) = g_S d_S V,    int_{F_S} x_c = g_S d_S m_c,
 
-g_S being the index of the lattice of the rows eta_S in its saturation,
-the gcd of their maximal minors (1 on every face of a smooth polytope),
-and d_S V = 0 when the facets S do not meet.  So the k-skeleton measure
-P_k = sum_{|S| = n-k} g_S d_S V is the elementary symmetric polynomial
-e_{n-k} of the partials applied to V, plus a correction on the faces
-where g_S != 1; one pass over the facets forms every e_j
-(``_lower_skeleta``).
+g_S being the gcd of the maximal minors of the rows eta_S, the index of
+their lattice in its saturation (1 on a smooth polytope), and d_S V = 0
+when the facets S do not meet.  So P_k = sum_{|S| = n-k} g_S d_S V is
+e_{n-k} of the partials applied to V (``_elementary``), corrected on the
+faces with g_S != 1 (``_face_indices``).
 
-Translating the polytope by xi adds <eta_i, xi> to kappa_i.  The
-measures do not move and the moment of <H, x> moves by <H, xi> times the
-measure, so every question that compares them is settled on the slice
-kappa_B = 0, B being the facets through the first vertex v0: A_B is
-invertible, so each kappa is a translate of exactly one point of it.
-``_slice_coord_polys`` gives the skeleton polynomials there, once per
-polytope, in the N - n variables off B.  At k = n they come from the
-vertex cones, with the terms of L_v in kappa_B dropped before the
-multinomial expansion (``_integrate``).  Below n they are derivatives of
-those by the chain rule through the translation that keeps kappa on the
-slice: off B, d/dkappa_j is the slice partial; at the facet B_p, whose
-edge at v0 is w_p, it is D_{B_p} = sum_{j not in B} (<eta_j, w_p> / d)
-d/dkappa_j (``_slice_chain``); and as the translation moves m_c by xi_c
-V, each B_p in S adds a term to the moments:
+Every base value, at the kappa of the polytope itself, is one
+closed-form pass over the vertex cones per face size s = n - k
+(``_base_values``): a vertex's terms depend on kappa_B alone, so d_S of
+them, for S in its basis, is a closed form in lambda = d L_v and
+v(kappa) by the Leibniz rule, evaluated in integers.  Weighted by g_S
+and summed over |S| = s they give the k-skeleton measure and moments, so
+every barycenter, ``volume`` and ``center_of_mass``; kept per facet at s
+= 1 they are the first partials of V and m_c in all N variables.
 
-    m'_{k,c} = sum_S g_S [D_S m'_c - sum_{B_p in S} (w_{p,c} / d) D_{S - B_p} V'].
-
-The integer polynomials of each k share one denominator, which cancels
-from every identity and ratio formed of them.  Their values at the slice
-point of the polytope, with every first partial, are integers over one
-power of its denominator (``_slice_values``), once per polytope and k;
-skeleton barycenters are those values moved back by the first vertex.
-The polynomials in all N variables come from ``_skeleton_coord_polys``,
-by plain partials.  Only ``volume_poly`` is public; ``moment_poly``,
-``cached_moment_poly`` and ``skeleton_measure_polys`` have no library
-caller and stay because the perfbench tracer patches them by name.
-
-Monomial integrals use the same cones, by Brion's formula for a power of
-a linear form l pairing nonzero with every edge (Baldoni, Berline,
-De Loera, Koeppe, Vergne, Math. Comp. 80, 2011):
+The polynomials are formed on the slice kappa_B = 0, B being the facets
+through the first vertex v0, where each translation orbit meets it once
+(A_B is invertible): ``_slice_coord_polys`` gives the volume and moments
+in the N - n variables off B, with the terms of L_v in kappa_B dropped
+before the multinomial expansion (``_integrate``).  Face measures are
+translation invariant, so their partials follow from V' by the chain
+rule through the translation that keeps kappa on the slice: off B,
+d/dkappa_j is the slice partial; at the facet B_p, whose edge at v0 is
+w_p, it is sum_{j not in B} (<eta_j, w_p> / d) d/dkappa_j
+(``_slice_chain``, ``_slice_measures``).  In all N variables the
+partials are plain (``_full_skeleta``).  Only ``volume_poly`` is public;
+``moment_poly``, ``cached_moment_poly`` and ``skeleton_measure_polys``
+have no library caller and stay because the perfbench tracer patches
+them by name.  Monomial integrals use the same cones, by Brion's formula
+for a power of a linear form l pairing nonzero with every edge (Baldoni,
+Berline, De Loera, Koeppe, Vergne, Math. Comp. 80, 2011):
 
     int_P <l, x>^M dx = M! / (M+n)! sum_v iota_v <l, v>^(M+n) / prod_j <-l, w_j>,
 
@@ -93,13 +84,16 @@ from .polytope import HPolytope, _scaled_support, memoize
 
 class VertexCone(NamedTuple):
     """The tangent cone at one vertex, in integers: its basis facets
-    (sorted), d = |det A_v|, the edges w_j = -d A_v^{-1} e_j and q_j =
-    -<xi, w_j> for one generic xi."""
+    (sorted), d = |det A_v|, the edges w_j = -d A_v^{-1} e_j, q_j =
+    -<xi, w_j> for one generic xi, Q = prod_j q_j and u = sum_j (Q / q_j)
+    w_j, which every cone sum reads."""
 
     basis: tuple[int, ...]
     d: int
     w: tuple[tuple[int, ...], ...]
     q: tuple[int, ...]
+    Q: int
+    u: tuple[int, ...]
 
 
 def _generic_xi(edges, n: int) -> tuple[int, ...]:
@@ -127,12 +121,16 @@ def _vertex_cones(poly: HPolytope) -> tuple[VertexCone, ...]:
         y, d, w = poly._basic[v.basis]
         if any(-sum(e[c] * K[f] for e, f in zip(w, basis)) != y[c] for c in range(n)):
             raise StructuralInconsistency("vertex map must reproduce the vertex")
-        cones.append(VertexCone(basis, d, w, ()))
-    xi = _generic_xi([cone.w for cone in cones], n)
-    cones = tuple(cone._replace(q=tuple(-sum(map(mul, xi, e)) for e in cone.w)) for cone in cones)
-    if any(0 in cone.q for cone in cones):
-        raise StructuralInconsistency("xi must pair nonzero with every edge")
-    return cones
+        cones.append((basis, d, w))
+    xi = _generic_xi([w for _, _, w in cones], n)
+    out = []
+    for basis, d, w in cones:
+        q = tuple(-sum(map(mul, xi, e)) for e in w)
+        if 0 in q:
+            raise StructuralInconsistency("xi must pair nonzero with every edge")
+        Q = prod(q)
+        out.append(VertexCone(basis, d, w, q, Q, tuple(sum(Q // x * e[c] for e, x in zip(w, q)) for c in range(n))))
+    return tuple(out)
 
 
 @cache
@@ -173,21 +171,19 @@ def _integrate(poly: HPolytope, drop: frozenset[int]) -> tuple[int, MultiPoly, t
     """
     N, n = poly.n_facets, poly.dim
     cones = _vertex_cones(poly)
-    den = lcm(*(prod(cone.q) ** 2 * cone.d**2 for cone in cones))
+    den = lcm(*(cone.Q**2 * cone.d**2 for cone in cones))
     measure, coords = {}, [{} for _ in range(n)]
     for cone in cones:
-        Q = prod(cone.q)
-        scale = den // (Q * Q * cone.d**2)
-        f = scale * Q * cone.d * (n + 1)
+        scale = den // (cone.Q**2 * cone.d**2)
+        f = scale * cone.Q * cone.d * (n + 1)
         for mono, _, p in _powers(N, cone, n, drop):
             measure[mono] = measure.get(mono, 0) + f * p
-        b = [(Q // q) * e[c] for e, q in zip(cone.w, cone.q) for c in range(n)]
-        s = [sum(b[j * n + c] for j in range(n)) for c in range(n)]
+        b = [(cone.Q // q) * e[c] for e, q in zip(cone.w, cone.q) for c in range(n)]
         for mono, alpha, p in _powers(N, cone, n + 1, drop):
             p *= scale
             alpha = [(j * n, a) for j, a in alpha if a]
             for c, dc in enumerate(coords):
-                dc[mono] = dc.get(mono, 0) + p * (s[c] - sum(a * b[j + c] for j, a in alpha))
+                dc[mono] = dc.get(mono, 0) + p * (cone.u[c] - sum(a * b[j + c] for j, a in alpha))
     return den * factorial(n + 1), MultiPoly.from_dict(N, measure), tuple(MultiPoly.from_dict(N, dc) for dc in coords)
 
 
@@ -218,60 +214,47 @@ def _face_index(poly: HPolytope, S: Sequence[int]) -> int:
     return gcd(*(int_det([[r[c] for c in sel] for r in rows]) for sel in combinations(range(poly.dim), len(S))))
 
 
-def _lower_skeleta(poly: HPolytope, top, ops, d: int, shift) -> tuple[tuple[int, MultiPoly, tuple[MultiPoly, ...]], ...]:
-    """The k-skeleton measure and moments for k = 0..n-1 from the volume
-    and moments top = (D, D V, D m) of ``_integrate``, as (D d^(n-k),
-    measure, moments) with integer coefficients (module docstring).
-
-    ops[i] = ((j, x), ...) is d times the derivative along facet i,
-    sum_j x d/dkappa_j on the variables of top; shift holds (B_p, w_p)
-    for each facet whose derivative adds the translation term, none in
-    all N variables.  The pass R_s += ops[i] R_{s-1}, s = n..1, over the
-    facets leaves e_s of the ops applied to each polynomial.  The sums
-    over the S that hold B_p, in the translation term, are those of e_{s-1}
-    without B_p, R^p_s = R_s - ops[B_p] R^p_{s-1}.  The faces with g_S
-    != 1, subsets of a vertex basis with d != 1, add g_S - 1 times their
-    own term."""
-    N, n = poly.n_facets, poly.dim
-    D, V, coords = top
-    tops = [dict(V.terms), *(dict(c.terms) for c in coords)]
+def _elementary(ops, tops: list[dict], n: int) -> tuple[list[list[dict]], list[list[dict]]]:
+    """(R, first): R[s] = [e_s(ops) p for p in tops], s = 0..n >= 1, by
+    the pass R_s += ops[i] R_{s-1}, s = n..1, over the facets i, ops[i] =
+    ((j, x), ...) being sum_j x d/dkappa_j; first[i] = ops[i] tops."""
     R = [tops] + [[{} for _ in tops] for _ in range(n)]
+    first = []
     for op in ops:
         for s in range(n, 0, -1):
-            for acc, p in zip(R[s], R[s - 1]):
-                _add(acc, _derive(op, p))
-    for f, w in shift:
-        rest = tops[0]
-        for s in range(1, n + 1):
-            for c in range(n):
-                _add(R[s][c + 1], rest, -w[c])
-            rest = _add(dict(R[s][0]), _derive(ops[f], rest), -1)
-    faces = {S for cone in _vertex_cones(poly) if cone.d != 1 for s in range(1, n + 1) for S in combinations(cone.basis, s)}
-    for S in sorted(faces):
-        if (g := _face_index(poly, S)) == 1:
-            continue
-        terms = tops
-        for i in S:
-            terms = [_derive(ops[i], p) for p in terms]
-        for f, w in shift:
-            if f in S:
-                rest = tops[0]
-                for i in S:
-                    rest = rest if i == f else _derive(ops[i], rest)
-                terms[1:] = [_add(t, rest, -w[c]) for c, t in enumerate(terms[1:])]
-        for acc, t in zip(R[len(S)], terms):
-            _add(acc, t, g - 1)
-    return tuple(
-        (D * d ** (n - k), MultiPoly.from_dict(N, R[n - k][0]), tuple(MultiPoly.from_dict(N, p) for p in R[n - k][1:]))
-        for k in range(n)
-    )
+            terms = [_derive(op, p) for p in R[s - 1]]
+            for acc, t in zip(R[s], terms):
+                _add(acc, t)
+        first.append(terms)
+    return R, first
+
+
+def _face_indices(poly: HPolytope) -> dict[tuple[int, ...], int]:
+    """g_S for each face S with g_S != 1, S sorted: a subset of the basis
+    of a vertex with d != 1, every subset of a lattice basis being
+    saturated."""
+    faces = {S for cone in _vertex_cones(poly) if cone.d != 1 for s in range(1, poly.dim + 1) for S in combinations(cone.basis, s)}
+    return {S: g for S in sorted(faces) if (g := _face_index(poly, S)) != 1}
 
 
 @memoize
-def _full_skeleta(poly: HPolytope) -> tuple:
-    """The k < n skeleton polynomials in all N variables, once per
-    polytope: plain partials, with no translation term."""
-    return _lower_skeleta(poly, _integrate(poly, frozenset()), [((i, 1),) for i in range(poly.n_facets)], 1, ())
+def _full_skeleta(poly: HPolytope) -> tuple[tuple[int, MultiPoly, tuple[MultiPoly, ...]], ...]:
+    """(D, measure, moments) of the k-skeleton for k = 0..n-1 in all N
+    variables, integer polynomials over the D of ``_integrate``, once per
+    polytope: e_{n-k} of the partials of V and m (``_elementary``), plus
+    g_S - 1 times the term of each face with g_S != 1."""
+    N, n = poly.n_facets, poly.dim
+    D, V, coords = _integrate(poly, frozenset())
+    tops = [dict(V.terms), *(dict(c.terms) for c in coords)]
+    ops = [((i, 1),) for i in range(N)]
+    R, _ = _elementary(ops, tops, n)
+    for S, g in _face_indices(poly).items():
+        terms = tops
+        for i in S:
+            terms = [_derive(ops[i], p) for p in terms]
+        for acc, t in zip(R[len(S)], terms):
+            _add(acc, t, g - 1)
+    return tuple((D, MultiPoly.from_dict(N, R[n - k][0]), tuple(MultiPoly.from_dict(N, p) for p in R[n - k][1:])) for k in range(n))
 
 
 @memoize
@@ -295,6 +278,12 @@ def _slice(poly: HPolytope) -> tuple[frozenset[int], Vec]:
     return B, tuple(Fraction(d * k - sum(map(mul, eta, y)), d * L) for eta, k in zip(poly.conormals, K))
 
 
+def _slice_coord_polys(poly: HPolytope) -> tuple[int, MultiPoly, tuple[MultiPoly, ...]]:
+    """Volume and coordinate moments on the slice kappa_B = 0 (``_slice``)
+    as integer polynomials over one denominator, once per polytope."""
+    return _integrate(poly, _slice(poly)[0])
+
+
 @memoize
 def _slice_chain(poly: HPolytope) -> tuple[tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
     """(B_p, mix, w_p) for each facet B_p through the first vertex, w_p
@@ -310,26 +299,96 @@ def _slice_chain(poly: HPolytope) -> tuple[tuple[int, tuple[tuple[int, int], ...
 
 
 @memoize
-def _slice_skeleta(poly: HPolytope) -> tuple:
-    """The k < n skeleton polynomials on the slice, once per polytope:
-    the derivatives of the k = n ones by the chain rule, with the
-    translation term."""
-    d = _vertex_cones(poly)[0].d
-    chain = _slice_chain(poly)
-    ops = [((i, d),) for i in range(poly.n_facets)]
-    for f, mix, _ in chain:
+def _slice_measures(poly: HPolytope) -> tuple[tuple[dict, ...], ...]:
+    """R[j][i] = e_j(D without D_i) V' for j = 0..n-1 and every facet i on
+    the slice of a smooth polytope, once per polytope, D_i the slice
+    partial off B and the chain-rule mix at B (``_slice_chain``): one
+    pass gives e_s (``_elementary``), and e_s = e_s(without i) + D_i
+    e_{s-1}(without i) peels facet i off.  e_n must count the vertices,
+    which checks that chain rule."""
+    N, n = poly.n_facets, poly.dim
+    D, V, _ = _slice_coord_polys(poly)
+    ops = [((i, 1),) for i in range(N)]
+    for f, mix, _ in _slice_chain(poly):
         ops[f] = mix
-    top = _integrate(poly, _slice(poly)[0])
-    return _lower_skeleta(poly, top, ops, d, [(f, w) for f, _, w in chain])
+    R, first = _elementary(ops, [dict(V.terms)], n)
+    if MultiPoly.from_dict(N, R[n][0]) != MultiPoly.constant(N, D * len(poly.vertices)):
+        raise StructuralInconsistency("the 0-skeleton measure is the vertex count")
+    rows = [(R[0][0],) * N]
+    for s in range(1, n):
+        rows.append(tuple(_add(dict(R[s][0]), f[0] if s == 1 else _derive(op, r), -1) for op, r, f in zip(ops, rows[-1], first)))
+    return tuple(rows)
 
 
-def _slice_coord_polys(poly: HPolytope, k: int) -> tuple[int, MultiPoly, tuple[MultiPoly, ...]]:
-    """Lattice measure of the k-skeleton and its n coordinate moments on
-    the slice kappa_B = 0 (``_slice``), as integer polynomials over one
-    denominator: the pass behind every pair space and symmetric facet.
-    k = n is integrated once per polytope, and the k < n polynomials are
-    derived from it once, when a caller first needs one."""
-    return _integrate(poly, _slice(poly)[0]) if k == poly.dim else _slice_skeleta(poly)[k]
+class BaseValues(NamedTuple):
+    """The k-skeleton measure and moments at the base kappa over den > 0;
+    at k = n - 1 also each facet's first partials of V and m_c there."""
+
+    den: int
+    measure: int
+    moments: tuple[int, ...]
+    facets: tuple[tuple[int, ...], ...]
+
+
+@memoize
+def _cone_terms(poly: HPolytope) -> tuple[int, int, tuple]:
+    """(scale, e, terms): the lcm of Q^2 d^2 over the cones, the support
+    denominator and per cone (scale / (Q^2 d^2), lambda, e d Q, X = lambda
+    u, Y = Q y for its vertex y / (d e), the cone), for every face size."""
+    e, K = _scaled_support(poly)
+    cones = _vertex_cones(poly)
+    scale = lcm(*(cone.Q**2 * cone.d**2 for cone in cones))
+    terms = []
+    for cone, vertex in zip(cones, poly.vertices):
+        lam = sum(map(mul, cone.q, map(K.__getitem__, cone.basis)))
+        terms.append((scale // (cone.Q**2 * cone.d**2), lam, e * cone.d * cone.Q, [lam * x for x in cone.u],
+                      [cone.Q * y for y in poly._basic[vertex.basis][0]], cone))
+    return scale, e, tuple(terms)
+
+
+@memoize
+def _base_values(poly: HPolytope, s: int) -> BaseValues:
+    """The k-skeleton's base values, k = n - s, once per polytope and s:
+    d_S of each vertex's Lawrence terms at kappa = K / e over the s-sets
+    S of basis positions, weighted by g_S (module docstring).  With
+    lambda = e d L_v and q_S = prod_{j in S} q_j, the Leibniz rule gives
+    over den = lcm(Q^2 d^2) e^(k+1) (k+1)! the numerators q_S lambda^k
+    (k+1) e d Q of the measure and q_S lambda^k (X_c + (k+1) Y_c -
+    sum_{j in S} (lambda Q / q_j) w_{j,c}) of the moment (``_cone_terms``);
+    summed over S, with E = sum_S g_S q_S and c_j its part over the S
+    that hold j, the latter is E (X_c + (k+1) Y_c) - sum_j c_j (lambda Q
+    / q_j) w_{j,c}."""
+    N, n = poly.n_facets, poly.dim
+    k = n - s
+    scale, e, cones = _cone_terms(poly)
+    g = _face_indices(poly) if s > 1 else {}
+    measure, moments = 0, [0] * n
+    facets = [[0] * (n + 1) for _ in range(N)] if s == 1 else []
+    for sf, lam, v, X, Y, cone in cones:
+        f = sf * lam**k
+        top = [x + (k + 1) * y for x, y in zip(X, Y)]
+        lq = [lam * (cone.Q // q) for q in cone.q] if s else ()
+        if s == 1:
+            for i, qi, x, w in zip(cone.basis, cone.q, lq, cone.w):
+                fq, row = f * qi, facets[i]
+                row[0] += fq * (k + 1) * v
+                row[1:] = [r + fq * (t - x * a) for r, t, a in zip(row[1:], top, w)]
+            continue
+        E = 1
+        if s:
+            E, c = 0, [0] * n
+            for S in combinations(range(n), s):
+                qS = prod(map(cone.q.__getitem__, S)) * (g.get(tuple(cone.basis[j] for j in S), 1) if g else 1)
+                E += qS
+                for j in S:
+                    c[j] += qS
+            cx = [a * x for a, x in zip(c, lq)]
+            top = [E * t - sum(map(mul, cx, wc)) for t, wc in zip(top, zip(*cone.w))]
+        measure += f * E * (k + 1) * v
+        moments = [m + f * t for m, t in zip(moments, top)]
+    if s == 1:
+        measure, *moments = [sum(col) for col in zip(*facets)]
+    return BaseValues(scale * e ** (k + 1) * factorial(k + 1), measure, tuple(moments), tuple(map(tuple, facets)))
 
 
 def _functional(poly: HPolytope, H: Sequence) -> Vec:
@@ -367,10 +426,9 @@ cached_moment_poly = moment_poly
 
 
 def volume(poly: HPolytope) -> Fraction:
-    """Exact volume at the base kappa, from the slice pass: the volume
-    does not move under translation."""
-    D, measure, _ = _slice_coord_polys(poly, poly.dim)
-    return measure.eval(_slice(poly)[1]) / D
+    """Exact volume at the base kappa, from the vertex pass."""
+    at = _base_values(poly, 0)
+    return Fraction(at.measure, at.den)
 
 
 def center_of_mass(poly: HPolytope) -> Vec:
@@ -418,69 +476,12 @@ def integrate_monomial(poly: HPolytope, exponents: Sequence[int]) -> Fraction:
     return total / (factorial(M + n) * L ** (M + n))
 
 
-class SliceValues(NamedTuple):
-    """The k-skeleton measure and coordinate moments on the slice, with
-    every first partial, at the slice point of the polytope, as integers
-    over one denominator, which cancels from every identity and ratio
-    formed of them; and the k-skeleton barycenter as integer numerators
-    over one positive denominator."""
-
-    measure: int
-    measure_grad: tuple[int, ...]
-    moments: tuple[int, ...]
-    moment_grads: tuple[tuple[int, ...], ...]
-    center: tuple[int, ...]
-    center_den: int
-
-
-def _value_gradient(p: MultiPoly, K: Sequence[int]) -> list[int]:
-    """[p(K), *grad p(K)] for an integer polynomial p in the slice
-    variables, in one pass over its terms.  Each slice variable is
-    positive at K, the support number of a facet off the first vertex of
-    a simple polytope, so a term v with exponent a > 0 in it adds a v /
-    K_j to the partial."""
-    row = [0] * (len(K) + 1)
-    for m, c in p.terms:
-        nz = [(j, a) for j, a in enumerate(m) if a]
-        v = c * prod(K[j] ** a for j, a in nz)
-        row[0] += v
-        for j, a in nz:
-            row[j + 1] += a * v // K[j]
-    return row
-
-
-@memoize
-def _slice_values(poly: HPolytope, k: int) -> SliceValues:
-    """The base values of the slice pass, once per polytope and k: the
-    skeleton barycenter, and the value and gradient of every
-    per-functional identity at the base kappa, in integers.  The slice
-    polynomials (``_slice_coord_polys``) have integer coefficients and
-    are homogeneous, of degree k for the measure and k + 1 for a moment,
-    so at the slice point K / e the values and partials are integers over
-    e^(k+1): e P(K) and e^2 dP(K) for the measure, m(K) and e dm(K) for a
-    moment.  Dividing them by their gcd with e^(k+1) scales them as
-    ``scaled`` does.  Moving back adds v0 to the barycenter."""
+def skeleton_barycenter(poly: HPolytope, k: int) -> Vec:
+    """Barycenter of the union of all k-faces, in the lattice measure:
+    moments over measure from the vertex pass (``_base_values``)."""
     if type(k) is not int or not 0 <= k <= poly.dim:
         raise ValueError("skeleton dimension out of range")
-    e, (K,) = scaled([_slice(poly)[1]])
-    _, measure, coords = _slice_coord_polys(poly, k)
-    (V0, *dV0), *moments = [_value_gradient(p, K) for p in (measure, *coords)]
-    rows = [[e * V0, *(e * e * x for x in dV0)], *([m0, *(e * x for x in dm)] for m0, *dm in moments)]
-    G = gcd(e ** (k + 1), *(x for row in rows for x in row))
-    (V, *dV), *moments = [[x // G for x in row] for row in rows]
-    if V == 0:
+    at = _base_values(poly, poly.dim - k)
+    if at.measure == 0:
         raise PolytopeError("zero skeleton measure")
-    e, (v0,) = scaled([poly.vertices[0].point])
-    return SliceValues(V, tuple(dV), tuple(m[0] for m in moments), tuple(tuple(m[1:]) for m in moments),
-                       tuple(e * m[0] + V * x for m, x in zip(moments, v0)), e * V)
-
-
-def skeleton_barycenter(poly: HPolytope, k: int) -> Vec:
-    """Barycenter of the union of all k-faces, in the lattice measure.
-
-    The slice polynomials at the support numbers of the polytope moved
-    by -v0 (``_slice``) give its k-skeleton measure P_k and moments over
-    one denominator, which cancels from their ratio; moving back adds v0
-    to the barycenter (``_slice_values``)."""
-    at = _slice_values(poly, k)
-    return tuple(Fraction(c, at.center_den) for c in at.center)
+    return tuple(Fraction(m, at.measure) for m in at.moments)

@@ -7,9 +7,10 @@ numerators, integer edges.  These references decide the same questions
 as the library did before, in rational arithmetic over the same
 memoized pair spaces and slice polynomials: gamma and the fit from the
 Fraction reduced echelon form, the post-checks with ``dot``, beta from
-the Fraction transform E, the pairings with the Fraction barycenters,
-xi as A_v^{-1} gamma_B, and the symmetric facets from Fraction base
-values and gradients.  Each returns what the library function of the
+the Fraction transform E, the pairings with the Fraction barycenters of
+the reference polynomials (``_slice_ref.lawrence_skeleton``), xi as
+A_v^{-1} gamma_B, and the symmetric facets from Fraction base values
+and gradients of the slice polynomials.  Each returns what the library function of the
 same name returns.  The library reads beta off the gamma fit, so the
 [A | I] solve of ``is_inessential`` here is the independent reference
 for beta.  ``barycenter_pairings_agree`` has no library counterpart: it
@@ -34,16 +35,14 @@ from masslin.masslinear import (
 )
 from masslin.measure import _functional, _pairing, _slice, _slice_coord_polys, _vertex_cones
 
-from _slice_ref import value_gradient
+from _slice_ref import base_values, value_gradient
 
 
 def skeleton_barycenter(poly, k):
-    """The k-skeleton barycenter from the slice polynomials evaluated at
-    the slice point, moved back by the first vertex."""
-    _, measure, coords = _slice_coord_polys(poly, k)
-    base = _slice(poly)[1]
-    total = measure.eval(base)
-    return tuple(c.eval(base) / total + x for c, x in zip(coords, poly.vertices[0].point))
+    """The k-skeleton barycenter from the reference polynomials of
+    ``_slice_ref.lawrence_skeleton`` at the base kappa."""
+    total, moments, _ = base_values(poly, poly.dim - k)
+    return tuple(m / total for m in moments)
 
 
 def space_echelon(poly, dims):
@@ -74,7 +73,7 @@ def symmetric_facets(poly, H):
     Hv = vec(H)
     n, N = poly.dim, poly.n_facets
     B, base = _slice(poly)
-    _, vol, coords = _slice_coord_polys(poly, n)
+    _, vol, coords = _slice_coord_polys(poly)
     mu = _pairing(poly, coords, Hv)
     cone = _vertex_cones(poly)[0]
     edges = [

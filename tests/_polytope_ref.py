@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
-from math import lcm
+from math import lcm, prod
 from operator import mul, neg
 
 from _linalg_ref import int_solve
@@ -211,8 +211,8 @@ def from_halfspaces_pruned(
 
 def vertex_cones(poly):
     """Every vertex cone of ``measure._vertex_cones``: the edges are the
-    columns of -sign(det A_v) adj(A_v), and q pairs them with the xi of
-    ``measure._generic_xi``."""
+    columns of -sign(det A_v) adj(A_v), q pairs them with the xi of
+    ``measure._generic_xi``, Q is their product and u = Q sum_j w_j / q_j."""
     n = poly.dim
     cones = []
     for v in poly.vertices:
@@ -220,9 +220,16 @@ def vertex_cones(poly):
         det, adj = int_adjugate([poly.conormals[j] for j in basis])
         d = abs(det)
         w = tuple(tuple(-(det // d) * adj[c][j] for c in range(n)) for j in range(n))
-        cones.append(VertexCone(basis, d, w, ()))
-    xi = _generic_xi([cone.w for cone in cones], n)
-    return tuple(cone._replace(q=tuple(-sum(map(mul, xi, e)) for e in cone.w)) for cone in cones)
+        cones.append((basis, d, w))
+    xi = _generic_xi([w for _, _, w in cones], n)
+    out = []
+    for basis, d, w in cones:
+        q = tuple(-sum(map(mul, xi, e)) for e in w)
+        Q = prod(q)
+        # u = Q sum_j w_j / q_j, in Fractions
+        u = tuple(int(Q * sum(Fraction(e[c], x) for e, x in zip(w, q))) for c in range(n))
+        out.append(VertexCone(basis, d, w, q, Q, u))
+    return tuple(out)
 
 
 def is_smooth(poly):

@@ -7,14 +7,17 @@ numbers, as the library did before the slice: the integer block of each
 identity m_k(H) == (gamma . kappa) * P_k and the per-facet identity
 d(mu)/dk_i * V == mu * dV/dk_i expanded in every variable.
 
-Two more references keep the slice but compute as the library did
-before it read the base values off the vertex cones and solved several
-skeleton dimensions inside the pair space of the largest:
-``slice_values`` evaluates the slice polynomials with every first
-partial, and ``stacked_pair_space`` eliminates each dimension's slice
-rows on their own and solves their stack in all n + N unknowns.
-``slice_point`` forms kappa - A v0 in Fractions from the first vertex.
-``value_gradient`` evaluates a polynomial and its first partials.
+Two more references read the polynomials of ``lawrence_skeleton``
+below, not the library's: ``base_values`` evaluates the k-skeleton
+measure and moments at the base kappa, and at k = n - 1 the first
+partials of the volume and moments, which the library reads off one
+closed-form vertex pass; ``stacked_pair_space`` builds every
+dimension's identity rows on the slice from them, eliminates each block
+on its own and solves their stack in all n + N unknowns, where the
+library solves the k < n dimensions inside ``ml_space`` by the gamma
+rows.  ``slice_point`` forms kappa - A v0 in Fractions from the first
+vertex.  ``value_gradient`` evaluates a polynomial and its first
+partials.
 
 ``lawrence_skeleton`` integrates each k-skeleton on its own, in all N
 variables or on the slice, by Lawrence's formula over the k-subsets of
@@ -25,18 +28,15 @@ integrates single faces with the same ``_cone_sums`` and ``_integrate``.
 """
 
 from collections import defaultdict
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
 
-from masslin.errors import PolytopeError
-from masslin.linalg import _echelon, dot, int_det, int_nullspace, scaled, vec
-from masslin.masslinear import _identity_rows
+from masslin.linalg import _echelon, dot, int_det, int_nullspace, vec
 from masslin.measure import (
-    SliceValues,
     _powers,
     _skeleton_coord_polys,
     _slice,
-    _slice_coord_polys,
     _vertex_cones,
     moment_poly,
     volume_poly,
@@ -106,6 +106,7 @@ def _integrate(poly, k, terms, drop=frozenset()):
     return den * factorial(k + 1), MultiPoly.from_dict(N, measure), tuple(MultiPoly.from_dict(N, dc) for dc in coords)
 
 
+@lru_cache(maxsize=512)
 def lawrence_skeleton(poly, k, drop=frozenset()):
     """The k-skeleton measure and coordinate moments by one Lawrence pass
     over the k-subsets of the edges at every vertex, restricted to
@@ -115,11 +116,11 @@ def lawrence_skeleton(poly, k, drop=frozenset()):
     return measure / D, tuple(c / D for c in coords)
 
 
-def full_skeleton_block(poly, k):
+def _block(poly, measure, coords, dropped=frozenset()):
     """Surviving rows of the system of m_k(H) == (gamma . kappa) * P_k,
-    one equation per monomial in all N support numbers."""
+    one equation per monomial of the rational polynomials measure and
+    coords, with the columns of the facets in dropped left zero."""
     n, N = poly.dim, poly.n_facets
-    measure, coords = _skeleton_coord_polys(poly, k)
     parts = [dict(c.terms) for c in coords] + [dict(measure.terms)]
     D = lcm(*(x.denominator for part in parts for x in part.values()))
     rows = defaultdict(lambda: [0] * (n + N))
@@ -128,10 +129,17 @@ def full_skeleton_block(poly, k):
             rows[m][c] = int(x * D)
     for m, x in parts[n].items():
         for i in range(N):
-            rows[m[:i] + (m[i] + 1,) + m[i + 1:]][n + i] = -int(x * D)
+            if i not in dropped:
+                rows[m[:i] + (m[i] + 1,) + m[i + 1:]][n + i] = -int(x * D)
     system = list(rows.values())
     pivots, _ = _echelon(system, n + N)
     return system[: len(pivots)]
+
+
+def full_skeleton_block(poly, k):
+    """Surviving rows of the system of m_k(H) == (gamma . kappa) * P_k,
+    one equation per monomial in all N support numbers."""
+    return _block(poly, *_skeleton_coord_polys(poly, k))
 
 
 def full_pair_space(poly, dims):
@@ -160,39 +168,27 @@ def full_symmetric_facets(poly, H):
     return sym, frozenset(range(poly.n_facets)) - sym
 
 
-def slice_values(poly, k):
-    """The base values of the slice polynomials, once evaluated with
-    every first partial at the slice point and put on integers by
-    ``scaled``; the barycenter is moved back by v0."""
-    if type(k) is not int or not 0 <= k <= poly.dim:
-        raise ValueError("skeleton dimension out of range")
-    _, measure, coords = _slice_coord_polys(poly, k)
-    base = _slice(poly)[1]
-    values = [value_gradient(p, base) for p in (measure, *coords)]
-    _, ((V, *dV), *moments) = scaled([(v, *g) for v, g in values])
-    if V == 0:
-        raise PolytopeError("zero skeleton measure")
-    e, (v0,) = scaled([poly.vertices[0].point])
-    return SliceValues(
-        V,
-        tuple(dV),
-        tuple(m[0] for m in moments),
-        tuple(tuple(m[1:]) for m in moments),
-        tuple(e * m[0] + V * x for m, x in zip(moments, v0)),
-        e * V,
-    )
+@lru_cache(maxsize=512)
+def base_values(poly, s):
+    """The k-skeleton measure and coordinate moments at the base kappa, k
+    = n - s, and for s = 1 each facet's first partials of the volume and
+    moments there, all from ``lawrence_skeleton`` in all N variables."""
+    n, base = poly.dim, poly.support
+    measure, coords = lawrence_skeleton(poly, n - s)
+    facets = ()
+    if s == 1:
+        vol, moments = lawrence_skeleton(poly, n)
+        facets = tuple(tuple(p.partial(i).eval(base) for p in (vol, *moments)) for i in range(poly.n_facets))
+    return measure.eval(base), tuple(c.eval(base) for c in coords), facets
 
 
 def stacked_pair_space(poly, dims):
-    """Reduced-echelon kernel basis of every k's slice rows, each block
-    eliminated on its own, stacked with the n rows of
-    H == sum_i gamma_i eta_i."""
+    """Reduced-echelon kernel basis of every k's slice rows, from the
+    slice polynomials of ``lawrence_skeleton``, each block eliminated on
+    its own, stacked with the n rows of H == sum_i gamma_i eta_i."""
     n, N = poly.dim, poly.n_facets
-    system = []
-    for k in dims:
-        block = _identity_rows(poly, k)
-        pivots, _ = _echelon(block, n + N)
-        system += block[: len(pivots)]
+    B = _slice(poly)[0]
+    system = [row for k in dims for row in _block(poly, *lawrence_skeleton(poly, k, B), B)]
     system += [[int(c == r) for c in range(n)] + [-eta[r] for eta in poly.conormals] for r in range(n)]
     return tuple((z[:n], z[n:]) for z in int_nullspace(system, n + N))
 

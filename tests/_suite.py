@@ -149,6 +149,18 @@ def all_asymmetric_functional(poly: HPolytope) -> tuple:
     raise AssertionError(f"no all-asymmetric functional on {poly.name}")
 
 
+def moved_copies(poly: HPolytope) -> list[HPolytope]:
+    """The polytope translated, sheared by a unimodular map and with its
+    facets reversed: a new first vertex, slice basis and slice point."""
+    n = poly.dim
+    shear = [[int(i == j) + int(i == 0 and j == n - 1 and n > 1) for j in range(n)] for i in range(n)]
+    return [
+        poly.translate(tuple(range(1, n + 1))),
+        poly.apply_lattice_map(shear),
+        poly.permute_facets(tuple(reversed(range(poly.n_facets)))),
+    ]
+
+
 def square(side=3) -> HPolytope:
     return HPolytope(2, ((-1, 0), (0, -1), (1, 0), (0, 1)), (0, 0, side, side))
 

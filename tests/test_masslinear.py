@@ -340,28 +340,41 @@ class TestSlice:
 
     @pytest.mark.parametrize("broken, message", [
         ("measure", "the 0-skeleton measure is the vertex count"),
-        ("moment", "the vertex moment is linear in kappa"),
     ])
     def test_vertex_rows_guard_the_full_check(self, monkeypatch, broken, message):
-        # the k = 0 rows are built on every full check, although the
-        # pair space of several k is solved inside that of k = n
-        import masslin.masslinear as ml
+        # the face measures of the gamma rows are partials of the slice
+        # volume by the chain rule at the facets through the first vertex;
+        # with one of those mixes wrong, e_n of the partials no longer
+        # counts the vertices, and every full check derives them
+        import masslin.measure as measure
 
-        plain = ml._slice_coord_polys
+        plain = measure._slice_chain
 
-        def wrong(poly, k):
-            D, measure_k, coords = plain(poly, k)
-            if k == 0 and broken == "measure":
-                measure_k = measure_k + MultiPoly.constant(poly.n_facets, 1)
-            elif k == 0:
-                coords = (coords[0] + MultiPoly.constant(poly.n_facets, 1),) + coords[1:]
-            return D, measure_k, coords
+        def wrong(poly):
+            (f, mix, w), *rest = plain(poly)
+            return ((f, tuple((j, 2 * x) for j, x in mix), w), *rest)
 
-        monkeypatch.setattr(ml, "_slice_coord_polys", wrong)
+        monkeypatch.setattr(measure, "_slice_chain", wrong)
         poly = bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2))
         assert mass_linear_test(poly, (0, -1, 2, -3)).verdict
         with pytest.raises(StructuralInconsistency, match=message):
             fully_mass_linear_test(poly, (0, -1, 2, -3))
+
+    def test_vertex_pass_guards_the_slice_pass(self, monkeypatch):
+        # every pair space compares the volume of the vertex pass with the
+        # slice volume at the slice point: a vertex pass that is off
+        # there stops the first verdict
+        import masslin.masslinear as ml
+
+        plain = ml._base_values
+
+        def wrong(poly, s):
+            at = plain(poly, s)
+            return at._replace(measure=at.measure + 1) if s == 0 else at
+
+        monkeypatch.setattr(ml, "_base_values", wrong)
+        with pytest.raises(StructuralInconsistency, match="the vertex pass and the slice pass agree on the volume"):
+            mass_linear_test(bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)), (0, -1, 2, -3))
 
     def test_symmetric_facets_through_the_first_vertex(self):
         # the facets of B take the chain-rule partials: here facet 4 of
@@ -919,11 +932,11 @@ class TestOptimizedMode:
                 return pair_space
 
             # the base values, with the barycenter moved by (1, ..., 1)
-            slice_values = ml._slice_values
+            base_values = ml._base_values
 
-            def moved_center(poly, k):
-                at = slice_values(poly, k)
-                return at._replace(center=tuple(c + at.center_den for c in at.center))
+            def moved_center(poly, s):
+                at = base_values(poly, s)
+                return at._replace(moments=tuple(m + at.measure for m in at.moments))
 
             # on the unit square (1, 0) is mass linear and inessential,
             # gamma = beta = (-1/2, 1/2, 0, 0)
@@ -931,9 +944,9 @@ class TestOptimizedMode:
                 return ml.mass_linear_test(box, (1, 0))
 
             attempt(test, _pair_space=space(1, 1, 1, 1))
-            attempt(test, _slice_values=moved_center)
+            attempt(test, _base_values=moved_center)
             attempt(test, _pair_space=space(0, 0, Fraction(-1, 2), Fraction(1, 2)))
-            attempt(lambda box: ml.is_inessential(box, (1, 0)), _slice_values=moved_center)
+            attempt(lambda box: ml.is_inessential(box, (1, 0)), _base_values=moved_center)
         """)
         src = str(Path(masslin.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -949,6 +962,54 @@ class TestOptimizedMode:
             "raised: no constant term allowed",
             "raised: H must equal sum of gamma_i times conormals",
             "raised: no constant term allowed",
+        ]
+
+    def test_pass_guards_survive_dash_O(self):
+        # the two guards of the measure passes are plain checks: a wrong
+        # chain rule at the first vertex stops a full check, and a vertex
+        # pass off the slice volume stops the first verdict
+        script = textwrap.dedent("""
+            import masslin.masslinear as ml
+            import masslin.measure as measure
+            from masslin.errors import StructuralInconsistency
+            from masslin.polytope import HPolytope
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+
+            chain, base_values = measure._slice_chain, ml._base_values
+
+            def wrong_chain(poly):
+                (f, mix, w), *rest = chain(poly)
+                return ((f, tuple((j, 2 * x) for j, x in mix), w), *rest)
+
+            def wrong_volume(poly, s):
+                at = base_values(poly, s)
+                return at._replace(measure=at.measure + 1) if s == 0 else at
+
+            for owner, name, fn in ((measure, "_slice_chain", wrong_chain), (ml, "_base_values", wrong_volume)):
+                saved = getattr(owner, name)
+                setattr(owner, name, fn)
+                box = HPolytope(2, [(-1, 0), (1, 0), (0, -1), (0, 1)], [0, 1, 0, 1])
+                try:
+                    ml.fully_mass_linear_test(box, (1, 0))
+                except StructuralInconsistency as exc:
+                    print("raised:", exc)
+                finally:
+                    setattr(owner, name, saved)
+        """)
+        src = str(Path(masslin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "raised: the 0-skeleton measure is the vertex count",
+            "raised: the vertex pass and the slice pass agree on the volume",
         ]
 
     def test_derived_build_checks_survive_dash_O(self):

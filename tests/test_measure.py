@@ -44,7 +44,7 @@ import _polytope_ref
 import _slice_ref
 from _face_ref import face_measure, face_measure_polys, face_polys
 from _linalg_ref import det
-from _suite import suite_pairs, suite_polytopes
+from _suite import moved_copies, suite_pairs, suite_polytopes
 from _triangulation_ref import triangulate, triangulated_integral
 
 F = Fraction
@@ -375,9 +375,10 @@ class TestSkeletons:
 
 class TestBaseValues:
     def test_slice_values_match_skeleton_polys(self):
-        # skeleton barycenters evaluate the slice polynomials at the
-        # polytope moved by -v0 and move back by v0; the reference
-        # evaluates the polynomials in all N variables at the base kappa
+        # skeleton barycenters and the volume are read off the vertex pass
+        # at the base kappa; the reference evaluates the polynomials in all
+        # N variables there.  The volume and moments on the slice, at the
+        # polytope moved by -v0, move back by v0
         polys = [sp.poly for sp in suite_polytopes()]
         polys += [HPolytope(2, *NON_SMOOTH_TRIANGLE), HPolytope(3, *NON_SMOOTH_TETRAHEDRON)]
         for poly in polys:
@@ -389,48 +390,45 @@ class TestBaseValues:
                 total = measure_k.eval(base)
                 moments = tuple(c.eval(base) for c in coords)
                 assert skeleton_barycenter(poly, k) == tuple(m / total for m in moments)
-                D, slice_measure, slice_coords = measure._slice_coord_polys(poly, k)
-                assert slice_measure.eval(moved) / D == total
-                assert tuple(c.eval(moved) / D + x * total for c, x in zip(slice_coords, v0)) == moments
+            assert volume(poly) == total
+            D, slice_measure, slice_coords = measure._slice_coord_polys(poly)
+            assert slice_measure.eval(moved) / D == total
+            assert tuple(c.eval(moved) / D + x * total for c, x in zip(slice_coords, v0)) == moments
 
     def test_slice_polys_have_integer_coefficients(self):
-        # the slice pass hands its readers integers over one denominator
+        # the slice pass and the vertex pass hand their readers integers
+        # over one positive denominator
         polys = [sp.poly for sp in suite_polytopes()]
         polys += [HPolytope(2, *NON_SMOOTH_TRIANGLE), HPolytope(3, *DET3_TETRAHEDRON)]
         for poly in polys:
-            for k in range(poly.dim + 1):
-                D, slice_measure, slice_coords = measure._slice_coord_polys(poly, k)
-                assert type(D) is int and D > 0
-                for p in (slice_measure, *slice_coords):
-                    assert all(type(c) is int for _, c in p.terms)
-
-
-def _moved(poly):
-    """The polytope translated, sheared by a unimodular map and with its
-    facets reversed: a new first vertex, slice basis and slice point."""
-    n = poly.dim
-    shear = [[int(i == j) + int(i == 0 and j == n - 1 and n > 1) for j in range(n)] for i in range(n)]
-    return [
-        poly.translate(tuple(range(1, n + 1))),
-        poly.apply_lattice_map(shear),
-        poly.permute_facets(tuple(reversed(range(poly.n_facets)))),
-    ]
+            D, slice_measure, slice_coords = measure._slice_coord_polys(poly)
+            assert type(D) is int and D > 0
+            for p in (slice_measure, *slice_coords):
+                assert all(type(c) is int for _, c in p.terms)
+            for s in range(poly.dim + 1):
+                at = measure._base_values(poly, s)
+                assert type(at.den) is int and at.den > 0
+                assert all(type(x) is int for x in (at.measure, *at.moments, *(y for f in at.facets for y in f)))
 
 
 class TestSliceValuesOracle:
-    """``_slice_values`` evaluates the integer slice polynomials with
-    every first partial in one integer pass, as integers over a power of
-    the slice point's denominator; the reference
-    ``_slice_ref.slice_values`` evaluates them in Fractions with
-    ``MultiPoly.eval`` and ``partial`` and scales the values with
-    ``scaled``.  Every field must be equal, also on non-smooth polytopes,
-    whose k < n polynomials take face indices g_S != 1."""
+    """``_base_values`` reads the k-skeleton measure and moments at the
+    base kappa, and at k = n - 1 every facet's first partials there, off
+    one closed-form vertex pass, as integers over one denominator; the
+    reference ``_slice_ref.base_values`` evaluates the polynomials of
+    ``_slice_ref.lawrence_skeleton``, which integrates each k on its own,
+    with ``MultiPoly.eval`` and ``partial``.  Every value must be equal,
+    also on non-smooth polytopes, whose faces take indices g_S != 1; so
+    must the slice point, which the slice pass reads."""
 
     @staticmethod
     def _assert_matches(poly):
         assert measure._slice(poly) == _slice_ref.slice_point(poly)
-        for k in range(poly.dim + 1):
-            assert measure._slice_values(poly, k) == _slice_ref.slice_values(poly, k), k
+        for s in range(poly.dim + 1):
+            at = measure._base_values(poly, s)
+            got = (F(at.measure, at.den), tuple(F(m, at.den) for m in at.moments),
+                   tuple(tuple(F(x, at.den) for x in f) for f in at.facets))
+            assert got == _slice_ref.base_values(poly, s), s
 
     def test_suite(self):
         for sp in suite_polytopes():
@@ -442,7 +440,7 @@ class TestSliceValuesOracle:
 
     def test_moved_suite(self):
         for sp in suite_polytopes():
-            for moved in _moved(sp.poly):
+            for moved in moved_copies(sp.poly):
                 self._assert_matches(moved)
 
 
@@ -458,26 +456,28 @@ def _non_smooth_fixtures():
 
 
 class TestDerivedSkeletaOracle:
-    """The k < n skeleton polynomials are partials of the k = n ones
-    (``measure._lower_skeleta``): on the slice by the chain rule with the
-    translation term, in all N variables by plain partials, each face
-    weighted by its index g_S.  The reference
+    """The k < n skeleton polynomials in all N variables are partials of
+    the k = n ones (``measure._full_skeleta``), each face weighted by its
+    index g_S, and the base values are partials of the vertex terms at
+    the base kappa (``measure._base_values``).  The reference
     ``_slice_ref.lawrence_skeleton`` integrates each k on its own, by
     Lawrence's formula over the k-subsets of the edges at every vertex
-    with their lattice indices.  They must be equal as rational
-    polynomials at every k; the last two tests break the derivation and
-    check that the reference tells."""
+    with their lattice indices.  They must be equal at every k, as must
+    the volume and moments on the slice at k = n; the last test breaks
+    the face indices and checks that the reference tells."""
 
     @staticmethod
     def _mismatches(poly):
+        n = poly.dim
         B = measure._slice(poly)[0]
-        found = []
-        for k in range(poly.dim + 1):
-            D, measure_k, coords = measure._slice_coord_polys(poly, k)
-            if (measure_k / D, tuple(c / D for c in coords)) != _slice_ref.lawrence_skeleton(poly, k, B):
-                found.append(("slice", k))
+        D, vol, coords = measure._slice_coord_polys(poly)
+        found = [] if (vol / D, tuple(c / D for c in coords)) == _slice_ref.lawrence_skeleton(poly, n, B) else [("slice", n)]
+        for k in range(n + 1):
             if _skeleton_coord_polys(poly, k) != _slice_ref.lawrence_skeleton(poly, k):
                 found.append(("full", k))
+            at = measure._base_values(poly, n - k)
+            if (F(at.measure, at.den), tuple(F(m, at.den) for m in at.moments)) != _slice_ref.base_values(poly, n - k)[:2]:
+                found.append(("base", k))
         return found
 
     def test_suite(self):
@@ -486,7 +486,7 @@ class TestDerivedSkeletaOracle:
 
     def test_moved_suite(self):
         for sp in suite_polytopes():
-            for moved in _moved(sp.poly):
+            for moved in moved_copies(sp.poly):
                 assert self._mismatches(moved) == [], sp.name
 
     def test_non_smooth(self):
@@ -497,15 +497,7 @@ class TestDerivedSkeletaOracle:
         monkeypatch.setattr(measure, "_face_index", lambda poly, S: 1)
         for poly in _non_smooth_fixtures():
             found = self._mismatches(poly)
-            assert ("slice", 0) in found and ("full", 0) in found, poly.conormals
-
-    def test_no_translation_term_fails_on_the_suite(self, monkeypatch):
-        lower = measure._lower_skeleta
-        monkeypatch.setattr(measure, "_lower_skeleta", lambda poly, top, ops, d, shift: lower(poly, top, ops, d, ()))
-        for sp in suite_polytopes():
-            poly = HPolytope(sp.poly.dim, sp.poly.conormals, sp.poly.support, sp.poly.labels)
-            found = self._mismatches(poly)
-            assert found and all(where == "slice" for where, _ in found), sp.name
+            assert ("base", 0) in found and ("full", 0) in found, poly.conormals
 
 
 class TestVertexConeOracle:
@@ -527,7 +519,7 @@ class TestVertexConeOracle:
 
     def test_moved_suite(self):
         for sp in suite_polytopes():
-            for moved in _moved(sp.poly):
+            for moved in moved_copies(sp.poly):
                 self._assert_matches(moved)
 
     def test_non_smooth(self):
@@ -661,28 +653,45 @@ class TestOneStore:
 class TestPerKConeSums:
     """Cone sums are formed at k = n alone: one Lawrence pass on the
     slice (``_integrate``) expands (d L_v)^n and (d L_v)^(n+1) once at
-    each vertex, and every k < n polynomial is a partial of its output,
-    derived once (``_lower_skeleta``).  A mass linearity test reads
-    k = n alone and derives nothing."""
+    each vertex.  The k < n identities of a full check are the gamma rows
+    of face measures, partials of the slice volume derived once per
+    polytope (``_slice_measures``): no moment is derived on the slice,
+    and the N-variable skeleta (``_full_skeleta``), which serve only the
+    public polynomial functions, are never formed.  The base values are
+    closed-form vertex passes, one per face size (``_base_values``); a
+    mass linear classify stage reads only the volume pass, |S| = 0.  A
+    mass linearity test derives nothing."""
 
     @staticmethod
     def _record(monkeypatch):
-        """A counter of the multinomial expansions, per (cone, degree,
-        dropped facets), and the list of derivations run."""
-        powers, derived = Counter(), []
-        expand, lower = measure._powers, measure._lower_skeleta
+        """Counters of the multinomial expansions, per (cone, degree,
+        dropped facets), and of the degrees of the polynomials derived,
+        and the lists of the derivation passes and N-variable skeleta
+        run."""
+        powers, degrees, passes, full = Counter(), Counter(), [], []
+        expand, derive, elementary, skeleta = measure._powers, measure._derive, measure._elementary, measure._full_skeleta
 
         def counting_expand(N, cone, e, drop):
             powers[cone, e, drop] += 1
             return expand(N, cone, e, drop)
 
-        def counting_lower(poly, top, ops, d, shift):
-            derived.append(poly)
-            return lower(poly, top, ops, d, shift)
+        def counting_derive(op, p):
+            degrees[max(map(sum, p), default=0)] += 1
+            return derive(op, p)
+
+        def counting_elementary(ops, tops, n):
+            passes.append(len(tops))
+            return elementary(ops, tops, n)
+
+        def counting_skeleta(poly):
+            full.append(poly)
+            return skeleta(poly)
 
         monkeypatch.setattr(measure, "_powers", counting_expand)
-        monkeypatch.setattr(measure, "_lower_skeleta", counting_lower)
-        return powers, derived
+        monkeypatch.setattr(measure, "_derive", counting_derive)
+        monkeypatch.setattr(measure, "_elementary", counting_elementary)
+        monkeypatch.setattr(measure, "_full_skeleta", counting_skeleta)
+        return powers, degrees, passes, full
 
     @staticmethod
     def _fresh_pair():
@@ -698,30 +707,54 @@ class TestPerKConeSums:
 
     def test_mass_linear_test_sums_only_k_equal_n(self, monkeypatch):
         poly, H = self._fresh_pair()
-        powers, derived = self._record(monkeypatch)
+        powers, degrees, passes, full = self._record(monkeypatch)
         mass_linear_test(poly, H)
         assert powers == self._slice_pass(poly)
-        assert derived == []
+        assert not degrees and passes == [] and full == []
 
     def test_check_document_sums_each_cone_once(self, monkeypatch):
-        # the base values and the slice polynomials of every k read one
-        # cone term per vertex
+        # the slice polynomials read one cone term per vertex and degree
         poly, H = self._fresh_pair()
-        powers, _ = self._record(monkeypatch)
+        powers, _, _, _ = self._record(monkeypatch)
         check_document(poly, H)
         assert Counter(cone for cone, _, _ in powers.elements()) == Counter(
             {cone: 2 for cone in measure._vertex_cones(poly)}
         )
 
     def test_check_document_integrates_once_on_the_slice(self, monkeypatch):
-        # the full check needs every k; the k < n polynomials are derived
-        # from the one pass at k = n, once per polytope
+        # the full check needs every k; its gamma rows derive the slice
+        # volume alone, of degree n, in one pass per polytope
         poly, H = self._fresh_pair()
-        powers, derived = self._record(monkeypatch)
+        powers, degrees, passes, full = self._record(monkeypatch)
         check_document(poly, H)
         check_document(poly, H)
         assert powers == self._slice_pass(poly)
-        assert derived == [poly]
+        assert passes == [1] and full == []
+        assert degrees and max(degrees) <= poly.dim
+
+    def test_classify_stage_reads_only_the_volume_pass(self, monkeypatch):
+        # an essential pair one blowdown away from type b: a Delta_3
+        # bundle over Delta_1, blown up along a face
+        import masslin.masslinear as ml
+
+        sizes = []
+        base = measure._base_values
+
+        def counting(poly, s):
+            sizes.append(s)
+            return base(poly, s)
+
+        monkeypatch.setattr(measure, "_base_values", counting)
+        monkeypatch.setattr(ml, "_base_values", counting)
+        conormals = [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (1, 1, 1, 0), (0, 0, 0, -1), (1, 1, 0, 1)]
+        bar = HPolytope(4, conormals, (0, 0, 0, 1, 0, 2))
+        H = tuple(a - b - c + d for a, b, c, d in zip(*conormals[:4]))
+        blown = blowup(bar, (1, 3, 4))
+        powers, degrees, passes, full = self._record(monkeypatch)
+        report = classify_document(blown, H)
+        assert report["type"] == "b" and len(report["trace"]) == 1
+        assert sizes and set(sizes) == {0}
+        assert not degrees and passes == [] and full == []
 
 
 def _unit(n, c):

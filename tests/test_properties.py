@@ -42,6 +42,8 @@ from masslin import recognize
 from masslin.constructions import CONSTRUCTOR_STEPS, Bundle121Spec, D2PolygonBundleSpec, YkBundleSpec, _corner_cut_polygon
 from masslin.errors import PolytopeError, StructuralInconsistency
 from masslin.masslinear import _pair_space, symmetric_facets
+from masslin.measure import volume_poly
+from masslin.poly import MultiPoly
 from masslin.recognize import certificate_holds, classify4d, reconstruct, replay_trace
 import _certificate_ref
 import _equivalence_ref
@@ -49,7 +51,15 @@ import _functional_ref
 import _polytope_ref
 import _slice_ref
 from _linalg_ref import nullspace, rank
-from _suite import combine_conormals, expanded_pair_functional, report_for, square, suite_pairs, suite_polytopes
+from _suite import (
+    combine_conormals,
+    expanded_pair_functional,
+    moved_copies,
+    report_for,
+    square,
+    suite_pairs,
+    suite_polytopes,
+)
 
 
 @lru_cache(maxsize=1)
@@ -342,12 +352,64 @@ class TestEquivalenceOracle:
         assert count == 108
 
 
+class TestSkeletonIdentity:
+    """For a pair (H, gamma) of ``ml_space`` on a smooth polytope, the
+    Leibniz rule on mu_H == (gamma . kappa) V, summed over the faces of
+    each codimension n - k, gives
+
+        m_k(H) - (gamma . kappa) P_k = sum_i gamma_i sum_{|T| = n-k-1, i not in T} d_T V,
+
+    which at k = n - 1 is (sum_i gamma_i) V: the gamma rows by which
+    ``_pair_space`` cuts ``ml_space`` for the k < n identities.  Checked
+    on the references alone, ``_slice_ref.lawrence_skeleton`` for m_k
+    and P_k and the partials of ``volume_poly`` in all N variables, for
+    every basis pair at every k < n on the suite, the moved suite and the
+    bases of the Kleinschmidt sweep."""
+
+    @staticmethod
+    def _mismatches(poly):
+        n, N = poly.dim, poly.n_facets
+        V = volume_poly(poly)
+        dV = {(): V}
+        for size in range(1, n):
+            for T in combinations(range(N), size):
+                dV[T] = dV[T[:-1]].partial(T[-1])
+        zero = MultiPoly.zero(N)
+        skeleta = [_slice_ref.lawrence_skeleton(poly, k) for k in range(n)]
+        found = []
+        for H, gamma in ml_space(poly):
+            line = MultiPoly.linear(gamma)
+            for k, (P, coords) in enumerate(skeleta):
+                lhs = sum((c * h for c, h in zip(coords, H)), zero) - line * P
+                # the double sum regrouped by T: sum_T (sum_{i not in T} gamma_i) d_T V
+                rhs = sum((dV[T] * w for T in combinations(range(N), n - k - 1)
+                           if (w := sum(g for i, g in enumerate(gamma) if i not in T))), zero)
+                if lhs != rhs or (k == n - 1 and lhs != V * sum(gamma)):
+                    found.append((H, gamma, k))
+        return found
+
+    def test_suite(self):
+        for sp in suite_polytopes():
+            assert self._mismatches(sp.poly) == [], sp.name
+
+    def test_moved_suite(self):
+        for sp in suite_polytopes():
+            for moved in moved_copies(sp.poly):
+                assert self._mismatches(moved) == [], sp.name
+
+    def test_kleinschmidt_bases(self):
+        for r in range(1, 4):
+            for twists in product(range(-2, 3), repeat=r):
+                assert self._mismatches(_kleinschmidt(4 - r, twists)) == [], twists
+
+
 class TestPairSpaceOracle:
-    """``_pair_space`` solves several skeleton dimensions inside the pair
-    space of the largest one.  It must return the exact basis, in the
-    same order, of the full-variable reference and of the stacked solve
-    of every dimension's slice rows, for any nonempty set of dimensions,
-    also one without n."""
+    """``_pair_space`` solves the k < n skeleton dimensions inside
+    ``ml_space`` by the gamma rows of face measures.  It must return the
+    exact basis, in the same order, of the full-variable reference and of
+    the stacked solve of every dimension's slice rows of the reference
+    polynomials, for any set of dimensions that holds n; it refuses one
+    without n."""
 
     @seed(24)
     @given(data=st.data())
@@ -358,9 +420,11 @@ class TestPairSpaceOracle:
         else:
             r = data.draw(st.integers(1, 3))
             poly = _kleinschmidt(data.draw(st.integers(1, 4 - r)), data.draw(st.tuples(*[st.integers(-1, 2)] * r)))
-        dims = tuple(sorted(data.draw(st.sets(st.integers(0, poly.dim), min_size=1))))
+        dims = tuple(sorted(data.draw(st.sets(st.integers(0, poly.dim - 1))) | {poly.dim}))
         expected = _slice_ref.full_pair_space(poly, dims)
         assert _pair_space(poly, dims) == expected == _slice_ref.stacked_pair_space(poly, dims), dims
+        with pytest.raises(ValueError, match="a pair space holds the n-skeleton identity"):
+            _pair_space(poly, dims[:-1])
 
 
 class TestFunctionalOracle:

@@ -8,12 +8,14 @@ the edge F2 cap F4 cap G1, where the same functional is essential.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
 
 from _linalg_ref import vec_add
+from _suite import report_for, suite_pairs, suite_polytopes
 from masslin import recognize
 from masslin.constructions import (
     CONSTRUCTOR_STEPS,
@@ -35,7 +37,7 @@ from masslin.constructions import (
     trapezoid,
 )
 from masslin.errors import PolytopeError
-from masslin.masslinear import _face_slice, is_inessential, mass_linear_test, ml_space
+from masslin.masslinear import _face_slice, is_inessential, mass_linear_test, ml_space, restrict_to_face
 from masslin.polytope import HPolytope
 from masslin.recognize import (
     _chart,
@@ -740,3 +742,63 @@ class TestRoundTrips:
             poly = double_expansion(core, 0, 1)
             cert = recognize_double_expansion(poly)
             assert cert is not None and certificate_holds(poly, cert)
+
+
+class TestPartOneLowDimensions:
+    """Part I (McDuff and Tolman, Polytopes with mass linear functions,
+    IMRN 2010, arXiv:0807.0900) classifies the mass linear pairs in
+    dimension at most three.  As this library states it: on a smooth
+    polygon every mass linear H is inessential, and a smooth 3-polytope
+    carries an essential pair only when it is a Delta_2 bundle over
+    Delta_1, which has 5 facets and which ``recognize_bundle_over_segment``
+    accepts.  The 4-d proof restricts H to its symmetric facets, which are
+    3-d pairs, so the same statement checks the 4-d verdicts from below.
+
+    Inputs: the smooth 2-d and 3-d suite polytopes and their blowups
+    along every face of codimension 2 or more, with the basis of
+    ``ml_space``, sums of neighbouring basis vectors and one weighted sum;
+    and the restriction of every essential 4-d suite pair to each of its
+    symmetric facets (``restrict_to_face``), which must stay mass
+    linear."""
+
+    @staticmethod
+    def _functionals(poly):
+        basis = [H for H, _ in ml_space(poly)]
+        out = basis + [tuple(a + b for a, b in zip(x, y)) for x, y in zip(basis, basis[1:])]
+        if len(basis) > 2:
+            out.append(tuple(sum((j + 1) * h[m] for j, h in enumerate(basis)) for m in range(poly.dim)))
+        return [H for H in out if any(H)]
+
+    @staticmethod
+    def _assert_part_one(poly, H):
+        """H is mass linear on the smooth polytope of dimension 2 or 3."""
+        if is_inessential(poly, H) is not None:
+            return "inessential"
+        assert poly.dim == 3, (poly.conormals, poly.support, H)
+        assert poly.n_facets == 5 and recognize_bundle_over_segment(poly) is not None, (poly.conormals, H)
+        return "essential"
+
+    def test_suite_and_blowups(self):
+        seen = Counter()
+        for sp in suite_polytopes():
+            if sp.poly.dim not in (2, 3):
+                continue
+            faces = sorted(sorted(f.index_set) for f in sp.poly.face_lattice.values() if 0 <= f.dimension <= sp.poly.dim - 2)
+            for poly in [sp.poly] + [blowup(sp.poly, I) for I in faces]:
+                for H in self._functionals(poly):
+                    seen[poly.dim, self._assert_part_one(poly, H)] += 1
+        assert seen[2, "inessential"] and seen[3, "inessential"] and seen[3, "essential"]
+        assert not seen[2, "essential"]
+
+    def test_symmetric_facet_restrictions(self):
+        seen = Counter()
+        for pair in suite_pairs():
+            report = report_for(pair)
+            if pair.poly.dim != 4 or not report.verdict or not any(pair.H) or is_inessential(pair.poly, pair.H):
+                continue
+            for i in sorted(report.symmetric):
+                r = restrict_to_face(pair.poly, pair.H, (i,))
+                assert mass_linear_test(r.poly, r.functional).verdict, (pair.name, pair.H, i)
+                if any(r.functional):
+                    seen[self._assert_part_one(r.poly, r.functional)] += 1
+        assert seen["inessential"] and seen["essential"]
