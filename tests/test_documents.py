@@ -5,10 +5,12 @@ the digests in ``check_documents.json`` were taken from a reference
 build.  ``classify_documents.json`` holds the digests of the rendered
 ``classify`` documents, stages included, of every 4-d pair (or of the
 error a pair raises) and of every essential 4-d pair blown up once and
-twice along its first symmetric 2-face.  A change to how a verdict,
-gamma, witness, pairing or blowdown chain is computed must leave every
-document byte-identical; a deliberate change to the documents
-regenerates both files with
+twice along its first symmetric 2-face.  ``mlspace_documents.json``
+holds the digests of the rendered ``mlspace`` documents of the three
+closed-form solvers on a fixed grid of family parameters.  A change to
+how a verdict, gamma, witness, pairing, blowdown chain or coefficient
+space is computed must leave every document byte-identical; a
+deliberate change to the documents regenerates the files with
 
     PYTHONPATH=src python tests/test_documents.py --write
 
@@ -23,13 +25,49 @@ from pathlib import Path
 
 import pytest
 
-from masslin import blowup, is_inessential, mass_linear_test, masslinear
+from masslin import blowup, is_inessential, mass_linear_test, masslinear, simplex
+from masslin.constructions import ml_space_121, ml_space_D2_polygon, ml_space_Yk
 from masslin.errors import MasslinError
+from masslin.polytope import HPolytope
 from masslin import cli
-from _suite import report_for, suite_pairs
+from _suite import polygon_bundle, report_for, square, suite_pairs
 
 DIGESTS = Path(__file__).with_name("check_documents.json")
 CLASSIFY_DIGESTS = Path(__file__).with_name("classify_documents.json")
+MLSPACE_DIGESTS = Path(__file__).with_name("mlspace_documents.json")
+
+# Y_k twists with equal and with distinct levels (the levels are a and 0)
+YK_GRID = [
+    (1, (0,)), (1, (1,)), (1, (-2,)),
+    (2, (0, 0)), (2, (1, 1)), (2, (1, 0)), (2, (1, 2)), (2, (-1, 1)),
+    (3, (0, 0, 0)), (3, (1, 1, 0)), (3, (2, 2, 2)), (3, (1, 2, 3)), (3, (2, 1, 1)), (3, (1, -1, 0)),
+]
+# 121 twists with a2 a3 (a2 - a3) nonzero and zero
+TOWER_GRID = [
+    ((1, 2, 3), 1), ((5, 2, 3), 0), ((-1, 2, -3), 2), ((0, 1, 2), 2),
+    ((0, 2, 3), 0), ((1, 0, 3), 1), ((2, 3, 3), 0), ((1, 1, 1), 2), ((1, 2, 0), 3),
+]
+PENTAGON = HPolytope(2, ((-1, 0), (0, -1), (1, 0), (1, 1), (0, 1)), (0, 0, 3, 5, 3))
+# zero twists, collinear twists with the area polynomial vanishing at the
+# twist ratios and not, a fiber line with a zero coordinate, and twists
+# that are not collinear
+POLYGON_GRID = [
+    ("square", square(), ((0, 0),) * 4),
+    ("square", square(), ((0, 0), (0, 0), (1, -1), (0, 0))),
+    ("square", square(), ((0, 0), (0, 0), (0, 0), (2, -2))),
+    ("square", square(), ((0, 0), (0, 0), (1, -1), (1, -1))),
+    ("square", square(), ((0, 0), (0, 0), (2, -2), (-1, 1))),
+    ("square", square(), ((0, 0), (0, 0), (1, 0), (0, 0))),
+    ("square", square(), ((0, 0), (0, 0), (1, -1), (1, 1))),
+    ("square", square(), ((0, 0), (0, 0), (2, 1), (-1, 1))),
+    ("triangle", simplex(2), ((0, 0),) * 3),
+    ("triangle", simplex(2), ((0, 0), (0, 0), (1, -1))),
+    ("triangle", simplex(2), ((0, 0), (0, 0), (1, 1))),
+    ("pentagon", PENTAGON, ((0, 0),) * 5),
+    ("pentagon", PENTAGON, ((0, 0), (0, 0), (1, -1), (0, 0), (0, 0))),
+    ("pentagon", PENTAGON, ((0, 0), (0, 0), (1, -1), (1, -1), (1, -1))),
+    ("pentagon", PENTAGON, ((0, 0), (0, 0), (0, 0), (1, -1), (1, 1))),
+]
 
 
 def _sha(text: str) -> str:
@@ -88,6 +126,31 @@ def _classify_digests() -> list[list]:
     return rows
 
 
+def _mlspace_documents():
+    """(label, rendered mlspace document) per grid point: the documents
+    of the ``mlspace`` command, built as it builds them."""
+    for k, a in YK_GRID:
+        doc = cli.space_document("bundle-yk", {"k": k, "a": list(a)}, ml_space_Yk(k, a))
+        yield f"yk k={k} a={cli.fmt_vec(a)}", cli.dumps(doc)
+    for a, d in TOWER_GRID:
+        doc = cli.space_document("bundle-121", {"a": list(a), "d": d}, ml_space_121(a, d))
+        yield f"121 a={cli.fmt_vec(a)} d={d}", cli.dumps(doc)
+    for name, base, twists in POLYGON_GRID:
+        _, spec = polygon_bundle(base, twists)
+        params = {
+            "polygon": cli.polytope_to_document(spec.polygon),
+            "twists": [list(t) for t in spec.twists],
+            "kappa": cli.fmt_vec(spec.kappa),
+        }
+        doc = cli.space_document("bundle-d2-polygon", params, ml_space_D2_polygon(spec))
+        yield f"d2 {name} twists={[list(t) for t in twists]}", cli.dumps(doc)
+
+
+def _mlspace_digests() -> list[list[str]]:
+    """[label, sha256 of the rendered mlspace document] per grid point."""
+    return [[label, _sha(text)] for label, text in _mlspace_documents()]
+
+
 def _changed(got, expected) -> list:
     assert [row[:-1] for row in got] == [row[:-1] for row in expected]
     return [g[:-1] for g, e in zip(got, expected) if g != e]
@@ -100,6 +163,10 @@ def test_check_documents_are_pinned():
 def test_classify_documents_are_pinned():
     expected = json.loads(CLASSIFY_DIGESTS.read_text())
     assert _changed(_classify_digests(), expected) == []
+
+
+def test_mlspace_documents_are_pinned():
+    assert _changed(_mlspace_digests(), json.loads(MLSPACE_DIGESTS.read_text())) == []
 
 
 @pytest.fixture
@@ -152,3 +219,4 @@ if __name__ == "__main__":
         raise SystemExit("usage: python tests/test_documents.py --write")
     _write(DIGESTS, _digests())
     _write(CLASSIFY_DIGESTS, _classify_digests())
+    _write(MLSPACE_DIGESTS, _mlspace_digests())
