@@ -38,7 +38,6 @@ from .linalg import (
     int_rref,
     int_vec,
     primitive,
-    scaled,
     vec,
 )
 from .masslinear import equivalence_classes
@@ -626,9 +625,9 @@ class FunctionalSpace:
 
 
 def _echelon_pairs(
-    gammas: Sequence[Sequence], conormals: Sequence[IntVec]
+    gammas: Sequence[IntVec], conormals: Sequence[IntVec]
 ) -> tuple[tuple[Vec, Vec], ...]:
-    reduced, _ = int_rref(scaled(gammas)[1])
+    reduced, _ = int_rref(gammas)
     n = len(conormals[0])
     out = []
     for g in reduced:
@@ -650,13 +649,13 @@ def ml_space_Yk(k: int, a: Sequence[int]) -> FunctionalSpace:
         list(a) + [0, 0, 0],
         [0] * (k + 1) + [1, 1],
     ]
-    ml = int_nullspace(rows, N)
+    _, ml = int_nullspace(rows, N)
     levels = list(a) + [0]
     class_rows = [
         [1 if i <= k and levels[i] == alpha else 0 for i in range(N)]
         for alpha in sorted(set(levels))
     ]
-    iness = int_nullspace(rows + class_rows, N)
+    _, iness = int_nullspace(rows + class_rows, N)
     etas = _yk_conormals(k, a)
     return FunctionalSpace(_echelon_pairs(ml, etas), _echelon_pairs(iness, etas))
 
@@ -674,14 +673,14 @@ def ml_space_121(a: Sequence[int], d: int) -> FunctionalSpace:
         [0, 0, a2, a3, 0, 0, 0],
         [0, 0, 0, 0, 0, 1, 1],
     ]
-    ml = int_nullspace(rows, 7)
+    _, ml = int_nullspace(rows, 7)
     if a2 * a3 * (a2 - a3) != 0:
         pins = [
             [0, 0, 1, 0, 0, 0, 0],
             [0, 0, 0, 1, 0, 0, 0],
             [0, 0, 0, 0, 1, 0, 0],
         ]
-        iness = int_nullspace(rows + pins, 7)
+        _, iness = int_nullspace(rows + pins, 7)
     else:
         iness = ml
     etas = _121_conormals(a, d)
@@ -708,23 +707,20 @@ def ml_space_D2_polygon(spec: D2PolygonBundleSpec) -> FunctionalSpace:
     N = 3 + k
     etas = _d2_conormals(polygon, spec.twists)
 
-    lifted: list[Vec] = []
+    lifted: list[IntVec] = []
     for cls in equivalence_classes(polygon).classes:
         members = sorted(cls)
         for m in members[1:]:
-            g = [Fraction(0)] * N
-            g[3 + members[0]] = Fraction(1)
-            g[3 + m] = Fraction(-1)
+            g = [0] * N
+            g[3 + members[0]] = 1
+            g[3 + m] = -1
             lifted.append(tuple(g))
 
-    fiber: list[Vec] = []
+    fiber: list[IntVec] = []
     fiber_inessential = False
     nonzero = [t for t in spec.twists if t != (0, 0)]
     if not nonzero:
-        fiber = [
-            (Fraction(1), Fraction(0), Fraction(-1)) + (Fraction(0),) * k,
-            (Fraction(0), Fraction(1), Fraction(-1)) + (Fraction(0),) * k,
-        ]
+        fiber = [(1, 0, -1) + (0,) * k, (0, 1, -1) + (0,) * k]
         fiber_inessential = True
     else:
         u = primitive(nonzero[0])
@@ -739,9 +735,7 @@ def ml_space_D2_polygon(spec: D2PolygonBundleSpec) -> FunctionalSpace:
             g3 = -g1 - g2
             P = area_polynomial(polygon)
             if P.eval(s) == 0 or g1 * g2 * g3 == 0:
-                fiber = [
-                    (frac(g1), frac(g2), frac(g3)) + (Fraction(0),) * k
-                ]
+                fiber = [(g1, g2, g3) + (0,) * k]
                 fiber_inessential = g1 * g2 * g3 == 0
     ml = _echelon_pairs(lifted + fiber, etas)
     iness = _echelon_pairs(

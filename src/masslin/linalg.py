@@ -7,9 +7,11 @@ there is no floating point anywhere in the package.
 Every elimination over the rationals is Bareiss's fraction-free one on
 integer rows, ``_echelon``, with ``_reduce`` as its back substitution; a
 rational system is first put on integer rows by one common denominator
-(``scaled``).  Fractions appear only at the boundary, formed from the
-final integer rows.  Pivots are the first nonzero entry from the current
-row down, so echelon forms, kernel bases and solutions are reproducible.
+(``scaled``).  Results stay on integer rows over one D:
+``int_nullspace`` returns its kernel basis as integer rows D z, and
+only ``int_rref`` and ``rref`` hand out Fractions, formed from the final
+integer rows.  Pivots are the first nonzero entry from the current row
+down, so echelon forms, kernel bases and solutions are reproducible.
 Only ``integer_kernel_basis`` reduces columns, by the unimodular steps
 that a lattice basis needs.  ``rref`` (``int_rref`` on ``scaled`` rows)
 has no library caller; it stays because the perfbench tracer patches it.
@@ -229,20 +231,19 @@ def int_rref(A: Sequence[Sequence[int]], ncols: int | None = None) -> tuple[Mat,
     return tuple(tuple(Fraction(x, D) for x in row) for row in rows), tuple(pivots)
 
 
-def int_nullspace(A: Sequence[Sequence[int]], ncols: int) -> tuple[Vec, ...]:
-    """Basis of the right kernel of an integer matrix, one vector per
-    free column of its reduced echelon form.
+def int_nullspace(A: Sequence[Sequence[int]], ncols: int) -> tuple[int, tuple[IntVec, ...]]:
+    """(D, rows): a basis z of the right kernel of an integer matrix, one
+    vector per free column of its reduced echelon form, as integer rows
+    D z over one D.
 
-    Each basis vector carries 1 in its own free column and 0 in every
-    other free column (the reduced-echelon convention), so the result
-    depends only on the row space; it is read off the integer rows D R
-    (``_reduce``), with Fractions only for the returned vectors."""
+    Each z carries 1 in its own free column and 0 in every other free
+    column (the reduced-echelon convention), so z depends only on the row
+    space; D z is read off the integer rows D R (``_reduce``)."""
     rows = [list(row) for row in A]
     pivots, _ = _echelon(rows, ncols)
     D = _reduce(rows, pivots)
     at = dict(zip(pivots, rows))
-    return tuple(tuple(Fraction(-at[c][j], D) if c in at else Fraction(int(c == j)) for c in range(ncols))
-                 for j in range(ncols) if j not in at)
+    return D, tuple(tuple(-at[c][j] if c in at else D * (c == j) for c in range(ncols)) for j in range(ncols) if j not in at)
 
 
 def scaled(A: Sequence[Sequence]) -> tuple[int, list[list[int]]]:

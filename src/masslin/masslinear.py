@@ -11,8 +11,9 @@ holds for some gamma; it is decided exactly.  The identity is linear in
 the pair (H, gamma), so the pairs that satisfy it form a vector space,
 ``ml_space``.  So do the pairs of full mass linearity, with m_k(H) ==
 (gamma . kappa) P_k for the moment and measure of each k-skeleton, one
-space per tuple of skeleton dimensions, memoized with its echelon form.
-Those forms are the one source of every chamber-wide verdict: H passes
+space per tuple of skeleton dimensions, memoized as the integer rows of
+its reduced echelon form (``_space_echelon``) and nothing else.  Those
+forms are the one source of every chamber-wide verdict: H passes
 exactly when it lies in the span of the H parts, gamma is then the same
 combination of the gamma parts (unique, because the products kappa_i *
 P_k are independent), and otherwise the nonzero residual of H against
@@ -42,7 +43,7 @@ is fitted in one place, ``_gamma``; an inessential witness is that
 gamma when its sum over every equivalence class vanishes (``_beta``).
 All elimination and integration is per polytope, memoized on it, as
 integers over one denominator: the slice pass, the face measures of the
-gamma rows, the pair spaces with their echelon rows, and the base
+gamma rows, the pair spaces as their echelon rows, and the base
 values of one closed-form vertex pass per face size
 (``measure._base_values``).  Per functional, H is scaled once to Hi /
 L, comparisons run on Hi against those forms, quotients are
@@ -163,14 +164,9 @@ class FullMassLinearReport:
     """Pairings <H, B_k> with the skeleton barycenters at the base kappa,
     their equality there (at_base), and chamber-wide (verdict): H lies in
     the pairs with m_k == (gamma . kappa) P_k for k = 0..n, gamma . kappa
-    being the pairing with the vertex average, and below n the part of
-    ``ml_space`` where, by the Leibniz rule and T = S - i,
-
-        m_k - (gamma . kappa) P_k = sum_{|S| = n-k} (d_S [(gamma . kappa) V] - (gamma . kappa) d_S V)
-                                  = sum_S sum_{i in S} gamma_i d_{S-i} V
-                                  = sum_i gamma_i sum_{|T| = n-k-1, i not in T} d_T V
-
-    vanishes.  A verdict needs at_base."""
+    being the pairing with the vertex average; below n, the part of
+    ``ml_space`` where the face measures of the module docstring's
+    identity sum to zero.  A verdict needs at_base."""
 
     values: tuple[Fraction, ...]
     at_base: bool
@@ -473,15 +469,8 @@ def fully_mass_linear_test(poly: HPolytope, H) -> FullMassLinearReport:
     of each face size (``measure._base_values``); unequal values witness
     a negative verdict.  The verdict is the fit of H into the memoized
     pairs with m_k == (gamma . kappa) P_k for k = 0..n, cut out of
-    ``ml_space``, where mu_H == (gamma . kappa) V, by d_S over |S| = n -
-    k, the Leibniz rule and T = S - i:
-
-        m_k = sum_S d_S [(gamma . kappa) V]
-            = (gamma . kappa) P_k + sum_S sum_{i in S} gamma_i d_{S-i} V
-            = (gamma . kappa) P_k + sum_i gamma_i sum_{|T| = n-k-1, i not in T} d_T V,
-
-    so the k < n identities are gamma rows of face measures
-    (``_pair_space``)."""
+    ``ml_space`` by the gamma rows of face measures of the module
+    docstring's identity (``_space_echelon``)."""
     _require_smooth(poly)
     L, Hi = _integral(poly, H)
     dims = tuple(range(poly.dim + 1))
@@ -553,74 +542,64 @@ def _identity_rows(poly: HPolytope) -> list[list[int]]:
     return list(rows.values())
 
 
-@memoize
-def _pair_space(poly: HPolytope, dims: tuple[int, ...]) -> tuple[tuple[Vec, Vec], ...]:
-    """Basis of the pairs (H, gamma) with m_k(H) == (gamma . kappa) P_k
-    for every k in dims, which must hold n, in the reduced-echelon kernel
+def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
+    """Basis of all pairs (H, gamma) with mu_H == (sum gamma_i kappa_i) V.
+
+    The defining identity is linear in the unknowns (H, gamma), so the
+    mass linear functionals on a fixed polytope form a vector space; the
+    returned H parts are a basis of it, in the reduced-echelon kernel
     convention (one vector per free column, 1 there and 0 in the other
-    free columns).  For dims = (n,) it is ``ml_space``, the kernel of the
-    slice rows (``_identity_rows``) and the n rows of H == sum_i gamma_i
-    eta_i.  There mu_H == (gamma . kappa) V, and d_S over |S| = n - k
-    with the Leibniz rule and T = S - i gives
+    free columns).  By the duality of ``_space_echelon`` that basis is
+    the reduced form of its integer rows with the columns reversed,
+    reversed back, in reverse order; Fractions are formed here only."""
+    _require_smooth(poly)
+    n = poly.dim
+    R, _ = int_rref([row[::-1] for _, row in _space_echelon(poly, (n,))[1]])
+    return tuple((x[::-1][:n], x[::-1][n:]) for x in reversed(R))
 
-        m_k(H) = sum_S d_S [(gamma . kappa) V]
-               = (gamma . kappa) P_k + sum_S sum_{i in S} gamma_i d_{S-i} V
-               = (gamma . kappa) P_k + sum_i gamma_i sum_{|T| = n-k-1, i not in T} d_T V,
 
-    so the k < n identity is sum_i gamma_i R^(i) == 0, R^(i) =
-    e_{n-k-1}(d without d_i) V' on the slice (``measure._slice_measures``,
-    translation invariant).  With z_1..z_r the basis of ``ml_space``, the
-    space of dims is the sums sum_j t_j z_j whose gamma meets these rows,
-    one in t per k and monomial; their reduced form with the columns
-    reversed, in reverse order, is the convention basis."""
+@memoize
+def _space_echelon(poly: HPolytope, dims: tuple[int, ...]) -> tuple[int, tuple[tuple[int, IntVec], ...]]:
+    """D and the integer rows D R, each with its pivot column, of the
+    reduced echelon form R of the pairs (H, gamma) with m_k(H) ==
+    (gamma . kappa) P_k for every k in dims, which must hold n: the one
+    form of each pair space.  Every pivot lies in the H columns, since
+    gamma is determined by H.
+
+    For dims = (n,) the space is the kernel of the slice rows
+    (``_identity_rows``) and the n rows of H == sum_i gamma_i eta_i.  In
+    the reduced-echelon kernel basis of a system, each vector's 1 in its
+    free column is its last nonzero entry, and the other free columns
+    hold 0; so the basis of the system with its columns reversed
+    (``int_nullspace``), reversed back and in reverse order, is R.  Below n the identity is sum_i gamma_i R^(i) == 0 (module
+    docstring), R^(i) = e_{n-k-1}(d without d_i) V' on the slice
+    (``measure._slice_measures``): the space is the sums sum_j t_j z_j of
+    the rows z_j of (n,) whose gamma meets these rows, one in t per k and
+    monomial, reduced once."""
     n, N = poly.dim, poly.n_facets
     if n not in dims:
         raise ValueError("a pair space holds the n-skeleton identity")
     if set(dims) == {n}:
         system = _identity_rows(poly)
         system += [[int(c == r) for c in range(n)] + [-eta[r] for eta in poly.conormals] for r in range(n)]
-        return tuple((z[:n], z[n:]) for z in int_nullspace(system, n + N))
-    Z = scaled([H + gamma for H, gamma in _pair_space(poly, (n,))])[1]
-    rows: dict[tuple, list[int]] = defaultdict(lambda: [0] * len(Z))
-    for k in set(dims) - {n}:
-        for i, R in enumerate(_slice_measures(poly)[n - k - 1]):
-            for t, z in enumerate(Z):
-                if g := z[n + i]:
-                    for m, x in R.items():
-                        rows[k, m][t] += g * x
-    T = scaled(int_nullspace(list(rows.values()), len(Z)))[1]
-    R, _ = int_rref([[sum(t * z[c] for t, z in zip(ts, Z)) for c in reversed(range(n + N))] for ts in T])
-    return tuple((x[::-1][:n], x[::-1][n:]) for x in reversed(R))
-
-
-def ml_space(poly: HPolytope) -> tuple[tuple[Vec, Vec], ...]:
-    """Basis of all pairs (H, gamma) with mu_H == (sum gamma_i kappa_i) V.
-
-    The defining identity is linear in the unknowns (H, gamma), so the
-    mass linear functionals on a fixed polytope form a vector space; the
-    returned H parts are a basis of it.  It is the pair space of the
-    n-skeleton alone, memoized per polytope; the pair spaces of several
-    skeleton dimensions are solved inside it (``_pair_space``)."""
-    _require_smooth(poly)
-    return _pair_space(poly, (poly.dim,))
-
-
-@memoize
-def _space_echelon(poly: HPolytope, dims: tuple[int, ...]) -> tuple[int, tuple[tuple[int, IntVec], ...]]:
-    """D and the integer rows D R of the reduced echelon form R of the
-    basis rows (H | gamma) of ``_pair_space`` for dims (for several
-    dims solved inside ``ml_space``), each with its pivot
-    column.  Every pivot lies in the H columns, since gamma is
-    determined by H.  Scaling the basis rows to integers leaves their
-    reduced form unchanged, and ``_reduce`` gives D R with D its last
-    pivot; the basis rows are independent, so every row is a pivot
-    row."""
-    n = poly.dim
-    rows = scaled([H + gamma for H, gamma in _pair_space(poly, dims)])[1]
-    pivots, _ = _echelon(rows, n + poly.n_facets)
+        D, Z = int_nullspace([row[::-1] for row in system], n + N)
+        rows = [z[::-1] for z in reversed(Z)]
+        pivots = [next(c for c, x in enumerate(z) if x) for z in rows]
+    else:
+        Z = [z for _, z in _space_echelon(poly, (n,))[1]]
+        cut: dict[tuple, list[int]] = defaultdict(lambda: [0] * len(Z))
+        for k in set(dims) - {n}:
+            for i, R in enumerate(_slice_measures(poly)[n - k - 1]):
+                for t, z in enumerate(Z):
+                    if g := z[n + i]:
+                        for m, x in R.items():
+                            cut[k, m][t] += g * x
+        _, T = int_nullspace(list(cut.values()), len(Z))
+        rows = [[sum(t * z[c] for t, z in zip(ts, Z)) for c in range(n + N)] for ts in T]
+        pivots, _ = _echelon(rows, n + N)
+        D = _reduce(rows, pivots)
     if any(p >= n for p in pivots):
         raise StructuralInconsistency("the products kappa_i * P_k are independent")
-    D = _reduce(rows, pivots)
     return D, tuple((p, tuple(row)) for p, row in zip(pivots, rows))
 
 

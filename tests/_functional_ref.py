@@ -23,12 +23,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from masslin.errors import StructuralInconsistency
-from masslin.linalg import dot, int_rref, scaled, vec, zero_vec
+from masslin.linalg import dot, int_rref, vec, zero_vec
 from masslin.masslinear import (
     FullMassLinearReport,
     InessentialWitness,
     MassLinearReport,
-    _pair_space,
+    _space_echelon,
     equivalence_classes,
     is_flat,
     is_pervasive,
@@ -47,9 +47,8 @@ def skeleton_barycenter(poly, k):
 
 def space_echelon(poly, dims):
     """(pivot, row) of the Fraction reduced echelon form of the pair
-    space basis rows (H | gamma)."""
-    rows = [H + gamma for H, gamma in _pair_space(poly, dims)]
-    R, pivots = int_rref(scaled(rows)[1], poly.dim + poly.n_facets)
+    space, reduced again from its memoized integer rows."""
+    R, pivots = int_rref([row for _, row in _space_echelon(poly, dims)[1]], poly.dim + poly.n_facets)
     return tuple(zip(pivots, R))
 
 

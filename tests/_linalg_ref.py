@@ -9,6 +9,8 @@ library's Bareiss ``int_rref`` is checked against, and ``rank``,
 answers with these.  ``int_solve`` is the one exception: the
 fraction-free solve that the kernel tests check, built on the
 library's ``int_adjugate`` now that no library code solves that way.
+``kernel_fractions`` reads the integer kernel rows of ``int_nullspace``
+as the Fraction basis they stand for.
 """
 
 from __future__ import annotations
@@ -92,6 +94,12 @@ def nullspace(A: Sequence[Sequence], ncols: int | None = None) -> tuple[Vec, ...
             x[p] = -row[j]
         basis.append(tuple(x))
     return tuple(basis)
+
+
+def kernel_fractions(kernel: tuple[int, Sequence[IntVec]]) -> tuple[Vec, ...]:
+    """The Fraction basis z of the integer rows (D, D z) of ``int_nullspace``."""
+    D, rows = kernel
+    return tuple(tuple(Fraction(x, D) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)

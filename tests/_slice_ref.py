@@ -17,7 +17,10 @@ on its own and solves their stack in all n + N unknowns, where the
 library solves the k < n dimensions inside ``ml_space`` by the gamma
 rows.  ``slice_point`` forms kappa - A v0 in Fractions from the first
 vertex.  ``value_gradient`` evaluates a polynomial and its first
-partials.
+partials.  Pair spaces are compared as exact canonical forms:
+``reduced_pairs`` reduces a reference basis to its Fraction reduced
+echelon form, and ``space_echelon_view`` divides the library's integer
+rows by their D.
 
 ``lawrence_skeleton`` integrates each k-skeleton on its own, in all N
 variables or on the slice, by Lawrence's formula over the k-subsets of
@@ -28,11 +31,13 @@ integrates single faces with the same ``_cone_sums`` and ``_integrate``.
 """
 
 from collections import defaultdict
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
 
-from masslin.linalg import _echelon, dot, int_det, int_nullspace, vec
+from masslin.linalg import _echelon, dot, int_det, int_nullspace, int_rref, scaled, vec
+from masslin.masslinear import _space_echelon
 from masslin.measure import (
     _powers,
     _skeleton_coord_polys,
@@ -42,6 +47,8 @@ from masslin.measure import (
     volume_poly,
 )
 from masslin.poly import MultiPoly
+
+from _linalg_ref import kernel_fractions
 
 
 def _lattice_index(cone, T):
@@ -142,11 +149,30 @@ def full_skeleton_block(poly, k):
     return _block(poly, *_skeleton_coord_polys(poly, k))
 
 
+def _kernel_pairs(system, n, N):
+    """The reduced-echelon kernel basis of an integer system in the
+    unknowns (H, gamma), as Fraction pairs."""
+    return tuple((z[:n], z[n:]) for z in kernel_fractions(int_nullspace(system, n + N)))
+
+
 def full_pair_space(poly, dims):
     """Reduced-echelon kernel basis of the stacked full-variable blocks."""
     n, N = poly.dim, poly.n_facets
-    system = [row for k in dims for row in full_skeleton_block(poly, k)]
-    return tuple((z[:n], z[n:]) for z in int_nullspace(system, n + N))
+    return _kernel_pairs([row for k in dims for row in full_skeleton_block(poly, k)], n, N)
+
+
+def reduced_pairs(basis, poly):
+    """(pivot, row) of the Fraction reduced echelon form of the rows
+    (H | gamma) of a pair basis."""
+    R, pivots = int_rref(scaled([H + gamma for H, gamma in basis])[1], poly.dim + poly.n_facets)
+    return tuple(zip(pivots, R))
+
+
+def space_echelon_view(poly, dims):
+    """(pivot, row) of ``masslinear._space_echelon``'s integer rows D R
+    over its D: the library's reduced echelon form R in Fractions."""
+    D, rows = _space_echelon(poly, dims)
+    return tuple((p, tuple(Fraction(x, D) for x in row)) for p, row in rows)
 
 
 def value_gradient(p, point):
@@ -190,7 +216,7 @@ def stacked_pair_space(poly, dims):
     B = _slice(poly)[0]
     system = [row for k in dims for row in _block(poly, *lawrence_skeleton(poly, k, B), B)]
     system += [[int(c == r) for c in range(n)] + [-eta[r] for eta in poly.conormals] for r in range(n)]
-    return tuple((z[:n], z[n:]) for z in int_nullspace(system, n + N))
+    return _kernel_pairs(system, n, N)
 
 
 def slice_point(poly):

@@ -11,6 +11,7 @@ from _linalg_ref import (
     identity,
     in_row_span,
     int_solve,
+    kernel_fractions,
     mat_mul,
     mat_vec,
     nullspace,
@@ -105,7 +106,7 @@ class TestSolveLinear:
             (-1, -1, 0, 1),
         ]
         assert int_rank(rows) == 3
-        assert len(int_nullspace(list(zip(*rows)), 4)) == 1
+        assert len(int_nullspace(list(zip(*rows)), 4)[1]) == 1
 
     @given(small_matrix(3, 3), st.lists(rationals, min_size=3, max_size=3))
     @settings(max_examples=60)
@@ -208,22 +209,22 @@ class TestFractionFree:
 
 class TestNullspace:
     def test_reduced_echelon_convention(self):
-        basis = int_nullspace([[1, 2, 3]], 3)
-        assert basis == (
+        assert int_nullspace([[1, 2, 3]], 3) == (1, ((-2, 1, 0), (-3, 0, 1)))
+        # the same basis over the last Bareiss pivot D = 2
+        D, rows = int_nullspace([[2, 4, 6]], 3)
+        assert (D, rows) == (2, ((-4, 2, 0), (-6, 0, 2)))
+        assert kernel_fractions((D, rows)) == (
             (Fraction(-2), Fraction(1), Fraction(0)),
             (Fraction(-3), Fraction(0), Fraction(1)),
         )
 
     def test_empty_matrix_needs_ncols(self):
-        assert int_nullspace([], 2) == (
-            (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-        )
+        assert int_nullspace([], 2) == (1, ((1, 0), (0, 1)))
 
     @given(small_matrix(2, 4))
     @settings(max_examples=40)
     def test_dimension_formula(self, A):
-        assert len(int_nullspace(scaled(A)[1], 4)) == 4 - rank(A)
+        assert len(int_nullspace(scaled(A)[1], 4)[1]) == 4 - rank(A)
 
     @staticmethod
     def _through_int_rref(A, ncols):
@@ -252,8 +253,10 @@ class TestNullspace:
                 c = data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
                 A[i] = [sum(ci * row[j] for ci, row in zip(c, A)) for j in range(width)]
         ncols = data.draw(st.integers(0, width))
-        assert int_nullspace(A, ncols) == self._through_int_rref(A, ncols)
-        assert int_nullspace(A, width) == self._through_int_rref(A, width)
+        for cols in (ncols, width):
+            kernel = int_nullspace(A, cols)
+            assert all(type(x) is int for row in kernel[1] for x in (kernel[0], *row))
+            assert kernel_fractions(kernel) == self._through_int_rref(A, cols)
 
 
 @st.composite
@@ -287,7 +290,7 @@ class TestReducedEchelon:
         M = scaled(A)[1]
         assert int_rref(M, ncols) == rref(M, ncols)
         assert int_rref(M) == rref(A)
-        assert int_nullspace(M, width) == nullspace(A, width)
+        assert kernel_fractions(int_nullspace(M, width)) == nullspace(A, width)
 
 
 def test_every_public_linalg_function_has_a_caller():

@@ -25,7 +25,6 @@ from masslin.constructions import blowup, product
 from masslin.errors import PolytopeError, StructuralInconsistency
 from masslin.linalg import dot, vec
 from masslin.masslinear import (
-    _pair_space,
     equivalence_classes,
     fully_mass_linear_test,
     generating_vector,
@@ -52,7 +51,7 @@ from _functional_ref import barycenter_pairings_agree
 from _linalg_ref import nullspace, rank, solve_linear
 from _polytope_ref import same_chamber
 from _reduction_ref import inessential_reduction
-from _slice_ref import full_pair_space, full_symmetric_facets
+from _slice_ref import full_pair_space, full_symmetric_facets, reduced_pairs, space_echelon_view
 from _suite import SuitePair, report_for, suite_pairs, suite_polytopes
 
 F = Fraction
@@ -335,8 +334,9 @@ class TestSlice:
     def test_pair_spaces_match_full_variable_blocks_on_suite(self):
         for sp in suite_polytopes():
             poly = sp.poly
-            for dims in ((poly.dim,), tuple(range(poly.dim + 1))):
-                assert _pair_space(poly, dims) == full_pair_space(poly, dims), (sp.name, dims)
+            assert ml_space(poly) == full_pair_space(poly, (poly.dim,)), sp.name
+            dims = tuple(range(poly.dim + 1))
+            assert space_echelon_view(poly, dims) == reduced_pairs(full_pair_space(poly, dims), poly), sp.name
 
     @pytest.mark.parametrize("broken, message", [
         ("measure", "the 0-skeleton measure is the vertex count"),
@@ -797,6 +797,63 @@ class TestBarycenterCharacterizations:
             fully_mass_linear_test(box(), H)
 
 
+def _fresh(poly: HPolytope) -> HPolytope:
+    """The same polytope with an empty memo."""
+    return HPolytope(poly.dim, poly.conormals, poly.support, poly.labels)
+
+
+def _space_entries(poly: HPolytope) -> dict:
+    """The memo entries of masslinear keyed by a tuple of skeleton
+    dimensions: those of the pair-space code."""
+    return {
+        key: value for key, value in poly._memo.items()
+        if isinstance(key, tuple) and key[0].startswith("masslin.masslinear.") and key[2:] == (tuple,)
+    }
+
+
+class TestPairSpaceMemo:
+    """Each pair space is memoized once per (polytope, dims), in one
+    integer form, built from one kernel of the slice system."""
+
+    @staticmethod
+    def _ints(value) -> bool:
+        if isinstance(value, tuple):
+            return all(map(TestPairSpaceMemo._ints, value))
+        return type(value) is int
+
+    def test_one_integer_entry_per_checked_space(self):
+        for pair in suite_pairs():
+            poly = _fresh(pair.poly)
+            check_document(poly, pair.H)
+            entries = _space_entries(poly)
+            n = poly.dim
+            assert sorted(key[1] for key in entries) == [tuple(range(n + 1)), (n,)], pair.name
+            assert all(map(self._ints, entries.values())), pair.name
+
+    def test_eliminations_per_space(self, monkeypatch):
+        # one Bareiss elimination for the n-skeleton space, two more for
+        # the space of every skeleton (the kernel in t, then the echelon)
+        calls = []
+        plain = linalg._echelon
+
+        def counting(rows, ncols):
+            calls.append(ncols)
+            return plain(rows, ncols)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("masslin") and getattr(module, "_echelon", None) is plain:
+                monkeypatch.setattr(module, "_echelon", counting)
+        for sp in suite_polytopes():
+            poly = _fresh(sp.poly)
+            n = poly.dim
+            calls.clear()
+            masslin.masslinear._space_echelon(poly, (n,))
+            assert len(calls) == 1, sp.name
+            calls.clear()
+            masslin.masslinear._space_echelon(poly, tuple(range(n + 1)))
+            assert len(calls) == 2, sp.name
+
+
 class TestMlSpace:
     def test_simplex_everything(self):
         basis = ml_space(simplex(2))
@@ -924,12 +981,11 @@ class TestOptimizedMode:
                         setattr(ml, name, fn)
 
             # the one gamma source: the pair space of the n-skeleton,
-            # here one pair (e_1, gamma)
-            def space(*gamma):
-                def pair_space(poly, dims):
-                    H = (Fraction(1),) + (Fraction(0),) * (poly.dim - 1)
-                    return ((H, tuple(map(Fraction, gamma))),)
-                return pair_space
+            # here one pair (e_1, gamma) = (D e_1, G) / D in integers
+            def space(D, *G):
+                def space_echelon(poly, dims):
+                    return D, ((0, (D,) + (0,) * (poly.dim - 1) + G),)
+                return space_echelon
 
             # the base values, with the barycenter moved by (1, ..., 1)
             base_values = ml._base_values
@@ -943,9 +999,9 @@ class TestOptimizedMode:
             def test(box):
                 return ml.mass_linear_test(box, (1, 0))
 
-            attempt(test, _pair_space=space(1, 1, 1, 1))
+            attempt(test, _space_echelon=space(1, 1, 1, 1, 1))
             attempt(test, _base_values=moved_center)
-            attempt(test, _pair_space=space(0, 0, Fraction(-1, 2), Fraction(1, 2)))
+            attempt(test, _space_echelon=space(2, 0, 0, -1, 1))
             attempt(lambda box: ml.is_inessential(box, (1, 0)), _base_values=moved_center)
         """)
         src = str(Path(masslin.__file__).resolve().parents[1])

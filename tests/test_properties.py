@@ -41,7 +41,7 @@ from masslin import (
 from masslin import recognize
 from masslin.constructions import CONSTRUCTOR_STEPS, Bundle121Spec, D2PolygonBundleSpec, YkBundleSpec, _corner_cut_polygon
 from masslin.errors import PolytopeError, StructuralInconsistency
-from masslin.masslinear import _pair_space, symmetric_facets
+from masslin.masslinear import _space_echelon, symmetric_facets
 from masslin.measure import volume_poly
 from masslin.poly import MultiPoly
 from masslin.recognize import certificate_holds, classify4d, reconstruct, replay_trace
@@ -240,7 +240,7 @@ class TestEquivariance:
         xi = data.draw(st.tuples(*[st.integers(-3, 3) for _ in range(poly.dim)]))
         moved = poly.translate(xi)
         for dims in _dims(poly):
-            assert _pair_space(moved, dims) == _pair_space(poly, dims)
+            assert _slice_ref.space_echelon_view(moved, dims) == _slice_ref.space_echelon_view(poly, dims)
         assert symmetric_facets(moved, pair.H) == symmetric_facets(poly, pair.H)
 
     @given(data=st.data())
@@ -250,9 +250,10 @@ class TestEquivariance:
         poly = pair.poly
         T = _draw_unimodular(data, poly.dim)
         mapped = poly.apply_lattice_map(T)
+        n = poly.dim
         for dims in _dims(poly):
-            expected = [tuple(_dot(row, H) for row in T) + gamma for H, gamma in _pair_space(poly, dims)]
-            assert _same_span([H + gamma for H, gamma in _pair_space(mapped, dims)], expected)
+            expected = [tuple(_dot(t, z[:n]) for t in T) + z[n:] for _, z in _slice_ref.space_echelon_view(poly, dims)]
+            assert _same_span([z for _, z in _slice_ref.space_echelon_view(mapped, dims)], expected)
         newH = tuple(_dot(row, pair.H) for row in T)
         assert symmetric_facets(mapped, newH) == symmetric_facets(poly, pair.H)
 
@@ -360,7 +361,7 @@ class TestSkeletonIdentity:
         m_k(H) - (gamma . kappa) P_k = sum_i gamma_i sum_{|T| = n-k-1, i not in T} d_T V,
 
     which at k = n - 1 is (sum_i gamma_i) V: the gamma rows by which
-    ``_pair_space`` cuts ``ml_space`` for the k < n identities.  Checked
+    ``_space_echelon`` cuts ``ml_space`` for the k < n identities.  Checked
     on the references alone, ``_slice_ref.lawrence_skeleton`` for m_k
     and P_k and the partials of ``volume_poly`` in all N variables, for
     every basis pair at every k < n on the suite, the moved suite and the
@@ -404,12 +405,13 @@ class TestSkeletonIdentity:
 
 
 class TestPairSpaceOracle:
-    """``_pair_space`` solves the k < n skeleton dimensions inside
-    ``ml_space`` by the gamma rows of face measures.  It must return the
-    exact basis, in the same order, of the full-variable reference and of
-    the stacked solve of every dimension's slice rows of the reference
-    polynomials, for any set of dimensions that holds n; it refuses one
-    without n."""
+    """``_space_echelon`` solves the k < n skeleton dimensions inside
+    ``ml_space`` by the gamma rows of face measures.  Its integer rows
+    over D must be the exact reduced echelon form of the full-variable
+    reference basis and of the stacked solve of every dimension's slice
+    rows of the reference polynomials, for any set of dimensions that
+    holds n, and ``ml_space`` the exact reference basis for n alone; it
+    refuses a set without n."""
 
     @seed(24)
     @given(data=st.data())
@@ -422,9 +424,12 @@ class TestPairSpaceOracle:
             poly = _kleinschmidt(data.draw(st.integers(1, 4 - r)), data.draw(st.tuples(*[st.integers(-1, 2)] * r)))
         dims = tuple(sorted(data.draw(st.sets(st.integers(0, poly.dim - 1))) | {poly.dim}))
         expected = _slice_ref.full_pair_space(poly, dims)
-        assert _pair_space(poly, dims) == expected == _slice_ref.stacked_pair_space(poly, dims), dims
+        assert expected == _slice_ref.stacked_pair_space(poly, dims), dims
+        assert _slice_ref.space_echelon_view(poly, dims) == _slice_ref.reduced_pairs(expected, poly), dims
+        if dims == (poly.dim,):
+            assert ml_space(poly) == expected
         with pytest.raises(ValueError, match="a pair space holds the n-skeleton identity"):
-            _pair_space(poly, dims[:-1])
+            _space_echelon(poly, dims[:-1])
 
 
 class TestFunctionalOracle:
