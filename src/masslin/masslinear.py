@@ -570,8 +570,12 @@ def _space_echelon(poly: HPolytope, dims: tuple[int, ...]) -> tuple[int, tuple[t
     (``_identity_rows``) and the n rows of H == sum_i gamma_i eta_i.  In
     the reduced-echelon kernel basis of a system, each vector's 1 in its
     free column is its last nonzero entry, and the other free columns
-    hold 0; so the basis of the system with its columns reversed
-    (``int_nullspace``), reversed back and in reverse order, is R.  Below n the identity is sum_i gamma_i R^(i) == 0 (module
+    hold 0.  So with the columns in the order gamma, then H reversed,
+    the basis (``int_nullspace``), read in the original order and in
+    reverse, is R when every free column is in H, whatever the order of
+    the gamma columns.  The slice rows vanish on gamma_B, B the first
+    vertex's basis, and the n rows of H are unimodular there, so gamma_B
+    comes first and those n rows take its pivots.  Below n the identity is sum_i gamma_i R^(i) == 0 (module
     docstring), R^(i) = e_{n-k-1}(d without d_i) V' on the slice
     (``measure._slice_measures``): the space is the sums sum_j t_j z_j of
     the rows z_j of (n,) whose gamma meets these rows, one in t per k and
@@ -580,10 +584,12 @@ def _space_echelon(poly: HPolytope, dims: tuple[int, ...]) -> tuple[int, tuple[t
     if n not in dims:
         raise ValueError("a pair space holds the n-skeleton identity")
     if set(dims) == {n}:
-        system = _identity_rows(poly)
-        system += [[int(c == r) for c in range(n)] + [-eta[r] for eta in poly.conormals] for r in range(n)]
-        D, Z = int_nullspace([row[::-1] for row in system], n + N)
-        rows = [z[::-1] for z in reversed(Z)]
+        B = _slice(poly)[0]
+        order = [n + i for i in sorted(B)] + [n + i for i in range(N) if i not in B] + list(reversed(range(n)))
+        system = [[int(c == r) for c in range(n)] + [-eta[r] for eta in poly.conormals] for r in range(n)]
+        D, Z = int_nullspace([[row[c] for c in order] for row in system + _identity_rows(poly)], n + N)
+        at = sorted(range(n + N), key=order.__getitem__)
+        rows = [[z[j] for j in at] for z in reversed(Z)]
         pivots = [next(c for c, x in enumerate(z) if x) for z in rows]
     else:
         Z = [z for _, z in _space_echelon(poly, (n,))[1]]
