@@ -575,8 +575,10 @@ def _space_echelon(poly: HPolytope, dims: tuple[int, ...]) -> tuple[int, tuple[t
     reverse, is R when every free column is in H, whatever the order of
     the gamma columns.  The slice rows vanish on gamma_B, B the first
     vertex's basis, and the n rows of H are unimodular there, so gamma_B
-    comes first and those n rows take its pivots.  Below n the identity is sum_i gamma_i R^(i) == 0 (module
-    docstring), R^(i) = e_{n-k-1}(d without d_i) V' on the slice
+    comes first and those n rows take its pivots.
+
+    Below n the identity is sum_i gamma_i R^(i) == 0 (module docstring),
+    R^(i) = e_{n-k-1}(d without d_i) V' on the slice
     (``measure._slice_measures``): the space is the sums sum_j t_j z_j of
     the rows z_j of (n,) whose gamma meets these rows, one in t per k and
     monomial, reduced once."""
