@@ -39,7 +39,8 @@ Facets with zero coefficient are symmetric; for non-mass-linear H the
 same notion is the translation invariant identity d(mu)/dk_i * V == mu
 * dV/dk_i.  Negative answers are witness-first: an identity whose sides
 differ at the base kappa fails with that value as its certificate.  H
-is fitted in one place, ``_gamma``; an inessential witness is that
+is fitted in one place, ``_gamma``, and not on a blowdown stage, whose
+report is derived (``_blowdown_report``); an inessential witness is
 gamma when its sum over every equivalence class vanishes (``_beta``).
 All elimination and integration is per polytope, memoized on it, as
 integers over one denominator: the slice pass, the face measures of the
@@ -173,11 +174,6 @@ class FullMassLinearReport:
     verdict: bool
 
 
-def is_pervasive(poly: HPolytope, i: int) -> bool:
-    """Does facet i meet every other facet?"""
-    return i in _pervasive_facets(poly)
-
-
 def _neighbours(poly: HPolytope) -> list[set[int]]:
     """The other facets that meet each facet: on a simple polytope two
     facets meet exactly when some vertex basis holds both."""
@@ -192,12 +188,6 @@ def _neighbours(poly: HPolytope) -> list[set[int]]:
 def _pervasive_facets(poly: HPolytope) -> frozenset[int]:
     """The facets that meet every other facet."""
     return frozenset(i for i, m in enumerate(_neighbours(poly)) if len(m) == poly.n_facets - 1)
-
-
-def is_flat(poly: HPolytope, i: int) -> bool:
-    """Do the conormals of the other facets meeting facet i lie in a
-    hyperplane?"""
-    return i in _flat_facets(poly)
 
 
 @memoize
@@ -250,39 +240,61 @@ def mass_linear_test(poly: HPolytope, H) -> MassLinearReport:
     """Decide whether the center-of-mass pairing of H is linear in kappa:
     gamma is the one fit ``_gamma``, its zero entries the symmetric
     facets, which ``symmetric_facets`` decides when there is no gamma."""
-    gamma = _gamma(poly, H)
-    if gamma is None:
-        sym, asym = symmetric_facets(poly, H)
-    else:
-        sym = frozenset(i for i, g in enumerate(gamma) if g == 0)
-        asym = frozenset(range(poly.n_facets)) - sym
-    pervasive = {i: is_pervasive(poly, i) for i in sorted(asym)}
-    flat = {i: is_flat(poly, i) for i in sorted(asym)}
+    return _report(poly, _gamma(poly, H), H)
+
+
+def _report(poly: HPolytope, gamma: Vec | None, H) -> MassLinearReport:
+    """The report of H on poly, given its gamma or None."""
+    sym = symmetric_facets(poly, H)[0] if gamma is None else frozenset(i for i, g in enumerate(gamma) if g == 0)
+    asym = frozenset(range(poly.n_facets)) - sym
+    pervasive = {i: i in _pervasive_facets(poly) for i in sorted(asym)}
+    flat = {i: i in _flat_facets(poly) for i in sorted(asym)}
     return MassLinearReport(gamma is not None, gamma, sym, asym, pervasive, flat)
 
 
 def _gamma(poly: HPolytope, H) -> Vec | None:
-    """gamma with mu_H == (gamma . kappa) V, or None, read off the memoized
-    reduced echelon form of ``ml_space`` (``_fit``).  With H = Hi / L and
-    gamma = G / (L D), the checks of gamma run on the integers Hi and G,
-    here for every caller."""
+    """gamma with mu_H == (gamma . kappa) V, or None: G / (L D) from the
+    memoized echelon form of ``ml_space`` (``_fit``), checked."""
     _require_smooth(poly)
     L, Hi = _integral(poly, H)
     fit = _fit(poly, Hi, (poly.dim,))
     if fit is None:
         return None
     D, G = fit
+    return _checked_gamma(poly, Hi, L, G, L * D)
+
+
+def _checked_gamma(poly: HPolytope, Hi: IntVec, L: int, G: IntVec, M: int) -> Vec:
+    """gamma = G / M for H = Hi / L, fitted or derived, held in integers
+    to zero sum, H == sum_i gamma_i eta_i and <H, center> == gamma . kappa
+    at the base kappa (one vertex pass, ``_base_values(poly, 0)``)."""
     if sum(G) != 0:
         raise StructuralInconsistency("coefficient sum must vanish")
-    # <H, center of mass> == gamma . kappa at the base kappa, the
-    # numerators cross-multiplied with those of K / e, L cancelling
+    if any(L * sum(g * eta[c] for g, eta in zip(G, poly.conormals)) != h * M for c, h in enumerate(Hi)):
+        raise StructuralInconsistency("H must equal sum of gamma_i times conormals")
     ((a, q),) = _center_pairings(poly, Hi, (poly.dim,))
     e, K = _scaled_support(poly)
-    if a * D * e != sum(map(mul, G, K)) * q:
+    if a * M * e != L * q * sum(map(mul, G, K)):
         raise StructuralInconsistency("no constant term allowed")
-    if any(sum(g * eta[c] for g, eta in zip(G, poly.conormals)) != h * D for c, h in enumerate(Hi)):
-        raise StructuralInconsistency("H must equal sum of gamma_i times conormals")
-    return tuple(Fraction(g, L * D) for g in G)
+    return tuple(Fraction(g, M) for g in G)
+
+
+def _blowdown_report(bar: HPolytope, H, report: MassLinearReport, e: int) -> MassLinearReport:
+    """H's report on bar, the blowdown along facet e of report's polytope:
+    gamma-bar is gamma without entry e, by the blowup lemma, not a fit.
+    With gamma_e == 0, for kappa in bar's chamber and small eps > 0 the
+    parent (bar blown up along F_I) at kappa_e = sum_I kappa_i - eps has
+    <H, c> == gamma-bar . kappa, and as eps -> 0 it tends to bar_kappa
+    with volume bounded below, so its center tends to c(bar_kappa).  So
+    mu_H == (gamma-bar . kappa) V on bar's open chamber, hence as
+    polynomials, and a fit gives gamma-bar.  gamma_e == 0 is checked
+    first, then ``_checked_gamma``; ``blowdown`` makes bar smooth with the
+    parent its blowup, which ``recognize.replay_trace`` checks again."""
+    if report.gamma[e] != 0:
+        raise StructuralInconsistency("a removable facet carried a nonzero coefficient")
+    L, Hi = _integral(bar, H)
+    M, (G,) = scaled([report.gamma[:e] + report.gamma[e + 1 :]])
+    return _report(bar, _checked_gamma(bar, Hi, L, G, M), H)
 
 
 def _integral(poly: HPolytope, H) -> tuple[int, IntVec]:

@@ -33,10 +33,10 @@ other), and names the terminal family:
 plus "inessential" and "zero", with the empty trace, for functionals
 that never were essential and "unclassified" when no structured family
 matches.  Replaying the trace as blowups on the terminal reconstructs
-the input exactly, and the support-number coefficients of the
-functional are unchanged at every stage; both are asserted before a
-result is returned.  The recognizers are memoized per polytope, so
-recognizing the terminal again checks no certificate.
+the input exactly, which is checked before a result is returned; the
+functional's coefficients persist at every stage by the blowup lemma
+(``masslinear._blowdown_report``).  The recognizers are memoized per
+polytope, so recognizing the terminal again checks no certificate.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ from .masslinear import (
     InessentialWitness,
     MassLinearReport,
     _beta,
+    _blowdown_report,
     equivalence_classes,
     mass_linear_test,
 )
@@ -740,23 +741,13 @@ def _blowup_type_tag(bar: HPolytope, report: MassLinearReport, I) -> str:
 
 
 def _first_blowdown(cur: HPolytope, cur_report: MassLinearReport, Hv):
-    """Blow down the first facet that admits it, checking that the
-    functional's coefficients survive unchanged."""
+    """Blow down the first facet that admits it, deriving the stage's report."""
     for e in range(cur.n_facets):
         rep = blowdown(cur, e)
         if not rep.ok:
             continue
         bar = rep.polytope
-        bar_report = mass_linear_test(bar, Hv)
-        if not bar_report.verdict:
-            raise StructuralInconsistency("a blowdown broke mass linearity")
-        if cur_report.gamma[e] != 0:
-            raise StructuralInconsistency(
-                "a removable facet carried a nonzero coefficient"
-            )
-        expected = tuple(g for x, g in enumerate(cur_report.gamma) if x != e)
-        if bar_report.gamma != expected:
-            raise StructuralInconsistency("coefficients changed across a blowdown")
+        bar_report = _blowdown_report(bar, Hv, cur_report, e)
         face = tuple(x - 1 if x > e else x for x in rep.index_set)
         tag = _blowup_type_tag(bar, bar_report, face)
         step = BlowdownStep(e, cur.labels[e], rep.index_set, rep.epsilon, tag, face)
@@ -792,13 +783,12 @@ def classify4d(poly: HPolytope, H) -> ClassificationResult:
 
     Zero and inessential functionals take the empty trace.  For an
     essential one, facets are blown down greedily in index order
-    (restarting after each success, with the coefficient vector checked
-    invariant) until recognize_type names the pair a1 / a2 / a3 (still
-    essential) or b (turned inessential on a double expansion with
-    asymmetric base-type facets), else unclassified once no facet blows
-    down.  Each stage is fitted once, by ``mass_linear_test`` in
-    ``_smooth_4d_pair`` or ``_first_blowdown``, and its type and
-    inessential witness are read off that report; the terminal's
+    (restarting after each success) until recognize_type names the pair
+    a1 / a2 / a3 (still essential) or b (turned inessential on a double
+    expansion with asymmetric base-type facets), else unclassified once
+    no facet blows down.  Only the input is fitted; each stage's report
+    is derived from its parent's (``masslinear._blowdown_report``), and
+    its type and inessential witness are read off it.  The terminal's
     recognition reuses the memoized recognizers, so for a1 / a2 / a3 it
     is the tag's own.
     """

@@ -28,10 +28,10 @@ from masslin.masslinear import (
     FullMassLinearReport,
     InessentialWitness,
     MassLinearReport,
+    _flat_facets,
+    _pervasive_facets,
     _space_echelon,
     equivalence_classes,
-    is_flat,
-    is_pervasive,
 )
 from masslin.measure import _functional, _pairing, _slice, _slice_coord_polys, _vertex_cones
 
@@ -120,8 +120,8 @@ def mass_linear_test(poly, H):
         asym = frozenset(range(N)) - sym
     else:
         sym, asym = symmetric_facets(poly, Hv)
-    pervasive = {i: is_pervasive(poly, i) for i in sorted(asym)}
-    flat = {i: is_flat(poly, i) for i in sorted(asym)}
+    pervasive = {i: i in _pervasive_facets(poly) for i in sorted(asym)}
+    flat = {i: i in _flat_facets(poly) for i in sorted(asym)}
     return MassLinearReport(gamma is not None, gamma, sym, asym, pervasive, flat)
 
 

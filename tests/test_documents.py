@@ -193,20 +193,45 @@ def test_check_fits_each_pair_once(skeleton_fits):
         assert skeleton_fits == [pair.poly], pair.name
 
 
-def test_classify_fits_each_stage_once(skeleton_fits):
-    # each stage's type and witness are read off the report of its one fit
-    classified = set()
+@pytest.fixture
+def identity_builds(monkeypatch):
+    """The polytopes whose slice identity rows
+    (``masslinear._identity_rows``) are built from here on in the test,
+    in order."""
+    built = []
+    rows = masslinear._identity_rows
+
+    def counting(poly):
+        built.append(poly)
+        return rows(poly)
+
+    monkeypatch.setattr(masslinear, "_identity_rows", counting)
+    return built
+
+
+def test_classify_fits_only_the_input(skeleton_fits, identity_builds):
+    # the input is fitted once, on one build of its identity rows; every
+    # blowdown stage's report is derived from its parent's by the blowup
+    # lemma (``masslinear._blowdown_report``), so a stage fit fails here
+    classified, lengths = set(), set()
     for name, H, times, poly in _classify_chains():
+        fresh = HPolytope(poly.dim, poly.conormals, poly.support, poly.labels, poly.name)
         skeleton_fits.clear()
+        identity_builds.clear()
         try:
-            stages = cli.classify_document(poly, H, with_stages=True)["stages"]
+            stages = cli.classify_document(fresh, H, with_stages=True)["stages"]
         except (MasslinError, ValueError):
-            assert len(skeleton_fits) <= 1, (name, times)
+            assert all(p is fresh for p in skeleton_fits + identity_builds), (name, times)
+            assert len(skeleton_fits) == len(identity_builds) <= 1, (name, times)
             continue
         classified.add((name, times))
-        assert [cli.polytope_to_document(p) for p in skeleton_fits] == stages, (name, times)
-    # the golden pair, as given and blown up once and twice more
+        lengths.add(len(stages))
+        assert len(skeleton_fits) == 1 and skeleton_fits[0] is fresh, (name, times)
+        assert len(identity_builds) == 1 and identity_builds[0] is fresh, (name, times)
+    # the golden pair, as given and blown up once and twice more, and
+    # chains of one and two blowdowns
     assert {("golden_blowup", t) for t in range(3)} <= classified
+    assert {1, 2, 3} <= lengths
 
 
 def _write(path: Path, rows) -> None:

@@ -29,9 +29,9 @@ from masslin.masslinear import (
     fully_mass_linear_test,
     generating_vector,
     inessential_space,
-    is_flat,
+    _flat_facets,
+    _pervasive_facets,
     is_inessential,
-    is_pervasive,
     mass_linear_test,
     ml_space,
     restrict_to_face,
@@ -907,7 +907,7 @@ class TestPervasiveFlat:
         # the conormals are integer, so the ranks need no rational rref
         poly = blowup(bundle(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)), (1, 3, 4))
         rrefs = count_rrefs(monkeypatch)
-        flat = [is_flat(poly, i) for i in range(poly.n_facets)]
+        flat = [i in _flat_facets(poly) for i in range(poly.n_facets)]
         assert rrefs == []
         assert flat == [
             rank([poly.conormals[j] for j in range(poly.n_facets)
@@ -921,8 +921,8 @@ class TestPervasiveFlat:
         for sp in suite_polytopes():
             poly, N = sp.poly, sp.poly.n_facets
             meets = [[j for j in range(N) if j != i and poly.face({i, j}) is not None] for i in range(N)]
-            assert [is_pervasive(poly, i) for i in range(N)] == [len(m) == N - 1 for m in meets], sp.name
-            assert [is_flat(poly, i) for i in range(N)] == [
+            assert [i in _pervasive_facets(poly) for i in range(N)] == [len(m) == N - 1 for m in meets], sp.name
+            assert [i in _flat_facets(poly) for i in range(N)] == [
                 rank([poly.conormals[j] for j in m]) <= poly.dim - 1 for m in meets
             ], sp.name
 
@@ -934,23 +934,23 @@ class TestPervasiveFlat:
 
     def test_simplex_all_pervasive(self):
         poly = simplex(3)
-        assert all(is_pervasive(poly, i) for i in range(4))
+        assert all(i in _pervasive_facets(poly) for i in range(4))
 
     def test_bundle_facets(self):
         # fiber facets meet everything; the two disjoint base facets are
         # flat because the fiber conormals span a hyperplane
         poly, _ = worked_pair()
         for i in range(4):
-            assert is_pervasive(poly, i)
+            assert i in _pervasive_facets(poly)
         for i in (4, 5):
-            assert not is_pervasive(poly, i)
-            assert is_flat(poly, i)
+            assert i not in _pervasive_facets(poly)
+            assert i in _flat_facets(poly)
 
     def test_box_facets_flat_not_pervasive(self):
         poly = box()
         for i in range(4):
-            assert not is_pervasive(poly, i)
-            assert is_flat(poly, i)
+            assert i not in _pervasive_facets(poly)
+            assert i in _flat_facets(poly)
 
 
 class TestOptimizedMode:

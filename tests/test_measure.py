@@ -659,8 +659,9 @@ class TestPerKConeSums:
     and the N-variable skeleta (``_full_skeleta``), which serve only the
     public polynomial functions, are never formed.  The base values are
     closed-form vertex passes, one per face size (``_base_values``); a
-    mass linear classify stage reads only the volume pass, |S| = 0.  A
-    mass linearity test derives nothing."""
+    classification sums cones on its input alone, and every stage reads
+    only the volume pass, |S| = 0.  A mass linearity test derives
+    nothing."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -733,15 +734,19 @@ class TestPerKConeSums:
         assert degrees and max(degrees) <= poly.dim
 
     def test_classify_stage_reads_only_the_volume_pass(self, monkeypatch):
-        # an essential pair one blowdown away from type b: a Delta_3
-        # bundle over Delta_1, blown up along a face
+        # an essential pair two blowdowns away from type b: a Delta_3
+        # bundle over Delta_1, blown up along a face and then along the
+        # symmetric 2-face of that blowup.  Only the input is fitted, by
+        # one Lawrence pass on its slice; each stage's report is derived
+        # from its parent's (``masslinear._blowdown_report``), and its
+        # constant-term guard reads the volume pass |S| = 0 alone
         import masslin.masslinear as ml
 
         sizes = []
         base = measure._base_values
 
         def counting(poly, s):
-            sizes.append(s)
+            sizes.append((poly, s))
             return base(poly, s)
 
         monkeypatch.setattr(measure, "_base_values", counting)
@@ -749,11 +754,13 @@ class TestPerKConeSums:
         conormals = [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (1, 1, 1, 0), (0, 0, 0, -1), (1, 1, 0, 1)]
         bar = HPolytope(4, conormals, (0, 0, 0, 1, 0, 2))
         H = tuple(a - b - c + d for a, b, c, d in zip(*conormals[:4]))
-        blown = blowup(bar, (1, 3, 4))
+        blown = blowup(blowup(bar, (1, 3, 4)), (0, 5))
         powers, degrees, passes, full = self._record(monkeypatch)
         report = classify_document(blown, H)
-        assert report["type"] == "b" and len(report["trace"]) == 1
-        assert sizes and set(sizes) == {0}
+        assert report["type"] == "b" and len(report["trace"]) == 2
+        assert {s for _, s in sizes} == {0}
+        assert len({id(poly) for poly, _ in sizes}) == 3
+        assert powers == self._slice_pass(blown)
         assert not degrees and passes == [] and full == []
 
 

@@ -843,6 +843,13 @@ def _unimodular(rng, n):
     return T
 
 
+def _recorded(derived, blowdown_report, bar, H, report, e):
+    """``blowdown_report``'s stage report, recorded with its polytope."""
+    out = blowdown_report(bar, H, report, e)
+    derived.append((bar, out))
+    return out
+
+
 class TestKleinschmidtSweep:
     """Every Delta_r bundle over Delta_s with r + s = 4 and twists in
     [-2, 2]^r (``_kleinschmidt``), with functionals drawn as integer
@@ -901,7 +908,16 @@ class TestKleinschmidtSweep:
         if not report.verdict:
             return "not mass linear", 0
         assert witness is None or witness.beta == report.gamma, case
-        res = classify4d(poly, H)
+        derived = []
+        with pytest.MonkeyPatch.context() as spy:
+            spy.setattr(recognize, "_blowdown_report", partial(_recorded, derived, recognize._blowdown_report))
+            res = classify4d(poly, H)
+        # every blowdown stage's report is derived from its parent's, and
+        # by the blowup lemma it is the report a fresh fit gives
+        assert [bar for bar, _ in derived] == list(res.stages[1:]), case
+        for stage, stage_report in derived:
+            assert stage_report == mass_linear_test(stage, H), case
+        assert res.terminal_report == mass_linear_test(res.terminal, H), case
         # the terminal witness is read off the terminal's report
         assert res.terminal_inessential == _functional_ref.is_inessential(res.terminal, H), case
         if not any(H):
@@ -1022,3 +1038,73 @@ class TestFamilySweep:
                 poly = poly.apply_lattice_map(T).translate([rng.randint(-2, 2) for _ in range(4)])
                 seen[TestKleinschmidtSweep._check(poly, tuple(_dot(row, H) for row in T))] += 1
         return seen, skipped, len(bases)
+
+
+class TestSuiteSweep:
+    """The 4-d pairs of ``tests/_suite.py`` and their blowups along faces
+    cut out by facets symmetric for H (ROADMAP item 2(a)), once and twice.
+    An essential pair is blown up along every such face, and each blowup
+    again along one drawn such face per codimension.  An inessential pair
+    is blown up along a face drawn from one codimension, which cycles
+    through 2, 3 and 4 over the pairs where it can, and that blowup again
+    along a drawn face of the largest codimension.  No suite pair with H
+    != 0 has a symmetric vertex, and no blowup drawn here does, so the
+    zero functional on each suite 4-polytope, for which every face is
+    symmetric, is blown up at a drawn vertex, twice.  Each pair is moved
+    and checked as in ``TestKleinschmidtSweep``."""
+
+    def test_seeded_sweep(self, scan_checked):
+        seen, codims = self.sweep(1106)
+        assert scan_checked
+        assert {"not mass linear", "zero", "inessential", "a1", "a2", "a3", "b"} <= {t for t, _ in seen}
+        assert {("a1", 2), ("a2", 2), ("b", 3)} <= set(seen)
+        assert codims == {2, 3, 4}
+
+    @staticmethod
+    def _inputs(rng) -> tuple[list, set]:
+        """(polytope, H) per input, and the codimensions blown up."""
+        faces_of = TestFamilySweep._symmetric_faces
+        inputs, codims, cycle = [], set(), 0
+
+        def drawn(poly, H, size):
+            """poly blown up along a drawn symmetric face of size facets."""
+            codims.add(size)
+            return blowup(poly, rng.choice([I for I in faces_of(poly, H) if len(I) == size]))
+
+        for pair in suite_pairs():
+            if pair.poly.dim != 4:
+                continue
+            poly, H = pair.poly, pair.H
+            inputs.append((poly, H))
+            if not (faces := faces_of(poly, H)):
+                continue
+            if is_inessential(poly, H) is None:
+                for I in faces:
+                    once = blowup(poly, I)
+                    codims.add(len(I))
+                    inputs.append((once, H))
+                    inputs += [(drawn(once, H, size), H) for size in sorted({len(J) for J in faces_of(once, H)})]
+                continue
+            sizes = {len(I) for I in faces}
+            once = drawn(poly, H, next(c for c in (2, 3, 4)[cycle % 3:] + (2, 3, 4) if c in sizes))
+            cycle += 1
+            inputs += [(once, H), (drawn(once, H, max(map(len, faces_of(once, H)))), H)]
+        for sp in suite_polytopes():
+            if sp.poly.dim == 4:
+                zero = (0, 0, 0, 0)
+                once = drawn(sp.poly, zero, 4)
+                inputs += [(sp.poly, zero), (once, zero), (drawn(once, zero, 4), zero)]
+        return inputs, codims
+
+    @classmethod
+    def sweep(cls, seed) -> tuple[Counter, set]:
+        """The pairs counted by (type, trace length) as in
+        ``TestKleinschmidtSweep.sweep``, and the codimensions blown up."""
+        rng = random.Random(seed)
+        inputs, codims = cls._inputs(rng)
+        seen = Counter()
+        for poly, H in inputs:
+            T = _unimodular(rng, 4)
+            poly = poly.apply_lattice_map(T).translate([rng.randint(-2, 2) for _ in range(4)])
+            seen[TestKleinschmidtSweep._check(poly, tuple(_dot(row, H) for row in T))] += 1
+        return seen, codims

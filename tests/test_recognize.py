@@ -8,9 +8,15 @@ the edge F2 cap F4 cap G1, where the same functional is essential.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +25,7 @@ from _suite import report_for, suite_pairs, suite_polytopes
 from masslin import recognize
 from masslin.constructions import (
     CONSTRUCTOR_STEPS,
+    BlowdownReport,
     _121_data,
     _d2_data,
     Bundle121Spec,
@@ -36,7 +43,7 @@ from masslin.constructions import (
     simplex,
     trapezoid,
 )
-from masslin.errors import PolytopeError
+from masslin.errors import PolytopeError, StructuralInconsistency
 from masslin.masslinear import _face_slice, is_inessential, mass_linear_test, ml_space, restrict_to_face
 from masslin.polytope import HPolytope
 from masslin.recognize import (
@@ -622,6 +629,86 @@ class TestClassify4d:
         poly, _ = twisted_pair()
         with pytest.raises(ValueError, match="not mass linear"):
             classify4d(poly, (1, 0, 0, 0))
+
+
+def _wrong_blowdowns(blowdown, poly, facet):
+    """name -> a ``blowdown`` that gives a wrong stage: the blown-down
+    polytope with its last support number raised by 1, or in lattice
+    coordinates sheared by x_1 += x_2, or, on poly, facet 0's blowdown
+    given as that of the given facet, every facet before it refused."""
+    shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+    def staged(change):
+        def wrong(p, f=0):
+            rep = blowdown(p, f)
+            return replace(rep, polytope=change(rep.polytope)) if rep.ok else rep
+        return wrong
+
+    def misplaced(p, f=0):
+        if p is not poly or f > facet:
+            return blowdown(p, f)
+        return blowdown(p, 0) if f == facet else BlowdownReport(ok=False, failed_condition="bundle structure")
+
+    return {
+        "shifted support": staged(lambda bar: HPolytope(
+            bar.dim, bar.conormals, bar.support[:-1] + (bar.support[-1] + 1,), bar.labels)),
+        "sheared lattice": staged(lambda bar: bar.apply_lattice_map(shear)),
+        "removed facet with nonzero gamma": misplaced,
+    }
+
+
+def wrong_blowdown_outcomes() -> dict[str, str]:
+    """name -> what ``classify4d`` of the worked pair raises with each
+    wrong blowdown of ``_wrong_blowdowns`` in place of the one
+    ``recognize`` imports."""
+    bar, H = twisted_pair()
+    poly = blowup(bar, (1, 3, 4))
+    facet = min(mass_linear_test(poly, H).asymmetric)
+    real, out = recognize.blowdown, {}
+    for name, wrong in _wrong_blowdowns(real, poly, facet).items():
+        recognize.blowdown = wrong
+        try:
+            classify4d(poly, H)
+            out[name] = "classified"
+        except StructuralInconsistency as exc:
+            out[name] = f"StructuralInconsistency: {exc}"
+        finally:
+            recognize.blowdown = real
+    return out
+
+
+class TestWrongBlowdown:
+    """A blowdown stage is fitted by no one: its report is derived from
+    the parent's (``masslinear._blowdown_report``).  A wrong stage is
+    still caught, by the derivation's guards or by the replay of the
+    trace, with Python's own asserts on or off."""
+
+    EXPECTED = {
+        "shifted support": "StructuralInconsistency: trace replay failed to rebuild the input",
+        "sheared lattice": "StructuralInconsistency: H must equal sum of gamma_i times conormals",
+        "removed facet with nonzero gamma": "StructuralInconsistency: a removable facet carried a nonzero coefficient",
+    }
+
+    def test_caught_in_process(self):
+        assert wrong_blowdown_outcomes() == self.EXPECTED
+        # the real blowdown is back in place
+        bar, H = twisted_pair()
+        assert classify4d(blowup(bar, (1, 3, 4)), H).type == "b"
+
+    def test_caught_under_dash_O(self):
+        script = textwrap.dedent("""
+            import json
+            import test_recognize
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+            print(json.dumps(test_recognize.wrong_blowdown_outcomes()))
+        """)
+        paths = [str(Path(recognize.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == self.EXPECTED
 
 
 # ---------------------------------------------------------------------------
