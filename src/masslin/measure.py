@@ -32,9 +32,9 @@ in S} d/dkappa_i
 
 g_S being the gcd of the maximal minors of the rows eta_S, the index of
 their lattice in its saturation (1 on a smooth polytope), and d_S V = 0
-when the facets S do not meet.  So P_k = sum_{|S| = n-k} g_S d_S V is
-e_{n-k} of the partials applied to V (``_elementary``), corrected on the
-faces with g_S != 1 (``_face_indices``).
+when the facets S do not meet.  So P_k = sum_{|S| = n-k} g_S d_S V, the
+sum over the k-faces, and where every g_S = 1 it is e_{n-k} of the
+partials applied to V (``_elementary``).
 
 Every base value, at the kappa of the polytope itself, is one
 closed-form pass over the vertex cones per face size s = n - k
@@ -55,7 +55,9 @@ rule through the translation that keeps kappa on the slice: off B,
 d/dkappa_j is the slice partial; at the facet B_p, whose edge at v0 is
 w_p, it is sum_{j not in B} (<eta_j, w_p> / d) d/dkappa_j
 (``_slice_chain``, ``_slice_measures``).  In all N variables the
-partials are plain (``_full_skeleta``).  Only ``volume_poly`` is public;
+partials are plain, and ``_skeleton_coord_polys`` is the face sum itself:
+g_S d_S V and g_S d_S m_c over the k-faces F_S, the polytope being its
+one n-face (S empty, g_S = 1).  Only ``volume_poly`` is public;
 ``moment_poly``, ``cached_moment_poly`` and ``skeleton_measure_polys``
 have no library caller and stay because the perfbench tracer patches
 them by name.  Monomial integrals use the same cones, by Brion's formula
@@ -159,8 +161,8 @@ def _powers(N: int, cone: VertexCone, e: int, drop: frozenset[int]):
 def _integrate(poly: HPolytope, drop: frozenset[int]) -> tuple[int, MultiPoly, tuple[MultiPoly, ...]]:
     """Volume and coordinate moments from the vertex cones, restricted to
     kappa_i = 0 for the facets i in drop, as (D, D V, D moments) with
-    integer coefficients, D the lcm of Q^2 d^2 over the vertices times
-    (n+1)!; once per polytope and drop.
+    integer coefficients, D the lcm of Q^2 d^2 over the vertices
+    (``_cone_terms``) times (n+1)!; once per polytope and drop.
 
     A vertex adds (d L_v)^n / (Q d n!) = (n+1) Q d (d L_v)^n / (Q^2 d^2
     (n+1)!) to the volume.  As v_c(kappa) = -sum_j w_{j,c} kappa_{basis[j]}
@@ -170,11 +172,9 @@ def _integrate(poly: HPolytope, drop: frozenset[int]) -> tuple[int, MultiPoly, t
     the terms of the restriction are formed.
     """
     N, n = poly.n_facets, poly.dim
-    cones = _vertex_cones(poly)
-    den = lcm(*(cone.Q**2 * cone.d**2 for cone in cones))
+    den, _, terms = _cone_terms(poly)
     measure, coords = {}, [{} for _ in range(n)]
-    for cone in cones:
-        scale = den // (cone.Q**2 * cone.d**2)
+    for scale, *_, cone in terms:
         f = scale * cone.Q * cone.d * (n + 1)
         for mono, _, p in _powers(N, cone, n, drop):
             measure[mono] = measure.get(mono, 0) + f * p
@@ -214,18 +214,17 @@ def _face_index(poly: HPolytope, S: Sequence[int]) -> int:
     return gcd(*(int_det([[r[c] for c in sel] for r in rows]) for sel in combinations(range(poly.dim), len(S))))
 
 
-def _elementary(ops, tops: list[dict], n: int) -> tuple[list[list[dict]], list[list[dict]]]:
-    """(R, first): R[s] = [e_s(ops) p for p in tops], s = 0..n >= 1, by
-    the pass R_s += ops[i] R_{s-1}, s = n..1, over the facets i, ops[i] =
-    ((j, x), ...) being sum_j x d/dkappa_j; first[i] = ops[i] tops."""
-    R = [tops] + [[{} for _ in tops] for _ in range(n)]
+def _elementary(ops, top: dict, n: int) -> tuple[list[dict], list[dict]]:
+    """(R, first): R[s] = e_s(ops) top, s = 0..n >= 1, by the pass R_s +=
+    ops[i] R_{s-1}, s = n..1, over the facets i, ops[i] = ((j, x), ...)
+    being sum_j x d/dkappa_j; first[i] = ops[i] top."""
+    R = [top] + [{} for _ in range(n)]
     first = []
     for op in ops:
         for s in range(n, 0, -1):
-            terms = [_derive(op, p) for p in R[s - 1]]
-            for acc, t in zip(R[s], terms):
-                _add(acc, t)
-        first.append(terms)
+            term = _derive(op, R[s - 1])
+            _add(R[s], term)
+        first.append(term)
     return R, first
 
 
@@ -238,31 +237,23 @@ def _face_indices(poly: HPolytope) -> dict[tuple[int, ...], int]:
 
 
 @memoize
-def _full_skeleta(poly: HPolytope) -> tuple[tuple[int, MultiPoly, tuple[MultiPoly, ...]], ...]:
-    """(D, measure, moments) of the k-skeleton for k = 0..n-1 in all N
-    variables, integer polynomials over the D of ``_integrate``, once per
-    polytope: e_{n-k} of the partials of V and m (``_elementary``), plus
-    g_S - 1 times the term of each face with g_S != 1."""
-    N, n = poly.n_facets, poly.dim
-    D, V, coords = _integrate(poly, frozenset())
-    tops = [dict(V.terms), *(dict(c.terms) for c in coords)]
-    ops = [((i, 1),) for i in range(N)]
-    R, _ = _elementary(ops, tops, n)
-    for S, g in _face_indices(poly).items():
-        terms = tops
-        for i in S:
-            terms = [_derive(ops[i], p) for p in terms]
-        for acc, t in zip(R[len(S)], terms):
-            _add(acc, t, g - 1)
-    return tuple((D, MultiPoly.from_dict(N, R[n - k][0]), tuple(MultiPoly.from_dict(N, p) for p in R[n - k][1:])) for k in range(n))
-
-
-@memoize
 def _skeleton_coord_polys(poly: HPolytope, k: int) -> tuple[MultiPoly, tuple[MultiPoly, ...]]:
     """Lattice measure of the k-skeleton and its n coordinate moments in
-    all N variables, once per polytope and k."""
-    D, measure, coords = _integrate(poly, frozenset()) if k == poly.dim else _full_skeleta(poly)[k]
-    return measure / D, tuple(c / D for c in coords)
+    all N variables, once per polytope and k: the sum of g_S d_S V and
+    g_S d_S m_c over the k-faces F_S (module docstring), the polytope
+    itself being its one n-face, S empty."""
+    D, V, coords = _integrate(poly, frozenset())
+    tops = [dict(p.terms) for p in (V, *coords)]
+    sums = [{} for _ in tops]
+    for face in poly.faces_of_dimension(k):
+        terms = tops
+        for i in face.index_set:
+            terms = [_derive(((i, 1),), p) for p in terms]
+        g = _face_index(poly, sorted(face.index_set))
+        for acc, t in zip(sums, terms):
+            _add(acc, t, g)
+    measure, *moments = (MultiPoly.from_dict(poly.n_facets, p) / D for p in sums)
+    return measure, tuple(moments)
 
 
 @memoize
@@ -311,12 +302,12 @@ def _slice_measures(poly: HPolytope) -> tuple[tuple[dict, ...], ...]:
     ops = [((i, 1),) for i in range(N)]
     for f, mix, _ in _slice_chain(poly):
         ops[f] = mix
-    R, first = _elementary(ops, [dict(V.terms)], n)
-    if MultiPoly.from_dict(N, R[n][0]) != MultiPoly.constant(N, D * len(poly.vertices)):
+    R, first = _elementary(ops, dict(V.terms), n)
+    if MultiPoly.from_dict(N, R[n]) != MultiPoly.constant(N, D * len(poly.vertices)):
         raise StructuralInconsistency("the 0-skeleton measure is the vertex count")
-    rows = [(R[0][0],) * N]
+    rows = [(R[0],) * N]
     for s in range(1, n):
-        rows.append(tuple(_add(dict(R[s][0]), f[0] if s == 1 else _derive(op, r), -1) for op, r, f in zip(ops, rows[-1], first)))
+        rows.append(tuple(_add(dict(R[s]), f if s == 1 else _derive(op, r), -1) for op, r, f in zip(ops, rows[-1], first)))
     return tuple(rows)
 
 
@@ -334,7 +325,8 @@ class BaseValues(NamedTuple):
 def _cone_terms(poly: HPolytope) -> tuple[int, int, tuple]:
     """(scale, e, terms): the lcm of Q^2 d^2 over the cones, the support
     denominator and per cone (scale / (Q^2 d^2), lambda, e d Q, X = lambda
-    u, Y = Q y for its vertex y / (d e), the cone), for every face size."""
+    u, Y = Q y for its vertex y / (d e), the cone), for every face size
+    and the Lawrence pass (``_integrate``)."""
     e, K = _scaled_support(poly)
     cones = _vertex_cones(poly)
     scale = lcm(*(cone.Q**2 * cone.d**2 for cone in cones))

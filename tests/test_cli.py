@@ -509,3 +509,72 @@ class TestExitCodes:
         for command in ("check", "classify"):
             code, out, err = run(capsys, command, str(batch), "-H", "0,2,2,0", "--jobs", jobs)
             assert code == 1 and out == "" and "--jobs" in err
+
+
+class TestInputChecks:
+    """Each input check of the CLI's parsers, through ``main``: a usage
+    error exits 1 with its message on stderr, a domain error exits 2 with
+    the JSON error document on stdout.  ``{dir}`` is a directory holding
+    the worked example ``bar.polytope.json``, the 3 x 3 square
+    ``square.polytope.json``, three malformed documents and the empty
+    directory ``empty``."""
+
+    DOCUMENTS = {
+        "list.polytope.json": "[]",
+        "nofacets.polytope.json": '{"dim": 2, "facets": []}',
+        "nokappa.polytope.json": '{"dim": 1, "facets": [{"normal": [1]}, {"normal": [-1], "kappa": "0"}]}',
+    }
+
+    @pytest.fixture()
+    def inputs(self, bar_file, tmp_path):
+        square = HPolytope(2, ((-1, 0), (0, -1), (1, 0), (0, 1)), (0, 0, 3, 3))
+        (tmp_path / "square.polytope.json").write_text(dumps(polytope_to_document(square)))
+        for name, text in self.DOCUMENTS.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "empty").mkdir()
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, code, kind, message",
+        [
+            (("check", "{dir}/bar.polytope.json", "-H", "1,x"), 1, "UsageError",
+             "not a comma-separated rational vector: '1,x'"),
+            (("construct", "bundle-yk", "k=1", "a=x", "kappa=0,1,0,2"), 1, "UsageError",
+             "not a comma-separated integer vector: 'x'"),
+            (("check", "{dir}/list.polytope.json", "-H", "1,0"), 2, "PolytopeError",
+             "polytope document must be a JSON object"),
+            (("check", "{dir}/nofacets.polytope.json", "-H", "1,0"), 2, "PolytopeError",
+             "facets must be a non-empty list"),
+            (("check", "{dir}/nokappa.polytope.json", "-H", "1"), 2, "PolytopeError",
+             "facet 0 needs normal and kappa fields"),
+            (("construct", "product", "of={dir}/missing.json,{dir}/bar.polytope.json"), 2, "PolytopeError",
+             "cannot read {dir}/missing.json: [Errno 2] No such file or directory: '{dir}/missing.json'"),
+            (("construct", "simplex", "n"), 1, "UsageError", "parameters are key=value, got 'n'"),
+            (("construct", "simplex", "n=2", "n=3"), 1, "UsageError", "duplicate parameter 'n'"),
+            (("construct", "simplex"), 1, "UsageError", "missing required parameter n=..."),
+            (("construct", "bundle-d2-polygon", "polygon={dir}/square.polytope.json", "twists=0,0,0",
+              "kappa=0,0,1,0,0,3,3"), 1, "UsageError", "twists must pair up: b1,c1,b2,c2,..."),
+            (("construct", "product", "of={dir}/bar.polytope.json"), 1, "UsageError",
+             "product needs of=FILE1,FILE2"),
+            (("check", "{dir}/empty", "-H", "1,0"), 2, "PolytopeError", "no *.polytope.json files in {dir}/empty"),
+        ],
+    )
+    def test_rejected(self, capsys, inputs, argv, code, kind, message):
+        message = message.format(dir=inputs)
+        got, out, err = run(capsys, *(a.format(dir=inputs) for a in argv))
+        assert got == code
+        if kind == "UsageError":
+            assert (out, err) == ("", f"error: {message}\n")
+        else:
+            assert out == dumps({"error": {"type": kind, "message": message}}) and err == ""
+
+    def test_text_renders_a_list_of_objects(self, capsys, bar_file, tmp_path):
+        _, out, _ = run(capsys, "blowup", str(bar_file), "--face", "F2,F4,G1")
+        blown = tmp_path / "blown.polytope.json"
+        blown.write_text(out)
+        code, out, _ = run(capsys, "classify", str(blown), "-H", "0,2,2,0", "--format", "text")
+        assert code == 0
+        assert (
+            "\ntrace:\n  -\n    removed: E1\n    position: 0\n    face: F2, F4, G1\n"
+            "    epsilon: 1/2\n    tag: edge_type_Fij_G\nterminal:\n" in out
+        )

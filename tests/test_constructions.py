@@ -764,3 +764,34 @@ class TestBlowupCalculus:
         B = blowup(Y, (1, 3, 4))
         sym, asym = symmetric_facets(B, (0, 2, 2, 0))
         assert 0 in sym
+
+
+_SQUARE = HPolytope(2, ((-1, 0), (0, -1), (1, 0), (0, 1)), (0, 0, 3, 3))
+_NON_SMOOTH_TRIANGLE = HPolytope(2, ((-1, 0), (0, -1), (1, 2)), (0, 0, 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Bundle121Spec((0, 0, 0), 0, (0, 1, 0, 0, 4, 0)), "need 7 support numbers"),
+        (lambda: D2PolygonBundleSpec(simplex(3), ((0, 0),) * 4, (0,) * 7), "base must be a polygon"),
+        (lambda: D2PolygonBundleSpec(_NON_SMOOTH_TRIANGLE, ((0, 0),) * 3, (0,) * 6), "base polygon must be smooth"),
+        (lambda: D2PolygonBundleSpec(_SQUARE, ((0, 0),) * 3, (0, 0, 1, 0, 0, 3, 3)), "need one twist pair per edge"),
+        (lambda: D2PolygonBundleSpec(_SQUARE, ((0, 0),) * 4, (0, 0, 1, 0, 0, 3)),
+         "need 3 fiber and one support number per edge"),
+        # support numbers outside the product chamber: the tower has the
+        # product's 12 vertices, one of them of index 2
+        (lambda: bundle_121(Bundle121Spec((0, 1, -1), 0, (1, 0, 0, 2, 0, 1, 2))),
+         f"121 bundle: vertex {(Fr(0), Fr(3, 2), Fr(-3, 2), Fr(-1))} is not smooth"),
+        (lambda: expansion(_SQUARE, 4), "no such facet"),
+        (lambda: expansion(_SQUARE, 0, fold=0), "fold must be at least 1"),
+        (lambda: blowup(_NON_SMOOTH_TRIANGLE, (0, 1)), "blowup requires a smooth polytope"),
+        (lambda: blowup(_SQUARE, (0, 4)), "no such facet"),
+        (lambda: blowdown(_NON_SMOOTH_TRIANGLE, 0), "blowdown requires a smooth polytope"),
+        (lambda: blowdown(_SQUARE, 4), "no such facet"),
+    ],
+)
+def test_input_checks(call, message):
+    with pytest.raises(PolytopeError) as info:
+        call()
+    assert type(info.value) is PolytopeError and info.value.args == (message,)

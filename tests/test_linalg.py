@@ -405,3 +405,18 @@ def test_field_axioms_spotcheck(a, b, c):
 @given(st.lists(rationals, min_size=3, max_size=3), st.lists(rationals, min_size=3, max_size=3))
 def test_dot_symmetry(u, v):
     assert dot(u, v) == dot(v, u)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dot((1, 2), (1,)), "length mismatch in dot product"),
+        (lambda: integer_kernel_basis([(1, 2)], 3), "row length does not match n"),
+        (lambda: int_det([(1, 2)]), "determinant of a non-square matrix"),
+        (lambda: int_adjugate([(1, 2), (3,)]), "fraction-free solve of a non-square matrix"),
+    ],
+)
+def test_shape_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and info.value.args == (message,)

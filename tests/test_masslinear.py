@@ -1108,3 +1108,17 @@ class TestOptimizedMode:
             "raised: a derived vertex must lie on its basis facets",
             "raised: a derived edge must leave exactly its own facet",
         ]
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        (lambda poly: restrict_to_face(poly, (0, 0, 0, 0), ()), PolytopeError, "not a proper face"),
+        (lambda poly: equivalence_classes(poly).class_of(poly.n_facets), KeyError, 6),
+    ],
+)
+def test_input_checks(call, kind, message):
+    poly = bundle_Yk(YkBundleSpec(3, (1, 1, 0), (0, 0, 0, 1, 0, 2)))
+    with pytest.raises(kind) as info:
+        call(poly)
+    assert type(info.value) is kind and info.value.args == (message,)

@@ -445,26 +445,29 @@ class TestSliceValuesOracle:
 
 
 def _non_smooth_fixtures():
-    """Fresh builds of the five non-smooth fixtures, each also with its
+    """Fresh builds of the seven non-smooth fixtures, each also with its
     facets reversed."""
     polys = []
     for n, data in ((2, NON_SMOOTH_TRIANGLE), (3, NON_SMOOTH_TETRAHEDRON), (2, DET3_TRIANGLE),
-                    (3, DET3_TETRAHEDRON), (4, INDEX2_SIMPLEX4)):
+                    (3, DET3_TETRAHEDRON), (4, INDEX2_SIMPLEX4), (3, NON_SMOOTH_PRISM),
+                    (4, NON_SMOOTH_TRIANGLE_SQUARE)):
         poly = HPolytope(n, *data)
         polys += [poly, poly.permute_facets(tuple(reversed(range(poly.n_facets))))]
     return polys
 
 
 class TestDerivedSkeletaOracle:
-    """The k < n skeleton polynomials in all N variables are partials of
-    the k = n ones (``measure._full_skeleta``), each face weighted by its
-    index g_S, and the base values are partials of the vertex terms at
-    the base kappa (``measure._base_values``).  The reference
+    """The skeleton polynomials in all N variables are face sums of
+    partials of the k = n ones, g_S d_S V and g_S d_S m_c over the k-faces
+    F_S (``measure._skeleton_coord_polys``), and the base values are
+    partials of the vertex terms at the base kappa
+    (``measure._base_values``).  The reference
     ``_slice_ref.lawrence_skeleton`` integrates each k on its own, by
     Lawrence's formula over the k-subsets of the edges at every vertex
     with their lattice indices.  They must be equal at every k, as must
     the volume and moments on the slice at k = n; the last test breaks
-    the face indices and checks that the reference tells."""
+    the face indices and checks that the reference tells at every
+    dimension where a face has g_S != 1."""
 
     @staticmethod
     def _mismatches(poly):
@@ -494,10 +497,14 @@ class TestDerivedSkeletaOracle:
             assert self._mismatches(poly) == [], poly.conormals
 
     def test_unit_face_indices_fail_on_non_smooth(self, monkeypatch):
+        polys = _non_smooth_fixtures()
+        indexed = [{("full", f.dimension) for f in poly.face_lattice.values()
+                    if measure._face_index(poly, sorted(f.index_set)) != 1} for poly in polys]
+        assert {k for dims in indexed for _, k in dims} == {0, 1, 2}
         monkeypatch.setattr(measure, "_face_index", lambda poly, S: 1)
-        for poly in _non_smooth_fixtures():
+        for poly, dims in zip(polys, indexed):
             found = self._mismatches(poly)
-            assert ("base", 0) in found and ("full", 0) in found, poly.conormals
+            assert ("base", 0) in found and ("full", 0) in dims and dims <= set(found), poly.conormals
 
 
 class TestVertexConeOracle:
@@ -656,21 +663,21 @@ class TestPerKConeSums:
     each vertex.  The k < n identities of a full check are the gamma rows
     of face measures, partials of the slice volume derived once per
     polytope (``_slice_measures``): no moment is derived on the slice,
-    and the N-variable skeleta (``_full_skeleta``), which serve only the
-    public polynomial functions, are never formed.  The base values are
-    closed-form vertex passes, one per face size (``_base_values``); a
-    classification sums cones on its input alone, and every stage reads
-    only the volume pass, |S| = 0.  A mass linearity test derives
-    nothing."""
+    and the N-variable skeleta (``_skeleton_coord_polys``, the face
+    sums), which serve only the public polynomial functions, are never
+    formed.  The base values are closed-form vertex passes, one per face
+    size (``_base_values``); a classification sums cones on its input
+    alone, and every stage reads only the volume pass, |S| = 0.  A mass
+    linearity test derives nothing."""
 
     @staticmethod
     def _record(monkeypatch):
         """Counters of the multinomial expansions, per (cone, degree,
         dropped facets), and of the degrees of the polynomials derived,
-        and the lists of the derivation passes and N-variable skeleta
-        run."""
+        and the lists of the derivation passes, by the degree of the
+        polynomial each derives, and of the N-variable skeleta built."""
         powers, degrees, passes, full = Counter(), Counter(), [], []
-        expand, derive, elementary, skeleta = measure._powers, measure._derive, measure._elementary, measure._full_skeleta
+        expand, derive, elementary, skeleta = measure._powers, measure._derive, measure._elementary, measure._skeleton_coord_polys
 
         def counting_expand(N, cone, e, drop):
             powers[cone, e, drop] += 1
@@ -680,18 +687,18 @@ class TestPerKConeSums:
             degrees[max(map(sum, p), default=0)] += 1
             return derive(op, p)
 
-        def counting_elementary(ops, tops, n):
-            passes.append(len(tops))
-            return elementary(ops, tops, n)
+        def counting_elementary(ops, top, n):
+            passes.append(max(map(sum, top), default=0))
+            return elementary(ops, top, n)
 
-        def counting_skeleta(poly):
-            full.append(poly)
-            return skeleta(poly)
+        def counting_skeleta(poly, k):
+            full.append((poly, k))
+            return skeleta(poly, k)
 
         monkeypatch.setattr(measure, "_powers", counting_expand)
         monkeypatch.setattr(measure, "_derive", counting_derive)
         monkeypatch.setattr(measure, "_elementary", counting_elementary)
-        monkeypatch.setattr(measure, "_full_skeleta", counting_skeleta)
+        monkeypatch.setattr(measure, "_skeleton_coord_polys", counting_skeleta)
         return powers, degrees, passes, full
 
     @staticmethod
@@ -730,7 +737,7 @@ class TestPerKConeSums:
         check_document(poly, H)
         check_document(poly, H)
         assert powers == self._slice_pass(poly)
-        assert passes == [1] and full == []
+        assert passes == [poly.dim] and full == []
         assert degrees and max(degrees) <= poly.dim
 
     def test_classify_stage_reads_only_the_volume_pass(self, monkeypatch):
@@ -785,6 +792,13 @@ DET3_TRIANGLE = ((-1, 0), (0, -1), (1, 3)), (0, 0, 3)
 DET3_TETRAHEDRON = ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 3)), (0, 0, 0, 3)
 # a 4-simplex with one vertex of index 2
 INDEX2_SIMPLEX4 = ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1), (1, 1, 1, 2)), (0, 0, 0, 0, 2)
+# NON_SMOOTH_TRIANGLE times a segment and times a square: the faces over
+# its vertex of index 2, up to an edge and a 2-face, have g_S = 2
+NON_SMOOTH_PRISM = ((-1, 0, 0), (0, -1, 0), (1, 2, 0), (0, 0, -1), (0, 0, 1)), (0, 0, 2, 0, 1)
+NON_SMOOTH_TRIANGLE_SQUARE = (
+    ((-1, 0, 0, 0), (0, -1, 0, 0), (1, 2, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1), (0, 0, 1, 0), (0, 0, 0, 1)),
+    (0, 0, 2, 0, 0, 1, 1),
+)
 
 
 class TestNonSmooth:

@@ -753,3 +753,25 @@ class TestTransforms:
         the kept facets only) silently truncated."""
         with pytest.raises(PolytopeError, match=message):
             from_halfspaces_pruned(2, ((-1, 0), (0, -1), (1, 1), (1, 0)), support, labels)
+
+
+_SEGMENT = ((1,), (-1,)), (1, 0)
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        (lambda: HPolytope(0, ((1,),), (0,)), PolytopeError, "dimension must be at least 1"),
+        (lambda: HPolytope(1, _SEGMENT[0], (1,)), PolytopeError, "conormal and support counts differ"),
+        (lambda: HPolytope(1, ((1, 0), (-1,)), (1, 0)), PolytopeError, "conormal (1, 0) has wrong length"),
+        (lambda: HPolytope(1, ((0,), (-1,)), (1, 0)), ValueError, "zero vector has no primitive representative"),
+        (lambda: HPolytope(1, *_SEGMENT, ("a",)), PolytopeError, "label count does not match facet count"),
+        (lambda: HPolytope(1, *_SEGMENT).permute_facets((0, 0)), PolytopeError,
+         "order must be a permutation of facet indices"),
+        (lambda: HPolytope(1, *_SEGMENT).label_index("X"), KeyError, "no facet labeled 'X'"),
+    ],
+)
+def test_input_checks(call, kind, message):
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind and info.value.args == (message,)

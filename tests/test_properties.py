@@ -50,6 +50,7 @@ import _equivalence_ref
 import _functional_ref
 import _polytope_ref
 import _slice_ref
+import test_recognize
 from _linalg_ref import nullspace, rank
 from _suite import (
     combine_conormals,
@@ -860,7 +861,9 @@ class TestKleinschmidtSweep:
     also a face drawn from all.  Each pair is moved by a unimodular map
     (H goes to T H) and a translation; facet reorderings are left out
     while the type depends on the facet order
-    (``test_facet_order_with_blowdowns``)."""
+    (``test_facet_order_with_blowdowns``).  Each essential pair is also
+    restricted to each of its symmetric facets, where Part I's statement
+    must hold (``test_recognize.TestPartOneLowDimensions``)."""
 
     def test_seeded_sweep(self, scan_checked):
         seen = self.sweep(2011)
@@ -895,11 +898,11 @@ class TestKleinschmidtSweep:
             for poly, H in [(base, H) for H in Hs] + inputs:
                 T = _unimodular(rng, 4)
                 poly = poly.apply_lattice_map(T).translate([rng.randint(-2, 2) for _ in range(4)])
-                seen[cls._check(poly, tuple(_dot(row, H) for row in T))] += 1
+                seen[cls._check(poly, tuple(_dot(row, H) for row in T), part_one=True)] += 1
         return seen
 
     @staticmethod
-    def _check(poly, H):
+    def _check(poly, H, part_one=False):
         case = (poly.conormals, poly.support, H)
         report = mass_linear_test(poly, H)
         assert fully_mass_linear_test(poly, H).verdict == report.verdict, case
@@ -927,6 +930,8 @@ class TestKleinschmidtSweep:
         else:
             assert res.type in ("a1", "a2", "a3", "b"), (case, res.detail)
             assert certificate_holds(res.terminal, res.certificate), case
+            if part_one:  # Part I on each symmetric facet
+                test_recognize.TestPartOneLowDimensions._restrictions(case, poly, H, report.symmetric)
         rebuilt = replay_trace(res.terminal, res.trace)
         assert rebuilt == poly and rebuilt.labels == poly.labels, case
         return res.type, len(res.trace)
@@ -1036,7 +1041,7 @@ class TestFamilySweep:
             for poly, H in inputs:
                 T = _unimodular(rng, 4)
                 poly = poly.apply_lattice_map(T).translate([rng.randint(-2, 2) for _ in range(4)])
-                seen[TestKleinschmidtSweep._check(poly, tuple(_dot(row, H) for row in T))] += 1
+                seen[TestKleinschmidtSweep._check(poly, tuple(_dot(row, H) for row in T), part_one=True)] += 1
         return seen, skipped, len(bases)
 
 

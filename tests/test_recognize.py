@@ -10,6 +10,7 @@ the edge F2 cap F4 cap G1, where the same functional is essential.
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -841,12 +842,15 @@ class TestPartOneLowDimensions:
     accepts.  The 4-d proof restricts H to its symmetric facets, which are
     3-d pairs, so the same statement checks the 4-d verdicts from below.
 
-    Inputs: the smooth 2-d and 3-d suite polytopes and their blowups
-    along every face of codimension 2 or more, with the basis of
-    ``ml_space``, sums of neighbouring basis vectors and one weighted sum;
-    and the restriction of every essential 4-d suite pair to each of its
-    symmetric facets (``restrict_to_face``), which must stay mass
-    linear."""
+    Inputs: the smooth 2-d and 3-d suite polytopes, seeded Y_2 twists
+    (``bundle_Yk`` with k = 2) and their blowups along every face of
+    codimension 2 or more, with the basis of ``ml_space``, sums of
+    neighbouring basis vectors and one weighted sum; and the restriction
+    of every essential 4-d suite pair to each of its symmetric facets
+    (``restrict_to_face``), which must stay mass linear.  The seeded 4-d
+    sweeps of ``test_properties`` check the same restrictions of every
+    essential pair they draw (``_restrictions``), where their reports
+    are at hand."""
 
     @staticmethod
     def _functionals(poly):
@@ -865,17 +869,50 @@ class TestPartOneLowDimensions:
         assert poly.n_facets == 5 and recognize_bundle_over_segment(poly) is not None, (poly.conormals, H)
         return "essential"
 
-    def test_suite_and_blowups(self):
+    @classmethod
+    def _with_blowups(cls, bases) -> Counter:
+        """Part I on each polytope and on its blowups along every face of
+        codimension 2 or more, counted by (dimension, verdict)."""
         seen = Counter()
-        for sp in suite_polytopes():
-            if sp.poly.dim not in (2, 3):
-                continue
-            faces = sorted(sorted(f.index_set) for f in sp.poly.face_lattice.values() if 0 <= f.dimension <= sp.poly.dim - 2)
-            for poly in [sp.poly] + [blowup(sp.poly, I) for I in faces]:
-                for H in self._functionals(poly):
-                    seen[poly.dim, self._assert_part_one(poly, H)] += 1
+        for base in bases:
+            faces = sorted(sorted(f.index_set) for f in base.face_lattice.values() if 0 <= f.dimension <= base.dim - 2)
+            for poly in [base] + [blowup(base, I) for I in faces]:
+                for H in cls._functionals(poly):
+                    seen[poly.dim, cls._assert_part_one(poly, H)] += 1
+        return seen
+
+    @classmethod
+    def _restrictions(cls, case, poly, H, symmetric) -> Counter:
+        """Part I on the restriction of an essential 4-d pair to each of
+        its symmetric facets, counted by verdict.  The 4-d sweeps of
+        ``test_properties`` call this on every essential pair they draw."""
+        seen = Counter()
+        for i in sorted(symmetric):
+            r = restrict_to_face(poly, H, (i,))
+            assert mass_linear_test(r.poly, r.functional).verdict, (case, i)
+            if any(r.functional):
+                seen[cls._assert_part_one(r.poly, r.functional)] += 1
+        return seen
+
+    def test_suite_and_blowups(self):
+        seen = self._with_blowups(sp.poly for sp in suite_polytopes() if sp.poly.dim in (2, 3))
         assert seen[2, "inessential"] and seen[3, "inessential"] and seen[3, "essential"]
         assert not seen[2, "essential"]
+
+    def test_seeded_y2_twists_and_blowups(self):
+        # twists in [-3, 3]^2; support numbers with lambda > 0 and the
+        # height h over the fiber origin 1 to 3 above its chamber bound
+        rng = random.Random(1106)
+        bases = []
+        for _ in range(16):
+            a = (rng.randint(-3, 3), rng.randint(-3, 3))
+            fiber = [rng.randint(0, 3) for _ in range(3)]
+            fiber[rng.randrange(3)] += 1
+            g1 = rng.randint(-2, 2)
+            g2 = max(0, *a) * sum(fiber) - (a[0] * fiber[0] + a[1] * fiber[1] + g1) + rng.randint(1, 3)
+            bases.append(bundle_Yk(YkBundleSpec(2, a, (*fiber, g1, g2))))
+        seen = self._with_blowups(bases)
+        assert seen[3, "inessential"] and seen[3, "essential"], seen
 
     def test_symmetric_facet_restrictions(self):
         seen = Counter()
@@ -883,9 +920,5 @@ class TestPartOneLowDimensions:
             report = report_for(pair)
             if pair.poly.dim != 4 or not report.verdict or not any(pair.H) or is_inessential(pair.poly, pair.H):
                 continue
-            for i in sorted(report.symmetric):
-                r = restrict_to_face(pair.poly, pair.H, (i,))
-                assert mass_linear_test(r.poly, r.functional).verdict, (pair.name, pair.H, i)
-                if any(r.functional):
-                    seen[self._assert_part_one(r.poly, r.functional)] += 1
+            seen += self._restrictions((pair.name, pair.H), pair.poly, pair.H, report.symmetric)
         assert seen["inessential"] and seen["essential"]

@@ -59,8 +59,6 @@ UNREAD_ALLOWED = {
     # perfbench's tracer patches these two by name
     ("linalg.py", "rref"),
     ("measure.py", "skeleton_measure_polys"),
-    # perfbench's corpus reads the faces of each dimension
-    ("polytope.py", "HPolytope.faces_of_dimension"),
     # the three moves under which every result must be invariant
     ("polytope.py", "HPolytope.translate"),
     ("polytope.py", "HPolytope.apply_lattice_map"),
